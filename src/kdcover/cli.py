@@ -288,7 +288,6 @@ def run_algorithm(instance: MovingInstance, algorithm: str, flags: ImprovementFl
         tighten_threshold=args.tighten,
         time_limit=args.time_limit,
         exact_arithmetic=args.exact_arith,
-        seed=args.seed,
     )
     return solve_minmax(instance, config)
 
@@ -308,7 +307,6 @@ def cmd_solve(args) -> int:
         "tighten_threshold": args.tighten,
         "time_limit": args.time_limit,
         "exact_arithmetic": args.exact_arith,
-        "seed": args.seed,
         "k": args.k,
     }
     out = args.output or (Path(args.instance).with_suffix("").name + ".result.json")
@@ -387,8 +385,7 @@ def cmd_bench(args) -> int:
         combos = args.flag_combos.split(";")
     args_dict = {
         "gap": args.gap, "coarse_gap": args.coarse_gap, "tighten": args.tighten,
-        "time_limit": args.time_limit, "exact_arith": args.exact_arith,
-        "seed": args.seed, "k": args.k,
+        "time_limit": args.time_limit, "exact_arith": args.exact_arith, "k": args.k,
     }
     tasks = []
     for entry in manifest.get("instances", []):
@@ -603,7 +600,6 @@ def _add_solver_options(p: argparse.ArgumentParser):
     p.add_argument("--flags", type=parse_flags, default=ImprovementFlags(),
                    help="comma list of nodup,impext,partext")
     p.add_argument("--exact-arith", dest="exact_arith", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=10, help="fixed_nn interval count")
 
 

@@ -60,7 +60,6 @@ class SolverConfig:
     tighten_threshold: float = 0.015
     time_limit: float = 600.0
     exact_arithmetic: bool = False
-    seed: int = 0
     backend: SolverBackend | None = None
     max_iterations: int = 100_000
 

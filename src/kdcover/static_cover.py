@@ -5,6 +5,11 @@ branch-and-bound exact solver with a certified lower bound, and a brute
 force oracle for tests.  Costs are tracked internally as sums of squared
 radii (area / pi); the pi factor is applied in the reported `cost` and
 `lower_bound` so that exact-arithmetic runs keep rational internals.
+
+One station's candidate disks are nested by radius, so each one covers a
+prefix of that station's objects sorted by distance.  That shared order is
+the only coverage representation; the solvers read radius levels, bitmasks
+and each object's first covering level off it in one O(nm) pass.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .geometry import MovingInstance, Point2
@@ -42,24 +47,35 @@ def _ratio(value, count: int):
     return value / count
 
 
+_DIVE_PERIOD = 4096  # branch-and-bound pops between greedy dives
+_TIME_CHECK_PERIOD = 128  # pops between deadline checks
+
+
 class InfeasibleCoverError(ValueError):
     """Some object is not covered by any candidate disk (malformed input)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateDisk:
     """Disk centered at a station whose radius reaches one support object.
 
-    `covered` holds every object index within `radius_sq` of the station.
-    Candidates of one station are nested by coverage; equidistant objects
-    collapse into a single candidate whose support is the lowest object
-    index at that distance.
+    `order` is the station's objects sorted by (squared distance, index),
+    one tuple shared by all candidates of the station; the disk covers its
+    first `prefix` objects, which are exactly those within `radius_sq`.
+    Equidistant objects collapse into a single candidate whose support is
+    the lowest object index at that distance.
     """
 
     station_index: int
     support_index: int
     radius_sq: object
-    covered: frozenset[int]
+    order: tuple[int, ...] = field(repr=False)
+    prefix: int
+
+    @property
+    def covered(self) -> frozenset[int]:
+        """Covered object indices, built on each read."""
+        return frozenset(self.order[: self.prefix])
 
 
 @dataclass(frozen=True)
@@ -103,19 +119,18 @@ def _dist_sq(a: Point2, b: Point2):
 
 def enumerate_candidates(instance: MovingInstance, t) -> list[CandidateDisk]:
     """All station/support candidate disks at time t, station-major and by
-    ascending radius within a station (so coverage sets form chains)."""
+    ascending radius within a station (so coverage prefixes form chains)."""
     out: list[CandidateDisk] = []
     positions = [obj.at(t) for obj in instance.objects]
+    n = len(positions)
     for si, st in enumerate(instance.stations):
         dists = sorted((_dist_sq(st, p), j) for j, p in enumerate(positions))
-        covered: list[int] = []
-        for r2, j in dists:
-            covered.append(j)
-            if out and out[-1].station_index == si and out[-1].radius_sq == r2:
-                prev = out[-1]
-                out[-1] = CandidateDisk(si, prev.support_index, r2, frozenset(covered))
-            else:
-                out.append(CandidateDisk(si, j, r2, frozenset(covered)))
+        order = tuple([j for _, j in dists])
+        first = 0  # start of the current run of equidistant objects
+        for k, (r2, _) in enumerate(dists):
+            if k + 1 == n or dists[k + 1][0] != r2:
+                out.append(CandidateDisk(si, order[first], r2, order, k + 1))
+                first = k + 1
     return out
 
 
@@ -157,43 +172,42 @@ class SolverBackend:
     solve(candidates, n_objects, target_gap, time_limit) must return
     (selected candidate indices, lower bound on the sum of squared radii)
     with the selection covering every object in range(n_objects) and the
-    bound never exceeding the optimal sum.  Candidates of one station must
-    be coverage-nested, as produced by `enumerate_candidates`.
+    bound never exceeding the optimal sum.  Candidates are laid out as
+    `enumerate_candidates` produces them: each covers a prefix of its
+    station's shared distance order, so one station's disks are nested.
     """
 
     def solve(self, candidates, n_objects, target_gap, time_limit):
         raise NotImplementedError
 
 
-class _Levels:
-    """Per-station nested radius levels with bitmask coverage."""
+class _Prefixes:
+    """Per-station levels read off the shared distance orders, stations in
+    ascending index and levels in ascending radius: radius values, coverage
+    bitmasks (running ORs over the prefix), candidate indices, and
+    rank[s][j], the level at which object j enters the prefix (-1 if never).
+    """
 
     def __init__(self, candidates, n_objects: int):
-        by_station: dict[int, list[tuple]] = {}
+        by_station: dict[int, list[int]] = {}
         for idx, cand in enumerate(candidates):
-            by_station.setdefault(cand.station_index, []).append((cand.radius_sq, idx, cand))
+            by_station.setdefault(cand.station_index, []).append(idx)
         self.station_ids = sorted(by_station)
-        self.values = []  # nested radius_sq levels per station, ascending
-        self.masks = []
-        self.cand_idx = []
-        self.rank = []  # rank[s][obj] = smallest level covering obj, or -1
+        self.values, self.masks, self.cand_idx, self.rank = [], [], [], []
         union = 0
         for sid in self.station_ids:
-            entries = sorted(by_station[sid], key=lambda e: (e[0], e[1]))
-            vals, masks, cids = [], [], []
-            rank = [-1] * n_objects
-            for r2, idx, cand in entries:
-                mask = 0
-                for j in cand.covered:
+            cids = sorted(by_station[sid], key=lambda i: candidates[i].prefix)
+            vals, masks, rank = [], [], [-1] * n_objects
+            mask = done = 0
+            for lvl, idx in enumerate(cids):
+                cand = candidates[idx]
+                for j in cand.order[done : cand.prefix]:
                     mask |= 1 << j
-                vals.append(r2)
+                    rank[j] = lvl
+                done = cand.prefix
+                vals.append(cand.radius_sq)
                 masks.append(mask)
-                cids.append(idx)
-                lvl = len(vals) - 1
-                for j in cand.covered:
-                    if rank[j] < 0:
-                        rank[j] = lvl
-                union |= mask
+            union |= mask
             self.values.append(vals)
             self.masks.append(masks)
             self.cand_idx.append(cids)
@@ -225,14 +239,10 @@ class BranchBoundBackend(SolverBackend):
     smallest candidate index list.
     """
 
-    def __init__(self, dive_period: int = 4096, time_check_period: int = 128):
-        self.dive_period = dive_period
-        self.time_check_period = time_check_period
-
     def solve(self, candidates, n_objects, target_gap, time_limit):
         if n_objects == 0:
             return [], 0
-        lv = _Levels(candidates, n_objects)
+        lv = _Prefixes(candidates, n_objects)
         if lv.covered_union != lv.universe:
             missing = next(j for j in range(n_objects) if not (lv.covered_union >> j) & 1)
             raise InfeasibleCoverError(f"object {missing} is covered by no candidate")
@@ -267,7 +277,7 @@ class BranchBoundBackend(SolverBackend):
             if target_gap > 0 and float(best_cost) <= float(lower) * (1.0 + target_gap):
                 break
             pops += 1
-            if pops % self.time_check_period == 0 and _time.perf_counter() > deadline:
+            if pops % _TIME_CHECK_PERIOD == 0 and _time.perf_counter() > deadline:
                 timed_out = True
                 break
             committed, covered = lv.committed(levels)
@@ -283,7 +293,7 @@ class BranchBoundBackend(SolverBackend):
                 if committed < best_cost or (committed == best_cost and sel < best_sel):
                     best_cost, best_levels, best_sel = committed, levels, sel
                 continue
-            if pops % self.dive_period == 0:
+            if pops % _DIVE_PERIOD == 0:
                 dl, dc = self._dive(lv, levels, committed, covered)
                 if dc < best_cost:
                     best_cost, best_levels = dc, dl
@@ -311,7 +321,7 @@ class BranchBoundBackend(SolverBackend):
             lower = best_cost
         return list(best_sel), lower
 
-    def _evaluate(self, lv: _Levels, levels, committed, covered):
+    def _evaluate(self, lv: _Prefixes, levels, committed, covered):
         """Admissible completion bound and the branch object (argmax of the
         min single-disk increment, lowest index on ties)."""
         uncovered = lv.universe & ~covered
@@ -364,7 +374,7 @@ class BranchBoundBackend(SolverBackend):
         bound = committed + (maxmin if maxmin > price_total else price_total)
         return bound, branch_obj
 
-    def _dive(self, lv: _Levels, levels, committed, covered):
+    def _dive(self, lv: _Prefixes, levels, committed, covered):
         """Greedy completion by best increment-per-new-object ratio."""
         levels = list(levels)
         while covered != lv.universe:
@@ -388,7 +398,7 @@ class BranchBoundBackend(SolverBackend):
             levels[s] = k
         return tuple(levels), committed
 
-    def _selection(self, lv: _Levels, levels):
+    def _selection(self, lv: _Prefixes, levels):
         return tuple(sorted(lv.cand_idx[s][lvl] for s, lvl in enumerate(levels) if lvl >= 0))
 
 
@@ -413,9 +423,8 @@ class MilpBackend(SolverBackend):
             return [], 0
         rows, cols = [], []
         for idx, cand in enumerate(candidates):
-            for j in cand.covered:
-                rows.append(j)
-                cols.append(idx)
+            rows.extend(cand.order[: cand.prefix])
+            cols.extend([idx] * cand.prefix)
         cover = sparse.csr_matrix(
             (np.ones(len(rows)), (rows, cols)), shape=(n_objects, k)
         )
@@ -444,7 +453,7 @@ DEFAULT_BACKEND = BranchBoundBackend()
 
 def _infer_counts(candidates, n_objects, n_stations):
     if n_objects is None:
-        n_objects = max((max(c.covered) for c in candidates if c.covered), default=-1) + 1
+        n_objects = max((len(c.order) for c in candidates), default=0)
     if n_stations is None:
         n_stations = max((c.station_index for c in candidates), default=-1) + 1
     return n_objects, n_stations
@@ -456,21 +465,19 @@ def _solution_from_selection(candidates, selected, n_objects, n_stations, lower,
         c = candidates[i]
         if c.radius_sq > radius[c.station_index]:
             radius[c.station_index] = c.radius_sq
-    # Each object's true distance to a station equals the smallest radius of
-    # that station's candidates covering it (every pair has its own disk).
-    min_r: dict[tuple[int, int], object] = {}
-    for c in candidates:
-        for j in c.covered:
-            key = (c.station_index, j)
-            if key not in min_r or c.radius_sq < min_r[key]:
-                min_r[key] = c.radius_sq
-    assignment = []
+    # Each object's true distance to a station is the radius of the first of
+    # that station's levels covering it (every pair has its own disk).
     stations_sel = sorted({candidates[i].station_index for i in selected})
+    lv = _Prefixes([c for c in candidates if c.station_index in stations_sel], n_objects)
+    assignment = []
     for j in range(n_objects):
         best = None
-        for s in stations_sel:
-            d = min_r.get((s, j))
-            if d is None or d > radius[s]:
+        for k, s in enumerate(stations_sel):
+            rk = lv.rank[k][j]
+            if rk < 0:
+                continue
+            d = lv.values[k][rk]
+            if d > radius[s]:
                 continue
             if best is None or (d, s) < best:
                 best = (d, s)
@@ -502,12 +509,6 @@ def solve_exact(
     n_objects, n_stations = _infer_counts(candidates, n_objects, n_stations)
     if n_objects == 0:
         return StaticSolution((), (0,) * n_stations, 0, 0)
-    covered_union: set[int] = set()
-    for c in candidates:
-        covered_union |= c.covered
-    for j in range(n_objects):
-        if j not in covered_union:
-            raise InfeasibleCoverError(f"object {j} is covered by no candidate")
     backend = backend or DEFAULT_BACKEND
     selected, lower = backend.solve(candidates, n_objects, target_gap, time_limit)
     sol = _solution_from_selection(candidates, selected, n_objects, n_stations, lower)
@@ -529,8 +530,8 @@ def brute_force_cover(
     """Exhaustive optimum over per-station radius-level choices.
 
     Test oracle only; guarded to small instances.  Unlike the backend it
-    uses the raw coverage sets, so it stays independent of the nested-level
-    model the branch and bound exploits.
+    walks the candidates' coverage sets, so it stays independent of the
+    nested-level model the branch and bound exploits.
     """
     n_objects, n_stations = _infer_counts(candidates, n_objects, n_stations)
     if n_objects > BRUTE_FORCE_MAX_OBJECTS:
@@ -551,6 +552,7 @@ def brute_force_cover(
         combos *= len(opts)
         if combos > _BRUTE_FORCE_MAX_COMBOS:
             raise ValueError("instance exceeds brute force combination guard")
+    covered_by = [c.covered for c in candidates]
     universe = frozenset(range(n_objects))
     best_cost = None
     best_sel = None
@@ -571,8 +573,8 @@ def brute_force_cover(
             if opt is None:
                 walk(depth + 1, chosen, covered, cost)
             else:
-                c = candidates[opt]
-                walk(depth + 1, chosen + [opt], covered | c.covered, cost + c.radius_sq)
+                cost_opt = cost + candidates[opt].radius_sq
+                walk(depth + 1, chosen + [opt], covered | covered_by[opt], cost_opt)
 
     walk(0, [], frozenset(), 0)
     if best_sel is None:

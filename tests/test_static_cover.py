@@ -7,7 +7,6 @@ from conftest import random_instance, random_sizes
 from kdcover.geometry import MovingInstance, Point2, Trajectory
 from kdcover.static_cover import (
     BranchBoundBackend,
-    CandidateDisk,
     InfeasibleCoverError,
     brute_force_cover,
     enumerate_candidates,
@@ -56,6 +55,7 @@ def test_candidate_chains_nested():
         for c in cands:
             by_station.setdefault(c.station_index, []).append(c)
         for chain in by_station.values():
+            assert all(c.order is chain[0].order for c in chain)
             for prev, cur in zip(chain, chain[1:]):
                 assert prev.radius_sq < cur.radius_sq
                 assert prev.covered < cur.covered
@@ -83,7 +83,8 @@ def test_nn_examples():
 
 def test_solve_exact_trivial_and_errors():
     assert solve_exact([], 0, 3).total_radius_sq == 0
-    bad = [CandidateDisk(0, 0, 1.0, frozenset({0}))]
+    # n_objects names an object the candidate set does not have.
+    bad = enumerate_candidates(stationary([(1.0, 0.0)], [(0.0, 0.0)]), 0.0)
     with pytest.raises(InfeasibleCoverError):
         solve_exact(bad, 2, 1)
     with pytest.raises(InfeasibleCoverError):
@@ -166,6 +167,51 @@ def test_gapped_solve_reports_honest_bound():
         assert coarse.lower_radius_sq <= tight.total_radius_sq * (1 + 1e-12)
         assert coarse.total_radius_sq >= tight.total_radius_sq - 1e-9
         assert coarse.gap <= 0.01 + 1e-12
+
+
+# Selections and bounds of the search on instances beyond the brute-force
+# guard, recorded from the set-based candidate layout: (seed, exact
+# arithmetic, target gap, selected, total_radius_sq, lower_radius_sq).
+PINNED_SEARCH = [
+    (138, False, 1e-2, (45, 80, 196), 3732.2416148454217, 3711.4876947635207),
+    (138, False, 0.0, (44, 80, 196), 3711.4876947635207, 3711.4876947635207),
+    (138, True, 1e-2, (45, 80, 196),
+     "591397290406946850567117041290017/158456325028528675187087900672",
+     "588108700500833074130152113801169/158456325028528675187087900672"),
+    (138, True, 0.0, (44, 80, 196),
+     "588108700500833074130152113801169/158456325028528675187087900672",
+     "588108700500833074130152113801169/158456325028528675187087900672"),
+    (146, False, 1e-2, (17, 46, 160, 216), 3948.4600573781745, 3948.4600573781745),
+    (146, False, 0.0, (17, 46, 160, 216), 3948.4600573781745, 3948.4600573781745),
+    (146, True, 1e-2, (17, 46, 160, 216),
+     "1251316940428158126002212205338845/316912650057057350374175801344",
+     "1251316940428158126002212205338845/316912650057057350374175801344"),
+    (146, True, 0.0, (17, 46, 160, 216),
+     "1251316940428158126002212205338845/316912650057057350374175801344",
+     "1251316940428158126002212205338845/316912650057057350374175801344"),
+    (182, False, 1e-2, (3, 52, 139, 165, 201), 3432.3025468279498, 3412.2728813413332),
+    (182, False, 0.0, (2, 52, 139, 165, 201), 3412.272881341333, 3412.272881341333),
+    (182, True, 1e-2, (3, 52, 139, 165, 201),
+     "543870047956416280081557207060885/158456325028528675187087900672",
+     "1081392441543712447652587544842497/316912650057057350374175801344"),
+    (182, True, 0.0, (2, 52, 139, 165, 201),
+     "1081392441543712447652587544842497/316912650057057350374175801344",
+     "1081392441543712447652587544842497/316912650057057350374175801344"),
+]
+
+
+def test_search_pinned_beyond_oracle():
+    for seed, exact, gap, selected, total, lower in PINNED_SEARCH:
+        inst = random_instance(40, 6, seed)
+        t = 0.5
+        if exact:
+            inst, t = inst.as_exact(), Fraction(1, 2)
+            total, lower = Fraction(total), Fraction(lower)
+        sol = solve_exact(enumerate_candidates(inst, t), 40, 6, target_gap=gap)
+        assert sol.selected == selected
+        assert sol.total_radius_sq == total
+        assert sol.lower_radius_sq == lower
+        assert type(sol.total_radius_sq) is type(total)
 
 
 def test_lex_tiebreak_prefers_smaller_candidate_indices():
