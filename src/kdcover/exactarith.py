@@ -269,9 +269,21 @@ class QuadraticNumber:
         return self.p != 0 or self.q != 0
 
     def __float__(self) -> float:
+        """The nearest double.  sqrt(d) is bracketed to more bits until both
+        ends of the value's interval round to the same double, so the result
+        stays within half an ulp even when p and q*sqrt(d) nearly cancel;
+        an irrational value never sits on a rounding boundary, so this ends.
+        """
         if self.q == 0:
             return float(Fraction(self.p, self.r))
-        return float((self.p + self.q * _sqrt_fraction(self.d)) / self.r)
+        bits = 64
+        while True:
+            lo = _sqrt_fraction(self.d, bits)
+            a = float((self.p + self.q * lo) / self.r)
+            b = float((self.p + self.q * (lo + Fraction(1, 1 << bits))) / self.r)
+            if a == b:
+                return a
+            bits *= 2
 
     def __repr__(self):
         return f"QuadraticNumber({self.p}, {self.q}, {self.r}, {self.d})"

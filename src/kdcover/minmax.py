@@ -256,7 +256,9 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
                 n_objects=work.n,
                 n_stations=work.m,
                 target_gap=gap_level,
-                time_limit=max(remaining(), 0.001),
+                # At most half of what is left, so that one hard stationary
+                # solve cannot end the loop.
+                time_limit=max(remaining() / 2, 0.001),
                 backend=config.backend,
             )
         else:

@@ -10,6 +10,16 @@ One station's candidate disks are nested by radius, so each one covers a
 prefix of that station's objects sorted by distance.  That shared order is
 the only coverage representation; the solvers read radius levels, bitmasks
 and each object's first covering level off it in one O(nm) pass.
+
+The branch and bound bounds nodes by a Lagrangian relaxation of the cover
+constraints, which the same orders evaluate in O(nm): with a multiplier
+per uncovered object, each station independently picks its best level.  A
+subgradient ascent tunes the multipliers at the root, an O(nm) greedy
+completion of the relaxation's levels plus a drop-one-station local search
+supplies incumbents, and float evaluation less a rounding margin keeps the
+bound certified (a Fraction in exact mode).  Pruning is strict, so the
+gap-0 optimum and its lexicographic tie-break are those of an exhaustive
+search.
 """
 
 from __future__ import annotations
@@ -19,6 +29,8 @@ import math
 import time as _time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, compress
+from operator import sub
 
 from .geometry import MovingInstance, Point2
 
@@ -39,16 +51,16 @@ BRUTE_FORCE_MAX_OBJECTS = 12
 _BRUTE_FORCE_MAX_COMBOS = 5_000_000
 
 
-def _ratio(value, count: int):
-    """value / count without losing exactness (ints become Fractions;
-    floats, Fractions and QuadraticNumbers divide natively)."""
-    if isinstance(value, int):
-        return Fraction(value, count)
-    return value / count
-
-
-_DIVE_PERIOD = 4096  # branch-and-bound pops between greedy dives
+_LAGRANGE_STEPS = 600  # most subgradient steps at the root
+_HEURISTIC_PERIOD = 3  # subgradient steps between primal heuristic runs
+_AVERAGE = 0.03  # weight of the newest Lagrangian solution in the average
+_STEP_START, _STEP_MAX = 0.1, 0.2  # Polyak step factor
+_STEP_GROW, _STEP_SHRINK = 1.1, 0.66  # after an improving step / a stall
+_STALL = 20  # steps without improvement before the step factor shrinks
+_DIVE_PERIOD = 4096  # branch-and-bound pops between primal heuristic runs
 _TIME_CHECK_PERIOD = 128  # pops between deadline checks
+_QUICK_WORK = 1 << 16  # pops * n * m searched at the ratio prices before the ascent
+_ULP = 2.0**-52  # spacing of doubles in [1, 2)
 
 
 class InfeasibleCoverError(ValueError):
@@ -183,9 +195,12 @@ class SolverBackend:
 
 class _Prefixes:
     """Per-station levels read off the shared distance orders, stations in
-    ascending index and levels in ascending radius: radius values, coverage
-    bitmasks (running ORs over the prefix), candidate indices, and
-    rank[s][j], the level at which object j enters the prefix (-1 if never).
+    ascending index and levels in ascending radius: radius values (exact and
+    as floats), coverage bitmasks (running ORs over the prefix), candidate
+    indices, the station's distance order, last[s][k] (the position in that
+    order of level k's outermost object), rank[s][j] (the level at which
+    object j enters the prefix, -1 if never) and reach[s][j] (that level's
+    value; freach[j] holds the float values per station).
     """
 
     def __init__(self, candidates, n_objects: int):
@@ -193,7 +208,8 @@ class _Prefixes:
         for idx, cand in enumerate(candidates):
             by_station.setdefault(cand.station_index, []).append(idx)
         self.station_ids = sorted(by_station)
-        self.values, self.masks, self.cand_idx, self.rank = [], [], [], []
+        self.values, self.fvalues, self.masks, self.cand_idx = [], [], [], []
+        self.orders, self.last, self.rank = [], [], []
         union = 0
         for sid in self.station_ids:
             cids = sorted(by_station[sid], key=lambda i: candidates[i].prefix)
@@ -209,12 +225,24 @@ class _Prefixes:
                 masks.append(mask)
             union |= mask
             self.values.append(vals)
+            self.fvalues.append([float(v) for v in vals])
             self.masks.append(masks)
             self.cand_idx.append(cids)
+            self.orders.append(candidates[cids[0]].order)
+            self.last.append([candidates[i].prefix - 1 for i in cids])
             self.rank.append(rank)
         self.n_stations = len(self.station_ids)
+        self.n_objects = n_objects
         self.universe = (1 << n_objects) - 1
         self.covered_union = union
+        # reach[s][j]: the value of the level at which station s first covers
+        # object j, or `beyond` (more than any increment) if it never does.
+        beyond = 1 + sum(vals[-1] for vals in self.values)
+        self.reach = [
+            [vals[r] if r >= 0 else beyond for r in rank]
+            for vals, rank in zip(self.values, self.rank)
+        ]
+        self.freach = list(zip(*[[float(v) for v in col] for col in self.reach]))
 
     def committed(self, levels):
         total = 0
@@ -225,18 +253,157 @@ class _Prefixes:
                 mask |= self.masks[s][lvl]
         return total, mask
 
+    def uncovered(self, covered: int):
+        """One flag per object: True when the mask does not cover it."""
+        return [b == "0" for b in reversed(format(covered, f"0{self.n_objects}b"))]
+
+    def lagrangian(self, levels, weights):
+        """Float Lagrangian completion value above the committed levels, for
+        multipliers `weights` that are zero on covered objects.
+
+        L = sum(weights) + sum over stations of min(0, min over levels k
+        above the committed one of (v_k - v_committed - weights of the
+        objects in prefix k)); a valid lower bound for any weights >= 0.
+        Returns L, each station's minimizing level, the magnitude that
+        bounds L's rounding error (see `_margin`), and per station the list
+        of v_k - (weights in prefix k) over the levels above the committed
+        one (None at the top level).
+        """
+        total = sum(weights)
+        scale = total * (self.n_stations + 2)
+        chosen = list(levels)
+        reduced_all = []
+        for s in range(self.n_stations):
+            fv = self.fvalues[s]
+            lvl = levels[s]
+            scale += 3.0 * fv[-1]
+            if lvl + 1 == len(fv):
+                reduced_all.append(None)
+                continue
+            sums = list(accumulate(map(weights.__getitem__, self.orders[s])))
+            reduced = list(map(sub, fv[lvl + 1 :], map(sums.__getitem__, self.last[s][lvl + 1 :])))
+            reduced_all.append(reduced)
+            low = min(reduced)
+            gain = low - (fv[lvl] if lvl >= 0 else 0.0)
+            if gain < 0.0:
+                total += gain
+                chosen[s] = lvl + 1 + reduced.index(low)
+        return total, chosen, scale, reduced_all
+
+    def cover_counts(self, levels):
+        """How many of the given levels cover each object."""
+        count = [0] * self.n_objects
+        for s, lvl in enumerate(levels):
+            if lvl >= 0:
+                for j in self.orders[s][: self.last[s][lvl] + 1]:
+                    count[j] += 1
+        return count
+
+    def complete(self, levels):
+        """Primal heuristic: raise levels until every object is covered, then
+        lower every level whose outermost objects are covered twice.
+
+        Uncovered objects are taken in descending order of their cheapest
+        single-station increment, each raising the station that covers it at
+        the least increment (lowest station on ties).  The lowering pass
+        visits stations by descending radius.  O(nm) over the float values;
+        returns the levels and their exact cost.
+        """
+        m, n = self.n_stations, self.n_objects
+        fv, rank, last, orders = self.fvalues, self.rank, self.last, self.orders
+        levels = list(levels)
+        count = self.cover_counts(levels)
+        cur = [fv[s][lvl] if lvl >= 0 else 0.0 for s, lvl in enumerate(levels)]
+
+        def cheapest(j):
+            # (increment, station) of the cheapest raise covering object j
+            return min(zip(map(sub, self.freach[j], cur), range(m)))
+
+        need = sorted((-cheapest(j)[0], j) for j in range(n) if not count[j])
+        for _, j in need:
+            if count[j]:
+                continue
+            s = cheapest(j)[1]
+            r = rank[s][j]
+            lo = last[s][levels[s]] + 1 if levels[s] >= 0 else 0
+            for i in orders[s][lo : last[s][r] + 1]:
+                count[i] += 1
+            levels[s] = r
+            cur[s] = fv[s][r]
+
+        by_radius = sorted(
+            (s for s in range(m) if levels[s] >= 0), key=lambda s: (-fv[s][levels[s]], s)
+        )
+        for s in by_radius:
+            order, end = orders[s], last[s][levels[s]]
+            p = end
+            while p >= 0 and count[order[p]] > 1:
+                p -= 1
+            new = rank[s][order[p]] if p >= 0 else -1
+            keep = last[s][new] if new >= 0 else -1
+            for i in order[keep + 1 : end + 1]:
+                count[i] -= 1
+            levels[s] = new
+        return tuple(levels), self.committed(levels)[0]
+
+    def improve(self, levels, cost):
+        """Local search on a cover: drop one station (largest radius first),
+        re-cover with `complete`, keep the first cheaper result, and repeat
+        until no drop pays.  Returns the levels and their exact cost."""
+        improved = True
+        while improved:
+            improved = False
+            used = [s for s in range(self.n_stations) if levels[s] >= 0]
+            used.sort(key=lambda s: (-self.fvalues[s][levels[s]], s))
+            for s in used:
+                trial, trial_cost = self.complete(levels[:s] + (-1,) + levels[s + 1 :])
+                if trial_cost < cost:
+                    levels, cost, improved = trial, trial_cost, True
+                    break
+        return levels, cost
+
+
+def _margin(scale: float, lv: _Prefixes) -> float:
+    """Bound on the rounding error of a float Lagrangian value of the given
+    magnitude: every partial sum has at most n + m + 8 terms, each carrying
+    at most a few units of roundoff.  Exact values enter as their nearest
+    doubles (Fraction and QuadraticNumber both round correctly), which adds
+    half a unit each."""
+    return scale * (lv.n_objects + lv.n_stations + 8) * _ULP * 4.0
+
 
 class BranchBoundBackend(SolverBackend):
     """Best-first branch and bound over per-station radius-level choices.
 
     Each station picks one of its nested candidates or stays unused; the
     search branches on the uncovered object whose cheapest single-disk
-    increment is largest, assigning it to each station in turn.  The node
-    bound is the committed area plus the larger of two admissible terms:
-    that max-min increment, and an additive pricing bound that charges
-    every uncovered object its best increment-per-newly-covered-object
-    ratio.  Ties among optimal selections resolve to the lexicographically
-    smallest candidate index list.
+    increment is largest, assigning it to each station in turn.
+
+    Bounds come from a Lagrangian relaxation of the cover constraints: for
+    multipliers u >= 0 on the uncovered objects, each station independently
+    picks the level minimizing its increment minus the u of the objects it
+    covers, an O(nm) pass over the shared orders (`_Prefixes.lagrangian`).
+    A node's bound is the committed area plus the larger of that value and
+    the max-min single-disk increment.  Each child is pushed with the same
+    relaxation, its station forced to the child's level or above, so a
+    child that cannot beat the incumbent is never queued.  The float
+    Lagrangian value is lowered by a rounding margin (`_margin`) and, in
+    exact mode, enters the bound as the Fraction of that float, so every
+    bound stays certified.
+
+    The search first runs at the ratio prices (each object charged its best
+    increment-per-covered-object ratio; their Lagrangian value is the
+    additive pricing bound) for a fixed amount of work, pops * n * m, which
+    settles small instances.  Otherwise a deflected subgradient ascent
+    (`_ascend`) raises the root bound, with the primal heuristic
+    (`_Prefixes.complete`, then `_Prefixes.improve`) supplying incumbents;
+    when the incumbent is within the target gap of the bound the root
+    returns at once, and else the search restarts at the ascent's u.  The
+    heuristic also runs every `_DIVE_PERIOD` pops.
+
+    Pruning is strict (only nodes whose bound exceeds the incumbent), so at
+    gap 0 every optimal selection stays reachable and ties among them
+    resolve to the lexicographically smallest candidate index list.
     """
 
     def solve(self, candidates, n_objects, target_gap, time_limit):
@@ -247,24 +414,38 @@ class BranchBoundBackend(SolverBackend):
             missing = next(j for j in range(n_objects) if not (lv.covered_union >> j) & 1)
             raise InfeasibleCoverError(f"object {missing} is covered by no candidate")
 
-        m = lv.n_stations
-        root = (-1,) * m
         start = _time.perf_counter()
         deadline = start + time_limit if time_limit != math.inf else math.inf
+        u = self._ratio_prices(lv)
+        best = lv.complete(lv.lagrangian((-1,) * lv.n_stations, u)[1])
+        quick_pops = _QUICK_WORK // (lv.n_objects * lv.n_stations)
+        best, lower, done = self._search(lv, u, best, target_gap, deadline, quick_pops)
+        if not done:
+            u, best = self._ascend(lv, u, best, target_gap, deadline)
+            best, deeper, _ = self._search(lv, u, best, target_gap, deadline, math.inf)
+            lower = max(lower, deeper)
+        levels, cost = best
+        return list(self._selection(lv, levels)), min(lower, cost)
 
-        best_levels, best_cost = self._dive(lv, root, 0, 0)
+    def _search(self, lv: _Prefixes, u, best, target_gap, deadline, max_pops):
+        """Best-first search from the root with node bounds at multipliers
+        u, starting from the incumbent `best` (levels, exact cost).
+
+        Returns the incumbent, the certified lower bound, and False only
+        when max_pops ran out before the gap, the deadline or the optimum.
+        """
+        root = (-1,) * lv.n_stations
+        best_levels, best_cost = best
         best_sel = self._selection(lv, best_levels)
-
-        bound0, branch0 = self._evaluate(lv, root, 0, 0)
-        heap = [(bound0, 0, root, branch0)]
+        exact = not isinstance(best_cost, float)
+        heap = [(0, 0, root, None)]
         seq = 1
         visited: set[tuple] = set()
         lower = 0
         pops = 0
-        timed_out = False
 
         while heap:
-            key, _, levels, branch_obj = heapq.heappop(heap)
+            key, _, levels, branching = heapq.heappop(heap)
             if levels in visited:
                 continue
             if key > lower:
@@ -276,127 +457,151 @@ class BranchBoundBackend(SolverBackend):
             # the bounds themselves stay exact.
             if target_gap > 0 and float(best_cost) <= float(lower) * (1.0 + target_gap):
                 break
+            if pops == max_pops:
+                return (best_levels, best_cost), lower, False
             pops += 1
             if pops % _TIME_CHECK_PERIOD == 0 and _time.perf_counter() > deadline:
-                timed_out = True
                 break
             committed, covered = lv.committed(levels)
-            if branch_obj is None:
-                bound, branch_obj = self._evaluate(lv, levels, committed, covered)
-                if bound > key:
-                    heapq.heappush(heap, (bound, seq, levels, branch_obj))
-                    seq += 1
-                    continue
-            visited.add(levels)
             if covered == lv.universe:
+                visited.add(levels)
                 sel = self._selection(lv, levels)
                 if committed < best_cost or (committed == best_cost and sel < best_sel):
                     best_cost, best_levels, best_sel = committed, levels, sel
                 continue
+            if branching is None:
+                bound, branching = self._evaluate(lv, levels, committed, covered, u, exact)
+                if bound > key:
+                    heapq.heappush(heap, (bound, seq, levels, branching))
+                    seq += 1
+                    continue
+            visited.add(levels)
             if pops % _DIVE_PERIOD == 0:
-                dl, dc = self._dive(lv, levels, committed, covered)
+                weights = [x if o else 0.0 for o, x in zip(lv.uncovered(covered), u)]
+                dl, dc = lv.improve(*lv.complete(lv.lagrangian(levels, weights)[1]))
                 if dc < best_cost:
                     best_cost, best_levels = dc, dl
                     best_sel = self._selection(lv, dl)
-            j = branch_obj
-            for s in range(m):
+            j, children = branching
+            for s, forced in enumerate(children):
+                if forced is None:
+                    continue
                 new_lvl = lv.rank[s][j]
-                if new_lvl < 0:
-                    continue
-                if new_lvl <= levels[s]:
-                    continue
                 child = levels[:s] + (new_lvl,) + levels[s + 1 :]
                 if child in visited:
                     continue
                 cur_val = lv.values[s][levels[s]] if levels[s] >= 0 else 0
-                child_committed = committed + lv.values[s][new_lvl] - cur_val
-                if child_committed > best_cost:
+                child_key = max(committed + lv.values[s][new_lvl] - cur_val, forced)
+                if child_key > best_cost:
                     continue
-                heapq.heappush(heap, (child_committed, seq, child, None))
+                heapq.heappush(heap, (child_key, seq, child, None))
                 seq += 1
         else:
             lower = best_cost
+        return (best_levels, best_cost), lower, True
 
-        if lower > best_cost:
-            lower = best_cost
-        return list(best_sel), lower
+    @staticmethod
+    def _ratio_prices(lv: _Prefixes):
+        """Each object's cheapest value-per-covered-object over the levels
+        that cover it.  Their Lagrangian value at the root is the additive
+        pricing bound: every object charged its best ratio."""
+        u = [math.inf] * lv.n_objects
+        for fv, last, rank in zip(lv.fvalues, lv.last, lv.rank):
+            ratios = [v / (e + 1) for v, e in zip(fv, last)]
+            suffix = list(accumulate(reversed(ratios), min))[::-1]
+            for j, r in enumerate(rank):
+                if r >= 0 and suffix[r] < u[j]:
+                    u[j] = suffix[r]
+        return u
 
-    def _evaluate(self, lv: _Prefixes, levels, committed, covered):
-        """Admissible completion bound and the branch object (argmax of the
-        min single-disk increment, lowest index on ties)."""
-        uncovered = lv.universe & ~covered
-        maxmin = 0
-        branch_obj = None
-        price_total = 0
-        m = lv.n_stations
-        cur_vals = [lv.values[s][levels[s]] if levels[s] >= 0 else 0 for s in range(m)]
-        # Suffix-min increment/new-coverage ratio per station level.
-        sufmin = []
-        for s in range(m):
-            vals, masks = lv.values[s], lv.masks[s]
-            lo = levels[s] + 1
-            arr = [None] * len(vals)
-            running = None
-            for k in range(len(vals) - 1, lo - 1, -1):
-                cnt = (masks[k] & uncovered).bit_count()
-                if cnt:
-                    ratio = _ratio(vals[k] - cur_vals[s], cnt)
-                    if running is None or ratio < running:
-                        running = ratio
-                arr[k] = running
-            sufmin.append(arr)
-        j = 0
-        rem = uncovered
-        while rem:
-            low = rem & -rem
-            j = low.bit_length() - 1
-            rem ^= low
-            min_inc = None
-            min_price = None
-            for s in range(m):
-                rk = lv.rank[s][j]
-                if rk < 0:
-                    continue
-                inc = lv.values[s][rk] - cur_vals[s]
-                if min_inc is None or inc < min_inc:
-                    min_inc = inc
-                pr = sufmin[s][rk]
-                if pr is not None and (min_price is None or pr < min_price):
-                    min_price = pr
-            if min_inc is not None and min_inc > maxmin:
-                maxmin = min_inc
-                branch_obj = j
-            if min_price is not None:
-                price_total = price_total + min_price
-        if branch_obj is None:
+    def _ascend(self, lv: _Prefixes, u, best, target_gap, deadline):
+        """Root ascent on the Lagrangian multipliers from u (the volume
+        variant of deflected subgradient: each step moves from the best
+        multipliers so far along the cover violation of an exponential
+        average of the Lagrangian solutions).  Every few steps the primal
+        heuristic completes the Lagrangian's chosen levels.
+
+        Returns the multipliers with the best Lagrangian value and the best
+        cover (levels, exact cost) found, starting from `best`.
+        """
+        root = (-1,) * lv.n_stations
+        best_levels, best_cost = best
+        val, chosen, scale, _ = lv.lagrangian(root, u)
+        best_val, best_u = val - _margin(scale, lv), u
+        average = [float(c) for c in lv.cover_counts(chosen)]
+        step, stalled = _STEP_START, 0
+        for it in range(1, _LAGRANGE_STEPS):
+            upper = float(best_cost)
+            if upper <= best_val * (1.0 + target_gap) or _time.perf_counter() > deadline:
+                break
+            direction = [
+                0.0 if x == 0.0 and a > 1.0 else 1.0 - a for x, a in zip(best_u, average)
+            ]
+            norm = sum(d * d for d in direction)
+            if norm == 0.0:
+                break
+            t = step * (upper - best_val) / norm
+            u = [max(0.0, x + t * d) for x, d in zip(best_u, direction)]
+            val, chosen, scale, _ = lv.lagrangian(root, u)
+            val -= _margin(scale, lv)
+            counts = lv.cover_counts(chosen)
+            if val > best_val:
+                if sum(d * (1 - c) for d, c in zip(direction, counts)) > 0:
+                    step = min(step * _STEP_GROW, _STEP_MAX)
+                best_val, best_u, stalled = val, u, 0
+            else:
+                stalled += 1
+                if stalled == _STALL:
+                    step *= _STEP_SHRINK
+                    stalled = 0
+            average = [_AVERAGE * c + (1.0 - _AVERAGE) * a for c, a in zip(counts, average)]
+            if it % _HEURISTIC_PERIOD == 0:
+                levels, cost = lv.complete(chosen)
+                if cost < best_cost:
+                    best_levels, best_cost = levels, cost
+        return best_u, lv.improve(best_levels, best_cost)
+
+    def _evaluate(self, lv: _Prefixes, levels, committed, covered, u, exact):
+        """Admissible completion bound, the branch object (argmax of the min
+        single-disk increment, lowest index on ties) and, per station, a
+        bound on the child that raises it to cover that object (None where
+        it cannot): the Lagrangian at the root multipliers with the station
+        forced to the child's level or above."""
+        cols = []
+        for s, lvl in enumerate(levels):
+            reach = lv.reach[s]
+            if lvl >= 0:
+                cur = lv.values[s][lvl]
+                reach = [r - cur for r in reach]
+            cols.append(reach)
+        cheapest = [min(incs) for incs in zip(*cols)]
+        is_open = lv.uncovered(covered)
+        maxmin = max(compress(cheapest, is_open))
+        if maxmin > 0:
+            j = next(j for j in compress(range(lv.n_objects), is_open) if cheapest[j] == maxmin)
+        else:
             # All uncovered objects tie at zero increment; branch on the lowest.
-            branch_obj = (uncovered & -uncovered).bit_length() - 1
-        bound = committed + (maxmin if maxmin > price_total else price_total)
-        return bound, branch_obj
+            maxmin = 0
+            j = is_open.index(True)
+        weights = [x if o else 0.0 for o, x in zip(is_open, u)]
+        total, chosen, scale, reduced = lv.lagrangian(levels, weights)
+        margin = _margin(scale + abs(float(committed)), lv)
 
-    def _dive(self, lv: _Prefixes, levels, committed, covered):
-        """Greedy completion by best increment-per-new-object ratio."""
-        levels = list(levels)
-        while covered != lv.universe:
-            uncovered = lv.universe & ~covered
-            best = None
-            for s in range(lv.n_stations):
-                cur_val = lv.values[s][levels[s]] if levels[s] >= 0 else 0
-                vals, masks = lv.values[s], lv.masks[s]
-                for k in range(levels[s] + 1, len(vals)):
-                    cnt = (masks[k] & uncovered).bit_count()
-                    if cnt == 0:
-                        continue
-                    ratio = _ratio(vals[k] - cur_val, cnt)
-                    cand = (ratio, s, k)
-                    if best is None or cand < best:
-                        best = cand
-            _, s, k = best
-            cur_val = lv.values[s][levels[s]] if levels[s] >= 0 else 0
-            committed = committed + lv.values[s][k] - cur_val
-            covered |= lv.masks[s][k]
-            levels[s] = k
-        return tuple(levels), committed
+        def certified(value):
+            value -= margin
+            return committed + (Fraction(value) if exact else value)
+
+        children = []
+        for s, lvl in enumerate(levels):
+            new_lvl = lv.rank[s][j]
+            if new_lvl <= lvl:
+                children.append(None)
+                continue
+            red = reduced[s]
+            base = lv.fvalues[s][lvl] if lvl >= 0 else 0.0
+            term = red[chosen[s] - lvl - 1] - base if chosen[s] > lvl else 0.0
+            children.append(certified(total - term + min(red[new_lvl - lvl - 1 :]) - base))
+        return max(committed + maxmin, certified(total)), (j, children)
 
     def _selection(self, lv: _Prefixes, levels):
         return tuple(sorted(lv.cand_idx[s][lvl] for s, lvl in enumerate(levels) if lvl >= 0))

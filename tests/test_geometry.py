@@ -154,6 +154,21 @@ def test_quadratic_number_arithmetic():
         QuadraticNumber(0, 1, 1, 2) + QuadraticNumber(0, 1, 1, 3)
 
 
+def test_quadratic_number_float_is_nearest_double():
+    # 665857 - 470832*sqrt(2) is about 7.5e-7: its two terms cancel to 12
+    # digits, which a fixed-precision sqrt turns into a wrong 8th digit.
+    def reference(x):
+        root = Fraction(math.isqrt(x.d << 600), 1 << 300)
+        return float((x.p + x.q * root) / x.r)
+
+    rng = Random(7)
+    cases = [QuadraticNumber(665857, -470832, 1, 2), QuadraticNumber(-665857, 470832, 3, 2)]
+    cases += [x for x in (_random_qn(rng) for _ in range(200)) if not x.is_rational]
+    assert len(cases) > 50
+    for x in cases:
+        assert float(x) == reference(x), x
+
+
 def test_instance_validation():
     with pytest.raises(ValueError):
         MovingInstance((), (Trajectory(Point2(0.0, 0.0), Point2(1.0, 0.0)),))

@@ -13,7 +13,12 @@ from kdcover.minmax import (
     scheduled_gap,
     solve_minmax,
 )
-from kdcover.static_cover import brute_force_cover, enumerate_candidates
+from kdcover.static_cover import (
+    BranchBoundBackend,
+    SolverBackend,
+    brute_force_cover,
+    enumerate_candidates,
+)
 
 ALL_FLAGS = ImprovementFlags(no_dup=True, imp_ext=True, part_ext=True)
 
@@ -177,6 +182,26 @@ def test_time_limit_marks_timeout():
     assert res.timed_out
     assert res.stats.stop_reason == "time_limit"
     assert res.upper >= res.lower
+
+
+class RecordingBackend(SolverBackend):
+    """Branch and bound that records the time limit of every call."""
+
+    def __init__(self):
+        self.time_limits = []
+
+    def solve(self, candidates, n_objects, target_gap, time_limit):
+        self.time_limits.append(time_limit)
+        return BranchBoundBackend().solve(candidates, n_objects, target_gap, time_limit)
+
+
+def test_static_solve_gets_at_most_half_the_remaining_time():
+    backend = RecordingBackend()
+    cfg = SolverConfig(flags=ALL_FLAGS, time_limit=60.0, backend=backend)
+    res = solve_minmax(random_instance(30, 5, 2), cfg)
+    assert res.stats.static_solves == len(backend.time_limits) >= 2
+    assert backend.time_limits[0] <= cfg.time_limit / 2
+    assert all(a >= b for a, b in zip(backend.time_limits, backend.time_limits[1:]))
 
 
 def test_determinism():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_instance, random_sizes
+from kdcover import static_cover
 from kdcover.geometry import MovingInstance, Point2, Trajectory
 from kdcover.static_cover import (
     BranchBoundBackend,
@@ -170,13 +171,15 @@ def test_gapped_solve_reports_honest_bound():
 
 
 # Selections and bounds of the search on instances beyond the brute-force
-# guard, recorded from the set-based candidate layout: (seed, exact
-# arithmetic, target gap, selected, total_radius_sq, lower_radius_sq).
+# guard: (seed, exact arithmetic, target gap, selected, total_radius_sq,
+# lower_radius_sq).  The gap-0 rows were recorded from the set-based
+# candidate layout; at gap 1e-2 the search at the ratio prices now settles
+# these instances to their optimum.
 PINNED_SEARCH = [
-    (138, False, 1e-2, (45, 80, 196), 3732.2416148454217, 3711.4876947635207),
+    (138, False, 1e-2, (44, 80, 196), 3711.4876947635207, 3711.4876947635207),
     (138, False, 0.0, (44, 80, 196), 3711.4876947635207, 3711.4876947635207),
-    (138, True, 1e-2, (45, 80, 196),
-     "591397290406946850567117041290017/158456325028528675187087900672",
+    (138, True, 1e-2, (44, 80, 196),
+     "588108700500833074130152113801169/158456325028528675187087900672",
      "588108700500833074130152113801169/158456325028528675187087900672"),
     (138, True, 0.0, (44, 80, 196),
      "588108700500833074130152113801169/158456325028528675187087900672",
@@ -189,29 +192,61 @@ PINNED_SEARCH = [
     (146, True, 0.0, (17, 46, 160, 216),
      "1251316940428158126002212205338845/316912650057057350374175801344",
      "1251316940428158126002212205338845/316912650057057350374175801344"),
-    (182, False, 1e-2, (3, 52, 139, 165, 201), 3432.3025468279498, 3412.2728813413332),
+    (182, False, 1e-2, (2, 52, 139, 165, 201), 3412.272881341333, 3412.272881341333),
     (182, False, 0.0, (2, 52, 139, 165, 201), 3412.272881341333, 3412.272881341333),
-    (182, True, 1e-2, (3, 52, 139, 165, 201),
-     "543870047956416280081557207060885/158456325028528675187087900672",
+    (182, True, 1e-2, (2, 52, 139, 165, 201),
+     "1081392441543712447652587544842497/316912650057057350374175801344",
      "1081392441543712447652587544842497/316912650057057350374175801344"),
     (182, True, 0.0, (2, 52, 139, 165, 201),
      "1081392441543712447652587544842497/316912650057057350374175801344",
      "1081392441543712447652587544842497/316912650057057350374175801344"),
 ]
 
+# The same gap-1e-2 solves with the quick search off, so that the root
+# ascent decides them: it stops at the root once the incumbent is within
+# the gap, and the exact-mode bound is the Fraction of a float.
+PINNED_ASCENT = [
+    (138, False, 1e-2, (44, 80, 196), 3711.4876947635207, 3693.0621217130874),
+    (138, True, 1e-2, (44, 80, 196),
+     "588108700500833074130152113801169/158456325028528675187087900672",
+     "8098258494381157/2199023255552"),
+    (146, False, 1e-2, (17, 46, 218), 3959.6231259404826, 3924.4868496600607),
+    (146, True, 1e-2, (17, 46, 218),
+     "1254854658069007653780286682171213/316912650057057350374175801344",
+     "4315018924255237/1099511627776"),
+    (182, False, 1e-2, (2, 52, 139, 165, 201), 3412.272881341333, 3387.329846486833),
+    (182, True, 1e-2, (2, 52, 139, 165, 201),
+     "1081392441543712447652587544842497/316912650057057350374175801344",
+     "7448817106649933/2199023255552"),
+]
 
-def test_search_pinned_beyond_oracle():
-    for seed, exact, gap, selected, total, lower in PINNED_SEARCH:
+
+def check_pinned(rows):
+    optimum = {(seed, exact): total for seed, exact, gap, _, total, _ in PINNED_SEARCH if gap == 0}
+    for seed, exact, gap, selected, total, lower in rows:
         inst = random_instance(40, 6, seed)
         t = 0.5
+        opt = optimum[seed, exact]
         if exact:
             inst, t = inst.as_exact(), Fraction(1, 2)
-            total, lower = Fraction(total), Fraction(lower)
+            total, lower, opt = Fraction(total), Fraction(lower), Fraction(opt)
         sol = solve_exact(enumerate_candidates(inst, t), 40, 6, target_gap=gap)
         assert sol.selected == selected
         assert sol.total_radius_sq == total
         assert sol.lower_radius_sq == lower
         assert type(sol.total_radius_sq) is type(total)
+        assert type(sol.lower_radius_sq) is type(lower)
+        assert lower <= opt <= total
+        assert total - lower <= gap * lower
+
+
+def test_search_pinned_beyond_oracle():
+    check_pinned(PINNED_SEARCH)
+
+
+def test_ascent_search_pinned(monkeypatch):
+    monkeypatch.setattr(static_cover, "_QUICK_WORK", 0)
+    check_pinned(PINNED_ASCENT)
 
 
 def test_lex_tiebreak_prefers_smaller_candidate_indices():
@@ -235,3 +270,99 @@ def test_milp_backend_if_available():
         got = solve_exact(cands, n, m, backend=MilpBackend())
         assert got.total_radius_sq == pytest.approx(ref.total_radius_sq, rel=1e-6)
         assert got.lower_radius_sq <= ref.total_radius_sq * (1 + 1e-6)
+
+
+def scaled(inst, factor):
+    def pt(p):
+        return Point2(p.x * factor, p.y * factor)
+
+    return MovingInstance(
+        tuple(pt(s) for s in inst.stations),
+        tuple(Trajectory(pt(o.start), pt(o.end)) for o in inst.objects),
+    )
+
+
+# The search first tries the ratio prices for a fixed amount of work, which
+# settles instances of this size; without it, the same checks run the root
+# subgradient ascent and the search at its multipliers.
+both_searches = pytest.mark.parametrize("quick_work", [None, 0])
+
+
+def use_quick_work(monkeypatch, quick_work):
+    if quick_work is not None:
+        monkeypatch.setattr(static_cover, "_QUICK_WORK", quick_work)
+
+
+@both_searches
+def test_bound_sound_under_scaling(monkeypatch, quick_work):
+    # The Lagrangian bound is evaluated in floats less a rounding margin;
+    # scaling the plane by 1e-6 or 1e6 must neither lift it above the
+    # optimum nor disturb the gap-0 search and its tie-break.
+    use_quick_work(monkeypatch, quick_work)
+    for seed in range(12):
+        n, m = random_sizes(seed, 12, 4)
+        for factor in (1e-6, 1e6):
+            base = scaled(random_instance(n, m, seed), factor)
+            for inst, t in ((base, 0.5), (base.as_exact(), Fraction(1, 2))):
+                cands = enumerate_candidates(inst, t)
+                bf = brute_force_cover(cands, n, m)
+                for gap in (1e-1, 1e-2, 1e-4, 0.0):
+                    sol = solve_exact(cands, n, m, target_gap=gap)
+                    assert sol.lower_radius_sq <= bf.total_radius_sq, (seed, factor, gap)
+                    if isinstance(t, Fraction):
+                        assert type(sol.lower_radius_sq) is Fraction, (seed, factor, gap)
+                    if gap == 0.0:
+                        assert sol.selected == bf.selected, (seed, factor)
+                        assert sol.total_radius_sq == bf.total_radius_sq
+
+
+@both_searches
+def test_bound_against_milp_at_moderate_size(monkeypatch, quick_work):
+    pytest.importorskip("scipy")
+    use_quick_work(monkeypatch, quick_work)
+    from kdcover.static_cover import MilpBackend
+
+    for seed, n, m, t in ((0, 40, 6, 0.0), (1, 50, 7, 0.5), (2, 60, 8, 0.0),
+                          (3, 45, 8, 0.5), (4, 60, 6, 0.5), (5, 55, 7, 0.0)):
+        inst = random_instance(n, m, seed)
+        cands = enumerate_candidates(inst, t)
+        opt = solve_exact(cands, n, m, backend=MilpBackend()).total_radius_sq
+        exact = solve_exact(cands, n, m, target_gap=0.0)
+        assert exact.total_radius_sq == pytest.approx(opt, rel=1e-6), seed
+        coarse = solve_exact(cands, n, m, target_gap=1e-2)
+        assert coarse.lower_radius_sq <= opt * (1 + 1e-9), seed
+        assert opt <= coarse.total_radius_sq * (1 + 1e-9), seed
+        assert coarse.total_radius_sq <= (1 + 1e-2) * coarse.lower_radius_sq, seed
+
+
+def test_lagrangian_margin_covers_rounding():
+    # The float Lagrangian value less `_margin` must not exceed the same
+    # value computed in exact rationals, at any scale of the plane.
+    from random import Random
+
+    from kdcover.static_cover import _margin, _Prefixes
+
+    rng = Random(5)
+    for seed in range(20):
+        n, m = random_sizes(seed, 30, 5)
+        for factor in (1e-6, 1.0, 1e6):
+            inst = scaled(random_instance(n, m, seed), factor).as_exact()
+            lv = _Prefixes(enumerate_candidates(inst, Fraction(1, 3)), n)
+            levels = tuple(
+                rng.randrange(-1, len(v)) if rng.random() < 0.3 else -1 for v in lv.values
+            )
+            open_ = lv.uncovered(lv.committed(levels)[1])
+            top = max(max(v) for v in lv.values)
+            weights = [rng.uniform(0, 2 * top / n) if o and rng.random() < 0.8 else 0.0
+                       for o in open_]
+            value, _, scale, _ = lv.lagrangian(levels, weights)
+            exact = sum(Fraction(w) for w in weights)
+            for s, lvl in enumerate(levels):
+                base = lv.values[s][lvl] if lvl >= 0 else 0
+                best = 0
+                for k in range(lvl + 1, len(lv.values[s])):
+                    prefix = lv.orders[s][: lv.last[s][k] + 1]
+                    covered = sum(Fraction(weights[j]) for j in prefix)
+                    best = min(best, lv.values[s][k] - base - covered)
+                exact += best
+            assert Fraction(value - _margin(scale, lv)) <= exact, (seed, factor)
