@@ -473,6 +473,9 @@ def verify_result(doc, instance: MovingInstance, samples: int) -> list[str]:
 
 
 def cmd_check(args) -> int:
+    if args.samples < 1:
+        print(f"--samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         doc = load_result(args.result)
         instance = read_instance(args.instance)

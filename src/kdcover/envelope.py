@@ -13,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import (
-    EPS,
-    QuadraticPoly,
-    RootResult,
-    compare_event_times,
-    quadratic_roots,
-)
+from .geometry import QuadraticPoly, compare_event_times, quadratic_roots, sign_ahead
 
 __all__ = [
     "Assignment",
@@ -28,7 +22,6 @@ __all__ = [
     "timeline_cost",
     "segment_at",
     "argmax_timeline",
-    "intersect_quadratics",
     "merge_lower_envelope",
 ]
 
@@ -118,43 +111,6 @@ def argmax_timeline(timeline: SolutionTimeline | tuple) -> tuple:
     return best_t, best_v
 
 
-def intersect_quadratics(f: QuadraticPoly, g: QuadraticPoly, window) -> RootResult:
-    """Crossing times of two objectives inside the window; an identically
-    equal pair is reported through the marker, not as isolated roots."""
-    lo, hi = window
-    return quadratic_roots(f - g, lo, hi)
-
-
-def _sign_ahead(p: QuadraticPoly, t, direction: int = 1) -> int:
-    """Sign of p immediately ahead of t in the travel direction.
-
-    Looks at the value, then the first derivative, then the curvature, each
-    with a coefficient-scaled tolerance in float mode and exactly otherwise.
-    Returns 0 only for the identically-zero polynomial on a neighborhood.
-    """
-    v = p(t)
-    if isinstance(v, float):
-        scale = max(1.0, abs(float(p.a)), abs(float(p.b)), abs(float(p.c)))
-        tol = EPS * scale
-        if abs(v) > tol:
-            return 1 if v > 0 else -1
-        dv = p.derivative_at(t) * direction
-        if abs(dv) > tol:
-            return 1 if dv > 0 else -1
-        a = float(p.a)
-        if abs(a) > tol:
-            return 1 if a > 0 else -1
-        return 0
-    if v != 0:
-        return 1 if v > 0 else -1
-    dv = p.derivative_at(t) * direction
-    if dv != 0:
-        return 1 if dv > 0 else -1
-    if p.a != 0:
-        return 1 if p.a > 0 else -1
-    return 0
-
-
 def _strictly_inside(t, lo, hi) -> bool:
     if isinstance(t, float) and isinstance(lo, float) and isinstance(hi, float):
         return t > lo + _T_EPS and t < hi - _T_EPS
@@ -188,7 +144,7 @@ def _merge_core(a_segments, b_segments) -> list[TimelineSegment]:
             for x, y in zip(pieces, pieces[1:]):
                 if compare_event_times(x, y, _T_EPS) >= 0:
                     continue
-                s = _sign_ahead(diff, x)
+                s = sign_ahead(diff, x)
                 emit(x, y, sa if s <= 0 else sb)
         u = v
         if compare_event_times(sa.t_end, v, _T_EPS) <= 0:

@@ -6,6 +6,12 @@ every operation here is written so that it works unchanged for either
 scalar type, and root finding dispatches on the coefficient type: float
 coefficients get the numerically stable quadratic formula, rational
 coefficients get exact `QuadraticNumber` roots.
+
+The kinetic layers decide every float-versus-exact question through the
+predicates at the bottom of this module: `compare_event_times` orders
+times, `compare_values` orders objective values, and `sign_ahead` tells
+which way a quadratic leaves a point.  Each uses a tolerance on a float
+pair and integer-exact arithmetic otherwise.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ __all__ = [
     "squared_distance_poly",
     "quadratic_roots",
     "compare_event_times",
+    "compare_values",
+    "sign_ahead",
 ]
 
 # Default tolerance for float-mode comparisons.  The exact mode needs none.
@@ -261,3 +269,47 @@ def compare_event_times(a, b, eps: float = EPS) -> int:
     if fa == fb:
         return 0
     return -1 if fa < fb else 1
+
+
+def compare_values(a, b) -> int:
+    """Order two objective values (squared distances or sums of them).
+
+    A float pair within `EPS` relative to max(1, |a|, |b|) compares equal;
+    anything else is compared exactly, as in `compare_event_times`.
+    """
+    if isinstance(a, float) and isinstance(b, float):
+        if abs(a - b) <= EPS * max(1.0, abs(a), abs(b)):
+            return 0
+        return -1 if a < b else 1
+    return compare_event_times(a, b)
+
+
+def sign_ahead(p: QuadraticPoly, t, direction: int = 1) -> int:
+    """Sign of p immediately ahead of t in the travel direction.
+
+    Looks at the value, then the first derivative, then the curvature, each
+    with a coefficient-scaled tolerance in float mode and exactly otherwise.
+    A tangency therefore counts by the side it stays on: a minimum at t
+    gives +1, a maximum -1.  Returns 0 only when p vanishes near t (in
+    float mode: within the tolerance).
+    """
+    v = p(t)
+    if isinstance(v, float):
+        tol = EPS * max(1.0, abs(float(p.a)), abs(float(p.b)), abs(float(p.c)))
+        if abs(v) > tol:
+            return 1 if v > 0 else -1
+        dv = p.derivative_at(t) * direction
+        if abs(dv) > tol:
+            return 1 if dv > 0 else -1
+        a = float(p.a)
+        if abs(a) > tol:
+            return 1 if a > 0 else -1
+        return 0
+    if v != 0:
+        return 1 if v > 0 else -1
+    dv = p.derivative_at(t) * direction
+    if dv != 0:
+        return 1 if dv > 0 else -1
+    if p.a != 0:
+        return 1 if p.a > 0 else -1
+    return 0

@@ -3,38 +3,41 @@
 Keeping an assignment fixed, each station's radius follows its farthest
 assigned object (the support).  Supports swap when two assigned objects
 become equidistant from their station; with the handover improvement
-enabled, a station may additionally pass its support object to another
-station at the moment the transfer leaves total cost unchanged and the
-cost strictly decreases afterwards.  Extension walks these events from an
-anchor time toward a stop time, caching each station's next event and
-invalidating caches only when the affected station changes.
+(imp_ext) a station may also pass its support object to another station
+at the moment the transfer leaves total cost unchanged and the cost
+strictly decreases afterwards.  With the duplicate-coverage improvement
+(no_dup) supports already inside another disk are handed over at every
+event (`dedup_improve`).
+
+`_Extender` is the one event engine: `iter_extend` and `extend` walk its
+events from an anchor time toward a stop time, caching each station's next
+event and invalidating caches only when the affected station changes.
+The engine is written once for float and exact coordinates; every
+tolerance lives in the `geometry` predicates it calls (`compare_event_times`,
+`compare_values`, `sign_ahead`).  `check_feasible` samples a finished
+timeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .envelope import Assignment, TimelineSegment
 from .geometry import (
-    EPS,
     MovingInstance,
     QuadraticPoly,
     ZERO_POLY,
     compare_event_times,
+    compare_values,
     quadratic_roots,
+    sign_ahead,
     squared_distance_poly,
 )
 
 __all__ = [
     "ImprovementFlags",
-    "SupportChange",
-    "Handover",
-    "KineticEvent",
     "FeasibilityReport",
-    "next_support_change",
-    "resolve_tie",
-    "next_handover",
     "dedup_improve",
     "extend",
     "iter_extend",
@@ -44,6 +47,9 @@ __all__ = [
 # Minimum forward progress per event in float mode; roots closer than this
 # to the cursor are treated as already handled.
 _STEP = 1e-12
+
+# Largest relative violation `check_feasible` accepts.
+FEASIBILITY_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -62,38 +68,11 @@ class ImprovementFlags:
 
 
 @dataclass(frozen=True)
-class SupportChange:
-    time: object
-    station: int
-    old_support: int
-    new_support: int
-
-
-@dataclass(frozen=True)
-class Handover:
-    time: object
-    from_station: int
-    to_station: int
-    obj: int
-
-
-KineticEvent = Union[SupportChange, Handover]
-
-
-@dataclass(frozen=True)
 class FeasibilityReport:
     ok: bool
     worst_violation: float
     worst_time: float | None = None
     worst_object: int | None = None
-
-
-def _is_float_mode(instance: MovingInstance) -> bool:
-    return bool(instance.stations) and isinstance(instance.stations[0].x, float)
-
-
-def _value_tol(v) -> float:
-    return EPS * max(1.0, abs(v))
 
 
 class _Extender:
@@ -108,7 +87,6 @@ class _Extender:
     def __init__(self, instance: MovingInstance, assignment: Assignment, direction: int):
         self.instance = instance
         self.direction = direction  # +1 forward, -1 backward
-        self.float_mode = _is_float_mode(instance)
         self.polys = [
             [squared_distance_poly(st, obj) for obj in instance.objects]
             for st in instance.stations
@@ -118,7 +96,6 @@ class _Extender:
         for j, s in enumerate(self.assignment):
             self.members[s].append(j)
         self.supports: list[Optional[int]] = [None] * instance.m
-        self.events_seen = 0
 
     # -- state helpers ----------------------------------------------------
 
@@ -128,10 +105,7 @@ class _Extender:
             return []
         vals = [(self.polys[station][o](t), o) for o in objs]
         vmax = max(v for v, _ in vals)
-        if self.float_mode:
-            tol = _value_tol(vmax)
-            return [o for v, o in vals if v >= vmax - tol]
-        return [o for v, o in vals if v == vmax]
+        return [o for v, o in vals if compare_values(v, vmax) >= 0]
 
     def _pick_support(self, station: int, t) -> Optional[int]:
         group = self._tie_group(station, t)
@@ -167,35 +141,15 @@ class _Extender:
     # -- event scanning ---------------------------------------------------
 
     def _ahead(self, t, cursor) -> bool:
-        if self.float_mode:
-            return (t - cursor) * self.direction > _STEP
-        return compare_event_times(t, cursor) * self.direction > 0
-
-    def _within_stop(self, t, t_stop) -> bool:
-        return compare_event_times(t, t_stop) * self.direction <= 0
+        return compare_event_times(t, cursor, _STEP) * self.direction > 0
 
     def _travel_sorted(self, times):
         return sorted(times, reverse=(self.direction < 0))
 
-    def _crosses_up(self, diff: QuadraticPoly, root) -> bool:
-        """True when `diff` passes from negative to positive in the travel
-        direction at `root` (tangencies do not count as crossings)."""
-        d1 = self.direction * diff.derivative_at(root)
-        if self.float_mode:
-            scale = max(1.0, abs(diff.a) * 2.0, abs(diff.b))
-            if d1 > EPS * scale:
-                return True
-            if d1 < -EPS * scale:
-                return False
-            return diff.a > EPS * max(1.0, abs(diff.a))
-        if d1 != 0:
-            return d1 > 0
-        return diff.a > 0
-
     def _window(self, cursor, t_stop):
         return (cursor, t_stop) if self.direction > 0 else (t_stop, cursor)
 
-    def next_support_change_for(self, station: int, cursor, t_stop):
+    def support_change_after(self, station: int, cursor, t_stop):
         """Earliest time strictly ahead of the cursor at which some other
         assigned object overtakes the station's current support."""
         sup = self.supports[station]
@@ -216,18 +170,13 @@ class _Extender:
                     continue
                 if best is not None and not self._ahead(best, root):
                     break
-                if self._crosses_up(diff, root):
+                if sign_ahead(diff, root, self.direction) > 0:
                     best = root
                     break
         return best
 
-    def apply_support_change(self, station: int, t) -> Optional[SupportChange]:
-        old = self.supports[station]
-        new = self._pick_support(station, t)
-        if new == old:
-            return None
-        self.supports[station] = new
-        return SupportChange(t, station, old, new)
+    def apply_support_change(self, station: int, t) -> None:
+        self.supports[station] = self._pick_support(station, t)
 
     def _second_support(self, station: int, t) -> Optional[int]:
         sup = self.supports[station]
@@ -254,7 +203,7 @@ class _Extender:
         after = p_a + self.polys[s2][b]
         return b, before, after
 
-    def next_handover_for(self, s1: int, s2: int, cursor, t_stop):
+    def handover_after(self, s1: int, s2: int, cursor, t_stop):
         """Earliest strict-improvement handover of s1's support to s2."""
         setup = self._handover_polys(s1, s2, cursor)
         if setup is None:
@@ -268,7 +217,7 @@ class _Extender:
         for root in self._travel_sorted(result.times):
             if not self._ahead(root, cursor):
                 continue
-            if self._crosses_up(diff, root):
+            if sign_ahead(diff, root, self.direction) > 0:
                 return (root, b)
         return None
 
@@ -283,18 +232,14 @@ class _Extender:
         if setup is None or setup[0] != obj:
             return False
         _, before, after = setup
-        va, vb = after(t), before(t)
-        if self.float_mode:
-            return va <= vb + _value_tol(max(abs(va), abs(vb)))
-        return va <= vb
+        return compare_values(after(t), before(t)) <= 0
 
-    def apply_handover(self, s1: int, s2: int, obj: int, t) -> Handover:
+    def apply_handover(self, s1: int, s2: int, obj: int, t) -> None:
         self.members[s1].remove(obj)
         self.members[s2].append(obj)
         self.assignment[obj] = s2
         self.supports[s1] = self._pick_support(s1, t)
         self.supports[s2] = self._pick_support(s2, t)
-        return Handover(t, s1, s2, obj)
 
     def apply_dedup(self, t) -> list[int]:
         """Run the duplicate-coverage improvement in place; returns the
@@ -313,57 +258,6 @@ class _Extender:
         return sorted(touched)
 
 
-def resolve_tie(station: int, tied_objects, t, instance: MovingInstance) -> int:
-    """Among objects equidistant from the station at time t, the new support
-    is the one moving away fastest (largest derivative of the squared
-    distance), then the larger leading coefficient, then the lower index."""
-    tied = list(tied_objects)
-    if not tied:
-        raise ValueError("resolve_tie needs at least one candidate")
-    best = None
-    best_key = None
-    for o in tied:
-        p = squared_distance_poly(instance.stations[station], instance.objects[o])
-        key = (p.derivative_at(t), p.a)
-        if best is None or key > best_key or (key == best_key and o < best):
-            best, best_key = o, key
-    return best
-
-
-def next_support_change(
-    station: int, assignment: Assignment, t_from, t_to, instance: MovingInstance
-) -> Optional[SupportChange]:
-    """Earliest support change of one station in (t_from, t_to] (backward
-    when t_from > t_to), or None if the support never changes."""
-    direction = 1 if compare_event_times(t_from, t_to) <= 0 else -1
-    ext = _Extender(instance, assignment, direction)
-    ext.refresh_supports(t_from)
-    t = ext.next_support_change_for(station, t_from, t_to)
-    if t is None:
-        return None
-    old = ext.supports[station]
-    event = ext.apply_support_change(station, t)
-    if event is None:  # tie resolved back to the same support
-        return None
-    return SupportChange(t, station, old, event.new_support)
-
-
-def next_handover(
-    station_pair, assignment: Assignment, t_from, t_to, instance: MovingInstance
-) -> Optional[Handover]:
-    """Earliest cost-neutral, then strictly improving, transfer of the first
-    station's support object to the second station in (t_from, t_to]."""
-    s1, s2 = station_pair
-    direction = 1 if compare_event_times(t_from, t_to) <= 0 else -1
-    ext = _Extender(instance, assignment, direction)
-    ext.refresh_supports(t_from)
-    found = ext.next_handover_for(s1, s2, t_from, t_to)
-    if found is None:
-        return None
-    root, obj = found
-    return Handover(root, s1, s2, obj)
-
-
 def dedup_improve(assignment: Assignment, t, instance: MovingInstance) -> Assignment:
     """While some station's support object lies inside another station's
     disk, hand that support to the covering station (the first station's
@@ -372,15 +266,27 @@ def dedup_improve(assignment: Assignment, t, instance: MovingInstance) -> Assign
     n, m = instance.n, instance.m
     if n == 0:
         return tuple(assignment)
-    float_mode = _is_float_mode(instance)
-    positions = [obj.at(t) for obj in instance.objects]
-    d2 = [
-        [
-            (st.x - p.x) * (st.x - p.x) + (st.y - p.y) * (st.y - p.y)
-            for p in positions
-        ]
-        for st in instance.stations
-    ]
+    stations, objects = instance.stations, instance.objects
+    positions: list = [None] * n
+    table: list[list] = [[None] * n for _ in range(m)]
+
+    def d2(s, o):
+        """Squared distance at t, computed on first read; the arithmetic is
+        that of `Trajectory.at` followed by the coordinate differences."""
+        v = table[s][o]
+        if v is None:
+            p = positions[o]
+            if p is None:
+                tr = objects[o]
+                p = positions[o] = (
+                    tr.start.x + t * (tr.end.x - tr.start.x),
+                    tr.start.y + t * (tr.end.y - tr.start.y),
+                )
+            st = stations[s]
+            dx, dy = st.x - p[0], st.y - p[1]
+            v = table[s][o] = dx * dx + dy * dy
+        return v
+
     assign = list(assignment)
     members: list[list[int]] = [[] for _ in range(m)]
     for j, s in enumerate(assign):
@@ -389,13 +295,13 @@ def dedup_improve(assignment: Assignment, t, instance: MovingInstance) -> Assign
     def support_of(s):
         if not members[s]:
             return None
-        return max(members[s], key=lambda o: (d2[s][o], -o))
+        return max(members[s], key=lambda o: (d2(s, o), -o))
 
     radius = [0] * m
     sup = [support_of(s) for s in range(m)]
     for s in range(m):
         if sup[s] is not None:
-            radius[s] = d2[s][sup[s]]
+            radius[s] = d2(s, sup[s])
 
     for _ in range(n * m + m):
         moved = False
@@ -407,9 +313,8 @@ def dedup_improve(assignment: Assignment, t, instance: MovingInstance) -> Assign
             for s2 in range(m):
                 if s2 == s or radius[s2] == 0:
                     continue
-                d = d2[s2][o]
-                inside = d <= radius[s2] + _value_tol(radius[s2]) if float_mode else d <= radius[s2]
-                if inside and (best is None or (d, s2) < best):
+                d = d2(s2, o)
+                if compare_values(d, radius[s2]) <= 0 and (best is None or (d, s2) < best):
                     best = (d, s2)
             if best is None:
                 continue
@@ -418,9 +323,9 @@ def dedup_improve(assignment: Assignment, t, instance: MovingInstance) -> Assign
             members[s2].append(o)
             assign[o] = s2
             sup[s] = support_of(s)
-            radius[s] = d2[s][sup[s]] if sup[s] is not None else 0
+            radius[s] = d2(s, sup[s]) if sup[s] is not None else 0
             sup[s2] = support_of(s2)
-            radius[s2] = d2[s2][sup[s2]]
+            radius[s2] = d2(s2, sup[s2])
             moved = True
             break
         if not moved:
@@ -474,10 +379,10 @@ def iter_extend(
     while True:
         for s in range(m):
             if s not in sc_cache:
-                sc_cache[s] = ext.next_support_change_for(s, cursor, t_stop)
+                sc_cache[s] = ext.support_change_after(s, cursor, t_stop)
         for pair in pairs:
             if pair not in ho_cache:
-                found = ext.next_handover_for(*pair, cursor, t_stop)
+                found = ext.handover_after(*pair, cursor, t_stop)
                 ho_cache[pair] = found
 
         def tie_key(kind, ident):
@@ -507,21 +412,19 @@ def iter_extend(
         if kind == 1:
             s1, s2 = ident
             if not ext.handover_still_improves(s1, s2, payload, t_ev):
-                ho_cache[ident] = ext.next_handover_for(s1, s2, t_ev, t_stop)
+                ho_cache[ident] = ext.handover_after(s1, s2, t_ev, t_stop)
                 continue
         yield make_segment(cursor, t_ev)
         cursor = t_ev
         if compare_event_times(cursor, t_stop) == 0:
             return  # event at the window edge: no trailing empty segment
         if kind == 0:
-            event = ext.apply_support_change(ident, t_ev)
+            ext.apply_support_change(ident, t_ev)
             touched = {ident}
         else:
             s1, s2 = ident
-            event = ext.apply_handover(s1, s2, payload, t_ev)
+            ext.apply_handover(s1, s2, payload, t_ev)
             touched = {s1, s2}
-        if event is not None:
-            ext.events_seen += 1
         if flags.no_dup:
             touched.update(ext.apply_dedup(t_ev))
         invalidate(touched)
@@ -543,13 +446,17 @@ def extend(
 
 
 def check_feasible(
-    segments, instance: MovingInstance, sample_count: int = 1000, eps: float = 1e-7
+    segments, instance: MovingInstance, sample_count: int = 1000
 ) -> FeasibilityReport:
     """Sample the segments uniformly and verify that every object sits inside
     its assigned station's disk (radius taken from the segment supports).
 
-    The reported violation is relative: (d2 - r2) / max(r2, 1).
+    The reported violation is relative: (d2 - r2) / max(r2, 1), and the
+    timeline passes when it is at most `FEASIBILITY_TOL`.  A sample count
+    below 1 is an error: it would check nothing.
     """
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be at least 1, got {sample_count}")
     segments = list(segments)
     if not segments:
         return FeasibilityReport(True, 0.0)
@@ -579,4 +486,4 @@ def check_feasible(
             violation = (d2 - radius[s]) / max(radius[s], 1.0)
             if violation > worst:
                 worst, worst_t, worst_obj = violation, t, j
-    return FeasibilityReport(worst <= eps, worst, worst_t, worst_obj)
+    return FeasibilityReport(worst <= FEASIBILITY_TOL, worst, worst_t, worst_obj)

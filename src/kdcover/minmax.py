@@ -25,7 +25,7 @@ from .envelope import (
     merge_lower_envelope,
     merge_partial,
 )
-from .geometry import EPS, MovingInstance, compare_event_times, quadratic_roots
+from .geometry import MovingInstance, compare_event_times, quadratic_roots, sign_ahead
 from .kinetic import ImprovementFlags, extend, iter_extend
 from .static_cover import (
     SolverBackend,
@@ -42,6 +42,10 @@ __all__ = [
     "solve_minmax",
     "fixed_nn_baseline",
 ]
+
+# Safety stop for the min-max loop; a solve that reaches it reports the
+# stop reason "iteration_cap".
+ITERATION_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,6 @@ class SolverConfig:
     time_limit: float = 600.0
     exact_arithmetic: bool = False
     backend: SolverBackend | None = None
-    max_iterations: int = 100_000
 
     def __post_init__(self):
         if not (0 <= self.target_gap <= self.coarse_gap):
@@ -157,14 +160,7 @@ def _first_crossing(seg: TimelineSegment, incumbent: SolutionTimeline, direction
             return a if direction > 0 else b
         roots = sorted(result.times, reverse=(direction < 0))
         for root in roots:
-            d1 = diff.derivative_at(root) * direction
-            scale = 1.0
-            if isinstance(d1, float):
-                scale = EPS * max(1.0, abs(diff.a) * 2.0, abs(diff.b))
-                rising = d1 > scale or (abs(d1) <= scale and diff.a > 0)
-            else:
-                rising = d1 > 0 or (d1 == 0 and diff.a > 0)
-            if rising:
+            if sign_ahead(diff, root, direction) > 0:
                 anchor_side = lo if direction > 0 else hi
                 if compare_event_times(root, anchor_side) != 0:
                     return root
@@ -315,7 +311,7 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
             stop = "time_limit"
             timed_out = True
             break
-        if iterations > config.max_iterations:
+        if iterations > ITERATION_CAP:
             stop = "iteration_cap"
             break
 

@@ -106,6 +106,22 @@ def test_check_mismatched_pair(tmp_path):
     assert run(["check", result, inst_b]) == EXIT_USAGE
 
 
+def test_check_rejects_nonpositive_samples(tmp_path):
+    _, inst_path = gen_one(tmp_path)
+    result = tmp_path / "r.json"
+    assert run(["solve", inst_path, "--algo", "nn", "-o", result]) == EXIT_OK
+    # Make the result infeasible: move every object to the next station,
+    # whose radius stays that of its old support.
+    doc = json.loads(result.read_text())
+    for seg in doc["timeline"]["segments"]:
+        m = len(seg["supports"])
+        seg["assignment"] = [(s + 1) % m for s in seg["assignment"]]
+    result.write_text(json.dumps(doc))
+    assert run(["check", result, inst_path]) == EXIT_CHECK
+    for samples in (0, -3):
+        assert run(["check", result, inst_path, "--samples", samples]) == EXIT_USAGE
+
+
 def test_bench_matrix_and_reproducibility(tmp_path):
     out = tmp_path / "set"
     assert run(["gen", "--class", "random", "-n", 12, "-m", 3, "--seed", 3, "-o", out]) == EXIT_OK

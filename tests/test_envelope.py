@@ -10,13 +10,12 @@ from kdcover.envelope import (
     SolutionTimeline,
     TimelineSegment,
     argmax_timeline,
-    intersect_quadratics,
     merge_lower_envelope,
     merge_partial,
     segment_at,
     timeline_cost,
 )
-from kdcover.geometry import QuadraticPoly
+from kdcover.geometry import QuadraticPoly, quadratic_roots
 from kdcover.kinetic import ImprovementFlags, extend
 from kdcover.static_cover import nn_heuristic
 
@@ -58,10 +57,10 @@ def test_argmax_examples():
 
 def test_intersect_examples():
     f, g = QuadraticPoly(1.0, 0.0, 0.0), QuadraticPoly(1.0, -2.0, 1.0)
-    assert intersect_quadratics(f, g, (0.0, 1.0)).times == (0.5,)
-    same = intersect_quadratics(f, f, (0.0, 1.0))
+    assert quadratic_roots(f - g, 0.0, 1.0).times == (0.5,)
+    same = quadratic_roots(f - f, 0.0, 1.0)
     assert same.identically_zero and same.times == ()
-    assert intersect_quadratics(QuadraticPoly(1.0, 0.0, 2.0), f, (0.0, 1.0)).times == ()
+    assert quadratic_roots(QuadraticPoly(1.0, 0.0, 2.0) - f, 0.0, 1.0).times == ()
 
 
 def test_merge_examples():

@@ -13,7 +13,9 @@ from kdcover.geometry import (
     QuadraticPoly,
     Trajectory,
     compare_event_times,
+    compare_values,
     quadratic_roots,
+    sign_ahead,
     squared_distance_poly,
 )
 
@@ -114,6 +116,61 @@ def test_compare_event_times_float_tolerance():
     assert compare_event_times(0.1, 0.2) == -1
     assert compare_event_times(0.2, 0.1) == 1
     assert compare_event_times(Fraction(1, 2), 0.5) == 0
+
+
+def test_sign_ahead_table():
+    F = Fraction
+    sqrt2 = QuadraticNumber(0, 1, 1, 2)
+    # (label, poly, t, sign forward, sign backward)
+    table = [
+        ("float crossing", QuadraticPoly(1.0, 0.0, -0.25), 0.5, 1, -1),
+        ("float value decides", QuadraticPoly(1.0, 0.0, -0.25), 0.0, -1, -1),
+        ("float tangency from above", QuadraticPoly(1.0, -1.0, 0.25), 0.5, 1, 1),
+        ("float tangency from below", QuadraticPoly(-1.0, 1.0, -0.25), 0.5, -1, -1),
+        ("float tangency within tolerance", QuadraticPoly(1.0, -1.0, 0.25), 0.5 + 1e-12, 1, 1),
+        ("float linear", QuadraticPoly(0.0, 2.0, -1.0), 0.5, 1, -1),
+        ("float slope below EPS reads flat", QuadraticPoly(0.0, 1e-12, 0.0), 0.0, 0, 0),
+        ("float constant", QuadraticPoly(0.0, 0.0, 3.0), 0.2, 1, 1),
+        ("float negative constant", QuadraticPoly(0.0, 0.0, -3.0), 0.2, -1, -1),
+        ("float zero", QuadraticPoly(0.0, 0.0, 0.0), 0.2, 0, 0),
+        ("exact crossing at sqrt(2)", QuadraticPoly(F(1), F(0), F(-2)), sqrt2, 1, -1),
+        ("exact value decides", QuadraticPoly(F(1), F(0), F(-2)), F(1), -1, -1),
+        ("exact tangency from above", QuadraticPoly(F(1), F(-1), F(1, 4)), F(1, 2), 1, 1),
+        ("exact tangency from below", QuadraticPoly(F(-1), F(1), F(-1, 4)), F(1, 2), -1, -1),
+        ("exact just past a tangency", QuadraticPoly(F(-1), F(1), F(-1, 4)),
+         F(1, 2) + F(1, 10**12), -1, -1),
+        ("exact linear", QuadraticPoly(F(0), F(2), F(-1)), F(1, 2), 1, -1),
+        ("exact tiny slope", QuadraticPoly(F(0), F(1, 10**12), F(0)), F(0), 1, -1),
+        ("exact constant", QuadraticPoly(F(0), F(0), F(3)), F(1, 5), 1, 1),
+        ("exact zero", QuadraticPoly(F(0), F(0), F(0)), sqrt2, 0, 0),
+    ]
+    for label, poly, t, forward, backward in table:
+        assert sign_ahead(poly, t) == forward, label
+        assert sign_ahead(poly, t, 1) == forward, label
+        assert sign_ahead(poly, t, -1) == backward, label
+
+
+def test_compare_values_table():
+    F = Fraction
+    sqrt2 = QuadraticNumber(0, 1, 1, 2)
+    table = [
+        ("float equal", 1.0, 1.0, 0),
+        ("float within absolute EPS", 1.0, 1.0 + 5e-10, 0),
+        ("float beyond EPS", 1.0, 1.0 + 5e-9, -1),
+        ("float near zero", 0.0, 5e-10, 0),
+        ("float relative at scale", 1e6, 1e6 + 1e-4, 0),
+        ("float beyond relative EPS", 1e6, 1e6 + 1e-2, -1),
+        ("float ordered", 2.0, 1.0, 1),
+        ("Fraction exact", F(1), F(1) + F(1, 10**12), -1),
+        ("Fraction equal", F(3, 2), F(3, 2), 0),
+        ("int pair", 3, 3, 0),
+        ("float against Fraction is exact", 1.0, F(1) + F(1, 10**12), -1),
+        ("QuadraticNumber against Fraction", sqrt2, F(141421356, 10**8), 1),
+        ("QuadraticNumber equal", QuadraticNumber(0, 1, 1, 8), QuadraticNumber(0, 2, 1, 2), 0),
+    ]
+    for label, a, b, expected in table:
+        assert compare_values(a, b) == expected, label
+        assert compare_values(b, a) == -expected, label
 
 
 def _random_qn(rng: Random) -> QuadraticNumber:

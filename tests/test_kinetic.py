@@ -4,18 +4,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_instance, random_sizes
-from kdcover.envelope import SolutionTimeline
+from kdcover.envelope import SolutionTimeline, TimelineSegment
 from kdcover.geometry import MovingInstance, Point2, Trajectory, squared_distance_poly
-from kdcover.kinetic import (
-    ImprovementFlags,
-    SupportChange,
-    check_feasible,
-    dedup_improve,
-    extend,
-    next_handover,
-    next_support_change,
-    resolve_tie,
-)
+from kdcover.kinetic import ImprovementFlags, check_feasible, dedup_improve, extend
 from kdcover.static_cover import enumerate_candidates, nn_heuristic, solve_exact
 
 NO_FLAGS = ImprovementFlags()
@@ -35,21 +26,24 @@ def support_change_instance():
 
 def test_next_support_change_example():
     inst = support_change_instance()
-    ev = next_support_change(0, (0, 0), 0.0, 1.0, inst)
-    assert isinstance(ev, SupportChange)
-    assert ev.time == pytest.approx(0.5)
-    assert (ev.old_support, ev.new_support) == (0, 1)
-    back = next_support_change(0, (0, 0), 1.0, 0.0, inst)
-    assert back.time == pytest.approx(0.5)
-    assert (back.old_support, back.new_support) == (1, 0)
+    fwd = extend((0, 0), 0.0, "forward", 1.0, NO_FLAGS, inst)
+    assert len(fwd) == 2 and fwd[0].t_end == pytest.approx(0.5)
+    assert [seg.supports for seg in fwd] == [(0,), (1,)]
+    # Backward from t=1 the support starts as b and changes back to a at 0.5;
+    # segments still come in ascending time order.
+    back = extend((0, 0), 1.0, "backward", 0.0, NO_FLAGS, inst)
+    assert len(back) == 2 and back[0].t_end == pytest.approx(0.5)
+    assert [seg.supports for seg in back] == [(0,), (1,)]
 
 
 def test_next_support_change_single_object():
     inst = MovingInstance((Point2(0.0, 0.0),), (Trajectory(Point2(1.0, 0.0), Point2(2.0, 0.0)),))
-    assert next_support_change(0, (0,), 0.0, 1.0, inst) is None
+    segs = extend((0,), 0.0, "forward", 1.0, NO_FLAGS, inst)
+    assert len(segs) == 1 and segs[0].supports == (0,)
 
 
 def test_resolve_tie_examples():
+    # Both objects sit at distance 2 at t=0; b moves away, so b is the support.
     inst = MovingInstance(
         (Point2(0.0, 0.0),),
         (
@@ -57,8 +51,11 @@ def test_resolve_tie_examples():
             Trajectory(Point2(0.0, 2.0), Point2(0.0, 4.0)),
         ),
     )
-    assert resolve_tie(0, [0, 1], 0.0, inst) == 1
-    assert resolve_tie(0, [1], 0.0, inst) == 1
+    assert extend((0, 0), 0.0, "forward", 1.0, NO_FLAGS, inst)[0].supports == (1,)
+    # A tie group of one: with a parked at a far second station, b is alone.
+    apart = MovingInstance((Point2(0.0, 0.0), Point2(100.0, 0.0)), inst.objects)
+    assert extend((1, 0), 0.0, "forward", 1.0, NO_FLAGS, apart)[0].supports == (1, 0)
+    # Equal derivative and curvature: the lower index wins, for all time.
     mirrored = MovingInstance(
         (Point2(0.0, 0.0),),
         (
@@ -66,7 +63,8 @@ def test_resolve_tie_examples():
             Trajectory(Point2(-1.0, 0.0), Point2(-1.0, -1.0)),
         ),
     )
-    assert resolve_tie(0, [0, 1], 0.0, mirrored) == 0
+    segs = extend((0, 0), 0.0, "forward", 1.0, NO_FLAGS, mirrored)
+    assert len(segs) == 1 and segs[0].supports == (0,)
 
 
 def handover_instance():
@@ -81,10 +79,12 @@ def handover_instance():
 
 
 def test_next_handover_examples():
-    ev = next_handover((0, 1), (0, 0, 1), 0.0, 1.0, handover_instance())
-    assert ev is not None
-    assert ev.time == pytest.approx(43 / 80)
-    assert (ev.from_station, ev.to_station, ev.obj) == (0, 1, 0)
+    imp_ext = ImprovementFlags(imp_ext=True)
+    segs = extend((0, 0, 1), 0.0, "forward", 1.0, imp_ext, handover_instance())
+    assert segs[0].t_end == pytest.approx(43 / 80)
+    # b (object 0) moves from station 0 to station 1 and becomes its support.
+    assert (segs[0].assignment, segs[1].assignment) == ((0, 0, 1), (1, 0, 1))
+    assert (segs[0].supports, segs[1].supports) == ((0, 2), (1, 0))
 
     symmetric = MovingInstance(
         (Point2(0.0, 0.0), Point2(10.0, 0.0)),
@@ -94,8 +94,9 @@ def test_next_handover_examples():
             Trajectory(Point2(8.0, 0.0), Point2(8.0, 0.0)),
         ),
     )
-    ev = next_handover((0, 1), (0, 0, 1), 0.0, 1.0, symmetric)
-    assert ev.time == pytest.approx(0.5)
+    segs = extend((0, 0, 1), 0.0, "forward", 1.0, imp_ext, symmetric)
+    assert segs[0].t_end == pytest.approx(0.5)
+    assert (segs[0].assignment, segs[1].assignment) == ((0, 0, 1), (1, 0, 1))
 
     toward = MovingInstance(
         (Point2(0.0, 0.0), Point2(10.0, 0.0)),
@@ -105,7 +106,8 @@ def test_next_handover_examples():
             Trajectory(Point2(9.0, 0.0), Point2(9.0, 0.0)),
         ),
     )
-    assert next_handover((0, 1), (0, 0, 1), 0.0, 1.0, toward) is None
+    segs = extend((0, 0, 1), 0.0, "forward", 1.0, imp_ext, toward)
+    assert all(seg.assignment == (0, 0, 1) for seg in segs)
 
 
 def test_dedup_improve_examples():
@@ -136,6 +138,13 @@ def cost_at(assignment, t, inst):
     return total
 
 
+def exact_cost_at(assignment, t, inst):
+    radius = [0] * inst.m
+    for j, s in enumerate(assignment):
+        radius[s] = max(radius[s], squared_distance_poly(inst.stations[s], inst.objects[j])(t))
+    return sum(radius)
+
+
 def test_dedup_never_increases_cost():
     from random import Random
 
@@ -147,6 +156,18 @@ def test_dedup_never_increases_cost():
         t = rng.random()
         improved = dedup_improve(assignment, t, inst)
         assert cost_at(improved, t, inst) <= cost_at(assignment, t, inst) * (1 + 1e-9)
+        assert dedup_improve(improved, t, inst) == improved
+
+    # Exact arithmetic: the inside test has no tolerance, so cost cannot rise
+    # at all.
+    for seed in range(20):
+        n, m = random_sizes(seed, 12, 4)
+        inst = random_instance(n, m, seed).as_exact()
+        rng = Random(seed)
+        assignment = tuple(rng.randrange(m) for _ in range(n))
+        t = Fraction(rng.random())
+        improved = dedup_improve(assignment, t, inst)
+        assert exact_cost_at(improved, t, inst) <= exact_cost_at(assignment, t, inst)
         assert dedup_improve(improved, t, inst) == improved
 
 
@@ -201,10 +222,14 @@ def test_event_counts_within_pairwise_bounds():
 
 def test_support_change_polys_equal_at_event():
     inst = support_change_instance().as_exact()
-    ev = next_support_change(0, (0, 0), Fraction(0), Fraction(1), inst)
-    p_old = squared_distance_poly(inst.stations[0], inst.objects[ev.old_support])
-    p_new = squared_distance_poly(inst.stations[0], inst.objects[ev.new_support])
-    assert p_old(ev.time) == p_new(ev.time)  # exact equality
+    segs = extend((0, 0), Fraction(0), "forward", Fraction(1), NO_FLAGS, inst)
+    t_event = segs[0].t_end
+    assert t_event == Fraction(1, 2)
+    old, new = segs[0].supports[0], segs[1].supports[0]
+    assert (old, new) == (0, 1)
+    p_old = squared_distance_poly(inst.stations[0], inst.objects[old])
+    p_new = squared_distance_poly(inst.stations[0], inst.objects[new])
+    assert p_old(t_event) == p_new(t_event)  # exact equality
 
     for seed in range(8):
         n, m = random_sizes(seed, 8, 3)
@@ -250,6 +275,20 @@ def test_check_feasible_flags_bad_assignment():
     assert not report.ok and report.worst_violation > 1.0
     empty = MovingInstance((Point2(0.0, 0.0),), ())
     assert check_feasible(extend((), 0.0, "forward", 1.0, NO_FLAGS, empty), empty, 100).ok
+
+
+def test_check_feasible_rejects_sample_counts_below_one():
+    inst = MovingInstance(
+        (Point2(0.0, 0.0),),
+        (Trajectory(Point2(1.0, 0.0), Point2(1.0, 0.0)), Trajectory(Point2(5.0, 0.0), Point2(5.0, 0.0))),
+    )
+    # Claims station 0 covers both objects with radius 1: infeasible.
+    radius_1 = squared_distance_poly(inst.stations[0], inst.objects[0])
+    bad = [TimelineSegment(0.0, 1.0, (0, 0), (0,), radius_1)]
+    assert not check_feasible(bad, inst, 1).ok
+    for count in (0, -1, -1000):
+        with pytest.raises(ValueError):
+            check_feasible(bad, inst, count)
 
 
 def test_extend_with_exact_static_seed():
