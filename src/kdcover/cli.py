@@ -284,8 +284,6 @@ def run_algorithm(instance: MovingInstance, algorithm: str, flags: ImprovementFl
         static_backend="nn" if algorithm == "nn" else "exact",
         flags=flags,
         target_gap=args.gap,
-        coarse_gap=args.coarse_gap,
-        tighten_threshold=args.tighten,
         time_limit=args.time_limit,
         exact_arithmetic=args.exact_arith,
     )
@@ -303,8 +301,6 @@ def cmd_solve(args) -> int:
     instance_id = _instance_id(args.instance, instance)
     config = {
         "target_gap": args.gap,
-        "coarse_gap": args.coarse_gap,
-        "tighten_threshold": args.tighten,
         "time_limit": args.time_limit,
         "exact_arithmetic": args.exact_arith,
         "k": args.k,
@@ -384,8 +380,8 @@ def cmd_bench(args) -> int:
     else:
         combos = args.flag_combos.split(";")
     args_dict = {
-        "gap": args.gap, "coarse_gap": args.coarse_gap, "tighten": args.tighten,
-        "time_limit": args.time_limit, "exact_arith": args.exact_arith, "k": args.k,
+        "gap": args.gap, "time_limit": args.time_limit, "exact_arith": args.exact_arith,
+        "k": args.k,
     }
     tasks = []
     for entry in manifest.get("instances", []):
@@ -437,8 +433,11 @@ def verify_result(doc, instance: MovingInstance, samples: int) -> list[str]:
     for i, seg in enumerate(segs):
         tm = 0.5 * (seg.t_start + seg.t_end)
         derived = [0.0, 0.0, 0.0]
+        members = {}
+        for j, s in enumerate(seg.assignment):
+            members.setdefault(s, []).append(j)
         for s in range(instance.m):
-            assigned = [j for j, st in enumerate(seg.assignment) if st == s]
+            assigned = members.get(s)
             if not assigned:
                 continue
             sup = max(assigned, key=lambda j: (polys[s][j](tm), -j))
@@ -596,9 +595,6 @@ def cmd_render(args) -> int:
 def _add_solver_options(p: argparse.ArgumentParser):
     p.add_argument("--algo", choices=["exact", "nn", "fixed_nn"], default="exact")
     p.add_argument("--gap", type=float, default=1e-4, help="target optimality gap")
-    p.add_argument("--coarse-gap", dest="coarse_gap", type=float, default=1e-2)
-    p.add_argument("--tighten", type=float, default=0.015,
-                   help="tighten the stationary gap below this overall gap")
     p.add_argument("--time-limit", dest="time_limit", type=float, default=600.0)
     p.add_argument("--flags", type=parse_flags, default=ImprovementFlags(),
                    help="comma list of nodup,impext,partext")

@@ -66,9 +66,7 @@ class SolutionTimeline:
                     f"gap or overlap between segments at {prev.t_end!r} / {seg.t_start!r}"
                 )
             prev = seg
-        t_peak, value = argmax_timeline(self)
-        object.__setattr__(self, "t_peak", t_peak)
-        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "value", argmax_timeline(self)[1])
 
     @property
     def span(self):

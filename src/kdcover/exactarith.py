@@ -3,10 +3,15 @@
 Every event time in this package is a root of a quadratic polynomial with
 rational coefficients, i.e. a number of the form (p + q*sqrt(d)) / r with
 integers p, q, r, d.  This module implements that class of numbers with
-comparisons decided purely by integer sign computations, so ordering two
-event times never suffers rounding error.  It is the backbone of the
+comparisons decided purely by integer sign computations (`_sign_pair` and
+`_sign_sum` take and multiply plain ints; no Fraction is built), so ordering
+two event times never suffers rounding error.  It is the backbone of the
 optional exact mode used for degenerate inputs where floating point breaks
 down (coincident start points, identical slopes, repeated distances).
+
+The radicand is kept as given, not reduced to its square-free part: the
+sign computations are exact for any d, so pulling square factors out of d
+on every operation would be work that no comparison needs.
 """
 
 from __future__ import annotations
@@ -17,41 +22,6 @@ from fractions import Fraction
 __all__ = ["QuadraticNumber"]
 
 
-def _primes_below(limit: int) -> tuple[int, ...]:
-    sieve = bytearray([1]) * limit
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return tuple(i for i, flag in enumerate(sieve) if flag)
-
-
-_TRIAL_PRIMES = _primes_below(1000)
-
-
-def _split_square(d: int) -> tuple[int, int]:
-    """Factor d = s*s*core, pulling out square factors.
-
-    Trial division covers primes below 1000 and a final perfect-square test
-    catches the rest.  A square of a larger prime may survive inside core;
-    that only leaves the representation non-canonical, it never makes a
-    comparison wrong because comparisons go through sign computations that
-    do not rely on canonical radicands.
-    """
-    s = 1
-    for p in _TRIAL_PRIMES:
-        pp = p * p
-        if pp > d:
-            break
-        while d % pp == 0:
-            d //= pp
-            s *= p
-    root = math.isqrt(d)
-    if root * root == d:
-        return s * root, 1
-    return s, d
-
-
 def _sgn(x) -> int:
     if x > 0:
         return 1
@@ -60,8 +30,8 @@ def _sgn(x) -> int:
     return 0
 
 
-def _sign_pair(a: Fraction, b: Fraction, d: int) -> int:
-    """Sign of a + b*sqrt(d) for rational a, b and integer d >= 0."""
+def _sign_pair(a: int, b: int, d: int) -> int:
+    """Sign of a + b*sqrt(d) for integers a, b and d >= 0."""
     if b == 0 or d == 0:
         return _sgn(a)
     if a == 0:
@@ -73,8 +43,8 @@ def _sign_pair(a: Fraction, b: Fraction, d: int) -> int:
     return sa * _sgn(a * a - b * b * d)
 
 
-def _sign_sum(a: Fraction, b: Fraction, d1: int, c: Fraction, d2: int) -> int:
-    """Sign of a + b*sqrt(d1) + c*sqrt(d2)."""
+def _sign_sum(a: int, b: int, d1: int, c: int, d2: int) -> int:
+    """Sign of a + b*sqrt(d1) + c*sqrt(d2) for integers a, b, c and d1, d2 >= 0."""
     if c == 0 or d2 == 0:
         return _sign_pair(a, b, d1)
     if b == 0 or d1 == 0:
@@ -101,11 +71,14 @@ def _sqrt_fraction(d: int, bits: int = 64) -> Fraction:
 class QuadraticNumber:
     """(p + q*sqrt(d)) / r with integers p, q, r > 0, d >= 0.
 
-    Normalized so that gcd(p, q, r) == 1, square factors are pulled out of
-    d, and q == 0 iff the value is rational (then d == 0).  Arithmetic is
-    supported with ints, Fractions, and other QuadraticNumbers over the
-    same radicand; comparisons additionally accept floats, which are lifted
-    to their exact rational value first.
+    Normalized so that r > 0, gcd(p, q, r) == 1, and q == 0 iff the value
+    is rational (then d == 0): a perfect-square d is folded into p.  d is
+    not square-free, so one value may have several forms, such as
+    sqrt(8) = 2*sqrt(2); comparisons and hashing do not depend on the form.
+    Arithmetic is supported with ints, Fractions, and other
+    QuadraticNumbers over the same radicand (the same d, not merely the
+    same square-free part); comparisons additionally accept floats, which
+    compare by their exact rational value.
     """
 
     __slots__ = ("p", "q", "r", "d")
@@ -118,12 +91,10 @@ class QuadraticNumber:
         if q == 0 or d == 0:
             q, d = 0, 0
         else:
-            s, core = _split_square(d)
-            if core == 1:
-                p += q * s
+            root = math.isqrt(d)
+            if root * root == d:
+                p += q * root
                 q, d = 0, 0
-            else:
-                q, d = q * s, core
         if r < 0:
             p, q, r = -p, -q, -r
         g = math.gcd(math.gcd(p, q), r)
@@ -139,27 +110,9 @@ class QuadraticNumber:
         f = Fraction(x)
         return cls(f.numerator, 0, f.denominator, 0)
 
-    @classmethod
-    def make(cls, rational_part, radical_coeff, radicand: int) -> "QuadraticNumber":
-        """Build rational_part + radical_coeff * sqrt(radicand)."""
-        a = Fraction(rational_part)
-        b = Fraction(radical_coeff)
-        den = math.lcm(a.denominator, b.denominator)
-        return cls(
-            a.numerator * (den // a.denominator),
-            b.numerator * (den // b.denominator),
-            den,
-            radicand,
-        )
-
     @property
     def is_rational(self) -> bool:
         return self.q == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.q != 0:
-            raise ValueError(f"{self!r} is irrational")
-        return Fraction(self.p, self.r)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -218,29 +171,22 @@ class QuadraticNumber:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if f == 0:
-                raise ZeroDivisionError("division by zero")
-            return QuadraticNumber(
-                self.p * f.denominator, self.q * f.denominator, self.r * f.numerator, self.d
-            )
-        return NotImplemented
-
     # -- comparisons ------------------------------------------------------
 
     def compare(self, other) -> int:
-        """-1, 0 or +1; exact.  Floats are lifted to their exact rational value."""
-        if isinstance(other, float):
-            other = Fraction(other)
-        o = self._lift(other)
-        if o is None:
+        """-1, 0 or +1; exact.  Floats compare by their exact rational value.
+
+        The sign of self - other is that of (p1*r2 - p2*r1) + q1*r2*sqrt(d1)
+        - q2*r1*sqrt(d2), since both denominators are positive.
+        """
+        if isinstance(other, QuadraticNumber):
+            p, q, r, d = other.p, other.q, other.r, other.d
+        elif isinstance(other, (int, Fraction, float)):
+            p, r = other.as_integer_ratio()
+            q = d = 0
+        else:
             raise TypeError(f"cannot compare QuadraticNumber with {type(other).__name__}")
-        a = Fraction(self.p, self.r) - Fraction(o.p, o.r)
-        b = Fraction(self.q, self.r)
-        c = -Fraction(o.q, o.r)
-        return _sign_sum(a, b, self.d, c, o.d)
+        return _sign_sum(self.p * r - p * self.r, self.q * r, self.d, -q * self.r, d)
 
     def __eq__(self, other):
         try:
@@ -261,9 +207,13 @@ class QuadraticNumber:
         return self.compare(other) >= 0
 
     def __hash__(self):
+        # The rational part, the square of the irrational part and its sign
+        # do not depend on square factors left in d; a rational value
+        # hashes as the equal Fraction.
+        rational = hash(Fraction(self.p, self.r))
         if self.q == 0:
-            return hash(Fraction(self.p, self.r))
-        return hash((self.p, self.q, self.r, self.d))
+            return rational
+        return hash((rational, Fraction(self.q * self.q * self.d, self.r * self.r), self.q > 0))
 
     def __bool__(self):
         return self.p != 0 or self.q != 0

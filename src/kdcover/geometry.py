@@ -244,7 +244,7 @@ def _roots_exact(p: QuadraticPoly, t_lo, t_hi) -> RootResult:
         return RootResult((root,) if in_window(root) else ())
     lo = QuadraticNumber(-B, -1, 2 * A, disc)
     hi = QuadraticNumber(-B, 1, 2 * A, disc)
-    if lo.compare(hi) > 0:
+    if A < 0:  # dividing by 2A < 0 reverses the order of -B -+ sqrt(disc)
         lo, hi = hi, lo
     return RootResult(tuple(r for r in (lo, hi) if in_window(r)))
 
@@ -264,11 +264,8 @@ def compare_event_times(a, b, eps: float = EPS) -> int:
         return a.compare(b)
     if isinstance(b, QuadraticNumber):
         return -b.compare(a)
-    fa = Fraction(a)
-    fb = Fraction(b)
-    if fa == fb:
-        return 0
-    return -1 if fa < fb else 1
+    # int, Fraction and float compare exactly with one another.
+    return (a > b) - (a < b)
 
 
 def compare_values(a, b) -> int:

@@ -47,30 +47,30 @@ __all__ = [
 # stop reason "iteration_cap".
 ITERATION_CAP = 100_000
 
+# The stationary gap schedule of `scheduled_gap`.
+COARSE_GAP = 1e-2
+TIGHTEN_THRESHOLD = 0.015
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for one min-max solve.
 
-    static_backend selects the stationary solver ("exact" or "nn"); the
-    gap schedule starts every stationary solve at coarse_gap and tightens
-    to target_gap once the overall gap falls below tighten_threshold.
+    static_backend selects the stationary solver ("exact" or "nn");
+    target_gap is the overall gap to certify, at most COARSE_GAP (see
+    `scheduled_gap`).
     """
 
     static_backend: str = "exact"
     flags: ImprovementFlags = ImprovementFlags()
     target_gap: float = 1e-4
-    coarse_gap: float = 1e-2
-    tighten_threshold: float = 0.015
     time_limit: float = 600.0
     exact_arithmetic: bool = False
     backend: SolverBackend | None = None
 
     def __post_init__(self):
-        if not (0 <= self.target_gap <= self.coarse_gap):
-            raise ValueError("need 0 <= target_gap <= coarse_gap")
-        if not self.tighten_threshold > self.target_gap:
-            raise ValueError("need tighten_threshold > target_gap")
+        if not (0 <= self.target_gap <= COARSE_GAP):
+            raise ValueError(f"need 0 <= target_gap <= {COARSE_GAP}")
         if self.static_backend not in ("exact", "nn"):
             raise ValueError(f"unknown static backend {self.static_backend!r}")
 
@@ -105,11 +105,10 @@ class KineticResult:
 
 
 def scheduled_gap(current_gap: float, config: SolverConfig) -> float:
-    """Coarse stationary gap until the overall gap crosses the tighten
-    threshold, then the target gap.  current_gap may be inf before any
-    lower bound exists."""
-    if current_gap > config.tighten_threshold:
-        return config.coarse_gap
+    """COARSE_GAP until the overall gap falls to TIGHTEN_THRESHOLD, then the
+    target gap.  current_gap may be inf before any lower bound exists."""
+    if current_gap > TIGHTEN_THRESHOLD:
+        return COARSE_GAP
     return config.target_gap
 
 

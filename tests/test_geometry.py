@@ -198,6 +198,28 @@ def test_exact_comparison_total_order():
         fx, fy = float(x), float(y)
         if abs(fx - fy) > 1e-6:
             assert cxy == (-1 if fx < fy else 1)
+    # A twin (p*k + q*sqrt(d*k*k)) / (r*k) is the same number in another
+    # form: it compares 0 with its value, hashes equal to it, and orders
+    # the same against every other value.
+    for x in values:
+        k = rng.randint(2, 30)
+        twin = QuadraticNumber(x.p * k, x.q, x.r * k, x.d * k * k)
+        assert compare_event_times(x, twin) == 0 == compare_event_times(twin, x), x
+        assert twin == x and hash(twin) == hash(x), x
+        for y in values:
+            assert compare_event_times(twin, y) == compare_event_times(x, y), (x, y)
+            assert compare_event_times(y, twin) == compare_event_times(y, x), (x, y)
+
+
+def test_quadratic_number_hash_ignores_square_factors():
+    # Two forms of 1009*sqrt(2).  1009 is a prime above 1000, so a trial
+    # division by small primes would not bring them to one form either.
+    x = QuadraticNumber(0, 1, 1, 2 * 1009**2)
+    y = QuadraticNumber(0, 1009, 1, 2)
+    assert x == y
+    assert hash(x) == hash(y)
+    assert len({x, y}) == 1
+    assert hash(QuadraticNumber(-4, 1, 8, 64)) == hash(Fraction(1, 2))
 
 
 def test_quadratic_number_arithmetic():
@@ -207,6 +229,9 @@ def test_quadratic_number_arithmetic():
     assert float(s) == pytest.approx((2 + math.sqrt(2)) / 2, rel=1e-15)
     assert (r * 2 - 1) * (r * 2 - 1) == 2  # (2r - 1)^2 == 2
     assert QuadraticNumber(0, 1, 1, 8) == QuadraticNumber(0, 2, 1, 2)
+    half = QuadraticNumber(-4, 1, 8, 64)  # (-4 + sqrt(64)) / 8: a square radicand
+    assert half.is_rational and (half.p, half.q, half.r, half.d) == (1, 0, 2, 0)
+    assert half == Fraction(1, 2)
     with pytest.raises(ValueError):
         QuadraticNumber(0, 1, 1, 2) + QuadraticNumber(0, 1, 1, 3)
 

@@ -69,9 +69,7 @@ def test_scheduled_gap_examples():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(target_gap=0.1, coarse_gap=0.01)
-    with pytest.raises(ValueError):
-        SolverConfig(tighten_threshold=1e-5)
+        SolverConfig(target_gap=0.1)
     with pytest.raises(ValueError):
         SolverConfig(static_backend="magic")
 
