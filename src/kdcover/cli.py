@@ -276,6 +276,18 @@ def _instance_id(path, instance: MovingInstance) -> str:
     return str(instance.metadata.get("id", Path(path).stem))
 
 
+def solver_options_error(args) -> str | None:
+    """The usage error in the solver options, or None.  Checked before any
+    solve, so that a bad option fails at once rather than in a solver."""
+    if args.k < 1:
+        return f"--k must be at least 1, got {args.k}"
+    try:
+        SolverConfig(target_gap=args.gap)
+    except ValueError as exc:
+        return f"--gap: {exc}"
+    return None
+
+
 def run_algorithm(instance: MovingInstance, algorithm: str, flags: ImprovementFlags,
                   args) -> KineticResult:
     if algorithm == "fixed_nn":
@@ -291,6 +303,10 @@ def run_algorithm(instance: MovingInstance, algorithm: str, flags: ImprovementFl
 
 
 def cmd_solve(args) -> int:
+    problem = solver_options_error(args)
+    if problem:
+        print(problem, file=sys.stderr)
+        return EXIT_USAGE
     try:
         instance = read_instance(args.instance)
     except (OSError, FormatError) as exc:
@@ -363,6 +379,10 @@ def _bench_cell(task):
 
 
 def cmd_bench(args) -> int:
+    problem = solver_options_error(args)
+    if problem:
+        print(problem, file=sys.stderr)
+        return EXIT_USAGE
     try:
         with open(args.manifest, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import QuadraticPoly, compare_event_times, quadratic_roots, sign_ahead
+from .geometry import TIME_EPS, QuadraticPoly, compare_event_times, quadratic_roots, sign_ahead
 
 __all__ = [
     "Assignment",
@@ -26,11 +26,6 @@ __all__ = [
 ]
 
 Assignment = tuple[int, ...]
-
-# Structural tolerance for boundary bookkeeping in float mode (segment
-# elision, crossing-at-endpoint suppression).  Tighter than the user-facing
-# EPS so legitimately short segments survive.
-_T_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,7 +56,7 @@ class SolutionTimeline:
             raise ValueError("timeline needs at least one segment")
         prev = self.segments[0]
         for seg in self.segments[1:]:
-            if compare_event_times(prev.t_end, seg.t_start, _T_EPS) != 0:
+            if compare_event_times(prev.t_end, seg.t_start) != 0:
                 raise ValueError(
                     f"gap or overlap between segments at {prev.t_end!r} / {seg.t_start!r}"
                 )
@@ -77,10 +72,10 @@ def segment_at(timeline: SolutionTimeline, t) -> TimelineSegment:
     """Covering segment for t; at a shared boundary the later segment wins
     (an assignment change may drop the objective discontinuously)."""
     lo, hi = timeline.span
-    if compare_event_times(t, lo, _T_EPS) < 0 or compare_event_times(t, hi, _T_EPS) > 0:
+    if compare_event_times(t, lo) < 0 or compare_event_times(t, hi) > 0:
         raise ValueError(f"time {t!r} outside timeline span [{lo!r}, {hi!r}]")
     for seg in reversed(timeline.segments):
-        if compare_event_times(seg.t_start, t, _T_EPS) <= 0:
+        if compare_event_times(seg.t_start, t) <= 0:
             return seg
     return timeline.segments[0]
 
@@ -111,8 +106,8 @@ def argmax_timeline(timeline: SolutionTimeline | tuple) -> tuple:
 
 def _strictly_inside(t, lo, hi) -> bool:
     if isinstance(t, float) and isinstance(lo, float) and isinstance(hi, float):
-        return t > lo + _T_EPS and t < hi - _T_EPS
-    return compare_event_times(t, lo, _T_EPS) > 0 and compare_event_times(t, hi, _T_EPS) < 0
+        return t > lo + TIME_EPS and t < hi - TIME_EPS
+    return compare_event_times(t, lo) > 0 and compare_event_times(t, hi) < 0
 
 
 def _merge_core(a_segments, b_segments) -> list[TimelineSegment]:
@@ -122,7 +117,7 @@ def _merge_core(a_segments, b_segments) -> list[TimelineSegment]:
     u = a_segments[0].t_start
 
     def emit(x, y, seg_src):
-        if compare_event_times(x, y, _T_EPS) >= 0:
+        if compare_event_times(x, y) >= 0:
             return
         if out and out[-1].poly == seg_src.poly and out[-1].assignment == seg_src.assignment \
                 and out[-1].supports == seg_src.supports:
@@ -133,21 +128,21 @@ def _merge_core(a_segments, b_segments) -> list[TimelineSegment]:
 
     while i < len(a_segments) and j < len(b_segments):
         sa, sb = a_segments[i], b_segments[j]
-        v = sa.t_end if compare_event_times(sa.t_end, sb.t_end, _T_EPS) <= 0 else sb.t_end
-        if compare_event_times(u, v, _T_EPS) < 0:
+        v = sa.t_end if compare_event_times(sa.t_end, sb.t_end) <= 0 else sb.t_end
+        if compare_event_times(u, v) < 0:
             diff = sa.poly - sb.poly
             roots = quadratic_roots(diff, u, v)
             cuts = [r for r in roots.times if _strictly_inside(r, u, v)]
             pieces = [u] + cuts + [v]
             for x, y in zip(pieces, pieces[1:]):
-                if compare_event_times(x, y, _T_EPS) >= 0:
+                if compare_event_times(x, y) >= 0:
                     continue
                 s = sign_ahead(diff, x)
                 emit(x, y, sa if s <= 0 else sb)
         u = v
-        if compare_event_times(sa.t_end, v, _T_EPS) <= 0:
+        if compare_event_times(sa.t_end, v) <= 0:
             i += 1
-        if compare_event_times(sb.t_end, v, _T_EPS) <= 0:
+        if compare_event_times(sb.t_end, v) <= 0:
             j += 1
     # Snap the stitched boundaries so contiguity is exact object equality.
     fixed: list[TimelineSegment] = []
@@ -168,7 +163,7 @@ def merge_lower_envelope(a: SolutionTimeline, b: SolutionTimeline) -> SolutionTi
     """
     alo, ahi = a.span
     blo, bhi = b.span
-    if compare_event_times(alo, blo, _T_EPS) != 0 or compare_event_times(ahi, bhi, _T_EPS) != 0:
+    if compare_event_times(alo, blo) != 0 or compare_event_times(ahi, bhi) != 0:
         raise ValueError("merge requires timelines over the same span")
     merged = _merge_core(a.segments, b.segments)
     # Preserve exact span endpoints from the first argument.
@@ -181,17 +176,17 @@ def merge_lower_envelope(a: SolutionTimeline, b: SolutionTimeline) -> SolutionTi
 
 def slice_timeline(timeline: SolutionTimeline, lo, hi) -> SolutionTimeline:
     """Restriction of a timeline to [lo, hi], splitting boundary segments."""
-    if compare_event_times(lo, hi, _T_EPS) >= 0:
+    if compare_event_times(lo, hi) >= 0:
         raise ValueError("empty slice window")
     parts: list[TimelineSegment] = []
     for seg in timeline.segments:
-        if compare_event_times(seg.t_end, lo, _T_EPS) <= 0:
+        if compare_event_times(seg.t_end, lo) <= 0:
             continue
-        if compare_event_times(seg.t_start, hi, _T_EPS) >= 0:
+        if compare_event_times(seg.t_start, hi) >= 0:
             break
-        s = lo if compare_event_times(seg.t_start, lo, _T_EPS) < 0 else seg.t_start
-        e = hi if compare_event_times(seg.t_end, hi, _T_EPS) > 0 else seg.t_end
-        if compare_event_times(s, e, _T_EPS) < 0:
+        s = lo if compare_event_times(seg.t_start, lo) < 0 else seg.t_start
+        e = hi if compare_event_times(seg.t_end, hi) > 0 else seg.t_end
+        if compare_event_times(s, e) < 0:
             parts.append(TimelineSegment(s, e, seg.assignment, seg.supports, seg.poly))
     return SolutionTimeline(tuple(parts))
 
@@ -205,14 +200,14 @@ def merge_partial(full: SolutionTimeline, part: SolutionTimeline) -> SolutionTim
     flo, fhi = full.span
     plo, phi = part.span
     pieces: list[TimelineSegment] = []
-    if compare_event_times(flo, plo, _T_EPS) < 0:
+    if compare_event_times(flo, plo) < 0:
         pieces.extend(slice_timeline(full, flo, plo).segments)
     inner = _merge_core(slice_timeline(full, plo, phi).segments, part.segments)
     if pieces and inner:
         head = inner[0]
         inner[0] = TimelineSegment(pieces[-1].t_end, head.t_end, head.assignment, head.supports, head.poly)
     pieces.extend(inner)
-    if compare_event_times(phi, fhi, _T_EPS) < 0:
+    if compare_event_times(phi, fhi) < 0:
         tail = slice_timeline(full, phi, fhi).segments
         if pieces:
             head = tail[0]

@@ -107,8 +107,9 @@ class QuadraticNumber:
 
     @classmethod
     def from_rational(cls, x) -> "QuadraticNumber":
-        f = Fraction(x)
-        return cls(f.numerator, 0, f.denominator, 0)
+        """x (an int, Fraction or float) as a rational QuadraticNumber."""
+        p, r = x.as_integer_ratio()
+        return cls(p, 0, r, 0)
 
     @property
     def is_rational(self) -> bool:

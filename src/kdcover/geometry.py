@@ -25,6 +25,7 @@ from .exactarith import QuadraticNumber
 
 __all__ = [
     "EPS",
+    "TIME_EPS",
     "Point2",
     "Trajectory",
     "MovingInstance",
@@ -38,8 +39,14 @@ __all__ = [
     "sign_ahead",
 ]
 
-# Default tolerance for float-mode comparisons.  The exact mode needs none.
+# Relative tolerance for float objective values (`compare_values`,
+# `sign_ahead`).  The exact mode needs none.
 EPS = 1e-9
+
+# Absolute tolerance for a pair of float times (`compare_event_times`):
+# tight enough that legitimately short segments survive, and the least
+# forward step of the kinetic event engine.
+TIME_EPS = 1e-12
 
 Scalar = Union[float, Fraction, int]
 EventTime = Union[float, Fraction, QuadraticNumber]
@@ -234,13 +241,13 @@ def _roots_exact(p: QuadraticPoly, t_lo, t_hi) -> RootResult:
     if A == 0:
         if B == 0:
             return RootResult((), identically_zero=(C == 0))
-        root = QuadraticNumber.from_rational(Fraction(-C, B))
+        root = QuadraticNumber(-C, 0, B, 0)
         return RootResult((root,) if in_window(root) else ())
     disc = B * B - 4 * A * C
     if disc < 0:
         return RootResult(())
     if disc == 0:
-        root = QuadraticNumber.from_rational(Fraction(-B, 2 * A))
+        root = QuadraticNumber(-B, 0, 2 * A, 0)
         return RootResult((root,) if in_window(root) else ())
     lo = QuadraticNumber(-B, -1, 2 * A, disc)
     hi = QuadraticNumber(-B, 1, 2 * A, disc)
@@ -249,15 +256,15 @@ def _roots_exact(p: QuadraticPoly, t_lo, t_hi) -> RootResult:
     return RootResult(tuple(r for r in (lo, hi) if in_window(r)))
 
 
-def compare_event_times(a, b, eps: float = EPS) -> int:
+def compare_event_times(a, b) -> int:
     """Order two event times: -1, 0 or +1.
 
     If either side is exact (Fraction or QuadraticNumber) the comparison is
     decided by integer sign computations with no rounding; a plain float
-    pair compares with absolute tolerance `eps`.
+    pair compares with absolute tolerance `TIME_EPS`.
     """
     if isinstance(a, float) and isinstance(b, float):
-        if abs(a - b) <= eps:
+        if abs(a - b) <= TIME_EPS:
             return 0
         return -1 if a < b else 1
     if isinstance(a, QuadraticNumber):

@@ -44,10 +44,6 @@ __all__ = [
     "check_feasible",
 ]
 
-# Minimum forward progress per event in float mode; roots closer than this
-# to the cursor are treated as already handled.
-_STEP = 1e-12
-
 # Largest relative violation `check_feasible` accepts.
 FEASIBILITY_TOL = 1e-7
 
@@ -141,7 +137,7 @@ class _Extender:
     # -- event scanning ---------------------------------------------------
 
     def _ahead(self, t, cursor) -> bool:
-        return compare_event_times(t, cursor, _STEP) * self.direction > 0
+        return compare_event_times(t, cursor) * self.direction > 0
 
     def _travel_sorted(self, times):
         return sorted(times, reverse=(self.direction < 0))

@@ -1,12 +1,13 @@
 """Iterative min-max solver for the kinetic disk covering problem.
 
 Seed with a stationary solution at t=0, extend it over the horizon, then
-repeat: locate the peak of the incumbent timeline, re-solve the stationary
+repeat: locate the peak of the incumbent timeline, solve the stationary
 problem there, extend the improvement in both directions and fold it in
-via the lower envelope.  The stationary solver's certified bounds at every
-solved time are themselves lower bounds on the min-max optimum, so the
-loop carries a certificate: it stops when the relative gap reaches the
-target, when the peak provably cannot improve, or at the time limit.
+via the lower envelope.  Each stationary solve runs at the target gap and
+each time is solved once.  The stationary solver's certified bounds at
+every solved time are themselves lower bounds on the min-max optimum, so
+the loop carries a certificate: it stops when the relative gap reaches the
+target, when every candidate peak has been solved, or at the time limit.
 
 Timeline polynomials store area / pi (sums of squared support radii);
 `KineticResult.upper` and `.lower` carry the pi factor.
@@ -38,7 +39,6 @@ __all__ = [
     "SolverConfig",
     "SolveStats",
     "KineticResult",
-    "scheduled_gap",
     "solve_minmax",
     "fixed_nn_baseline",
 ]
@@ -47,18 +47,14 @@ __all__ = [
 # stop reason "iteration_cap".
 ITERATION_CAP = 100_000
 
-# The stationary gap schedule of `scheduled_gap`.
-COARSE_GAP = 1e-2
-TIGHTEN_THRESHOLD = 0.015
-
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for one min-max solve.
 
     static_backend selects the stationary solver ("exact" or "nn");
-    target_gap is the overall gap to certify, at most COARSE_GAP (see
-    `scheduled_gap`).
+    target_gap (>= 0) is the overall gap to certify, and every exact
+    stationary solve runs at it.
     """
 
     static_backend: str = "exact"
@@ -69,8 +65,8 @@ class SolverConfig:
     backend: SolverBackend | None = None
 
     def __post_init__(self):
-        if not (0 <= self.target_gap <= COARSE_GAP):
-            raise ValueError(f"need 0 <= target_gap <= {COARSE_GAP}")
+        if not self.target_gap >= 0:
+            raise ValueError(f"need target_gap >= 0, got {self.target_gap!r}")
         if self.static_backend not in ("exact", "nn"):
             raise ValueError(f"unknown static backend {self.static_backend!r}")
 
@@ -102,14 +98,6 @@ class KineticResult:
     stats: SolveStats
     timed_out: bool = False
     history: tuple[tuple[float, float], ...] = ()
-
-
-def scheduled_gap(current_gap: float, config: SolverConfig) -> float:
-    """COARSE_GAP until the overall gap falls to TIGHTEN_THRESHOLD, then the
-    target gap.  current_gap may be inf before any lower bound exists."""
-    if current_gap > TIGHTEN_THRESHOLD:
-        return COARSE_GAP
-    return config.target_gap
 
 
 def _ratio_gap(upper: float, lower: float) -> float:
@@ -213,25 +201,17 @@ def _best_unexcluded_peak(timeline: SolutionTimeline, excluded):
     return best
 
 
-class _SolvedLog:
-    """Times already solved statically, with the gap level used."""
-
-    def __init__(self):
-        self.entries: list[tuple[object, float]] = []
-
-    def level(self, t):
-        best = None
-        for st, g in self.entries:
-            if compare_event_times(st, t) == 0 and (best is None or g < best):
-                best = g
-        return best
-
-    def add(self, t, gap_level):
-        self.entries.append((t, gap_level))
-
-
 def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()) -> KineticResult:
-    """Run the iterative min-max algorithm; see the module docstring."""
+    """Run the iterative min-max algorithm; see the module docstring.
+
+    With the exact backend every stationary solve, the seed at t=0
+    included, runs at `config.target_gap`, and a solved time is never
+    solved again: a second solve at the same gap cannot tighten it.  The
+    stop reason is "gap" at the target, "no_improvement" once every segment
+    endpoint of the incumbent has been solved, "time_limit" or
+    "iteration_cap".  With the "nn" backend the loop stops ("no_improvement")
+    at the first peak the heuristic does not improve.
+    """
     t_begin = _time.perf_counter()
     stats = SolveStats()
     exact = config.exact_arithmetic
@@ -242,7 +222,7 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
     def remaining() -> float:
         return config.time_limit - (_time.perf_counter() - t_begin)
 
-    def static_at(t, gap_level):
+    def static_at(t):
         tick = _time.perf_counter()
         if use_ip:
             cands = enumerate_candidates(work, t)
@@ -250,7 +230,7 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
                 cands,
                 n_objects=work.n,
                 n_stations=work.m,
-                target_gap=gap_level,
+                target_gap=config.target_gap,
                 # At most half of what is left, so that one hard stationary
                 # solve cannot end the loop.
                 time_limit=max(remaining() / 2, 0.001),
@@ -285,14 +265,13 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
         stats.time_extend_merge += _time.perf_counter() - tick
         return merged
 
-    seed_gap = scheduled_gap(math.inf, config) if use_ip else math.inf
-    seed = static_at(t0, seed_gap)
+    seed = static_at(t0)
     lower_sum = seed.lower_radius_sq
     timeline = extend_merge(seed.assignment, t0, None)
 
     history: list[tuple[float, float]] = []
-    excluded: list[object] = []
-    solved = _SolvedLog()
+    # Times already solved at the target gap, which a re-solve cannot improve.
+    excluded: list[object] = [t0] if use_ip else []
     timed_out = False
     stop = ""
     iterations = 0
@@ -319,19 +298,9 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
             stop = "no_improvement"
             break
         cur, t_star = peak
-
+        sol = static_at(t_star)
         if use_ip:
-            level = scheduled_gap(gap, config)
-            prev = solved.level(t_star)
-            if prev is not None and level >= prev:
-                if prev <= config.target_gap:
-                    excluded.append(t_star)
-                    continue
-                level = config.target_gap
-        else:
-            level = math.inf
-
-        sol = static_at(t_star, level)
+            excluded.append(t_star)
         if sol.lower_radius_sq > lower_sum:
             lower_sum = sol.lower_radius_sq
         improving = sol.total_radius_sq < cur and not math.isclose(
@@ -339,17 +308,13 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
         )
         if improving:
             new_timeline = extend_merge(sol.assignment, t_star, timeline)
+            # An extension that collapsed against the incumbent is no gain.
             if new_timeline is not timeline:
                 timeline = new_timeline
                 continue
-            # Extension collapsed against the incumbent; treat as no gain.
-            improving = False
         if not use_ip:
             stop = "no_improvement"
             break
-        solved.add(t_star, level)
-        if level <= config.target_gap:
-            excluded.append(t_star)
 
     upper = math.pi * float(timeline.value)
     lower = math.pi * float(lower_sum)

@@ -253,6 +253,10 @@ class _Prefixes:
                 mask |= self.masks[s][lvl]
         return total, mask
 
+    def selection(self, levels):
+        """The candidate indices of the given levels, ascending."""
+        return tuple(sorted(self.cand_idx[s][lvl] for s, lvl in enumerate(levels) if lvl >= 0))
+
     def uncovered(self, covered: int):
         """One flag per object: True when the mask does not cover it."""
         return [b == "0" for b in reversed(format(covered, f"0{self.n_objects}b"))]
@@ -425,7 +429,7 @@ class BranchBoundBackend(SolverBackend):
             best, deeper, _ = self._search(lv, u, best, target_gap, deadline, math.inf)
             lower = max(lower, deeper)
         levels, cost = best
-        return list(self._selection(lv, levels)), min(lower, cost)
+        return list(lv.selection(levels)), min(lower, cost)
 
     def _search(self, lv: _Prefixes, u, best, target_gap, deadline, max_pops):
         """Best-first search from the root with node bounds at multipliers
@@ -436,7 +440,7 @@ class BranchBoundBackend(SolverBackend):
         """
         root = (-1,) * lv.n_stations
         best_levels, best_cost = best
-        best_sel = self._selection(lv, best_levels)
+        best_sel = lv.selection(best_levels)
         exact = not isinstance(best_cost, float)
         heap = [(0, 0, root, None)]
         seq = 1
@@ -465,7 +469,7 @@ class BranchBoundBackend(SolverBackend):
             committed, covered = lv.committed(levels)
             if covered == lv.universe:
                 visited.add(levels)
-                sel = self._selection(lv, levels)
+                sel = lv.selection(levels)
                 if committed < best_cost or (committed == best_cost and sel < best_sel):
                     best_cost, best_levels, best_sel = committed, levels, sel
                 continue
@@ -481,7 +485,7 @@ class BranchBoundBackend(SolverBackend):
                 dl, dc = lv.improve(*lv.complete(lv.lagrangian(levels, weights)[1]))
                 if dc < best_cost:
                     best_cost, best_levels = dc, dl
-                    best_sel = self._selection(lv, dl)
+                    best_sel = lv.selection(dl)
             j, children = branching
             for s, forced in enumerate(children):
                 if forced is None:
@@ -603,15 +607,15 @@ class BranchBoundBackend(SolverBackend):
             children.append(certified(total - term + min(red[new_lvl - lvl - 1 :]) - base))
         return max(committed + maxmin, certified(total)), (j, children)
 
-    def _selection(self, lv: _Prefixes, levels):
-        return tuple(sorted(lv.cand_idx[s][lvl] for s, lvl in enumerate(levels) if lvl >= 0))
-
 
 class MilpBackend(SolverBackend):
     """Weighted set cover through scipy's HiGHS MILP solver.
 
     Optional heavier backend; float arithmetic only, and it does not honor
-    the lexicographic tie-break among equal-cost optima.
+    the lexicographic tie-break among equal-cost optima.  When HiGHS stops
+    without a feasible point (at its time limit), the greedy cover of
+    `_Prefixes.complete` is returned with HiGHS's dual bound, or 0 when it
+    has none, so `solve_exact` flags the result `timed_out`.
     """
 
     def solve(self, candidates, n_objects, target_gap, time_limit):
@@ -647,9 +651,14 @@ class MilpBackend(SolverBackend):
             options=options,
         )
         if res.x is None:
-            raise RuntimeError(f"MILP solve failed: {res.message}")
-        selected = [i for i, v in enumerate(res.x) if v > 0.5]
-        lower = res.mip_dual_bound if res.mip_dual_bound is not None else res.fun
+            # No primal point (a time limit): fall back on the greedy cover
+            # and keep whatever dual bound HiGHS proved.
+            lv = _Prefixes(candidates, n_objects)
+            selected = lv.selection(lv.complete((-1,) * lv.n_stations)[0])
+            lower = res.mip_dual_bound or 0.0
+        else:
+            selected = [i for i, v in enumerate(res.x) if v > 0.5]
+            lower = res.mip_dual_bound if res.mip_dual_bound is not None else res.fun
         return selected, max(float(lower), 0.0)
 
 

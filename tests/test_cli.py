@@ -98,6 +98,24 @@ def test_solve_fixed_nn(tmp_path):
     assert run(["check", result, inst_path]) == EXIT_OK
 
 
+def test_solve_rejects_bad_solver_options(tmp_path, capsys):
+    _, inst_path = gen_one(tmp_path)
+    result = tmp_path / "r.json"
+    for bad in (["--gap", -1], ["--gap", "nan"], ["--algo", "fixed_nn", "--k", 0]):
+        capsys.readouterr()
+        assert run(["solve", inst_path, "-o", result] + bad) == EXIT_USAGE, bad
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1, bad
+        assert not result.exists(), bad
+
+
+def test_bench_rejects_bad_solver_options(tmp_path):
+    out, _ = gen_one(tmp_path)
+    csv_path = tmp_path / "b.csv"
+    for bad in (["--gap", -1], ["--algos", "fixed_nn", "--k", 0]):
+        assert run(["bench", out / "manifest.json", "-o", csv_path] + bad) == EXIT_USAGE, bad
+        assert not csv_path.exists(), bad
+
+
 def test_check_mismatched_pair(tmp_path):
     _, inst_a = gen_one(tmp_path, name="a", seed=1)
     _, inst_b = gen_one(tmp_path, name="b", seed=2)

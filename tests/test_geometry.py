@@ -113,6 +113,7 @@ def test_compare_event_times_examples():
 
 def test_compare_event_times_float_tolerance():
     assert compare_event_times(0.5, 0.5 + 1e-12) == 0
+    assert compare_event_times(0.5, 0.5 + 1e-10) == -1
     assert compare_event_times(0.1, 0.2) == -1
     assert compare_event_times(0.2, 0.1) == 1
     assert compare_event_times(Fraction(1, 2), 0.5) == 0

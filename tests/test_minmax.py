@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_instance, random_sizes
+from kdcover import minmax
 from kdcover.envelope import timeline_cost
-from kdcover.geometry import MovingInstance, Point2, Trajectory
+from kdcover.geometry import MovingInstance, Point2, Trajectory, compare_event_times
 from kdcover.kinetic import ImprovementFlags, check_feasible
 from kdcover.minmax import (
     SolverConfig,
     fixed_nn_baseline,
-    scheduled_gap,
     solve_minmax,
 )
 from kdcover.static_cover import (
@@ -60,16 +60,11 @@ def test_crossing_instance_exact_arithmetic():
     assert res.gap == 0.0
 
 
-def test_scheduled_gap_examples():
-    cfg = SolverConfig()
-    assert scheduled_gap(math.inf, cfg) == 0.01
-    assert scheduled_gap(0.014, cfg) == 0.0001
-    assert scheduled_gap(0.5, cfg) == 0.01
-
-
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(target_gap=0.1)
+    for gap in (-1e-3, math.nan):
+        with pytest.raises(ValueError):
+            SolverConfig(target_gap=gap)
+    assert SolverConfig(target_gap=0.1).target_gap == 0.1
     with pytest.raises(ValueError):
         SolverConfig(static_backend="magic")
 
@@ -183,14 +178,36 @@ def test_time_limit_marks_timeout():
 
 
 class RecordingBackend(SolverBackend):
-    """Branch and bound that records the time limit of every call."""
+    """Branch and bound that records the gap and time limit of every call."""
 
     def __init__(self):
+        self.target_gaps = []
         self.time_limits = []
 
     def solve(self, candidates, n_objects, target_gap, time_limit):
+        self.target_gaps.append(target_gap)
         self.time_limits.append(time_limit)
         return BranchBoundBackend().solve(candidates, n_objects, target_gap, time_limit)
+
+
+def test_each_peak_solved_once_at_the_target_gap(monkeypatch):
+    solved_at = []
+
+    def recording_enumerate(instance, t):
+        solved_at.append(t)
+        return enumerate_candidates(instance, t)
+
+    monkeypatch.setattr(minmax, "enumerate_candidates", recording_enumerate)
+    for seed in range(8):
+        for gap in (1e-4, 0.0):
+            solved_at.clear()
+            backend = RecordingBackend()
+            cfg = SolverConfig(flags=ALL_FLAGS, target_gap=gap, backend=backend)
+            res = solve_minmax(random_instance(30, 5, seed), cfg)
+            assert backend.target_gaps == [gap] * res.stats.static_solves, seed
+            assert len(solved_at) == res.stats.static_solves, seed
+            for i, t in enumerate(solved_at):
+                assert all(compare_event_times(t, u) != 0 for u in solved_at[:i]), (seed, t)
 
 
 def test_static_solve_gets_at_most_half_the_remaining_time():

@@ -272,6 +272,31 @@ def test_milp_backend_if_available():
         assert got.lower_radius_sq <= ref.total_radius_sq * (1 + 1e-6)
 
 
+def test_milp_backend_without_primal_point(monkeypatch):
+    # At a time limit HiGHS may stop with no feasible point; the backend then
+    # returns the greedy cover and the dual bound (0 when there is none).
+    scipy = pytest.importorskip("scipy")
+    from types import SimpleNamespace
+
+    from kdcover.static_cover import MilpBackend
+
+    n, m = 20, 4
+    inst = random_instance(n, m, 3)
+    cands = enumerate_candidates(inst, 0.5)
+    opt = solve_exact(cands, n, m, target_gap=0.0)
+    for dual in (None, 0.5 * float(opt.total_radius_sq)):
+        stopped = SimpleNamespace(x=None, fun=None, mip_dual_bound=dual,
+                                  message="Time limit reached")
+        monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **k: stopped)
+        sol = solve_exact(cands, n, m, target_gap=1e-4, time_limit=1.0, backend=MilpBackend())
+        assert sol.timed_out
+        assert sol.lower_radius_sq == (dual or 0.0)
+        assert sol.total_radius_sq >= opt.total_radius_sq
+        for j, s in enumerate(sol.assignment):
+            assert any(c.station_index == s and j in c.covered
+                       and c.radius_sq <= sol.radius_sq[s] for c in cands), j
+
+
 def scaled(inst, factor):
     def pt(p):
         return Point2(p.x * factor, p.y * factor)
