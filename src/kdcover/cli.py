@@ -36,8 +36,10 @@ EXIT_TIMEOUT = 3
 EXIT_CHECK = 4
 EXIT_IO = 5
 
+ALGORITHMS = ("exact", "nn", "fixed_nn")
+
 RESULT_FORMAT = "kdc-result"
-RESULT_VERSION = 1
+RESULT_VERSION = 2
 
 CSV_FIELDS = [
     "instance_id",
@@ -151,15 +153,19 @@ def result_to_json(instance_id: str, algorithm: str, flags: ImprovementFlags,
         },
         "timeline": {
             "value": float(tl.value),
+            "assignment": list(tl.segments[0].assignment),
             "segments": [
                 {
                     "t_start": float(seg.t_start),
                     "t_end": float(seg.t_end),
-                    "assignment": list(seg.assignment),
-                    "supports": [s for s in seg.supports],
+                    "moves": [
+                        [j, s] for j, (p, s) in enumerate(zip(prev.assignment, seg.assignment))
+                        if p != s
+                    ],
+                    "supports": list(seg.supports),
                     "objective": [float(seg.poly.a), float(seg.poly.b), float(seg.poly.c)],
                 }
-                for seg in tl.segments
+                for prev, seg in zip(tl.segments[:1] + tl.segments[:-1], tl.segments)
             ],
         },
     }
@@ -175,13 +181,21 @@ def load_result(path):
 
 
 def result_segments(doc) -> list[TimelineSegment]:
+    """The stored timeline with each segment's full assignment rebuilt from
+    the first segment's and the moves since."""
+    assignment = tuple(doc["timeline"]["assignment"])
     segs = []
     for raw in doc["timeline"]["segments"]:
+        if raw["moves"]:
+            changed = list(assignment)
+            for j, s in raw["moves"]:
+                changed[j] = s
+            assignment = tuple(changed)
         segs.append(
             TimelineSegment(
                 raw["t_start"],
                 raw["t_end"],
-                tuple(raw["assignment"]),
+                assignment,
                 tuple(raw["supports"]),
                 QuadraticPoly(*raw["objective"]),
             )
@@ -378,8 +392,37 @@ def _bench_cell(task):
         )
 
 
+def bench_matrix(args) -> tuple[list[str], list[str]]:
+    """The algorithms and flag combinations of a bench run.  Raises
+    ValueError naming the first unknown algorithm or flag."""
+    algorithms = args.algos.split(",")
+    for algorithm in algorithms:
+        if algorithm not in ALGORITHMS:
+            raise ValueError(f"--algos: unknown algorithm {algorithm!r} "
+                             f"(choose from {', '.join(ALGORITHMS)})")
+    if args.flag_combos == "all":
+        combos = []
+        for nd in (False, True):
+            for ie in (False, True):
+                for pe in (False, True):
+                    combos.append(flags_label(ImprovementFlags(nd, ie, pe)))
+        return algorithms, combos
+    combos = args.flag_combos.split(";")
+    for combo in combos:
+        try:
+            parse_flags(combo)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"--flag-combos: {exc}") from None
+    return algorithms, combos
+
+
 def cmd_bench(args) -> int:
     problem = solver_options_error(args)
+    if problem is None:
+        try:
+            algorithms, combos = bench_matrix(args)
+        except ValueError as exc:
+            problem = str(exc)
     if problem:
         print(problem, file=sys.stderr)
         return EXIT_USAGE
@@ -390,15 +433,6 @@ def cmd_bench(args) -> int:
         print(f"cannot read manifest: {exc}", file=sys.stderr)
         return EXIT_IO
     manifest_dir = Path(args.manifest).parent
-    algorithms = args.algos.split(",")
-    if args.flag_combos == "all":
-        combos = []
-        for nd in (False, True):
-            for ie in (False, True):
-                for pe in (False, True):
-                    combos.append(flags_label(ImprovementFlags(nd, ie, pe)))
-    else:
-        combos = args.flag_combos.split(";")
     args_dict = {
         "gap": args.gap, "time_limit": args.time_limit, "exact_arith": args.exact_arith,
         "k": args.k,
@@ -613,11 +647,10 @@ def cmd_render(args) -> int:
 
 
 def _add_solver_options(p: argparse.ArgumentParser):
-    p.add_argument("--algo", choices=["exact", "nn", "fixed_nn"], default="exact")
+    """The options `solve` and `bench` share; `solve` adds --algo and --flags,
+    `bench` its matrix of --algos and --flag-combos."""
     p.add_argument("--gap", type=float, default=1e-4, help="target optimality gap")
     p.add_argument("--time-limit", dest="time_limit", type=float, default=600.0)
-    p.add_argument("--flags", type=parse_flags, default=ImprovementFlags(),
-                   help="comma list of nodup,impext,partext")
     p.add_argument("--exact-arith", dest="exact_arith", action="store_true")
     p.add_argument("--k", type=int, default=10, help="fixed_nn interval count")
 
@@ -647,6 +680,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="solve one instance")
     s.add_argument("instance")
     s.add_argument("-o", "--output", default=None)
+    s.add_argument("--algo", choices=ALGORITHMS, default="exact")
+    s.add_argument("--flags", type=parse_flags, default=ImprovementFlags(),
+                   help="comma list of nodup,impext,partext")
     _add_solver_options(s)
     s.set_defaults(func=cmd_solve)
 

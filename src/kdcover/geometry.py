@@ -9,9 +9,10 @@ coefficients get exact `QuadraticNumber` roots.
 
 The kinetic layers decide every float-versus-exact question through the
 predicates at the bottom of this module: `compare_event_times` orders
-times, `compare_values` orders objective values, and `sign_ahead` tells
-which way a quadratic leaves a point.  Each uses a tolerance on a float
-pair and integer-exact arithmetic otherwise.
+times, `compare_values` orders objective values (and `tolerance_band`
+bounds which values it can call equal), and `sign_ahead` tells which way a
+quadratic leaves a point.  Each uses a tolerance on a float pair and
+integer-exact arithmetic otherwise.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "quadratic_roots",
     "compare_event_times",
     "compare_values",
+    "tolerance_band",
     "sign_ahead",
 ]
 
@@ -286,6 +288,19 @@ def compare_values(a, b) -> int:
             return 0
         return -1 if a < b else 1
     return compare_event_times(a, b)
+
+
+def tolerance_band(v):
+    """(lo, hi) holding every value that `compare_values` calls equal to v,
+    so that a caller can pass over values outside it without the call.
+
+    For a float v the band reaches 2 * EPS * max(1, |v|) to each side,
+    farther than the tolerance EPS * max(1, |a|, |v|) lets any equal a lie;
+    otherwise equality is exact and the band is v itself."""
+    if isinstance(v, float):
+        tol = 2 * EPS * max(1.0, abs(v))
+        return v - tol, v + tol
+    return v, v
 
 
 def sign_ahead(p: QuadraticPoly, t, direction: int = 1) -> int:

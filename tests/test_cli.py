@@ -12,8 +12,12 @@ from kdcover.cli import (
     flags_label,
     main,
     parse_flags,
+    result_segments,
+    result_to_json,
 )
+from kdcover.instances import GenParams, generate
 from kdcover.kinetic import ImprovementFlags
+from kdcover.minmax import SolverConfig, solve_minmax
 
 
 def run(argv):
@@ -116,12 +120,50 @@ def test_bench_rejects_bad_solver_options(tmp_path):
         assert not csv_path.exists(), bad
 
 
+def test_bench_rejects_unknown_algorithms_and_flag_combos(tmp_path, capsys):
+    out, _ = gen_one(tmp_path)
+    csv_path = tmp_path / "b.csv"
+    for bad in (["--algos", "foo"], ["--algos", "nn,foo"], ["--flag-combos", "nodup;bogus"],
+                ["--flag-combos", "impext+bogus"]):
+        capsys.readouterr()
+        assert run(["bench", out / "manifest.json", "-o", csv_path] + bad) == EXIT_USAGE, bad
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1, bad
+        assert not csv_path.exists(), bad
+
+
+def test_bench_takes_only_the_solver_options_it_uses(tmp_path):
+    out, _ = gen_one(tmp_path)
+    for dead in (["--flags", "nodup"], ["--algo=nn", "--flags=nodup"]):
+        with pytest.raises(SystemExit) as exc:
+            run(["bench", out / "manifest.json", "-o", tmp_path / "b.csv"] + dead)
+        assert exc.value.code == EXIT_USAGE, dead
+    assert not (tmp_path / "b.csv").exists()
+
+
 def test_check_mismatched_pair(tmp_path):
     _, inst_a = gen_one(tmp_path, name="a", seed=1)
     _, inst_b = gen_one(tmp_path, name="b", seed=2)
     result = tmp_path / "r.json"
     assert run(["solve", inst_a, "-o", result]) == EXIT_OK
     assert run(["check", result, inst_b]) == EXIT_USAGE
+
+
+def test_result_timeline_round_trips_through_moves():
+    inst = generate(GenParams(n=60, m=6, seed=4))
+    flags = ImprovementFlags(no_dup=True, imp_ext=True, part_ext=True)
+    result = solve_minmax(inst, SolverConfig(static_backend="nn", flags=flags))
+    doc = json.loads(result_to_json("x", "nn", flags, {}, result))
+    segs = result.timeline.segments
+    assert len(segs) > 5
+    assert [(s.t_start, s.t_end, s.assignment, s.supports) for s in result_segments(doc)] == [
+        (s.t_start, s.t_end, s.assignment, s.supports) for s in segs
+    ]
+    # Only the objects that change station are stored after the first segment.
+    stored = doc["timeline"]["segments"]
+    assert stored[0]["moves"] == []
+    for prev, seg, raw in zip(segs, segs[1:], stored[1:]):
+        changed = [j for j, (a, b) in enumerate(zip(prev.assignment, seg.assignment)) if a != b]
+        assert [j for j, _ in raw["moves"]] == changed
 
 
 def test_check_rejects_nonpositive_samples(tmp_path):
@@ -131,9 +173,11 @@ def test_check_rejects_nonpositive_samples(tmp_path):
     # Make the result infeasible: move every object to the next station,
     # whose radius stays that of its old support.
     doc = json.loads(result.read_text())
-    for seg in doc["timeline"]["segments"]:
-        m = len(seg["supports"])
-        seg["assignment"] = [(s + 1) % m for s in seg["assignment"]]
+    tl = doc["timeline"]
+    m = len(tl["segments"][0]["supports"])
+    tl["assignment"] = [(s + 1) % m for s in tl["assignment"]]
+    for seg in tl["segments"]:
+        seg["moves"] = [[j, (s + 1) % m] for j, s in seg["moves"]]
     result.write_text(json.dumps(doc))
     assert run(["check", result, inst_path]) == EXIT_CHECK
     for samples in (0, -3):

@@ -1,11 +1,21 @@
+import hashlib
 import math
 from fractions import Fraction
+from random import Random
 
 import pytest
 
 from conftest import random_instance, random_sizes
+import kdcover.kinetic as kinetic
 from kdcover.envelope import SolutionTimeline, TimelineSegment
-from kdcover.geometry import MovingInstance, Point2, Trajectory, squared_distance_poly
+from kdcover.geometry import (
+    MovingInstance,
+    Point2,
+    Trajectory,
+    compare_values,
+    squared_distance_poly,
+)
+from kdcover.instances import GenParams, generate
 from kdcover.kinetic import ImprovementFlags, check_feasible, dedup_improve, extend
 from kdcover.static_cover import enumerate_candidates, nn_heuristic, solve_exact
 
@@ -300,3 +310,180 @@ def test_extend_with_exact_static_seed():
         assert check_feasible(segs, inst, 500).ok
         timeline = SolutionTimeline(tuple(segs))
         assert timeline.segments[0].poly(0.0) <= sol.total_radius_sq * (1 + 1e-9)
+
+
+def reference_dedup_improve(assignment, t, instance):
+    """The stand-alone duplicate-coverage rebuild that preceded the engine
+    step: every support recomputed from all members, distances tabled."""
+    n, m = instance.n, instance.m
+    if n == 0:
+        return tuple(assignment)
+    stations, objects = instance.stations, instance.objects
+    positions = [None] * n
+    table = [[None] * n for _ in range(m)]
+
+    def d2(s, o):
+        v = table[s][o]
+        if v is None:
+            p = positions[o]
+            if p is None:
+                tr = objects[o]
+                p = positions[o] = (
+                    tr.start.x + t * (tr.end.x - tr.start.x),
+                    tr.start.y + t * (tr.end.y - tr.start.y),
+                )
+            st = stations[s]
+            dx, dy = st.x - p[0], st.y - p[1]
+            v = table[s][o] = dx * dx + dy * dy
+        return v
+
+    assign = list(assignment)
+    members = [[] for _ in range(m)]
+    for j, s in enumerate(assign):
+        members[s].append(j)
+
+    def support_of(s):
+        if not members[s]:
+            return None
+        return max(members[s], key=lambda o: (d2(s, o), -o))
+
+    radius = [0] * m
+    sup = [support_of(s) for s in range(m)]
+    for s in range(m):
+        if sup[s] is not None:
+            radius[s] = d2(s, sup[s])
+
+    for _ in range(n * m + m):
+        moved = False
+        for s in range(m):
+            o = sup[s]
+            if o is None or radius[s] == 0:
+                continue
+            best = None
+            for s2 in range(m):
+                if s2 == s or radius[s2] == 0:
+                    continue
+                d = d2(s2, o)
+                if compare_values(d, radius[s2]) <= 0 and (best is None or (d, s2) < best):
+                    best = (d, s2)
+            if best is None:
+                continue
+            s2 = best[1]
+            members[s].remove(o)
+            members[s2].append(o)
+            assign[o] = s2
+            sup[s] = support_of(s)
+            radius[s] = d2(s, sup[s]) if sup[s] is not None else 0
+            sup[s2] = support_of(s2)
+            radius[s2] = d2(s2, sup[s2])
+            moved = True
+            break
+        if not moved:
+            break
+    return tuple(assign)
+
+
+def test_dedup_improve_matches_reference():
+    for n, m in ((40, 6), (120, 10)):
+        for seed in range(6):
+            inst = random_instance(n, m, seed)
+            rng = Random(seed)
+            t = rng.random()
+            for work, tt in ((inst, t), (inst.as_exact(), Fraction(t))):
+                for assignment in (
+                    tuple(rng.randrange(m) for _ in range(n)),
+                    nn_heuristic(work, tt).assignment,
+                ):
+                    expected = reference_dedup_improve(assignment, tt, work)
+                    assert dedup_improve(assignment, tt, work) == expected, (n, seed, tt)
+
+
+def timeline_digest(segments):
+    h = hashlib.sha256()
+    for seg in segments:
+        h.update(repr((seg.t_start, seg.t_end, seg.assignment, seg.supports)).encode())
+    return len(segments), h.hexdigest()[:16]
+
+
+# (segment count, digest of every segment's bounds, assignment and supports)
+# of `extend` from t=1/2 with the nearest-neighbor assignment there.
+PINNED_TIMELINES = {
+    (0, "none", "forward"): (5, "fcbadf2f3c218af5"),
+    (0, "none", "backward"): (7, "57ddef15f4759fc8"),
+    (0, "all", "forward"): (33, "756530d74f6bc371"),
+    (0, "all", "backward"): (52, "43dae3eadd9ccf6d"),
+    (1, "none", "forward"): (6, "e7a55bb924e22fdc"),
+    (1, "none", "backward"): (8, "55573cf4f82249d9"),
+    (1, "all", "forward"): (34, "cfef601c82b373e6"),
+    (1, "all", "backward"): (34, "8e74934cdbcd7d81"),
+    (2, "none", "forward"): (3, "4f007dde52c3d5eb"),
+    (2, "none", "backward"): (4, "59d0f30cb856daf5"),
+    (2, "all", "forward"): (4, "24bacce6db5d5281"),
+    (2, "all", "backward"): (3, "b64ff36576ec66e7"),
+    ("exact", "none", "forward"): (2, "97e37f9dae0c9614"),
+    ("exact", "none", "backward"): (2, "f35c1d2ec9cf216c"),
+    ("exact", "all", "forward"): (3, "4fb9979da9bbe745"),
+    ("exact", "all", "backward"): (4, "76c4331e0e0e39f7"),
+}
+
+
+def test_extend_timelines_pinned():
+    cases = [(seed, random_instance(120, 10, seed), 0.5, 0.0, 1.0) for seed in range(3)]
+    cases.append(("exact", random_instance(30, 5, 0).as_exact(),
+                  Fraction(1, 2), Fraction(0), Fraction(1)))
+    for key, inst, half, zero, one in cases:
+        assignment = nn_heuristic(inst, half).assignment
+        for name, flags in (("none", NO_FLAGS), ("all", ALL_FLAGS)):
+            for direction, stop in (("forward", one), ("backward", zero)):
+                segs = extend(assignment, half, direction, stop, flags, inst)
+                assert timeline_digest(segs) == PINNED_TIMELINES[(key, name, direction)]
+
+
+def test_full_size_extend_pinned():
+    """Full-size fix seed 1 empties and refills stations while handovers are
+    queued, which the small pinned cases do not reach.  Pinned from the
+    engine that recomputed every handover of a touched station."""
+    inst = generate(GenParams(n=500, m=25, seed=1))
+    assignment = nn_heuristic(inst, 0.0).assignment
+    segs = extend(assignment, 0.0, "forward", 1.0, ALL_FLAGS, inst)
+    assert timeline_digest(segs) == (577, "3fb9247148e1d00e")
+
+
+def test_extend_builds_distance_polynomials_on_demand(monkeypatch):
+    inst = generate(GenParams(n=500, m=25, seed=0))
+    n, m = inst.n, inst.m
+    assignment = nn_heuristic(inst, 0.0).assignment
+    calls = [0]
+    build = kinetic.squared_distance_poly
+
+    def counted(station, obj):
+        calls[0] += 1
+        return build(station, obj)
+
+    monkeypatch.setattr(kinetic, "squared_distance_poly", counted)
+    extend(assignment, 0.0, "forward", 1.0, NO_FLAGS, inst)
+    assert calls[0] <= n + m * m
+    calls[0] = 0
+    extend(assignment, 0.0, "forward", 1.0, ALL_FLAGS, inst)
+    assert calls[0] < n * m
+
+
+def test_dedup_step_at_kept_support_ties_pinned():
+    """Objects on a small integer grid come in mirror pairs whose distances
+    to a station are equal polynomials but can round apart when computed
+    from positions; the dedup step must then take the position-based
+    support, as the stand-alone rebuild did.  Pinned from that rebuild."""
+    rng = Random(100)
+
+    def point():
+        return Point2(float(rng.randint(0, 4)), float(rng.randint(0, 4)))
+
+    stations = tuple(point() for _ in range(6))
+    inst = MovingInstance(stations, tuple(Trajectory(point(), point()) for _ in range(40)))
+    for anchor, direction, stop, pinned in (
+        (0.0, "forward", 1.0, (33, "b0f0e74b5315652b")),
+        (1.0, "backward", 0.0, (41, "b8797110324f8a12")),
+    ):
+        assignment = nn_heuristic(inst, anchor).assignment
+        segs = extend(assignment, anchor, direction, stop, ALL_FLAGS, inst)
+        assert timeline_digest(segs) == pinned
