@@ -15,7 +15,6 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 from .envelope import TimelineSegment
@@ -62,46 +61,6 @@ CSV_FIELDS = [
 
 # Desk-scale default: the full-size benchmark schedules times this factor.
 DEFAULT_SCALE = 0.2
-
-
-@dataclass(frozen=True)
-class BenchRecord:
-    instance_id: str
-    n: int
-    m: int
-    seed: int
-    instance_class: str
-    algorithm: str
-    flags: str
-    upper: float
-    lower: float
-    gap: float
-    iterations: int
-    static_solves: int
-    time_static_s: float
-    time_extend_merge_s: float
-    time_total_s: float
-    timed_out: bool
-
-    def row(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "n": self.n,
-            "m": self.m,
-            "seed": self.seed,
-            "class": self.instance_class,
-            "algorithm": self.algorithm,
-            "flags": self.flags,
-            "upper": repr(self.upper),
-            "lower": repr(self.lower),
-            "gap": "inf" if math.isinf(self.gap) else repr(self.gap),
-            "iterations": self.iterations,
-            "static_solves": self.static_solves,
-            "time_static_s": f"{self.time_static_s:.6f}",
-            "time_extend_merge_s": f"{self.time_extend_merge_s:.6f}",
-            "time_total_s": f"{self.time_total_s:.6f}",
-            "timed_out": str(self.timed_out).lower(),
-        }
 
 
 def flags_label(flags: ImprovementFlags) -> str:
@@ -175,32 +134,48 @@ def result_to_json(instance_id: str, algorithm: str, flags: ImprovementFlags,
 def load_result(path):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != RESULT_FORMAT or doc.get("version") != RESULT_VERSION:
+    if not isinstance(doc, dict) or doc.get("format") != RESULT_FORMAT \
+            or doc.get("version") != RESULT_VERSION:
         raise FormatError(f"{path}: not a kdc-result v{RESULT_VERSION} file")
+    missing = [key for key in ("instance_id", "upper", "lower", "timeline") if key not in doc]
+    if missing:
+        raise FormatError(f"{path}: no {', '.join(missing)} in the result")
+    if not all(isinstance(doc[key], (int, float)) for key in ("upper", "lower")):
+        raise FormatError(f"{path}: upper and lower must be numbers")
     return doc
 
 
 def result_segments(doc) -> list[TimelineSegment]:
     """The stored timeline with each segment's full assignment rebuilt from
-    the first segment's and the moves since."""
-    assignment = tuple(doc["timeline"]["assignment"])
-    segs = []
-    for raw in doc["timeline"]["segments"]:
-        if raw["moves"]:
-            changed = list(assignment)
-            for j, s in raw["moves"]:
-                changed[j] = s
-            assignment = tuple(changed)
-        segs.append(
-            TimelineSegment(
-                raw["t_start"],
-                raw["t_end"],
-                assignment,
-                tuple(raw["supports"]),
-                QuadraticPoly(*raw["objective"]),
+    the first segment's and the moves since.  Raises FormatError when the
+    timeline is malformed."""
+    try:
+        assignment = tuple(doc["timeline"]["assignment"])
+        segs = []
+        for raw in doc["timeline"]["segments"]:
+            if raw["moves"]:
+                changed = list(assignment)
+                for j, s in raw["moves"]:
+                    if not _is_index(j, len(changed)):
+                        raise IndexError(f"move of object {j!r}")
+                    changed[j] = s
+                assignment = tuple(changed)
+            segs.append(
+                TimelineSegment(
+                    float(raw["t_start"]),
+                    float(raw["t_end"]),
+                    assignment,
+                    tuple(raw["supports"]),
+                    QuadraticPoly(*(float(c) for c in raw["objective"])),
+                )
             )
-        )
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed timeline: {type(exc).__name__} {exc}") from None
     return segs
+
+
+def _is_index(v, size: int) -> bool:
+    return isinstance(v, int) and 0 <= v < size
 
 
 # -- gen ---------------------------------------------------------------------
@@ -355,41 +330,37 @@ def cmd_solve(args) -> int:
 # -- bench -------------------------------------------------------------------
 
 
-def _bench_cell(task):
+def _bench_cell(task) -> dict:
+    """One CSV row, keyed by CSV_FIELDS."""
     manifest_dir, entry, algorithm, flag_text, args_dict = task
-    ns = argparse.Namespace(**args_dict)
-    instance = read_instance(Path(manifest_dir) / entry["path"])
-    flags = parse_flags(flag_text)
+    row = {
+        "instance_id": entry["id"], "n": entry["n"], "m": entry["m"], "seed": entry["seed"],
+        "class": entry["class"], "algorithm": algorithm, "flags": flag_text,
+    }
     try:
-        result = run_algorithm(instance, algorithm, flags, ns)
-        return BenchRecord(
-            instance_id=entry["id"],
-            n=entry["n"],
-            m=entry["m"],
-            seed=entry["seed"],
-            instance_class=entry["class"],
-            algorithm=algorithm,
-            flags=flag_text,
-            upper=result.upper,
-            lower=result.lower,
-            gap=result.gap,
-            iterations=result.iterations,
-            static_solves=result.stats.static_solves,
-            time_static_s=result.stats.time_static,
-            time_extend_merge_s=result.stats.time_extend_merge,
-            time_total_s=result.stats.time_total,
-            timed_out=result.timed_out,
-        )
+        instance = read_instance(Path(manifest_dir) / entry["path"])
+        result = run_algorithm(instance, algorithm, parse_flags(flag_text),
+                               argparse.Namespace(**args_dict))
     except Exception as exc:  # partial failures become rows, the run continues
         print(f"bench cell failed ({entry['id']}, {algorithm}, {flag_text}): {exc}",
               file=sys.stderr)
-        return BenchRecord(
-            instance_id=entry["id"], n=entry["n"], m=entry["m"], seed=entry["seed"],
-            instance_class=entry["class"], algorithm=algorithm, flags=flag_text,
-            upper=math.nan, lower=math.nan, gap=math.nan, iterations=0,
-            static_solves=0, time_static_s=0.0, time_extend_merge_s=0.0,
-            time_total_s=0.0, timed_out=True,
-        )
+        return {**row, "upper": "nan", "lower": "nan", "gap": "nan", "iterations": 0,
+                "static_solves": 0, "time_static_s": "0.000000",
+                "time_extend_merge_s": "0.000000", "time_total_s": "0.000000",
+                "timed_out": "true"}
+    stats = result.stats
+    return {
+        **row,
+        "upper": repr(result.upper),
+        "lower": repr(result.lower),
+        "gap": "inf" if math.isinf(result.gap) else repr(result.gap),
+        "iterations": result.iterations,
+        "static_solves": stats.static_solves,
+        "time_static_s": f"{stats.time_static:.6f}",
+        "time_extend_merge_s": f"{stats.time_extend_merge:.6f}",
+        "time_total_s": f"{stats.time_total:.6f}",
+        "timed_out": str(result.timed_out).lower(),
+    }
 
 
 def bench_matrix(args) -> tuple[list[str], list[str]]:
@@ -445,19 +416,18 @@ def cmd_bench(args) -> int:
                 tasks.append((str(manifest_dir), entry, algorithm, flag_text, args_dict))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_bench_cell, tasks))
+            rows = list(pool.map(_bench_cell, tasks))
     else:
-        records = [_bench_cell(t) for t in tasks]
+        rows = [_bench_cell(t) for t in tasks]
     try:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
             writer.writeheader()
-            for record in records:
-                writer.writerow(record.row())
+            writer.writerows(rows)
     except OSError as exc:
         print(f"cannot write CSV: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {len(records)} bench rows to {args.output}")
+    print(f"wrote {len(rows)} bench rows to {args.output}")
     return EXIT_OK
 
 
@@ -467,14 +437,18 @@ def cmd_bench(args) -> int:
 def verify_result(doc, instance: MovingInstance, samples: int) -> list[str]:
     """Independent verification of a result file against its instance.
 
-    Re-derives each segment's objective from the stored assignment, checks
-    envelope contiguity and the stored peak, and re-runs the feasibility
-    sampler.  Returns a list of violation messages (empty = pass).
+    Checks each segment's assignment and supports against the instance,
+    re-derives its objective from the stored assignment, checks envelope
+    contiguity and the stored peak, and re-runs the feasibility sampler.
+    Returns a list of violation messages (empty = pass); raises FormatError
+    when the timeline cannot be read.
     """
     problems = []
     segs = result_segments(doc)
     if not segs:
         return ["empty timeline"]
+    n, m = instance.n, instance.m
+    malformed = False
     if abs(segs[0].t_start - 0.0) > 1e-9 or abs(segs[-1].t_end - 1.0) > 1e-9:
         problems.append("timeline does not span [0, 1]")
     for i in range(1, len(segs)):
@@ -485,12 +459,22 @@ def verify_result(doc, instance: MovingInstance, samples: int) -> list[str]:
         for st in instance.stations
     ]
     for i, seg in enumerate(segs):
-        tm = 0.5 * (seg.t_start + seg.t_end)
-        derived = [0.0, 0.0, 0.0]
         members = {}
         for j, s in enumerate(seg.assignment):
             members.setdefault(s, []).append(j)
-        for s in range(instance.m):
+        # n objects on stations in range(m); a station's support is one of
+        # its objects, or None when it has none.
+        if len(seg.assignment) != n or len(seg.supports) != m \
+                or not all(_is_index(s, m) for s in members) \
+                or not all(sup is None and s not in members
+                           or _is_index(sup, n) and seg.assignment[sup] == s
+                           for s, sup in enumerate(seg.supports)):
+            problems.append(f"segment {i}: assignment or supports do not fit n={n}, m={m}")
+            malformed = True
+            continue
+        tm = 0.5 * (seg.t_start + seg.t_end)
+        derived = [0.0, 0.0, 0.0]
+        for s in range(m):
             assigned = members.get(s)
             if not assigned:
                 continue
@@ -505,6 +489,8 @@ def verify_result(doc, instance: MovingInstance, samples: int) -> list[str]:
             problems.append(
                 f"segment {i}: stored objective {stored} != derived {derived}"
             )
+    if malformed:
+        return problems
     report = check_feasible(segs, instance, samples)
     if not report.ok:
         problems.append(
@@ -542,7 +528,11 @@ def cmd_check(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    problems = verify_result(doc, instance, args.samples)
+    try:
+        problems = verify_result(doc, instance, args.samples)
+    except FormatError as exc:
+        print(f"cannot read inputs: {exc}", file=sys.stderr)
+        return EXIT_IO
     if problems:
         print(f"FAIL: {problems[0]}")
         for extra in problems[1:]:
@@ -626,7 +616,11 @@ def cmd_render(args) -> int:
     except (OSError, FormatError, json.JSONDecodeError) as exc:
         print(f"cannot read inputs: {exc}", file=sys.stderr)
         return EXIT_IO
-    times = [float(tok) for tok in args.times.split(",")]
+    try:
+        times = [float(tok) for tok in args.times.split(",")]
+    except ValueError:
+        print(f"--times: expected comma-separated numbers, got {args.times!r}", file=sys.stderr)
+        return EXIT_USAGE
     for t in times:
         if not (0.0 <= t <= 1.0):
             print(f"time {t} outside [0, 1]", file=sys.stderr)

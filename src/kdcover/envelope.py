@@ -6,6 +6,10 @@ segment's objective polynomial.  Solver-produced timelines store the
 objective as the sum of squared support radii (area / pi) so exact mode
 keeps rational coefficients; the functions here are unit-agnostic and
 evaluate whatever polynomial a segment carries.
+
+`merge_partial` is the one lower-envelope routine: it folds a timeline over
+any window of another into it, and `merge_lower_envelope` is its case of
+two timelines over the same span.
 """
 
 from __future__ import annotations
@@ -85,8 +89,9 @@ def timeline_cost(timeline: SolutionTimeline, t):
     return segment_at(timeline, t).poly(t)
 
 
-def argmax_timeline(timeline: SolutionTimeline | tuple) -> tuple:
-    """Peak (t, value) over the whole span.
+def argmax_timeline(timeline: SolutionTimeline | tuple, excluded=()) -> tuple:
+    """Peak (t, value) over the segment endpoints whose time is not in
+    `excluded`, or (None, None) when every endpoint is excluded.
 
     Every segment objective opens upward, so only segment endpoints are
     inspected; ties resolve to the smallest t.
@@ -98,6 +103,8 @@ def argmax_timeline(timeline: SolutionTimeline | tuple) -> tuple:
     best_v = None
     for seg in segments:
         for t in (seg.t_start, seg.t_end):
+            if excluded and any(compare_event_times(t, ex) == 0 for ex in excluded):
+                continue
             v = seg.poly(t)
             if best_v is None or v > best_v:
                 best_t, best_v = t, v
@@ -108,6 +115,19 @@ def _strictly_inside(t, lo, hi) -> bool:
     if isinstance(t, float) and isinstance(lo, float) and isinstance(hi, float):
         return t > lo + TIME_EPS and t < hi - TIME_EPS
     return compare_event_times(t, lo) > 0 and compare_event_times(t, hi) < 0
+
+
+def _clip(segments, lo, hi) -> list[TimelineSegment]:
+    """The segments restricted to [lo, hi]; pieces left empty are dropped."""
+    out = []
+    for seg in segments:
+        if compare_event_times(seg.t_start, hi) >= 0:
+            break
+        s = lo if compare_event_times(seg.t_start, lo) < 0 else seg.t_start
+        e = hi if compare_event_times(seg.t_end, hi) > 0 else seg.t_end
+        if compare_event_times(s, e) < 0:
+            out.append(TimelineSegment(s, e, seg.assignment, seg.supports, seg.poly))
+    return out
 
 
 def _merge_core(a_segments, b_segments) -> list[TimelineSegment]:
@@ -144,13 +164,29 @@ def _merge_core(a_segments, b_segments) -> list[TimelineSegment]:
             i += 1
         if compare_event_times(sb.t_end, v) <= 0:
             j += 1
-    # Snap the stitched boundaries so contiguity is exact object equality.
-    fixed: list[TimelineSegment] = []
-    for seg in out:
-        if fixed:
-            seg = TimelineSegment(fixed[-1].t_end, seg.t_end, seg.assignment, seg.supports, seg.poly)
-        fixed.append(seg)
-    return fixed
+    return out
+
+
+def merge_partial(full: SolutionTimeline, part: SolutionTimeline) -> SolutionTimeline:
+    """Lower envelope of `full` with `part`, whose span lies inside full's.
+
+    Outside part's window `full` is copied, clipped at the window edges;
+    inside, the pointwise minimum is taken and ties keep `full`'s
+    assignment.  The result spans exactly full's span, and each segment
+    starts exactly where the one before it ends.
+    """
+    flo, fhi = full.span
+    plo, phi = part.span
+    pieces = (_clip(full.segments, flo, plo)
+              + _merge_core(_clip(full.segments, plo, phi), part.segments)
+              + _clip(full.segments, phi, fhi))
+    out = []
+    start = flo
+    for k, seg in enumerate(pieces):
+        end = fhi if k == len(pieces) - 1 else seg.t_end
+        out.append(TimelineSegment(start, end, seg.assignment, seg.supports, seg.poly))
+        start = end
+    return SolutionTimeline(tuple(out))
 
 
 def merge_lower_envelope(a: SolutionTimeline, b: SolutionTimeline) -> SolutionTimeline:
@@ -158,63 +194,9 @@ def merge_lower_envelope(a: SolutionTimeline, b: SolutionTimeline) -> SolutionTi
 
     The result carries the assignment of the cheaper input everywhere; on
     subintervals where the two agree identically, the first argument wins.
-    Boundaries are the union of input boundaries plus crossing points; the
-    scan is linear in the segment counts.
     """
     alo, ahi = a.span
     blo, bhi = b.span
     if compare_event_times(alo, blo) != 0 or compare_event_times(ahi, bhi) != 0:
         raise ValueError("merge requires timelines over the same span")
-    merged = _merge_core(a.segments, b.segments)
-    # Preserve exact span endpoints from the first argument.
-    first = merged[0]
-    merged[0] = TimelineSegment(alo, first.t_end, first.assignment, first.supports, first.poly)
-    last = merged[-1]
-    merged[-1] = TimelineSegment(last.t_start, ahi, last.assignment, last.supports, last.poly)
-    return SolutionTimeline(tuple(merged))
-
-
-def slice_timeline(timeline: SolutionTimeline, lo, hi) -> SolutionTimeline:
-    """Restriction of a timeline to [lo, hi], splitting boundary segments."""
-    if compare_event_times(lo, hi) >= 0:
-        raise ValueError("empty slice window")
-    parts: list[TimelineSegment] = []
-    for seg in timeline.segments:
-        if compare_event_times(seg.t_end, lo) <= 0:
-            continue
-        if compare_event_times(seg.t_start, hi) >= 0:
-            break
-        s = lo if compare_event_times(seg.t_start, lo) < 0 else seg.t_start
-        e = hi if compare_event_times(seg.t_end, hi) > 0 else seg.t_end
-        if compare_event_times(s, e) < 0:
-            parts.append(TimelineSegment(s, e, seg.assignment, seg.supports, seg.poly))
-    return SolutionTimeline(tuple(parts))
-
-
-def merge_partial(full: SolutionTimeline, part: SolutionTimeline) -> SolutionTimeline:
-    """Lower envelope of a full-span timeline with a partial one.
-
-    Outside the partial span the full timeline is kept unchanged; inside,
-    the pointwise minimum is taken (ties keep `full`'s assignment).
-    """
-    flo, fhi = full.span
-    plo, phi = part.span
-    pieces: list[TimelineSegment] = []
-    if compare_event_times(flo, plo) < 0:
-        pieces.extend(slice_timeline(full, flo, plo).segments)
-    inner = _merge_core(slice_timeline(full, plo, phi).segments, part.segments)
-    if pieces and inner:
-        head = inner[0]
-        inner[0] = TimelineSegment(pieces[-1].t_end, head.t_end, head.assignment, head.supports, head.poly)
-    pieces.extend(inner)
-    if compare_event_times(phi, fhi) < 0:
-        tail = slice_timeline(full, phi, fhi).segments
-        if pieces:
-            head = tail[0]
-            tail = (TimelineSegment(pieces[-1].t_end, head.t_end, head.assignment, head.supports, head.poly),) + tail[1:]
-        pieces.extend(tail)
-    first = pieces[0]
-    pieces[0] = TimelineSegment(flo, first.t_end, first.assignment, first.supports, first.poly)
-    last = pieces[-1]
-    pieces[-1] = TimelineSegment(last.t_start, fhi, last.assignment, last.supports, last.poly)
-    return SolutionTimeline(tuple(pieces))
+    return merge_partial(a, b)

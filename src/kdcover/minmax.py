@@ -23,6 +23,7 @@ from fractions import Fraction
 from .envelope import (
     SolutionTimeline,
     TimelineSegment,
+    argmax_timeline,
     merge_lower_envelope,
     merge_partial,
 )
@@ -125,80 +126,69 @@ def _full_extension(assignment, anchor, t_lo, t_hi, flags, instance):
     return back + fwd
 
 
-def _first_crossing(seg: TimelineSegment, incumbent: SolutionTimeline, direction: int):
-    """Earliest travel-order time in `seg` where its objective rises to meet
-    the incumbent's, or None if it stays strictly below."""
-    lo, hi = seg.t_start, seg.t_end
-    pieces = [
-        p
-        for p in incumbent.segments
-        if compare_event_times(p.t_end, lo) > 0 and compare_event_times(p.t_start, hi) < 0
-    ]
-    if direction < 0:
-        pieces.reverse()
-    for piece in pieces:
-        a = lo if compare_event_times(piece.t_start, lo) < 0 else piece.t_start
-        b = hi if compare_event_times(piece.t_end, hi) > 0 else piece.t_end
-        if compare_event_times(a, b) >= 0:
-            continue
-        diff = seg.poly - piece.poly
-        result = quadratic_roots(diff, a, b)
-        if result.identically_zero:
-            return a if direction > 0 else b
-        roots = sorted(result.times, reverse=(direction < 0))
-        for root in roots:
-            if sign_ahead(diff, root, direction) > 0:
-                anchor_side = lo if direction > 0 else hi
-                if compare_event_times(root, anchor_side) != 0:
-                    return root
-    return None
-
-
-def _partial_extension(assignment, anchor, flags, instance, incumbent, t_lo, t_hi):
+def _partial_extension(assignment, anchor, t_lo, t_hi, flags, instance, incumbent):
     """Extension truncated at the first intersection with the incumbent in
     each direction (the part_ext strategy)."""
-    pieces_back: list[TimelineSegment] = []
+    back = []
     if compare_event_times(anchor, t_lo) > 0:
-        for seg in iter_extend(assignment, anchor, "backward", t_lo, flags, instance):
-            cut = _first_crossing(seg, incumbent, -1)
-            if cut is None:
-                pieces_back.append(seg)
-                continue
-            if compare_event_times(cut, seg.t_end) < 0:
-                pieces_back.append(
-                    TimelineSegment(cut, seg.t_end, seg.assignment, seg.supports, seg.poly)
-                )
-            break
-        pieces_back.reverse()
-    pieces_fwd: list[TimelineSegment] = []
+        segs = iter_extend(assignment, anchor, "backward", t_lo, flags, instance)
+        back = _until_crossing(segs, incumbent, -1)[::-1]
+    fwd = []
     if compare_event_times(anchor, t_hi) < 0:
-        for seg in iter_extend(assignment, anchor, "forward", t_hi, flags, instance):
-            cut = _first_crossing(seg, incumbent, +1)
-            if cut is None:
-                pieces_fwd.append(seg)
-                continue
-            if compare_event_times(seg.t_start, cut) < 0:
-                pieces_fwd.append(
-                    TimelineSegment(seg.t_start, cut, seg.assignment, seg.supports, seg.poly)
-                )
-            break
-    return pieces_back + pieces_fwd
+        segs = iter_extend(assignment, anchor, "forward", t_hi, flags, instance)
+        fwd = _until_crossing(segs, incumbent, +1)
+    return back + fwd
 
 
-def _best_unexcluded_peak(timeline: SolutionTimeline, excluded):
-    """Highest segment-endpoint value whose time is not excluded, as
-    (value, t); ties prefer the smaller time.  None when all are excluded."""
-    best = None
-    for seg in timeline.segments:
-        for t in (seg.t_start, seg.t_end):
-            if any(compare_event_times(t, ex) == 0 for ex in excluded):
+def _until_crossing(segments, incumbent: SolutionTimeline, direction: int):
+    """Extension `segments`, read in travel order, up to the first one that
+    rises to meet the incumbent; that one is cut at the crossing.
+
+    A crossing is a root of the difference, not at the segment's near end,
+    ahead of which the difference is positive; an identical overlap cuts at
+    its near end.  One cursor passes over each incumbent segment once per
+    sweep.
+    """
+    pieces = incumbent.segments[::direction]
+
+    def ends(s):  # (near, far) in travel order
+        return (s.t_start, s.t_end)[::direction]
+
+    def ahead(x, y):
+        return compare_event_times(x, y) * direction > 0
+
+    kept: list[TimelineSegment] = []
+    k = 0
+    for seg in segments:
+        lo, hi = seg.t_start, seg.t_end
+        near, far = ends(seg)
+        while k < len(pieces) and not ahead(ends(pieces[k])[1], near):
+            k += 1
+        cut = None
+        j = k
+        while cut is None and j < len(pieces) and ahead(far, ends(pieces[j])[0]):
+            piece = pieces[j]
+            j += 1
+            a = lo if compare_event_times(piece.t_start, lo) < 0 else piece.t_start
+            b = hi if compare_event_times(piece.t_end, hi) > 0 else piece.t_end
+            if compare_event_times(a, b) >= 0:
                 continue
-            v = seg.poly(t)
-            if best is None or v > best[0] or (
-                v == best[0] and compare_event_times(t, best[1]) < 0
-            ):
-                best = (v, t)
-    return best
+            diff = seg.poly - piece.poly
+            result = quadratic_roots(diff, a, b)
+            if result.identically_zero:
+                cut = a if direction > 0 else b
+            else:
+                cut = next((root for root in sorted(result.times, reverse=(direction < 0))
+                            if sign_ahead(diff, root, direction) > 0
+                            and compare_event_times(root, near) != 0), None)
+        if cut is None:
+            kept.append(seg)
+            continue
+        if ahead(cut, near):
+            kept.append(TimelineSegment(*(near, cut)[::direction], seg.assignment, seg.supports,
+                                        seg.poly))
+        break
+    return kept
 
 
 def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()) -> KineticResult:
@@ -245,9 +235,7 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
     def extend_merge(assignment, anchor, incumbent):
         tick = _time.perf_counter()
         if config.flags.part_ext and incumbent is not None:
-            segs = _partial_extension(
-                assignment, anchor, config.flags, work, incumbent, t0, t1
-            )
+            segs = _partial_extension(assignment, anchor, t0, t1, config.flags, work, incumbent)
         else:
             segs = _full_extension(assignment, anchor, t0, t1, config.flags, work)
         stats.events_processed += max(len(segs) - 1, 0)
@@ -255,13 +243,7 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
             stats.time_extend_merge += _time.perf_counter() - tick
             return incumbent
         part = SolutionTimeline(tuple(segs))
-        lo, hi = part.span
-        if incumbent is None:
-            merged = part
-        elif compare_event_times(lo, t0) == 0 and compare_event_times(hi, t1) == 0:
-            merged = merge_lower_envelope(incumbent, part)
-        else:
-            merged = merge_partial(incumbent, part)
+        merged = part if incumbent is None else merge_partial(incumbent, part)
         stats.time_extend_merge += _time.perf_counter() - tick
         return merged
 
@@ -293,11 +275,10 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
             stop = "iteration_cap"
             break
 
-        peak = _best_unexcluded_peak(timeline, excluded)
-        if peak is None:
+        t_star, cur = argmax_timeline(timeline, excluded)
+        if t_star is None:
             stop = "no_improvement"
             break
-        cur, t_star = peak
         sol = static_at(t_star)
         if use_ip:
             excluded.append(t_star)

@@ -7,6 +7,7 @@ import pytest
 from kdcover.cli import (
     CSV_FIELDS,
     EXIT_CHECK,
+    EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
     flags_label,
@@ -15,7 +16,8 @@ from kdcover.cli import (
     result_segments,
     result_to_json,
 )
-from kdcover.instances import GenParams, generate
+from kdcover.geometry import squared_distance_poly
+from kdcover.instances import GenParams, generate, read_instance
 from kdcover.kinetic import ImprovementFlags
 from kdcover.minmax import SolverConfig, solve_minmax
 
@@ -227,3 +229,109 @@ def test_bench_empty_manifest(tmp_path):
     assert run(["bench", manifest, "-o", out]) == EXIT_OK
     rows = out.read_text().strip().splitlines()
     assert rows == [",".join(CSV_FIELDS)]
+
+
+def solved_pair(tmp_path, n=8, m=2, seed=0):
+    """An instance file, its exact solve's result file and the parsed result."""
+    _, inst_path = gen_one(tmp_path, n=n, m=m, seed=seed)
+    result = tmp_path / "r.json"
+    assert run(["solve", inst_path, "-o", result]) == EXIT_OK
+    assert run(["check", result, inst_path]) == EXIT_OK
+    return inst_path, result, json.loads(result.read_text())
+
+
+def check_tampered(tmp_path, inst_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    return run(["check", bad, inst_path])
+
+
+def test_check_rejects_an_assignment_without_every_object(tmp_path):
+    inst_path, _, doc = solved_pair(tmp_path)
+    doc["timeline"]["assignment"].pop()
+    assert check_tampered(tmp_path, inst_path, doc) == EXIT_CHECK
+
+
+def test_check_rejects_a_support_from_another_station(tmp_path):
+    """Station 0's support is replaced by the object of station 1 farthest
+    from station 0, which inflates its radius without changing the stored
+    objective."""
+    inst_path, _, doc = solved_pair(tmp_path)
+    inst = read_instance(inst_path)
+    tampered = 0
+    for seg, raw in zip(result_segments(doc), doc["timeline"]["segments"]):
+        others = [j for j, s in enumerate(seg.assignment) if s == 1]
+        if seg.supports[0] is None or not others:
+            continue
+        tm = 0.5 * (seg.t_start + seg.t_end)
+        raw["supports"][0] = max(
+            others, key=lambda j: squared_distance_poly(inst.stations[0], inst.objects[j])(tm))
+        tampered += 1
+    assert tampered
+    assert check_tampered(tmp_path, inst_path, doc) == EXIT_CHECK
+
+
+def drop_timeline(doc):
+    del doc["timeline"]
+
+
+def move_unknown_object(doc):
+    doc["timeline"]["segments"][1]["moves"].append([len(doc["timeline"]["assignment"]), 0])
+
+
+def support_unknown_object(doc):
+    doc["timeline"]["segments"][0]["supports"][0] = len(doc["timeline"]["assignment"])
+
+
+def assign_unknown_station(doc):
+    doc["timeline"]["assignment"][0] = len(doc["timeline"]["segments"][0]["supports"])
+
+
+def spell_a_time(doc):
+    doc["timeline"]["segments"][0]["t_start"] = "zero"
+
+
+def spell_the_upper_bound(doc):
+    doc["upper"] = "big"
+
+
+@pytest.mark.parametrize("tamper, code", [
+    (drop_timeline, EXIT_IO),
+    (move_unknown_object, EXIT_IO),
+    (spell_a_time, EXIT_IO),
+    (spell_the_upper_bound, EXIT_IO),
+    (support_unknown_object, EXIT_CHECK),
+    (assign_unknown_station, EXIT_CHECK),
+])
+def test_check_reports_malformed_results_without_traceback(tmp_path, capsys, tamper, code):
+    inst_path, _, doc = solved_pair(tmp_path)
+    tamper(doc)
+    capsys.readouterr()
+    assert check_tampered(tmp_path, inst_path, doc) == code
+    out = capsys.readouterr()
+    if code == EXIT_IO:
+        assert out.err.startswith("cannot read inputs:")
+        assert len(out.err.strip().splitlines()) == 1
+    else:
+        assert out.out.startswith("FAIL:")
+
+
+def test_bench_writes_a_failed_row_for_a_missing_instance(tmp_path):
+    out, _ = gen_one(tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    missing = dict(manifest["instances"][0], id="gone", path="gone.json")
+    manifest["instances"].append(missing)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    csv_path = tmp_path / "b.csv"
+    assert run(["bench", out / "manifest.json", "--algos", "nn", "-o", csv_path]) == EXIT_OK
+    lines = csv_path.read_text().splitlines()
+    assert len(lines) == 3
+    assert lines[2] == (f"gone,{missing['n']},{missing['m']},{missing['seed']},random,nn,none,"
+                        "nan,nan,nan,0,0,0.000000,0.000000,0.000000,true")
+
+
+def test_render_rejects_non_numeric_times(tmp_path, capsys):
+    _, inst_path = gen_one(tmp_path)
+    capsys.readouterr()
+    assert run(["render", inst_path, "--times", "abc", "-o", tmp_path / "svg"]) == EXIT_USAGE
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1

@@ -142,21 +142,45 @@ def test_merge_output_contiguous():
 
 def test_merge_partial_keeps_full_outside_window():
     rng = Random(31)
-    full = random_timeline(rng, 1)
-    part_src = random_timeline(rng, 2)
-    from kdcover.envelope import slice_timeline
+    for _ in range(20):
+        full = random_timeline(rng, 1)
+        lo, mid, hi = sorted(rng.uniform(0.05, 0.95) for _ in range(3))
+        part = SolutionTimeline((seg(lo, mid, rng.uniform(0.0, 30.0), rng.uniform(-40.0, 40.0),
+                                     rng.uniform(0.0, 50.0), tag=200),
+                                 seg(mid, hi, rng.uniform(0.0, 30.0), rng.uniform(-40.0, 40.0),
+                                     rng.uniform(0.0, 50.0), tag=201)))
+        merged = merge_partial(full, part)
+        assert merged.span == full.span
+        for prev, cur in zip(merged.segments, merged.segments[1:]):
+            assert prev.t_end is cur.t_start
+        for i in range(200):
+            t = i / 199
+            if lo < t < hi:
+                want = min(timeline_cost(full, t), timeline_cost(part, t))
+            elif t < lo or t > hi:
+                want = timeline_cost(full, t)
+                assert segment_at(merged, t).assignment == segment_at(full, t).assignment
+            else:
+                continue
+            assert timeline_cost(merged, t) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
-    part = slice_timeline(part_src, 0.25, 0.75)
-    merged = merge_partial(full, part)
-    for i in range(200):
-        t = i / 199
-        if 0.25 < t < 0.75:
-            want = min(timeline_cost(full, t), timeline_cost(part_src, t))
-        elif t < 0.25 or t > 0.75:
-            want = timeline_cost(full, t)
-        else:
-            continue
-        assert timeline_cost(merged, t) == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+def test_merge_partial_over_the_full_span_is_the_lower_envelope():
+    rng = Random(37)
+    for _ in range(40):
+        a = random_timeline(rng, 1)
+        b = random_timeline(rng, 2)
+        assert merge_partial(a, b).segments == merge_lower_envelope(a, b).segments
+    with pytest.raises(ValueError):
+        merge_lower_envelope(a, SolutionTimeline((seg(0.0, 0.5, 1.0, 0.0, 0.0),)))
+
+
+def test_argmax_skips_excluded_times():
+    two = SolutionTimeline((seg(0.0, 0.5, 0.0, 0.0, 4.0), seg(0.5, 1.0, 1.0, 0.0, 0.0)))
+    assert argmax_timeline(two) == (0.0, 4.0)
+    assert argmax_timeline(two, excluded=[0.0]) == (0.5, 4.0)
+    assert argmax_timeline(two, excluded=[0.0, 0.5]) == (1.0, 1.0)
+    assert argmax_timeline(two, excluded=[0.0, 0.5, 1.0]) == (None, None)
 
 
 def test_argmax_bounds_sampled_max():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -5,8 +6,9 @@ import pytest
 
 from conftest import random_instance, random_sizes
 from kdcover import minmax
-from kdcover.envelope import timeline_cost
+from kdcover.envelope import SolutionTimeline, timeline_cost
 from kdcover.geometry import MovingInstance, Point2, Trajectory, compare_event_times
+from kdcover.instances import GenParams, generate
 from kdcover.kinetic import ImprovementFlags, check_feasible
 from kdcover.minmax import (
     SolverConfig,
@@ -247,3 +249,129 @@ def test_exact_arithmetic_agrees_with_float_on_degenerates():
         ref = solve_minmax(inst, SolverConfig(flags=ALL_FLAGS))
         assert exact.upper == pytest.approx(ref.upper, rel=1e-6)
         assert check_feasible(exact.timeline.segments, inst, 500).ok
+
+
+def timeline_digest(timeline):
+    h = hashlib.sha256()
+    for seg in timeline.segments:
+        h.update(repr((seg.t_start, seg.t_end, seg.assignment, seg.supports, seg.poly)).encode())
+    return len(timeline.segments), h.hexdigest()[:16]
+
+
+# (segment count, digest of every segment's bounds, assignment, supports and
+# objective) of n=40, m=6, seed 0 solves, keyed by (class, arithmetic,
+# algorithm, flags).  Pinned from the solver that merged full-span and
+# partial extensions by separate routines.
+PINNED_SOLVES = {
+    ('random', 'float', 'exact', 'none'): (5, '602828c05dc83d79'),
+    ('random', 'float', 'exact', 'partext'): (5, '602828c05dc83d79'),
+    ('random', 'float', 'exact', 'all'): (8, 'a8197e20c6a0eb8c'),
+    ('random', 'float', 'nn', 'none'): (9, '9756626c603df523'),
+    ('random', 'float', 'nn', 'partext'): (9, '9756626c603df523'),
+    ('random', 'float', 'nn', 'all'): (11, 'af01da495aa68a11'),
+    ('random', 'float', 'fixed_nn', 'none'): (23, 'd3eb8356bbd5774e'),
+    ('random', 'exact', 'exact', 'none'): (5, 'b3bac14e484993e0'),
+    ('random', 'exact', 'exact', 'partext'): (5, 'b3bac14e484993e0'),
+    ('random', 'exact', 'exact', 'all'): (8, '6bd0b384a6e3c006'),
+    ('random', 'exact', 'nn', 'none'): (9, '42c60526829717df'),
+    ('random', 'exact', 'nn', 'partext'): (9, '42c60526829717df'),
+    ('random', 'exact', 'nn', 'all'): (10, 'b50d7fdf8c301a1a'),
+    ('random', 'exact', 'fixed_nn', 'none'): (23, '427ff412c0ca387b'),
+    ('same_slope', 'float', 'exact', 'none'): (9, '9706425a485666ce'),
+    ('same_slope', 'float', 'exact', 'partext'): (9, '9706425a485666ce'),
+    ('same_slope', 'float', 'exact', 'all'): (19, 'b7ec486f0f06a4eb'),
+    ('same_slope', 'float', 'nn', 'none'): (8, 'be962eb7131c6ab3'),
+    ('same_slope', 'float', 'nn', 'partext'): (8, 'be962eb7131c6ab3'),
+    ('same_slope', 'float', 'nn', 'all'): (20, '06884acfde7df49b'),
+    ('same_slope', 'float', 'fixed_nn', 'none'): (15, '788ebd8f47991de3'),
+    ('same_slope', 'exact', 'exact', 'none'): (9, 'd58fcb58200404ee'),
+    ('same_slope', 'exact', 'exact', 'partext'): (9, 'd58fcb58200404ee'),
+    ('same_slope', 'exact', 'exact', 'all'): (20, '3040d8b496093f74'),
+    ('same_slope', 'exact', 'nn', 'none'): (8, '5d74bbfeeb6bcd00'),
+    ('same_slope', 'exact', 'nn', 'partext'): (8, '5d74bbfeeb6bcd00'),
+    ('same_slope', 'exact', 'nn', 'all'): (20, 'f04c89ffce8fbb7c'),
+    ('same_slope', 'exact', 'fixed_nn', 'none'): (15, '42503c74740d704e'),
+    ('same_start', 'float', 'exact', 'none'): (1, '13eae303b544f8e4'),
+    ('same_start', 'float', 'exact', 'partext'): (1, '13eae303b544f8e4'),
+    ('same_start', 'float', 'exact', 'all'): (1, '13eae303b544f8e4'),
+    ('same_start', 'float', 'nn', 'none'): (1, '13eae303b544f8e4'),
+    ('same_start', 'float', 'nn', 'partext'): (1, '13eae303b544f8e4'),
+    ('same_start', 'float', 'nn', 'all'): (1, '13eae303b544f8e4'),
+    ('same_start', 'float', 'fixed_nn', 'none'): (1, '13eae303b544f8e4'),
+    ('same_start', 'exact', 'exact', 'none'): (1, '56da7aecdaafe7ed'),
+    ('same_start', 'exact', 'exact', 'partext'): (1, '56da7aecdaafe7ed'),
+    ('same_start', 'exact', 'exact', 'all'): (1, '56da7aecdaafe7ed'),
+    ('same_start', 'exact', 'nn', 'none'): (1, '56da7aecdaafe7ed'),
+    ('same_start', 'exact', 'nn', 'partext'): (1, '56da7aecdaafe7ed'),
+    ('same_start', 'exact', 'nn', 'all'): (1, '56da7aecdaafe7ed'),
+    ('same_start', 'exact', 'fixed_nn', 'none'): (1, '56da7aecdaafe7ed'),
+    ('same_end', 'float', 'exact', 'none'): (1, '1812e9eacc87f504'),
+    ('same_end', 'float', 'exact', 'partext'): (1, '1812e9eacc87f504'),
+    ('same_end', 'float', 'exact', 'all'): (1, '1812e9eacc87f504'),
+    ('same_end', 'float', 'nn', 'none'): (1, '1812e9eacc87f504'),
+    ('same_end', 'float', 'nn', 'partext'): (1, '1812e9eacc87f504'),
+    ('same_end', 'float', 'nn', 'all'): (1, '1812e9eacc87f504'),
+    ('same_end', 'float', 'fixed_nn', 'none'): (1, '1812e9eacc87f504'),
+    ('same_end', 'exact', 'exact', 'none'): (1, 'cf08b3e50515937b'),
+    ('same_end', 'exact', 'exact', 'partext'): (1, 'cf08b3e50515937b'),
+    ('same_end', 'exact', 'exact', 'all'): (1, 'cf08b3e50515937b'),
+    ('same_end', 'exact', 'nn', 'none'): (1, 'cf08b3e50515937b'),
+    ('same_end', 'exact', 'nn', 'partext'): (1, 'cf08b3e50515937b'),
+    ('same_end', 'exact', 'nn', 'all'): (1, 'cf08b3e50515937b'),
+    ('same_end', 'exact', 'fixed_nn', 'none'): (1, 'cf08b3e50515937b'),
+}
+
+PIN_FLAGS = {"none": ImprovementFlags(), "partext": ImprovementFlags(part_ext=True),
+             "all": ALL_FLAGS}
+
+
+def test_solve_timelines_pinned():
+    for klass in ("random", "same_slope", "same_start", "same_end"):
+        inst = generate(GenParams(n=40, m=6, seed=0, instance_class=klass))
+        for exact, arith in ((False, "float"), (True, "exact")):
+            for backend in ("exact", "nn"):
+                for name, flags in PIN_FLAGS.items():
+                    cfg = SolverConfig(static_backend=backend, flags=flags, exact_arithmetic=exact)
+                    got = timeline_digest(solve_minmax(inst, cfg).timeline)
+                    assert got == PINNED_SOLVES[(klass, arith, backend, name)], (klass, arith, backend, name)
+            got = timeline_digest(fixed_nn_baseline(inst, exact_arithmetic=exact).timeline)
+            assert got == PINNED_SOLVES[(klass, arith, "fixed_nn", "none")], (klass, arith)
+
+
+def test_partial_extension_walks_the_incumbent_once(monkeypatch):
+    """part_ext cuts each extension sweep where it meets the incumbent.  The
+    comparisons it makes must stay linear in the incumbent's segments plus
+    the extension segments it reads, not their product."""
+    calls = [0]
+    budget = [0]
+    active = [False]
+    compare = minmax.compare_event_times
+    iter_extend = minmax.iter_extend
+    partial_extension = minmax._partial_extension
+
+    def counted_compare(a, b):
+        calls[0] += active[0]
+        return compare(a, b)
+
+    def counted_iter_extend(*args):
+        for seg in iter_extend(*args):
+            budget[0] += active[0]
+            yield seg
+
+    def measured_partial_extension(*args):
+        incumbent = next(a for a in args if isinstance(a, SolutionTimeline))
+        budget[0] += 2 * len(incumbent.segments)  # one sweep each way
+        active[0] = True
+        try:
+            return partial_extension(*args)
+        finally:
+            active[0] = False
+
+    monkeypatch.setattr(minmax, "compare_event_times", counted_compare)
+    monkeypatch.setattr(minmax, "iter_extend", counted_iter_extend)
+    monkeypatch.setattr(minmax, "_partial_extension", measured_partial_extension)
+    inst = generate(GenParams(n=500, m=25, seed=0))
+    res = solve_minmax(inst, SolverConfig(static_backend="nn", flags=ALL_FLAGS))
+    assert len(res.timeline.segments) == 538
+    assert budget[0] > 1000
+    assert calls[0] <= 4 * budget[0], (calls[0], budget[0])
