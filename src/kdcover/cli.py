@@ -27,7 +27,7 @@ from .instances import (
     write_instance,
 )
 from .kinetic import ImprovementFlags, check_feasible
-from .minmax import KineticResult, SolverConfig, fixed_nn_baseline, solve_minmax
+from .minmax import KineticResult, SolverConfig, _ratio_gap, fixed_nn_baseline, solve_minmax
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -270,10 +270,12 @@ def solver_options_error(args) -> str | None:
     solve, so that a bad option fails at once rather than in a solver."""
     if args.k < 1:
         return f"--k must be at least 1, got {args.k}"
-    try:
-        SolverConfig(target_gap=args.gap)
-    except ValueError as exc:
-        return f"--gap: {exc}"
+    for option, field, value in (("--gap", "target_gap", args.gap),
+                                 ("--time-limit", "time_limit", args.time_limit)):
+        try:
+            SolverConfig(**{field: value})
+        except ValueError as exc:
+            return f"{option}: {exc}"
     return None
 
 
@@ -389,6 +391,8 @@ def bench_matrix(args) -> tuple[list[str], list[str]]:
 
 def cmd_bench(args) -> int:
     problem = solver_options_error(args)
+    if problem is None and args.jobs < 1:
+        problem = f"--jobs must be at least 1, got {args.jobs}"
     if problem is None:
         try:
             algorithms, combos = bench_matrix(args)
@@ -439,7 +443,8 @@ def verify_result(doc, instance: MovingInstance, samples: int) -> list[str]:
 
     Checks each segment's assignment and supports against the instance,
     re-derives its objective from the stored assignment, checks envelope
-    contiguity and the stored peak, and re-runs the feasibility sampler.
+    contiguity, the stored peak and the stored gap against the stored
+    bounds, and re-runs the feasibility sampler.
     Returns a list of violation messages (empty = pass); raises FormatError
     when the timeline cannot be read.
     """
@@ -508,7 +513,18 @@ def verify_result(doc, instance: MovingInstance, samples: int) -> list[str]:
     lower = doc["lower"]
     if lower > upper * (1 + 1e-12) + 1e-12:
         problems.append(f"lower {lower} exceeds upper {upper}")
+    gap = _ratio_gap(upper, lower)
+    gap = None if math.isinf(gap) else gap  # as result_to_json stores it
+    stored = doc.get("gap")
+    if not _same_gap(stored, gap):
+        problems.append(f"stored gap {stored!r} != gap {gap!r} of the stored bounds")
     return problems
+
+
+def _same_gap(stored, derived) -> bool:
+    if stored is None or derived is None:
+        return stored is derived
+    return isinstance(stored, (int, float)) and abs(stored - derived) <= 1e-12 * max(1.0, derived)
 
 
 def cmd_check(args) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import TIME_EPS, QuadraticPoly, compare_event_times, quadratic_roots, sign_ahead
+from .geometry import QuadraticPoly, compare_event_times, quadratic_roots, sign_ahead
 
 __all__ = [
     "Assignment",
@@ -89,19 +89,16 @@ def timeline_cost(timeline: SolutionTimeline, t):
     return segment_at(timeline, t).poly(t)
 
 
-def argmax_timeline(timeline: SolutionTimeline | tuple, excluded=()) -> tuple:
+def argmax_timeline(timeline: SolutionTimeline, excluded=()) -> tuple:
     """Peak (t, value) over the segment endpoints whose time is not in
     `excluded`, or (None, None) when every endpoint is excluded.
 
     Every segment objective opens upward, so only segment endpoints are
     inspected; ties resolve to the smallest t.
     """
-    segments = timeline.segments if isinstance(timeline, SolutionTimeline) else tuple(timeline)
-    if not segments:
-        raise ValueError("argmax of an empty timeline")
     best_t = None
     best_v = None
-    for seg in segments:
+    for seg in timeline.segments:
         for t in (seg.t_start, seg.t_end):
             if excluded and any(compare_event_times(t, ex) == 0 for ex in excluded):
                 continue
@@ -109,12 +106,6 @@ def argmax_timeline(timeline: SolutionTimeline | tuple, excluded=()) -> tuple:
             if best_v is None or v > best_v:
                 best_t, best_v = t, v
     return best_t, best_v
-
-
-def _strictly_inside(t, lo, hi) -> bool:
-    if isinstance(t, float) and isinstance(lo, float) and isinstance(hi, float):
-        return t > lo + TIME_EPS and t < hi - TIME_EPS
-    return compare_event_times(t, lo) > 0 and compare_event_times(t, hi) < 0
 
 
 def _clip(segments, lo, hi) -> list[TimelineSegment]:
@@ -151,8 +142,8 @@ def _merge_core(a_segments, b_segments) -> list[TimelineSegment]:
         v = sa.t_end if compare_event_times(sa.t_end, sb.t_end) <= 0 else sb.t_end
         if compare_event_times(u, v) < 0:
             diff = sa.poly - sb.poly
-            roots = quadratic_roots(diff, u, v)
-            cuts = [r for r in roots.times if _strictly_inside(r, u, v)]
+            cuts = [r for r in quadratic_roots(diff, u, v)
+                    if compare_event_times(r, u) > 0 and compare_event_times(r, v) < 0]
             pieces = [u] + cuts + [v]
             for x, y in zip(pieces, pieces[1:]):
                 if compare_event_times(x, y) >= 0:

@@ -7,12 +7,17 @@ scalar type, and root finding dispatches on the coefficient type: float
 coefficients get the numerically stable quadratic formula, rational
 coefficients get exact `QuadraticNumber` roots.
 
+`quadratic_roots` returns a plain tuple of the roots in a window; the
+identically zero polynomial, whose roots are a continuum, has none there
+and is told apart by `QuadraticPoly.is_zero`.
+
 The kinetic layers decide every float-versus-exact question through the
 predicates at the bottom of this module: `compare_event_times` orders
 times, `compare_values` orders objective values (and `tolerance_band`
 bounds which values it can call equal), and `sign_ahead` tells which way a
 quadratic leaves a point.  Each uses a tolerance on a float pair and
-integer-exact arithmetic otherwise.
+integer-exact arithmetic otherwise; `sign_ahead` runs one body in both
+modes, with a zero tolerance in exact mode.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ __all__ = [
     "Trajectory",
     "MovingInstance",
     "QuadraticPoly",
-    "RootResult",
     "EventTime",
     "squared_distance_poly",
     "quadratic_roots",
@@ -176,29 +180,18 @@ def squared_distance_poly(station: Point2, obj: Trajectory) -> QuadraticPoly:
     return QuadraticPoly(vx * vx + vy * vy, 2 * (rx * vx + ry * vy), rx * rx + ry * ry)
 
 
-@dataclass(frozen=True)
-class RootResult:
-    """Roots of a quadratic inside a window.
-
-    `identically_zero` flags the degenerate a == b == c == 0 polynomial,
-    whose root set is a continuum rather than isolated events; callers
-    must apply tie-breaking instead of treating it as an event source.
-    """
-
-    times: tuple[EventTime, ...]
-    identically_zero: bool = False
-
-
 def _is_exact(v) -> bool:
     return isinstance(v, (int, Fraction))
 
 
-def quadratic_roots(p: QuadraticPoly, t_lo, t_hi) -> RootResult:
-    """All real roots of p in the closed window [t_lo, t_hi], ascending.
+def quadratic_roots(p: QuadraticPoly, t_lo, t_hi) -> tuple[EventTime, ...]:
+    """The tuple of real roots of p in the closed window [t_lo, t_hi],
+    ascending.
 
     Degenerate polynomials are results, not errors: a linear polynomial
-    yields at most one root, a nonzero constant none, and the identically
-    zero polynomial is reported through the marker on `RootResult`.
+    yields at most one root and a constant none.  That includes the
+    identically zero polynomial, whose roots form a continuum rather than
+    isolated events; a caller that must tell it apart tests `p.is_zero`.
     """
     if not (t_lo <= t_hi):
         raise ValueError(f"empty window [{t_lo}, {t_hi}]")
@@ -207,30 +200,29 @@ def quadratic_roots(p: QuadraticPoly, t_lo, t_hi) -> RootResult:
     return _roots_float(p, t_lo, t_hi)
 
 
-def _roots_float(p: QuadraticPoly, t_lo, t_hi) -> RootResult:
+def _roots_float(p: QuadraticPoly, t_lo, t_hi) -> tuple:
     a, b, c = float(p.a), float(p.b), float(p.c)
     if a == 0.0:
         if b == 0.0:
-            return RootResult((), identically_zero=(c == 0.0))
+            return ()
         root = -c / b
-        return RootResult((root,) if t_lo <= root <= t_hi else ())
+        return (root,) if t_lo <= root <= t_hi else ()
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
-        return RootResult(())
+        return ()
     if disc == 0.0:
         root = -b / (2.0 * a)
-        return RootResult((root,) if t_lo <= root <= t_hi else ())
+        return (root,) if t_lo <= root <= t_hi else ()
     s = math.sqrt(disc)
     # Citardauq-style split avoids cancellation in the small root.
     q = -(b + s) / 2.0 if b >= 0.0 else -(b - s) / 2.0
     r1, r2 = q / a, c / q
     if r1 > r2:
         r1, r2 = r2, r1
-    times = tuple(r for r in (r1, r2) if t_lo <= r <= t_hi)
-    return RootResult(times)
+    return tuple(r for r in (r1, r2) if t_lo <= r <= t_hi)
 
 
-def _roots_exact(p: QuadraticPoly, t_lo, t_hi) -> RootResult:
+def _roots_exact(p: QuadraticPoly, t_lo, t_hi) -> tuple:
     fa, fb, fc = Fraction(p.a), Fraction(p.b), Fraction(p.c)
     den = math.lcm(fa.denominator, fb.denominator, fc.denominator)
     A = fa.numerator * (den // fa.denominator)
@@ -242,20 +234,20 @@ def _roots_exact(p: QuadraticPoly, t_lo, t_hi) -> RootResult:
 
     if A == 0:
         if B == 0:
-            return RootResult((), identically_zero=(C == 0))
+            return ()
         root = QuadraticNumber(-C, 0, B, 0)
-        return RootResult((root,) if in_window(root) else ())
+        return (root,) if in_window(root) else ()
     disc = B * B - 4 * A * C
     if disc < 0:
-        return RootResult(())
+        return ()
     if disc == 0:
         root = QuadraticNumber(-B, 0, 2 * A, 0)
-        return RootResult((root,) if in_window(root) else ())
+        return (root,) if in_window(root) else ()
     lo = QuadraticNumber(-B, -1, 2 * A, disc)
     hi = QuadraticNumber(-B, 1, 2 * A, disc)
     if A < 0:  # dividing by 2A < 0 reverses the order of -B -+ sqrt(disc)
         lo, hi = hi, lo
-    return RootResult(tuple(r for r in (lo, hi) if in_window(r)))
+    return tuple(r for r in (lo, hi) if in_window(r))
 
 
 def compare_event_times(a, b) -> int:
@@ -303,32 +295,23 @@ def tolerance_band(v):
     return v, v
 
 
+def _sign(v, tol) -> int:
+    """+1 above tol, -1 below -tol, 0 in between."""
+    return 1 if v > tol else -1 if v < -tol else 0
+
+
 def sign_ahead(p: QuadraticPoly, t, direction: int = 1) -> int:
     """Sign of p immediately ahead of t in the travel direction.
 
-    Looks at the value, then the first derivative, then the curvature, each
-    with a coefficient-scaled tolerance in float mode and exactly otherwise.
-    A tangency therefore counts by the side it stays on: a minimum at t
-    gives +1, a maximum -1.  Returns 0 only when p vanishes near t (in
-    float mode: within the tolerance).
+    Looks at the value, then the slope in the travel direction, then the
+    curvature, stopping at the first that is nonzero.  In float mode
+    "nonzero" means beyond the tolerance EPS * max(1, |a|, |b|, |c|); in
+    exact mode it is exact.  A tangency therefore counts by the side it
+    stays on: a minimum at t gives +1, a maximum -1.  Returns 0 only when p
+    vanishes near t (in float mode: within the tolerance).
     """
     v = p(t)
+    tol = 0
     if isinstance(v, float):
         tol = EPS * max(1.0, abs(float(p.a)), abs(float(p.b)), abs(float(p.c)))
-        if abs(v) > tol:
-            return 1 if v > 0 else -1
-        dv = p.derivative_at(t) * direction
-        if abs(dv) > tol:
-            return 1 if dv > 0 else -1
-        a = float(p.a)
-        if abs(a) > tol:
-            return 1 if a > 0 else -1
-        return 0
-    if v != 0:
-        return 1 if v > 0 else -1
-    dv = p.derivative_at(t) * direction
-    if dv != 0:
-        return 1 if dv > 0 else -1
-    if p.a != 0:
-        return 1 if p.a > 0 else -1
-    return 0
+    return _sign(v, tol) or _sign(p.derivative_at(t) * direction, tol) or _sign(p.a, tol)

@@ -289,10 +289,10 @@ class _Extender:
             if o == sup:
                 continue
             diff = row[o] - p_sup
-            result = quadratic_roots(diff, lo, hi)
-            if not result.times:
+            roots = quadratic_roots(diff, lo, hi)
+            if not roots:
                 continue  # no crossing, or equidistant for all time: a tie
-            for root in self._travel_sorted(result.times):
+            for root in self._travel_sorted(roots):
                 if not self._ahead(root, cursor):
                     continue
                 if best is not None and not self._ahead(best, root):
@@ -373,7 +373,7 @@ class _Extender:
         before, after = self._handover_polys(s1, s2, inputs)
         diff = before - after
         lo, hi = self._window(cursor)
-        for root in self._travel_sorted(quadratic_roots(diff, lo, hi).times):
+        for root in self._travel_sorted(quadratic_roots(diff, lo, hi)):
             if not self._ahead(root, cursor):
                 continue
             if sign_ahead(diff, root, self.direction) > 0:

@@ -55,7 +55,8 @@ class SolverConfig:
 
     static_backend selects the stationary solver ("exact" or "nn");
     target_gap (>= 0) is the overall gap to certify, and every exact
-    stationary solve runs at it.
+    stationary solve runs at it; time_limit (> 0, math.inf for none) bounds
+    the wall time in seconds.
     """
 
     static_backend: str = "exact"
@@ -68,6 +69,8 @@ class SolverConfig:
     def __post_init__(self):
         if not self.target_gap >= 0:
             raise ValueError(f"need target_gap >= 0, got {self.target_gap!r}")
+        if not self.time_limit > 0:
+            raise ValueError(f"need time_limit > 0, got {self.time_limit!r}")
         if self.static_backend not in ("exact", "nn"):
             raise ValueError(f"unknown static backend {self.static_backend!r}")
 
@@ -107,37 +110,28 @@ def _ratio_gap(upper: float, lower: float) -> float:
     return (upper - lower) / lower
 
 
-def _zero_time(exact: bool):
-    return Fraction(0) if exact else 0.0
+def _horizon(instance: MovingInstance, exact: bool):
+    """(work, t0, t1): the instance to solve on and the horizon's ends, in
+    exact rationals or in floats."""
+    if exact:
+        return instance.as_exact(), Fraction(0), Fraction(1)
+    return instance, 0.0, 1.0
 
 
-def _one_time(exact: bool):
-    return Fraction(1) if exact else 1.0
-
-
-def _full_extension(assignment, anchor, t_lo, t_hi, flags, instance):
-    """Segments of the fixed-assignment extension over [t_lo, t_hi]."""
-    back = []
-    if compare_event_times(anchor, t_lo) > 0:
-        back = extend(assignment, anchor, "backward", t_lo, flags, instance)
-    fwd = []
-    if compare_event_times(anchor, t_hi) < 0:
-        fwd = extend(assignment, anchor, "forward", t_hi, flags, instance)
-    return back + fwd
-
-
-def _partial_extension(assignment, anchor, t_lo, t_hi, flags, instance, incumbent):
-    """Extension truncated at the first intersection with the incumbent in
-    each direction (the part_ext strategy)."""
-    back = []
-    if compare_event_times(anchor, t_lo) > 0:
-        segs = iter_extend(assignment, anchor, "backward", t_lo, flags, instance)
-        back = _until_crossing(segs, incumbent, -1)[::-1]
-    fwd = []
-    if compare_event_times(anchor, t_hi) < 0:
-        segs = iter_extend(assignment, anchor, "forward", t_hi, flags, instance)
-        fwd = _until_crossing(segs, incumbent, +1)
-    return back + fwd
+def _extension(assignment, anchor, t_lo, t_hi, flags, instance, incumbent=None):
+    """Segments of the fixed-assignment extension over [t_lo, t_hi],
+    backward from the anchor and then forward.  Given an incumbent, each
+    direction stops at its first crossing with it (the part_ext strategy)."""
+    segs = []
+    for direction, name, end in ((-1, "backward", t_lo), (+1, "forward", t_hi)):
+        if compare_event_times(anchor, end) * direction >= 0:
+            continue
+        if incumbent is None:
+            segs += extend(assignment, anchor, name, end, flags, instance)
+        else:
+            part = iter_extend(assignment, anchor, name, end, flags, instance)
+            segs += _until_crossing(part, incumbent, direction)[::direction]
+    return segs
 
 
 def _until_crossing(segments, incumbent: SolutionTimeline, direction: int):
@@ -174,11 +168,11 @@ def _until_crossing(segments, incumbent: SolutionTimeline, direction: int):
             if compare_event_times(a, b) >= 0:
                 continue
             diff = seg.poly - piece.poly
-            result = quadratic_roots(diff, a, b)
-            if result.identically_zero:
+            if diff.is_zero:
                 cut = a if direction > 0 else b
             else:
-                cut = next((root for root in sorted(result.times, reverse=(direction < 0))
+                roots = quadratic_roots(diff, a, b)
+                cut = next((root for root in sorted(roots, reverse=(direction < 0))
                             if sign_ahead(diff, root, direction) > 0
                             and compare_event_times(root, near) != 0), None)
         if cut is None:
@@ -204,9 +198,7 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
     """
     t_begin = _time.perf_counter()
     stats = SolveStats()
-    exact = config.exact_arithmetic
-    work = instance.as_exact() if exact else instance
-    t0, t1 = _zero_time(exact), _one_time(exact)
+    work, t0, t1 = _horizon(instance, config.exact_arithmetic)
     use_ip = config.static_backend == "exact"
 
     def remaining() -> float:
@@ -234,10 +226,8 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
 
     def extend_merge(assignment, anchor, incumbent):
         tick = _time.perf_counter()
-        if config.flags.part_ext and incumbent is not None:
-            segs = _partial_extension(assignment, anchor, t0, t1, config.flags, work, incumbent)
-        else:
-            segs = _full_extension(assignment, anchor, t0, t1, config.flags, work)
+        segs = _extension(assignment, anchor, t0, t1, config.flags, work,
+                          incumbent if config.flags.part_ext else None)
         stats.events_processed += max(len(segs) - 1, 0)
         if not segs:
             stats.time_extend_merge += _time.perf_counter() - tick
@@ -325,18 +315,17 @@ def fixed_nn_baseline(
         raise ValueError("k must be >= 1")
     t_begin = _time.perf_counter()
     stats = SolveStats()
-    work = instance.as_exact() if exact_arithmetic else instance
-    t0, t1 = _zero_time(exact_arithmetic), _one_time(exact_arithmetic)
+    work, t0, t1 = _horizon(instance, exact_arithmetic)
     flags = ImprovementFlags()
     timeline = None
     for i in range(k + 1):
-        anchor = Fraction(i, k) if exact_arithmetic else i / k
+        anchor = t1 * i / k
         tick = _time.perf_counter()
         sol = nn_heuristic(work, anchor)
         stats.time_static += _time.perf_counter() - tick
         stats.static_solves += 1
         tick = _time.perf_counter()
-        segs = _full_extension(sol.assignment, anchor, t0, t1, flags, work)
+        segs = _extension(sol.assignment, anchor, t0, t1, flags, work)
         part = SolutionTimeline(tuple(segs))
         stats.events_processed += max(len(segs) - 1, 0)
         timeline = part if timeline is None else merge_lower_envelope(timeline, part)

@@ -665,14 +665,6 @@ class MilpBackend(SolverBackend):
 DEFAULT_BACKEND = BranchBoundBackend()
 
 
-def _infer_counts(candidates, n_objects, n_stations):
-    if n_objects is None:
-        n_objects = max((len(c.order) for c in candidates), default=0)
-    if n_stations is None:
-        n_stations = max((c.station_index for c in candidates), default=-1) + 1
-    return n_objects, n_stations
-
-
 def _solution_from_selection(candidates, selected, n_objects, n_stations, lower, timed_out=False):
     radius = [0] * n_stations
     for i in selected:
@@ -708,8 +700,8 @@ def _solution_from_selection(candidates, selected, n_objects, n_stations, lower,
 
 def solve_exact(
     candidates,
-    n_objects: int | None = None,
-    n_stations: int | None = None,
+    n_objects: int,
+    n_stations: int,
     target_gap: float = 0.0,
     time_limit: float = math.inf,
     backend: SolverBackend | None = None,
@@ -720,7 +712,6 @@ def solve_exact(
     unless the time limit cuts the search short, in which case the achieved
     bound is reported and the solution is flagged `timed_out`.
     """
-    n_objects, n_stations = _infer_counts(candidates, n_objects, n_stations)
     if n_objects == 0:
         return StaticSolution((), (0,) * n_stations, 0, 0)
     backend = backend or DEFAULT_BACKEND
@@ -738,16 +729,13 @@ def solve_exact(
     return sol
 
 
-def brute_force_cover(
-    candidates, n_objects: int | None = None, n_stations: int | None = None
-) -> StaticSolution:
+def brute_force_cover(candidates, n_objects: int, n_stations: int) -> StaticSolution:
     """Exhaustive optimum over per-station radius-level choices.
 
     Test oracle only; guarded to small instances.  Unlike the backend it
     walks the candidates' coverage sets, so it stays independent of the
     nested-level model the branch and bound exploits.
     """
-    n_objects, n_stations = _infer_counts(candidates, n_objects, n_stations)
     if n_objects > BRUTE_FORCE_MAX_OBJECTS:
         raise ValueError(
             f"brute force is guarded to n <= {BRUTE_FORCE_MAX_OBJECTS}, got {n_objects}"

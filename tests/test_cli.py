@@ -107,7 +107,8 @@ def test_solve_fixed_nn(tmp_path):
 def test_solve_rejects_bad_solver_options(tmp_path, capsys):
     _, inst_path = gen_one(tmp_path)
     result = tmp_path / "r.json"
-    for bad in (["--gap", -1], ["--gap", "nan"], ["--algo", "fixed_nn", "--k", 0]):
+    for bad in (["--gap", -1], ["--gap", "nan"], ["--algo", "fixed_nn", "--k", 0],
+                ["--time-limit", 0], ["--time-limit", -5], ["--time-limit", "nan"]):
         capsys.readouterr()
         assert run(["solve", inst_path, "-o", result] + bad) == EXIT_USAGE, bad
         assert len(capsys.readouterr().err.strip().splitlines()) == 1, bad
@@ -117,7 +118,8 @@ def test_solve_rejects_bad_solver_options(tmp_path, capsys):
 def test_bench_rejects_bad_solver_options(tmp_path):
     out, _ = gen_one(tmp_path)
     csv_path = tmp_path / "b.csv"
-    for bad in (["--gap", -1], ["--algos", "fixed_nn", "--k", 0]):
+    for bad in (["--gap", -1], ["--algos", "fixed_nn", "--k", 0], ["--time-limit", 0],
+                ["--time-limit", -5], ["--time-limit", "nan"], ["--jobs", 0], ["--jobs", -1]):
         assert run(["bench", out / "manifest.json", "-o", csv_path] + bad) == EXIT_USAGE, bad
         assert not csv_path.exists(), bad
 
@@ -269,6 +271,19 @@ def test_check_rejects_a_support_from_another_station(tmp_path):
         tampered += 1
     assert tampered
     assert check_tampered(tmp_path, inst_path, doc) == EXIT_CHECK
+
+
+def test_check_derives_the_gap_again_from_the_bounds(tmp_path):
+    inst_path, _, doc = solved_pair(tmp_path, n=20, m=3)
+    for stored in (doc["gap"] + 0.25, None, "0"):
+        assert check_tampered(tmp_path, inst_path, dict(doc, gap=stored)) == EXIT_CHECK, stored
+    # A weaker lower bound under the stored, certified gap.
+    assert check_tampered(tmp_path, inst_path, dict(doc, lower=0.8 * doc["lower"])) == EXIT_CHECK
+    nn = solve_minmax(read_instance(inst_path), SolverConfig(static_backend="nn"))
+    nn_doc = json.loads(result_to_json(doc["instance_id"], "nn", ImprovementFlags(), {}, nn))
+    assert nn_doc["gap"] is None
+    assert check_tampered(tmp_path, inst_path, nn_doc) == EXIT_OK
+    assert check_tampered(tmp_path, inst_path, dict(nn_doc, gap=0.0)) == EXIT_CHECK
 
 
 def drop_timeline(doc):

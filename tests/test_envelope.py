@@ -57,10 +57,9 @@ def test_argmax_examples():
 
 def test_intersect_examples():
     f, g = QuadraticPoly(1.0, 0.0, 0.0), QuadraticPoly(1.0, -2.0, 1.0)
-    assert quadratic_roots(f - g, 0.0, 1.0).times == (0.5,)
-    same = quadratic_roots(f - f, 0.0, 1.0)
-    assert same.identically_zero and same.times == ()
-    assert quadratic_roots(QuadraticPoly(1.0, 0.0, 2.0) - f, 0.0, 1.0).times == ()
+    assert quadratic_roots(f - g, 0.0, 1.0) == (0.5,)
+    assert (f - f).is_zero and quadratic_roots(f - f, 0.0, 1.0) == ()
+    assert quadratic_roots(QuadraticPoly(1.0, 0.0, 2.0) - f, 0.0, 1.0) == ()
 
 
 def test_merge_examples():

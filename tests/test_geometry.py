@@ -59,24 +59,22 @@ def test_poly_matches_direct_distance_bulk():
 
 
 def test_quadratic_roots_examples():
-    assert quadratic_roots(QuadraticPoly(4.0, 4.0, -3.0), 0.0, 1.0).times == (0.5,)
-    assert quadratic_roots(QuadraticPoly(0.0, 2.0, -1.0), 0.0, 1.0).times == (0.5,)
-    assert quadratic_roots(QuadraticPoly(1.0, 0.0, 1.0), 0.0, 1.0).times == ()
+    assert quadratic_roots(QuadraticPoly(4.0, 4.0, -3.0), 0.0, 1.0) == (0.5,)
+    assert quadratic_roots(QuadraticPoly(0.0, 2.0, -1.0), 0.0, 1.0) == (0.5,)
+    assert quadratic_roots(QuadraticPoly(1.0, 0.0, 1.0), 0.0, 1.0) == ()
 
 
 def test_quadratic_roots_degenerate():
-    res = quadratic_roots(QuadraticPoly(0.0, 0.0, 0.0), 0.0, 1.0)
-    assert res.identically_zero and res.times == ()
-    res = quadratic_roots(QuadraticPoly(0.0, 0.0, 5.0), 0.0, 1.0)
-    assert not res.identically_zero and res.times == ()
+    zero = QuadraticPoly(0.0, 0.0, 0.0)
+    assert zero.is_zero and quadratic_roots(zero, 0.0, 1.0) == ()
+    constant = QuadraticPoly(0.0, 0.0, 5.0)
+    assert not constant.is_zero and quadratic_roots(constant, 0.0, 1.0) == ()
     # double root
-    res = quadratic_roots(QuadraticPoly(1.0, -1.0, 0.25), 0.0, 1.0)
-    assert res.times == (0.5,)
+    assert quadratic_roots(QuadraticPoly(1.0, -1.0, 0.25), 0.0, 1.0) == (0.5,)
 
 
 def test_quadratic_roots_window_is_closed():
-    res = quadratic_roots(QuadraticPoly(0.0, 1.0, 0.0), 0.0, 1.0)
-    assert res.times == (0.0,)
+    assert quadratic_roots(QuadraticPoly(0.0, 1.0, 0.0), 0.0, 1.0) == (0.0,)
     with pytest.raises(ValueError):
         quadratic_roots(QuadraticPoly(1.0, 0.0, 0.0), 1.0, 0.0)
 
@@ -87,8 +85,7 @@ def test_exact_roots_evaluate_to_zero_exactly():
         a = Fraction(rng.randint(-20, 20))
         b = Fraction(rng.randint(-20, 20))
         c = Fraction(rng.randint(-20, 20))
-        res = quadratic_roots(QuadraticPoly(a, b, c), Fraction(-10), Fraction(10))
-        for root in res.times:
+        for root in quadratic_roots(QuadraticPoly(a, b, c), Fraction(-10), Fraction(10)):
             assert QuadraticPoly(a, b, c)(root) == 0
 
 
@@ -100,7 +97,7 @@ def test_float_roots_evaluate_near_zero():
         c = rng.uniform(-50, 50)
         poly = QuadraticPoly(a, b, c)
         scale = max(abs(a), abs(b), abs(c))
-        for root in quadratic_roots(poly, -10.0, 10.0).times:
+        for root in quadratic_roots(poly, -10.0, 10.0):
             assert abs(poly(root)) <= 1e-9 * max(scale, 1.0) * max(abs(root), 1.0) ** 2
 
 
@@ -131,6 +128,7 @@ def test_sign_ahead_table():
         ("float tangency within tolerance", QuadraticPoly(1.0, -1.0, 0.25), 0.5 + 1e-12, 1, 1),
         ("float linear", QuadraticPoly(0.0, 2.0, -1.0), 0.5, 1, -1),
         ("float slope below EPS reads flat", QuadraticPoly(0.0, 1e-12, 0.0), 0.0, 0, 0),
+        ("float curvature below EPS reads flat", QuadraticPoly(1e-12, 0.0, 0.0), 0.0, 0, 0),
         ("float constant", QuadraticPoly(0.0, 0.0, 3.0), 0.2, 1, 1),
         ("float negative constant", QuadraticPoly(0.0, 0.0, -3.0), 0.2, -1, -1),
         ("float zero", QuadraticPoly(0.0, 0.0, 0.0), 0.2, 0, 0),
@@ -178,11 +176,11 @@ def _random_qn(rng: Random) -> QuadraticNumber:
     a = rng.randint(1, 12)
     b = rng.randint(-12, 12)
     c = rng.randint(-12, 12)
-    res = quadratic_roots(
+    roots = quadratic_roots(
         QuadraticPoly(Fraction(a), Fraction(b), Fraction(c)), Fraction(-100), Fraction(100)
     )
-    if res.times:
-        return res.times[rng.randrange(len(res.times))]
+    if roots:
+        return roots[rng.randrange(len(roots))]
     return QuadraticNumber.from_rational(Fraction(rng.randint(-50, 50), rng.randint(1, 9)))
 
 

@@ -67,6 +67,10 @@ def test_config_validation():
         with pytest.raises(ValueError):
             SolverConfig(target_gap=gap)
     assert SolverConfig(target_gap=0.1).target_gap == 0.1
+    for limit in (0.0, -5.0, math.nan):
+        with pytest.raises(ValueError):
+            SolverConfig(time_limit=limit)
+    assert SolverConfig(time_limit=math.inf).time_limit == math.inf
     with pytest.raises(ValueError):
         SolverConfig(static_backend="magic")
 
@@ -347,7 +351,7 @@ def test_partial_extension_walks_the_incumbent_once(monkeypatch):
     active = [False]
     compare = minmax.compare_event_times
     iter_extend = minmax.iter_extend
-    partial_extension = minmax._partial_extension
+    extension = minmax._extension
 
     def counted_compare(a, b):
         calls[0] += active[0]
@@ -358,18 +362,20 @@ def test_partial_extension_walks_the_incumbent_once(monkeypatch):
             budget[0] += active[0]
             yield seg
 
-    def measured_partial_extension(*args):
-        incumbent = next(a for a in args if isinstance(a, SolutionTimeline))
+    def measured_extension(*args):
+        incumbent = next((a for a in args if isinstance(a, SolutionTimeline)), None)
+        if incumbent is None:  # a full extension, not cut by part_ext
+            return extension(*args)
         budget[0] += 2 * len(incumbent.segments)  # one sweep each way
         active[0] = True
         try:
-            return partial_extension(*args)
+            return extension(*args)
         finally:
             active[0] = False
 
     monkeypatch.setattr(minmax, "compare_event_times", counted_compare)
     monkeypatch.setattr(minmax, "iter_extend", counted_iter_extend)
-    monkeypatch.setattr(minmax, "_partial_extension", measured_partial_extension)
+    monkeypatch.setattr(minmax, "_extension", measured_extension)
     inst = generate(GenParams(n=500, m=25, seed=0))
     res = solve_minmax(inst, SolverConfig(static_backend="nn", flags=ALL_FLAGS))
     assert len(res.timeline.segments) == 538
