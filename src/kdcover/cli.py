@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -20,7 +21,9 @@ from pathlib import Path
 from .envelope import TimelineSegment
 from .geometry import MovingInstance, QuadraticPoly, squared_distance_poly
 from .instances import (
+    CLASSES,
     FormatError,
+    GenerationError,
     GenParams,
     generate,
     read_instance,
@@ -62,28 +65,27 @@ CSV_FIELDS = [
 # Desk-scale default: the full-size benchmark schedules times this factor.
 DEFAULT_SCALE = 0.2
 
+# Command-line label of each improvement flag -> its ImprovementFlags field.
+FLAG_FIELDS = {"nodup": "no_dup", "impext": "imp_ext", "partext": "part_ext"}
+
+# The manifest entry fields `bench` reads.
+MANIFEST_FIELDS = ("id", "path", "n", "m", "seed", "class")
+
 
 def flags_label(flags: ImprovementFlags) -> str:
-    parts = []
-    if flags.no_dup:
-        parts.append("nodup")
-    if flags.imp_ext:
-        parts.append("impext")
-    if flags.part_ext:
-        parts.append("partext")
-    return "+".join(parts) if parts else "none"
+    return "+".join(label for label, field in FLAG_FIELDS.items()
+                    if getattr(flags, field)) or "none"
 
 
 def parse_flags(text: str) -> ImprovementFlags:
     if not text or text == "none":
         return ImprovementFlags()
-    known = {"nodup": "no_dup", "impext": "imp_ext", "partext": "part_ext"}
     values = {}
     for token in text.replace("+", ",").split(","):
         token = token.strip().lower()
-        if token not in known:
+        if token not in FLAG_FIELDS:
             raise argparse.ArgumentTypeError(f"unknown flag {token!r}")
-        values[known[token]] = True
+        values[FLAG_FIELDS[token]] = True
     return ImprovementFlags(**values)
 
 
@@ -95,7 +97,7 @@ def result_to_json(instance_id: str, algorithm: str, flags: ImprovementFlags,
         "version": RESULT_VERSION,
         "instance_id": instance_id,
         "algorithm": algorithm,
-        "flags": {"no_dup": flags.no_dup, "imp_ext": flags.imp_ext, "part_ext": flags.part_ext},
+        "flags": {field: getattr(flags, field) for field in FLAG_FIELDS.values()},
         "config": config,
         "upper": result.upper,
         "lower": result.lower,
@@ -199,61 +201,44 @@ def _schedule(set_name: str, scale: float):
 
 
 def cmd_gen(args) -> int:
+    """Write the instances of a benchmark set, or one instance (a one-entry
+    schedule named after its class), and their manifest."""
+    if not (math.isfinite(args.scale) and args.scale > 0):
+        print(f"--scale must be finite and positive, got {args.scale}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.set:
+        prefix, schedule = args.set, _schedule(args.set, args.scale)
+    else:
+        prefix, schedule = args.instance_class, [(args.n, args.m, 1)]
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
     entries = []
     try:
-        if args.set:
-            scale = 1.0 if args.full else args.scale
-            counter = 0
-            for n, m, count in _schedule(args.set, scale):
-                for rep in range(count):
-                    seed = args.seed + counter
-                    counter += 1
-                    params = GenParams(
-                        n=n, m=m, seed=seed,
-                        len_min=args.len_min, len_max=args.len_max,
-                        instance_class=args.instance_class,
-                    )
-                    inst = generate(params)
-                    name = f"{args.set}_n{n}_m{m}_s{seed}.json"
-                    inst.metadata["id"] = name[:-5]
-                    write_instance(out / name, inst)
-                    entries.append(
-                        {"id": name[:-5], "path": name, "n": n, "m": m,
-                         "seed": seed, "class": args.instance_class}
-                    )
-            manifest = {
-                "format": "kdc-manifest",
-                "version": 1,
-                "set": args.set,
-                "scale": scale,
-                "instances": entries,
-            }
-        else:
+        out.mkdir(parents=True, exist_ok=True)
+        sizes = [(n, m) for n, m, count in schedule for _ in range(count)]
+        for seed, (n, m) in enumerate(sizes, start=args.seed):
             params = GenParams(
-                n=args.n, m=args.m, seed=args.seed,
+                n=n, m=m, seed=seed,
                 len_min=args.len_min, len_max=args.len_max,
                 instance_class=args.instance_class,
             )
             inst = generate(params)
-            name = f"{args.instance_class}_n{args.n}_m{args.m}_s{args.seed}.json"
-            inst.metadata["id"] = name[:-5]
-            write_instance(out / name, inst)
-            entries.append(
-                {"id": name[:-5], "path": name, "n": args.n, "m": args.m,
-                 "seed": args.seed, "class": args.instance_class}
-            )
-            manifest = {"format": "kdc-manifest", "version": 1, "instances": entries}
-    except ValueError as exc:
+            name = f"{prefix}_n{n}_m{m}_s{seed}"
+            inst.metadata["id"] = name
+            write_instance(out / f"{name}.json", inst)
+            entries.append({"id": name, "path": f"{name}.json", "n": n, "m": m,
+                            "seed": seed, "class": args.instance_class})
+        manifest = {"format": "kdc-manifest", "version": 1,
+                    **({"set": args.set, "scale": args.scale} if args.set else {}),
+                    "instances": entries}
+        with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2)
+            fh.write("\n")
+    except (ValueError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
     print(f"wrote {len(entries)} instance(s) + manifest.json to {out}")
     return EXIT_OK
 
@@ -365,6 +350,19 @@ def _bench_cell(task) -> dict:
     }
 
 
+def manifest_entries(manifest) -> list[dict]:
+    """The manifest's instance entries.  Raises FormatError when the manifest
+    is not an object, its `instances` not a list, or an entry lacks a field
+    that `bench` reads."""
+    entries = manifest.get("instances", []) if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise FormatError("not a kdc-manifest object with an instances list")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not all(key in entry for key in MANIFEST_FIELDS):
+            raise FormatError(f"instance entry {i} lacks one of {', '.join(MANIFEST_FIELDS)}")
+    return entries
+
+
 def bench_matrix(args) -> tuple[list[str], list[str]]:
     """The algorithms and flag combinations of a bench run.  Raises
     ValueError naming the first unknown algorithm or flag."""
@@ -374,12 +372,10 @@ def bench_matrix(args) -> tuple[list[str], list[str]]:
             raise ValueError(f"--algos: unknown algorithm {algorithm!r} "
                              f"(choose from {', '.join(ALGORITHMS)})")
     if args.flag_combos == "all":
-        combos = []
-        for nd in (False, True):
-            for ie in (False, True):
-                for pe in (False, True):
-                    combos.append(flags_label(ImprovementFlags(nd, ie, pe)))
-        return algorithms, combos
+        return algorithms, [
+            flags_label(ImprovementFlags(**dict(zip(FLAG_FIELDS.values(), values))))
+            for values in itertools.product((False, True), repeat=len(FLAG_FIELDS))
+        ]
     combos = args.flag_combos.split(";")
     for combo in combos:
         try:
@@ -403,8 +399,8 @@ def cmd_bench(args) -> int:
         return EXIT_USAGE
     try:
         with open(args.manifest, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            entries = manifest_entries(json.load(fh))
+    except (OSError, json.JSONDecodeError, FormatError) as exc:
         print(f"cannot read manifest: {exc}", file=sys.stderr)
         return EXIT_IO
     manifest_dir = Path(args.manifest).parent
@@ -413,7 +409,7 @@ def cmd_bench(args) -> int:
         "k": args.k,
     }
     tasks = []
-    for entry in manifest.get("instances", []):
+    for entry in entries:
         for algorithm in algorithms:
             cells = combos if algorithm == "exact" else ["none"]
             for flag_text in cells:
@@ -502,15 +498,13 @@ def verify_result(doc, instance: MovingInstance, samples: int) -> list[str]:
             f"infeasible: violation {report.worst_violation:.3e} at "
             f"t={report.worst_time} object {report.worst_object}"
         )
-    timeline_value = max(
-        max(seg.poly(seg.t_start), seg.poly(seg.t_end)) for seg in segs
-    )
-    upper = doc["upper"]
-    if abs(math.pi * timeline_value - upper) > 1e-9 * max(1.0, upper):
-        problems.append(
-            f"stored upper {upper} != pi * timeline peak {math.pi * timeline_value}"
-        )
-    lower = doc["lower"]
+    upper, lower = doc["upper"], doc["lower"]
+    if not (math.isfinite(upper) and math.isfinite(lower)):
+        problems.append(f"stored bounds are not finite: upper {upper}, lower {lower}")
+        return problems
+    peak = math.pi * max(max(seg.poly(seg.t_start), seg.poly(seg.t_end)) for seg in segs)
+    if abs(peak - upper) > 1e-9 * max(1.0, peak):
+        problems.append(f"stored upper {upper} != pi * timeline peak {peak}")
     if lower > upper * (1 + 1e-12) + 1e-12:
         problems.append(f"lower {lower} exceeds upper {upper}")
     gap = _ratio_gap(upper, lower)
@@ -643,13 +637,17 @@ def cmd_render(args) -> int:
             return EXIT_USAGE
     stem = Path(args.instance).stem
     out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for t in times:
-        svg = render_svg(instance, segments, t)
-        path = out_dir / f"{stem}_t{t:g}.svg"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-        print(f"wrote {path}")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for t in times:
+            svg = render_svg(instance, segments, t)
+            path = out_dir / f"{stem}_t{t:g}.svg"
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(svg)
+            print(f"wrote {path}")
+    except OSError as exc:
+        print(f"cannot write renders: {exc}", file=sys.stderr)
+        return EXIT_IO
     return EXIT_OK
 
 
@@ -675,10 +673,9 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate instances")
     g.add_argument("--set", choices=["fix", "fix_n", "fix_m"], default=None)
     g.add_argument("--scale", type=float, default=DEFAULT_SCALE,
-                   help="scale factor for the benchmark schedules")
-    g.add_argument("--full", action="store_true", help="full-size schedules")
+                   help="scale factor for the benchmark schedules (1 for full size)")
     g.add_argument("--class", dest="instance_class", default="random",
-                   choices=["random", "same_slope", "same_start", "same_end"])
+                   choices=CLASSES)
     g.add_argument("-n", type=int, default=50)
     g.add_argument("-m", type=int, default=5)
     g.add_argument("--seed", type=int, default=0)

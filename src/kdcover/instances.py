@@ -1,9 +1,11 @@
-"""Instance generation, point-set ingestion, and the instance file format.
+"""Instance generation and the instance file format.
 
-All randomness flows through `random.Random` (Mersenne Twister) seeded from
-GenParams, so instances reproduce bit-for-bit across platforms.  Files are
-JSON with coordinates serialized as decimal strings (repr of the float), so
-a write/read round trip is lossless.
+`generate` draws every class: 'random', and the degenerate classes whose
+objects share one slope, one start point or one end point.  All randomness
+flows through `random.Random` (Mersenne Twister) seeded from GenParams, so
+instances reproduce bit-for-bit across platforms.  Files are JSON with
+coordinates serialized as decimal strings (repr of the float), so a
+write/read round trip is lossless.
 """
 
 from __future__ import annotations
@@ -18,13 +20,10 @@ from .geometry import MovingInstance, Point2, Trajectory
 __all__ = [
     "GenParams",
     "GenerationError",
-    "ParseError",
     "FormatError",
     "gen_random",
     "gen_degenerate",
-    "parse_point_set",
-    "match_trajectories",
-    "build_pub_instance",
+    "generate",
     "read_instance",
     "write_instance",
     "instance_to_json",
@@ -39,14 +38,6 @@ _RETRY_CAP = 10_000
 
 class GenerationError(RuntimeError):
     """Resampling failed to place a trajectory inside the canvas."""
-
-
-class ParseError(ValueError):
-    """Malformed point-set record; carries the offending line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 class FormatError(ValueError):
@@ -102,200 +93,45 @@ def _sample_trajectory(rng: Random, params: GenParams, direction=None, start=Non
     )
 
 
-def _stations(rng: Random, params: GenParams) -> tuple[Point2, ...]:
-    w, h = params.canvas
-    return tuple(Point2(rng.uniform(0.0, w), rng.uniform(0.0, h)) for _ in range(params.m))
-
-
-def gen_random(params: GenParams) -> MovingInstance:
-    """Uniform stations; trajectory starts uniform on the canvas, directions
-    uniform on the circle, lengths uniform in [len_min, len_max]."""
-    if params.instance_class != "random":
-        raise ValueError("gen_random requires instance_class 'random'")
+def generate(params: GenParams) -> MovingInstance:
+    """Stations uniform on the canvas, then the class's shared draw (a slope,
+    a start point or an end point; nothing for 'random'), then the objects:
+    starts uniform on the canvas, directions uniform on the circle, lengths
+    uniform in [len_min, len_max], each resampled until it fits."""
     rng = Random(params.seed)
-    stations = _stations(rng, params)
-    objects = tuple(_sample_trajectory(rng, params) for _ in range(params.n))
+    w, h = params.canvas
+    stations = tuple(Point2(rng.uniform(0.0, w), rng.uniform(0.0, h)) for _ in range(params.m))
+    klass = params.instance_class
+    shared = {}
+    if klass == "same_slope":
+        shared["direction"] = rng.uniform(0.0, 2.0 * math.pi)
+    elif klass != "random":
+        key = "start" if klass == "same_start" else "end"
+        shared[key] = (rng.uniform(0.0, w), rng.uniform(0.0, h))
+    objects = tuple(_sample_trajectory(rng, params, **shared) for _ in range(params.n))
     return MovingInstance(
         stations,
         objects,
         canvas=params.canvas,
-        metadata={"class": params.instance_class, "seed": params.seed,
+        metadata={"class": klass, "seed": params.seed,
                   "n": params.n, "m": params.m,
                   "len_min": params.len_min, "len_max": params.len_max},
     )
+
+
+def gen_random(params: GenParams) -> MovingInstance:
+    """`generate` for the 'random' class."""
+    if params.instance_class != "random":
+        raise ValueError("gen_random requires instance_class 'random'")
+    return generate(params)
 
 
 def gen_degenerate(params: GenParams) -> MovingInstance:
-    """Structured classes: one shared slope, one shared start point, or one
-    shared end point per instance."""
+    """`generate` for the structured classes: one shared slope, one shared
+    start point, or one shared end point per instance."""
     if params.instance_class == "random":
         raise ValueError("gen_degenerate requires a degenerate instance_class")
-    rng = Random(params.seed)
-    stations = _stations(rng, params)
-    w, h = params.canvas
-    objects = []
-    if params.instance_class == "same_slope":
-        shared = rng.uniform(0.0, 2.0 * math.pi)
-        objects = [_sample_trajectory(rng, params, direction=shared) for _ in range(params.n)]
-    elif params.instance_class == "same_start":
-        shared = (rng.uniform(0.0, w), rng.uniform(0.0, h))
-        objects = [_sample_trajectory(rng, params, start=shared) for _ in range(params.n)]
-    else:  # same_end
-        shared = (rng.uniform(0.0, w), rng.uniform(0.0, h))
-        objects = [_sample_trajectory(rng, params, end=shared) for _ in range(params.n)]
-    return MovingInstance(
-        stations,
-        tuple(objects),
-        canvas=params.canvas,
-        metadata={"class": params.instance_class, "seed": params.seed,
-                  "n": params.n, "m": params.m,
-                  "len_min": params.len_min, "len_max": params.len_max},
-    )
-
-
-def generate(params: GenParams) -> MovingInstance:
-    if params.instance_class == "random":
-        return gen_random(params)
-    return gen_degenerate(params)
-
-
-def parse_point_set(text: str) -> list[Point2]:
-    """Node-coordinate records ("index x y"), TSPLIB style.
-
-    Header lines before a NODE_COORD_SECTION marker are ignored; without a
-    marker, records start at the first line that parses as one.  EOF (or end
-    of input) terminates the section.  Malformed in-section records raise
-    ParseError with the line number.
-    """
-    points: list[Point2] = []
-    in_section = False
-    saw_marker = "NODE_COORD_SECTION" in text
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.upper() == "EOF":
-            break
-        if saw_marker and not in_section:
-            if line.upper().startswith("NODE_COORD_SECTION"):
-                in_section = True
-            continue
-        parts = line.split()
-        if not saw_marker and not in_section:
-            if len(parts) != 3:
-                continue  # still in the header
-            try:
-                int(parts[0])
-                float(parts[1])
-                float(parts[2])
-            except ValueError:
-                continue
-            in_section = True
-        if len(parts) != 3:
-            raise ParseError(f"expected 'index x y', got {line!r}", lineno)
-        try:
-            int(parts[0])
-            x, y = float(parts[1]), float(parts[2])
-        except ValueError:
-            raise ParseError(f"non-numeric field in {line!r}", lineno) from None
-        points.append(Point2(x, y))
-    return points
-
-
-PUB_DIAMETER = 100_000.0
-
-
-def match_trajectories(points, rng: Random, len_min: float, len_max: float):
-    """Greedy matching over a seeded random ordering of admissible pairs
-    (distance within [len_min, len_max]); each matched pair is a trajectory
-    start/end in edge order."""
-    pts = [(p.x, p.y) for p in points]
-    edges = []
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            d = math.dist(pts[a], pts[b])
-            if len_min <= d <= len_max:
-                edges.append((a, b))
-    rng.shuffle(edges)
-    matched: set[int] = set()
-    pairs = []
-    for a, b in edges:
-        if a not in matched and b not in matched:
-            matched.add(a)
-            matched.add(b)
-            pairs.append((a, b))
-    return pairs
-
-
-def build_pub_instance(
-    points,
-    m: int,
-    seed: int = 0,
-    len_min: float = 25_000.0,
-    len_max: float = 50_000.0,
-) -> MovingInstance:
-    """Instance from a published point set.
-
-    The set is rescaled to diameter 100 km (translated to the origin first),
-    m centers are sampled from the points without replacement, and the rest
-    are paired by a greedy matching over a seeded random ordering of the
-    admissible pairs (distance within [len_min, len_max]); each matched pair
-    becomes one trajectory, with both endpoints perturbed by an offset of
-    magnitude at most 1e-6 * diameter to break ties.
-    """
-    points = list(points)
-    if len(points) < m:
-        raise ValueError(f"need at least m={m} points, got {len(points)}")
-    rng = Random(seed)
-    min_x = min(p.x for p in points)
-    min_y = min(p.y for p in points)
-    shifted = [(p.x - min_x, p.y - min_y) for p in points]
-    diam = 0.0
-    for i in range(len(shifted)):
-        for j in range(i + 1, len(shifted)):
-            d = math.dist(shifted[i], shifted[j])
-            if d > diam:
-                diam = d
-    if diam == 0.0:
-        raise ValueError("point set has zero diameter")
-    scale = PUB_DIAMETER / diam
-    pts = [(x * scale, y * scale) for x, y in shifted]
-
-    center_ids = sorted(rng.sample(range(len(pts)), m))
-    stations = tuple(Point2(*pts[i]) for i in center_ids)
-    rest = [i for i in range(len(pts)) if i not in set(center_ids)]
-    rest_pairs = match_trajectories(
-        [Point2(*pts[i]) for i in rest], rng, len_min, len_max
-    )
-    pairs = [(rest[a], rest[b]) for a, b in rest_pairs]
-
-    delta = 1e-6 * PUB_DIAMETER
-
-    def perturb(xy):
-        ang = rng.uniform(0.0, 2.0 * math.pi)
-        r = rng.uniform(0.0, delta)
-        return (xy[0] + r * math.cos(ang), xy[1] + r * math.sin(ang))
-
-    objects = []
-    for a, b in pairs:
-        sx, sy = perturb(pts[a])
-        ex, ey = perturb(pts[b])
-        objects.append(Trajectory(Point2(sx, sy), Point2(ex, ey)))
-
-    metadata = {
-        "class": "pub",
-        "seed": seed,
-        "n": len(objects),
-        "m": m,
-        "len_min": len_min,
-        "len_max": len_max,
-        "source_points": len(points),
-    }
-    if not pairs:
-        metadata["warning"] = "no_admissible_pairs"
-    return MovingInstance(
-        stations, tuple(objects), canvas=(PUB_DIAMETER, PUB_DIAMETER), metadata=metadata
-    )
+    return generate(params)
 
 
 def _num(value: float) -> str:

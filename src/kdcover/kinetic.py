@@ -7,7 +7,7 @@ become equidistant from their station; with the handover improvement
 at the moment the transfer leaves total cost unchanged and the cost
 strictly decreases afterwards.  With the duplicate-coverage improvement
 (no_dup) supports already inside another disk are handed over at every
-event (`dedup_improve`).
+event (`apply_dedup`; `dedup_improve` runs it once, at one time).
 
 `_Extender` is the one event engine: `iter_extend` and `extend` walk its
 events from an anchor time toward a stop time.  The engine keeps its state
@@ -598,16 +598,13 @@ def dedup_improve(assignment: Assignment, t, instance: MovingInstance) -> Assign
     """While some station's support object lies inside another station's
     disk, hand that support to the covering station (the first station's
     radius then shrinks to its next-furthest object).  Never increases cost
-    at time t; idempotent at its fixpoint."""
-    if instance.n == 0:
-        return tuple(assignment)
-    assign = list(assignment)
-    members: list[list[int]] = [[] for _ in range(instance.m)]
-    for j, s in enumerate(assign):
-        members[s].append(j)
-    for o, s in _dedup(instance, t, members, [None] * instance.m).items():
-        assign[o] = s
-    return tuple(assign)
+    at time t; idempotent at its fixpoint.  Runs the engine's dedup step
+    (`_Extender.apply_dedup`) from the assignment's supports at t."""
+    engine = _Extender(instance, assignment, 1, t, ImprovementFlags(no_dup=True))
+    for s in range(instance.m):
+        engine._pick_support(s, t)
+    engine.apply_dedup(t)
+    return tuple(engine.assignment)
 
 
 def iter_extend(

@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate, compress
 from operator import sub
@@ -665,7 +665,7 @@ class MilpBackend(SolverBackend):
 DEFAULT_BACKEND = BranchBoundBackend()
 
 
-def _solution_from_selection(candidates, selected, n_objects, n_stations, lower, timed_out=False):
+def _solution_from_selection(candidates, selected, n_objects, n_stations, lower):
     radius = [0] * n_stations
     for i in selected:
         c = candidates[i]
@@ -694,7 +694,7 @@ def _solution_from_selection(candidates, selected, n_objects, n_stations, lower,
     if lower > total:
         lower = total
     return StaticSolution(
-        tuple(assignment), tuple(radius), total, lower, tuple(sorted(selected)), timed_out
+        tuple(assignment), tuple(radius), total, lower, tuple(sorted(selected))
     )
 
 
@@ -721,12 +721,7 @@ def solve_exact(
     timed_out = achieved > target_gap and not math.isclose(
         achieved, target_gap, rel_tol=1e-9, abs_tol=1e-15
     )
-    if timed_out:
-        sol = StaticSolution(
-            sol.assignment, sol.radius_sq, sol.total_radius_sq,
-            sol.lower_radius_sq, sol.selected, True,
-        )
-    return sol
+    return replace(sol, timed_out=True) if timed_out else sol
 
 
 def brute_force_cover(candidates, n_objects: int, n_stations: int) -> StaticSolution:

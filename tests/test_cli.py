@@ -350,3 +350,82 @@ def test_render_rejects_non_numeric_times(tmp_path, capsys):
     capsys.readouterr()
     assert run(["render", inst_path, "--times", "abc", "-o", tmp_path / "svg"]) == EXIT_USAGE
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("upper", math.inf), ("upper", -math.inf), ("upper", math.nan), ("lower", -math.inf),
+])
+def test_check_rejects_bounds_that_are_not_finite(tmp_path, capsys, field, value):
+    """An nn result stores no gap (its lower bound is 0), and neither does
+    the same result with one bound made infinite or NaN."""
+    _, inst_path = gen_one(tmp_path, n=20, m=3)
+    result = tmp_path / "nn.json"
+    assert run(["solve", inst_path, "--algo", "nn", "-o", result]) == EXIT_OK
+    doc = json.loads(result.read_text())
+    assert doc["gap"] is None
+    capsys.readouterr()
+    assert check_tampered(tmp_path, inst_path, dict(doc, **{field: value})) == EXIT_CHECK
+    assert capsys.readouterr().out.startswith("FAIL: stored bounds are not finite")
+
+
+def assert_one_error_line(capsys, code, expected):
+    assert code == expected
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_gen_and_render_report_an_output_path_that_is_a_file(tmp_path, capsys):
+    _, inst_path = gen_one(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    capsys.readouterr()
+    assert_one_error_line(capsys, run(["gen", "-o", taken]), EXIT_IO)
+    assert_one_error_line(capsys, run(["render", inst_path, "-o", taken]), EXIT_IO)
+
+
+@pytest.mark.parametrize("manifest", [
+    [],
+    {"instances": {}},
+    {"instances": ["a.json"]},
+    "drop_id",
+])
+def test_bench_rejects_a_malformed_manifest_before_solving(tmp_path, capsys, manifest):
+    out, _ = gen_one(tmp_path)
+    if manifest == "drop_id":
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["instances"].append(dict(manifest["instances"][0]))
+        del manifest["instances"][1]["id"]
+    path = out / "bad.json"
+    path.write_text(json.dumps(manifest))
+    csv_path = tmp_path / "b.csv"
+    capsys.readouterr()
+    assert_one_error_line(capsys, run(["bench", path, "-o", csv_path]), EXIT_IO)
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", -1, 0])
+def test_gen_rejects_a_scale_that_is_not_finite_and_positive(tmp_path, capsys, scale):
+    out = tmp_path / "set"
+    assert_one_error_line(capsys, run(["gen", "--set", "fix", "--scale", scale, "-o", out]),
+                          EXIT_USAGE)
+    assert not out.exists()
+
+
+def test_gen_reports_lengths_no_trajectory_can_take(tmp_path, capsys):
+    """Valid lengths, but a trajectory of 141 inside a 100 x 100 canvas
+    must run corner to corner, which resampling does not find."""
+    code = run(["gen", "-n", 5, "-m", 1, "--len-min", 141, "--len-max", 141.4,
+                "-o", tmp_path / "x"])
+    assert_one_error_line(capsys, code, EXIT_USAGE)
+
+
+def test_gen_manifest_names_the_set_only_for_a_set(tmp_path):
+    out, _ = gen_one(tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest) == ["format", "version", "instances"]
+    assert [e["id"] for e in manifest["instances"]] == ["random_n10_m3_s5"]
+    out = tmp_path / "set"
+    assert run(["gen", "--set", "fix", "--scale", 0.1, "--seed", 2, "-o", out]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest) == ["format", "version", "set", "scale", "instances"]
+    assert (manifest["set"], manifest["scale"]) == ("fix", 0.1)
+    assert [e["seed"] for e in manifest["instances"]] == list(range(2, 27))

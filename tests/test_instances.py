@@ -1,34 +1,32 @@
+import hashlib
 import math
-from random import Random
 
 import pytest
 
-from kdcover.geometry import Point2
 from kdcover.instances import (
     FormatError,
     GenParams,
-    ParseError,
-    build_pub_instance,
     gen_degenerate,
     gen_random,
+    generate,
     instance_from_json,
     instance_to_json,
-    match_trajectories,
-    parse_point_set,
     read_instance,
     write_instance,
 )
 
-TSPLIB_TEXT = """NAME: toy
-TYPE: TSP
-DIMENSION: 4
-NODE_COORD_SECTION
-1 0.0 0.0
-2 30000.0 0.0
-3 60000.0 0.0
-4 90000.0 0.0
-EOF
-"""
+# sha256 prefixes of `instance_to_json` at n=40, m=6; they change with any
+# change to the generator's random draws or their order.
+PINNED_INSTANCES = {
+    ("random", 0): "45aaef5eeec51fa2",
+    ("random", 7): "36330cf0cf0feceb",
+    ("same_slope", 0): "d5b7141702661736",
+    ("same_slope", 7): "dfa5c60a09375d14",
+    ("same_start", 0): "3b4e126035db1087",
+    ("same_start", 7): "80b3eeae226cde15",
+    ("same_end", 0): "bc4d1ebc1e83b039",
+    ("same_end", 7): "5a0f7cd3dcd95043",
+}
 
 
 def test_gen_random_basic():
@@ -83,47 +81,20 @@ def test_degenerate_classes():
         assert 25.0 <= math.sqrt(o.length_sq) <= 50.0
 
 
-def test_parse_point_set():
-    pts = parse_point_set(TSPLIB_TEXT)
-    assert len(pts) == 4
-    assert pts[1] == Point2(30000.0, 0.0)
-    assert parse_point_set("NODE_COORD_SECTION\nEOF\n") == []
-    with pytest.raises(ParseError) as err:
-        parse_point_set("NODE_COORD_SECTION\n1 0.0 0.0\n2 oops 3.0\n")
-    assert err.value.line == 3
-    # headerless records work too
-    assert len(parse_point_set("1 0.0 0.0\n2 1.0 1.0\n")) == 2
+@pytest.mark.parametrize("klass, seed", sorted(PINNED_INSTANCES))
+def test_generated_instances_are_pinned(klass, seed):
+    params = GenParams(n=40, m=6, seed=seed, instance_class=klass)
+    text = instance_to_json(generate(params))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == PINNED_INSTANCES[klass, seed]
+    named = gen_random if klass == "random" else gen_degenerate
+    assert instance_to_json(named(params)) == text
 
 
-def test_match_trajectories_on_path_graph():
-    pts = parse_point_set(TSPLIB_TEXT)
-    # admissible graph is the 4-path; its maximum matching has 2 edges and
-    # the seeded greedy finds it for this ordering
-    pairs = match_trajectories(pts, Random(0), 25000.0, 50000.0)
-    assert sorted(sorted(p) for p in pairs) == [[0, 1], [2, 3]]
-    # a greedy order that starts with the middle edge gets only 1; the count
-    # is recorded rather than guaranteed maximal
-    pairs = match_trajectories(pts, Random(3), 25000.0, 50000.0)
-    assert len(pairs) in (1, 2)
-
-
-def test_build_pub_instance():
-    pts = parse_point_set(TSPLIB_TEXT)
-    inst = build_pub_instance(pts, m=1, seed=0)
-    assert inst.m == 1
-    assert inst.metadata["class"] == "pub"
-    assert inst.canvas == (100000.0, 100000.0)
-    for o in inst.objects:
-        assert 25000.0 * 0.99 <= math.sqrt(o.length_sq) <= 50000.0 * 1.01
-    again = build_pub_instance(pts, m=1, seed=0)
-    assert instance_to_json(inst) == instance_to_json(again)
-
-    close = [Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(2.0, 0.0)]
-    z = build_pub_instance(close, m=3, seed=1)
-    assert z.n == 0 and z.metadata["warning"] == "no_admissible_pairs"
-
+def test_named_generators_check_the_class():
     with pytest.raises(ValueError):
-        build_pub_instance(close, m=5, seed=1)
+        gen_random(GenParams(n=1, m=1, instance_class="same_end"))
+    with pytest.raises(ValueError):
+        gen_degenerate(GenParams(n=1, m=1))
 
 
 def test_instance_round_trip(tmp_path):
