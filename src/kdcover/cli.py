@@ -29,7 +29,7 @@ from .instances import (
     read_instance,
     write_instance,
 )
-from .kinetic import ImprovementFlags, check_feasible
+from .kinetic import ImprovementFlags, check_feasible, distance_rows
 from .minmax import KineticResult, SolverConfig, _ratio_gap, fixed_nn_baseline, solve_minmax
 
 EXIT_OK = 0
@@ -414,13 +414,19 @@ def cmd_bench(args) -> int:
             cells = combos if algorithm == "exact" else ["none"]
             for flag_text in cells:
                 tasks.append((str(manifest_dir), entry, algorithm, flag_text, args_dict))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_bench_cell, tasks))
-    else:
-        rows = [_bench_cell(t) for t in tasks]
+    # Open the output first, so that an unwritable path costs no solve.
     try:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+        fh = open(args.output, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        print(f"cannot write CSV: {exc}", file=sys.stderr)
+        return EXIT_IO
+    try:
+        with fh:
+            if args.jobs > 1:
+                with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                    rows = list(pool.map(_bench_cell, tasks))
+            else:
+                rows = [_bench_cell(t) for t in tasks]
             writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
             writer.writeheader()
             writer.writerows(rows)
@@ -455,10 +461,7 @@ def verify_result(doc, instance: MovingInstance, samples: int) -> list[str]:
     for i in range(1, len(segs)):
         if abs(segs[i].t_start - segs[i - 1].t_end) > 1e-9:
             problems.append(f"segment {i}: gap/overlap at t={segs[i].t_start!r}")
-    polys = [
-        [squared_distance_poly(st, obj) for obj in instance.objects]
-        for st in instance.stations
-    ]
+    polys = distance_rows(instance)
     for i, seg in enumerate(segs):
         members = {}
         for j, s in enumerate(seg.assignment):

@@ -672,15 +672,19 @@ def check_feasible(
             k += 1
         if seg is not segments[k]:
             seg = segments[k]
-            support_polys = [(s, polys[s][sup]) for s, sup in enumerate(seg.supports)
-                             if sup is not None]
-            assigned = [(s, polys[s][j]) for j, s in enumerate(seg.assignment)]
+            # Coefficient rows, evaluated as `QuadraticPoly.__call__` does.
+            support_rows = [(s, p.a, p.b, p.c) for s, sup in enumerate(seg.supports)
+                            if sup is not None for p in (polys[s][sup],)]
+            rows = [(j, s, p.a, p.b, p.c) for j, s in enumerate(seg.assignment)
+                    for p in (polys[s][j],)]
         radius = [0.0] * instance.m
-        for s, poly in support_polys:
-            radius[s] = float(poly(t))
-        for j, (s, poly) in enumerate(assigned):
-            d2 = float(poly(t))
-            violation = (d2 - radius[s]) / max(radius[s], 1.0)
-            if violation > worst:
-                worst, worst_t, worst_obj = violation, t, j
+        for s, a, b, c in support_rows:
+            radius[s] = float((a * t + b) * t + c)
+        for j, s, a, b, c in rows:
+            d2 = float((a * t + b) * t + c)
+            # An object inside its disk has violation <= 0, never above worst.
+            if d2 > radius[s]:
+                violation = (d2 - radius[s]) / max(radius[s], 1.0)
+                if violation > worst:
+                    worst, worst_t, worst_obj = violation, t, j
     return FeasibilityReport(worst <= FEASIBILITY_TOL, worst, worst_t, worst_obj)

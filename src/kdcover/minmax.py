@@ -3,11 +3,13 @@
 Seed with a stationary solution at t=0, extend it over the horizon, then
 repeat: locate the peak of the incumbent timeline, solve the stationary
 problem there, extend the improvement in both directions and fold it in
-via the lower envelope.  Each stationary solve runs at the target gap and
-each time is solved once.  The stationary solver's certified bounds at
-every solved time are themselves lower bounds on the min-max optimum, so
-the loop carries a certificate: it stops when the relative gap reaches the
-target, when every candidate peak has been solved, or at the time limit.
+via the lower envelope.  Each time is solved once.  The stationary solver's
+certified bounds at every solved time are themselves lower bounds on the
+min-max optimum, so the loop carries a certificate: it stops when the
+relative gap reaches the target, when every candidate peak has been solved,
+or at the time limit.  A peak's solve only has to answer whether the peak
+can come down to the loop's lower bound, so it runs at the target gap but
+may stop at the first cover costing no more than that bound.
 
 Timeline polynomials store area / pi (sums of squared support radii);
 `KineticResult.upper` and `.lower` carry the pi factor.
@@ -189,8 +191,12 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
     """Run the iterative min-max algorithm; see the module docstring.
 
     With the exact backend every stationary solve, the seed at t=0
-    included, runs at `config.target_gap`, and a solved time is never
-    solved again: a second solve at the same gap cannot tighten it.  The
+    included, runs at `config.target_gap`.  Each peak's solve also gets the
+    loop's current lower bound as its cutoff, so it may stop at the first
+    cover costing no more than that bound; the seed gets no cutoff.  A
+    solved time is never solved again: a second solve at the same gap
+    cannot tighten it, and a time that stopped at the cutoff stays at or
+    below the lower bound, which only rises.  The
     stop reason is "gap" at the target, "no_improvement" once every segment
     endpoint of the incumbent has been solved, "time_limit" or
     "iteration_cap".  With the "nn" backend the loop stops ("no_improvement")
@@ -204,7 +210,7 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
     def remaining() -> float:
         return config.time_limit - (_time.perf_counter() - t_begin)
 
-    def static_at(t):
+    def static_at(t, cutoff=None):
         tick = _time.perf_counter()
         if use_ip:
             cands = enumerate_candidates(work, t)
@@ -217,6 +223,7 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
                 # solve cannot end the loop.
                 time_limit=max(remaining() / 2, 0.001),
                 backend=config.backend,
+                cutoff=cutoff,
             )
         else:
             sol = nn_heuristic(work, t)
@@ -242,7 +249,8 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
     timeline = extend_merge(seed.assignment, t0, None)
 
     history: list[tuple[float, float]] = []
-    # Times already solved at the target gap, which a re-solve cannot improve.
+    # Times already solved, which a re-solve cannot improve: each was solved
+    # to the target gap or to a cover at or below the lower bound.
     excluded: list[object] = [t0] if use_ip else []
     timed_out = False
     stop = ""
@@ -269,7 +277,7 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
         if t_star is None:
             stop = "no_improvement"
             break
-        sol = static_at(t_star)
+        sol = static_at(t_star, cutoff=lower_sum)
         if use_ip:
             excluded.append(t_star)
         if sol.lower_radius_sq > lower_sum:

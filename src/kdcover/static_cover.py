@@ -181,15 +181,20 @@ def nn_heuristic(instance: MovingInstance, t) -> StaticSolution:
 class SolverBackend:
     """Extension point for the exact stationary solver.
 
-    solve(candidates, n_objects, target_gap, time_limit) must return
-    (selected candidate indices, lower bound on the sum of squared radii)
-    with the selection covering every object in range(n_objects) and the
-    bound never exceeding the optimal sum.  Candidates are laid out as
+    solve(candidates, n_objects, target_gap, time_limit, cutoff=None) must
+    return (selected candidate indices, lower bound on the sum of squared
+    radii) with the selection covering every object in range(n_objects) and
+    the bound never exceeding the optimal sum.  Candidates are laid out as
     `enumerate_candidates` produces them: each covers a prefix of its
     station's shared distance order, so one station's disks are nested.
+
+    `cutoff` (a sum of squared radii, or None) says the caller only needs a
+    cover costing at most that much: a backend may stop as soon as it holds
+    one, short of the target gap, or ignore the cutoff.  The bound it
+    returns must stay certified either way.
     """
 
-    def solve(self, candidates, n_objects, target_gap, time_limit):
+    def solve(self, candidates, n_objects, target_gap, time_limit, cutoff=None):
         raise NotImplementedError
 
 
@@ -403,14 +408,16 @@ class BranchBoundBackend(SolverBackend):
     (`_Prefixes.complete`, then `_Prefixes.improve`) supplying incumbents;
     when the incumbent is within the target gap of the bound the root
     returns at once, and else the search restarts at the ascent's u.  The
-    heuristic also runs every `_DIVE_PERIOD` pops.
+    heuristic also runs every `_DIVE_PERIOD` pops.  Given a cutoff, the
+    ascent and the search also stop once the incumbent's float cost is at
+    most the cutoff, returning the bound certified at that point.
 
     Pruning is strict (only nodes whose bound exceeds the incumbent), so at
     gap 0 every optimal selection stays reachable and ties among them
     resolve to the lexicographically smallest candidate index list.
     """
 
-    def solve(self, candidates, n_objects, target_gap, time_limit):
+    def solve(self, candidates, n_objects, target_gap, time_limit, cutoff=None):
         if n_objects == 0:
             return [], 0
         lv = _Prefixes(candidates, n_objects)
@@ -423,20 +430,24 @@ class BranchBoundBackend(SolverBackend):
         u = self._ratio_prices(lv)
         best = lv.complete(lv.lagrangian((-1,) * lv.n_stations, u)[1])
         quick_pops = _QUICK_WORK // (lv.n_objects * lv.n_stations)
-        best, lower, done = self._search(lv, u, best, target_gap, deadline, quick_pops)
+        stop = -math.inf if cutoff is None else float(cutoff)
+        best, lower, done = self._search(lv, u, best, target_gap, stop, deadline, quick_pops)
         if not done:
-            u, best = self._ascend(lv, u, best, target_gap, deadline)
-            best, deeper, _ = self._search(lv, u, best, target_gap, deadline, math.inf)
+            u, best = self._ascend(lv, u, best, target_gap, stop, deadline)
+            best, deeper, _ = self._search(lv, u, best, target_gap, stop, deadline, math.inf)
             lower = max(lower, deeper)
         levels, cost = best
         return list(lv.selection(levels)), min(lower, cost)
 
-    def _search(self, lv: _Prefixes, u, best, target_gap, deadline, max_pops):
+    def _search(self, lv: _Prefixes, u, best, target_gap, stop, deadline, max_pops):
         """Best-first search from the root with node bounds at multipliers
-        u, starting from the incumbent `best` (levels, exact cost).
+        u, starting from the incumbent `best` (levels, exact cost), until
+        the incumbent is within the target gap or its float cost is at most
+        `stop`.
 
         Returns the incumbent, the certified lower bound, and False only
-        when max_pops ran out before the gap, the deadline or the optimum.
+        when max_pops ran out before the gap, the stop cost, the deadline
+        or the optimum.
         """
         root = (-1,) * lv.n_stations
         best_levels, best_cost = best
@@ -457,9 +468,10 @@ class BranchBoundBackend(SolverBackend):
             if key > best_cost:
                 lower = best_cost
                 break
-            # The gap stop is a float-level tolerance even in exact mode;
-            # the bounds themselves stay exact.
-            if target_gap > 0 and float(best_cost) <= float(lower) * (1.0 + target_gap):
+            # The gap and cutoff stops are float-level tolerances even in
+            # exact mode; the bounds themselves stay exact.
+            upper = float(best_cost)
+            if upper <= stop or (target_gap > 0 and upper <= float(lower) * (1.0 + target_gap)):
                 break
             if pops == max_pops:
                 return (best_levels, best_cost), lower, False
@@ -518,12 +530,13 @@ class BranchBoundBackend(SolverBackend):
                     u[j] = suffix[r]
         return u
 
-    def _ascend(self, lv: _Prefixes, u, best, target_gap, deadline):
+    def _ascend(self, lv: _Prefixes, u, best, target_gap, stop, deadline):
         """Root ascent on the Lagrangian multipliers from u (the volume
         variant of deflected subgradient: each step moves from the best
         multipliers so far along the cover violation of an exponential
         average of the Lagrangian solutions).  Every few steps the primal
-        heuristic completes the Lagrangian's chosen levels.
+        heuristic completes the Lagrangian's chosen levels.  The ascent
+        ends early once the incumbent's float cost is at most `stop`.
 
         Returns the multipliers with the best Lagrangian value and the best
         cover (levels, exact cost) found, starting from `best`.
@@ -536,7 +549,8 @@ class BranchBoundBackend(SolverBackend):
         step, stalled = _STEP_START, 0
         for it in range(1, _LAGRANGE_STEPS):
             upper = float(best_cost)
-            if upper <= best_val * (1.0 + target_gap) or _time.perf_counter() > deadline:
+            if (upper <= best_val * (1.0 + target_gap) or upper <= stop
+                    or _time.perf_counter() > deadline):
                 break
             direction = [
                 0.0 if x == 0.0 and a > 1.0 else 1.0 - a for x, a in zip(best_u, average)
@@ -615,10 +629,12 @@ class MilpBackend(SolverBackend):
     the lexicographic tie-break among equal-cost optima.  When HiGHS stops
     without a feasible point (at its time limit), the greedy cover of
     `_Prefixes.complete` is returned with HiGHS's dual bound, or 0 when it
-    has none, so `solve_exact` flags the result `timed_out`.
+    has none, so `solve_exact` flags the result `timed_out`.  The cutoff is
+    ignored: `milp` takes no objective cutoff, so every solve runs to the
+    target gap or the time limit.
     """
 
-    def solve(self, candidates, n_objects, target_gap, time_limit):
+    def solve(self, candidates, n_objects, target_gap, time_limit, cutoff=None):
         try:
             from scipy import optimize, sparse
         except ImportError as exc:  # pragma: no cover
@@ -705,20 +721,25 @@ def solve_exact(
     target_gap: float = 0.0,
     time_limit: float = math.inf,
     backend: SolverBackend | None = None,
+    cutoff=None,
 ) -> StaticSolution:
     """Certified stationary solve over a candidate set.
 
     Returns a solution with (cost - lower_bound) / lower_bound <= target_gap
-    unless the time limit cuts the search short, in which case the achieved
-    bound is reported and the solution is flagged `timed_out`.
+    unless the search stops short.  Given a cutoff (a sum of squared radii),
+    the backend may stop at the first cover whose float cost is at most the
+    cutoff; that cover is returned with the bound certified at the stop.
+    A search that stops short with a cover above the cutoff (the time
+    limit) reports the achieved bound and is flagged `timed_out`.
     """
     if n_objects == 0:
         return StaticSolution((), (0,) * n_stations, 0, 0)
     backend = backend or DEFAULT_BACKEND
-    selected, lower = backend.solve(candidates, n_objects, target_gap, time_limit)
+    selected, lower = backend.solve(candidates, n_objects, target_gap, time_limit, cutoff=cutoff)
     sol = _solution_from_selection(candidates, selected, n_objects, n_stations, lower)
     achieved = sol.gap
-    timed_out = achieved > target_gap and not math.isclose(
+    below_cutoff = cutoff is not None and float(sol.total_radius_sq) <= float(cutoff)
+    timed_out = not below_cutoff and achieved > target_gap and not math.isclose(
         achieved, target_gap, rel_tol=1e-9, abs_tol=1e-15
     )
     return replace(sol, timed_out=True) if timed_out else sol

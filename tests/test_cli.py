@@ -429,3 +429,18 @@ def test_gen_manifest_names_the_set_only_for_a_set(tmp_path):
     assert list(manifest) == ["format", "version", "set", "scale", "instances"]
     assert (manifest["set"], manifest["scale"]) == ("fix", 0.1)
     assert [e["seed"] for e in manifest["instances"]] == list(range(2, 27))
+
+
+def test_bench_opens_its_output_before_solving(tmp_path, capsys, monkeypatch):
+    from kdcover import cli
+
+    out, _ = gen_one(tmp_path)
+    solve, calls = cli.run_algorithm, []
+    monkeypatch.setattr(cli, "run_algorithm", lambda *a: calls.append(a) or solve(*a))
+    csv_path = tmp_path / "missing" / "b.csv"
+    capsys.readouterr()
+    assert_one_error_line(capsys, run(["bench", out / "manifest.json", "-o", csv_path]), EXIT_IO)
+    assert calls == []
+    assert run(["bench", out / "manifest.json", "--algos", "nn", "-o", tmp_path / "b.csv"]) \
+        == EXIT_OK
+    assert len(calls) == 1

@@ -219,6 +219,73 @@ def test_extend_preserves_feasibility_random():
             assert segs[0].t_start == 0.0 and segs[-1].t_end == 1.0
 
 
+def reference_check_feasible(segments, instance, sample_count=1000):
+    """The sampler as first written: every object's violation at every
+    sample, each distance through `QuadraticPoly.__call__`."""
+    segments = list(segments)
+    lo, hi = float(segments[0].t_start), float(segments[-1].t_end)
+    polys = [[squared_distance_poly(st, obj) for obj in instance.objects]
+             for st in instance.stations]
+    worst, worst_t, worst_obj = 0.0, None, None
+    k = 0
+    for i in range(sample_count):
+        t = lo + (hi - lo) * i / (sample_count - 1) if sample_count > 1 else lo
+        while k + 1 < len(segments) and float(segments[k].t_end) < t:
+            k += 1
+        seg = segments[k]
+        radius = [0.0] * instance.m
+        for s, sup in enumerate(seg.supports):
+            if sup is not None:
+                radius[s] = float(polys[s][sup](t))
+        for j, s in enumerate(seg.assignment):
+            d2 = float(polys[s][j](t))
+            violation = (d2 - radius[s]) / max(radius[s], 1.0)
+            if violation > worst:
+                worst, worst_t, worst_obj = violation, t, j
+    return kinetic.FeasibilityReport(worst <= kinetic.FEASIBILITY_TOL, worst, worst_t, worst_obj)
+
+
+def tampered(segments, m, seed):
+    """Each segment with one object moved to another station, or one
+    support swapped for a nearer object, so that some samples fail."""
+    rng = Random(seed)
+    out = []
+    for seg in segments:
+        assignment, supports = list(seg.assignment), list(seg.supports)
+        j = rng.randrange(len(assignment))
+        if rng.random() < 0.5 or m == 1:
+            supports[assignment[j]] = j
+        else:
+            old = assignment[j]
+            assignment[j] = (old + 1) % m
+            if supports[assignment[j]] is None:
+                supports[assignment[j]] = j
+            if old not in assignment:
+                supports[old] = None
+        out.append(TimelineSegment(seg.t_start, seg.t_end, tuple(assignment), tuple(supports),
+                                   seg.poly))
+    return out
+
+
+def test_sampler_matches_the_reference_loop():
+    failed = 0
+    for seed in range(12):
+        n, m = random_sizes(seed, 20, 5)
+        base = random_instance(n, m, seed)
+        for inst, t0, t1 in ((base, 0.0, 1.0), (base.as_exact(), Fraction(0), Fraction(1))):
+            sol = nn_heuristic(inst, t0)
+            segs = extend(sol.assignment, t0, "forward", t1, ALL_FLAGS, inst)
+            for timeline in (segs, tampered(segs, m, seed)):
+                for samples in (1, 2, 97, 400):
+                    got = check_feasible(timeline, inst, samples)
+                    want = reference_check_feasible(timeline, inst, samples)
+                    assert (got.ok, got.worst_violation, got.worst_time, got.worst_object) == (
+                        want.ok, want.worst_violation, want.worst_time, want.worst_object
+                    ), (seed, samples)
+                    failed += not got.ok
+    assert failed > 0
+
+
 def test_event_counts_within_pairwise_bounds():
     for seed in range(10):
         n, m = random_sizes(seed, 15, 4)

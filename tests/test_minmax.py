@@ -184,16 +184,23 @@ def test_time_limit_marks_timeout():
 
 
 class RecordingBackend(SolverBackend):
-    """Branch and bound that records the gap and time limit of every call."""
+    """Branch and bound that records the gap, time limit and cutoff of every
+    call and the lower bound it returned."""
 
     def __init__(self):
         self.target_gaps = []
         self.time_limits = []
+        self.cutoffs = []
+        self.lowers = []
 
-    def solve(self, candidates, n_objects, target_gap, time_limit):
+    def solve(self, candidates, n_objects, target_gap, time_limit, cutoff=None):
         self.target_gaps.append(target_gap)
         self.time_limits.append(time_limit)
-        return BranchBoundBackend().solve(candidates, n_objects, target_gap, time_limit)
+        self.cutoffs.append(cutoff)
+        selected, lower = BranchBoundBackend().solve(
+            candidates, n_objects, target_gap, time_limit, cutoff)
+        self.lowers.append(lower)
+        return selected, lower
 
 
 def test_each_peak_solved_once_at_the_target_gap(monkeypatch):
@@ -214,6 +221,20 @@ def test_each_peak_solved_once_at_the_target_gap(monkeypatch):
             assert len(solved_at) == res.stats.static_solves, seed
             for i, t in enumerate(solved_at):
                 assert all(compare_event_times(t, u) != 0 for u in solved_at[:i]), (seed, t)
+
+
+def test_peak_solves_get_the_loop_lower_bound_as_cutoff():
+    for seed in range(8):
+        for exact in (False, True):
+            backend = RecordingBackend()
+            cfg = SolverConfig(flags=ALL_FLAGS, exact_arithmetic=exact, backend=backend)
+            res = solve_minmax(random_instance(30, 5, seed), cfg)
+            assert backend.cutoffs[0] is None, seed
+            lower_sum = backend.lowers[0]
+            for cutoff, lower in zip(backend.cutoffs[1:], backend.lowers[1:]):
+                assert cutoff == lower_sum and type(cutoff) is type(lower_sum), seed
+                lower_sum = max(lower_sum, lower)
+            assert res.lower == pytest.approx(math.pi * float(lower_sum), rel=1e-12)
 
 
 def test_static_solve_gets_at_most_half_the_remaining_time():

@@ -9,6 +9,7 @@ from kdcover.geometry import MovingInstance, Point2, Trajectory
 from kdcover.static_cover import (
     BranchBoundBackend,
     InfeasibleCoverError,
+    SolverBackend,
     brute_force_cover,
     enumerate_candidates,
     nn_heuristic,
@@ -249,6 +250,24 @@ def test_ascent_search_pinned(monkeypatch):
     check_pinned(PINNED_ASCENT)
 
 
+def test_ascent_pinned_under_an_unreachable_cutoff(monkeypatch):
+    # No cutoff, and a cutoff below the optimum (which no cover reaches),
+    # leave every root-ascent row as pinned.
+    monkeypatch.setattr(static_cover, "_QUICK_WORK", 0)
+    for seed, exact, gap, selected, total, lower in PINNED_ASCENT:
+        inst, t = random_instance(40, 6, seed), 0.5
+        if exact:
+            inst, t = inst.as_exact(), Fraction(1, 2)
+            total, lower = Fraction(total), Fraction(lower)
+        cands = enumerate_candidates(inst, t)
+        for cutoff in (None, lower / 2):
+            sol = solve_exact(cands, 40, 6, target_gap=gap, cutoff=cutoff)
+            assert (sol.selected, sol.total_radius_sq, sol.lower_radius_sq) == (
+                selected, total, lower), (seed, exact, cutoff)
+            assert type(sol.lower_radius_sq) is type(lower)
+            assert not sol.timed_out
+
+
 def test_lex_tiebreak_prefers_smaller_candidate_indices():
     inst = stationary([(1.0, 0.0)], [(0.0, 0.0), (2.0, 0.0)])
     cands = enumerate_candidates(inst, 0.0)
@@ -391,3 +410,69 @@ def test_lagrangian_margin_covers_rounding():
                     best = min(best, lv.values[s][k] - base - covered)
                 exact += best
             assert Fraction(value - _margin(scale, lv)) <= exact, (seed, factor)
+
+
+def covers_all(cands, sol, n):
+    return set().union(*(cands[i].covered for i in sol.selected)) == set(range(n))
+
+
+@both_searches
+def test_cutoff_against_brute_force(monkeypatch, quick_work):
+    """Cutoffs below the optimum, between it and the greedy cost, and above
+    the greedy cost.  Below the optimum no cover reaches the cutoff and the
+    solve is the one without it; otherwise the solve stops at a cover whose
+    float cost is at most the cutoff, short of the gap but not timed out."""
+    use_quick_work(monkeypatch, quick_work)
+    stopped = 0
+    for seed in range(40):
+        n, m = random_sizes(seed, 12, 4)
+        base = random_instance(n, m, seed)
+        for inst, t in ((base, 0.5), (base.as_exact(), Fraction(1, 2))):
+            cands = enumerate_candidates(inst, t)
+            opt = brute_force_cover(cands, n, m).total_radius_sq
+            greedy = nn_heuristic(inst, t).total_radius_sq
+            full = solve_exact(cands, n, m)
+            for cutoff in (opt * 0.999, (opt + greedy) / 2, greedy * 1.01):
+                sol = solve_exact(cands, n, m, cutoff=cutoff)
+                assert covers_all(cands, sol, n), (seed, cutoff)
+                assert sol.lower_radius_sq <= opt, (seed, cutoff)
+                assert not sol.timed_out, (seed, cutoff)
+                if cutoff < opt:
+                    assert (sol.selected, sol.lower_radius_sq) == (
+                        full.selected, full.lower_radius_sq), seed
+                else:
+                    assert float(sol.total_radius_sq) <= float(cutoff), (seed, cutoff)
+                    stopped += sol.gap > 0.0
+    assert stopped > 0
+
+
+class FixedBackend(SolverBackend):
+    """Returns one selection with a zero bound, as a search that stopped
+    before proving anything would."""
+
+    def __init__(self, selected):
+        self.selected = selected
+
+    def solve(self, candidates, n_objects, target_gap, time_limit, cutoff=None):
+        return list(self.selected), 0
+
+
+def test_cutoff_stop_is_not_a_time_out():
+    n, m = 12, 3
+    inst = random_instance(n, m, 4)
+    cands = enumerate_candidates(inst, 0.5)
+    opt = brute_force_cover(cands, n, m)
+    backend = FixedBackend(opt.selected)
+    cost = opt.total_radius_sq
+    # A bound that misses the gap with the cover above the cutoff (or with
+    # no cutoff) is a search cut short: a time-out.
+    for cutoff in (None, cost * 0.99):
+        assert solve_exact(cands, n, m, 1e-4, backend=backend, cutoff=cutoff).timed_out
+    # At or below the cutoff the cover answers the caller: no time-out.
+    for cutoff in (cost, cost * 1.01):
+        sol = solve_exact(cands, n, m, 1e-4, backend=backend, cutoff=cutoff)
+        assert not sol.timed_out and sol.lower_radius_sq == 0
+    # The branch and bound stops at once under a cutoff above its first cover.
+    greedy = nn_heuristic(inst, 0.5).total_radius_sq
+    sol = solve_exact(cands, n, m, cutoff=greedy)
+    assert sol.gap > 0.0 and not sol.timed_out
