@@ -14,7 +14,7 @@ from .envelope import (
     timeline_cost,
 )
 from .geometry import MovingInstance, Point2, QuadraticPoly, Trajectory
-from .instances import GenParams, gen_degenerate, gen_random, read_instance, write_instance
+from .instances import GenParams, read_instance, write_instance
 from .kinetic import ImprovementFlags, check_feasible, extend
 from .minmax import KineticResult, SolverConfig, fixed_nn_baseline, solve_minmax
 from .static_cover import (
@@ -37,8 +37,6 @@ __all__ = [
     "Trajectory",
     "QuadraticPoly",
     "GenParams",
-    "gen_random",
-    "gen_degenerate",
     "read_instance",
     "write_instance",
     "CandidateDisk",

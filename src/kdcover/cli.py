@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .envelope import TimelineSegment
@@ -30,7 +29,8 @@ from .instances import (
     write_instance,
 )
 from .kinetic import ImprovementFlags, check_feasible, distance_rows
-from .minmax import KineticResult, SolverConfig, _ratio_gap, fixed_nn_baseline, solve_minmax
+from .minmax import KineticResult, SolverConfig, fixed_nn_baseline, solve_minmax
+from .static_cover import ratio_gap
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -317,17 +317,15 @@ def cmd_solve(args) -> int:
 # -- bench -------------------------------------------------------------------
 
 
-def _bench_cell(task) -> dict:
+def _bench_cell(manifest_dir: Path, entry: dict, algorithm: str, flag_text: str, args) -> dict:
     """One CSV row, keyed by CSV_FIELDS."""
-    manifest_dir, entry, algorithm, flag_text, args_dict = task
     row = {
         "instance_id": entry["id"], "n": entry["n"], "m": entry["m"], "seed": entry["seed"],
         "class": entry["class"], "algorithm": algorithm, "flags": flag_text,
     }
     try:
-        instance = read_instance(Path(manifest_dir) / entry["path"])
-        result = run_algorithm(instance, algorithm, parse_flags(flag_text),
-                               argparse.Namespace(**args_dict))
+        instance = read_instance(manifest_dir / entry["path"])
+        result = run_algorithm(instance, algorithm, parse_flags(flag_text), args)
     except Exception as exc:  # partial failures become rows, the run continues
         print(f"bench cell failed ({entry['id']}, {algorithm}, {flag_text}): {exc}",
               file=sys.stderr)
@@ -387,8 +385,6 @@ def bench_matrix(args) -> tuple[list[str], list[str]]:
 
 def cmd_bench(args) -> int:
     problem = solver_options_error(args)
-    if problem is None and args.jobs < 1:
-        problem = f"--jobs must be at least 1, got {args.jobs}"
     if problem is None:
         try:
             algorithms, combos = bench_matrix(args)
@@ -404,36 +400,31 @@ def cmd_bench(args) -> int:
         print(f"cannot read manifest: {exc}", file=sys.stderr)
         return EXIT_IO
     manifest_dir = Path(args.manifest).parent
-    args_dict = {
-        "gap": args.gap, "time_limit": args.time_limit, "exact_arith": args.exact_arith,
-        "k": args.k,
-    }
-    tasks = []
-    for entry in entries:
-        for algorithm in algorithms:
-            cells = combos if algorithm == "exact" else ["none"]
-            for flag_text in cells:
-                tasks.append((str(manifest_dir), entry, algorithm, flag_text, args_dict))
     # Open the output first, so that an unwritable path costs no solve.
     try:
         fh = open(args.output, "w", encoding="utf-8", newline="")
     except OSError as exc:
         print(f"cannot write CSV: {exc}", file=sys.stderr)
         return EXIT_IO
+    rows = 0
     try:
         with fh:
-            if args.jobs > 1:
-                with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                    rows = list(pool.map(_bench_cell, tasks))
-            else:
-                rows = [_bench_cell(t) for t in tasks]
             writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
             writer.writeheader()
-            writer.writerows(rows)
+            # One cell at a time, so that no cell's times include another's;
+            # each row is written as it is made, so an interrupted run keeps
+            # the cells it finished.
+            for entry in entries:
+                for algorithm in algorithms:
+                    for flag_text in combos if algorithm == "exact" else ["none"]:
+                        row = _bench_cell(manifest_dir, entry, algorithm, flag_text, args)
+                        writer.writerow(row)
+                        fh.flush()
+                        rows += 1
     except OSError as exc:
         print(f"cannot write CSV: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {len(rows)} bench rows to {args.output}")
+    print(f"wrote {rows} bench rows to {args.output}")
     return EXIT_OK
 
 
@@ -510,7 +501,7 @@ def verify_result(doc, instance: MovingInstance, samples: int) -> list[str]:
         problems.append(f"stored upper {upper} != pi * timeline peak {peak}")
     if lower > upper * (1 + 1e-12) + 1e-12:
         problems.append(f"lower {lower} exceeds upper {upper}")
-    gap = _ratio_gap(upper, lower)
+    gap = ratio_gap(upper, lower)
     gap = None if math.isinf(gap) else gap  # as result_to_json stores it
     stored = doc.get("gap")
     if not _same_gap(stored, gap):
@@ -702,7 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--algos", default="exact", help="comma list of exact,nn,fixed_nn")
     b.add_argument("--flag-combos", dest="flag_combos", default="none",
                    help="'all' for the 8 improvement combinations, or ';'-separated labels")
-    b.add_argument("--jobs", type=int, default=1)
     _add_solver_options(b)
     b.set_defaults(func=cmd_bench)
 

@@ -128,8 +128,6 @@ def _merge_core(a_segments, b_segments) -> list[TimelineSegment]:
     u = a_segments[0].t_start
 
     def emit(x, y, seg_src):
-        if compare_event_times(x, y) >= 0:
-            return
         if out and out[-1].poly == seg_src.poly and out[-1].assignment == seg_src.assignment \
                 and out[-1].supports == seg_src.supports:
             prev = out[-1]

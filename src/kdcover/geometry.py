@@ -158,9 +158,6 @@ class QuadraticPoly:
     def __sub__(self, other: "QuadraticPoly") -> "QuadraticPoly":
         return QuadraticPoly(self.a - other.a, self.b - other.b, self.c - other.c)
 
-    def __neg__(self) -> "QuadraticPoly":
-        return QuadraticPoly(-self.a, -self.b, -self.c)
-
     @property
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0 and self.c == 0

@@ -21,8 +21,6 @@ __all__ = [
     "GenParams",
     "GenerationError",
     "FormatError",
-    "gen_random",
-    "gen_degenerate",
     "generate",
     "read_instance",
     "write_instance",
@@ -119,21 +117,6 @@ def generate(params: GenParams) -> MovingInstance:
     )
 
 
-def gen_random(params: GenParams) -> MovingInstance:
-    """`generate` for the 'random' class."""
-    if params.instance_class != "random":
-        raise ValueError("gen_random requires instance_class 'random'")
-    return generate(params)
-
-
-def gen_degenerate(params: GenParams) -> MovingInstance:
-    """`generate` for the structured classes: one shared slope, one shared
-    start point, or one shared end point per instance."""
-    if params.instance_class == "random":
-        raise ValueError("gen_degenerate requires a degenerate instance_class")
-    return generate(params)
-
-
 def _num(value: float) -> str:
     return repr(float(value))
 
@@ -165,8 +148,15 @@ def instance_from_json(text: str) -> MovingInstance:
         raise FormatError("not a kdc-instance file")
     if doc.get("version") != INSTANCE_VERSION:
         raise FormatError(f"unsupported schema version {doc.get('version')!r}")
+    canvas, metadata = doc.get("canvas"), doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise FormatError("metadata is not an object")
+    if not (canvas is None or isinstance(canvas, list) and len(canvas) == 2):
+        raise FormatError("canvas is neither null nor two numbers")
     try:
-        canvas = tuple(float(c) for c in doc["canvas"]) if doc.get("canvas") else None
+        canvas = None if canvas is None else tuple(float(c) for c in canvas)
+        if canvas and not all(0 < c < math.inf for c in canvas):
+            raise ValueError(f"canvas {canvas} is not finite and positive")
         stations = tuple(Point2(float(x), float(y)) for x, y in doc["stations"])
         objects = tuple(
             Trajectory(
@@ -177,7 +167,7 @@ def instance_from_json(text: str) -> MovingInstance:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed instance fields: {exc}") from None
-    return MovingInstance(stations, objects, canvas=canvas, metadata=doc.get("metadata", {}))
+    return MovingInstance(stations, objects, canvas=canvas, metadata=metadata)
 
 
 def write_instance(path, instance: MovingInstance) -> None:

@@ -35,6 +35,7 @@ from .static_cover import (
     SolverBackend,
     enumerate_candidates,
     nn_heuristic,
+    ratio_gap,
     solve_exact,
 )
 
@@ -93,7 +94,8 @@ class KineticResult:
 
     upper = pi * peak of the timeline objective; lower = pi * best
     stationary lower bound seen; gap = (upper - lower) / lower.  history
-    records (upper, lower) once per iteration.
+    records (upper, lower) once per iteration.  `timed_out` is true when
+    the loop stopped at its time limit.
     """
 
     timeline: SolutionTimeline
@@ -102,14 +104,11 @@ class KineticResult:
     gap: float
     iterations: int
     stats: SolveStats
-    timed_out: bool = False
     history: tuple[tuple[float, float], ...] = ()
 
-
-def _ratio_gap(upper: float, lower: float) -> float:
-    if lower <= 0.0:
-        return 0.0 if upper <= 0.0 else math.inf
-    return (upper - lower) / lower
+    @property
+    def timed_out(self) -> bool:
+        return self.stats.stop_reason == "time_limit"
 
 
 def _horizon(instance: MovingInstance, exact: bool):
@@ -252,7 +251,6 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
     # Times already solved, which a re-solve cannot improve: each was solved
     # to the target gap or to a cover at or below the lower bound.
     excluded: list[object] = [t0] if use_ip else []
-    timed_out = False
     stop = ""
     iterations = 0
 
@@ -261,13 +259,12 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
         upper = math.pi * float(timeline.value)
         lower = math.pi * float(lower_sum)
         history.append((upper, lower))
-        gap = _ratio_gap(upper, lower)
+        gap = ratio_gap(upper, lower)
         if gap <= config.target_gap:
             stop = "gap"
             break
         if remaining() <= 0:
             stop = "time_limit"
-            timed_out = True
             break
         if iterations > ITERATION_CAP:
             stop = "iteration_cap"
@@ -305,10 +302,9 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
         timeline=timeline,
         upper=upper,
         lower=lower,
-        gap=_ratio_gap(upper, lower),
+        gap=ratio_gap(upper, lower),
         iterations=iterations,
         stats=stats,
-        timed_out=timed_out,
         history=tuple(history),
     )
 
@@ -345,9 +341,8 @@ def fixed_nn_baseline(
         timeline=timeline,
         upper=upper,
         lower=0.0,
-        gap=_ratio_gap(upper, 0.0),
+        gap=ratio_gap(upper, 0.0),
         iterations=k + 1,
         stats=stats,
-        timed_out=False,
         history=((upper, 0.0),),
     )

@@ -3,8 +3,8 @@
 Candidate enumeration, the nearest-neighbor heuristic, a best-first
 branch-and-bound exact solver with a certified lower bound, and a brute
 force oracle for tests.  Costs are tracked internally as sums of squared
-radii (area / pi); the pi factor is applied in the reported `cost` and
-`lower_bound` so that exact-arithmetic runs keep rational internals.
+radii (area / pi); the pi factor is applied in the reported `cost` so
+that exact-arithmetic runs keep rational internals.
 
 One station's candidate disks are nested by radius, so each one covers a
 prefix of that station's objects sorted by distance.  That shared order is
@@ -95,8 +95,8 @@ class StaticSolution:
     """Feasible assignment with per-station radii and a certified bound.
 
     `total_radius_sq` and `lower_radius_sq` are pi-free (exact in exact
-    mode); `cost`, `lower_bound` and `gap` are the reported float values
-    with the pi factor applied where areas are concerned.
+    mode); `cost` and `gap` are the reported float values, with the pi
+    factor applied to the area.
     """
 
     assignment: tuple[int, ...]
@@ -111,16 +111,16 @@ class StaticSolution:
         return math.pi * float(self.total_radius_sq)
 
     @property
-    def lower_bound(self) -> float:
-        return math.pi * float(self.lower_radius_sq)
-
-    @property
     def gap(self) -> float:
-        hi = float(self.total_radius_sq)
-        lo = float(self.lower_radius_sq)
-        if lo <= 0.0:
-            return 0.0 if hi <= 0.0 else math.inf
-        return (hi - lo) / lo
+        return ratio_gap(float(self.total_radius_sq), float(self.lower_radius_sq))
+
+
+def ratio_gap(upper: float, lower: float) -> float:
+    """(upper - lower) / lower for a positive lower bound; without one, 0
+    when upper is not positive either, else infinite."""
+    if lower <= 0.0:
+        return 0.0 if upper <= 0.0 else math.inf
+    return (upper - lower) / lower
 
 
 def _dist_sq(a: Point2, b: Point2):
@@ -725,10 +725,10 @@ def solve_exact(
 ) -> StaticSolution:
     """Certified stationary solve over a candidate set.
 
-    Returns a solution with (cost - lower_bound) / lower_bound <= target_gap
-    unless the search stops short.  Given a cutoff (a sum of squared radii),
-    the backend may stop at the first cover whose float cost is at most the
-    cutoff; that cover is returned with the bound certified at the stop.
+    Returns a solution whose `gap` is at most target_gap unless the search
+    stops short.  Given a cutoff (a sum of squared radii), the backend may
+    stop at the first cover whose float cost is at most the cutoff; that
+    cover is returned with the bound certified at the stop.
     A search that stops short with a cover above the cutoff (the time
     limit) reports the achieved bound and is flagged `timed_out`.
     """

@@ -23,7 +23,7 @@ from kdcover.envelope import (
     timeline_cost,
 )
 from kdcover.geometry import MovingInstance, Point2, QuadraticPoly, Trajectory
-from kdcover.instances import GenParams, gen_degenerate, write_instance
+from kdcover.instances import GenParams, generate, write_instance
 from kdcover.kinetic import ImprovementFlags, check_feasible
 from kdcover.minmax import SolverConfig, fixed_nn_baseline, solve_minmax
 from kdcover.static_cover import (
@@ -196,7 +196,7 @@ def test_criterion_8_degenerate_classes(tmp_path):
     for klass in ("same_start", "same_end"):
         for seed in range(3):
             params = GenParams(n=100, m=10, seed=seed, instance_class=klass)
-            inst = gen_degenerate(params)
+            inst = generate(params)
             name = f"{klass}_s{seed}"
             inst.metadata["id"] = name
             write_instance(inst_dir / f"{name}.json", inst)

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -119,7 +123,7 @@ def test_bench_rejects_bad_solver_options(tmp_path):
     out, _ = gen_one(tmp_path)
     csv_path = tmp_path / "b.csv"
     for bad in (["--gap", -1], ["--algos", "fixed_nn", "--k", 0], ["--time-limit", 0],
-                ["--time-limit", -5], ["--time-limit", "nan"], ["--jobs", 0], ["--jobs", -1]):
+                ["--time-limit", -5], ["--time-limit", "nan"]):
         assert run(["bench", out / "manifest.json", "-o", csv_path] + bad) == EXIT_USAGE, bad
         assert not csv_path.exists(), bad
 
@@ -137,7 +141,7 @@ def test_bench_rejects_unknown_algorithms_and_flag_combos(tmp_path, capsys):
 
 def test_bench_takes_only_the_solver_options_it_uses(tmp_path):
     out, _ = gen_one(tmp_path)
-    for dead in (["--flags", "nodup"], ["--algo=nn", "--flags=nodup"]):
+    for dead in (["--flags", "nodup"], ["--algo=nn", "--flags=nodup"], ["--jobs", "2"]):
         with pytest.raises(SystemExit) as exc:
             run(["bench", out / "manifest.json", "-o", tmp_path / "b.csv"] + dead)
         assert exc.value.code == EXIT_USAGE, dead
@@ -444,3 +448,56 @@ def test_bench_opens_its_output_before_solving(tmp_path, capsys, monkeypatch):
     assert run(["bench", out / "manifest.json", "--algos", "nn", "-o", tmp_path / "b.csv"]) \
         == EXIT_OK
     assert len(calls) == 1
+
+
+def test_bench_keeps_the_rows_of_an_interrupted_run(tmp_path, monkeypatch):
+    from kdcover import cli
+
+    out, _ = gen_one(tmp_path)
+    solve, calls = cli.run_algorithm, []
+
+    def interrupted_at_the_second_cell(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return solve(*args)
+
+    monkeypatch.setattr(cli, "run_algorithm", interrupted_at_the_second_cell)
+    csv_path = tmp_path / "b.csv"
+    with pytest.raises(KeyboardInterrupt):
+        run(["bench", out / "manifest.json", "--algos", "nn,fixed_nn", "-o", csv_path])
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == ",".join(CSV_FIELDS)
+    assert [line.split(",")[5] for line in lines[1:]] == ["nn"]
+
+
+@pytest.mark.parametrize("field, value", [("metadata", ["x"]), ("canvas", ["5"])])
+def test_a_malformed_instance_file_is_an_io_error(tmp_path, capsys, field, value):
+    _, inst_path = gen_one(tmp_path)
+    result = tmp_path / "r.json"
+    assert run(["solve", inst_path, "--algo", "nn", "-o", result]) == EXIT_OK
+    doc = json.loads(inst_path.read_text())
+    inst_path.write_text(json.dumps(dict(doc, **{field: value})))
+    capsys.readouterr()
+    assert_one_error_line(capsys, run(["solve", inst_path, "-o", tmp_path / "x.json"]), EXIT_IO)
+    assert_one_error_line(capsys, run(["check", result, inst_path]), EXIT_IO)
+    assert_one_error_line(capsys, run(["render", inst_path, "-o", tmp_path / "svg"]), EXIT_IO)
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_module_entry_point_and_a_light_import(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "gen"
+    proc = subprocess.run([sys.executable, "-m", "kdcover", "gen", "-n", "4", "-m", "2",
+                           "-o", str(out)], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads((out / "manifest.json").read_text())["instances"][0]["n"] == 4
+    # Every command imports kdcover.cli; no process pool rides along.
+    probe = ("import sys, kdcover.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from kdcover.geometry import MovingInstance, Point2, Trajectory
-from kdcover.instances import GenParams, gen_degenerate
+from kdcover.instances import GenParams, generate
 from kdcover.kinetic import ImprovementFlags, check_feasible, extend
 from kdcover.minmax import SolverConfig, solve_minmax
 from kdcover.static_cover import enumerate_candidates, nn_heuristic, solve_exact
@@ -80,7 +80,7 @@ def test_equidistant_stations_and_repeated_distances():
 
 
 def test_same_slope_convoy():
-    inst = gen_degenerate(GenParams(n=12, m=3, seed=6, instance_class="same_slope"))
+    inst = generate(GenParams(n=12, m=3, seed=6, instance_class="same_slope"))
     solve_both_modes(inst)
 
 

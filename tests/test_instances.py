@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import pytest
@@ -6,8 +7,6 @@ import pytest
 from kdcover.instances import (
     FormatError,
     GenParams,
-    gen_degenerate,
-    gen_random,
     generate,
     instance_from_json,
     instance_to_json,
@@ -31,7 +30,7 @@ PINNED_INSTANCES = {
 
 def test_gen_random_basic():
     params = GenParams(n=200, m=8, seed=21)
-    inst = gen_random(params)
+    inst = generate(params)
     assert (inst.n, inst.m) == (200, 8)
     for obj in inst.objects:
         length = math.sqrt(obj.length_sq)
@@ -44,11 +43,11 @@ def test_gen_random_basic():
 
 def test_gen_random_deterministic():
     params = GenParams(n=40, m=4, seed=5)
-    assert instance_to_json(gen_random(params)) == instance_to_json(gen_random(params))
+    assert instance_to_json(generate(params)) == instance_to_json(generate(params))
 
 
 def test_gen_empty():
-    inst = gen_random(GenParams(n=0, m=1, seed=0))
+    inst = generate(GenParams(n=0, m=1, seed=0))
     assert inst.n == 0 and inst.m == 1
 
 
@@ -62,15 +61,15 @@ def test_gen_params_validation():
 
 
 def test_degenerate_classes():
-    start = gen_degenerate(GenParams(n=30, m=3, seed=3, instance_class="same_start"))
+    start = generate(GenParams(n=30, m=3, seed=3, instance_class="same_start"))
     assert len({(o.start.x, o.start.y) for o in start.objects}) == 1
 
-    end = gen_degenerate(GenParams(n=30, m=3, seed=4, instance_class="same_end"))
+    end = generate(GenParams(n=30, m=3, seed=4, instance_class="same_end"))
     assert len({(o.end.x, o.end.y) for o in end.objects}) == 1
-    again = gen_degenerate(GenParams(n=30, m=3, seed=4, instance_class="same_end"))
+    again = generate(GenParams(n=30, m=3, seed=4, instance_class="same_end"))
     assert instance_to_json(end) == instance_to_json(again)
 
-    slope = gen_degenerate(GenParams(n=100, m=3, seed=5, instance_class="same_slope"))
+    slope = generate(GenParams(n=100, m=3, seed=5, instance_class="same_slope"))
     dirs = set()
     for o in slope.objects:
         length = math.sqrt(o.length_sq)
@@ -86,19 +85,10 @@ def test_generated_instances_are_pinned(klass, seed):
     params = GenParams(n=40, m=6, seed=seed, instance_class=klass)
     text = instance_to_json(generate(params))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == PINNED_INSTANCES[klass, seed]
-    named = gen_random if klass == "random" else gen_degenerate
-    assert instance_to_json(named(params)) == text
-
-
-def test_named_generators_check_the_class():
-    with pytest.raises(ValueError):
-        gen_random(GenParams(n=1, m=1, instance_class="same_end"))
-    with pytest.raises(ValueError):
-        gen_degenerate(GenParams(n=1, m=1))
 
 
 def test_instance_round_trip(tmp_path):
-    inst = gen_random(GenParams(n=25, m=3, seed=77))
+    inst = generate(GenParams(n=25, m=3, seed=77))
     path = tmp_path / "inst.json"
     write_instance(path, inst)
     back = read_instance(path)
@@ -106,13 +96,13 @@ def test_instance_round_trip(tmp_path):
     write_instance(path, back)
     assert path.read_text() == instance_to_json(inst)
 
-    empty = gen_random(GenParams(n=0, m=2, seed=1))
+    empty = generate(GenParams(n=0, m=2, seed=1))
     write_instance(path, empty)
     assert read_instance(path) == empty
 
 
 def test_instance_format_errors():
-    inst = gen_random(GenParams(n=2, m=1, seed=0))
+    inst = generate(GenParams(n=2, m=1, seed=0))
     text = instance_to_json(inst)
     with pytest.raises(FormatError):
         instance_from_json(text.replace('"version": 1', '"version": 3'))
@@ -120,3 +110,8 @@ def test_instance_format_errors():
         instance_from_json('{"format": "other"}')
     with pytest.raises(FormatError):
         instance_from_json("not json at all")
+    doc = json.loads(text)
+    for field, value in (("metadata", ["x"]), ("canvas", ["5"]), ("canvas", ["nan", "5"]),
+                         ("canvas", ["-5", "5"])):
+        with pytest.raises(FormatError):
+            instance_from_json(json.dumps(dict(doc, **{field: value})))

@@ -266,10 +266,8 @@ def test_empty_instance():
 
 
 def test_exact_arithmetic_agrees_with_float_on_degenerates():
-    from kdcover.instances import GenParams, gen_degenerate
-
     for klass in ("same_start", "same_end", "same_slope"):
-        inst = gen_degenerate(GenParams(n=6, m=2, seed=3, instance_class=klass))
+        inst = generate(GenParams(n=6, m=2, seed=3, instance_class=klass))
         exact = solve_minmax(inst, SolverConfig(exact_arithmetic=True, flags=ALL_FLAGS))
         ref = solve_minmax(inst, SolverConfig(flags=ALL_FLAGS))
         assert exact.upper == pytest.approx(ref.upper, rel=1e-6)

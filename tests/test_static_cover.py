@@ -337,12 +337,17 @@ def use_quick_work(monkeypatch, quick_work):
         monkeypatch.setattr(static_cover, "_QUICK_WORK", quick_work)
 
 
-@both_searches
+# "dive" runs the search's primal heuristic at every pop, which the default
+# `_DIVE_PERIOD` never reaches at these sizes.
+@pytest.mark.parametrize("quick_work", [None, 0, "dive"])
 def test_bound_sound_under_scaling(monkeypatch, quick_work):
     # The Lagrangian bound is evaluated in floats less a rounding margin;
     # scaling the plane by 1e-6 or 1e6 must neither lift it above the
     # optimum nor disturb the gap-0 search and its tie-break.
-    use_quick_work(monkeypatch, quick_work)
+    if quick_work == "dive":
+        monkeypatch.setattr(static_cover, "_DIVE_PERIOD", 1)
+    else:
+        use_quick_work(monkeypatch, quick_work)
     for seed in range(12):
         n, m = random_sizes(seed, 12, 4)
         for factor in (1e-6, 1e6):
@@ -476,3 +481,16 @@ def test_cutoff_stop_is_not_a_time_out():
     greedy = nn_heuristic(inst, 0.5).total_radius_sq
     sol = solve_exact(cands, n, m, cutoff=greedy)
     assert sol.gap > 0.0 and not sol.timed_out
+
+
+def test_search_past_its_deadline_returns_a_cover_and_a_sound_bound(monkeypatch):
+    monkeypatch.setattr(static_cover, "_TIME_CHECK_PERIOD", 1)
+    for seed in range(5):
+        n, m = random_sizes(seed, 12, 4)
+        inst = random_instance(n, m, seed)
+        cands = enumerate_candidates(inst, 0.5)
+        opt = brute_force_cover(cands, n, m).total_radius_sq
+        sol = solve_exact(cands, n, m, target_gap=1e-4, time_limit=-1.0)
+        assert sol.timed_out, seed
+        assert covers_all(cands, sol, n), seed
+        assert sol.lower_radius_sq <= opt <= sol.total_radius_sq, seed
