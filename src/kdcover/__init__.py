@@ -19,7 +19,7 @@ from .kinetic import ImprovementFlags, check_feasible, extend
 from .minmax import KineticResult, SolverConfig, fixed_nn_baseline, solve_minmax
 from .static_cover import (
     BranchBoundBackend,
-    CandidateDisk,
+    Candidates,
     MilpBackend,
     SolverBackend,
     StaticSolution,
@@ -39,7 +39,7 @@ __all__ = [
     "GenParams",
     "read_instance",
     "write_instance",
-    "CandidateDisk",
+    "Candidates",
     "StaticSolution",
     "SolverBackend",
     "BranchBoundBackend",

@@ -7,9 +7,10 @@ radii (area / pi); the pi factor is applied in the reported `cost` so
 that exact-arithmetic runs keep rational internals.
 
 One station's candidate disks are nested by radius, so each one covers a
-prefix of that station's objects sorted by distance.  That shared order is
-the only coverage representation; the solvers read radius levels, bitmasks
-and each object's first covering level off it in one O(nm) pass.
+prefix of that station's objects sorted by distance.  `enumerate_candidates`
+builds them once as a `Candidates`: per station, that order and its radius
+levels, coverage bitmasks and each object's first covering level, in one
+O(nm log n) pass.  Every solver reads that one structure.
 
 The branch and bound bounds nodes by a Lagrangian relaxation of the cover
 constraints, which the same orders evaluate in O(nm): with a multiplier
@@ -26,8 +27,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, compress
 from operator import sub
@@ -35,7 +37,7 @@ from operator import sub
 from .geometry import MovingInstance, Point2
 
 __all__ = [
-    "CandidateDisk",
+    "Candidates",
     "StaticSolution",
     "SolverBackend",
     "BranchBoundBackend",
@@ -65,29 +67,6 @@ _ULP = 2.0**-52  # spacing of doubles in [1, 2)
 
 class InfeasibleCoverError(ValueError):
     """Some object is not covered by any candidate disk (malformed input)."""
-
-
-@dataclass(frozen=True, slots=True)
-class CandidateDisk:
-    """Disk centered at a station whose radius reaches one support object.
-
-    `order` is the station's objects sorted by (squared distance, index),
-    one tuple shared by all candidates of the station; the disk covers its
-    first `prefix` objects, which are exactly those within `radius_sq`.
-    Equidistant objects collapse into a single candidate whose support is
-    the lowest object index at that distance.
-    """
-
-    station_index: int
-    support_index: int
-    radius_sq: object
-    order: tuple[int, ...] = field(repr=False)
-    prefix: int
-
-    @property
-    def covered(self) -> frozenset[int]:
-        """Covered object indices, built on each read."""
-        return frozenset(self.order[: self.prefix])
 
 
 @dataclass(frozen=True)
@@ -129,21 +108,9 @@ def _dist_sq(a: Point2, b: Point2):
     return dx * dx + dy * dy
 
 
-def enumerate_candidates(instance: MovingInstance, t) -> list[CandidateDisk]:
-    """All station/support candidate disks at time t, station-major and by
-    ascending radius within a station (so coverage prefixes form chains)."""
-    out: list[CandidateDisk] = []
-    positions = [obj.at(t) for obj in instance.objects]
-    n = len(positions)
-    for si, st in enumerate(instance.stations):
-        dists = sorted((_dist_sq(st, p), j) for j, p in enumerate(positions))
-        order = tuple([j for _, j in dists])
-        first = 0  # start of the current run of equidistant objects
-        for k, (r2, _) in enumerate(dists):
-            if k + 1 == n or dists[k + 1][0] != r2:
-                out.append(CandidateDisk(si, order[first], r2, order, k + 1))
-                first = k + 1
-    return out
+def enumerate_candidates(instance: MovingInstance, t) -> Candidates:
+    """All station/support candidate disks at time t, as per-station levels."""
+    return Candidates(instance, t)
 
 
 def nn_heuristic(instance: MovingInstance, t) -> StaticSolution:
@@ -184,9 +151,10 @@ class SolverBackend:
     solve(candidates, n_objects, target_gap, time_limit, cutoff=None) must
     return (selected candidate indices, lower bound on the sum of squared
     radii) with the selection covering every object in range(n_objects) and
-    the bound never exceeding the optimal sum.  Candidates are laid out as
-    `enumerate_candidates` produces them: each covers a prefix of its
-    station's shared distance order, so one station's disks are nested.
+    the bound never exceeding the optimal sum.  `candidates` is the
+    `Candidates` that `enumerate_candidates` returns: per-station levels,
+    each covering a prefix of its station's distance order, so one
+    station's disks are nested and its top level covers every object.
 
     `cutoff` (a sum of squared radii, or None) says the caller only needs a
     cover costing at most that much: a backend may stop as soon as it holds
@@ -198,56 +166,58 @@ class SolverBackend:
         raise NotImplementedError
 
 
-class _Prefixes:
-    """Per-station levels read off the shared distance orders, stations in
-    ascending index and levels in ascending radius: radius values (exact and
-    as floats), coverage bitmasks (running ORs over the prefix), candidate
-    indices, the station's distance order, last[s][k] (the position in that
-    order of level k's outermost object), rank[s][j] (the level at which
-    object j enters the prefix, -1 if never) and reach[s][j] (that level's
-    value; freach[j] holds the float values per station).
+class Candidates:
+    """The candidate disks at one time, as per-station radius levels.
+
+    Each station's objects sorted by (squared distance, index) form its
+    `orders[s]`; level k is the disk reaching the k-th distinct distance in
+    that order, so it covers a prefix of the order and a station's levels
+    are nested.  Per station, levels in ascending radius: `values` (exact)
+    and `fvalues` (floats), `masks` (coverage bitmasks), `last[s][k]` (the
+    position in the order of level k's outermost object), `rank[s][j]` (the
+    level at which object j enters the prefix) and `reach[s][j]` (that
+    level's value; `freach[j]` holds the float values per station).  Every
+    station covers every object at its top level.
+
+    Candidate i is level i - offset[s] of station s: numbering is
+    station-major and by ascending radius within a station, and `len` is
+    the number of candidates.  Equidistant objects share one level.
     """
 
-    def __init__(self, candidates, n_objects: int):
-        by_station: dict[int, list[int]] = {}
-        for idx, cand in enumerate(candidates):
-            by_station.setdefault(cand.station_index, []).append(idx)
-        self.station_ids = sorted(by_station)
-        self.values, self.fvalues, self.masks, self.cand_idx = [], [], [], []
-        self.orders, self.last, self.rank = [], [], []
-        union = 0
-        for sid in self.station_ids:
-            cids = sorted(by_station[sid], key=lambda i: candidates[i].prefix)
-            vals, masks, rank = [], [], [-1] * n_objects
-            mask = done = 0
-            for lvl, idx in enumerate(cids):
-                cand = candidates[idx]
-                for j in cand.order[done : cand.prefix]:
-                    mask |= 1 << j
-                    rank[j] = lvl
-                done = cand.prefix
-                vals.append(cand.radius_sq)
-                masks.append(mask)
-            union |= mask
+    def __init__(self, instance: MovingInstance, t):
+        positions = [obj.at(t) for obj in instance.objects]
+        n = len(positions)
+        self.n_objects, self.n_stations = n, instance.m
+        self.values, self.masks, self.orders, self.last, self.rank = [], [], [], [], []
+        self.offset = []
+        size = 0
+        for st in instance.stations:
+            dists = sorted((_dist_sq(st, p), j) for j, p in enumerate(positions))
+            vals, masks, last, rank = [], [], [], [0] * n
+            mask = 0
+            for k, (r2, j) in enumerate(dists):
+                mask |= 1 << j
+                rank[j] = len(vals)
+                if k + 1 == n or dists[k + 1][0] != r2:
+                    vals.append(r2)
+                    masks.append(mask)
+                    last.append(k)
+            self.offset.append(size)
+            size += len(vals)
             self.values.append(vals)
-            self.fvalues.append([float(v) for v in vals])
             self.masks.append(masks)
-            self.cand_idx.append(cids)
-            self.orders.append(candidates[cids[0]].order)
-            self.last.append([candidates[i].prefix - 1 for i in cids])
+            self.orders.append(tuple([j for _, j in dists]))
+            self.last.append(last)
             self.rank.append(rank)
-        self.n_stations = len(self.station_ids)
-        self.n_objects = n_objects
-        self.universe = (1 << n_objects) - 1
-        self.covered_union = union
-        # reach[s][j]: the value of the level at which station s first covers
-        # object j, or `beyond` (more than any increment) if it never does.
-        beyond = 1 + sum(vals[-1] for vals in self.values)
-        self.reach = [
-            [vals[r] if r >= 0 else beyond for r in rank]
-            for vals, rank in zip(self.values, self.rank)
-        ]
-        self.freach = list(zip(*[[float(v) for v in col] for col in self.reach]))
+        self._size = size
+        self.universe = (1 << n) - 1
+        self.fvalues = [[float(v) for v in vals] for vals in self.values]
+        self.reach = [[vals[r] for r in rank] for vals, rank in zip(self.values, self.rank)]
+        self.freach = list(zip(*[[fv[r] for r in rank]
+                                 for fv, rank in zip(self.fvalues, self.rank)]))
+
+    def __len__(self):
+        return self._size
 
     def committed(self, levels):
         total = 0
@@ -260,7 +230,7 @@ class _Prefixes:
 
     def selection(self, levels):
         """The candidate indices of the given levels, ascending."""
-        return tuple(sorted(self.cand_idx[s][lvl] for s, lvl in enumerate(levels) if lvl >= 0))
+        return tuple(self.offset[s] + lvl for s, lvl in enumerate(levels) if lvl >= 0)
 
     def uncovered(self, covered: int):
         """One flag per object: True when the mask does not cover it."""
@@ -372,7 +342,7 @@ class _Prefixes:
         return levels, cost
 
 
-def _margin(scale: float, lv: _Prefixes) -> float:
+def _margin(scale: float, lv: Candidates) -> float:
     """Bound on the rounding error of a float Lagrangian value of the given
     magnitude: every partial sum has at most n + m + 8 terms, each carrying
     at most a few units of roundoff.  Exact values enter as their nearest
@@ -391,7 +361,7 @@ class BranchBoundBackend(SolverBackend):
     Bounds come from a Lagrangian relaxation of the cover constraints: for
     multipliers u >= 0 on the uncovered objects, each station independently
     picks the level minimizing its increment minus the u of the objects it
-    covers, an O(nm) pass over the shared orders (`_Prefixes.lagrangian`).
+    covers, an O(nm) pass over the shared orders (`Candidates.lagrangian`).
     A node's bound is the committed area plus the larger of that value and
     the max-min single-disk increment.  Each child is pushed with the same
     relaxation, its station forced to the child's level or above, so a
@@ -405,7 +375,7 @@ class BranchBoundBackend(SolverBackend):
     additive pricing bound) for a fixed amount of work, pops * n * m, which
     settles small instances.  Otherwise a deflected subgradient ascent
     (`_ascend`) raises the root bound, with the primal heuristic
-    (`_Prefixes.complete`, then `_Prefixes.improve`) supplying incumbents;
+    (`Candidates.complete`, then `Candidates.improve`) supplying incumbents;
     when the incumbent is within the target gap of the bound the root
     returns at once, and else the search restarts at the ascent's u.  The
     heuristic also runs every `_DIVE_PERIOD` pops.  Given a cutoff, the
@@ -418,13 +388,7 @@ class BranchBoundBackend(SolverBackend):
     """
 
     def solve(self, candidates, n_objects, target_gap, time_limit, cutoff=None):
-        if n_objects == 0:
-            return [], 0
-        lv = _Prefixes(candidates, n_objects)
-        if lv.covered_union != lv.universe:
-            missing = next(j for j in range(n_objects) if not (lv.covered_union >> j) & 1)
-            raise InfeasibleCoverError(f"object {missing} is covered by no candidate")
-
+        lv = candidates
         start = _time.perf_counter()
         deadline = start + time_limit if time_limit != math.inf else math.inf
         u = self._ratio_prices(lv)
@@ -439,7 +403,7 @@ class BranchBoundBackend(SolverBackend):
         levels, cost = best
         return list(lv.selection(levels)), min(lower, cost)
 
-    def _search(self, lv: _Prefixes, u, best, target_gap, stop, deadline, max_pops):
+    def _search(self, lv: Candidates, u, best, target_gap, stop, deadline, max_pops):
         """Best-first search from the root with node bounds at multipliers
         u, starting from the incumbent `best` (levels, exact cost), until
         the incumbent is within the target gap or its float cost is at most
@@ -500,8 +464,6 @@ class BranchBoundBackend(SolverBackend):
                     best_sel = lv.selection(dl)
             j, children = branching
             for s, forced in enumerate(children):
-                if forced is None:
-                    continue
                 new_lvl = lv.rank[s][j]
                 child = levels[:s] + (new_lvl,) + levels[s + 1 :]
                 if child in visited:
@@ -517,7 +479,7 @@ class BranchBoundBackend(SolverBackend):
         return (best_levels, best_cost), lower, True
 
     @staticmethod
-    def _ratio_prices(lv: _Prefixes):
+    def _ratio_prices(lv: Candidates):
         """Each object's cheapest value-per-covered-object over the levels
         that cover it.  Their Lagrangian value at the root is the additive
         pricing bound: every object charged its best ratio."""
@@ -526,11 +488,11 @@ class BranchBoundBackend(SolverBackend):
             ratios = [v / (e + 1) for v, e in zip(fv, last)]
             suffix = list(accumulate(reversed(ratios), min))[::-1]
             for j, r in enumerate(rank):
-                if r >= 0 and suffix[r] < u[j]:
+                if suffix[r] < u[j]:
                     u[j] = suffix[r]
         return u
 
-    def _ascend(self, lv: _Prefixes, u, best, target_gap, stop, deadline):
+    def _ascend(self, lv: Candidates, u, best, target_gap, stop, deadline):
         """Root ascent on the Lagrangian multipliers from u (the volume
         variant of deflected subgradient: each step moves from the best
         multipliers so far along the cover violation of an exponential
@@ -579,12 +541,12 @@ class BranchBoundBackend(SolverBackend):
                     best_levels, best_cost = levels, cost
         return best_u, lv.improve(best_levels, best_cost)
 
-    def _evaluate(self, lv: _Prefixes, levels, committed, covered, u, exact):
+    def _evaluate(self, lv: Candidates, levels, committed, covered, u, exact):
         """Admissible completion bound, the branch object (argmax of the min
         single-disk increment, lowest index on ties) and, per station, a
-        bound on the child that raises it to cover that object (None where
-        it cannot): the Lagrangian at the root multipliers with the station
-        forced to the child's level or above."""
+        bound on the child that raises it to cover that object: the
+        Lagrangian at the root multipliers with the station forced to the
+        child's level or above."""
         cols = []
         for s, lvl in enumerate(levels):
             reach = lv.reach[s]
@@ -612,9 +574,6 @@ class BranchBoundBackend(SolverBackend):
         children = []
         for s, lvl in enumerate(levels):
             new_lvl = lv.rank[s][j]
-            if new_lvl <= lvl:
-                children.append(None)
-                continue
             red = reduced[s]
             base = lv.fvalues[s][lvl] if lvl >= 0 else 0.0
             term = red[chosen[s] - lvl - 1] - base if chosen[s] > lvl else 0.0
@@ -628,7 +587,7 @@ class MilpBackend(SolverBackend):
     Optional heavier backend; float arithmetic only, and it does not honor
     the lexicographic tie-break among equal-cost optima.  When HiGHS stops
     without a feasible point (at its time limit), the greedy cover of
-    `_Prefixes.complete` is returned with HiGHS's dual bound, or 0 when it
+    `Candidates.complete` is returned with HiGHS's dual bound, or 0 when it
     has none, so `solve_exact` flags the result `timed_out`.  The cutoff is
     ignored: `milp` takes no objective cutoff, so every solve runs to the
     target gap or the time limit.
@@ -641,21 +600,17 @@ class MilpBackend(SolverBackend):
             raise RuntimeError("MilpBackend requires scipy") from exc
         import numpy as np
 
-        k = len(candidates)
-        if n_objects == 0 or k == 0:
-            if n_objects:
-                raise InfeasibleCoverError("no candidates for a nonempty object set")
-            return [], 0
+        lv = candidates
+        k = len(lv)
         rows, cols = [], []
-        for idx, cand in enumerate(candidates):
-            rows.extend(cand.order[: cand.prefix])
-            cols.extend([idx] * cand.prefix)
+        for s, (order, last) in enumerate(zip(lv.orders, lv.last)):
+            for lvl, end in enumerate(last):
+                rows.extend(order[: end + 1])
+                cols.extend([lv.offset[s] + lvl] * (end + 1))
         cover = sparse.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=(n_objects, k)
+            (np.ones(len(rows)), (rows, cols)), shape=(lv.n_objects, k)
         )
-        if int(cover.sum(axis=1).min()) == 0:
-            raise InfeasibleCoverError("some object is covered by no candidate")
-        cost = np.array([float(c.radius_sq) for c in candidates])
+        cost = np.array([v for fv in lv.fvalues for v in fv])
         options = {"mip_rel_gap": max(target_gap, 0.0)}
         if time_limit != math.inf:
             options["time_limit"] = max(time_limit, 0.001)
@@ -669,7 +624,6 @@ class MilpBackend(SolverBackend):
         if res.x is None:
             # No primal point (a time limit): fall back on the greedy cover
             # and keep whatever dual bound HiGHS proved.
-            lv = _Prefixes(candidates, n_objects)
             selected = lv.selection(lv.complete((-1,) * lv.n_stations)[0])
             lower = res.mip_dual_bound or 0.0
         else:
@@ -681,31 +635,23 @@ class MilpBackend(SolverBackend):
 DEFAULT_BACKEND = BranchBoundBackend()
 
 
-def _solution_from_selection(candidates, selected, n_objects, n_stations, lower):
-    radius = [0] * n_stations
+def _solution_from_selection(lv: Candidates, selected, lower):
+    # Each station's radius is its highest selected level.
+    levels = [-1] * lv.n_stations
     for i in selected:
-        c = candidates[i]
-        if c.radius_sq > radius[c.station_index]:
-            radius[c.station_index] = c.radius_sq
-    # Each object's true distance to a station is the radius of the first of
-    # that station's levels covering it (every pair has its own disk).
-    stations_sel = sorted({candidates[i].station_index for i in selected})
-    lv = _Prefixes([c for c in candidates if c.station_index in stations_sel], n_objects)
+        s = bisect_right(lv.offset, i) - 1
+        levels[s] = max(levels[s], i - lv.offset[s])
+    radius = [lv.values[s][lvl] if lvl >= 0 else 0 for s, lvl in enumerate(levels)]
+    used = [s for s, lvl in enumerate(levels) if lvl >= 0]
+    # Each object goes to the nearest station whose level covers it (the
+    # lowest station on ties); its distance is the value of the level at
+    # which it enters.
     assignment = []
-    for j in range(n_objects):
-        best = None
-        for k, s in enumerate(stations_sel):
-            rk = lv.rank[k][j]
-            if rk < 0:
-                continue
-            d = lv.values[k][rk]
-            if d > radius[s]:
-                continue
-            if best is None or (d, s) < best:
-                best = (d, s)
-        if best is None:
+    for j in range(lv.n_objects):
+        reached = [(lv.reach[s][j], s) for s in used if lv.rank[s][j] <= levels[s]]
+        if not reached:
             raise InfeasibleCoverError(f"selection does not cover object {j}")
-        assignment.append(best[1])
+        assignment.append(min(reached)[1])
     total = sum(radius)
     if lower > total:
         lower = total
@@ -734,9 +680,11 @@ def solve_exact(
     """
     if n_objects == 0:
         return StaticSolution((), (0,) * n_stations, 0, 0)
+    if n_objects > candidates.n_objects:
+        raise InfeasibleCoverError(f"object {candidates.n_objects} is covered by no candidate")
     backend = backend or DEFAULT_BACKEND
     selected, lower = backend.solve(candidates, n_objects, target_gap, time_limit, cutoff=cutoff)
-    sol = _solution_from_selection(candidates, selected, n_objects, n_stations, lower)
+    sol = _solution_from_selection(candidates, selected, lower)
     achieved = sol.gap
     below_cutoff = cutoff is not None and float(sol.total_radius_sq) <= float(cutoff)
     timed_out = not below_cutoff and achieved > target_gap and not math.isclose(
@@ -749,8 +697,9 @@ def brute_force_cover(candidates, n_objects: int, n_stations: int) -> StaticSolu
     """Exhaustive optimum over per-station radius-level choices.
 
     Test oracle only; guarded to small instances.  Unlike the backend it
-    walks the candidates' coverage sets, so it stays independent of the
-    nested-level model the branch and bound exploits.
+    walks each level's coverage set, read off the station's order, so it
+    stays independent of the masks, ranks and relaxation the branch and
+    bound exploits.
     """
     if n_objects > BRUTE_FORCE_MAX_OBJECTS:
         raise ValueError(
@@ -758,19 +707,15 @@ def brute_force_cover(candidates, n_objects: int, n_stations: int) -> StaticSolu
         )
     if n_objects == 0:
         return StaticSolution((), (0,) * n_stations, 0, 0)
-    by_station: dict[int, list[int]] = {}
-    for idx, c in enumerate(candidates):
-        by_station.setdefault(c.station_index, []).append(idx)
-    station_ids = sorted(by_station)
-    options = []
+    options, covered_by, cost_of = [], [], []
     combos = 1
-    for sid in station_ids:
-        opts = [None] + sorted(by_station[sid], key=lambda i: (candidates[i].radius_sq, i))
-        options.append(opts)
-        combos *= len(opts)
+    for s, last in enumerate(candidates.last):
+        combos *= len(last) + 1
         if combos > _BRUTE_FORCE_MAX_COMBOS:
             raise ValueError("instance exceeds brute force combination guard")
-    covered_by = [c.covered for c in candidates]
+        options.append([None] + [candidates.offset[s] + k for k in range(len(last))])
+        covered_by.extend(frozenset(candidates.orders[s][: e + 1]) for e in last)
+        cost_of.extend(candidates.values[s])
     universe = frozenset(range(n_objects))
     best_cost = None
     best_sel = None
@@ -791,12 +736,10 @@ def brute_force_cover(candidates, n_objects: int, n_stations: int) -> StaticSolu
             if opt is None:
                 walk(depth + 1, chosen, covered, cost)
             else:
-                cost_opt = cost + candidates[opt].radius_sq
+                cost_opt = cost + cost_of[opt]
                 walk(depth + 1, chosen + [opt], covered | covered_by[opt], cost_opt)
 
     walk(0, [], frozenset(), 0)
     if best_sel is None:
         raise InfeasibleCoverError("no feasible cover exists for the candidate set")
-    return _solution_from_selection(
-        candidates, list(best_sel), n_objects, n_stations, best_cost
-    )
+    return _solution_from_selection(candidates, best_sel, best_cost)

@@ -14,6 +14,7 @@ from kdcover.exactarith import QuadraticNumber
 from kdcover.instances import GenParams, generate
 from kdcover.kinetic import ImprovementFlags
 from kdcover.minmax import SolverConfig, solve_minmax
+from kdcover.static_cover import BranchBoundBackend
 
 TRACED = [
     (minmax, name) for name in (
@@ -38,3 +39,34 @@ def test_verify_result_takes_doc_instance_samples_positionally():
     res = solve_minmax(inst, SolverConfig())
     doc = json.loads(cli.result_to_json("inst", "exact", ImprovementFlags(), {}, res))
     assert cli.verify_result(doc, inst, 50) == []
+
+
+# Candidate disks at the given time, one per station and distinct
+# distance: every pair on a random instance, one per station where all
+# objects start at one point.
+PINNED_CANDIDATES = [("random", 0.5, 240), ("same_start", 0.0, 6)]
+
+
+@pytest.mark.parametrize("klass, t, count", PINNED_CANDIDATES)
+def test_len_of_the_candidates_counts_the_candidate_disks(klass, t, count):
+    """The tracer counts candidates with `len` of what `enumerate_candidates`
+    returns."""
+    inst = generate(GenParams(n=40, m=6, seed=0, instance_class=klass))
+    cands = minmax.enumerate_candidates(inst, t)
+    assert len(cands) == sum(len(v) for v in cands.values) == count
+
+
+class DelegatingBackend:
+    """A plain object with only a `solve` that delegates, as the tracer's
+    backend wrapper is."""
+
+    def __init__(self, inner):
+        self.solve = inner.solve
+
+
+def test_a_delegating_backend_object_solves_as_the_default():
+    inst = generate(GenParams(n=30, m=4, seed=1))
+    ref = solve_minmax(inst, SolverConfig())
+    got = solve_minmax(inst, SolverConfig(backend=DelegatingBackend(BranchBoundBackend())))
+    assert (got.upper, got.lower, got.iterations) == (ref.upper, ref.lower, ref.iterations)
+    assert got.timeline == ref.timeline

@@ -61,6 +61,11 @@ def test_gen_set_schedule(tmp_path):
     assert ns == [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
     assert {e["m"] for e in manifest["instances"]} == {5}
     assert len(manifest["instances"]) == 100
+    out = tmp_path / "fix_n"
+    assert run(["gen", "--set", "fix_n", "--scale", 0.02, "--seed", 1, "-o", out]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert {(e["n"], e["m"]) for e in manifest["instances"]} == {(10, 1)}
+    assert len(manifest["instances"]) == 100
 
 
 def test_solve_check_render_cycle(tmp_path):
@@ -283,6 +288,7 @@ def test_check_derives_the_gap_again_from_the_bounds(tmp_path):
         assert check_tampered(tmp_path, inst_path, dict(doc, gap=stored)) == EXIT_CHECK, stored
     # A weaker lower bound under the stored, certified gap.
     assert check_tampered(tmp_path, inst_path, dict(doc, lower=0.8 * doc["lower"])) == EXIT_CHECK
+    assert check_tampered(tmp_path, inst_path, dict(doc, lower=2 * doc["upper"])) == EXIT_CHECK
     nn = solve_minmax(read_instance(inst_path), SolverConfig(static_backend="nn"))
     nn_doc = json.loads(result_to_json(doc["instance_id"], "nn", ImprovementFlags(), {}, nn))
     assert nn_doc["gap"] is None
@@ -314,13 +320,47 @@ def spell_the_upper_bound(doc):
     doc["upper"] = "big"
 
 
+def claim_another_format(doc):
+    doc["format"] = "kdc-instance"
+
+
+def empty_the_timeline(doc):
+    doc["timeline"]["segments"] = []
+
+
+def end_past_the_horizon(doc):
+    doc["timeline"]["segments"][-1]["t_end"] = 2.0
+
+
+def repeat_the_first_segment(doc):
+    segments = doc["timeline"]["segments"]
+    segments.insert(0, dict(segments[0]))
+
+
+def run_a_segment_backwards(doc):
+    """The first segment [a, b] split into [a, x], [x, y], [y, b] with y < x:
+    each segment starts where the last one ended, but the middle one runs
+    back in time."""
+    first = doc["timeline"]["segments"][0]
+    a, b = first["t_start"], first["t_end"]
+    x, y = a + 0.6 * (b - a), a + 0.3 * (b - a)
+    pieces = [dict(first, t_start=s, t_end=e) for s, e in ((a, x), (x, y), (y, b))]
+    pieces[1]["moves"] = pieces[2]["moves"] = []
+    doc["timeline"]["segments"][:1] = pieces
+
+
 @pytest.mark.parametrize("tamper, code", [
     (drop_timeline, EXIT_IO),
     (move_unknown_object, EXIT_IO),
     (spell_a_time, EXIT_IO),
     (spell_the_upper_bound, EXIT_IO),
+    (claim_another_format, EXIT_IO),
     (support_unknown_object, EXIT_CHECK),
     (assign_unknown_station, EXIT_CHECK),
+    (empty_the_timeline, EXIT_CHECK),
+    (end_past_the_horizon, EXIT_CHECK),
+    (repeat_the_first_segment, EXIT_CHECK),
+    (run_a_segment_backwards, EXIT_CHECK),
 ])
 def test_check_reports_malformed_results_without_traceback(tmp_path, capsys, tamper, code):
     inst_path, _, doc = solved_pair(tmp_path)
@@ -384,6 +424,8 @@ def test_gen_and_render_report_an_output_path_that_is_a_file(tmp_path, capsys):
     capsys.readouterr()
     assert_one_error_line(capsys, run(["gen", "-o", taken]), EXIT_IO)
     assert_one_error_line(capsys, run(["render", inst_path, "-o", taken]), EXIT_IO)
+    missing = tmp_path / "missing" / "r.json"
+    assert_one_error_line(capsys, run(["solve", inst_path, "-o", missing]), EXIT_IO)
 
 
 @pytest.mark.parametrize("manifest", [

@@ -24,27 +24,38 @@ def stationary(points, stations):
     )
 
 
+def covered(cands, s, k):
+    """The objects station s's level k covers, ascending."""
+    return sorted(cands.orders[s][: cands.last[s][k] + 1])
+
+
 def test_enumerate_examples():
     inst = stationary([(1.0, 0.0), (3.0, 0.0)], [(0.0, 0.0)])
     cands = enumerate_candidates(inst, 0.0)
-    assert [(c.radius_sq, sorted(c.covered)) for c in cands] == [(1.0, [0]), (9.0, [0, 1])]
-    assert all(c.support_index in c.covered for c in cands)
+    assert [(v, covered(cands, 0, k)) for k, v in enumerate(cands.values[0])] == [
+        (1.0, [0]), (9.0, [0, 1])]
+    assert cands.masks == [[0b01, 0b11]]
+    # Each level's outermost object enters the prefix at that level.
+    assert all(cands.rank[0][cands.orders[0][e]] == k for k, e in enumerate(cands.last[0]))
 
     inst = stationary([(1.0, 0.0)], [(0.0, 0.0), (5.0, 0.0)])
     cands = enumerate_candidates(inst, 0.0)
-    assert [(c.station_index, c.radius_sq) for c in cands] == [(0, 1.0), (1, 16.0)]
+    assert (cands.values, cands.offset, len(cands)) == ([[1.0], [16.0]], [0, 1], 2)
 
     empty = MovingInstance((Point2(0.0, 0.0),), ())
-    assert enumerate_candidates(empty, 0.0) == []
+    assert len(enumerate_candidates(empty, 0.0)) == 0
 
 
 def test_enumerate_dedups_equidistant():
     inst = stationary([(1.0, 0.0), (-1.0, 0.0), (0.0, 2.0)], [(0.0, 0.0)])
     cands = enumerate_candidates(inst, 0.0)
-    assert [(c.radius_sq, sorted(c.covered), c.support_index) for c in cands] == [
-        (1.0, [0, 1], 0),
-        (4.0, [0, 1, 2], 2),
+    assert [(v, covered(cands, 0, k)) for k, v in enumerate(cands.values[0])] == [
+        (1.0, [0, 1]),
+        (4.0, [0, 1, 2]),
     ]
+    # Equidistant objects share a level, lowest index first in the order.
+    assert cands.orders == [(0, 1, 2)]
+    assert cands.rank == [[0, 0, 1]]
 
 
 def test_candidate_chains_nested():
@@ -52,15 +63,20 @@ def test_candidate_chains_nested():
         n, m = random_sizes(seed, 12, 4)
         inst = random_instance(n, m, seed)
         cands = enumerate_candidates(inst, 0.25)
-        assert len(cands) <= n * m
-        by_station = {}
-        for c in cands:
-            by_station.setdefault(c.station_index, []).append(c)
-        for chain in by_station.values():
-            assert all(c.order is chain[0].order for c in chain)
-            for prev, cur in zip(chain, chain[1:]):
-                assert prev.radius_sq < cur.radius_sq
-                assert prev.covered < cur.covered
+        assert len(cands) == sum(len(v) for v in cands.values) <= n * m
+        positions = [o.at(0.25) for o in inst.objects]
+        for s, st in enumerate(inst.stations):
+            # One order per station, by (squared distance, index), that
+            # every level of the station reads; each object's reach is its
+            # squared distance.
+            d2 = [(st.x - p.x) ** 2 + (st.y - p.y) ** 2 for p in positions]
+            assert list(cands.orders[s]) == sorted(range(n), key=lambda j: (d2[j], j))
+            assert cands.reach[s] == d2
+            vals = cands.values[s]
+            assert cands.last[s][-1] == n - 1
+            for k in range(1, len(vals)):
+                assert vals[k - 1] < vals[k]
+                assert set(covered(cands, s, k - 1)) < set(covered(cands, s, k))
 
 
 def test_nn_examples():
@@ -271,7 +287,7 @@ def test_ascent_pinned_under_an_unreachable_cutoff(monkeypatch):
 def test_lex_tiebreak_prefers_smaller_candidate_indices():
     inst = stationary([(1.0, 0.0)], [(0.0, 0.0), (2.0, 0.0)])
     cands = enumerate_candidates(inst, 0.0)
-    assert [c.station_index for c in cands] == [0, 1]
+    assert (cands.offset, len(cands)) == ([0, 1], 2)
     sol = solve_exact(cands, 1, 2)
     assert sol.selected == (0,)
     assert brute_force_cover(cands, 1, 2).selected == (0,)
@@ -312,8 +328,7 @@ def test_milp_backend_without_primal_point(monkeypatch):
         assert sol.lower_radius_sq == (dual or 0.0)
         assert sol.total_radius_sq >= opt.total_radius_sq
         for j, s in enumerate(sol.assignment):
-            assert any(c.station_index == s and j in c.covered
-                       and c.radius_sq <= sol.radius_sq[s] for c in cands), j
+            assert cands.reach[s][j] <= sol.radius_sq[s], j
 
 
 def scaled(inst, factor):
@@ -389,14 +404,14 @@ def test_lagrangian_margin_covers_rounding():
     # value computed in exact rationals, at any scale of the plane.
     from random import Random
 
-    from kdcover.static_cover import _margin, _Prefixes
+    from kdcover.static_cover import _margin
 
     rng = Random(5)
     for seed in range(20):
         n, m = random_sizes(seed, 30, 5)
         for factor in (1e-6, 1.0, 1e6):
             inst = scaled(random_instance(n, m, seed), factor).as_exact()
-            lv = _Prefixes(enumerate_candidates(inst, Fraction(1, 3)), n)
+            lv = enumerate_candidates(inst, Fraction(1, 3))
             levels = tuple(
                 rng.randrange(-1, len(v)) if rng.random() < 0.3 else -1 for v in lv.values
             )
@@ -418,7 +433,11 @@ def test_lagrangian_margin_covers_rounding():
 
 
 def covers_all(cands, sol, n):
-    return set().union(*(cands[i].covered for i in sol.selected)) == set(range(n))
+    return set().union(*(
+        covered(cands, s, i - start)
+        for s, start in enumerate(cands.offset)
+        for i in sol.selected if 0 <= i - start < len(cands.values[s])
+    )) == set(range(n))
 
 
 @both_searches
@@ -494,3 +513,13 @@ def test_search_past_its_deadline_returns_a_cover_and_a_sound_bound(monkeypatch)
         assert sol.timed_out, seed
         assert covers_all(cands, sol, n), seed
         assert sol.lower_radius_sq <= opt <= sol.total_radius_sq, seed
+
+
+def test_a_backend_selection_that_misses_an_object_is_infeasible():
+    # Station 0's innermost level, station 1's second level and the empty
+    # selection each leave objects uncovered: no solution is built.
+    n, m = 12, 3
+    cands = enumerate_candidates(random_instance(n, m, 4), 0.5)
+    for selected in ((0,), (cands.offset[1] + 1,), ()):
+        with pytest.raises(InfeasibleCoverError, match="selection does not cover object"):
+            solve_exact(cands, n, m, backend=FixedBackend(selected))
