@@ -250,6 +250,14 @@ def _instance_id(path, instance: MovingInstance) -> str:
     return str(instance.metadata.get("id", Path(path).stem))
 
 
+def _other_instance(doc, path, instance: MovingInstance) -> str | None:
+    """The usage error when the result is for another instance, or None."""
+    instance_id = _instance_id(path, instance)
+    if doc["instance_id"] != instance_id:
+        return f"result is for {doc['instance_id']!r}, instance is {instance_id!r}"
+    return None
+
+
 def solver_options_error(args) -> str | None:
     """The usage error in the solver options, or None.  Checked before any
     solve, so that a bad option fails at once rather than in a solver."""
@@ -526,19 +534,12 @@ def cmd_check(args) -> int:
     try:
         doc = load_result(args.result)
         instance = read_instance(args.instance)
-    except (OSError, FormatError, json.JSONDecodeError) as exc:
-        print(f"cannot read inputs: {exc}", file=sys.stderr)
-        return EXIT_IO
-    instance_id = _instance_id(args.instance, instance)
-    if doc["instance_id"] != instance_id:
-        print(
-            f"result is for {doc['instance_id']!r}, instance is {instance_id!r}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    try:
+        mismatch = _other_instance(doc, args.instance, instance)
+        if mismatch:
+            print(mismatch, file=sys.stderr)
+            return EXIT_USAGE
         problems = verify_result(doc, instance, args.samples)
-    except FormatError as exc:
+    except (OSError, FormatError, json.JSONDecodeError) as exc:
         print(f"cannot read inputs: {exc}", file=sys.stderr)
         return EXIT_IO
     if problems:
@@ -546,7 +547,7 @@ def cmd_check(args) -> int:
         for extra in problems[1:]:
             print(f"      {extra}")
         return EXIT_CHECK
-    print(f"PASS: {instance_id} ({len(doc['timeline']['segments'])} segments, "
+    print(f"PASS: {doc['instance_id']} ({len(doc['timeline']['segments'])} segments, "
           f"{args.samples} samples)")
     return EXIT_OK
 
@@ -620,7 +621,16 @@ def render_svg(instance: MovingInstance, segments, t: float, size: int = 640) ->
 def cmd_render(args) -> int:
     try:
         instance = read_instance(args.instance)
-        segments = result_segments(load_result(args.result)) if args.result else []
+        doc = load_result(args.result) if args.result else None
+        mismatch = _other_instance(doc, args.instance, instance) if doc else None
+        if mismatch:
+            print(mismatch, file=sys.stderr)
+            return EXIT_USAGE
+        segments = result_segments(doc) if doc else []
+        for i, seg in enumerate(segments):
+            if len(seg.supports) != instance.m or not all(
+                    sup is None or _is_index(sup, instance.n) for sup in seg.supports):
+                raise FormatError(f"segment {i}: supports do not fit the instance")
     except (OSError, FormatError, json.JSONDecodeError) as exc:
         print(f"cannot read inputs: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -55,8 +55,6 @@ def _sign_sum(a: int, b: int, d1: int, c: int, d2: int) -> int:
     s2 = _sgn(c)
     if s1 == 0:
         return s2
-    if s2 == 0:
-        return s1
     if s1 == s2:
         return s1
     # a + b*sqrt(d1) and c*sqrt(d2) have opposite signs: square both sides.

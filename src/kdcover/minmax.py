@@ -215,8 +215,6 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
             cands = enumerate_candidates(work, t)
             sol = solve_exact(
                 cands,
-                n_objects=work.n,
-                n_stations=work.m,
                 target_gap=config.target_gap,
                 # At most half of what is left, so that one hard stationary
                 # solve cannot end the loop.

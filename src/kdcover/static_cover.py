@@ -66,7 +66,7 @@ _ULP = 2.0**-52  # spacing of doubles in [1, 2)
 
 
 class InfeasibleCoverError(ValueError):
-    """Some object is not covered by any candidate disk (malformed input)."""
+    """A selection of candidate disks leaves some object uncovered."""
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,6 @@ def nn_heuristic(instance: MovingInstance, t) -> StaticSolution:
     stations resolve to the lower station index.
     """
     n, m = instance.n, instance.m
-    if n == 0:
-        return StaticSolution((), (0,) * m, 0, 0)
     positions = [obj.at(t) for obj in instance.objects]
     d2 = [[_dist_sq(st, p) for st in instance.stations] for p in positions]
     nearest = [min(range(m), key=lambda i, j=j: (d2[j][i], i)) for j in range(n)]
@@ -148,12 +146,13 @@ def nn_heuristic(instance: MovingInstance, t) -> StaticSolution:
 class SolverBackend:
     """Extension point for the exact stationary solver.
 
-    solve(candidates, n_objects, target_gap, time_limit, cutoff=None) must
-    return (selected candidate indices, lower bound on the sum of squared
-    radii) with the selection covering every object in range(n_objects) and
-    the bound never exceeding the optimal sum.  `candidates` is the
-    `Candidates` that `enumerate_candidates` returns: per-station levels,
-    each covering a prefix of its station's distance order, so one
+    solve(candidates, target_gap, time_limit, cutoff=None), called by
+    keyword and never for zero objects, must return (selected candidate
+    indices, lower bound on the sum of squared radii) with the selection
+    covering every object and the bound never exceeding the optimal sum.
+    `candidates`, the `Candidates` that `enumerate_candidates` returns, is
+    the whole problem: its `n_objects`, `n_stations` and per-station
+    levels, each covering a prefix of its station's distance order, so one
     station's disks are nested and its top level covers every object.
 
     `cutoff` (a sum of squared radii, or None) says the caller only needs a
@@ -162,7 +161,7 @@ class SolverBackend:
     returns must stay certified either way.
     """
 
-    def solve(self, candidates, n_objects, target_gap, time_limit, cutoff=None):
+    def solve(self, candidates, target_gap, time_limit, cutoff=None):
         raise NotImplementedError
 
 
@@ -387,7 +386,7 @@ class BranchBoundBackend(SolverBackend):
     resolve to the lexicographically smallest candidate index list.
     """
 
-    def solve(self, candidates, n_objects, target_gap, time_limit, cutoff=None):
+    def solve(self, candidates, target_gap, time_limit, cutoff=None):
         lv = candidates
         start = _time.perf_counter()
         deadline = start + time_limit if time_limit != math.inf else math.inf
@@ -593,7 +592,7 @@ class MilpBackend(SolverBackend):
     target gap or the time limit.
     """
 
-    def solve(self, candidates, n_objects, target_gap, time_limit, cutoff=None):
+    def solve(self, candidates, target_gap, time_limit, cutoff=None):
         try:
             from scipy import optimize, sparse
         except ImportError as exc:  # pragma: no cover
@@ -661,15 +660,14 @@ def _solution_from_selection(lv: Candidates, selected, lower):
 
 
 def solve_exact(
-    candidates,
-    n_objects: int,
-    n_stations: int,
+    candidates: Candidates,
+    *,
     target_gap: float = 0.0,
     time_limit: float = math.inf,
     backend: SolverBackend | None = None,
     cutoff=None,
 ) -> StaticSolution:
-    """Certified stationary solve over a candidate set.
+    """Certified stationary solve over a candidate set, with keyword options.
 
     Returns a solution whose `gap` is at most target_gap unless the search
     stops short.  Given a cutoff (a sum of squared radii), the backend may
@@ -678,12 +676,12 @@ def solve_exact(
     A search that stops short with a cover above the cutoff (the time
     limit) reports the achieved bound and is flagged `timed_out`.
     """
-    if n_objects == 0:
-        return StaticSolution((), (0,) * n_stations, 0, 0)
-    if n_objects > candidates.n_objects:
-        raise InfeasibleCoverError(f"object {candidates.n_objects} is covered by no candidate")
+    if candidates.n_objects == 0:
+        # Nothing to cover; the branch and bound would divide by n * m.
+        return _solution_from_selection(candidates, (), 0)
     backend = backend or DEFAULT_BACKEND
-    selected, lower = backend.solve(candidates, n_objects, target_gap, time_limit, cutoff=cutoff)
+    selected, lower = backend.solve(candidates, target_gap=target_gap,
+                                    time_limit=time_limit, cutoff=cutoff)
     sol = _solution_from_selection(candidates, selected, lower)
     achieved = sol.gap
     below_cutoff = cutoff is not None and float(sol.total_radius_sq) <= float(cutoff)
@@ -693,7 +691,7 @@ def solve_exact(
     return replace(sol, timed_out=True) if timed_out else sol
 
 
-def brute_force_cover(candidates, n_objects: int, n_stations: int) -> StaticSolution:
+def brute_force_cover(candidates: Candidates) -> StaticSolution:
     """Exhaustive optimum over per-station radius-level choices.
 
     Test oracle only; guarded to small instances.  Unlike the backend it
@@ -701,12 +699,9 @@ def brute_force_cover(candidates, n_objects: int, n_stations: int) -> StaticSolu
     stays independent of the masks, ranks and relaxation the branch and
     bound exploits.
     """
-    if n_objects > BRUTE_FORCE_MAX_OBJECTS:
-        raise ValueError(
-            f"brute force is guarded to n <= {BRUTE_FORCE_MAX_OBJECTS}, got {n_objects}"
-        )
-    if n_objects == 0:
-        return StaticSolution((), (0,) * n_stations, 0, 0)
+    n = candidates.n_objects
+    if n > BRUTE_FORCE_MAX_OBJECTS:
+        raise ValueError(f"brute force is guarded to n <= {BRUTE_FORCE_MAX_OBJECTS}, got {n}")
     options, covered_by, cost_of = [], [], []
     combos = 1
     for s, last in enumerate(candidates.last):
@@ -716,7 +711,7 @@ def brute_force_cover(candidates, n_objects: int, n_stations: int) -> StaticSolu
         options.append([None] + [candidates.offset[s] + k for k in range(len(last))])
         covered_by.extend(frozenset(candidates.orders[s][: e + 1]) for e in last)
         cost_of.extend(candidates.values[s])
-    universe = frozenset(range(n_objects))
+    universe = frozenset(range(n))
     best_cost = None
     best_sel = None
 
@@ -740,6 +735,4 @@ def brute_force_cover(candidates, n_objects: int, n_stations: int) -> StaticSolu
                 walk(depth + 1, chosen + [opt], covered | covered_by[opt], cost_opt)
 
     walk(0, [], frozenset(), 0)
-    if best_sel is None:
-        raise InfeasibleCoverError("no feasible cover exists for the candidate set")
     return _solution_from_selection(candidates, best_sel, best_cost)

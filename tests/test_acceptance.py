@@ -44,16 +44,16 @@ def test_criterion_1_static_oracle_equivalence():
         n, m = random_sizes(seed, 8, 3)
         inst = random_instance(n, m, seed)
         cands = enumerate_candidates(inst, 0.5)
-        ex = solve_exact(cands, n, m, target_gap=0.0)
-        bf = brute_force_cover(cands, n, m)
+        ex = solve_exact(cands, target_gap=0.0)
+        bf = brute_force_cover(cands)
         rel = abs(ex.total_radius_sq - bf.total_radius_sq) / max(1.0, bf.total_radius_sq)
         worst = max(worst, rel)
         assert rel <= 1e-9, (seed, ex.total_radius_sq, bf.total_radius_sq)
 
         exact_inst = inst.as_exact()
         cands_x = enumerate_candidates(exact_inst, Fraction(1, 2))
-        ex_x = solve_exact(cands_x, n, m, target_gap=0.0)
-        bf_x = brute_force_cover(cands_x, n, m)
+        ex_x = solve_exact(cands_x, target_gap=0.0)
+        bf_x = brute_force_cover(cands_x)
         assert ex_x.total_radius_sq == bf_x.total_radius_sq, seed  # exact equality
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"criterion 1 took {elapsed:.1f}s"
@@ -112,7 +112,7 @@ def test_criterion_4_grid_sandwich():
         grid_max = 0.0
         for i in range(200):
             t = i / 199
-            sol = solve_exact(enumerate_candidates(inst, t), n, m, target_gap=0.0)
+            sol = solve_exact(enumerate_candidates(inst, t), target_gap=0.0)
             grid_max = max(grid_max, math.pi * float(sol.total_radius_sq))
         worst_up = max(worst_up, grid_max / res.upper if res.upper else 0.0)
         worst_low = max(worst_low, res.lower / grid_max if grid_max else 0.0)
@@ -183,7 +183,7 @@ def test_criterion_7_baseline_dominance():
         base = fixed_nn_baseline(inst)
         assert base.upper >= exact.upper - 1e-9 * exact.upper, (seed, base.upper, exact.upper)
         nn = nn_heuristic(inst, 0.0)
-        ex0 = solve_exact(enumerate_candidates(inst, 0.0), n, m)
+        ex0 = solve_exact(enumerate_candidates(inst, 0.0))
         assert nn.total_radius_sq >= ex0.total_radius_sq - 1e-9, seed
     print("\n[criterion 7] PASS: 50 instances, fixed_nn >= exact and nn >= exact static")
 

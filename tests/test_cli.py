@@ -159,6 +159,7 @@ def test_check_mismatched_pair(tmp_path):
     result = tmp_path / "r.json"
     assert run(["solve", inst_a, "-o", result]) == EXIT_OK
     assert run(["check", result, inst_b]) == EXIT_USAGE
+    assert run(["render", inst_b, "--result", result, "-o", tmp_path / "svg"]) == EXIT_USAGE
 
 
 def test_result_timeline_round_trips_through_moves():
@@ -373,6 +374,31 @@ def test_check_reports_malformed_results_without_traceback(tmp_path, capsys, tam
         assert len(out.err.strip().splitlines()) == 1
     else:
         assert out.out.startswith("FAIL:")
+
+
+def support_a_negative_index(doc):
+    doc["timeline"]["segments"][0]["supports"][0] = -1
+
+
+def support_one_station_too_many(doc):
+    doc["timeline"]["segments"][0]["supports"].append(None)
+
+
+def support_by_name(doc):
+    doc["timeline"]["segments"][0]["supports"][0] = "0"
+
+
+@pytest.mark.parametrize("tamper", [support_unknown_object, support_a_negative_index,
+                                    support_one_station_too_many, support_by_name])
+def test_render_reports_supports_that_index_nothing(tmp_path, capsys, tamper):
+    inst_path, result, doc = solved_pair(tmp_path)
+    tamper(doc)
+    result.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["render", inst_path, "--result", result, "-o", tmp_path / "svg"]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read inputs:") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "svg").exists()
 
 
 def test_bench_writes_a_failed_row_for_a_missing_instance(tmp_path):

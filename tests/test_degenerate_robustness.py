@@ -74,7 +74,7 @@ def test_equidistant_stations_and_repeated_distances():
     cands = enumerate_candidates(inst, 0.0)
     assert len(cands) < inst.n * inst.m  # dedup collapsed repeated radii
     nn = nn_heuristic(inst, 0.0)
-    ex = solve_exact(cands, inst.n, inst.m)
+    ex = solve_exact(cands)
     assert nn.total_radius_sq >= ex.total_radius_sq - 1e-12
     solve_both_modes(inst)
 

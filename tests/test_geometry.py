@@ -1,12 +1,14 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kdcover.exactarith import QuadraticNumber
+from kdcover.exactarith import QuadraticNumber, _sign_pair, _sign_sum
 from kdcover.geometry import (
     MovingInstance,
     Point2,
@@ -248,6 +250,28 @@ def test_quadratic_number_float_is_nearest_double():
     assert len(cases) > 50
     for x in cases:
         assert float(x) == reference(x), x
+
+
+def test_sign_helpers_against_decimal():
+    """Every a, b, c in [-3, 3] and d1, d2 in [0, 9] against the sign of
+    the same sum at 50 digits.  Perfect squares make a + b*sqrt(d1) vanish
+    with c nonzero.  A nonzero sum of such small terms is far above 1e-40;
+    an exact zero with non-square radicands (2*sqrt(2) - sqrt(8)) rounds
+    to below it."""
+
+    def sign(total):
+        return 0 if abs(total) < Decimal("1e-40") else (1 if total > 0 else -1)
+
+    coefs = range(-3, 4)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        root = [Decimal(d).sqrt() for d in range(10)]
+        for a, b, d1 in product(coefs, coefs, range(10)):
+            pair = a + b * root[d1]
+            assert _sign_pair(a, b, d1) == sign(pair), (a, b, d1)
+            for c, d2 in product(coefs, range(10)):
+                assert _sign_sum(a, b, d1, c, d2) == sign(pair + c * root[d2]), (
+                    a, b, d1, c, d2)
 
 
 def test_instance_validation():

@@ -372,7 +372,7 @@ def test_extend_with_exact_static_seed():
     for seed in range(8):
         n, m = random_sizes(seed, 12, 3)
         inst = random_instance(n, m, seed)
-        sol = solve_exact(enumerate_candidates(inst, 0.0), n, m)
+        sol = solve_exact(enumerate_candidates(inst, 0.0))
         segs = extend(sol.assignment, 0.0, "forward", 1.0, ALL_FLAGS, inst)
         assert check_feasible(segs, inst, 500).ok
         timeline = SolutionTimeline(tuple(segs))

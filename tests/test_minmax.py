@@ -161,7 +161,7 @@ def test_grid_sandwich_small():
         grid_max = 0.0
         for i in range(50):
             t = i / 49
-            sol = brute_force_cover(enumerate_candidates(inst, t), n, m)
+            sol = brute_force_cover(enumerate_candidates(inst, t))
             grid_max = max(grid_max, math.pi * float(sol.total_radius_sq))
         assert grid_max <= res.upper * (1 + 1e-9)
 
@@ -193,12 +193,12 @@ class RecordingBackend(SolverBackend):
         self.cutoffs = []
         self.lowers = []
 
-    def solve(self, candidates, n_objects, target_gap, time_limit, cutoff=None):
+    def solve(self, candidates, target_gap, time_limit, cutoff=None):
         self.target_gaps.append(target_gap)
         self.time_limits.append(time_limit)
         self.cutoffs.append(cutoff)
         selected, lower = BranchBoundBackend().solve(
-            candidates, n_objects, target_gap, time_limit, cutoff)
+            candidates, target_gap, time_limit, cutoff)
         self.lowers.append(lower)
         return selected, lower
 

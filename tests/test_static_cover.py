@@ -93,35 +93,37 @@ def test_nn_examples():
     gap_demo = stationary([(1.9, 0.0), (2.1, 0.0)], [(0.0, 0.0), (4.0, 0.0)])
     sol = nn_heuristic(gap_demo, 0.0)
     assert sol.total_radius_sq == pytest.approx(7.22)
-    exact = solve_exact(enumerate_candidates(gap_demo, 0.0), 2, 2)
+    exact = solve_exact(enumerate_candidates(gap_demo, 0.0))
     assert exact.total_radius_sq == pytest.approx(4.41)
     assert exact.cost == pytest.approx(13.8544, abs=1e-3)
     assert exact.gap == 0.0
 
 
 def test_solve_exact_trivial_and_errors():
-    assert solve_exact([], 0, 3).total_radius_sq == 0
-    # n_objects names an object the candidate set does not have.
-    bad = enumerate_candidates(stationary([(1.0, 0.0)], [(0.0, 0.0)]), 0.0)
-    with pytest.raises(InfeasibleCoverError):
-        solve_exact(bad, 2, 1)
-    with pytest.raises(InfeasibleCoverError):
-        brute_force_cover(bad, 2, 1)
+    empty = enumerate_candidates(stationary([], [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]), 0.0)
+    assert solve_exact(empty).total_radius_sq == 0
+    # The candidates carry the object and station counts; a call that
+    # passes them again is a stale call and fails loudly.
+    cands = enumerate_candidates(stationary([(1.0, 0.0)], [(0.0, 0.0)]), 0.0)
+    with pytest.raises(TypeError):
+        solve_exact(cands, 2, 1)
+    with pytest.raises(TypeError):
+        brute_force_cover(cands, 2, 1)
 
 
 def test_brute_force_examples_and_guard():
     inst = stationary([(1.0, 0.0), (3.0, 0.0)], [(0.0, 0.0)])
-    sol = brute_force_cover(enumerate_candidates(inst, 0.0), 2, 1)
+    sol = brute_force_cover(enumerate_candidates(inst, 0.0))
     assert sol.total_radius_sq == pytest.approx(9.0)
 
     two = stationary([(0.5, 0.0), (9.5, 0.0)], [(0.0, 0.0), (10.0, 0.0)])
-    sol = brute_force_cover(enumerate_candidates(two, 0.0), 2, 2)
+    sol = brute_force_cover(enumerate_candidates(two, 0.0))
     assert sol.total_radius_sq == pytest.approx(0.5)
     assert len(sol.selected) == 2
 
     big = random_instance(13, 2, 0)
     with pytest.raises(ValueError):
-        brute_force_cover(enumerate_candidates(big, 0.0), 13, 2)
+        brute_force_cover(enumerate_candidates(big, 0.0))
 
 
 def test_exact_matches_brute_force_random():
@@ -129,8 +131,8 @@ def test_exact_matches_brute_force_random():
         n, m = random_sizes(seed, 8, 3)
         inst = random_instance(n, m, seed)
         cands = enumerate_candidates(inst, 0.5)
-        ex = solve_exact(cands, n, m)
-        bf = brute_force_cover(cands, n, m)
+        ex = solve_exact(cands)
+        bf = brute_force_cover(cands)
         assert ex.total_radius_sq == pytest.approx(bf.total_radius_sq, rel=1e-9)
         assert ex.selected == bf.selected  # lexicographic tie-break agreement
         nn = nn_heuristic(inst, 0.5)
@@ -142,8 +144,8 @@ def test_exact_arithmetic_matches_brute_exactly():
         n, m = random_sizes(seed, 6, 3)
         inst = random_instance(n, m, seed).as_exact()
         cands = enumerate_candidates(inst, Fraction(1, 3))
-        ex = solve_exact(cands, n, m)
-        bf = brute_force_cover(cands, n, m)
+        ex = solve_exact(cands)
+        bf = brute_force_cover(cands)
         assert ex.total_radius_sq == bf.total_radius_sq  # exact equality
 
 
@@ -153,7 +155,7 @@ def test_solution_coverage_invariant():
         inst = random_instance(n, m, seed)
         for sol in (
             nn_heuristic(inst, 0.75),
-            solve_exact(enumerate_candidates(inst, 0.75), n, m),
+            solve_exact(enumerate_candidates(inst, 0.75)),
         ):
             positions = [o.at(0.75) for o in inst.objects]
             for j, s in enumerate(sol.assignment):
@@ -167,7 +169,7 @@ def test_lower_bound_monotone_in_gap():
     cands = enumerate_candidates(inst, 0.5)
     prev = None
     for gap in (1e-1, 1e-2, 1e-3, 0.0):
-        sol = solve_exact(cands, 40, 6, target_gap=gap)
+        sol = solve_exact(cands, target_gap=gap)
         if prev is not None:
             assert sol.lower_radius_sq >= prev - 1e-9
         prev = sol.lower_radius_sq
@@ -180,8 +182,8 @@ def test_gapped_solve_reports_honest_bound():
     for seed in (2, 5, 11):
         inst = random_instance(30, 5, seed)
         cands = enumerate_candidates(inst, 1.0)
-        coarse = solve_exact(cands, 30, 5, target_gap=0.01)
-        tight = solve_exact(cands, 30, 5, target_gap=0.0)
+        coarse = solve_exact(cands, target_gap=0.01)
+        tight = solve_exact(cands, target_gap=0.0)
         assert coarse.lower_radius_sq <= tight.total_radius_sq * (1 + 1e-12)
         assert coarse.total_radius_sq >= tight.total_radius_sq - 1e-9
         assert coarse.gap <= 0.01 + 1e-12
@@ -247,7 +249,7 @@ def check_pinned(rows):
         if exact:
             inst, t = inst.as_exact(), Fraction(1, 2)
             total, lower, opt = Fraction(total), Fraction(lower), Fraction(opt)
-        sol = solve_exact(enumerate_candidates(inst, t), 40, 6, target_gap=gap)
+        sol = solve_exact(enumerate_candidates(inst, t), target_gap=gap)
         assert sol.selected == selected
         assert sol.total_radius_sq == total
         assert sol.lower_radius_sq == lower
@@ -277,7 +279,7 @@ def test_ascent_pinned_under_an_unreachable_cutoff(monkeypatch):
             total, lower = Fraction(total), Fraction(lower)
         cands = enumerate_candidates(inst, t)
         for cutoff in (None, lower / 2):
-            sol = solve_exact(cands, 40, 6, target_gap=gap, cutoff=cutoff)
+            sol = solve_exact(cands, target_gap=gap, cutoff=cutoff)
             assert (sol.selected, sol.total_radius_sq, sol.lower_radius_sq) == (
                 selected, total, lower), (seed, exact, cutoff)
             assert type(sol.lower_radius_sq) is type(lower)
@@ -288,9 +290,9 @@ def test_lex_tiebreak_prefers_smaller_candidate_indices():
     inst = stationary([(1.0, 0.0)], [(0.0, 0.0), (2.0, 0.0)])
     cands = enumerate_candidates(inst, 0.0)
     assert (cands.offset, len(cands)) == ([0, 1], 2)
-    sol = solve_exact(cands, 1, 2)
+    sol = solve_exact(cands)
     assert sol.selected == (0,)
-    assert brute_force_cover(cands, 1, 2).selected == (0,)
+    assert brute_force_cover(cands).selected == (0,)
 
 
 def test_milp_backend_if_available():
@@ -301,8 +303,8 @@ def test_milp_backend_if_available():
         n, m = random_sizes(seed, 9, 3)
         inst = random_instance(n, m, seed)
         cands = enumerate_candidates(inst, 0.5)
-        ref = solve_exact(cands, n, m)
-        got = solve_exact(cands, n, m, backend=MilpBackend())
+        ref = solve_exact(cands)
+        got = solve_exact(cands, backend=MilpBackend())
         assert got.total_radius_sq == pytest.approx(ref.total_radius_sq, rel=1e-6)
         assert got.lower_radius_sq <= ref.total_radius_sq * (1 + 1e-6)
 
@@ -318,12 +320,12 @@ def test_milp_backend_without_primal_point(monkeypatch):
     n, m = 20, 4
     inst = random_instance(n, m, 3)
     cands = enumerate_candidates(inst, 0.5)
-    opt = solve_exact(cands, n, m, target_gap=0.0)
+    opt = solve_exact(cands, target_gap=0.0)
     for dual in (None, 0.5 * float(opt.total_radius_sq)):
         stopped = SimpleNamespace(x=None, fun=None, mip_dual_bound=dual,
                                   message="Time limit reached")
         monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **k: stopped)
-        sol = solve_exact(cands, n, m, target_gap=1e-4, time_limit=1.0, backend=MilpBackend())
+        sol = solve_exact(cands, target_gap=1e-4, time_limit=1.0, backend=MilpBackend())
         assert sol.timed_out
         assert sol.lower_radius_sq == (dual or 0.0)
         assert sol.total_radius_sq >= opt.total_radius_sq
@@ -369,9 +371,9 @@ def test_bound_sound_under_scaling(monkeypatch, quick_work):
             base = scaled(random_instance(n, m, seed), factor)
             for inst, t in ((base, 0.5), (base.as_exact(), Fraction(1, 2))):
                 cands = enumerate_candidates(inst, t)
-                bf = brute_force_cover(cands, n, m)
+                bf = brute_force_cover(cands)
                 for gap in (1e-1, 1e-2, 1e-4, 0.0):
-                    sol = solve_exact(cands, n, m, target_gap=gap)
+                    sol = solve_exact(cands, target_gap=gap)
                     assert sol.lower_radius_sq <= bf.total_radius_sq, (seed, factor, gap)
                     if isinstance(t, Fraction):
                         assert type(sol.lower_radius_sq) is Fraction, (seed, factor, gap)
@@ -390,10 +392,10 @@ def test_bound_against_milp_at_moderate_size(monkeypatch, quick_work):
                           (3, 45, 8, 0.5), (4, 60, 6, 0.5), (5, 55, 7, 0.0)):
         inst = random_instance(n, m, seed)
         cands = enumerate_candidates(inst, t)
-        opt = solve_exact(cands, n, m, backend=MilpBackend()).total_radius_sq
-        exact = solve_exact(cands, n, m, target_gap=0.0)
+        opt = solve_exact(cands, backend=MilpBackend()).total_radius_sq
+        exact = solve_exact(cands, target_gap=0.0)
         assert exact.total_radius_sq == pytest.approx(opt, rel=1e-6), seed
-        coarse = solve_exact(cands, n, m, target_gap=1e-2)
+        coarse = solve_exact(cands, target_gap=1e-2)
         assert coarse.lower_radius_sq <= opt * (1 + 1e-9), seed
         assert opt <= coarse.total_radius_sq * (1 + 1e-9), seed
         assert coarse.total_radius_sq <= (1 + 1e-2) * coarse.lower_radius_sq, seed
@@ -453,11 +455,11 @@ def test_cutoff_against_brute_force(monkeypatch, quick_work):
         base = random_instance(n, m, seed)
         for inst, t in ((base, 0.5), (base.as_exact(), Fraction(1, 2))):
             cands = enumerate_candidates(inst, t)
-            opt = brute_force_cover(cands, n, m).total_radius_sq
+            opt = brute_force_cover(cands).total_radius_sq
             greedy = nn_heuristic(inst, t).total_radius_sq
-            full = solve_exact(cands, n, m)
+            full = solve_exact(cands)
             for cutoff in (opt * 0.999, (opt + greedy) / 2, greedy * 1.01):
-                sol = solve_exact(cands, n, m, cutoff=cutoff)
+                sol = solve_exact(cands, cutoff=cutoff)
                 assert covers_all(cands, sol, n), (seed, cutoff)
                 assert sol.lower_radius_sq <= opt, (seed, cutoff)
                 assert not sol.timed_out, (seed, cutoff)
@@ -477,7 +479,7 @@ class FixedBackend(SolverBackend):
     def __init__(self, selected):
         self.selected = selected
 
-    def solve(self, candidates, n_objects, target_gap, time_limit, cutoff=None):
+    def solve(self, candidates, target_gap, time_limit, cutoff=None):
         return list(self.selected), 0
 
 
@@ -485,20 +487,20 @@ def test_cutoff_stop_is_not_a_time_out():
     n, m = 12, 3
     inst = random_instance(n, m, 4)
     cands = enumerate_candidates(inst, 0.5)
-    opt = brute_force_cover(cands, n, m)
+    opt = brute_force_cover(cands)
     backend = FixedBackend(opt.selected)
     cost = opt.total_radius_sq
     # A bound that misses the gap with the cover above the cutoff (or with
     # no cutoff) is a search cut short: a time-out.
     for cutoff in (None, cost * 0.99):
-        assert solve_exact(cands, n, m, 1e-4, backend=backend, cutoff=cutoff).timed_out
+        assert solve_exact(cands, target_gap=1e-4, backend=backend, cutoff=cutoff).timed_out
     # At or below the cutoff the cover answers the caller: no time-out.
     for cutoff in (cost, cost * 1.01):
-        sol = solve_exact(cands, n, m, 1e-4, backend=backend, cutoff=cutoff)
+        sol = solve_exact(cands, target_gap=1e-4, backend=backend, cutoff=cutoff)
         assert not sol.timed_out and sol.lower_radius_sq == 0
     # The branch and bound stops at once under a cutoff above its first cover.
     greedy = nn_heuristic(inst, 0.5).total_radius_sq
-    sol = solve_exact(cands, n, m, cutoff=greedy)
+    sol = solve_exact(cands, cutoff=greedy)
     assert sol.gap > 0.0 and not sol.timed_out
 
 
@@ -508,8 +510,8 @@ def test_search_past_its_deadline_returns_a_cover_and_a_sound_bound(monkeypatch)
         n, m = random_sizes(seed, 12, 4)
         inst = random_instance(n, m, seed)
         cands = enumerate_candidates(inst, 0.5)
-        opt = brute_force_cover(cands, n, m).total_radius_sq
-        sol = solve_exact(cands, n, m, target_gap=1e-4, time_limit=-1.0)
+        opt = brute_force_cover(cands).total_radius_sq
+        sol = solve_exact(cands, target_gap=1e-4, time_limit=-1.0)
         assert sol.timed_out, seed
         assert covers_all(cands, sol, n), seed
         assert sol.lower_radius_sq <= opt <= sol.total_radius_sq, seed
@@ -522,4 +524,31 @@ def test_a_backend_selection_that_misses_an_object_is_infeasible():
     cands = enumerate_candidates(random_instance(n, m, 4), 0.5)
     for selected in ((0,), (cands.offset[1] + 1,), ()):
         with pytest.raises(InfeasibleCoverError, match="selection does not cover object"):
-            solve_exact(cands, n, m, backend=FixedBackend(selected))
+            solve_exact(cands, backend=FixedBackend(selected))
+
+
+def test_objects_on_stations_tie_at_zero_increment():
+    """Every object sits on a station, so every uncovered object's cheapest
+    increment is zero and the search branches on the lowest one."""
+    stations = [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)]
+    inst = stationary([stations[0], stations[1], stations[0], stations[2]], stations)
+    for inst, t in ((inst, 0.5), (inst.as_exact(), Fraction(1, 2))):
+        cands = enumerate_candidates(inst, t)
+        sol, bf = solve_exact(cands), brute_force_cover(cands)
+        assert (sol.selected, sol.total_radius_sq) == (bf.selected, bf.total_radius_sq)
+        assert sol.total_radius_sq == 0 and sol.assignment == (0, 1, 0, 2)
+
+
+class CountingBackend(SolverBackend):
+    """A backend written to the signature that took the object count."""
+
+    def solve(self, candidates, n_objects, target_gap, time_limit, cutoff=None):
+        raise AssertionError("called with every option one parameter off")
+
+
+def test_a_backend_that_takes_the_object_count_fails_loudly():
+    # `solve_exact` passes the options by keyword, so the old parameter
+    # list misses `n_objects` instead of taking the gap in its place.
+    cands = enumerate_candidates(random_instance(8, 2, 0), 0.5)
+    with pytest.raises(TypeError, match="n_objects"):
+        solve_exact(cands, backend=CountingBackend())
