@@ -152,7 +152,7 @@ def result_segments(doc) -> list[TimelineSegment]:
     the first segment's and the moves since.  Raises FormatError when the
     timeline is malformed."""
     try:
-        assignment = tuple(doc["timeline"]["assignment"])
+        assignment = tuple(map(_station, doc["timeline"]["assignment"]))
         segs = []
         for raw in doc["timeline"]["segments"]:
             if raw["moves"]:
@@ -160,7 +160,7 @@ def result_segments(doc) -> list[TimelineSegment]:
                 for j, s in raw["moves"]:
                     if not _is_index(j, len(changed)):
                         raise IndexError(f"move of object {j!r}")
-                    changed[j] = s
+                    changed[j] = _station(s)
                 assignment = tuple(changed)
             segs.append(
                 TimelineSegment(
@@ -178,6 +178,14 @@ def result_segments(doc) -> list[TimelineSegment]:
 
 def _is_index(v, size: int) -> bool:
     return isinstance(v, int) and 0 <= v < size
+
+
+def _station(v):
+    """A stored station entry; any int reads, and `verify_result` checks
+    its range against the instance."""
+    if not isinstance(v, int):
+        raise TypeError(f"station {v!r}")
+    return v
 
 
 # -- gen ---------------------------------------------------------------------

@@ -12,6 +12,13 @@ builds them once as a `Candidates`: per station, that order and its radius
 levels, coverage bitmasks and each object's first covering level, in one
 O(nm log n) pass.  Every solver reads that one structure.
 
+The O(nm) passes over it (the relaxation below, cover counts, the greedy
+completion's increments, the node bounds' column minima) run as C-level
+`itertools`/`operator` passes, gathering the multipliers in a station's
+order with one `itemgetter` per station.  Each computes every float with
+the same operations in the same order as an element-by-element loop
+would, so selections, bounds and timelines do not depend on it.
+
 The branch and bound bounds nodes by a Lagrangian relaxation of the cover
 constraints, which the same orders evaluate in O(nm): with a multiplier
 per uncovered object, each station independently picks its best level.  A
@@ -29,10 +36,11 @@ import heapq
 import math
 from bisect import bisect_right
 import time as _time
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate, compress
-from operator import sub
+from itertools import accumulate, chain, compress, repeat
+from operator import add, itemgetter, lshift, mul, ne, or_, sub
 
 from .geometry import MovingInstance, Point2
 
@@ -176,7 +184,10 @@ class Candidates:
     position in the order of level k's outermost object), `rank[s][j]` (the
     level at which object j enters the prefix) and `reach[s][j]` (that
     level's value; `freach[j]` holds the float values per station).  Every
-    station covers every object at its top level.
+    station covers every object at its top level.  `gather[s]` maps a
+    sequence indexed by object to the tuple of its entries in `orders[s]`,
+    and `ends[s]` flags, per position in that order, the outermost object
+    of a level (None when no two objects tie, so every position ends one).
 
     Candidate i is level i - offset[s] of station s: numbering is
     station-major and by ascending radius within a station, and `len` is
@@ -186,28 +197,32 @@ class Candidates:
     def __init__(self, instance: MovingInstance, t):
         positions = [obj.at(t) for obj in instance.objects]
         n = len(positions)
+        xs, ys = [p.x for p in positions], [p.y for p in positions]
         self.n_objects, self.n_stations = n, instance.m
         self.values, self.masks, self.orders, self.last, self.rank = [], [], [], [], []
-        self.offset = []
+        self.offset, self.gather, self.ends = [], [], []
         size = 0
         for st in instance.stations:
-            dists = sorted((_dist_sq(st, p), j) for j, p in enumerate(positions))
-            vals, masks, last, rank = [], [], [], [0] * n
-            mask = 0
-            for k, (r2, j) in enumerate(dists):
-                mask |= 1 << j
-                rank[j] = len(vals)
-                if k + 1 == n or dists[k + 1][0] != r2:
-                    vals.append(r2)
-                    masks.append(mask)
-                    last.append(k)
+            # dx * dx + dy * dy with dx = st.x - p.x, as `_dist_sq` computes it
+            dx, dy = list(map(sub, repeat(st.x), xs)), list(map(sub, repeat(st.y), ys))
+            dists = sorted(zip(map(add, map(mul, dx, dx), map(mul, dy, dy)), range(n)))
+            d, order = [r2 for r2, _ in dists], tuple([j for _, j in dists])
+            ends = [*map(ne, d, d[1:]), True]  # True at each level's outermost object
+            vals = list(compress(d, ends))
+            rank = [0] * n
+            for j, lvl in zip(order, accumulate(ends, initial=0)):
+                rank[j] = lvl
             self.offset.append(size)
             size += len(vals)
             self.values.append(vals)
-            self.masks.append(masks)
-            self.orders.append(tuple([j for _, j in dists]))
-            self.last.append(last)
+            self.masks.append(list(compress(accumulate(map(lshift, repeat(1), order), or_), ends)))
+            self.orders.append(order)
+            self.last.append(list(compress(range(n), ends)))
             self.rank.append(rank)
+            # itemgetter of one index returns a bare item, and of none fails
+            self.gather.append(itemgetter(*order) if n > 1
+                               else lambda seq, o=order: tuple(seq[j] for j in o))
+            self.ends.append(None if len(vals) == n else ends)
         self._size = size
         self.universe = (1 << n) - 1
         self.fvalues = [[float(v) for v in vals] for vals in self.values]
@@ -246,20 +261,24 @@ class Candidates:
         bounds L's rounding error (see `_margin`), and per station the list
         of v_k - (weights in prefix k) over the levels above the committed
         one (None at the top level).
+
+        Per station the prefix sums are one `accumulate` over the weights
+        gathered in the station's order, read at each level's outermost
+        object, so they add in order the same floats a loop over the order
+        would; the levels up to the committed one are cut afterwards.
         """
         total = sum(weights)
         scale = total * (self.n_stations + 2)
         chosen = list(levels)
         reduced_all = []
-        for s in range(self.n_stations):
-            fv = self.fvalues[s]
-            lvl = levels[s]
+        for s, (fv, lvl, ends) in enumerate(zip(self.fvalues, levels, self.ends)):
             scale += 3.0 * fv[-1]
             if lvl + 1 == len(fv):
                 reduced_all.append(None)
                 continue
-            sums = list(accumulate(map(weights.__getitem__, self.orders[s])))
-            reduced = list(map(sub, fv[lvl + 1 :], map(sums.__getitem__, self.last[s][lvl + 1 :])))
+            sums = accumulate(self.gather[s](weights))
+            reduced = list(map(sub, fv, sums if ends is None else compress(sums, ends)))
+            del reduced[: lvl + 1]
             reduced_all.append(reduced)
             low = min(reduced)
             gain = low - (fv[lvl] if lvl >= 0 else 0.0)
@@ -270,12 +289,24 @@ class Candidates:
 
     def cover_counts(self, levels):
         """How many of the given levels cover each object."""
-        count = [0] * self.n_objects
-        for s, lvl in enumerate(levels):
-            if lvl >= 0:
-                for j in self.orders[s][: self.last[s][lvl] + 1]:
-                    count[j] += 1
-        return count
+        count = Counter(chain.from_iterable(
+            self.orders[s][: self.last[s][lvl] + 1] for s, lvl in enumerate(levels) if lvl >= 0))
+        return list(map(count.get, range(self.n_objects), repeat(0)))
+
+    def min_increments(self, levels):
+        """Per object, the least increment over the given levels of a
+        single disk covering it (exact values)."""
+        cols = [reach if lvl < 0 else map(sub, reach, repeat(vals[lvl]))
+                for reach, vals, lvl in zip(self.reach, self.values, levels)]
+        # map(min, col) would call min on each single value
+        return list(map(min, *cols)) if len(cols) > 1 else list(cols[0])
+
+    def cheapest_raise(self, j, cur):
+        """(increment, station) of the cheapest raise covering object j from
+        the stations' float values `cur`; the lowest station on ties."""
+        incs = list(map(sub, self.freach[j], cur))
+        low = min(incs)
+        return low, incs.index(low)
 
     def complete(self, levels):
         """Primal heuristic: raise levels until every object is covered, then
@@ -292,16 +323,11 @@ class Candidates:
         levels = list(levels)
         count = self.cover_counts(levels)
         cur = [fv[s][lvl] if lvl >= 0 else 0.0 for s, lvl in enumerate(levels)]
-
-        def cheapest(j):
-            # (increment, station) of the cheapest raise covering object j
-            return min(zip(map(sub, self.freach[j], cur), range(m)))
-
-        need = sorted((-cheapest(j)[0], j) for j in range(n) if not count[j])
+        need = sorted((-self.cheapest_raise(j, cur)[0], j) for j in range(n) if not count[j])
         for _, j in need:
             if count[j]:
                 continue
-            s = cheapest(j)[1]
+            s = self.cheapest_raise(j, cur)[1]
             r = rank[s][j]
             lo = last[s][levels[s]] + 1 if levels[s] >= 0 else 0
             for i in orders[s][lo : last[s][r] + 1]:
@@ -516,11 +542,12 @@ class BranchBoundBackend(SolverBackend):
             direction = [
                 0.0 if x == 0.0 and a > 1.0 else 1.0 - a for x, a in zip(best_u, average)
             ]
-            norm = sum(d * d for d in direction)
+            norm = sum(map(mul, direction, direction))
             if norm == 0.0:
                 break
             t = step * (upper - best_val) / norm
-            u = [max(0.0, x + t * d) for x, d in zip(best_u, direction)]
+            # v if v > 0.0 else 0.0 is max(0.0, v), -0.0 and NaN included
+            u = [v if v > 0.0 else 0.0 for v in map(add, best_u, map(mul, repeat(t), direction))]
             val, chosen, scale, _ = lv.lagrangian(root, u)
             val -= _margin(scale, lv)
             counts = lv.cover_counts(chosen)
@@ -546,14 +573,7 @@ class BranchBoundBackend(SolverBackend):
         bound on the child that raises it to cover that object: the
         Lagrangian at the root multipliers with the station forced to the
         child's level or above."""
-        cols = []
-        for s, lvl in enumerate(levels):
-            reach = lv.reach[s]
-            if lvl >= 0:
-                cur = lv.values[s][lvl]
-                reach = [r - cur for r in reach]
-            cols.append(reach)
-        cheapest = [min(incs) for incs in zip(*cols)]
+        cheapest = lv.min_increments(levels)
         is_open = lv.uncovered(covered)
         maxmin = max(compress(cheapest, is_open))
         if maxmin > 0:

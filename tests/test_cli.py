@@ -313,6 +313,14 @@ def assign_unknown_station(doc):
     doc["timeline"]["assignment"][0] = len(doc["timeline"]["segments"][0]["supports"])
 
 
+def assign_a_list(doc):
+    doc["timeline"]["assignment"][0] = [0]
+
+
+def move_to_a_list(doc):
+    doc["timeline"]["segments"][1]["moves"].append([0, [0]])
+
+
 def spell_a_time(doc):
     doc["timeline"]["segments"][0]["t_start"] = "zero"
 
@@ -353,6 +361,8 @@ def run_a_segment_backwards(doc):
 @pytest.mark.parametrize("tamper, code", [
     (drop_timeline, EXIT_IO),
     (move_unknown_object, EXIT_IO),
+    (assign_a_list, EXIT_IO),
+    (move_to_a_list, EXIT_IO),
     (spell_a_time, EXIT_IO),
     (spell_the_upper_bound, EXIT_IO),
     (claim_another_format, EXIT_IO),

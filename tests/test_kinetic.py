@@ -516,6 +516,19 @@ def test_full_size_extend_pinned():
     assert timeline_digest(segs) == (577, "3fb9247148e1d00e")
 
 
+def test_full_size_stationary_solve_pinned():
+    """The stationary solve at full size, where the relaxation's O(nm)
+    passes dominate, pinned from the element-by-element loops they
+    replaced."""
+    inst = generate(GenParams(n=500, m=25, seed=1))
+    sol = solve_exact(enumerate_candidates(inst, 0.0), target_gap=1e-4)
+    assert sol.selected == (13, 1470, 2009, 4002, 4502, 10033)
+    assert sol.total_radius_sq == 4026.989107668307
+    assert sol.lower_radius_sq == 4026.653964214087
+    assert sol.total_radius_sq - sol.lower_radius_sq <= 1e-4 * sol.lower_radius_sq
+    assert not sol.timed_out
+
+
 def test_extend_builds_distance_polynomials_on_demand(monkeypatch):
     inst = generate(GenParams(n=500, m=25, seed=0))
     n, m = inst.n, inst.m

@@ -1,11 +1,15 @@
 import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import sub
+from random import Random
 
 import pytest
 
 from conftest import random_instance, random_sizes
 from kdcover import static_cover
 from kdcover.geometry import MovingInstance, Point2, Trajectory
+from kdcover.instances import GenParams, generate
 from kdcover.static_cover import (
     BranchBoundBackend,
     InfeasibleCoverError,
@@ -552,3 +556,106 @@ def test_a_backend_that_takes_the_object_count_fails_loudly():
     cands = enumerate_candidates(random_instance(8, 2, 0), 0.5)
     with pytest.raises(TypeError, match="n_objects"):
         solve_exact(cands, backend=CountingBackend())
+
+
+# Element-by-element references for the O(nm) passes that `Candidates` runs
+# as C-level gathers: each pass must return the same values, bit for bit
+# (compared by repr, which tells -0.0 from 0.0), and the same types.
+
+
+def reference_lagrangian(lv, levels, weights):
+    total = sum(weights)
+    scale = total * (lv.n_stations + 2)
+    chosen = list(levels)
+    reduced_all = []
+    for s in range(lv.n_stations):
+        fv = lv.fvalues[s]
+        lvl = levels[s]
+        scale += 3.0 * fv[-1]
+        if lvl + 1 == len(fv):
+            reduced_all.append(None)
+            continue
+        sums = list(accumulate(map(weights.__getitem__, lv.orders[s])))
+        reduced = list(map(sub, fv[lvl + 1 :], map(sums.__getitem__, lv.last[s][lvl + 1 :])))
+        reduced_all.append(reduced)
+        low = min(reduced)
+        gain = low - (fv[lvl] if lvl >= 0 else 0.0)
+        if gain < 0.0:
+            total += gain
+            chosen[s] = lvl + 1 + reduced.index(low)
+    return total, chosen, scale, reduced_all
+
+
+def reference_cover_counts(lv, levels):
+    count = [0] * lv.n_objects
+    for s, lvl in enumerate(levels):
+        if lvl >= 0:
+            for j in lv.orders[s][: lv.last[s][lvl] + 1]:
+                count[j] += 1
+    return count
+
+
+def reference_cheapest_raise(lv, j, cur):
+    return min(zip(map(sub, lv.freach[j], cur), range(lv.n_stations)))
+
+
+def reference_min_increments(lv, levels):
+    cols = []
+    for s, lvl in enumerate(levels):
+        reach = lv.reach[s]
+        if lvl >= 0:
+            cur = lv.values[s][lvl]
+            reach = [r - cur for r in reach]
+        cols.append(reach)
+    return [min(incs) for incs in zip(*cols)]
+
+
+def gather_cases():
+    """Candidates on random and same-start instances (whose objects share
+    one point at t=0, so each station's levels tie), with one object or one
+    station, on an integer grid (partial ties), and in exact arithmetic."""
+    for seed in range(4):
+        for klass in ("random", "same_start"):
+            inst = generate(GenParams(n=30, m=5, seed=seed, instance_class=klass))
+            yield enumerate_candidates(inst, 0.0)
+            yield enumerate_candidates(inst, 0.5)
+            yield enumerate_candidates(inst.as_exact(), Fraction(1, 3))
+    yield enumerate_candidates(stationary([(1.0, 2.0)], [(0.0, 0.0), (3.0, 1.0)]), 0.0)
+    yield enumerate_candidates(random_instance(20, 1, 3), 0.25)
+    yield enumerate_candidates(stationary([(1.0, 2.0)], [(0.0, 0.0)]), 0.0)
+    grid = Random(100)
+    yield enumerate_candidates(stationary(
+        [(grid.randint(0, 4), grid.randint(0, 4)) for _ in range(40)],
+        [(grid.randint(0, 4), grid.randint(0, 4)) for _ in range(6)]), 0.0)
+
+
+def test_gathers_match_element_by_element_references():
+    rng = Random(8)
+    tied = False
+    for lv in gather_cases():
+        tied |= any(ends is not None for ends in lv.ends)
+        top = max(max(fv) for fv in lv.fvalues) or 1.0
+        for trial in range(12):
+            # Committed levels, the top one included, or none at all.
+            levels = tuple(rng.randrange(-1, len(v)) if trial and rng.random() < 0.4 else -1
+                           for v in lv.values)
+            open_ = lv.uncovered(lv.committed(levels)[1])
+            weights = [rng.uniform(0, 2 * top / lv.n_objects) if o and rng.random() < 0.8
+                       else 0.0 for o in open_]
+            assert repr(lv.lagrangian(levels, weights)) == repr(
+                reference_lagrangian(lv, levels, weights))
+            assert repr(lv.cover_counts(levels)) == repr(reference_cover_counts(lv, levels))
+            assert repr(lv.min_increments(levels)) == repr(
+                reference_min_increments(lv, levels))
+            cur = [fv[lvl] if lvl >= 0 else 0.0 for fv, lvl in zip(lv.fvalues, levels)]
+            for j in range(lv.n_objects):
+                assert repr(lv.cheapest_raise(j, cur)) == repr(
+                    reference_cheapest_raise(lv, j, cur))
+    assert tied
+
+
+def test_candidates_without_objects():
+    lv = enumerate_candidates(MovingInstance((Point2(0.0, 0.0), Point2(1.0, 1.0)), ()), 0.0)
+    assert (lv.values, lv.orders, lv.last, lv.ends) == ([[], []], [(), ()], [[], []], [None, None])
+    assert [gather([]) for gather in lv.gather] == [(), ()]
+    assert lv.cover_counts((-1, -1)) == lv.min_increments((-1, -1)) == []
