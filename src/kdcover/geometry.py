@@ -192,7 +192,11 @@ def quadratic_roots(p: QuadraticPoly, t_lo, t_hi) -> tuple[EventTime, ...]:
     """
     if not (t_lo <= t_hi):
         raise ValueError(f"empty window [{t_lo}, {t_hi}]")
-    if _is_exact(p.a) and _is_exact(p.b) and _is_exact(p.c):
+    a, b, c = p.a, p.b, p.c
+    # A float coefficient is never exact: the common case skips the ABC checks.
+    if type(a) is float or type(b) is float or type(c) is float:
+        return _roots_float(p, t_lo, t_hi)
+    if _is_exact(a) and _is_exact(b) and _is_exact(c):
         return _roots_exact(p, t_lo, t_hi)
     return _roots_float(p, t_lo, t_hi)
 
@@ -216,7 +220,9 @@ def _roots_float(p: QuadraticPoly, t_lo, t_hi) -> tuple:
     r1, r2 = q / a, c / q
     if r1 > r2:
         r1, r2 = r2, r1
-    return tuple(r for r in (r1, r2) if t_lo <= r <= t_hi)
+    if t_lo <= r1 <= t_hi:
+        return (r1, r2) if r2 <= t_hi else (r1,)
+    return (r2,) if t_lo <= r2 <= t_hi else ()
 
 
 def _roots_exact(p: QuadraticPoly, t_lo, t_hi) -> tuple:

@@ -10,8 +10,29 @@ strictly decreases afterwards.  With the duplicate-coverage improvement
 event (`apply_dedup`; `dedup_improve` runs it once, at one time).
 
 `_Extender` is the one event engine: `iter_extend` and `extend` walk its
-events from an anchor time toward a stop time.  The engine keeps its state
-across events and recomputes only what an event touched:
+events from an anchor time toward a stop time.  What each event computes:
+
+- support change of station s: for each other member o, the difference
+  d(s, o) - d(s, sup) of squared-distance polynomials, and its first root
+  strictly ahead of the cursor past which it is positive (`sign_ahead`);
+  the earliest over the members is queued;
+- handover of s1's support b to s2: the first such root of one polynomial,
+  (d(s1, b) + d(s2, c)) - (d(s1, a) + d(s2, b)), the two stations' cost
+  before minus after the transfer, with a the runner-up of s1 and c the
+  support of s2 (zero when None); at its time the handover is re-checked
+  against the live state (`handover_still_improves`) and applied only if
+  the cost does not rise;
+- duplicate coverage (no_dup) runs at every event time from the objects'
+  positions (`_dedup`), moving supports already inside another disk.
+
+Runner-ups and the dedup step's farthest objects are found by evaluating
+each member's polynomial (or position) at the time in one list pass, then
+the largest value and its lowest-index object by C-level `max`, `count`
+and `index` (`_farthest`); a support is picked from the members within
+the tolerance band of the largest value (`_tie_group`).
+
+The engine keeps its state across events and recomputes only what an
+event touched:
 
 - distance rows: each station-object squared-distance polynomial is built
   on its first read (`DistanceRow`) and kept;
@@ -28,7 +49,8 @@ across events and recomputes only what an event touched:
   its runner-up keeps it, and only the others are rescanned from the
   objects' positions;
 - the next event: one queue (`_EventQueue`) in place of a scan over every
-  cached event.
+  cached event;
+- segments: those between two moves share one assignment tuple.
 
 The engine is written once for float and exact coordinates; every
 tolerance lives in the `geometry` predicates it calls (`compare_event_times`,
@@ -197,6 +219,7 @@ class _Extender:
         self.flags = flags
         self.polys = distance_rows(instance)
         self.assignment = list(assignment)
+        self.assignment_tuple = None  # tuple(self.assignment), built once per move
         self.members: list[list[int]] = [[] for _ in instance.stations]
         for j, s in enumerate(self.assignment):
             self.members[s].append(j)
@@ -257,6 +280,7 @@ class _Extender:
         self.removals[s1] += 1
         self.members[s2].append(obj)
         self.assignment[obj] = s2
+        self.assignment_tuple = None
 
     # -- event scanning ---------------------------------------------------
 
@@ -346,7 +370,7 @@ class _Extender:
         if rest:
             # p(t) written out, as in QuadraticPoly.__call__
             vals = [(p.a * t + p.b) * t + p.c for p in map(self.polys[station].__getitem__, rest)]
-            best = -max(zip(vals, [-o for o in rest]))[1]
+            best = _farthest(vals, rest)
         self.runner[station] = best
         return best
 
@@ -358,20 +382,33 @@ class _Extender:
             return None
         return b, self._second_support(s1, t), self.supports[s2]
 
+    def _handover_rows(self, s1: int, s2: int, inputs):
+        """(b at s1, c at s2, a at s1, b at s2) for inputs (b, a, c): the
+        distance polynomials of a handover of b from s1 to s2, where the
+        runner-up a and s2's support c stand at zero when None."""
+        b, a2, c = inputs
+        row1, row2 = self.polys[s1], self.polys[s2]
+        p_a = row1[a2] if a2 is not None else ZERO_POLY
+        p_c = row2[c] if c is not None else ZERO_POLY
+        return row1[b], p_c, p_a, row2[b]
+
     def _handover_polys(self, s1: int, s2: int, inputs):
         """Cost of s1 and s2 before and after s1's support moves to s2."""
-        b, a2, c = inputs
-        p_a = self.polys[s1][a2] if a2 is not None else ZERO_POLY
-        p_c = self.polys[s2][c] if c is not None else ZERO_POLY
-        before = self.polys[s1][b] + p_c
-        after = p_a + self.polys[s2][b]
-        return before, after
+        p_b1, p_c, p_a, p_b2 = self._handover_rows(s1, s2, inputs)
+        return p_b1 + p_c, p_a + p_b2
+
+    def _handover_diff(self, s1: int, s2: int, inputs) -> QuadraticPoly:
+        """before - after of `_handover_polys`, built as one polynomial with
+        the same operations in the same order."""
+        p_b1, p_c, p_a, p_b2 = self._handover_rows(s1, s2, inputs)
+        return QuadraticPoly((p_b1.a + p_c.a) - (p_a.a + p_b2.a),
+                             (p_b1.b + p_c.b) - (p_a.b + p_b2.b),
+                             (p_b1.c + p_c.c) - (p_a.c + p_b2.c))
 
     def handover_after(self, s1: int, s2: int, inputs, cursor):
         """Earliest strict-improvement handover time of s1's support to s2
         ahead of the cursor."""
-        before, after = self._handover_polys(s1, s2, inputs)
-        diff = before - after
+        diff = self._handover_diff(s1, s2, inputs)
         lo, hi = self._window(cursor)
         for root in self._travel_sorted(quadratic_roots(diff, lo, hi)):
             if not self._ahead(root, cursor):
@@ -453,7 +490,9 @@ class _Extender:
 
     def _segment(self, start, end) -> TimelineSegment:
         a, b = (start, end) if self.direction > 0 else (end, start)
-        return TimelineSegment(a, b, tuple(self.assignment), tuple(self.supports),
+        if self.assignment_tuple is None:  # segments between moves share one tuple
+            self.assignment_tuple = tuple(self.assignment)
+        return TimelineSegment(a, b, self.assignment_tuple, tuple(self.supports),
                                self.objective_poly())
 
     def _requeue(self, stations, cursor) -> None:
@@ -507,6 +546,15 @@ class _Extender:
             self._requeue(touched, cursor)
 
 
+def _farthest(vals: list, objs: list[int]) -> int:
+    """The object of the largest value, the lowest index on a tie; the
+    values are objs' distances, in the same order."""
+    v = max(vals)
+    if vals.count(v) == 1:
+        return objs[vals.index(v)]
+    return min(o for o, x in zip(objs, vals) if x == v)
+
+
 def _dedup(instance: MovingInstance, t, members, known) -> dict:
     """The duplicate-coverage improvement at time t.
 
@@ -549,7 +597,7 @@ def _dedup(instance: MovingInstance, t, members, known) -> dict:
             return None
         x, y = xs[s], ys[s]
         dists = [(x - px) * (x - px) + (y - py) * (y - py) for px, py in map(position, objs)]
-        return -max(zip(dists, [-o for o in objs]))[1]
+        return _farthest(dists, objs)
 
     sup = [known[s] if known[s] is not None else support_of(s) for s in range(m)]
     radius = [d2(s, sup[s]) if sup[s] is not None else 0 for s in range(m)]

@@ -40,9 +40,9 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
-from operator import add, itemgetter, lshift, mul, ne, or_, sub
+from operator import add, itemgetter, le, lshift, mul, ne, or_, sub
 
-from .geometry import MovingInstance, Point2
+from .geometry import MovingInstance
 
 __all__ = [
     "Candidates",
@@ -110,10 +110,17 @@ def ratio_gap(upper: float, lower: float) -> float:
     return (upper - lower) / lower
 
 
-def _dist_sq(a: Point2, b: Point2):
-    dx = a.x - b.x
-    dy = a.y - b.y
-    return dx * dx + dy * dy
+def _distance_columns(instance: MovingInstance, t) -> list[list]:
+    """Squared distances at time t, one list over the objects per station:
+    dx * dx + dy * dy with dx = station.x - position.x, the position as
+    `Trajectory.at` computes it."""
+    positions = [obj.at(t) for obj in instance.objects]
+    xs, ys = [p.x for p in positions], [p.y for p in positions]
+    columns = []
+    for st in instance.stations:
+        dx, dy = list(map(sub, repeat(st.x), xs)), list(map(sub, repeat(st.y), ys))
+        columns.append(list(map(add, map(mul, dx, dx), map(mul, dy, dy))))
+    return columns
 
 
 def enumerate_candidates(instance: MovingInstance, t) -> Candidates:
@@ -130,10 +137,12 @@ def nn_heuristic(instance: MovingInstance, t) -> StaticSolution:
     stations resolve to the lower station index.
     """
     n, m = instance.n, instance.m
-    positions = [obj.at(t) for obj in instance.objects]
-    d2 = [[_dist_sq(st, p) for st in instance.stations] for p in positions]
-    nearest = [min(range(m), key=lambda i, j=j: (d2[j][i], i)) for j in range(n)]
-    order = sorted(range(n), key=lambda j: (-d2[j][nearest[j]], j))
+    columns = _distance_columns(instance, t)
+    rows = list(zip(*columns))
+    near = list(map(min, rows))
+    # The first index of a row's minimum is its lowest-index nearest station.
+    nearest = list(map(tuple.index, rows, near))
+    order = sorted(range(n), key=lambda j: (-near[j], j))
 
     assignment = [-1] * n
     radius = [0] * m
@@ -142,10 +151,10 @@ def nn_heuristic(instance: MovingInstance, t) -> StaticSolution:
         if covered[j]:
             continue
         s = nearest[j]
-        if d2[j][s] > radius[s]:
-            radius[s] = d2[j][s]
-        for o in range(n):
-            if not covered[o] and d2[o][s] <= radius[s]:
+        if near[j] > radius[s]:
+            radius[s] = near[j]
+        for o in compress(range(n), map(le, columns[s], repeat(radius[s]))):
+            if not covered[o]:
                 covered[o] = True
                 assignment[o] = s
     return StaticSolution(tuple(assignment), tuple(radius), sum(radius), 0)
@@ -195,17 +204,13 @@ class Candidates:
     """
 
     def __init__(self, instance: MovingInstance, t):
-        positions = [obj.at(t) for obj in instance.objects]
-        n = len(positions)
-        xs, ys = [p.x for p in positions], [p.y for p in positions]
+        n = instance.n
         self.n_objects, self.n_stations = n, instance.m
         self.values, self.masks, self.orders, self.last, self.rank = [], [], [], [], []
         self.offset, self.gather, self.ends = [], [], []
         size = 0
-        for st in instance.stations:
-            # dx * dx + dy * dy with dx = st.x - p.x, as `_dist_sq` computes it
-            dx, dy = list(map(sub, repeat(st.x), xs)), list(map(sub, repeat(st.y), ys))
-            dists = sorted(zip(map(add, map(mul, dx, dx), map(mul, dy, dy)), range(n)))
+        for column in _distance_columns(instance, t):
+            dists = sorted(zip(column, range(n)))
             d, order = [r2 for r2, _ in dists], tuple([j for _, j in dists])
             ends = [*map(ne, d, d[1:]), True]  # True at each level's outermost object
             vals = list(compress(d, ends))

@@ -6,6 +6,8 @@ any other test.
 """
 
 import json
+import sys
+from collections import Counter
 
 import pytest
 
@@ -32,6 +34,25 @@ TRACED = [
                          ids=[f"{owner.__name__}.{name}" for owner, name in TRACED])
 def test_traced_name_is_bound_and_callable(owner, name):
     assert callable(getattr(owner, name, None))
+
+
+def test_event_roots_go_through_the_kinetic_module_global(monkeypatch):
+    """`geometry.roots_calls` counts through the `quadratic_roots` bound in
+    `kinetic`, so support changes and handovers must both look it up there."""
+    callers = Counter()
+    roots = kinetic.quadratic_roots
+
+    def counted(*args):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return roots(*args)
+
+    monkeypatch.setattr(kinetic, "quadratic_roots", counted)
+    inst = generate(GenParams(n=30, m=4, seed=0))
+    flags = ImprovementFlags(no_dup=True, imp_ext=True, part_ext=True)
+    assignment = minmax.nn_heuristic(inst, 0.0).assignment
+    kinetic.extend(assignment, 0.0, "forward", 1.0, flags, inst)
+    assert callers["support_change_after"] > 0
+    assert callers["handover_after"] > 0
 
 
 def test_verify_result_takes_doc_instance_samples_positionally():

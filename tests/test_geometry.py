@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 from kdcover.exactarith import QuadraticNumber, _sign_pair, _sign_sum
 from kdcover.geometry import (
+    ZERO_POLY,
     MovingInstance,
     Point2,
     QuadraticPoly,
     Trajectory,
+    _roots_exact,
+    _roots_float,
     compare_event_times,
     compare_values,
     quadratic_roots,
@@ -79,6 +82,50 @@ def test_quadratic_roots_window_is_closed():
     assert quadratic_roots(QuadraticPoly(0.0, 1.0, 0.0), 0.0, 1.0) == (0.0,)
     with pytest.raises(ValueError):
         quadratic_roots(QuadraticPoly(1.0, 0.0, 0.0), 1.0, 0.0)
+
+
+def test_quadratic_roots_dispatches_on_coefficient_types():
+    """A polynomial with any float coefficient gets the float formula, the
+    rest (int and Fraction only) the exact roots; compared by repr, so a
+    float root where an exact one belongs, or the reverse, fails."""
+    rng = Random(12)
+
+    def small():
+        return rng.choice([rng.uniform(-4, 4), float(rng.randint(-3, 3)), 0.0])
+
+    def rational():
+        return rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-9, 9), rng.randint(1, 4))])
+
+    windows = [(0.0, 1.0), (-2.0, 2.0), (0.25, 0.75), (Fraction(-1), Fraction(3, 2))]
+    for _ in range(300):
+        a, b, c = small(), small(), small()
+        p = QuadraticPoly(a, b, c)
+        floats = [p, ZERO_POLY + p, p + ZERO_POLY, QuadraticPoly(0, b, c),
+                  QuadraticPoly(rational(), b, rational()),
+                  QuadraticPoly(rational(), rational(), c)]
+        exact = [QuadraticPoly(rational(), rational(), rational()), QuadraticPoly(0, rational(), 0)]
+        for lo, hi in windows:
+            for q in floats:
+                assert repr(quadratic_roots(q, lo, hi)) == repr(_roots_float(q, lo, hi)), q
+            for q in exact:
+                assert repr(quadratic_roots(q, lo, hi)) == repr(_roots_exact(q, lo, hi)), q
+    double = QuadraticPoly(1.0, -1.0, 0.25)
+    assert repr(quadratic_roots(double, 0, 1)) == repr(_roots_float(double, 0, 1)) == "(0.5,)"
+
+
+def test_float_roots_window_only_filters():
+    """The float roots in a window are the roots over the whole line that
+    lie in it, in the same order."""
+    rng = Random(13)
+    everywhere = (-math.inf, math.inf)
+    for _ in range(500):
+        p = QuadraticPoly(*(rng.choice([rng.uniform(-4, 4), 0.0]) for _ in range(3)))
+        roots = _roots_float(p, *everywhere)
+        assert list(roots) == sorted(roots)
+        lo = rng.uniform(-3, 2)
+        for lo, hi in ((lo, lo + rng.uniform(0, 2)), (lo, lo)) + tuple((r, r) for r in roots):
+            inside = tuple(r for r in roots if lo <= r <= hi)
+            assert repr(quadratic_roots(p, lo, hi)) == repr(inside), (p, lo, hi)
 
 
 def test_exact_roots_evaluate_to_zero_exactly():

@@ -9,6 +9,7 @@ from conftest import random_instance, random_sizes
 import kdcover.kinetic as kinetic
 from kdcover.envelope import SolutionTimeline, TimelineSegment
 from kdcover.geometry import (
+    ZERO_POLY,
     MovingInstance,
     Point2,
     Trajectory,
@@ -17,6 +18,7 @@ from kdcover.geometry import (
 )
 from kdcover.instances import GenParams, generate
 from kdcover.kinetic import ImprovementFlags, check_feasible, dedup_improve, extend
+from kdcover.minmax import SolverConfig, fixed_nn_baseline, solve_minmax
 from kdcover.static_cover import enumerate_candidates, nn_heuristic, solve_exact
 
 NO_FLAGS = ImprovementFlags()
@@ -514,6 +516,57 @@ def test_full_size_extend_pinned():
     assignment = nn_heuristic(inst, 0.0).assignment
     segs = extend(assignment, 0.0, "forward", 1.0, ALL_FLAGS, inst)
     assert timeline_digest(segs) == (577, "3fb9247148e1d00e")
+
+
+def test_full_size_heuristic_solves_pinned():
+    """The benchmark's heuristic solves at full size, where kinetic
+    extension is most of the work: nn with every flag and the fixed_nn
+    baseline on fix seed 0.  Pinned from the engine that composed every
+    handover difference from its before and after costs."""
+    inst = generate(GenParams(n=500, m=25, seed=0))
+    nn = solve_minmax(inst, SolverConfig(static_backend="nn", flags=ALL_FLAGS))
+    assert timeline_digest(nn.timeline.segments) == (538, "ed28c28217c6624b")
+    assert nn.upper == 19585.099137464924
+    base = fixed_nn_baseline(inst, k=10)
+    assert timeline_digest(base.timeline.segments) == (151, "36ffb8ab597805fa")
+    assert base.upper == 19821.001136801686
+
+
+def reference_handover_diff(engine, s1, s2, inputs):
+    """The handover difference composed as `before - after`."""
+    b, a2, c = inputs
+    row1, row2 = engine.polys[s1], engine.polys[s2]
+    p_a = row1[a2] if a2 is not None else ZERO_POLY
+    p_c = row2[c] if c is not None else ZERO_POLY
+    return (row1[b] + p_c) - (p_a + row2[b])
+
+
+def test_handover_difference_matches_before_minus_after():
+    """Coefficient by coefficient by repr, so an int, a Fraction or a -0.0
+    where the composition gives something else fails.  Runner-ups and s2
+    supports of None stand at the int zeros of ZERO_POLY."""
+    for inst, t in ((random_instance(40, 6, 3), 0.37),
+                    (random_instance(12, 4, 5).as_exact(), Fraction(2, 7))):
+        engine = kinetic._Extender(inst, nn_heuristic(inst, t).assignment, 1, 1, ALL_FLAGS)
+        for s in range(inst.m):
+            engine._pick_support(s, t)
+        checked = 0
+        for s1 in range(inst.m):
+            b = engine.supports[s1]
+            if b is None:
+                continue
+            others = [o for o in engine.members[s1] if o != b]
+            for s2 in range(inst.m):
+                if s2 == s1:
+                    continue
+                for a2 in [None] + others:
+                    for c in (engine.supports[s2], None):
+                        got = engine._handover_diff(s1, s2, (b, a2, c))
+                        ref = reference_handover_diff(engine, s1, s2, (b, a2, c))
+                        assert list(map(repr, (got.a, got.b, got.c))) == \
+                            list(map(repr, (ref.a, ref.b, ref.c))), (s1, s2, a2, c)
+                        checked += 1
+        assert checked > 50
 
 
 def test_full_size_stationary_solve_pinned():

@@ -14,6 +14,7 @@ from kdcover.static_cover import (
     BranchBoundBackend,
     InfeasibleCoverError,
     SolverBackend,
+    StaticSolution,
     brute_force_cover,
     enumerate_candidates,
     nn_heuristic,
@@ -101,6 +102,59 @@ def test_nn_examples():
     assert exact.total_radius_sq == pytest.approx(4.41)
     assert exact.cost == pytest.approx(13.8544, abs=1e-3)
     assert exact.gap == 0.0
+
+
+def reference_nn_heuristic(instance, t):
+    """`nn_heuristic` element by element, each object's nearest station
+    taken by `min` over (distance, station index) keys."""
+    n, m = instance.n, instance.m
+    positions = [obj.at(t) for obj in instance.objects]
+
+    def dist_sq(a, b):
+        dx = a.x - b.x
+        dy = a.y - b.y
+        return dx * dx + dy * dy
+
+    d2 = [[dist_sq(st, p) for st in instance.stations] for p in positions]
+    nearest = [min(range(m), key=lambda i, j=j: (d2[j][i], i)) for j in range(n)]
+    order = sorted(range(n), key=lambda j: (-d2[j][nearest[j]], j))
+    assignment = [-1] * n
+    radius = [0] * m
+    covered = [False] * n
+    for j in order:
+        if covered[j]:
+            continue
+        s = nearest[j]
+        if d2[j][s] > radius[s]:
+            radius[s] = d2[j][s]
+        for o in range(n):
+            if not covered[o] and d2[o][s] <= radius[s]:
+                covered[o] = True
+                assignment[o] = s
+    return StaticSolution(tuple(assignment), tuple(radius), sum(radius), 0)
+
+
+def test_nn_matches_element_by_element_reference():
+    """Compared by repr of the whole solution, so a different tie-break or
+    a differently computed radius fails.  Integer grids make equidistant
+    stations and objects common."""
+    rng = Random(21)
+
+    def grid_instance(n, m):
+        def point():
+            return Point2(float(rng.randint(0, 4)), float(rng.randint(0, 4)))
+
+        return MovingInstance(tuple(point() for _ in range(m)),
+                              tuple(Trajectory(point(), point()) for _ in range(n)))
+
+    cases = [grid_instance(30, 6) for _ in range(8)]
+    cases += [random_instance(*random_sizes(seed, 40, 7), seed) for seed in range(8)]
+    cases += [stationary([], [(0.0, 0.0), (1.0, 1.0)])]
+    for inst in cases:
+        for t in (0.0, 0.5, 1.0, rng.random()):
+            assert repr(nn_heuristic(inst, t)) == repr(reference_nn_heuristic(inst, t)), t
+            exact, tt = inst.as_exact(), Fraction(t)
+            assert repr(nn_heuristic(exact, tt)) == repr(reference_nn_heuristic(exact, tt)), t
 
 
 def test_solve_exact_trivial_and_errors():
