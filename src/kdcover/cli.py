@@ -305,7 +305,6 @@ def cmd_solve(args) -> int:
         print(f"cannot read instance: {exc}", file=sys.stderr)
         return EXIT_IO
     flags = args.flags
-    result = run_algorithm(instance, args.algo, flags, args)
     instance_id = _instance_id(args.instance, instance)
     config = {
         "target_gap": args.gap,
@@ -315,7 +314,9 @@ def cmd_solve(args) -> int:
     }
     out = args.output or (Path(args.instance).with_suffix("").name + ".result.json")
     try:
+        # Open the output first, so that an unwritable path costs no solve.
         with open(out, "w", encoding="utf-8") as fh:
+            result = run_algorithm(instance, args.algo, flags, args)
             fh.write(result_to_json(instance_id, args.algo, flags, config, result))
     except OSError as exc:
         print(f"cannot write result: {exc}", file=sys.stderr)

@@ -291,9 +291,6 @@ class _Extender:
         """t is at or ahead of ref in the travel direction, compared raw."""
         return t >= ref if self.direction > 0 else t <= ref
 
-    def _travel_sorted(self, times):
-        return sorted(times, reverse=(self.direction < 0))
-
     def _window(self, cursor):
         return (cursor, self.t_stop) if self.direction > 0 else (self.t_stop, cursor)
 
@@ -316,7 +313,7 @@ class _Extender:
             roots = quadratic_roots(diff, lo, hi)
             if not roots:
                 continue  # no crossing, or equidistant for all time: a tie
-            for root in self._travel_sorted(roots):
+            for root in roots[::self.direction]:  # ascending roots, in travel order
                 if not self._ahead(root, cursor):
                     continue
                 if best is not None and not self._ahead(best, root):
@@ -410,7 +407,7 @@ class _Extender:
         ahead of the cursor."""
         diff = self._handover_diff(s1, s2, inputs)
         lo, hi = self._window(cursor)
-        for root in self._travel_sorted(quadratic_roots(diff, lo, hi)):
+        for root in quadratic_roots(diff, lo, hi)[::self.direction]:
             if not self._ahead(root, cursor):
                 continue
             if sign_ahead(diff, root, self.direction) > 0:

@@ -93,9 +93,8 @@ class KineticResult:
     """Solution timeline with certified bounds.
 
     upper = pi * peak of the timeline objective; lower = pi * best
-    stationary lower bound seen; gap = (upper - lower) / lower.  history
-    records (upper, lower) once per iteration.  `timed_out` is true when
-    the loop stopped at its time limit.
+    stationary lower bound seen; gap = (upper - lower) / lower.
+    `timed_out` is true when the loop stopped at its time limit.
     """
 
     timeline: SolutionTimeline
@@ -104,7 +103,6 @@ class KineticResult:
     gap: float
     iterations: int
     stats: SolveStats
-    history: tuple[tuple[float, float], ...] = ()
 
     @property
     def timed_out(self) -> bool:
@@ -173,7 +171,7 @@ def _until_crossing(segments, incumbent: SolutionTimeline, direction: int):
                 cut = a if direction > 0 else b
             else:
                 roots = quadratic_roots(diff, a, b)
-                cut = next((root for root in sorted(roots, reverse=(direction < 0))
+                cut = next((root for root in roots[::direction]
                             if sign_ahead(diff, root, direction) > 0
                             and compare_event_times(root, near) != 0), None)
         if cut is None:
@@ -245,7 +243,6 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
     lower_sum = seed.lower_radius_sq
     timeline = extend_merge(seed.assignment, t0, None)
 
-    history: list[tuple[float, float]] = []
     # Times already solved, which a re-solve cannot improve: each was solved
     # to the target gap or to a cover at or below the lower bound.
     excluded: list[object] = [t0] if use_ip else []
@@ -256,7 +253,6 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
         iterations += 1
         upper = math.pi * float(timeline.value)
         lower = math.pi * float(lower_sum)
-        history.append((upper, lower))
         gap = ratio_gap(upper, lower)
         if gap <= config.target_gap:
             stop = "gap"
@@ -303,7 +299,6 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
         gap=ratio_gap(upper, lower),
         iterations=iterations,
         stats=stats,
-        history=tuple(history),
     )
 
 
@@ -342,5 +337,4 @@ def fixed_nn_baseline(
         gap=ratio_gap(upper, 0.0),
         iterations=k + 1,
         stats=stats,
-        history=((upper, 0.0),),
     )

@@ -37,7 +37,7 @@ import math
 from bisect import bisect_right
 import time as _time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
 from operator import add, itemgetter, le, lshift, mul, ne, or_, sub
@@ -83,7 +83,8 @@ class StaticSolution:
 
     `total_radius_sq` and `lower_radius_sq` are pi-free (exact in exact
     mode); `cost` and `gap` are the reported float values, with the pi
-    factor applied to the area.
+    factor applied to the area.  `stop` is the search's stop cause (see
+    `SolverBackend`), None when no search ran.
     """
 
     assignment: tuple[int, ...]
@@ -91,7 +92,11 @@ class StaticSolution:
     total_radius_sq: object
     lower_radius_sq: object
     selected: tuple[int, ...] = ()
-    timed_out: bool = False
+    stop: str | None = None
+
+    @property
+    def timed_out(self) -> bool:
+        return self.stop == "time_limit"
 
     @property
     def cost(self) -> float:
@@ -165,8 +170,10 @@ class SolverBackend:
 
     solve(candidates, target_gap, time_limit, cutoff=None), called by
     keyword and never for zero objects, must return (selected candidate
-    indices, lower bound on the sum of squared radii) with the selection
-    covering every object and the bound never exceeding the optimal sum.
+    indices, lower bound on the sum of squared radii, stop cause) with the
+    selection covering every object and the bound never exceeding the
+    optimal sum.  The stop cause is "optimal" (the bound reached the cover's
+    cost), "gap", "cutoff" or "time_limit" (cut short by the clock).
     `candidates`, the `Candidates` that `enumerate_candidates` returns, is
     the whole problem: its `n_objects`, `n_stations` and per-station
     levels, each covering a prefix of its station's distance order, so one
@@ -425,13 +432,12 @@ class BranchBoundBackend(SolverBackend):
         best = lv.complete(lv.lagrangian((-1,) * lv.n_stations, u)[1])
         quick_pops = _QUICK_WORK // (lv.n_objects * lv.n_stations)
         stop = -math.inf if cutoff is None else float(cutoff)
-        best, lower, done = self._search(lv, u, best, target_gap, stop, deadline, quick_pops)
-        if not done:
+        best, lower, cause = self._search(lv, u, best, target_gap, stop, deadline, quick_pops)
+        if cause is None:
             u, best = self._ascend(lv, u, best, target_gap, stop, deadline)
-            best, deeper, _ = self._search(lv, u, best, target_gap, stop, deadline, math.inf)
+            best, deeper, cause = self._search(lv, u, best, target_gap, stop, deadline, math.inf)
             lower = max(lower, deeper)
-        levels, cost = best
-        return list(lv.selection(levels)), min(lower, cost)
+        return list(lv.selection(best[0])), lower, cause
 
     def _search(self, lv: Candidates, u, best, target_gap, stop, deadline, max_pops):
         """Best-first search from the root with node bounds at multipliers
@@ -439,9 +445,9 @@ class BranchBoundBackend(SolverBackend):
         the incumbent is within the target gap or its float cost is at most
         `stop`.
 
-        Returns the incumbent, the certified lower bound, and False only
-        when max_pops ran out before the gap, the stop cost, the deadline
-        or the optimum.
+        Returns the incumbent, the certified lower bound, and the stop
+        cause: None only when max_pops ran out before the gap, the stop
+        cost, the deadline or the optimum.
         """
         root = (-1,) * lv.n_stations
         best_levels, best_cost = best
@@ -460,17 +466,19 @@ class BranchBoundBackend(SolverBackend):
             if key > lower:
                 lower = key
             if key > best_cost:
-                lower = best_cost
+                lower, cause = best_cost, "optimal"
                 break
             # The gap and cutoff stops are float-level tolerances even in
             # exact mode; the bounds themselves stay exact.
             upper = float(best_cost)
             if upper <= stop or (target_gap > 0 and upper <= float(lower) * (1.0 + target_gap)):
+                cause = "cutoff" if upper <= stop else "gap"
                 break
             if pops == max_pops:
-                return (best_levels, best_cost), lower, False
+                return (best_levels, best_cost), lower, None
             pops += 1
             if pops % _TIME_CHECK_PERIOD == 0 and _time.perf_counter() > deadline:
+                cause = "time_limit"
                 break
             committed, covered = lv.committed(levels)
             if covered == lv.universe:
@@ -505,8 +513,8 @@ class BranchBoundBackend(SolverBackend):
                 heapq.heappush(heap, (child_key, seq, child, None))
                 seq += 1
         else:
-            lower = best_cost
-        return (best_levels, best_cost), lower, True
+            lower, cause = best_cost, "optimal"
+        return (best_levels, best_cost), lower, cause
 
     @staticmethod
     def _ratio_prices(lv: Candidates):
@@ -609,12 +617,13 @@ class MilpBackend(SolverBackend):
     """Weighted set cover through scipy's HiGHS MILP solver.
 
     Optional heavier backend; float arithmetic only, and it does not honor
-    the lexicographic tie-break among equal-cost optima.  When HiGHS stops
-    without a feasible point (at its time limit), the greedy cover of
-    `Candidates.complete` is returned with HiGHS's dual bound, or 0 when it
-    has none, so `solve_exact` flags the result `timed_out`.  The cutoff is
-    ignored: `milp` takes no objective cutoff, so every solve runs to the
-    target gap or the time limit.
+    the lexicographic tie-break among equal-cost optima.  HiGHS's status 0
+    stops at "gap" ("optimal" at target gap 0); any other status (its time
+    limit) stops at "time_limit".  When HiGHS stops without a feasible
+    point, the greedy cover of `Candidates.complete` is returned with
+    HiGHS's dual bound, or 0 when it has none.  The cutoff is ignored:
+    `milp` takes no objective cutoff, so every solve runs to the target gap
+    or the time limit.
     """
 
     def solve(self, candidates, target_gap, time_limit, cutoff=None):
@@ -653,13 +662,14 @@ class MilpBackend(SolverBackend):
         else:
             selected = [i for i, v in enumerate(res.x) if v > 0.5]
             lower = res.mip_dual_bound if res.mip_dual_bound is not None else res.fun
-        return selected, max(float(lower), 0.0)
+        stop = "time_limit" if res.status != 0 else "gap" if target_gap > 0 else "optimal"
+        return selected, max(float(lower), 0.0), stop
 
 
 DEFAULT_BACKEND = BranchBoundBackend()
 
 
-def _solution_from_selection(lv: Candidates, selected, lower):
+def _solution_from_selection(lv: Candidates, selected, lower, stop):
     # Each station's radius is its highest selected level.
     levels = [-1] * lv.n_stations
     for i in selected:
@@ -680,7 +690,7 @@ def _solution_from_selection(lv: Candidates, selected, lower):
     if lower > total:
         lower = total
     return StaticSolution(
-        tuple(assignment), tuple(radius), total, lower, tuple(sorted(selected))
+        tuple(assignment), tuple(radius), total, lower, tuple(sorted(selected)), stop
     )
 
 
@@ -697,23 +707,17 @@ def solve_exact(
     Returns a solution whose `gap` is at most target_gap unless the search
     stops short.  Given a cutoff (a sum of squared radii), the backend may
     stop at the first cover whose float cost is at most the cutoff; that
-    cover is returned with the bound certified at the stop.
-    A search that stops short with a cover above the cutoff (the time
-    limit) reports the achieved bound and is flagged `timed_out`.
+    cover is returned with the bound certified at the stop.  The solution's
+    `stop` is the backend's stop cause; a search cut short by the time
+    limit reports the achieved bound and is `timed_out`.
     """
     if candidates.n_objects == 0:
         # Nothing to cover; the branch and bound would divide by n * m.
-        return _solution_from_selection(candidates, (), 0)
+        return _solution_from_selection(candidates, (), 0, "optimal")
     backend = backend or DEFAULT_BACKEND
-    selected, lower = backend.solve(candidates, target_gap=target_gap,
-                                    time_limit=time_limit, cutoff=cutoff)
-    sol = _solution_from_selection(candidates, selected, lower)
-    achieved = sol.gap
-    below_cutoff = cutoff is not None and float(sol.total_radius_sq) <= float(cutoff)
-    timed_out = not below_cutoff and achieved > target_gap and not math.isclose(
-        achieved, target_gap, rel_tol=1e-9, abs_tol=1e-15
-    )
-    return replace(sol, timed_out=True) if timed_out else sol
+    selected, lower, stop = backend.solve(candidates, target_gap=target_gap,
+                                          time_limit=time_limit, cutoff=cutoff)
+    return _solution_from_selection(candidates, selected, lower, stop)
 
 
 def brute_force_cover(candidates: Candidates) -> StaticSolution:
@@ -760,4 +764,4 @@ def brute_force_cover(candidates: Candidates) -> StaticSolution:
                 walk(depth + 1, chosen + [opt], covered | covered_by[opt], cost_opt)
 
     walk(0, [], frozenset(), 0)
-    return _solution_from_selection(candidates, best_sel, best_cost)
+    return _solution_from_selection(candidates, best_sel, best_cost, "optimal")

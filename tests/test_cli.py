@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -528,6 +529,21 @@ def test_bench_opens_its_output_before_solving(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_solve_opens_its_output_before_solving(tmp_path, capsys, monkeypatch):
+    from kdcover import cli
+
+    _, inst_path = gen_one(tmp_path)
+    solve, calls = cli.run_algorithm, []
+    monkeypatch.setattr(cli, "run_algorithm", lambda *a: calls.append(a) or solve(*a))
+    capsys.readouterr()
+    missing = tmp_path / "missing" / "r.json"
+    assert_one_error_line(capsys, run(["solve", inst_path, "--algo", "nn", "-o", missing]),
+                          EXIT_IO)
+    assert calls == []
+    assert run(["solve", inst_path, "--algo", "nn", "-o", tmp_path / "r.json"]) == EXIT_OK
+    assert len(calls) == 1
+
+
 def test_bench_keeps_the_rows_of_an_interrupted_run(tmp_path, monkeypatch):
     from kdcover import cli
 
@@ -579,3 +595,28 @@ def test_module_entry_point_and_a_light_import(tmp_path):
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_solves_and_checks_with_the_standard_library_alone():
+    # The package is pure standard library: with scipy and numpy blocked
+    # from import it still imports, solves and verifies its own result.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = textwrap.dedent("""\
+        import json, sys
+        sys.modules["scipy"] = sys.modules["numpy"] = None
+        import kdcover
+        from kdcover import cli
+        from kdcover.instances import GenParams, generate
+        from kdcover.kinetic import ImprovementFlags
+        instance = generate(GenParams(n=12, m=3, seed=1))
+        flags = ImprovementFlags(no_dup=True, imp_ext=True, part_ext=True)
+        result = kdcover.solve_minmax(instance, kdcover.SolverConfig(flags=flags))
+        doc = json.loads(cli.result_to_json("probe", "exact", flags, {}, result))
+        print(result.stats.stop_reason, cli.verify_result(doc, instance, 200))
+    """)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["gap", "[]"]

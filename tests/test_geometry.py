@@ -130,12 +130,18 @@ def test_float_roots_window_only_filters():
 
 def test_exact_roots_evaluate_to_zero_exactly():
     rng = Random(7)
+    swapped = 0
     for _ in range(200):
         a = Fraction(rng.randint(-20, 20))
         b = Fraction(rng.randint(-20, 20))
         c = Fraction(rng.randint(-20, 20))
-        for root in quadratic_roots(QuadraticPoly(a, b, c), Fraction(-10), Fraction(10)):
+        roots = quadratic_roots(QuadraticPoly(a, b, c), Fraction(-10), Fraction(10))
+        for root in roots:
             assert QuadraticPoly(a, b, c)(root) == 0
+        # Ascending, also where a < 0 swaps the formula's two roots.
+        assert all(compare_event_times(r, s) < 0 for r, s in zip(roots, roots[1:])), (a, b, c)
+        swapped += a < 0 and len(roots) == 2
+    assert swapped > 0
 
 
 def test_float_roots_evaluate_near_zero():

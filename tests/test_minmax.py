@@ -20,6 +20,7 @@ from kdcover.static_cover import (
     SolverBackend,
     brute_force_cover,
     enumerate_candidates,
+    ratio_gap,
 )
 
 ALL_FLAGS = ImprovementFlags(no_dup=True, imp_ext=True, part_ext=True)
@@ -75,12 +76,23 @@ def test_config_validation():
         SolverConfig(static_backend="magic")
 
 
-def test_bounds_monotone_over_iterations():
+def test_bounds_monotone_over_iterations(monkeypatch):
+    # The loop passes each iteration's (upper, lower) to `ratio_gap`, and
+    # the result's bounds once more after the loop.
+    history = []
+
+    def recording_gap(upper, lower):
+        history.append((upper, lower))
+        return ratio_gap(upper, lower)
+
+    monkeypatch.setattr(minmax, "ratio_gap", recording_gap)
     for seed in range(6):
         inst = random_instance(25, 4, seed)
+        history.clear()
         res = solve_minmax(inst, SolverConfig(flags=ALL_FLAGS))
-        uppers = [u for u, _ in res.history]
-        lowers = [l for _, l in res.history]
+        assert len(history) == res.iterations + 1, seed
+        uppers = [u for u, _ in history[:-1]]
+        lowers = [l for _, l in history[:-1]]
         assert all(a >= b - 1e-9 for a, b in zip(uppers, uppers[1:]))
         assert all(a <= b + 1e-9 for a, b in zip(lowers, lowers[1:]))
         assert res.upper >= res.lower - 1e-9
@@ -197,10 +209,10 @@ class RecordingBackend(SolverBackend):
         self.target_gaps.append(target_gap)
         self.time_limits.append(time_limit)
         self.cutoffs.append(cutoff)
-        selected, lower = BranchBoundBackend().solve(
+        selected, lower, stop = BranchBoundBackend().solve(
             candidates, target_gap, time_limit, cutoff)
         self.lowers.append(lower)
-        return selected, lower
+        return selected, lower, stop
 
 
 def test_each_peak_solved_once_at_the_target_gap(monkeypatch):

@@ -380,7 +380,7 @@ def test_milp_backend_without_primal_point(monkeypatch):
     cands = enumerate_candidates(inst, 0.5)
     opt = solve_exact(cands, target_gap=0.0)
     for dual in (None, 0.5 * float(opt.total_radius_sq)):
-        stopped = SimpleNamespace(x=None, fun=None, mip_dual_bound=dual,
+        stopped = SimpleNamespace(x=None, fun=None, mip_dual_bound=dual, status=1,
                                   message="Time limit reached")
         monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **k: stopped)
         sol = solve_exact(cands, target_gap=1e-4, time_limit=1.0, backend=MilpBackend())
@@ -389,6 +389,25 @@ def test_milp_backend_without_primal_point(monkeypatch):
         assert sol.total_radius_sq >= opt.total_radius_sq
         for j, s in enumerate(sol.assignment):
             assert cands.reach[s][j] <= sol.radius_sq[s], j
+
+
+def test_milp_backend_maps_its_status_to_a_stop_cause(monkeypatch):
+    # HiGHS's status 0 is a solve to the target gap, any other status one
+    # cut short.
+    scipy = pytest.importorskip("scipy")
+    from types import SimpleNamespace
+
+    from kdcover.static_cover import MilpBackend
+
+    cands = enumerate_candidates(random_instance(20, 4, 3), 0.5)
+    opt = solve_exact(cands, target_gap=0.0)
+    x = [float(i in opt.selected) for i in range(len(cands))]
+    for status, gap, stop in ((0, 0.0, "optimal"), (0, 1e-4, "gap"), (1, 1e-4, "time_limit")):
+        res = SimpleNamespace(x=x, fun=float(opt.total_radius_sq),
+                              mip_dual_bound=float(opt.lower_radius_sq), status=status)
+        monkeypatch.setattr(scipy.optimize, "milp", lambda *a, res=res, **k: res)
+        sol = solve_exact(cands, target_gap=gap, backend=MilpBackend())
+        assert (sol.stop, sol.selected) == (stop, opt.selected), status
 
 
 def scaled(inst, factor):
@@ -532,30 +551,19 @@ def test_cutoff_against_brute_force(monkeypatch, quick_work):
 
 class FixedBackend(SolverBackend):
     """Returns one selection with a zero bound, as a search that stopped
-    before proving anything would."""
+    at its time limit before proving anything would."""
 
     def __init__(self, selected):
         self.selected = selected
 
     def solve(self, candidates, target_gap, time_limit, cutoff=None):
-        return list(self.selected), 0
+        return list(self.selected), 0, "time_limit"
 
 
 def test_cutoff_stop_is_not_a_time_out():
     n, m = 12, 3
     inst = random_instance(n, m, 4)
     cands = enumerate_candidates(inst, 0.5)
-    opt = brute_force_cover(cands)
-    backend = FixedBackend(opt.selected)
-    cost = opt.total_radius_sq
-    # A bound that misses the gap with the cover above the cutoff (or with
-    # no cutoff) is a search cut short: a time-out.
-    for cutoff in (None, cost * 0.99):
-        assert solve_exact(cands, target_gap=1e-4, backend=backend, cutoff=cutoff).timed_out
-    # At or below the cutoff the cover answers the caller: no time-out.
-    for cutoff in (cost, cost * 1.01):
-        sol = solve_exact(cands, target_gap=1e-4, backend=backend, cutoff=cutoff)
-        assert not sol.timed_out and sol.lower_radius_sq == 0
     # The branch and bound stops at once under a cutoff above its first cover.
     greedy = nn_heuristic(inst, 0.5).total_radius_sq
     sol = solve_exact(cands, cutoff=greedy)
@@ -573,6 +581,52 @@ def test_search_past_its_deadline_returns_a_cover_and_a_sound_bound(monkeypatch)
         assert sol.timed_out, seed
         assert covers_all(cands, sol, n), seed
         assert sol.lower_radius_sq <= opt <= sol.total_radius_sq, seed
+
+
+def inferred_time_out(sol, target_gap, cutoff):
+    """The time-out as `solve_exact` once inferred it from the returned gap:
+    short of the target gap beyond a float tolerance, with the cover above
+    the cutoff or with no cutoff."""
+    below_cutoff = cutoff is not None and float(sol.total_radius_sq) <= float(cutoff)
+    return not below_cutoff and sol.gap > target_gap and not math.isclose(
+        sol.gap, target_gap, rel_tol=1e-9, abs_tol=1e-15)
+
+
+def test_each_stop_cause(monkeypatch):
+    """The branch and bound reports each of its four stop causes, and only
+    "time_limit" is a time-out, as the gap inference would have it."""
+    base = random_instance(40, 6, 138)
+    for inst, t in ((base, 0.5), (base.as_exact(), Fraction(1, 2))):
+        cands = enumerate_candidates(inst, t)
+
+        def solve(cause, target_gap=0.0, cutoff=None, time_limit=math.inf):
+            sol = solve_exact(cands, target_gap=target_gap, time_limit=time_limit, cutoff=cutoff)
+            assert sol.stop == cause, t
+            assert sol.timed_out == (cause == "time_limit"), t
+            assert sol.timed_out == inferred_time_out(sol, target_gap, cutoff), t
+            return sol
+
+        solve("optimal")
+        with monkeypatch.context() as patch:
+            # The root ascent stops within the gap short of the optimum.
+            patch.setattr(static_cover, "_QUICK_WORK", 0)
+            sol = solve("gap", target_gap=1e-2)
+            assert sol.lower_radius_sq < sol.total_radius_sq, t
+        # The search stops at once under a cutoff above its first cover.
+        solve("cutoff", cutoff=nn_heuristic(inst, t).total_radius_sq)
+        with monkeypatch.context() as patch:
+            patch.setattr(static_cover, "_TIME_CHECK_PERIOD", 1)
+            solve("time_limit", target_gap=1e-4, time_limit=-1.0)
+
+
+def test_pinned_searches_stop_where_the_gap_inference_says():
+    for seed, exact, gap, *_ in PINNED_SEARCH:
+        inst, t = random_instance(40, 6, seed), 0.5
+        if exact:
+            inst, t = inst.as_exact(), Fraction(1, 2)
+        sol = solve_exact(enumerate_candidates(inst, t), target_gap=gap)
+        assert sol.stop in ("optimal", "gap"), (seed, exact, gap)
+        assert sol.timed_out == inferred_time_out(sol, gap, None), (seed, exact, gap)
 
 
 def test_a_backend_selection_that_misses_an_object_is_infeasible():
