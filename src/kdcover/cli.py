@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import sys
+from bisect import insort
 from pathlib import Path
 
 from .envelope import TimelineSegment
@@ -28,7 +29,7 @@ from .instances import (
     read_instance,
     write_instance,
 )
-from .kinetic import ImprovementFlags, check_feasible, distance_rows
+from .kinetic import ImprovementFlags, check_feasible, coefficient_rows, moved_objects
 from .minmax import KineticResult, SolverConfig, fixed_nn_baseline, solve_minmax
 from .static_cover import ratio_gap
 
@@ -91,7 +92,24 @@ def parse_flags(text: str) -> ImprovementFlags:
 
 def result_to_json(instance_id: str, algorithm: str, flags: ImprovementFlags,
                    config: dict, result: KineticResult) -> str:
+    """The result file's text: the header indented, then the timeline's
+    segments one per line."""
     tl = result.timeline
+    segments = []
+    prev = tl.segments[0].assignment
+    for seg in tl.segments:
+        # Segments between moves share one assignment tuple.
+        moves = [] if seg.assignment is prev else [
+            [j, seg.assignment[j]] for j in moved_objects(prev, seg.assignment)
+        ]
+        prev = seg.assignment
+        segments.append({
+            "t_start": float(seg.t_start),
+            "t_end": float(seg.t_end),
+            "moves": moves,
+            "supports": list(seg.supports),
+            "objective": [float(seg.poly.a), float(seg.poly.b), float(seg.poly.c)],
+        })
     doc = {
         "format": RESULT_FORMAT,
         "version": RESULT_VERSION,
@@ -115,22 +133,15 @@ def result_to_json(instance_id: str, algorithm: str, flags: ImprovementFlags,
         "timeline": {
             "value": float(tl.value),
             "assignment": list(tl.segments[0].assignment),
-            "segments": [
-                {
-                    "t_start": float(seg.t_start),
-                    "t_end": float(seg.t_end),
-                    "moves": [
-                        [j, s] for j, (p, s) in enumerate(zip(prev.assignment, seg.assignment))
-                        if p != s
-                    ],
-                    "supports": list(seg.supports),
-                    "objective": [float(seg.poly.a), float(seg.poly.b), float(seg.poly.c)],
-                }
-                for prev, seg in zip(tl.segments[:1] + tl.segments[:-1], tl.segments)
-            ],
+            "segments": [],
         },
     }
-    return json.dumps(doc, indent=2) + "\n"
+    # The segments list is the document's last value: its `[]` is the last
+    # in the indented header, and each segment is written in its place on
+    # one line by the C encoder, which an indent would bypass.
+    head, tail = json.dumps(doc, indent=2).rsplit("[]", 1)
+    body = ",\n      ".join(map(json.dumps, segments))
+    return f"{head}[\n      {body}\n    ]{tail}\n"
 
 
 def load_result(path):
@@ -177,13 +188,13 @@ def result_segments(doc) -> list[TimelineSegment]:
 
 
 def _is_index(v, size: int) -> bool:
-    return isinstance(v, int) and 0 <= v < size
+    return type(v) is int and 0 <= v < size  # JSON true and false are not indices
 
 
 def _station(v):
-    """A stored station entry; any int reads, and `verify_result` checks
-    its range against the instance."""
-    if not isinstance(v, int):
+    """A stored station entry; any int (not a bool) reads, and
+    `verify_result` checks its range against the instance."""
+    if type(v) is not int:
         raise TypeError(f"station {v!r}")
     return v
 
@@ -453,17 +464,19 @@ def verify_result(doc, instance: MovingInstance, samples: int) -> list[str]:
 
     Checks each segment's assignment and supports against the instance,
     re-derives its objective from the stored assignment, checks that the
-    segment times ascend and join up, the stored peak and the stored gap against the stored
-    bounds, and re-runs the feasibility sampler.
+    segment times ascend and join up and that the objectives are finite,
+    the stored peak value and bounds against the timeline's peak and the
+    stored gap against the stored bounds, and re-runs the feasibility sampler.
     Returns a list of violation messages (empty = pass); raises FormatError
     when the timeline cannot be read.
     """
     problems = []
     segs = result_segments(doc)
+    value = doc["timeline"].get("value")
+    if type(value) not in (int, float):
+        raise FormatError(f"malformed timeline: value {value!r}")
     if not segs:
         return ["empty timeline"]
-    n, m = instance.n, instance.m
-    malformed = False
     if abs(segs[0].t_start - 0.0) > 1e-9 or abs(segs[-1].t_end - 1.0) > 1e-9:
         problems.append("timeline does not span [0, 1]")
     for i, seg in enumerate(segs):
@@ -473,38 +486,10 @@ def verify_result(doc, instance: MovingInstance, samples: int) -> list[str]:
             problems.append(f"segment {i}: times are not finite and ascending")
         if i and abs(seg.t_start - segs[i - 1].t_end) > 1e-9:
             problems.append(f"segment {i}: gap/overlap at t={seg.t_start!r}")
-    polys = distance_rows(instance)
-    for i, seg in enumerate(segs):
-        members = {}
-        for j, s in enumerate(seg.assignment):
-            members.setdefault(s, []).append(j)
-        # n objects on stations in range(m); a station's support is one of
-        # its objects, or None when it has none.
-        if len(seg.assignment) != n or len(seg.supports) != m \
-                or not all(_is_index(s, m) for s in members) \
-                or not all(sup is None and s not in members
-                           or _is_index(sup, n) and seg.assignment[sup] == s
-                           for s, sup in enumerate(seg.supports)):
-            problems.append(f"segment {i}: assignment or supports do not fit n={n}, m={m}")
-            malformed = True
-            continue
-        tm = 0.5 * (seg.t_start + seg.t_end)
-        derived = [0.0, 0.0, 0.0]
-        for s in range(m):
-            assigned = members.get(s)
-            if not assigned:
-                continue
-            sup = max(assigned, key=lambda j: (polys[s][j](tm), -j))
-            p = polys[s][sup]
-            derived[0] += p.a
-            derived[1] += p.b
-            derived[2] += p.c
-        stored = [seg.poly.a, seg.poly.b, seg.poly.c]
-        scale = max(1.0, *(abs(v) for v in stored), *(abs(v) for v in derived))
-        if any(abs(a - b) > 1e-9 * scale for a, b in zip(derived, stored)):
-            problems.append(
-                f"segment {i}: stored objective {stored} != derived {derived}"
-            )
+        if not all(map(math.isfinite, (seg.poly.a, seg.poly.b, seg.poly.c))):
+            problems.append(f"segment {i}: objective is not finite")
+    segment_problems, malformed = _segment_problems(segs, instance)
+    problems += segment_problems
     if malformed:
         return problems
     report = check_feasible(segs, instance, samples)
@@ -513,11 +498,15 @@ def verify_result(doc, instance: MovingInstance, samples: int) -> list[str]:
             f"infeasible: violation {report.worst_violation:.3e} at "
             f"t={report.worst_time} object {report.worst_object}"
         )
+    top = max(max(seg.poly(seg.t_start), seg.poly(seg.t_end)) for seg in segs)
+    peak = math.pi * top
+    # The stored value is the peak that upper = pi * value reports.
+    if not (math.isfinite(value) and abs(peak - math.pi * value) <= 1e-9 * max(1.0, peak)):
+        problems.append(f"stored timeline value {value} != timeline peak {top}")
     upper, lower = doc["upper"], doc["lower"]
     if not (math.isfinite(upper) and math.isfinite(lower)):
         problems.append(f"stored bounds are not finite: upper {upper}, lower {lower}")
         return problems
-    peak = math.pi * max(max(seg.poly(seg.t_start), seg.poly(seg.t_end)) for seg in segs)
     if abs(peak - upper) > 1e-9 * max(1.0, peak):
         problems.append(f"stored upper {upper} != pi * timeline peak {peak}")
     if lower > upper * (1 + 1e-12) + 1e-12:
@@ -528,6 +517,73 @@ def verify_result(doc, instance: MovingInstance, samples: int) -> list[str]:
     if not _same_gap(stored, gap):
         problems.append(f"stored gap {stored!r} != gap {gap!r} of the stored bounds")
     return problems
+
+
+def _segment_problems(segs, instance: MovingInstance) -> tuple[list[str], bool]:
+    """Each segment's assignment and supports against the instance, and its
+    stored objective against the one derived from its assignment at its
+    midpoint; returns the problems and whether some segment does not fit.
+
+    The segments' assignments have one length, as `result_segments` builds
+    them.  Segments between moves share one assignment tuple; at a move
+    only the objects that moved are regrouped, and the assignment's shape
+    is checked again.  A station's derived support is its member farthest
+    at the midpoint, the lowest index on a tie.
+    """
+    n, m = instance.n, instance.m
+    rows = coefficient_rows(instance)
+    problems = []
+    malformed = False
+    assignment = segs[0].assignment
+    members = {}  # station -> its objects, ascending
+    for j, s in enumerate(assignment):
+        members.setdefault(s, []).append(j)
+    coefs = {}  # station -> its members' coefficients, while they stay
+    fits = None
+    for i, seg in enumerate(segs):
+        if seg.assignment is not assignment:
+            for j in moved_objects(assignment, seg.assignment):
+                old, new = assignment[j], seg.assignment[j]
+                members[old].remove(j)
+                if not members[old]:
+                    del members[old]
+                insort(members.setdefault(new, []), j)
+                coefs.pop(old, None)
+                coefs.pop(new, None)
+            assignment = seg.assignment
+            fits = None
+        if fits is None:
+            # n objects on stations in range(m)
+            fits = len(assignment) == n and all(_is_index(s, m) for s in members)
+            stations = sorted(members)
+        # A station's support is one of its objects, or None when it has none.
+        if not fits or len(seg.supports) != m \
+                or not all(sup is None and s not in members
+                           or _is_index(sup, n) and assignment[sup] == s
+                           for s, sup in enumerate(seg.supports)):
+            problems.append(f"segment {i}: assignment or supports do not fit n={n}, m={m}")
+            malformed = True
+            continue
+        tm = 0.5 * (seg.t_start + seg.t_end)
+        derived = [0.0, 0.0, 0.0]
+        for s in stations:
+            row = coefs.get(s)
+            if row is None:
+                row = coefs[s] = list(map(rows[s].__getitem__, members[s]))
+            # p(tm) written out, as in QuadraticPoly.__call__; members
+            # ascend, so the first largest value is the lowest index.
+            vals = [(a * tm + b) * tm + c for a, b, c in row]
+            a, b, c = row[vals.index(max(vals))]
+            derived[0] += a
+            derived[1] += b
+            derived[2] += c
+        stored = [seg.poly.a, seg.poly.b, seg.poly.c]
+        scale = max(1.0, *(abs(v) for v in stored), *(abs(v) for v in derived))
+        if any(abs(a - b) > 1e-9 * scale for a, b in zip(derived, stored)):
+            problems.append(
+                f"segment {i}: stored objective {stored} != derived {derived}"
+            )
+    return problems, malformed
 
 
 def _same_gap(stored, derived) -> bool:

@@ -55,13 +55,17 @@ event touched:
 The engine is written once for float and exact coordinates; every
 tolerance lives in the `geometry` predicates it calls (`compare_event_times`,
 `compare_values` with its `tolerance_band`, `sign_ahead`).  `check_feasible`
-samples a finished timeline.
+samples a finished timeline from per-object coefficient rows that change
+only where objects move, and computes violations only at a sample where
+some object lies outside its disk.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 from typing import Iterator, Optional
 
 from .envelope import Assignment, TimelineSegment
@@ -134,6 +138,33 @@ class DistanceRow(dict):
 
 def distance_rows(instance: MovingInstance) -> list[DistanceRow]:
     return [DistanceRow(st, instance.objects) for st in instance.stations]
+
+
+class CoefficientRow(dict):
+    """The (a, b, c) coefficients of one station's squared-distance
+    polynomials, keyed by object index; each is read from its `DistanceRow`
+    on first use."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row: DistanceRow):
+        super().__init__()
+        self.row = row
+
+    def __missing__(self, obj: int) -> tuple:
+        p = self.row[obj]
+        coefs = self[obj] = (p.a, p.b, p.c)
+        return coefs
+
+
+def coefficient_rows(instance: MovingInstance) -> list[CoefficientRow]:
+    return [CoefficientRow(row) for row in distance_rows(instance)]
+
+
+def moved_objects(before: Assignment, after: Assignment) -> list[int]:
+    """The objects whose station differs between two assignments of one
+    length, ascending."""
+    return list(compress(range(len(after)), map(ne, before, after)))
 
 
 class _EventQueue:
@@ -705,29 +736,44 @@ def check_feasible(
         return FeasibilityReport(True, 0.0)
     lo = float(segments[0].t_start)
     hi = float(segments[-1].t_end)
-    polys = distance_rows(instance)
+    rows = coefficient_rows(instance)
     worst = 0.0
     worst_t = None
     worst_obj = None
     k = 0
-    seg = None
+    seg = assignment = None
     for i in range(sample_count):
         t = lo + (hi - lo) * i / (sample_count - 1) if sample_count > 1 else lo
         while k + 1 < len(segments) and float(segments[k].t_end) < t:
             k += 1
         if seg is not segments[k]:
             seg = segments[k]
-            # Coefficient rows, evaluated as `QuadraticPoly.__call__` does.
-            support_rows = [(s, p.a, p.b, p.c) for s, sup in enumerate(seg.supports)
-                            if sup is not None for p in (polys[s][sup],)]
-            rows = [(j, s, p.a, p.b, p.c) for j, s in enumerate(seg.assignment)
-                    for p in (polys[s][j],)]
+            support_rows = [(s, *rows[s][sup]) for s, sup in enumerate(seg.supports)
+                            if sup is not None]
+            # Segments between moves share one tuple; after a move only the
+            # rows of the objects that moved change.
+            if seg.assignment is not assignment:
+                if assignment is None or len(seg.assignment) != len(assignment):
+                    object_rows = [(*rows[s][j], s) for j, s in enumerate(seg.assignment)]
+                else:
+                    for j in moved_objects(assignment, seg.assignment):
+                        s = seg.assignment[j]
+                        object_rows[j] = (*rows[s][j], s)
+                assignment = seg.assignment
+        # t is a float, so every value below is one, evaluated as
+        # `QuadraticPoly.__call__` does.
         radius = [0.0] * instance.m
         for s, a, b, c in support_rows:
-            radius[s] = float((a * t + b) * t + c)
-        for j, s, a, b, c in rows:
-            d2 = float((a * t + b) * t + c)
-            # An object inside its disk has violation <= 0, never above worst.
+            radius[s] = (a * t + b) * t + c
+        # An object inside its disk has violation <= 0, never above worst, so
+        # the violations are computed only at a sample where one lies outside.
+        for a, b, c, s in object_rows:
+            if (a * t + b) * t + c > radius[s]:
+                break
+        else:
+            continue
+        for j, (a, b, c, s) in enumerate(object_rows):
+            d2 = (a * t + b) * t + c
             if d2 > radius[s]:
                 violation = (d2 - radius[s]) / max(radius[s], 1.0)
                 if violation > worst:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from kdcover import cli
 from kdcover.cli import (
     CSV_FIELDS,
     EXIT_CHECK,
@@ -21,10 +22,10 @@ from kdcover.cli import (
     result_segments,
     result_to_json,
 )
-from kdcover.geometry import squared_distance_poly
+from kdcover.geometry import MovingInstance, Point2, Trajectory, squared_distance_poly
 from kdcover.instances import GenParams, generate, read_instance
-from kdcover.kinetic import ImprovementFlags
-from kdcover.minmax import SolverConfig, solve_minmax
+from kdcover.kinetic import ImprovementFlags, distance_rows
+from kdcover.minmax import SolverConfig, fixed_nn_baseline, solve_minmax
 
 
 def run(argv):
@@ -620,3 +621,322 @@ def test_solves_and_checks_with_the_standard_library_alone():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["gap", "[]"]
+
+
+# -- the checker against the code it replaced ------------------------------------
+
+
+def reference_result_to_json(instance_id, algorithm, flags, config, result):
+    """The writer as first written: the whole document through
+    `json.dumps(doc, indent=2)`, each move found by a scan over every object."""
+    tl = result.timeline
+    doc = {
+        "format": cli.RESULT_FORMAT,
+        "version": cli.RESULT_VERSION,
+        "instance_id": instance_id,
+        "algorithm": algorithm,
+        "flags": {field: getattr(flags, field) for field in cli.FLAG_FIELDS.values()},
+        "config": config,
+        "upper": result.upper,
+        "lower": result.lower,
+        "gap": None if math.isinf(result.gap) else result.gap,
+        "iterations": result.iterations,
+        "timed_out": result.timed_out,
+        "stats": {
+            "time_static_s": result.stats.time_static,
+            "time_extend_merge_s": result.stats.time_extend_merge,
+            "time_total_s": result.stats.time_total,
+            "static_solves": result.stats.static_solves,
+            "events_processed": result.stats.events_processed,
+            "stop_reason": result.stats.stop_reason,
+        },
+        "timeline": {
+            "value": float(tl.value),
+            "assignment": list(tl.segments[0].assignment),
+            "segments": [
+                {
+                    "t_start": float(seg.t_start),
+                    "t_end": float(seg.t_end),
+                    "moves": [
+                        [j, s] for j, (p, s) in enumerate(zip(prev.assignment, seg.assignment))
+                        if p != s
+                    ],
+                    "supports": list(seg.supports),
+                    "objective": [float(seg.poly.a), float(seg.poly.b), float(seg.poly.c)],
+                }
+                for prev, seg in zip(tl.segments[:1] + tl.segments[:-1], tl.segments)
+            ],
+        },
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_segment_problems(segs, instance):
+    """The derive loop as first written: members grouped at every segment,
+    each station's support picked by `max` with the key (value, -index)."""
+    n, m = instance.n, instance.m
+    problems, malformed = [], False
+    polys = distance_rows(instance)
+    for i, seg in enumerate(segs):
+        members = {}
+        for j, s in enumerate(seg.assignment):
+            members.setdefault(s, []).append(j)
+        if len(seg.assignment) != n or len(seg.supports) != m \
+                or not all(cli._is_index(s, m) for s in members) \
+                or not all(sup is None and s not in members
+                           or cli._is_index(sup, n) and seg.assignment[sup] == s
+                           for s, sup in enumerate(seg.supports)):
+            problems.append(f"segment {i}: assignment or supports do not fit n={n}, m={m}")
+            malformed = True
+            continue
+        tm = 0.5 * (seg.t_start + seg.t_end)
+        derived = [0.0, 0.0, 0.0]
+        for s in range(m):
+            assigned = members.get(s)
+            if not assigned:
+                continue
+            sup = max(assigned, key=lambda j: (polys[s][j](tm), -j))
+            p = polys[s][sup]
+            derived[0] += p.a
+            derived[1] += p.b
+            derived[2] += p.c
+        stored = [seg.poly.a, seg.poly.b, seg.poly.c]
+        scale = max(1.0, *(abs(v) for v in stored), *(abs(v) for v in derived))
+        if any(abs(a - b) > 1e-9 * scale for a, b in zip(derived, stored)):
+            problems.append(f"segment {i}: stored objective {stored} != derived {derived}")
+    return problems, malformed
+
+
+def verdicts(doc, instance, samples=200):
+    """verify_result's outcome, by repr, with the package's derive step and
+    with the reference one in its place."""
+    def outcome():
+        try:
+            return repr(cli.verify_result(doc, instance, samples))
+        except Exception as exc:  # the same error is the same verdict
+            return f"{type(exc).__name__}: {exc}"
+
+    got = outcome()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_segment_problems", reference_segment_problems)
+        want = outcome()
+    return got, want
+
+
+def valid_results():
+    """(instance, algorithm, flags, result) of nn with every flag, fixed_nn,
+    exact and exact-arithmetic solves."""
+    inst = generate(GenParams(n=30, m=4, seed=3))
+    small = generate(GenParams(n=10, m=3, seed=2))
+    flags = ImprovementFlags(no_dup=True, imp_ext=True, part_ext=True)
+    return [
+        (inst, "nn", flags, solve_minmax(inst, SolverConfig(static_backend="nn", flags=flags))),
+        (inst, "fixed_nn", ImprovementFlags(), fixed_nn_baseline(inst, k=10)),
+        (inst, "exact", flags, solve_minmax(inst, SolverConfig(flags=flags))),
+        (small, "exact", flags, solve_minmax(small, SolverConfig(flags=flags,
+                                                                 exact_arithmetic=True))),
+    ]
+
+
+def test_result_file_holds_the_reference_document_one_segment_per_line():
+    for inst, algorithm, flags, result in valid_results():
+        text = result_to_json("x", algorithm, flags, {"k": 1}, result)
+        want = reference_result_to_json("x", algorithm, flags, {"k": 1}, result)
+        doc = json.loads(text)
+        assert doc == json.loads(want)
+        lines = text.splitlines()
+        start = lines.index('    "segments": [')
+        assert lines[:start + 1] == want.splitlines()[:start + 1]  # the header as indented
+        count = len(result.timeline.segments)
+        assert [json.loads(line.rstrip(",")) for line in lines[start + 1:start + 1 + count]] \
+            == doc["timeline"]["segments"]
+        assert lines[start + 1 + count:] == ["    ]", "  }", "}"] and text.endswith("}\n")
+        assert len(text) < len(want)
+
+
+def tie_instance(swap):
+    """Station 0 holds objects a and b: a runs (-2, 3) -> (2, 3) and b sits
+    at (0, 3), so a is farther except at t = 1/2, where they tie; station 1
+    holds one object.  With `swap` b comes first, and the lowest index at
+    the tie is not the support."""
+    a = Trajectory(Point2(-2, 3), Point2(2, 3))
+    b = Trajectory(Point2(0, 3), Point2(0, 3))
+    return MovingInstance((Point2(0, 0), Point2(20, 0)),
+                          (b, a) if swap else (a, b),
+                          (Trajectory(Point2(18, 0), Point2(18, 2)),))
+
+
+def test_verify_matches_the_reference_derive_on_valid_results_and_a_midpoint_tie():
+    for inst, algorithm, flags, result in valid_results():
+        doc = json.loads(result_to_json("x", algorithm, flags, {}, result))
+        for instance in (inst, inst.as_exact()):
+            got, want = verdicts(doc, instance)
+            assert got == want == "[]", algorithm
+    for swap in (False, True):
+        inst = tie_instance(swap)
+        result = solve_minmax(inst, SolverConfig(static_backend="nn"))
+        doc = json.loads(result_to_json("tie", "nn", ImprovementFlags(), {}, result))
+        seg = result_segments(doc)[0]
+        tm = 0.5 * (seg.t_start + seg.t_end)
+        assert tm == 0.5 and seg.assignment[:2] == (0, 0)
+        got, want = verdicts(doc, inst)
+        assert got == want
+        # The lowest index at the tie is derived: a passes, b does not.
+        assert (got == "[]") is not swap
+
+
+def shift_to_the_next_station(doc):
+    tl = doc["timeline"]
+    m = len(tl["segments"][0]["supports"])
+    tl["assignment"] = [(s + 1) % m for s in tl["assignment"]]
+    for seg in tl["segments"]:
+        seg["moves"] = [[j, (s + 1) % m] for j, s in seg["moves"]]
+
+
+def bump_a_coefficient(doc):
+    doc["timeline"]["segments"][0]["objective"][2] += 5.0
+
+
+def support_from_the_other_station(doc):
+    """Station 0's support, in each segment without moves, replaced by the
+    last object that the first assignment puts on station 1."""
+    for raw in doc["timeline"]["segments"]:
+        others = [j for j, s in enumerate(doc["timeline"]["assignment"]) if s == 1]
+        if raw["supports"][0] is not None and others and not raw["moves"]:
+            raw["supports"][0] = others[-1]
+
+
+EXISTING_TAMPERS = [
+    drop_timeline, move_unknown_object, assign_a_list, move_to_a_list, spell_a_time,
+    spell_the_upper_bound, claim_another_format, support_unknown_object,
+    assign_unknown_station, empty_the_timeline, end_past_the_horizon,
+    repeat_the_first_segment, run_a_segment_backwards, support_a_negative_index,
+    support_one_station_too_many, support_by_name, shift_to_the_next_station,
+    bump_a_coefficient, support_from_the_other_station,
+    lambda doc: doc.update(gap=doc["gap"] + 0.25), lambda doc: doc.update(gap=None),
+    lambda doc: doc.update(lower=0.8 * doc["lower"]),
+    lambda doc: doc.update(lower=2 * doc["upper"]),
+    lambda doc: doc.update(upper=math.inf), lambda doc: doc.update(upper=math.nan),
+    lambda doc: doc.update(lower=-math.inf),
+]
+
+
+def test_verify_matches_the_reference_derive_on_every_tamper(tmp_path):
+    inst_path, _, clean = solved_pair(tmp_path)
+    inst = read_instance(inst_path)
+    for tamper in EXISTING_TAMPERS + NEW_TAMPERS:
+        doc = json.loads(json.dumps(clean))
+        tamper(doc)
+        got, want = verdicts(doc, inst)
+        assert got == want, tamper
+
+
+# -- values that are not finite, the stored peak value, booleans ------------------
+
+
+def nan_objective(doc):
+    doc["timeline"]["segments"][0]["objective"] = [math.nan] * 3
+
+
+def inf_constant(doc):
+    doc["timeline"]["segments"][-1]["objective"][2] = math.inf
+
+
+def minus_inf_constant(doc):
+    doc["timeline"]["segments"][-1]["objective"][2] = -math.inf
+
+
+def value_one(doc):
+    doc["timeline"]["value"] = 1.0
+
+
+def value_inf(doc):
+    doc["timeline"]["value"] = math.inf
+
+
+def value_nan(doc):
+    doc["timeline"]["value"] = math.nan
+
+
+def drop_value(doc):
+    del doc["timeline"]["value"]
+
+
+def value_as_text(doc):
+    doc["timeline"]["value"] = str(doc["timeline"]["value"])
+
+
+def value_true(doc):
+    doc["timeline"]["value"] = True
+
+
+def station_one_as_true(doc):
+    tl = doc["timeline"]
+    tl["assignment"] = [True if s == 1 else s for s in tl["assignment"]]
+    for seg in tl["segments"]:
+        seg["moves"] = [[j, True if s == 1 else s] for j, s in seg["moves"]]
+
+
+def move_true_in_place(doc):
+    """A move of object `true` to the station that object 1 holds."""
+    station = result_segments(doc)[1].assignment[1]
+    doc["timeline"]["segments"][1]["moves"].append([True, station])
+
+
+def supports_as_booleans(doc):
+    for seg in doc["timeline"]["segments"]:
+        seg["supports"] = [{0: False, 1: True}.get(sup, sup) for sup in seg["supports"]]
+
+
+NEW_TAMPERS = [nan_objective, inf_constant, minus_inf_constant, value_one, value_inf,
+               value_nan, drop_value, value_as_text, value_true, station_one_as_true,
+               move_true_in_place, supports_as_booleans]
+
+
+@pytest.fixture(scope="module")
+def nn_pair(tmp_path_factory):
+    """An nn result with every flag, whose moves hold station 1, and its
+    instance."""
+    tmp_path = tmp_path_factory.mktemp("nn")
+    _, inst_path = gen_one(tmp_path, n=30, m=4, seed=3)
+    result = tmp_path / "r.json"
+    assert run(["solve", inst_path, "--algo", "nn", "--flags", "nodup,impext,partext",
+                "-o", result]) == EXIT_OK
+    assert run(["check", result, inst_path]) == EXIT_OK
+    doc = json.loads(result.read_text())
+    segments = doc["timeline"]["segments"]
+    assert any(s == 1 for seg in segments for _, s in seg["moves"])
+    return inst_path, doc
+
+
+@pytest.mark.parametrize("tamper, code, message", [
+    (nan_objective, EXIT_CHECK, "FAIL: segment 0: objective is not finite"),
+    (inf_constant, EXIT_CHECK, "segment {last}: objective is not finite"),
+    (minus_inf_constant, EXIT_CHECK, "segment {last}: objective is not finite"),
+    (value_one, EXIT_CHECK, "FAIL: stored timeline value 1.0 != timeline peak"),
+    (value_inf, EXIT_CHECK, "FAIL: stored timeline value inf != timeline peak"),
+    (value_nan, EXIT_CHECK, "FAIL: stored timeline value nan != timeline peak"),
+    (drop_value, EXIT_IO, "cannot read inputs: malformed timeline: value None"),
+    (value_as_text, EXIT_IO, "cannot read inputs: malformed timeline: value '"),
+    (value_true, EXIT_IO, "cannot read inputs: malformed timeline: value True"),
+    (station_one_as_true, EXIT_IO, "cannot read inputs: malformed timeline: TypeError"),
+    (move_true_in_place, EXIT_IO, "cannot read inputs: malformed timeline: IndexError"),
+])
+def test_check_fails_what_it_used_to_pass(tmp_path, capsys, nn_pair, tamper, code, message):
+    inst_path, clean = nn_pair
+    doc = json.loads(json.dumps(clean))
+    tamper(doc)
+    capsys.readouterr()
+    assert check_tampered(tmp_path, inst_path, doc) == code
+    out = capsys.readouterr()
+    message = message.format(last=len(doc["timeline"]["segments"]) - 1)
+    assert message in (out.out if code == EXIT_CHECK else out.err)
+
+
+def test_check_fails_supports_written_as_booleans(tmp_path, capsys):
+    inst_path, _, doc = solved_pair(tmp_path)
+    assert {0, 1} <= {sup for seg in doc["timeline"]["segments"] for sup in seg["supports"]}
+    supports_as_booleans(doc)
+    capsys.readouterr()
+    assert check_tampered(tmp_path, inst_path, doc) == EXIT_CHECK
+    assert "assignment or supports do not fit" in capsys.readouterr().out

@@ -288,6 +288,71 @@ def test_sampler_matches_the_reference_loop():
     assert failed > 0
 
 
+def tampered_runs(segments, m, seed):
+    """`tampered`, one tampering per run of segments that share an
+    assignment tuple, the run keeping one shared tuple: a sampler that kept
+    the rows of an earlier tuple would check the moved objects against the
+    wrong stations."""
+    rng = Random(seed)
+    out = []
+    for seg in segments:
+        if out and seg.assignment is prev.assignment:
+            assignment = out[-1].assignment
+        else:
+            assignment = list(seg.assignment)
+            j = rng.randrange(len(assignment))
+            assignment[j] = (assignment[j] + 1) % m
+            assignment = tuple(assignment)
+        prev = seg
+        out.append(TimelineSegment(seg.t_start, seg.t_end, assignment, seg.supports, seg.poly))
+    return out
+
+
+def equal_reports(got, want):
+    return (got.ok, got.worst_violation, got.worst_time, got.worst_object) == (
+        want.ok, want.worst_violation, want.worst_time, want.worst_object)
+
+
+def test_sampler_matches_the_reference_on_shared_tuples_one_object_and_ties():
+    shared = 0
+    for seed in range(8):
+        n, m = random_sizes(seed, 30, 5)
+        inst = random_instance(max(n, 2), m, seed)
+        segs = extend(nn_heuristic(inst, 0.0).assignment, 0.0, "forward", 1.0, ALL_FLAGS, inst)
+        shared += sum(a.assignment is b.assignment for a, b in zip(segs, segs[1:]))
+        moves = sum(a.assignment != b.assignment for a, b in zip(segs, segs[1:]))
+        for timeline in (segs, tampered_runs(segs, m, seed) if moves and m > 1 else segs):
+            for samples in (1, 2, 97, 400):
+                assert equal_reports(check_feasible(timeline, inst, samples),
+                                     reference_check_feasible(timeline, inst, samples)), seed
+    assert shared
+
+    # One object, on a station without a support in the tampered copy.
+    single = random_instance(1, 2, 3)
+    segs = extend((0,), 0.0, "forward", 1.0, NO_FLAGS, single)
+    for timeline in (segs, [TimelineSegment(s.t_start, s.t_end, (1,), (0, None), s.poly)
+                            for s in segs]):
+        for samples in (1, 5, 50):
+            got = check_feasible(timeline, single, samples)
+            assert equal_reports(got, reference_check_feasible(timeline, single, samples))
+    assert not got.ok and got.worst_object == 0
+
+    # Objects 1 and 2 share one trajectory outside the disk of support 0:
+    # their violations tie, and the lower index is reported.
+    twins = MovingInstance(
+        (Point2(0.0, 0.0),),
+        (Trajectory(Point2(1.0, 0.0), Point2(0.0, 1.0)),
+         Trajectory(Point2(3.0, 0.0), Point2(0.0, 3.0)),
+         Trajectory(Point2(3.0, 0.0), Point2(0.0, 3.0))),
+    )
+    poly = squared_distance_poly(twins.stations[0], twins.objects[0])
+    timeline = [TimelineSegment(0.0, 0.5, (0, 0, 0), (0,), poly),
+                TimelineSegment(0.5, 1.0, (0, 0, 0), (0,), poly)]
+    got = check_feasible(timeline, twins, 11)
+    assert equal_reports(got, reference_check_feasible(timeline, twins, 11))
+    assert got.worst_object == 1
+
+
 def test_event_counts_within_pairwise_bounds():
     for seed in range(10):
         n, m = random_sizes(seed, 15, 4)
