@@ -1,8 +1,10 @@
 """Degeneracy study at desk scale: random vs structured trajectory classes.
 
-Solves the exact algorithm on matched-size instance sets of the four
-classes (random, same_slope, same_start, same_end) and reports the wall
-time distribution per class.
+Solves the exact algorithm, with every improvement flag, on matched-size
+instance sets of the four classes (random, same_slope, same_start,
+same_end), once in float and once in exact arithmetic (`kdcover bench
+--exact-arith`), and reports per class the median and largest wall time of
+each and the ratio of the exact median to the float one.
 
 Usage: python scripts/bench_degenerate.py [workdir] [-n 100] [-m 10] [--count 5]
 """
@@ -37,18 +39,24 @@ def run(workdir: Path, n: int, m: int, count: int) -> None:
     manifest.write_text(json.dumps(
         {"format": "kdc-manifest", "version": 1, "instances": entries}, indent=2))
 
-    out_csv = workdir / "degenerate.csv"
-    assert kdcover(["bench", str(manifest), "--algos", "exact",
-                    "--flag-combos", "nodup+impext+partext",
-                    "-o", str(out_csv)]) == 0
+    times = {}  # arithmetic -> class -> wall times
+    for arith, extra in (("float", []), ("exact", ["--exact-arith"])):
+        out_csv = workdir / f"degenerate_{arith}.csv"
+        assert kdcover(["bench", str(manifest), "--algos", "exact",
+                        "--flag-combos", "nodup+impext+partext",
+                        *extra, "-o", str(out_csv)]) == 0
+        per_class = times[arith] = defaultdict(list)
+        with out_csv.open() as fh:
+            for row in csv.DictReader(fh):
+                per_class[row["class"]].append(float(row["time_total_s"]))
 
-    per_class = defaultdict(list)
-    for row in csv.DictReader(out_csv.open()):
-        per_class[row["class"]].append(float(row["time_total_s"]))
-    print(f"\nDegeneracy summary ({out_csv}), n={n} m={m}, {count} instances per class:")
-    print(f"{'class':<12}{'median':>10}{'max':>10}")
-    for klass, times in sorted(per_class.items(), key=lambda kv: statistics.median(kv[1])):
-        print(f"{klass:<12}{statistics.median(times):>9.3f}s{max(times):>9.3f}s")
+    print(f"\nDegeneracy summary ({workdir}), n={n} m={m}, {count} instances per class:")
+    print(f"{'class':<12}{'float med':>10}{'max':>9}{'exact med':>11}{'max':>9}{'exact/float':>13}")
+    for klass in sorted(times["float"], key=lambda k: statistics.median(times["float"][k])):
+        fl, ex = statistics.median(times["float"][klass]), statistics.median(times["exact"][klass])
+        ratio = f"{ex / fl:.1f}x" if fl > 0 else "-"
+        print(f"{klass:<12}{fl:>9.3f}s{max(times['float'][klass]):>8.3f}s"
+              f"{ex:>10.3f}s{max(times['exact'][klass]):>8.3f}s{ratio:>13}")
 
 
 if __name__ == "__main__":

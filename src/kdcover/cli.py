@@ -182,9 +182,18 @@ def result_segments(doc) -> list[TimelineSegment]:
                     QuadraticPoly(*(float(c) for c in raw["objective"])),
                 )
             )
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed timeline: {type(exc).__name__} {exc}") from None
     return segs
+
+
+def _finite(v) -> bool:
+    """Whether a stored number is finite; an int beyond the float range,
+    which float arithmetic cannot take, is not."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _is_index(v, size: int) -> bool:
@@ -501,10 +510,10 @@ def verify_result(doc, instance: MovingInstance, samples: int) -> list[str]:
     top = max(max(seg.poly(seg.t_start), seg.poly(seg.t_end)) for seg in segs)
     peak = math.pi * top
     # The stored value is the peak that upper = pi * value reports.
-    if not (math.isfinite(value) and abs(peak - math.pi * value) <= 1e-9 * max(1.0, peak)):
+    if not (_finite(value) and abs(peak - math.pi * value) <= 1e-9 * max(1.0, peak)):
         problems.append(f"stored timeline value {value} != timeline peak {top}")
     upper, lower = doc["upper"], doc["lower"]
-    if not (math.isfinite(upper) and math.isfinite(lower)):
+    if not (_finite(upper) and _finite(lower)):
         problems.append(f"stored bounds are not finite: upper {upper}, lower {lower}")
         return problems
     if abs(peak - upper) > 1e-9 * max(1.0, peak):
@@ -528,7 +537,9 @@ def _segment_problems(segs, instance: MovingInstance) -> tuple[list[str], bool]:
     them.  Segments between moves share one assignment tuple; at a move
     only the objects that moved are regrouped, and the assignment's shape
     is checked again.  A station's derived support is its member farthest
-    at the midpoint, the lowest index on a tie.
+    at the midpoint, the lowest index on a tie; a segment that does not
+    match that is derived again from its stored supports where they tie
+    (`_derive_from_stored_supports`) before it counts as a mismatch.
     """
     n, m = instance.n, instance.m
     rows = coefficient_rows(instance)
@@ -578,18 +589,45 @@ def _segment_problems(segs, instance: MovingInstance) -> tuple[list[str], bool]:
             derived[1] += b
             derived[2] += c
         stored = [seg.poly.a, seg.poly.b, seg.poly.c]
-        scale = max(1.0, *(abs(v) for v in stored), *(abs(v) for v in derived))
-        if any(abs(a - b) > 1e-9 * scale for a, b in zip(derived, stored)):
+        if not _same_objective(stored, derived) and not _same_objective(
+                stored, _derive_from_stored_supports(seg, tm, stations, members, coefs)):
             problems.append(
                 f"segment {i}: stored objective {stored} != derived {derived}"
             )
     return problems, malformed
 
 
+def _same_objective(stored, derived) -> bool:
+    scale = max(1.0, *(abs(v) for v in stored), *(abs(v) for v in derived))
+    return not any(abs(a - b) > 1e-9 * scale for a, b in zip(derived, stored))
+
+
+def _derive_from_stored_supports(seg, tm, stations, members, coefs) -> list[float]:
+    """The segment's objective at its midpoint tm with each station's stored
+    support wherever that support is among its members farthest at tm,
+    within the objective tolerance of 1e-9 relative, and its lowest-index
+    farthest member elsewhere: a support that only ties at the midpoint
+    is as valid as the lowest index."""
+    derived = [0.0, 0.0, 0.0]
+    for s in stations:
+        row = coefs[s]
+        vals = [(a * tm + b) * tm + c for a, b, c in row]
+        top = max(vals)
+        k = members[s].index(seg.supports[s])
+        if top - vals[k] > 1e-9 * max(1.0, abs(top)):
+            k = vals.index(top)
+        a, b, c = row[k]
+        derived[0] += a
+        derived[1] += b
+        derived[2] += c
+    return derived
+
+
 def _same_gap(stored, derived) -> bool:
     if stored is None or derived is None:
         return stored is derived
-    return isinstance(stored, (int, float)) and abs(stored - derived) <= 1e-12 * max(1.0, derived)
+    return isinstance(stored, (int, float)) and _finite(stored) \
+        and abs(stored - derived) <= 1e-12 * max(1.0, derived)
 
 
 def cmd_check(args) -> int:

@@ -61,11 +61,6 @@ def _sign_sum(a: int, b: int, d1: int, c: int, d2: int) -> int:
     return s1 * _sign_pair(a * a + b * b * d1 - c * c * d2, 2 * a * b, d1)
 
 
-def _sqrt_fraction(d: int, bits: int = 64) -> Fraction:
-    """sqrt(d) to ~bits bits, exact big-int arithmetic (d may exceed float range)."""
-    return Fraction(math.isqrt(d << (2 * bits)), 1 << bits)
-
-
 class QuadraticNumber:
     """(p + q*sqrt(d)) / r with integers p, q, r > 0, d >= 0.
 
@@ -79,7 +74,7 @@ class QuadraticNumber:
     compare by their exact rational value.
     """
 
-    __slots__ = ("p", "q", "r", "d")
+    __slots__ = ("p", "q", "r", "d", "_float")
 
     def __init__(self, p: int, q: int, r: int, d: int):
         if r == 0:
@@ -102,6 +97,7 @@ class QuadraticNumber:
         self.q = q
         self.r = r
         self.d = d
+        self._float = None  # the nearest double, once asked for
 
     @classmethod
     def from_rational(cls, x) -> "QuadraticNumber":
@@ -218,21 +214,29 @@ class QuadraticNumber:
         return self.p != 0 or self.q != 0
 
     def __float__(self) -> float:
-        """The nearest double.  sqrt(d) is bracketed to more bits until both
-        ends of the value's interval round to the same double, so the result
-        stays within half an ulp even when p and q*sqrt(d) nearly cancel;
-        an irrational value never sits on a rounding boundary, so this ends.
+        """The nearest double.  sqrt(d) is bracketed between s/2**k and
+        (s + 1)/2**k, s = isqrt(d * 4**k), to more bits k until both ends of
+        the value's interval round to the same double, so the result stays
+        within half an ulp even when p and q*sqrt(d) nearly cancel; an
+        irrational value never sits on a rounding boundary, so this ends.
+        Each end is one int true division, which rounds correctly.  An
+        event time is read many times, so the double is kept.
         """
-        if self.q == 0:
-            return float(Fraction(self.p, self.r))
-        bits = 64
-        while True:
-            lo = _sqrt_fraction(self.d, bits)
-            a = float((self.p + self.q * lo) / self.r)
-            b = float((self.p + self.q * (lo + Fraction(1, 1 << bits))) / self.r)
-            if a == b:
-                return a
-            bits *= 2
+        if self._float is not None:
+            return self._float
+        p, q, r = self.p, self.q, self.r
+        if q == 0:
+            a = p / r
+        else:
+            bits = 64
+            while True:
+                s = math.isqrt(self.d << (2 * bits))
+                a = ((p << bits) + q * s) / (r << bits)
+                if a == ((p << bits) + q * (s + 1)) / (r << bits):
+                    break
+                bits *= 2
+        self._float = a
+        return a
 
     def __repr__(self):
         return f"QuadraticNumber({self.p}, {self.q}, {self.r}, {self.d})"

@@ -18,6 +18,11 @@ bounds which values it can call equal), and `sign_ahead` tells which way a
 quadratic leaves a point.  Each uses a tolerance on a float pair and
 integer-exact arithmetic otherwise; `sign_ahead` runs one body in both
 modes, with a zero tolerance in exact mode.
+
+`value_bound` is the float filter of exact mode: a polynomial's value at a
+time in float, with a certified bound on its distance from the exact
+value, so that a scan decides in float wherever the bounds separate and
+computes exact values only where they do not.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ __all__ = [
     "compare_values",
     "tolerance_band",
     "sign_ahead",
+    "value_bound",
 ]
 
 # Relative tolerance for float objective values (`compare_values`,
@@ -318,3 +324,51 @@ def sign_ahead(p: QuadraticPoly, t, direction: int = 1) -> int:
     if isinstance(v, float):
         tol = EPS * max(1.0, abs(float(p.a)), abs(float(p.b)), abs(float(p.c)))
     return _sign(v, tol) or _sign(p.derivative_at(t) * direction, tol) or _sign(p.a, tol)
+
+
+# `value_bound`'s error bound: a multiple of the unit roundoff u = 2**-53
+# times the magnitude of the Horner terms, plus an absolute term for
+# underflow.
+_UNIT = 2.0 ** -53
+_BOUND_REL = 16 * _UNIT
+_BOUND_ABS = 2.0 ** -1068
+
+
+def value_bound(coefs, t: float) -> tuple[float, float]:
+    """(v, e) for the exact value P(T) = A*T**2 + B*T + C, where `coefs` =
+    (a, b, c) and `t` are the doubles nearest A, B, C and T (as
+    `Fraction.__float__` and `QuadraticNumber.__float__` give them; a float
+    T is its own nearest double).  v is Horner's rule in float, and
+    v - e <= P(T) <= v + e holds also when v - e and v + e are computed in
+    float.
+
+    Derivation.  With |x - fl(x)| <= u|x| for u = 2**-53 in the normal
+    range, a = A(1 + alpha), b = B(1 + beta), c = C(1 + gamma) and
+    t = T(1 + tau), all four relative errors at most u, and each of the
+    four float operations of (a*t + b)*t + c adds a factor (1 + delta_i):
+
+        v = A*T**2 (1 + theta_7) + B*T (1 + theta_5) + C (1 + theta_2),
+
+    where |theta_k| <= (1 + u)**k - 1 < 1.01 k u.  So |v - P(T)| is below
+    7.1 u S for S = |A|*T**2 + |B|*|T| + |C|, and S differs from its float
+    value s = (|a|*|t| + |b|)*|t| + |c| by a factor within 1 +- 8u.  The
+    bound e = 16 u s leaves more than 8u S beyond that, which covers the
+    rounding of v - e and v + e (at most u(|v| + e) < 1.01 u S each).
+    Underflow adds at most 2**-1075 to each conversion and product (sums
+    of doubles that small are exact); propagated through the Horner steps
+    that is below 2**-1073 (t**2 + 2|t| + 2 + 2|a|*|t| + |b|), and the
+    absolute term 2**-1068 (1 + |a|*|t| + |b| + |t|)(1 + |t|) covers it.
+
+    When a coefficient or t is not finite, or the bound overflows, returns
+    (0.0, inf), whose interval holds every value: callers then compute the
+    exact value.  This is the filter's one entry; a bound of inf everywhere
+    turns every filter off.
+    """
+    a, b, c = coefs
+    v = (a * t + b) * t + c
+    at = abs(t)
+    s = abs(a) * at + abs(b)
+    e = _BOUND_REL * (s * at + abs(c)) + _BOUND_ABS * (1.0 + s + at) * (1.0 + at)
+    if e < math.inf:  # False for inf and nan
+        return v, e
+    return 0.0, math.inf

@@ -31,6 +31,15 @@ the largest value and its lowest-index object by C-level `max`, `count`
 and `index` (`_farthest`); a support is picked from the members within
 the tolerance band of the largest value (`_tie_group`).
 
+With exact coordinates at an exact time, those scans first bound every
+value in float (`geometry.value_bound`) and keep only the members whose
+upper bound reaches the largest lower bound (`_may_be_largest`): the
+exact values, computed for the survivors alone, decide as before, and the
+dedup step reads the distance polynomials in place of positions
+(`_dedup_exact`).  A support change or handover difference certified
+negative over the window (`_negative_on`) has no root there and skips
+root finding.  Every decision stays exact, and so does every timeline.
+
 The engine keeps its state across events and recomputes only what an
 event touched:
 
@@ -52,9 +61,10 @@ event touched:
   cached event;
 - segments: those between two moves share one assignment tuple.
 
-The engine is written once for float and exact coordinates; every
-tolerance lives in the `geometry` predicates it calls (`compare_event_times`,
-`compare_values` with its `tolerance_band`, `sign_ahead`).  `check_feasible`
+The engine is written once for float and exact coordinates, apart from
+the float filter that exact values pass first; every tolerance lives in
+the `geometry` predicates it calls (`compare_event_times`, `compare_values`
+with its `tolerance_band`, `sign_ahead`).  `check_feasible`
 samples a finished timeline from per-object coefficient rows that change
 only where objects move, and computes violations only at a sample where
 some object lies outside its disk.
@@ -63,8 +73,10 @@ some object lies outside its disk.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
-from itertools import compress
+from fractions import Fraction
+from itertools import chain, compress
 from operator import ne
 from typing import Iterator, Optional
 
@@ -79,6 +91,7 @@ from .geometry import (
     sign_ahead,
     squared_distance_poly,
     tolerance_band,
+    value_bound,
 )
 
 __all__ = [
@@ -157,8 +170,38 @@ class CoefficientRow(dict):
         return coefs
 
 
+class FloatRow(CoefficientRow):
+    """The (a, b, c) coefficients of one station's squared-distance
+    polynomials as the nearest doubles, for `value_bound`, keyed by object
+    index; each is converted on first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, obj: int) -> tuple:
+        p = self.row[obj]
+        coefs = self[obj] = (_double(p.a), _double(p.b), _double(p.c))
+        return coefs
+
+
 def coefficient_rows(instance: MovingInstance) -> list[CoefficientRow]:
     return [CoefficientRow(row) for row in distance_rows(instance)]
+
+
+def _double(x) -> float:
+    """The double nearest x; inf beyond the float range, which
+    `value_bound` answers with an infinite bound."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
+def _exact_coordinates(instance: MovingInstance) -> bool:
+    """Whether every coordinate is an int or a Fraction, so that squared
+    distances at an exact time are exact values."""
+    ends = chain.from_iterable((o.start, o.end) for o in instance.objects)
+    points = chain(instance.stations, ends)
+    return all(isinstance(v, (int, Fraction)) for p in points for v in (p.x, p.y))
 
 
 def moved_objects(before: Assignment, after: Assignment) -> list[int]:
@@ -249,6 +292,8 @@ class _Extender:
         self.t_stop = t_stop
         self.flags = flags
         self.polys = distance_rows(instance)
+        self.exact = _exact_coordinates(instance)  # values at exact times are exact
+        self.floats = [FloatRow(row) for row in self.polys] if self.exact else None
         self.assignment = list(assignment)
         self.assignment_tuple = None  # tuple(self.assignment), built once per move
         self.members: list[list[int]] = [[] for _ in instance.stations]
@@ -266,12 +311,19 @@ class _Extender:
 
     # -- state helpers ----------------------------------------------------
 
+    def _filters(self, t) -> bool:
+        """Whether values at t are exact, so that scans filter in float."""
+        return self.exact and type(t) is not float
+
     def _tie_group(self, station: int, t) -> list[int]:
         objs = self.members[station]
         if not objs:
             return []
-        # p(t) written out, as in QuadraticPoly.__call__
-        vals = [(p.a * t + p.b) * t + p.c for p in map(self.polys[station].__getitem__, objs)]
+        if self._filters(t):
+            objs = _may_be_largest(self.floats[station], objs, _double(t))
+            if len(objs) == 1:
+                return objs
+        vals = _values(self.polys[station], objs, t)
         vmax = max(vals)
         lo = tolerance_band(vmax)[0]
         return [o for v, o in zip(vals, objs) if v >= lo and compare_values(v, vmax) >= 0]
@@ -335,12 +387,16 @@ class _Extender:
         if sup is None or len(self.members[station]) < 2:
             return None
         lo, hi = self._window(cursor)
+        if self.exact:
+            lo_f, hi_f = _double(lo), _double(hi)
         row = self.polys[station]
         p_sup = row[sup]
         for o in self.members[station] if objs is None else objs:
             if o == sup:
                 continue
             diff = row[o] - p_sup
+            if self.exact and _negative_on(diff, lo_f, hi_f):
+                continue  # no root in the window
             roots = quadratic_roots(diff, lo, hi)
             if not roots:
                 continue  # no crossing, or equidistant for all time: a tie
@@ -396,9 +452,10 @@ class _Extender:
         rest = [o for o in self.members[station] if o != sup]
         best = None
         if rest:
-            # p(t) written out, as in QuadraticPoly.__call__
-            vals = [(p.a * t + p.b) * t + p.c for p in map(self.polys[station].__getitem__, rest)]
-            best = _farthest(vals, rest)
+            if self._filters(t):
+                rest = _may_be_largest(self.floats[station], rest, _double(t))
+            row = self.polys[station]
+            best = rest[0] if len(rest) == 1 else _farthest(_values(row, rest, t), rest)
         self.runner[station] = best
         return best
 
@@ -438,6 +495,8 @@ class _Extender:
         ahead of the cursor."""
         diff = self._handover_diff(s1, s2, inputs)
         lo, hi = self._window(cursor)
+        if self.exact and _negative_on(diff, _double(lo), _double(hi)):
+            return None  # no root in the window
         for root in quadratic_roots(diff, lo, hi)[::self.direction]:
             if not self._ahead(root, cursor):
                 continue
@@ -491,7 +550,13 @@ class _Extender:
         if runner is None:
             return sup
         row = self.polys[station]
-        return sup if compare_values(row[sup](t), row[runner](t)) > 0 else None
+        if self._filters(t):
+            tf, floats = _double(t), self.floats[station]
+            v, e = value_bound(floats[sup], tf)
+            v2, e2 = value_bound(floats[runner], tf)
+            if v - e > v2 + e2:
+                return sup
+        return sup if compare_values(*_values(row, (sup, runner), t)) > 0 else None
 
     def apply_dedup(self, t) -> set[int]:
         """Run the duplicate-coverage improvement in place at time t, the
@@ -502,7 +567,10 @@ class _Extender:
         object, which a tie does not leave to rounding.
         """
         known = [self._clear_support(s, t) for s in range(self.instance.m)]
-        moved = _dedup(self.instance, t, self.members, known)
+        if self._filters(t):
+            moved = _dedup_exact(self.instance, t, self.members, known, self.polys, self.floats)
+        else:
+            moved = _dedup(self.instance, t, self.members, known)
         changed = set()
         for j in sorted(moved):
             old, new = self.assignment[j], moved[j]
@@ -572,6 +640,51 @@ class _Extender:
             if self.flags.no_dup:
                 touched.update(self.apply_dedup(t_ev))
             self._requeue(touched, cursor)
+
+
+def _values(row: DistanceRow, objs, t) -> list:
+    """The objects' squared distances from the row's station at t, in
+    order; p(t) written out, as in QuadraticPoly.__call__."""
+    return [(p.a * t + p.b) * t + p.c for p in map(row.__getitem__, objs)]
+
+
+def _may_be_largest(floats: FloatRow, objs: list[int], tf: float) -> list[int]:
+    """The objects that may be farthest at the time whose double is tf, in
+    order: those whose value's upper bound (`value_bound`) reaches the
+    largest lower bound.  Every other object is strictly nearer than one of
+    these, so the farthest objects and all ties among them are kept."""
+    bounds = [value_bound(floats[o], tf) for o in objs]
+    floor = max([v - e for v, e in bounds])
+    return [o for o, (v, e) in zip(objs, bounds) if v + e >= floor]
+
+
+def _negative_on(p: QuadraticPoly, lo: float, hi: float) -> bool:
+    """Whether p, with exact coefficients, is certified negative on a window
+    whose ends have the doubles lo and hi, so that it has no root there.
+
+    Its largest value on the window is at an end unless it opens downward
+    with its slope 2at + b (also bounded by `value_bound`) rising at lo and
+    falling at hi; then it is at most the vertex value c - b**2/4a, taken
+    as p at the vertex time's double tv = -b/2a.  p at the true vertex
+    exceeds p(tv) by |a| (tv - vertex)**2, under 10 u**2 |a| tv**2: less
+    than u times `value_bound`'s e there, so v + 2e bounds it."""
+    coefs = (_double(p.a), _double(p.b), _double(p.c))
+    for t in (lo, hi):
+        v, e = value_bound(coefs, t)
+        if not v + e < 0.0:
+            return False
+    a, b, _ = coefs
+    if a < 0.0:
+        slope = (0.0, 2.0 * a, b)
+        v, e = value_bound(slope, lo)
+        if v + e <= 0.0:
+            return True  # falling across the window: largest at lo
+        v, e = value_bound(slope, hi)
+        if v - e >= 0.0:
+            return True  # rising across the window: largest at hi
+        v, e = value_bound(coefs, b / a * -0.5)
+        return v + 2.0 * e < 0.0
+    return a > 0.0 or p.a >= 0  # a leading term below the float range counts by its sign
 
 
 def _farthest(vals: list, objs: list[int]) -> int:
@@ -664,6 +777,81 @@ def _dedup(instance: MovingInstance, t, members, known) -> dict:
             radius[s] = d2(s, sup[s]) if sup[s] is not None else 0
             if (d, -o) > (radius[s2], -sup[s2]):  # o joins s2: its farthest is o or the old one
                 sup[s2], radius[s2] = o, d
+            break
+        else:
+            break
+    return moved
+
+
+def _dedup_exact(instance: MovingInstance, t, members, known, rows, floats) -> dict:
+    """`_dedup` for exact coordinates at an exact time, with the same
+    moves.  A squared distance computed from positions then equals the
+    value of the station's distance polynomial in `rows`, so every distance
+    is first bounded in float (`value_bound` on the `FloatRow`s `floats`),
+    and exact values are computed only for the stations and objects the
+    bounds do not separate.  A station's radius is the distance of its
+    support, kept implicit.
+    """
+    m = instance.m
+    tf = _double(t)
+    columns: dict = {}  # object -> (v - e, v + e) of its distance to each station
+    exact: dict = {}  # (station, object) -> exact squared distance
+
+    def column(o):
+        col = columns.get(o)
+        if col is None:
+            col = columns[o] = [(v - e, v + e) for v, e in
+                                (value_bound(row[o], tf) for row in floats)]
+        return col
+
+    def d2(s, o):
+        d = exact.get((s, o))
+        if d is None:
+            d = exact[(s, o)] = _values(rows[s], (o,), t)[0]
+        return d
+
+    def empty(s):
+        """Whether station s has radius 0 (an empty disk takes nothing)."""
+        o = sup[s]
+        return o is None or not column(o)[s][0] > 0 and d2(s, o) == 0
+
+    own: dict[int, list[int]] = {}  # copied member lists of changed stations
+
+    def support_of(s):
+        objs = own[s] if s in own else members[s]
+        if not objs:
+            return None
+        objs = _may_be_largest(floats[s], objs, tf)
+        return objs[0] if len(objs) == 1 else _farthest(_values(rows[s], objs, t), objs)
+
+    sup = [known[s] if known[s] is not None else support_of(s) for s in range(m)]
+    moved: dict[int, int] = {}
+    for _ in range(instance.n * m + m):
+        for s in range(m):
+            o = sup[s]
+            if empty(s):
+                continue
+            col = column(o)
+            best = None
+            for s2 in range(m):
+                # skip s, and every station that o is certainly outside of
+                if s2 == s or empty(s2) or col[s2][0] > column(sup[s2])[s2][1]:
+                    continue
+                d = d2(s2, o)
+                if d <= d2(s2, sup[s2]) and (best is None or (d, s2) < best):
+                    best = (d, s2)
+            if best is None:
+                continue
+            d, s2 = best
+            for x in (s, s2):
+                if x not in own:
+                    own[x] = list(members[x])
+            own[s].remove(o)
+            own[s2].append(o)
+            moved[o] = s2
+            sup[s] = support_of(s)
+            if (d, -o) > (d2(s2, sup[s2]), -sup[s2]):  # o joins s2: its farthest is o or the old one
+                sup[s2] = o
             break
         else:
             break

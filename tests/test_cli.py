@@ -780,9 +780,10 @@ def test_verify_matches_the_reference_derive_on_valid_results_and_a_midpoint_tie
         tm = 0.5 * (seg.t_start + seg.t_end)
         assert tm == 0.5 and seg.assignment[:2] == (0, 0)
         got, want = verdicts(doc, inst)
-        assert got == want
-        # The lowest index at the tie is derived: a passes, b does not.
-        assert (got == "[]") is not swap
+        # The reference derives the lowest index at the tie: a passes, b
+        # does not.  The stored support ties at the midpoint, and passes.
+        assert (want == "[]") is not swap
+        assert got == "[]"
 
 
 def shift_to_the_next_station(doc):
@@ -931,6 +932,33 @@ def test_check_fails_what_it_used_to_pass(tmp_path, capsys, nn_pair, tamper, cod
     out = capsys.readouterr()
     message = message.format(last=len(doc["timeline"]["segments"]) - 1)
     assert message in (out.out if code == EXIT_CHECK else out.err)
+
+
+HUGE = 10 ** 400  # an int that JSON holds and a double does not
+
+
+def huge_t_start(doc):
+    doc["timeline"]["segments"][0]["t_start"] = HUGE
+
+
+@pytest.mark.parametrize("tamper, code, message", [
+    (lambda doc: doc.update(upper=HUGE), EXIT_CHECK, "FAIL: stored bounds are not finite"),
+    (lambda doc: doc.update(lower=HUGE), EXIT_CHECK, "FAIL: stored bounds are not finite"),
+    (lambda doc: doc.update(lower=-HUGE), EXIT_CHECK, "FAIL: stored bounds are not finite"),
+    (lambda doc: doc["timeline"].update(value=HUGE), EXIT_CHECK,
+     f"FAIL: stored timeline value {HUGE} != timeline peak"),
+    (lambda doc: doc.update(gap=HUGE), EXIT_CHECK, f"FAIL: stored gap {HUGE} != gap "),
+    (huge_t_start, EXIT_IO, "cannot read inputs: malformed timeline: OverflowError"),
+], ids=["upper", "lower", "-lower", "value", "gap", "t_start"])
+def test_check_fails_integers_beyond_the_float_range(tmp_path, capsys, tamper, code, message):
+    inst_path, _, clean = solved_pair(tmp_path)
+    assert clean["gap"] is not None
+    doc = json.loads(json.dumps(clean))
+    tamper(doc)
+    capsys.readouterr()
+    assert check_tampered(tmp_path, inst_path, doc) == code
+    out = capsys.readouterr()
+    assert (out.out if code == EXIT_CHECK else out.err).startswith(message)
 
 
 def test_check_fails_supports_written_as_booleans(tmp_path, capsys):
