@@ -26,6 +26,7 @@ from .instances import (
     GenerationError,
     GenParams,
     generate,
+    parse_json,
     read_instance,
     write_instance,
 )
@@ -146,7 +147,7 @@ def result_to_json(instance_id: str, algorithm: str, flags: ImprovementFlags,
 
 def load_result(path):
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = parse_json(fh.read())
     if not isinstance(doc, dict) or doc.get("format") != RESULT_FORMAT \
             or doc.get("version") != RESULT_VERSION:
         raise FormatError(f"{path}: not a kdc-result v{RESULT_VERSION} file")
@@ -432,8 +433,8 @@ def cmd_bench(args) -> int:
         return EXIT_USAGE
     try:
         with open(args.manifest, "r", encoding="utf-8") as fh:
-            entries = manifest_entries(json.load(fh))
-    except (OSError, json.JSONDecodeError, FormatError) as exc:
+            entries = manifest_entries(parse_json(fh.read()))
+    except (OSError, FormatError) as exc:
         print(f"cannot read manifest: {exc}", file=sys.stderr)
         return EXIT_IO
     manifest_dir = Path(args.manifest).parent
@@ -642,7 +643,7 @@ def cmd_check(args) -> int:
             print(mismatch, file=sys.stderr)
             return EXIT_USAGE
         problems = verify_result(doc, instance, args.samples)
-    except (OSError, FormatError, json.JSONDecodeError) as exc:
+    except (OSError, FormatError) as exc:
         print(f"cannot read inputs: {exc}", file=sys.stderr)
         return EXIT_IO
     if problems:
@@ -734,7 +735,7 @@ def cmd_render(args) -> int:
             if len(seg.supports) != instance.m or not all(
                     sup is None or _is_index(sup, instance.n) for sup in seg.supports):
                 raise FormatError(f"segment {i}: supports do not fit the instance")
-    except (OSError, FormatError, json.JSONDecodeError) as exc:
+    except (OSError, FormatError) as exc:
         print(f"cannot read inputs: {exc}", file=sys.stderr)
         return EXIT_IO
     try:

@@ -139,11 +139,18 @@ def instance_to_json(instance: MovingInstance) -> str:
     return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
 
-def instance_from_json(text: str) -> MovingInstance:
+def parse_json(text: str):
+    """The JSON document in `text`.  Raises FormatError when the text is not
+    JSON or holds an integer longer than Python converts (4300 digits by
+    default), which `json` reports as a plain ValueError."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except ValueError as exc:
         raise FormatError(f"not valid JSON: {exc}") from None
+
+
+def instance_from_json(text: str) -> MovingInstance:
+    doc = parse_json(text)
     if not isinstance(doc, dict) or doc.get("format") != INSTANCE_FORMAT:
         raise FormatError("not a kdc-instance file")
     if doc.get("version") != INSTANCE_VERSION:

@@ -28,6 +28,16 @@ supplies incumbents, and float evaluation less a rounding margin keeps the
 bound certified (a Fraction in exact mode).  Pruning is strict, so the
 gap-0 optimum and its lexicographic tie-break are those of an exhaustive
 search.
+
+Each station also carries a cap, the highest level a search may still
+use, and the relaxation reads a station only up to it (the primal
+heuristics read every level).  Every solve starts with every cap at the
+top level; the search then fixes levels by reduced cost: a level whose
+certified root bound, the relaxation with the station forced to that
+level, is strictly above the incumbent's cost is in no cover as cheap as
+the incumbent, so each station's cap falls to its highest level that
+passes, for the rest of the solve.  Caps only fall, so the ascent and the search read ever fewer
+levels and branch on none past a cap, and the optimum stays within them.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
-from operator import add, itemgetter, le, lshift, mul, ne, or_, sub
+from operator import add, gt, itemgetter, le, lshift, mul, ne, or_, sub
 
 from .geometry import MovingInstance
 
@@ -205,6 +215,13 @@ class Candidates:
     and `ends[s]` flags, per position in that order, the outermost object
     of a level (None when no two objects tie, so every position ends one).
 
+    `caps[s]` is the highest level of station s that a search may still use
+    (-1 for none), set by `cap` and lifted to the top by `reset_caps`.
+    `gather[s]` reads `orders[s]` only up to the cap, so `lagrangian`
+    reads no level past it and bounds only the covers within the caps.
+    `cover_counts`, `min_increments`, `complete` and `improve` read every
+    level: the primal heuristics may raise a station past its cap.
+
     Candidate i is level i - offset[s] of station s: numbering is
     station-major and by ascending radius within a station, and `len` is
     the number of candidates.  Equidistant objects share one level.
@@ -214,7 +231,7 @@ class Candidates:
         n = instance.n
         self.n_objects, self.n_stations = n, instance.m
         self.values, self.masks, self.orders, self.last, self.rank = [], [], [], [], []
-        self.offset, self.gather, self.ends = [], [], []
+        self.offset, self.ends = [], []
         size = 0
         for column in _distance_columns(instance, t):
             dists = sorted(zip(column, range(n)))
@@ -231,9 +248,6 @@ class Candidates:
             self.orders.append(order)
             self.last.append(list(compress(range(n), ends)))
             self.rank.append(rank)
-            # itemgetter of one index returns a bare item, and of none fails
-            self.gather.append(itemgetter(*order) if n > 1
-                               else lambda seq, o=order: tuple(seq[j] for j in o))
             self.ends.append(None if len(vals) == n else ends)
         self._size = size
         self.universe = (1 << n) - 1
@@ -241,9 +255,26 @@ class Candidates:
         self.reach = [[vals[r] for r in rank] for vals, rank in zip(self.values, self.rank)]
         self.freach = list(zip(*[[fv[r] for r in rank]
                                  for fv, rank in zip(self.fvalues, self.rank)]))
+        self.caps, self.gather = [None] * self.n_stations, [None] * self.n_stations
+        self.reset_caps()
 
     def __len__(self):
         return self._size
+
+    def cap(self, s, k):
+        """Cap station s at level k (-1: no level at all)."""
+        self.caps[s] = k
+        order = self.orders[s]
+        end = self.last[s][k] + 1 if k >= 0 else 0
+        # itemgetter of one index returns a bare item, and of none fails
+        self.gather[s] = (itemgetter(*order[:end]) if end > 1
+                          else lambda seq, o=order[:end]: tuple(seq[j] for j in o))
+
+    def reset_caps(self):
+        """Lift every station's cap to its top level."""
+        for s, vals in enumerate(self.values):
+            if self.caps[s] != len(vals) - 1:
+                self.cap(s, len(vals) - 1)
 
     def committed(self, levels):
         total = 0
@@ -269,10 +300,11 @@ class Candidates:
         L = sum(weights) + sum over stations of min(0, min over levels k
         above the committed one of (v_k - v_committed - weights of the
         objects in prefix k)); a valid lower bound for any weights >= 0.
-        Returns L, each station's minimizing level, the magnitude that
-        bounds L's rounding error (see `_margin`), and per station the list
-        of v_k - (weights in prefix k) over the levels above the committed
-        one (None at the top level).
+        Only levels up to each station's cap count, so L bounds every cover
+        within the caps.  Returns L, each station's minimizing level, the
+        magnitude that bounds L's rounding error (see `_margin`), and per
+        station the list of v_k - (weights in prefix k) over the levels
+        above the committed one up to the cap (None when there is none).
 
         Per station the prefix sums are one `accumulate` over the weights
         gathered in the station's order, read at each level's outermost
@@ -283,9 +315,9 @@ class Candidates:
         scale = total * (self.n_stations + 2)
         chosen = list(levels)
         reduced_all = []
-        for s, (fv, lvl, ends) in enumerate(zip(self.fvalues, levels, self.ends)):
+        for s, (fv, lvl, cap, ends) in enumerate(zip(self.fvalues, levels, self.caps, self.ends)):
             scale += 3.0 * fv[-1]
-            if lvl + 1 == len(fv):
+            if lvl >= cap:
                 reduced_all.append(None)
                 continue
             sums = accumulate(self.gather[s](weights))
@@ -419,6 +451,19 @@ class BranchBoundBackend(SolverBackend):
     ascent and the search also stop once the incumbent's float cost is at
     most the cutoff, returning the bound certified at that point.
 
+    Reduced-cost level fixing (`_fix`; Beasley 1990, Caprara, Fischetti and
+    Toth 1999) shrinks the problem as it goes.  `solve` first lifts every
+    cap.  After every relaxation of the root ascent, at each search's root
+    and whenever the incumbent improves, each station's cap falls to its
+    highest level whose certified forced bound L(u) - min(0, min red_s) +
+    red_s[k] - margin (the key a child at that level gets) is at most the
+    incumbent's cost, so every cover as cheap as the incumbent stays
+    within the caps.  Caps only fall; no child above a cap is pushed, and a
+    node above one, queued before the cap fell, is dropped.  So a node
+    whose branch object is past every cap gets no child, and caps that
+    leave an object out of every station's reach end the search with the
+    incumbent as optimal once the heap runs dry.
+
     Pruning is strict (only nodes whose bound exceeds the incumbent), so at
     gap 0 every optimal selection stays reachable and ties among them
     resolve to the lexicographically smallest candidate index list.
@@ -428,6 +473,7 @@ class BranchBoundBackend(SolverBackend):
         lv = candidates
         start = _time.perf_counter()
         deadline = start + time_limit if time_limit != math.inf else math.inf
+        lv.reset_caps()
         u = self._ratio_prices(lv)
         best = lv.complete(lv.lagrangian((-1,) * lv.n_stations, u)[1])
         quick_pops = _QUICK_WORK // (lv.n_objects * lv.n_stations)
@@ -458,10 +504,13 @@ class BranchBoundBackend(SolverBackend):
         visited: set[tuple] = set()
         lower = 0
         pops = 0
+        fixing = None  # the root's relaxation, which fixes levels against each new incumbent
 
         while heap:
             key, _, levels, branching = heapq.heappop(heap)
-            if levels in visited:
+            # A node above a cap, pushed before the cap fell, holds no cover
+            # as cheap as the incumbent.
+            if levels in visited or any(map(gt, levels, lv.caps)):
                 continue
             if key > lower:
                 lower = key
@@ -486,9 +535,13 @@ class BranchBoundBackend(SolverBackend):
                 sel = lv.selection(levels)
                 if committed < best_cost or (committed == best_cost and sel < best_sel):
                     best_cost, best_levels, best_sel = committed, levels, sel
+                    self._fix(lv, fixing, best_cost)
                 continue
             if branching is None:
-                bound, branching = self._evaluate(lv, levels, committed, covered, u, exact)
+                bound, branching, relaxation = self._evaluate(
+                    lv, levels, committed, covered, u, exact, best_cost)
+                if not covered:
+                    fixing = relaxation
                 if bound > key:
                     heapq.heappush(heap, (bound, seq, levels, branching))
                     seq += 1
@@ -500,9 +553,12 @@ class BranchBoundBackend(SolverBackend):
                 if dc < best_cost:
                     best_cost, best_levels = dc, dl
                     best_sel = lv.selection(dl)
+                    self._fix(lv, fixing, best_cost)
             j, children = branching
             for s, forced in enumerate(children):
                 new_lvl = lv.rank[s][j]
+                if new_lvl > lv.caps[s]:
+                    continue
                 child = levels[:s] + (new_lvl,) + levels[s + 1 :]
                 if child in visited:
                     continue
@@ -543,8 +599,11 @@ class BranchBoundBackend(SolverBackend):
         """
         root = (-1,) * lv.n_stations
         best_levels, best_cost = best
-        val, chosen, scale, _ = lv.lagrangian(root, u)
-        best_val, best_u = val - _margin(scale, lv), u
+        val, chosen, scale, reduced = lv.lagrangian(root, u)
+        margin = _margin(scale, lv)
+        relaxation = (val, chosen, margin, reduced)
+        self._fix(lv, relaxation, best_cost)
+        best_val, best_u = val - margin, u
         average = [float(c) for c in lv.cover_counts(chosen)]
         step, stalled = _STEP_START, 0
         for it in range(1, _LAGRANGE_STEPS):
@@ -561,8 +620,11 @@ class BranchBoundBackend(SolverBackend):
             t = step * (upper - best_val) / norm
             # v if v > 0.0 else 0.0 is max(0.0, v), -0.0 and NaN included
             u = [v if v > 0.0 else 0.0 for v in map(add, best_u, map(mul, repeat(t), direction))]
-            val, chosen, scale, _ = lv.lagrangian(root, u)
-            val -= _margin(scale, lv)
+            val, chosen, scale, reduced = lv.lagrangian(root, u)
+            margin = _margin(scale, lv)
+            relaxation = (val, chosen, margin, reduced)
+            self._fix(lv, relaxation, best_cost)
+            val -= margin
             counts = lv.cover_counts(chosen)
             if val > best_val:
                 if sum(d * (1 - c) for d, c in zip(direction, counts)) > 0:
@@ -578,14 +640,44 @@ class BranchBoundBackend(SolverBackend):
                 levels, cost = lv.complete(chosen)
                 if cost < best_cost:
                     best_levels, best_cost = levels, cost
+                    self._fix(lv, relaxation, best_cost)
         return best_u, lv.improve(best_levels, best_cost)
 
-    def _evaluate(self, lv: Candidates, levels, committed, covered, u, exact):
+    @staticmethod
+    def _fix(lv: Candidates, relaxation, best_cost):
+        """Reduced-cost level fixing at the root: lower each station's cap
+        to its highest level k whose certified forced bound L - min(0, min
+        red) + red[k] - margin (the key `_evaluate` gives a child) is at most
+        `best_cost`, from a root relaxation (L, chosen levels, margin,
+        reduced values) that `Candidates.lagrangian` computed within the
+        caps.  A level above the cap is in no cover as cheap as the
+        incumbent.  In exact mode the test is against the exact cost; its
+        double rounds correctly, so only a bound equal to that double needs
+        the exact comparison."""
+        total, chosen, margin, reduced = relaxation
+        upper = float(best_cost)
+
+        def above(bound):
+            return bound > upper or bound == upper and bound > best_cost
+
+        for s, red in enumerate(reduced):
+            if red is None:
+                continue
+            rest = total - red[chosen[s]] if chosen[s] >= 0 else total
+            k = min(len(red) - 1, lv.caps[s])
+            while k >= 0 and above(rest + red[k] - margin):
+                k -= 1
+            if k < lv.caps[s]:
+                lv.cap(s, k)
+
+    def _evaluate(self, lv: Candidates, levels, committed, covered, u, exact, best_cost):
         """Admissible completion bound, the branch object (argmax of the min
         single-disk increment, lowest index on ties) and, per station, a
         bound on the child that raises it to cover that object: the
         Lagrangian at the root multipliers with the station forced to the
-        child's level or above."""
+        child's level or above (None past the station's cap).  Also returns
+        the relaxation; at the root it first fixes levels against
+        `best_cost`."""
         cheapest = lv.min_increments(levels)
         is_open = lv.uncovered(covered)
         maxmin = max(compress(cheapest, is_open))
@@ -598,6 +690,9 @@ class BranchBoundBackend(SolverBackend):
         weights = [x if o else 0.0 for o, x in zip(is_open, u)]
         total, chosen, scale, reduced = lv.lagrangian(levels, weights)
         margin = _margin(scale + abs(float(committed)), lv)
+        relaxation = (total, chosen, margin, reduced)
+        if not covered:
+            self._fix(lv, relaxation, best_cost)
 
         def certified(value):
             value -= margin
@@ -606,11 +701,14 @@ class BranchBoundBackend(SolverBackend):
         children = []
         for s, lvl in enumerate(levels):
             new_lvl = lv.rank[s][j]
+            if new_lvl > lv.caps[s]:
+                children.append(None)
+                continue
             red = reduced[s]
             base = lv.fvalues[s][lvl] if lvl >= 0 else 0.0
             term = red[chosen[s] - lvl - 1] - base if chosen[s] > lvl else 0.0
             children.append(certified(total - term + min(red[new_lvl - lvl - 1 :]) - base))
-        return max(committed + maxmin, certified(total)), (j, children)
+        return max(committed + maxmin, certified(total)), (j, children), relaxation
 
 
 class MilpBackend(SolverBackend):

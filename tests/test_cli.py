@@ -968,3 +968,47 @@ def test_check_fails_supports_written_as_booleans(tmp_path, capsys):
     capsys.readouterr()
     assert check_tampered(tmp_path, inst_path, doc) == EXIT_CHECK
     assert "assignment or supports do not fit" in capsys.readouterr().out
+
+
+
+# 5000 digits, past the length Python's int parser takes; `json.dumps`
+# cannot write it either, so it is spliced into the text.
+LONG = "9" * 5000
+
+
+def with_long_integer(doc):
+    return json.dumps(doc).replace('"LONG"', LONG)
+
+
+def test_check_reports_integers_too_long_to_parse(tmp_path, capsys, nn_pair):
+    """`json` raises a plain ValueError on an integer longer than Python's
+    int conversion limit, not a JSONDecodeError; each file is malformed."""
+    inst_path, clean = nn_pair
+    doc = json.loads(json.dumps(clean))
+    doc["upper"] = "LONG"
+    bad = tmp_path / "bad.json"
+    bad.write_text(with_long_integer(doc))
+    capsys.readouterr()
+    assert run(["check", bad, inst_path]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("cannot read inputs: not valid JSON:")
+
+    result = tmp_path / "r.json"
+    result.write_text(json.dumps(clean))
+    instance = json.loads(inst_path.read_text())
+    instance["objects"][0]["start"][0] = "LONG"
+    long_inst = tmp_path / "long.json"
+    long_inst.write_text(with_long_integer(instance))
+    assert run(["check", result, long_inst]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("cannot read inputs: not valid JSON:")
+
+
+def test_bench_reports_a_manifest_integer_too_long_to_parse(tmp_path, capsys):
+    out, _ = gen_one(tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["instances"][0]["seed"] = "LONG"
+    path = out / "long.json"
+    path.write_text(with_long_integer(manifest))
+    csv_path = tmp_path / "b.csv"
+    capsys.readouterr()
+    assert_one_error_line(capsys, run(["bench", path, "-o", csv_path]), EXIT_IO)
+    assert not csv_path.exists()

@@ -1,7 +1,7 @@
 import math
 from fractions import Fraction
 from itertools import accumulate
-from operator import sub
+from operator import gt, le, sub
 from random import Random
 
 import pytest
@@ -12,6 +12,7 @@ from kdcover.geometry import MovingInstance, Point2, Trajectory
 from kdcover.instances import GenParams, generate
 from kdcover.static_cover import (
     BranchBoundBackend,
+    Candidates,
     InfeasibleCoverError,
     SolverBackend,
     StaticSolution,
@@ -280,21 +281,22 @@ PINNED_SEARCH = [
 ]
 
 # The same gap-1e-2 solves with the quick search off, so that the root
-# ascent decides them: it stops at the root once the incumbent is within
-# the gap, and the exact-mode bound is the Fraction of a float.
+# ascent decides them: it fixes levels against each incumbent as it goes,
+# the search stops once the incumbent is within the gap, and the
+# exact-mode bound is the Fraction of a float.
 PINNED_ASCENT = [
-    (138, False, 1e-2, (44, 80, 196), 3711.4876947635207, 3693.0621217130874),
+    (138, False, 1e-2, (44, 80, 196), 3711.4876947635207, 3710.7397251054676),
     (138, True, 1e-2, (44, 80, 196),
      "588108700500833074130152113801169/158456325028528675187087900672",
-     "8098258494381157/2199023255552"),
-    (146, False, 1e-2, (17, 46, 218), 3959.6231259404826, 3924.4868496600607),
-    (146, True, 1e-2, (17, 46, 218),
-     "1254854658069007653780286682171213/316912650057057350374175801344",
-     "4315018924255237/1099511627776"),
-    (182, False, 1e-2, (2, 52, 139, 165, 201), 3412.272881341333, 3387.329846486833),
+     "8130289766315119/2199023255552"),
+    (146, False, 1e-2, (17, 46, 160, 216), 3948.4600573781745, 3936.159529198523),
+    (146, True, 1e-2, (17, 46, 160, 216),
+     "1251316940428158126002212205338845/316912650057057350374175801344",
+     "4327853171135085/1099511627776"),
+    (182, False, 1e-2, (2, 52, 139, 165, 201), 3412.272881341333, 3398.96811861995),
     (182, True, 1e-2, (2, 52, 139, 165, 201),
      "1081392441543712447652587544842497/316912650057057350374175801344",
-     "7448817106649933/2199023255552"),
+     "7474409937725095/2199023255552"),
 ]
 
 
@@ -480,9 +482,8 @@ def test_bound_against_milp_at_moderate_size(monkeypatch, quick_work):
 
 def test_lagrangian_margin_covers_rounding():
     # The float Lagrangian value less `_margin` must not exceed the same
-    # value computed in exact rationals, at any scale of the plane.
-    from random import Random
-
+    # value computed in exact rationals, at any scale of the plane, over all
+    # levels and over the levels up to random caps.
     from kdcover.static_cover import _margin
 
     rng = Random(5)
@@ -491,24 +492,155 @@ def test_lagrangian_margin_covers_rounding():
         for factor in (1e-6, 1.0, 1e6):
             inst = scaled(random_instance(n, m, seed), factor).as_exact()
             lv = enumerate_candidates(inst, Fraction(1, 3))
-            levels = tuple(
-                rng.randrange(-1, len(v)) if rng.random() < 0.3 else -1 for v in lv.values
-            )
-            open_ = lv.uncovered(lv.committed(levels)[1])
-            top = max(max(v) for v in lv.values)
-            weights = [rng.uniform(0, 2 * top / n) if o and rng.random() < 0.8 else 0.0
-                       for o in open_]
-            value, _, scale, _ = lv.lagrangian(levels, weights)
-            exact = sum(Fraction(w) for w in weights)
-            for s, lvl in enumerate(levels):
-                base = lv.values[s][lvl] if lvl >= 0 else 0
-                best = 0
-                for k in range(lvl + 1, len(lv.values[s])):
-                    prefix = lv.orders[s][: lv.last[s][k] + 1]
-                    covered = sum(Fraction(weights[j]) for j in prefix)
-                    best = min(best, lv.values[s][k] - base - covered)
-                exact += best
-            assert Fraction(value - _margin(scale, lv)) <= exact, (seed, factor)
+            for capped in (False, True):
+                lv.reset_caps()
+                caps = random_caps(lv, rng) if capped else [len(v) - 1 for v in lv.values]
+                levels = tuple(
+                    rng.randrange(-1, len(v)) if rng.random() < 0.3 else -1 for v in lv.values
+                )
+                open_ = lv.uncovered(lv.committed(levels)[1])
+                top = max(max(v) for v in lv.values)
+                weights = [rng.uniform(0, 2 * top / n) if o and rng.random() < 0.8 else 0.0
+                           for o in open_]
+                value, _, scale, _ = lv.lagrangian(levels, weights)
+                exact = sum(Fraction(w) for w in weights)
+                for s, lvl in enumerate(levels):
+                    base = lv.values[s][lvl] if lvl >= 0 else 0
+                    best = 0
+                    for k in range(lvl + 1, caps[s] + 1):
+                        prefix = lv.orders[s][: lv.last[s][k] + 1]
+                        covered = sum(Fraction(weights[j]) for j in prefix)
+                        best = min(best, lv.values[s][k] - base - covered)
+                    exact += best
+                assert Fraction(value - _margin(scale, lv)) <= exact, (seed, factor, capped)
+
+
+def levels_of(cands, selected):
+    """Each station's level in a selection, -1 where it has none."""
+    return [max((i - start for i in selected if 0 <= i - start < len(vals)), default=-1)
+            for start, vals in zip(cands.offset, cands.values)]
+
+
+@both_searches
+def test_fixing_keeps_the_brute_force_optimum(monkeypatch, quick_work):
+    """Every level of the exhaustive optimum stays at or below the caps a
+    gap-0 solve ends with, and the solve returns that optimum and its
+    tie-break, in float and in exact arithmetic, on all four classes."""
+    use_quick_work(monkeypatch, quick_work)
+    rng = Random(12)
+    fixed = 0
+    for klass in ("random", "same_slope", "same_start", "same_end"):
+        for seed in range(5):
+            n, m = rng.randint(8, 12), rng.randint(2, 4)
+            base = generate(GenParams(n=n, m=m, seed=seed, instance_class=klass))
+            for inst, t in ((base, 0.0), (base, 0.5), (base.as_exact(), Fraction(1, 3))):
+                cands = enumerate_candidates(inst, t)
+                bf = brute_force_cover(cands)
+                sol = solve_exact(cands, target_gap=0.0)
+                assert (sol.selected, sol.total_radius_sq) == (
+                    bf.selected, bf.total_radius_sq), (klass, seed, t)
+                assert all(map(le, levels_of(cands, bf.selected), cands.caps)), (klass, seed, t)
+                fixed += sum(len(v) - 1 - cap for v, cap in zip(cands.values, cands.caps))
+    assert fixed > 0
+
+
+def test_fixing_compares_exactly_at_the_incumbents_double():
+    """In exact arithmetic `_fix` caps each station at its highest level
+    whose forced bound is at most the incumbent's exact cost, also for
+    costs a hair below, at and a hair above a bound, which all round to
+    the bound's double."""
+    from kdcover.static_cover import _margin
+
+    cands = enumerate_candidates(random_instance(12, 3, 4).as_exact(), Fraction(1, 2))
+    u = BranchBoundBackend._ratio_prices(cands)
+    total, chosen, scale, reduced = cands.lagrangian((-1,) * cands.n_stations, u)
+    relaxation = (total, chosen, _margin(scale, cands), reduced)
+    bounds = [[total - (red[chosen[s]] if chosen[s] >= 0 else 0.0) + r - relaxation[2]
+               for r in red] for s, red in enumerate(reduced)]
+    hair = Fraction(1, 1 << 80)
+    for cost in sorted({Fraction(b) + d for row in bounds for b in row for d in (-hair, 0, hair)}):
+        cands.reset_caps()
+        BranchBoundBackend._fix(cands, relaxation, cost)
+        assert cands.caps == [max((k for k, b in enumerate(row) if Fraction(b) <= cost),
+                                  default=-1) for row in bounds], cost
+
+
+def test_a_reused_candidates_solves_as_a_fresh_one(monkeypatch):
+    """A solve starts from every level whatever caps an earlier solve of the
+    same candidates left: solved twice, with no cutoff and then a cutoff
+    below the optimum, it returns what a fresh solve returns."""
+    monkeypatch.setattr(static_cover, "_QUICK_WORK", 0)
+    for seed, exact, gap, *_ in PINNED_ASCENT:
+        inst, t = random_instance(40, 6, seed), 0.5
+        if exact:
+            inst, t = inst.as_exact(), Fraction(1, 2)
+        fresh = solve_exact(enumerate_candidates(inst, t), target_gap=gap)
+        cands = enumerate_candidates(inst, t)
+        first = solve_exact(cands, target_gap=gap)
+        caps = list(cands.caps)
+        assert caps != [len(v) - 1 for v in cands.values], (seed, exact)
+        again = solve_exact(cands, target_gap=gap, cutoff=fresh.lower_radius_sq / 2)
+        assert repr(first) == repr(again) == repr(fresh), (seed, exact)
+        assert cands.caps == caps, (seed, exact)
+
+
+def test_an_open_object_past_every_cap_returns_the_incumbent():
+    """Caps that leave an open object out of every station's reach give the
+    nodes that branch on it no child, so the search runs dry and returns
+    the incumbent as optimal, in float and in exact arithmetic."""
+    base = random_instance(12, 3, 4)
+    for inst, t in ((base, 0.5), (base.as_exact(), Fraction(1, 2))):
+        cands = enumerate_candidates(inst, t)
+        best = cands.complete((-1,) * cands.n_stations)
+        far = cands.orders[0][-1]
+        for s in range(cands.n_stations):
+            cands.cap(s, cands.rank[s][far] - 1)
+        backend = BranchBoundBackend()
+        u = backend._ratio_prices(cands)
+        got = backend._search(cands, u, best, 0.0, -math.inf, math.inf, math.inf)
+        assert got == (best, best[1], "optimal"), t
+
+
+def test_heuristics_read_levels_past_the_caps():
+    """`complete` and `improve` return covers from levels above the caps,
+    which the primal heuristics reach by raising stations past them."""
+    rng = Random(21)
+    for lv in gather_cases():
+        for trial in range(6):
+            lv.reset_caps()
+            caps = random_caps(lv, rng)
+            levels = tuple(rng.randrange(max(cap, 0), len(v)) if rng.random() < 0.5 else -1
+                           for cap, v in zip(caps, lv.values))
+            for got, cost in (lv.complete(levels), lv.improve(*lv.complete(levels))):
+                assert lv.committed(got) == (cost, lv.universe)
+
+
+def test_capped_solves_diving_at_every_pop_return_covers(monkeypatch):
+    """Solves whose search runs the primal heuristic at every pop, at sizes
+    where the levels are fixed before the search and some dives improve
+    levels above the caps, return covers costing what they report."""
+    monkeypatch.setattr(static_cover, "_QUICK_WORK", 0)
+    monkeypatch.setattr(static_cover, "_DIVE_PERIOD", 1)
+    improve, above = Candidates.improve, []
+
+    def counted(self, levels, cost):
+        above.append(any(map(gt, levels, self.caps)))
+        return improve(self, levels, cost)
+
+    monkeypatch.setattr(Candidates, "improve", counted)
+    fixed = 0
+    for seed in range(4):
+        inst = random_instance(120, 10, seed)
+        for exact in (False, True):
+            cands = enumerate_candidates(inst.as_exact() if exact else inst,
+                                         Fraction(1, 2) if exact else 0.5)
+            sol = solve_exact(cands, target_gap=0.0)
+            assert covers_all(cands, sol, inst.n), (seed, exact)
+            assert sol.total_radius_sq == sum(cands.values[s][lvl] for s, lvl in
+                                              enumerate(levels_of(cands, sol.selected))
+                                              if lvl >= 0), (seed, exact)
+            fixed += sum(len(v) - 1 - cap for v, cap in zip(cands.values, cands.caps))
+    assert fixed > 0 and any(above)
 
 
 def covers_all(cands, sol, n):
@@ -671,20 +803,21 @@ def test_a_backend_that_takes_the_object_count_fails_loudly():
 # (compared by repr, which tells -0.0 from 0.0), and the same types.
 
 
-def reference_lagrangian(lv, levels, weights):
+def reference_lagrangian(lv, levels, weights, caps):
     total = sum(weights)
     scale = total * (lv.n_stations + 2)
     chosen = list(levels)
     reduced_all = []
     for s in range(lv.n_stations):
         fv = lv.fvalues[s]
-        lvl = levels[s]
+        lvl, cap = levels[s], caps[s]
         scale += 3.0 * fv[-1]
-        if lvl + 1 == len(fv):
+        if lvl >= cap:
             reduced_all.append(None)
             continue
-        sums = list(accumulate(map(weights.__getitem__, lv.orders[s])))
-        reduced = list(map(sub, fv[lvl + 1 :], map(sums.__getitem__, lv.last[s][lvl + 1 :])))
+        sums = list(accumulate(map(weights.__getitem__, lv.orders[s][: lv.last[s][cap] + 1])))
+        reduced = list(map(sub, fv[lvl + 1 : cap + 1],
+                           map(sums.__getitem__, lv.last[s][lvl + 1 : cap + 1])))
         reduced_all.append(reduced)
         low = min(reduced)
         gain = low - (fv[lvl] if lvl >= 0 else 0.0)
@@ -718,6 +851,14 @@ def reference_min_increments(lv, levels):
     return [min(incs) for incs in zip(*cols)]
 
 
+def random_caps(lv, rng):
+    """Each station capped at a random level, -1 (no level) included."""
+    caps = [rng.randrange(-1, len(v)) for v in lv.values]
+    for s, k in enumerate(caps):
+        lv.cap(s, k)
+    return caps
+
+
 def gather_cases():
     """Candidates on random and same-start instances (whose objects share
     one point at t=0, so each station's levels tie), with one object or one
@@ -738,20 +879,26 @@ def gather_cases():
 
 
 def test_gathers_match_element_by_element_references():
+    """At the top caps and at random ones, with committed levels up to the
+    top, some past the caps: the relaxation reads levels up to the caps,
+    the cover counts and increments every level."""
     rng = Random(8)
-    tied = False
+    tied = capped = False
     for lv in gather_cases():
         tied |= any(ends is not None for ends in lv.ends)
         top = max(max(fv) for fv in lv.fvalues) or 1.0
-        for trial in range(12):
+        for trial in range(24):
+            lv.reset_caps()
+            caps = random_caps(lv, rng) if trial % 2 else [len(v) - 1 for v in lv.values]
+            capped |= caps != [len(v) - 1 for v in lv.values]
             # Committed levels, the top one included, or none at all.
-            levels = tuple(rng.randrange(-1, len(v)) if trial and rng.random() < 0.4 else -1
+            levels = tuple(rng.randrange(-1, len(v)) if trial > 1 and rng.random() < 0.4 else -1
                            for v in lv.values)
             open_ = lv.uncovered(lv.committed(levels)[1])
             weights = [rng.uniform(0, 2 * top / lv.n_objects) if o and rng.random() < 0.8
                        else 0.0 for o in open_]
             assert repr(lv.lagrangian(levels, weights)) == repr(
-                reference_lagrangian(lv, levels, weights))
+                reference_lagrangian(lv, levels, weights, caps))
             assert repr(lv.cover_counts(levels)) == repr(reference_cover_counts(lv, levels))
             assert repr(lv.min_increments(levels)) == repr(
                 reference_min_increments(lv, levels))
@@ -759,7 +906,7 @@ def test_gathers_match_element_by_element_references():
             for j in range(lv.n_objects):
                 assert repr(lv.cheapest_raise(j, cur)) == repr(
                     reference_cheapest_raise(lv, j, cur))
-    assert tied
+    assert tied and capped
 
 
 def test_candidates_without_objects():
