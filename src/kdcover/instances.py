@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from random import Random
 
@@ -172,9 +173,36 @@ def instance_from_json(text: str) -> MovingInstance:
             )
             for o in doc["objects"]
         )
+        instance = MovingInstance(stations, objects, canvas=canvas, metadata=metadata)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed instance fields: {exc}") from None
-    return MovingInstance(stations, objects, canvas=canvas, metadata=metadata)
+    _check_magnitude(instance)
+    return instance
+
+
+def _check_magnitude(instance: MovingInstance) -> None:
+    """Raise FormatError when coordinates are so large that squared
+    distances or their sums overflow a double (`Point2` already rejects
+    coordinates that are not finite).
+
+    With every coordinate in [-M, M], a coordinate difference is at most 2M
+    in magnitude, so a squared-distance polynomial a*t**2 + b*t + c
+    (`geometry.squared_distance_poly`) has 0 <= a, c <= 8 M**2 and
+    |b| <= 16 M**2, and Horner's rule at t in [0, 1] keeps every term below
+    32 M**2.  The solver adds up at most max(2m, 4) of them: an objective
+    sums one support per station, the envelope and the min-max loop
+    subtract one objective from another, and a handover difference adds
+    four.  So every coefficient, term and value stays below
+    32 max(2m, 4) M**2, and M <= sqrt(DBL_MAX / (128 max(m, 2))) leaves a
+    factor of 2 for rounding.  That allows M up to about 2.4e152 at m = 25.
+    """
+    coords = [v for p in instance.stations for v in (p.x, p.y)]
+    coords += [v for o in instance.objects for v in (o.start.x, o.start.y, o.end.x, o.end.y)]
+    largest = max(map(abs, coords), default=0.0)
+    limit = math.sqrt(sys.float_info.max / (128 * max(instance.m, 2)))
+    if largest > limit:
+        raise FormatError(f"coordinate magnitude {largest!r} is above {limit:.3g}, "
+                          f"where squared distances overflow")
 
 
 def write_instance(path, instance: MovingInstance) -> None:

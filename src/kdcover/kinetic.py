@@ -22,23 +22,26 @@ events from an anchor time toward a stop time.  What each event computes:
   support of s2 (zero when None); at its time the handover is re-checked
   against the live state (`handover_still_improves`) and applied only if
   the cost does not rise;
-- duplicate coverage (no_dup) runs at every event time from the objects'
-  positions (`_dedup`), moving supports already inside another disk.
+- duplicate coverage (no_dup) runs at every event time (`_dedup`), moving
+  supports already inside another disk; it reads the same distance
+  polynomials as every other step, so float and exact arithmetic break
+  its ties alike.
 
-Runner-ups and the dedup step's farthest objects are found by evaluating
-each member's polynomial (or position) at the time in one list pass, then
-the largest value and its lowest-index object by C-level `max`, `count`
-and `index` (`_farthest`); a support is picked from the members within
-the tolerance band of the largest value (`_tie_group`).
+Runner-ups are found by evaluating each member's polynomial at the time in
+one list pass, then the largest value and its lowest-index object by
+C-level `max`, `count` and `index` (`_farthest`); a support is picked from
+the members that `compare_values` calls largest (`_largest`): by the
+engine among them (`_tie_group`, `_resolve`), by the dedup step as the
+lowest index.
 
 With exact coordinates at an exact time, those scans first bound every
 value in float (`geometry.value_bound`) and keep only the members whose
 upper bound reaches the largest lower bound (`_may_be_largest`): the
 exact values, computed for the survivors alone, decide as before, and the
-dedup step reads the distance polynomials in place of positions
-(`_dedup_exact`).  A support change or handover difference certified
-negative over the window (`_negative_on`) has no root there and skips
-root finding.  Every decision stays exact, and so does every timeline.
+dedup step passes over the stations that certainly do not cover a
+support.  A support change or handover difference certified negative over
+the window (`_negative_on`) has no root there and skips root finding.
+Every decision stays exact, and so does every timeline.
 
 The engine keeps its state across events and recomputes only what an
 event touched:
@@ -55,8 +58,7 @@ event touched:
   the time is still ahead of the cursor; pairs away from the touched
   stations stay stale and are re-checked before they are applied;
 - duplicate coverage (`apply_dedup`): a station whose support is clear of
-  its runner-up keeps it, and only the others are rescanned from the
-  objects' positions;
+  its runner-up keeps it, and only the others are rescanned;
 - the next event: one queue (`_EventQueue`) in place of a scan over every
   cached event;
 - segments: those between two moves share one assignment tuple.
@@ -323,10 +325,7 @@ class _Extender:
             objs = _may_be_largest(self.floats[station], objs, _double(t))
             if len(objs) == 1:
                 return objs
-        vals = _values(self.polys[station], objs, t)
-        vmax = max(vals)
-        lo = tolerance_band(vmax)[0]
-        return [o for v, o in zip(vals, objs) if v >= lo and compare_values(v, vmax) >= 0]
+        return _largest(_values(self.polys[station], objs, t), objs)
 
     def _pick_support(self, station: int, t) -> None:
         group = self._tie_group(station, t)
@@ -538,10 +537,9 @@ class _Extender:
         """The station's kept support if it is farther at t than every other
         member by more than `compare_values`'s tolerance, else None.
 
-        Such a support is also the farthest object when distances are
-        computed from positions, as the dedup step does: the two ways of
-        computing a squared distance differ by rounding far below that
-        tolerance, and not at all in exact arithmetic.
+        Such a support is the only member that `compare_values` calls
+        farthest, so it is the one the dedup step's rule picks, and the
+        step takes it without a scan of the members.
         """
         sup = self.supports[station]
         if sup is None:
@@ -563,14 +561,12 @@ class _Extender:
         cursor; returns the stations whose assignments changed.
 
         A station whose support is clear of a tie keeps the engine's
-        support; the others take their largest-distance, lowest-index
-        object, which a tie does not leave to rounding.
+        support; the others take the lowest index among the members that
+        `compare_values` calls farthest, in float as in exact arithmetic.
         """
         known = [self._clear_support(s, t) for s in range(self.instance.m)]
-        if self._filters(t):
-            moved = _dedup_exact(self.instance, t, self.members, known, self.polys, self.floats)
-        else:
-            moved = _dedup(self.instance, t, self.members, known)
+        floats = self.floats if self._filters(t) else None
+        moved = _dedup(self.instance, t, self.members, known, self.polys, floats)
         changed = set()
         for j in sorted(moved):
             old, new = self.assignment[j], moved[j]
@@ -687,6 +683,14 @@ def _negative_on(p: QuadraticPoly, lo: float, hi: float) -> bool:
     return a > 0.0 or p.a >= 0  # a leading term below the float range counts by its sign
 
 
+def _largest(vals: list, objs: list[int]) -> list[int]:
+    """The objects whose values `compare_values` calls largest, in order;
+    the values are objs' distances, in the same order."""
+    vmax = max(vals)
+    lo = tolerance_band(vmax)[0]
+    return [o for v, o in zip(vals, objs) if v >= lo and compare_values(v, vmax) >= 0]
+
+
 def _farthest(vals: list, objs: list[int]) -> int:
     """The object of the largest value, the lowest index on a tie; the
     values are objs' distances, in the same order."""
@@ -696,124 +700,65 @@ def _farthest(vals: list, objs: list[int]) -> int:
     return min(o for o, x in zip(objs, vals) if x == v)
 
 
-def _dedup(instance: MovingInstance, t, members, known) -> dict:
+def _dedup(instance: MovingInstance, t, members, known, rows, floats) -> dict:
     """The duplicate-coverage improvement at time t.
 
-    While some station's support object lies inside another station's
-    disk, hand that support to the covering station (the first station's
-    radius then shrinks to its next-furthest object).  `known[s]` is the
-    support to take for station s, or None to take its largest-distance,
-    lowest-index object.  Distances are computed from the objects'
-    positions at t, with the arithmetic of `Trajectory.at` followed by the
-    coordinate differences.  `members` is left as it is; returns {object:
+    While some station's support object lies inside another station's disk
+    (its distance d there and that station's radius r give
+    `compare_values(d, r) <= 0`), hand that support to the covering station
+    with the smallest distance, the lowest station on a `compare_values`
+    tie; the first station's radius then shrinks to its next-farthest
+    object.  An empty disk (r == 0) takes nothing.  `known[s]` is the
+    support to take for station s, or None to take the lowest index among
+    the members that `compare_values` calls farthest.  Distances are the
+    values at t of the polynomials in `rows`, and a station's radius is the
+    distance of its support.
+
+    Only the stations that a support may lie inside are compared: those
+    where its distance, or with `floats` (the `FloatRow`s of exact
+    coordinates at an exact time) the lower end of its `value_bound`, is at
+    most the station's cap, one list pass per support.  A cap is -inf for
+    an empty disk, else the upper end of the radius's `tolerance_band`, or
+    with `floats` of its `value_bound`; exact values are computed only for
+    the stations that pass.  `members` is left as it is; returns {object:
     final station} for every object that moved (possibly back to where it
     was).
     """
     m = instance.m
-    objects = instance.objects
-    xs = [st.x for st in instance.stations]
-    ys = [st.y for st in instance.stations]
-    positions: dict = {}
-
-    def position(o):
-        p = positions.get(o)
-        if p is None:
-            tr = objects[o]
-            p = positions[o] = (
-                tr.start.x + t * (tr.end.x - tr.start.x),
-                tr.start.y + t * (tr.end.y - tr.start.y),
-            )
-        return p
-
-    def d2(s, o):
-        px, py = position(o)
-        dx, dy = xs[s] - px, ys[s] - py
-        return dx * dx + dy * dy
-
-    own: dict[int, list[int]] = {}  # copied member lists of changed stations
-
-    def support_of(s):
-        objs = own[s] if s in own else members[s]
-        if not objs:
-            return None
-        x, y = xs[s], ys[s]
-        dists = [(x - px) * (x - px) + (y - py) * (y - py) for px, py in map(position, objs)]
-        return _farthest(dists, objs)
-
-    sup = [known[s] if known[s] is not None else support_of(s) for s in range(m)]
-    radius = [d2(s, sup[s]) if sup[s] is not None else 0 for s in range(m)]
-    moved: dict[int, int] = {}
-    for _ in range(instance.n * m + m):
-        # Only d within a radius's tolerance band can compare at most r; an
-        # empty disk (r == 0) takes nothing.
-        bound = [tolerance_band(r)[1] if r != 0 else -1 for r in radius]
-        for s in range(m):
-            o = sup[s]
-            if o is None or radius[s] == 0:
-                continue
-            px, py = position(o)
-            near = [
-                s2
-                for s2, x, y, cap in zip(range(m), xs, ys, bound)
-                if (x - px) * (x - px) + (y - py) * (y - py) <= cap
-            ]
-            best = None
-            for s2 in near:
-                if s2 == s:
-                    continue
-                d = d2(s2, o)
-                if compare_values(d, radius[s2]) <= 0 and (best is None or (d, s2) < best):
-                    best = (d, s2)
-            if best is None:
-                continue
-            d, s2 = best
-            for x in (s, s2):
-                if x not in own:
-                    own[x] = list(members[x])
-            own[s].remove(o)
-            own[s2].append(o)
-            moved[o] = s2
-            sup[s] = support_of(s)
-            radius[s] = d2(s, sup[s]) if sup[s] is not None else 0
-            if (d, -o) > (radius[s2], -sup[s2]):  # o joins s2: its farthest is o or the old one
-                sup[s2], radius[s2] = o, d
-            break
-        else:
-            break
-    return moved
-
-
-def _dedup_exact(instance: MovingInstance, t, members, known, rows, floats) -> dict:
-    """`_dedup` for exact coordinates at an exact time, with the same
-    moves.  A squared distance computed from positions then equals the
-    value of the station's distance polynomial in `rows`, so every distance
-    is first bounded in float (`value_bound` on the `FloatRow`s `floats`),
-    and exact values are computed only for the stations and objects the
-    bounds do not separate.  A station's radius is the distance of its
-    support, kept implicit.
-    """
-    m = instance.m
     tf = _double(t)
-    columns: dict = {}  # object -> (v - e, v + e) of its distance to each station
+    lows: dict = {}  # object -> its distance to each station, or with floats a lower bound
     exact: dict = {}  # (station, object) -> exact squared distance
 
-    def column(o):
-        col = columns.get(o)
+    def low(o):
+        col = lows.get(o)
         if col is None:
-            col = columns[o] = [(v - e, v + e) for v, e in
-                                (value_bound(row[o], tf) for row in floats)]
+            if floats is None:
+                col = [(p.a * t + p.b) * t + p.c for p in [row[o] for row in rows]]
+            else:
+                # at least 0, as squared distances are, so that an infinite
+                # bound's -inf cannot pass an empty disk's cap
+                col = [v - e if v > e else 0.0 for v, e in
+                       (value_bound(row[o], tf) for row in floats)]
+            lows[o] = col
         return col
 
     def d2(s, o):
+        if floats is None:
+            return low(o)[s]
         d = exact.get((s, o))
         if d is None:
             d = exact[(s, o)] = _values(rows[s], (o,), t)[0]
         return d
 
-    def empty(s):
-        """Whether station s has radius 0 (an empty disk takes nothing)."""
+    def cap(s):
         o = sup[s]
-        return o is None or not column(o)[s][0] > 0 and d2(s, o) == 0
+        if o is None:
+            return -math.inf
+        if floats is None:
+            r = low(o)[s]
+            return tolerance_band(r)[1] if r != 0 else -math.inf
+        v, e = value_bound(floats[s][o], tf)
+        return v + e if v - e > 0 or d2(s, o) != 0 else -math.inf
 
     own: dict[int, list[int]] = {}  # copied member lists of changed stations
 
@@ -821,24 +766,27 @@ def _dedup_exact(instance: MovingInstance, t, members, known, rows, floats) -> d
         objs = own[s] if s in own else members[s]
         if not objs:
             return None
-        objs = _may_be_largest(floats[s], objs, tf)
-        return objs[0] if len(objs) == 1 else _farthest(_values(rows[s], objs, t), objs)
+        if floats is not None:
+            objs = _may_be_largest(floats[s], objs, tf)
+            if len(objs) == 1:
+                return objs[0]
+        return min(_largest(_values(rows[s], objs, t), objs))
 
     sup = [known[s] if known[s] is not None else support_of(s) for s in range(m)]
+    caps = [cap(s) for s in range(m)]
     moved: dict[int, int] = {}
     for _ in range(instance.n * m + m):
         for s in range(m):
-            o = sup[s]
-            if empty(s):
+            if caps[s] == -math.inf:
                 continue
-            col = column(o)
+            o = sup[s]
             best = None
-            for s2 in range(m):
-                # skip s, and every station that o is certainly outside of
-                if s2 == s or empty(s2) or col[s2][0] > column(sup[s2])[s2][1]:
+            for s2 in [s2 for s2, d, c in zip(range(m), low(o), caps) if d <= c]:
+                if s2 == s:
                     continue
                 d = d2(s2, o)
-                if d <= d2(s2, sup[s2]) and (best is None or (d, s2) < best):
+                if compare_values(d, d2(s2, sup[s2])) <= 0 and (
+                        best is None or compare_values(d, best[0]) < 0):
                     best = (d, s2)
             if best is None:
                 continue
@@ -850,8 +798,9 @@ def _dedup_exact(instance: MovingInstance, t, members, known, rows, floats) -> d
             own[s2].append(o)
             moved[o] = s2
             sup[s] = support_of(s)
-            if (d, -o) > (d2(s2, sup[s2]), -sup[s2]):  # o joins s2: its farthest is o or the old one
-                sup[s2] = o
+            if o < sup[s2] and compare_values(d, d2(s2, sup[s2])) == 0:
+                sup[s2] = o  # o ties s2's farthest member at a lower index
+            caps[s], caps[s2] = cap(s), cap(s2)
             break
         else:
             break

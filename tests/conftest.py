@@ -31,3 +31,13 @@ def random_instance(n: int, m: int, seed: int, canvas=100.0,
 def random_sizes(seed: int, n_max: int, m_max: int) -> tuple[int, int]:
     rng = Random(seed * 7919 + 13)
     return rng.randint(1, n_max), rng.randint(1, m_max)
+
+
+def assert_timelines_agree(got, want, case=None):
+    """Float segments `got` against exact-arithmetic segments `want`: the
+    same count, assignments and supports, and boundaries within 1e-9."""
+    assert len(got) == len(want), case
+    for a, b in zip(got, want):
+        assert (a.assignment, a.supports) == (b.assignment, b.supports), case
+        assert abs(a.t_start - float(b.t_start)) <= 1e-9, case
+        assert abs(a.t_end - float(b.t_end)) <= 1e-9, case

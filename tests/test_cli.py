@@ -566,7 +566,10 @@ def test_bench_keeps_the_rows_of_an_interrupted_run(tmp_path, monkeypatch):
     assert [line.split(",")[5] for line in lines[1:]] == ["nn"]
 
 
-@pytest.mark.parametrize("field, value", [("metadata", ["x"]), ("canvas", ["5"])])
+@pytest.mark.parametrize("field, value", [
+    ("metadata", ["x"]), ("canvas", ["5"]), ("stations", []),
+    ("stations", [["0.0", "0.0"], ["1e+200", "0.0"], ["0.0", "0.0"]]),
+])
 def test_a_malformed_instance_file_is_an_io_error(tmp_path, capsys, field, value):
     _, inst_path = gen_one(tmp_path)
     result = tmp_path / "r.json"

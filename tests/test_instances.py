@@ -1,9 +1,11 @@
 import hashlib
 import json
 import math
+import sys
 
 import pytest
 
+from kdcover.geometry import ZERO_POLY, squared_distance_poly
 from kdcover.instances import (
     FormatError,
     GenParams,
@@ -112,6 +114,41 @@ def test_instance_format_errors():
         instance_from_json("not json at all")
     doc = json.loads(text)
     for field, value in (("metadata", ["x"]), ("canvas", ["5"]), ("canvas", ["nan", "5"]),
-                         ("canvas", ["-5", "5"])):
+                         ("canvas", ["-5", "5"]), ("stations", []),
+                         ("stations", [["0.0", "0.0"], ["1e+200", "0.0"]])):
         with pytest.raises(FormatError):
             instance_from_json(json.dumps(dict(doc, **{field: value})))
+
+
+def instance_text(stations, objects):
+    return json.dumps({
+        "format": "kdc-instance", "version": 1, "canvas": None,
+        "stations": [[repr(float(x)), repr(float(y))] for x, y in stations],
+        "objects": [{"start": [repr(float(a)), repr(float(b))],
+                     "end": [repr(float(c)), repr(float(d))]} for (a, b), (c, d) in objects],
+    })
+
+
+@pytest.mark.parametrize("m", [1, 2, 25])
+def test_every_readable_instance_subtracts_its_objectives_in_range(m):
+    """At the largest magnitude that reads, m stations at one corner give
+    the largest squared-distance coefficients, for an object crossing to
+    them from the other corner and for one leaving them; the difference of
+    the two objectives, each summed over the m stations, and its values
+    stay finite, as at 1e100.  A magnitude one percent larger is rejected."""
+    limit = math.sqrt(sys.float_info.max / (128 * max(m, 2)))
+    for scale, reads in ((1e100, True), (limit, True), (limit * 1.01, False)):
+        text = instance_text([(-scale, -scale)] * m, [((scale, scale), (-scale, -scale)),
+                                                       ((0, 0), (scale, scale))])
+        if not reads:
+            with pytest.raises(FormatError):
+                instance_from_json(text)
+            continue
+        inst = instance_from_json(text)
+        diff = ZERO_POLY
+        for st in inst.stations:
+            diff = diff + squared_distance_poly(st, inst.objects[0])
+        for st in inst.stations:
+            diff = diff - squared_distance_poly(st, inst.objects[1])
+        assert all(math.isfinite(v) for v in (diff.a, diff.b, diff.c))
+        assert all(math.isfinite(diff(t)) for t in (0.0, 0.25, 0.5, 1.0))

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from conftest import random_instance, random_sizes
+from conftest import assert_timelines_agree, random_instance, random_sizes
 import kdcover.kinetic as kinetic
 from kdcover.envelope import SolutionTimeline, TimelineSegment
 from kdcover.geometry import (
@@ -137,6 +137,25 @@ def test_dedup_improve_examples():
     assert dedup_improve(improved, 0.0, inst) == improved
     single = MovingInstance((Point2(0.0, 0.0),), (Trajectory(Point2(1.0, 0.0), Point2(1.0, 0.0)),))
     assert dedup_improve((0,), 0.0, single) == (0,)
+    # Stations 1 and 2 cover station 0's support at squared distances 25 and
+    # 25 - 1e-9, which `compare_values` calls equal: the lower station takes it.
+    points = (Point2(5.0, 0.0), Point2(16.0, 0.0), Point2(5.0, 11.0 - 1e-10))
+    tie = MovingInstance((Point2(0.0, 0.0), Point2(10.0, 0.0), Point2(5.0, 5.0 - 1e-10)),
+                         tuple(Trajectory(p, p) for p in points))
+    assert dedup_improve((0, 1, 2), 0.0, tie) == (1, 1, 2)
+    # Object 0 joins station 1 at exactly its radius 25 and, the lower index,
+    # becomes its support; as such it lies inside station 2's disk and moves on.
+    points = (Point2(3.0, 4.0), Point2(11.0, 8.0), Point2(3.0, -7.0))
+    join = MovingInstance((Point2(0.0, 0.0), Point2(6.0, 8.0), Point2(3.0, -1.0)),
+                          tuple(Trajectory(p, p) for p in points))
+    for inst, t in ((join, 0.0), (join.as_exact(), Fraction(0))):
+        assert dedup_improve((0, 1, 2), t, inst) == (2, 1, 2)
+    # An empty disk (radius 0) takes nothing, not even a support that
+    # `compare_values` calls at its radius.
+    points = (Point2(1e-5, 0.0), Point2(0.0, 0.0))
+    empty = MovingInstance((Point2(0.0, 0.0), Point2(0.0, 0.0)),
+                           tuple(Trajectory(p, p) for p in points))
+    assert dedup_improve((0, 1), 0.0, empty) == (0, 1)
 
 
 def cost_at(assignment, t, inst):
@@ -540,16 +559,18 @@ def timeline_digest(segments):
 
 
 # (segment count, digest of every segment's bounds, assignment and supports)
-# of `extend` from t=1/2 with the nearest-neighbor assignment there.
+# of `extend` from t=1/2 with the nearest-neighbor assignment there.  The
+# float rows with every flag are pinned from the dedup step that reads the
+# distance polynomials.
 PINNED_TIMELINES = {
     (0, "none", "forward"): (5, "fcbadf2f3c218af5"),
     (0, "none", "backward"): (7, "57ddef15f4759fc8"),
-    (0, "all", "forward"): (33, "756530d74f6bc371"),
-    (0, "all", "backward"): (52, "43dae3eadd9ccf6d"),
+    (0, "all", "forward"): (33, "ce2f4740346bab7c"),
+    (0, "all", "backward"): (42, "6c17b41f6ee8ce67"),
     (1, "none", "forward"): (6, "e7a55bb924e22fdc"),
     (1, "none", "backward"): (8, "55573cf4f82249d9"),
-    (1, "all", "forward"): (34, "cfef601c82b373e6"),
-    (1, "all", "backward"): (34, "8e74934cdbcd7d81"),
+    (1, "all", "forward"): (35, "ec4f7196d2f96fa0"),
+    (1, "all", "backward"): (34, "5ef25dbe61c7db20"),
     (2, "none", "forward"): (3, "4f007dde52c3d5eb"),
     (2, "none", "backward"): (4, "59d0f30cb856daf5"),
     (2, "all", "forward"): (4, "24bacce6db5d5281"),
@@ -576,21 +597,22 @@ def test_extend_timelines_pinned():
 def test_full_size_extend_pinned():
     """Full-size fix seed 1 empties and refills stations while handovers are
     queued, which the small pinned cases do not reach.  Pinned from the
-    engine that recomputed every handover of a touched station."""
+    engine whose dedup step reads the distance polynomials."""
     inst = generate(GenParams(n=500, m=25, seed=1))
     assignment = nn_heuristic(inst, 0.0).assignment
     segs = extend(assignment, 0.0, "forward", 1.0, ALL_FLAGS, inst)
-    assert timeline_digest(segs) == (577, "3fb9247148e1d00e")
+    assert timeline_digest(segs) == (571, "e81eb6617874b8a4")
 
 
 def test_full_size_heuristic_solves_pinned():
     """The benchmark's heuristic solves at full size, where kinetic
     extension is most of the work: nn with every flag and the fixed_nn
     baseline on fix seed 0.  Pinned from the engine that composed every
-    handover difference from its before and after costs."""
+    handover difference from its before and after costs; the nn digest from
+    the dedup step that reads the distance polynomials."""
     inst = generate(GenParams(n=500, m=25, seed=0))
     nn = solve_minmax(inst, SolverConfig(static_backend="nn", flags=ALL_FLAGS))
-    assert timeline_digest(nn.timeline.segments) == (538, "ed28c28217c6624b")
+    assert timeline_digest(nn.timeline.segments) == (581, "97dfea94906cd7d3")
     assert nn.upper == 19585.099137464924
     base = fixed_nn_baseline(inst, k=10)
     assert timeline_digest(base.timeline.segments) == (151, "36ffb8ab597805fa")
@@ -679,11 +701,12 @@ def test_extend_builds_distance_polynomials_on_demand(monkeypatch):
     assert calls[0] < n * m
 
 
-def test_dedup_step_at_kept_support_ties_pinned():
+def test_dedup_step_at_kept_support_ties_matches_exact_arithmetic():
     """Objects on a small integer grid come in mirror pairs whose distances
-    to a station are equal polynomials but can round apart when computed
-    from positions; the dedup step must then take the position-based
-    support, as the stand-alone rebuild did.  Pinned from that rebuild."""
+    to a station are equal polynomials, and support changes tie members
+    by construction; the dedup step must break those ties as in exact
+    arithmetic.  Float and exact timelines of both directions agree segment
+    by segment."""
     rng = Random(100)
 
     def point():
@@ -691,10 +714,11 @@ def test_dedup_step_at_kept_support_ties_pinned():
 
     stations = tuple(point() for _ in range(6))
     inst = MovingInstance(stations, tuple(Trajectory(point(), point()) for _ in range(40)))
-    for anchor, direction, stop, pinned in (
-        (0.0, "forward", 1.0, (33, "b0f0e74b5315652b")),
-        (1.0, "backward", 0.0, (41, "b8797110324f8a12")),
-    ):
-        assignment = nn_heuristic(inst, anchor).assignment
-        segs = extend(assignment, anchor, direction, stop, ALL_FLAGS, inst)
-        assert timeline_digest(segs) == pinned
+    exact = inst.as_exact()
+    for anchor, direction, stop in ((0, "forward", 1), (1, "backward", 0)):
+        assignment = nn_heuristic(inst, float(anchor)).assignment
+        assert nn_heuristic(exact, Fraction(anchor)).assignment == assignment
+        segs = extend(assignment, float(anchor), direction, float(stop), ALL_FLAGS, inst)
+        want = extend(assignment, Fraction(anchor), direction, Fraction(stop), ALL_FLAGS, exact)
+        assert len(want) > 30
+        assert_timelines_agree(segs, want, direction)

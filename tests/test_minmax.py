@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_instance, random_sizes
+from conftest import assert_timelines_agree, random_instance, random_sizes
 from kdcover import minmax
 from kdcover.envelope import SolutionTimeline, timeline_cost
 from kdcover.geometry import MovingInstance, Point2, Trajectory, compare_event_times
@@ -286,6 +286,21 @@ def test_exact_arithmetic_agrees_with_float_on_degenerates():
         assert check_feasible(exact.timeline.segments, inst, 500).ok
 
 
+def test_float_and_exact_arithmetic_timelines_agree():
+    """With every flag, the kinetic layer makes the same decisions in float
+    and exact arithmetic: equal segments, assignments and supports, and
+    boundaries within 1e-9, on every class, seed and algorithm."""
+    for klass in ("random", "same_slope", "same_start", "same_end"):
+        for seed in range(6):
+            inst = generate(GenParams(n=40, m=6, seed=seed, instance_class=klass))
+            for backend in ("exact", "nn"):
+                got, want = (
+                    solve_minmax(inst, SolverConfig(static_backend=backend, flags=ALL_FLAGS,
+                                                    exact_arithmetic=exact)).timeline.segments
+                    for exact in (False, True))
+                assert_timelines_agree(got, want, (klass, seed, backend))
+
+
 def timeline_digest(timeline):
     h = hashlib.sha256()
     for seg in timeline.segments:
@@ -296,14 +311,15 @@ def timeline_digest(timeline):
 # (segment count, digest of every segment's bounds, assignment, supports and
 # objective) of n=40, m=6, seed 0 solves, keyed by (class, arithmetic,
 # algorithm, flags).  Pinned from the solver that merged full-span and
-# partial extensions by separate routines.
+# partial extensions by separate routines; the float rows with every flag
+# from the dedup step that reads the distance polynomials.
 PINNED_SOLVES = {
     ('random', 'float', 'exact', 'none'): (5, '602828c05dc83d79'),
     ('random', 'float', 'exact', 'partext'): (5, '602828c05dc83d79'),
-    ('random', 'float', 'exact', 'all'): (8, 'a8197e20c6a0eb8c'),
+    ('random', 'float', 'exact', 'all'): (8, 'd6bd246a5610340d'),
     ('random', 'float', 'nn', 'none'): (9, '9756626c603df523'),
     ('random', 'float', 'nn', 'partext'): (9, '9756626c603df523'),
-    ('random', 'float', 'nn', 'all'): (11, 'af01da495aa68a11'),
+    ('random', 'float', 'nn', 'all'): (10, 'e4e93a6a1230198e'),
     ('random', 'float', 'fixed_nn', 'none'): (23, 'd3eb8356bbd5774e'),
     ('random', 'exact', 'exact', 'none'): (5, 'b3bac14e484993e0'),
     ('random', 'exact', 'exact', 'partext'): (5, 'b3bac14e484993e0'),
@@ -314,10 +330,10 @@ PINNED_SOLVES = {
     ('random', 'exact', 'fixed_nn', 'none'): (23, '427ff412c0ca387b'),
     ('same_slope', 'float', 'exact', 'none'): (9, '9706425a485666ce'),
     ('same_slope', 'float', 'exact', 'partext'): (9, '9706425a485666ce'),
-    ('same_slope', 'float', 'exact', 'all'): (19, 'b7ec486f0f06a4eb'),
+    ('same_slope', 'float', 'exact', 'all'): (20, '8cd428bd44701abb'),
     ('same_slope', 'float', 'nn', 'none'): (8, 'be962eb7131c6ab3'),
     ('same_slope', 'float', 'nn', 'partext'): (8, 'be962eb7131c6ab3'),
-    ('same_slope', 'float', 'nn', 'all'): (20, '06884acfde7df49b'),
+    ('same_slope', 'float', 'nn', 'all'): (20, '90d509b7e388add2'),
     ('same_slope', 'float', 'fixed_nn', 'none'): (15, '788ebd8f47991de3'),
     ('same_slope', 'exact', 'exact', 'none'): (9, 'd58fcb58200404ee'),
     ('same_slope', 'exact', 'exact', 'partext'): (9, 'd58fcb58200404ee'),
@@ -409,6 +425,6 @@ def test_partial_extension_walks_the_incumbent_once(monkeypatch):
     monkeypatch.setattr(minmax, "_extension", measured_extension)
     inst = generate(GenParams(n=500, m=25, seed=0))
     res = solve_minmax(inst, SolverConfig(static_backend="nn", flags=ALL_FLAGS))
-    assert len(res.timeline.segments) == 538
+    assert len(res.timeline.segments) == 581
     assert budget[0] > 1000
     assert calls[0] <= 4 * budget[0], (calls[0], budget[0])
