@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 import sys
-from bisect import insort
 from pathlib import Path
 
 from .envelope import TimelineSegment
@@ -30,7 +29,7 @@ from .instances import (
     read_instance,
     write_instance,
 )
-from .kinetic import ImprovementFlags, check_feasible, coefficient_rows, moved_objects
+from .kinetic import ImprovementFlags, check_feasible, float_rows, moved_objects
 from .minmax import KineticResult, SolverConfig, fixed_nn_baseline, solve_minmax
 from .static_cover import ratio_gap
 
@@ -469,16 +468,24 @@ def cmd_bench(args) -> int:
 # -- check -------------------------------------------------------------------
 
 
-def verify_result(doc, instance: MovingInstance, samples: int) -> list[str]:
+def verify_result(doc, instance: MovingInstance, samples=None) -> list[str]:
     """Independent verification of a result file against its instance.
 
     Checks each segment's assignment and supports against the instance,
-    re-derives its objective from the stored assignment, checks that the
-    segment times ascend and join up and that the objectives are finite,
-    the stored peak value and bounds against the timeline's peak and the
-    stored gap against the stored bounds, and re-runs the feasibility sampler.
+    that the segment times ascend and join up and that the objectives are
+    finite, proves the timeline feasible (`check_feasible`: every object
+    inside its station's disk, whose radius is set by the stored support,
+    at every time), checks each stored objective against the sum of its
+    stored supports' polynomials, the stored peak value and bounds against
+    the timeline's peak and the stored gap against the stored bounds.
+    Feasibility makes each stored support its station's farthest member
+    over its segment, so that sum is the segment's true objective.
     Returns a list of violation messages (empty = pass); raises FormatError
     when the timeline cannot be read.
+
+    `samples` is ignored: the feasibility proof is analytic and needs no
+    sample count.  It is still taken so that callers which pass one as the
+    third argument, such as the benchmark, keep working.
     """
     problems = []
     segs = result_segments(doc)
@@ -502,7 +509,7 @@ def verify_result(doc, instance: MovingInstance, samples: int) -> list[str]:
     problems += segment_problems
     if malformed:
         return problems
-    report = check_feasible(segs, instance, samples)
+    report = check_feasible(segs, instance)
     if not report.ok:
         problems.append(
             f"infeasible: violation {report.worst_violation:.3e} at "
@@ -531,67 +538,36 @@ def verify_result(doc, instance: MovingInstance, samples: int) -> list[str]:
 
 def _segment_problems(segs, instance: MovingInstance) -> tuple[list[str], bool]:
     """Each segment's assignment and supports against the instance, and its
-    stored objective against the one derived from its assignment at its
-    midpoint; returns the problems and whether some segment does not fit.
+    stored objective against the sum of its supports' polynomials; returns
+    the problems and whether some segment does not fit.
 
     The segments' assignments have one length, as `result_segments` builds
-    them.  Segments between moves share one assignment tuple; at a move
-    only the objects that moved are regrouped, and the assignment's shape
-    is checked again.  A station's derived support is its member farthest
-    at the midpoint, the lowest index on a tie; a segment that does not
-    match that is derived again from its stored supports where they tie
-    (`_derive_from_stored_supports`) before it counts as a mismatch.
+    them; segments between moves share one assignment tuple, whose shape is
+    checked once.
     """
     n, m = instance.n, instance.m
-    rows = coefficient_rows(instance)
+    rows = float_rows(instance)
     problems = []
     malformed = False
-    assignment = segs[0].assignment
-    members = {}  # station -> its objects, ascending
-    for j, s in enumerate(assignment):
-        members.setdefault(s, []).append(j)
-    coefs = {}  # station -> its members' coefficients, while they stay
-    fits = None
+    assignment = None
     for i, seg in enumerate(segs):
         if seg.assignment is not assignment:
-            for j in moved_objects(assignment, seg.assignment):
-                old, new = assignment[j], seg.assignment[j]
-                members[old].remove(j)
-                if not members[old]:
-                    del members[old]
-                insort(members.setdefault(new, []), j)
-                coefs.pop(old, None)
-                coefs.pop(new, None)
             assignment = seg.assignment
-            fits = None
-        if fits is None:
             # n objects on stations in range(m)
-            fits = len(assignment) == n and all(_is_index(s, m) for s in members)
-            stations = sorted(members)
+            stations = set(assignment)
+            fits = len(assignment) == n and all(_is_index(s, m) for s in stations)
         # A station's support is one of its objects, or None when it has none.
         if not fits or len(seg.supports) != m \
-                or not all(sup is None and s not in members
+                or not all(sup is None and s not in stations
                            or _is_index(sup, n) and assignment[sup] == s
                            for s, sup in enumerate(seg.supports)):
             problems.append(f"segment {i}: assignment or supports do not fit n={n}, m={m}")
             malformed = True
             continue
-        tm = 0.5 * (seg.t_start + seg.t_end)
-        derived = [0.0, 0.0, 0.0]
-        for s in stations:
-            row = coefs.get(s)
-            if row is None:
-                row = coefs[s] = list(map(rows[s].__getitem__, members[s]))
-            # p(tm) written out, as in QuadraticPoly.__call__; members
-            # ascend, so the first largest value is the lowest index.
-            vals = [(a * tm + b) * tm + c for a, b, c in row]
-            a, b, c = row[vals.index(max(vals))]
-            derived[0] += a
-            derived[1] += b
-            derived[2] += c
+        polys = [rows[s][sup] for s, sup in enumerate(seg.supports) if sup is not None]
+        derived = list(map(sum, zip(*polys))) or [0.0, 0.0, 0.0]
         stored = [seg.poly.a, seg.poly.b, seg.poly.c]
-        if not _same_objective(stored, derived) and not _same_objective(
-                stored, _derive_from_stored_supports(seg, tm, stations, members, coefs)):
+        if not _same_objective(stored, derived):
             problems.append(
                 f"segment {i}: stored objective {stored} != derived {derived}"
             )
@@ -603,27 +579,6 @@ def _same_objective(stored, derived) -> bool:
     return not any(abs(a - b) > 1e-9 * scale for a, b in zip(derived, stored))
 
 
-def _derive_from_stored_supports(seg, tm, stations, members, coefs) -> list[float]:
-    """The segment's objective at its midpoint tm with each station's stored
-    support wherever that support is among its members farthest at tm,
-    within the objective tolerance of 1e-9 relative, and its lowest-index
-    farthest member elsewhere: a support that only ties at the midpoint
-    is as valid as the lowest index."""
-    derived = [0.0, 0.0, 0.0]
-    for s in stations:
-        row = coefs[s]
-        vals = [(a * tm + b) * tm + c for a, b, c in row]
-        top = max(vals)
-        k = members[s].index(seg.supports[s])
-        if top - vals[k] > 1e-9 * max(1.0, abs(top)):
-            k = vals.index(top)
-        a, b, c = row[k]
-        derived[0] += a
-        derived[1] += b
-        derived[2] += c
-    return derived
-
-
 def _same_gap(stored, derived) -> bool:
     if stored is None or derived is None:
         return stored is derived
@@ -632,9 +587,6 @@ def _same_gap(stored, derived) -> bool:
 
 
 def cmd_check(args) -> int:
-    if args.samples < 1:
-        print(f"--samples must be at least 1, got {args.samples}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         doc = load_result(args.result)
         instance = read_instance(args.instance)
@@ -642,7 +594,7 @@ def cmd_check(args) -> int:
         if mismatch:
             print(mismatch, file=sys.stderr)
             return EXIT_USAGE
-        problems = verify_result(doc, instance, args.samples)
+        problems = verify_result(doc, instance)
     except (OSError, FormatError) as exc:
         print(f"cannot read inputs: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -651,8 +603,7 @@ def cmd_check(args) -> int:
         for extra in problems[1:]:
             print(f"      {extra}")
         return EXIT_CHECK
-    print(f"PASS: {doc['instance_id']} ({len(doc['timeline']['segments'])} segments, "
-          f"{args.samples} samples)")
+    print(f"PASS: {doc['instance_id']} ({len(doc['timeline']['segments'])} segments)")
     return EXIT_OK
 
 
@@ -817,7 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="verify a result file against its instance")
     c.add_argument("result")
     c.add_argument("instance")
-    c.add_argument("--samples", type=int, default=1000)
     c.set_defaults(func=cmd_check)
 
     r = sub.add_parser("render", help="render SVG snapshots")

@@ -219,8 +219,11 @@ class QuadraticNumber:
         the value's interval round to the same double, so the result stays
         within half an ulp even when p and q*sqrt(d) nearly cancel; an
         irrational value never sits on a rounding boundary, so this ends.
-        Each end is one int true division, which rounds correctly.  An
-        event time is read many times, so the double is kept.
+        Each end is one int true division, which rounds correctly.  An end
+        beyond the float range raises OverflowError only once the interval,
+        of width |q| / (r * 2**k), is narrower than 1: before that the value
+        itself may still fit.  An event time is read many times, so the
+        double is kept.
         """
         if self._float is not None:
             return self._float
@@ -231,9 +234,13 @@ class QuadraticNumber:
             bits = 64
             while True:
                 s = math.isqrt(self.d << (2 * bits))
-                a = ((p << bits) + q * s) / (r << bits)
-                if a == ((p << bits) + q * (s + 1)) / (r << bits):
-                    break
+                try:
+                    a = ((p << bits) + q * s) / (r << bits)
+                    if a == ((p << bits) + q * (s + 1)) / (r << bits):
+                        break
+                except OverflowError:
+                    if abs(q) < r << bits:
+                        raise
                 bits *= 2
         self._float = a
         return a

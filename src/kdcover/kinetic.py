@@ -67,9 +67,10 @@ The engine is written once for float and exact coordinates, apart from
 the float filter that exact values pass first; every tolerance lives in
 the `geometry` predicates it calls (`compare_event_times`, `compare_values`
 with its `tolerance_band`, `sign_ahead`).  `check_feasible`
-samples a finished timeline from per-object coefficient rows that change
-only where objects move, and computes violations only at a sample where
-some object lies outside its disk.
+proves a finished timeline feasible without sampling: within a run of
+segments where a station keeps its members and support, each member's
+distance minus the support's is one quadratic, checked once at the run's
+ends and its vertex.
 """
 
 from __future__ import annotations
@@ -155,10 +156,10 @@ def distance_rows(instance: MovingInstance) -> list[DistanceRow]:
     return [DistanceRow(st, instance.objects) for st in instance.stations]
 
 
-class CoefficientRow(dict):
+class FloatRow(dict):
     """The (a, b, c) coefficients of one station's squared-distance
-    polynomials, keyed by object index; each is read from its `DistanceRow`
-    on first use."""
+    polynomials as the nearest doubles, keyed by object index; each is read
+    from its `DistanceRow` and converted on first use."""
 
     __slots__ = ("row",)
 
@@ -168,25 +169,12 @@ class CoefficientRow(dict):
 
     def __missing__(self, obj: int) -> tuple:
         p = self.row[obj]
-        coefs = self[obj] = (p.a, p.b, p.c)
-        return coefs
-
-
-class FloatRow(CoefficientRow):
-    """The (a, b, c) coefficients of one station's squared-distance
-    polynomials as the nearest doubles, for `value_bound`, keyed by object
-    index; each is converted on first use."""
-
-    __slots__ = ()
-
-    def __missing__(self, obj: int) -> tuple:
-        p = self.row[obj]
         coefs = self[obj] = (_double(p.a), _double(p.b), _double(p.c))
         return coefs
 
 
-def coefficient_rows(instance: MovingInstance) -> list[CoefficientRow]:
-    return [CoefficientRow(row) for row in distance_rows(instance)]
+def float_rows(instance: MovingInstance) -> list[FloatRow]:
+    return [FloatRow(row) for row in distance_rows(instance)]
 
 
 def _double(x) -> float:
@@ -854,65 +842,97 @@ def extend(
     return segments
 
 
-def check_feasible(
-    segments, instance: MovingInstance, sample_count: int = 1000
-) -> FeasibilityReport:
-    """Sample the segments uniformly and verify that every object sits inside
-    its assigned station's disk (radius taken from the segment supports).
+def check_feasible(segments, instance: MovingInstance) -> FeasibilityReport:
+    """Verify that every object sits inside its assigned station's disk over
+    the whole timeline, the radius taken from the segment supports (zero
+    for a None support).
 
-    The reported violation is relative: (d2 - r2) / max(r2, 1), and the
-    timeline passes when it is at most `FEASIBILITY_TOL`.  A sample count
-    below 1 is an error: it would check nothing.
+    The violation of object j at t is relative: (d2 - r2) / max(r2, 1), with
+    d2 and r2 the squared distances of j and of the support from j's
+    station, and the timeline passes when its largest is at most
+    `FEASIBILITY_TOL`.  While a station keeps its members and its support
+    (a run of segments), d2 and r2 are fixed quadratics, so each member is
+    checked once per run: where d2 - r2 is at most 0 at the run's ends and
+    at its vertex, it is at most 0 over the whole run, and elsewhere
+    `_peak_violation` finds the largest violation.  Values are floats.  The
+    worst object and time are reported; on a tie, the lowest object, then
+    the earliest time.
     """
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be at least 1, got {sample_count}")
     segments = list(segments)
-    if not segments:
+    if not segments or instance.n == 0:
         return FeasibilityReport(True, 0.0)
-    if instance.n == 0:
-        return FeasibilityReport(True, 0.0)
-    lo = float(segments[0].t_start)
-    hi = float(segments[-1].t_end)
-    rows = coefficient_rows(instance)
-    worst = 0.0
-    worst_t = None
-    worst_obj = None
-    k = 0
-    seg = assignment = None
-    for i in range(sample_count):
-        t = lo + (hi - lo) * i / (sample_count - 1) if sample_count > 1 else lo
-        while k + 1 < len(segments) and float(segments[k].t_end) < t:
-            k += 1
-        if seg is not segments[k]:
-            seg = segments[k]
-            support_rows = [(s, *rows[s][sup]) for s, sup in enumerate(seg.supports)
-                            if sup is not None]
-            # Segments between moves share one tuple; after a move only the
-            # rows of the objects that moved change.
-            if seg.assignment is not assignment:
-                if assignment is None or len(seg.assignment) != len(assignment):
-                    object_rows = [(*rows[s][j], s) for j, s in enumerate(seg.assignment)]
-                else:
-                    for j in moved_objects(assignment, seg.assignment):
-                        s = seg.assignment[j]
-                        object_rows[j] = (*rows[s][j], s)
-                assignment = seg.assignment
-        # t is a float, so every value below is one, evaluated as
-        # `QuadraticPoly.__call__` does.
-        radius = [0.0] * instance.m
-        for s, a, b, c in support_rows:
-            radius[s] = (a * t + b) * t + c
-        # An object inside its disk has violation <= 0, never above worst, so
-        # the violations are computed only at a sample where one lies outside.
-        for a, b, c, s in object_rows:
-            if (a * t + b) * t + c > radius[s]:
-                break
-        else:
-            continue
-        for j, (a, b, c, s) in enumerate(object_rows):
-            d2 = (a * t + b) * t + c
-            if d2 > radius[s]:
-                violation = (d2 - radius[s]) / max(radius[s], 1.0)
-                if violation > worst:
-                    worst, worst_t, worst_obj = violation, t, j
+    rows = float_rows(instance)
+    first = segments[0]
+    members = [set() for _ in range(instance.m)]
+    for j, s in enumerate(first.assignment):
+        members[s].add(j)
+    supports = list(first.supports)
+    starts = [float(first.t_start)] * instance.m
+    worst, worst_t, worst_obj = 0.0, None, None
+
+    def close(s, t1):
+        nonlocal worst, worst_t, worst_obj
+        t0, row = starts[s], rows[s]
+        r = (0.0, 0.0, 0.0) if supports[s] is None else row[supports[s]]
+        ra, rb, rc = r
+        r0, r1 = (ra * t0 + rb) * t0 + rc, (ra * t1 + rb) * t1 + rc
+        for j in members[s]:
+            a, b, c = p = row[j]
+            if (a * t0 + b) * t0 + c <= r0 and (a * t1 + b) * t1 + c <= r1 and (
+                    a >= ra or not t0 < (rb - b) / (2 * (a - ra)) < t1
+                    or c - rc - (b - rb) ** 2 / (4 * (a - ra)) <= 0):
+                continue
+            v, t = _peak_violation(p, r, t0, t1)
+            if v > worst or v == worst and worst_obj is not None \
+                    and (j, t) < (worst_obj, worst_t):
+                worst, worst_t, worst_obj = v, t, j
+
+    prev = first
+    for seg in segments[1:]:
+        touched = set()
+        # Segments between moves share one assignment tuple.
+        if seg.assignment is not prev.assignment:
+            moved = moved_objects(prev.assignment, seg.assignment)
+            touched.update(prev.assignment[j] for j in moved)
+            touched.update(seg.assignment[j] for j in moved)
+        touched.update(moved_objects(prev.supports, seg.supports))
+        if touched:
+            t = float(seg.t_start)
+            for s in touched:
+                close(s, t)
+            if seg.assignment is not prev.assignment:
+                for j in moved:
+                    members[prev.assignment[j]].discard(j)
+                    members[seg.assignment[j]].add(j)
+            for s in touched:
+                supports[s], starts[s] = seg.supports[s], t
+        prev = seg
+    t = float(prev.t_end)
+    for s in range(instance.m):
+        close(s, t)
     return FeasibilityReport(worst <= FEASIBILITY_TOL, worst, worst_t, worst_obj)
+
+
+def _peak_violation(p, r, t0, t1) -> tuple[float, float]:
+    """The largest of v(t) = (p(t) - r(t)) / max(r(t), 1) over [t0, t1] and
+    the earliest of the times below that reaches it, for the coefficients p
+    and r of two quadratics.  v is p - r where r <= 1, which peaks at its
+    vertex, and p / r - 1 where r > 1, whose derivative has the sign of
+    p'r - pr', a quadratic (the cubic terms cancel).  So v peaks at t0, at
+    t1, where r crosses 1, at the vertex of p - r or at a root of p'r - pr'.
+    """
+    (pa, pb, pc), (ra, rb, rc) = p, r
+    times = [t0, t1]
+    if t0 < t1:
+        if pa != ra:
+            times.append(min(max(-(pb - rb) / (2 * (pa - ra)), t0), t1))
+        for a, b, c in ((ra, rb, rc - 1.0),
+                        (pa * rb - pb * ra, 2 * (pa * rc - pc * ra), pb * rc - pc * rb)):
+            times += quadratic_roots(QuadraticPoly(a, b, c), t0, t1)
+    best, best_t = -math.inf, None
+    for t in sorted(times):
+        d2, r2 = (pa * t + pb) * t + pc, (ra * t + rb) * t + rc
+        v = (d2 - r2) / max(r2, 1.0)
+        if v > best:
+            best, best_t = v, t
+    return best, best_t

@@ -56,6 +56,9 @@ def test_event_roots_go_through_the_kinetic_module_global(monkeypatch):
 
 
 def test_verify_result_takes_doc_instance_samples_positionally():
+    """The benchmark calls verify_result(doc, instance, samples).  The
+    feasibility check is analytic and takes no sample count, so the third
+    argument is ignored, but it must still be accepted."""
     inst = generate(GenParams(n=8, m=2, seed=0))
     res = solve_minmax(inst, SolverConfig())
     doc = json.loads(cli.result_to_json("inst", "exact", ImprovementFlags(), {}, res))

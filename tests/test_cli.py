@@ -24,7 +24,7 @@ from kdcover.cli import (
 )
 from kdcover.geometry import MovingInstance, Point2, Trajectory, squared_distance_poly
 from kdcover.instances import GenParams, generate, read_instance
-from kdcover.kinetic import ImprovementFlags, distance_rows
+from kdcover.kinetic import ImprovementFlags
 from kdcover.minmax import SolverConfig, fixed_nn_baseline, solve_minmax
 
 
@@ -196,8 +196,10 @@ def test_check_rejects_nonpositive_samples(tmp_path):
         seg["moves"] = [[j, (s + 1) % m] for j, s in seg["moves"]]
     result.write_text(json.dumps(doc))
     assert run(["check", result, inst_path]) == EXIT_CHECK
-    for samples in (0, -3):
-        assert run(["check", result, inst_path, "--samples", samples]) == EXIT_USAGE
+    # The check takes no sample count: argparse rejects the option.
+    with pytest.raises(SystemExit) as exc:
+        run(["check", result, inst_path, "--samples", 0])
+    assert exc.value.code == 2
 
 
 def test_bench_matrix_and_reproducibility(tmp_path):
@@ -674,58 +676,6 @@ def reference_result_to_json(instance_id, algorithm, flags, config, result):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def reference_segment_problems(segs, instance):
-    """The derive loop as first written: members grouped at every segment,
-    each station's support picked by `max` with the key (value, -index)."""
-    n, m = instance.n, instance.m
-    problems, malformed = [], False
-    polys = distance_rows(instance)
-    for i, seg in enumerate(segs):
-        members = {}
-        for j, s in enumerate(seg.assignment):
-            members.setdefault(s, []).append(j)
-        if len(seg.assignment) != n or len(seg.supports) != m \
-                or not all(cli._is_index(s, m) for s in members) \
-                or not all(sup is None and s not in members
-                           or cli._is_index(sup, n) and seg.assignment[sup] == s
-                           for s, sup in enumerate(seg.supports)):
-            problems.append(f"segment {i}: assignment or supports do not fit n={n}, m={m}")
-            malformed = True
-            continue
-        tm = 0.5 * (seg.t_start + seg.t_end)
-        derived = [0.0, 0.0, 0.0]
-        for s in range(m):
-            assigned = members.get(s)
-            if not assigned:
-                continue
-            sup = max(assigned, key=lambda j: (polys[s][j](tm), -j))
-            p = polys[s][sup]
-            derived[0] += p.a
-            derived[1] += p.b
-            derived[2] += p.c
-        stored = [seg.poly.a, seg.poly.b, seg.poly.c]
-        scale = max(1.0, *(abs(v) for v in stored), *(abs(v) for v in derived))
-        if any(abs(a - b) > 1e-9 * scale for a, b in zip(derived, stored)):
-            problems.append(f"segment {i}: stored objective {stored} != derived {derived}")
-    return problems, malformed
-
-
-def verdicts(doc, instance, samples=200):
-    """verify_result's outcome, by repr, with the package's derive step and
-    with the reference one in its place."""
-    def outcome():
-        try:
-            return repr(cli.verify_result(doc, instance, samples))
-        except Exception as exc:  # the same error is the same verdict
-            return f"{type(exc).__name__}: {exc}"
-
-    got = outcome()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_segment_problems", reference_segment_problems)
-        want = outcome()
-    return got, want
-
-
 def valid_results():
     """(instance, algorithm, flags, result) of nn with every flag, fixed_nn,
     exact and exact-arithmetic solves."""
@@ -769,24 +719,20 @@ def tie_instance(swap):
                           (Trajectory(Point2(18, 0), Point2(18, 2)),))
 
 
-def test_verify_matches_the_reference_derive_on_valid_results_and_a_midpoint_tie():
+def test_verify_passes_valid_results_and_a_midpoint_tie():
     for inst, algorithm, flags, result in valid_results():
         doc = json.loads(result_to_json("x", algorithm, flags, {}, result))
         for instance in (inst, inst.as_exact()):
-            got, want = verdicts(doc, instance)
-            assert got == want == "[]", algorithm
+            assert cli.verify_result(doc, instance) == [], algorithm
     for swap in (False, True):
         inst = tie_instance(swap)
         result = solve_minmax(inst, SolverConfig(static_backend="nn"))
         doc = json.loads(result_to_json("tie", "nn", ImprovementFlags(), {}, result))
         seg = result_segments(doc)[0]
-        tm = 0.5 * (seg.t_start + seg.t_end)
-        assert tm == 0.5 and seg.assignment[:2] == (0, 0)
-        got, want = verdicts(doc, inst)
-        # The reference derives the lowest index at the tie: a passes, b
-        # does not.  The stored support ties at the midpoint, and passes.
-        assert (want == "[]") is not swap
-        assert got == "[]"
+        assert 0.5 * (seg.t_start + seg.t_end) == 0.5 and seg.assignment[:2] == (0, 0)
+        # The stored support ties with the other member at the midpoint;
+        # with b first it is not the lowest index there, and passes too.
+        assert cli.verify_result(doc, inst) == []
 
 
 def shift_to_the_next_station(doc):
@@ -825,14 +771,27 @@ EXISTING_TAMPERS = [
 ]
 
 
-def test_verify_matches_the_reference_derive_on_every_tamper(tmp_path):
+def test_every_tamper_keeps_its_verdict(tmp_path):
+    """Each tamper on `solved_pair`'s result keeps the verdict that
+    `verify_result` gave it with the sampled check and the midpoint derive:
+    the tampers in `raises` raise an error; `claim_another_format` passes,
+    because the format tag is `load_result`'s to check; every other tamper
+    is reported as a problem."""
+    raises = {drop_timeline, move_unknown_object, assign_a_list, move_to_a_list, spell_a_time,
+              spell_the_upper_bound, drop_value, value_as_text, value_true,
+              station_one_as_true, move_true_in_place}
     inst_path, _, clean = solved_pair(tmp_path)
     inst = read_instance(inst_path)
     for tamper in EXISTING_TAMPERS + NEW_TAMPERS:
         doc = json.loads(json.dumps(clean))
         tamper(doc)
-        got, want = verdicts(doc, inst)
-        assert got == want, tamper
+        if tamper in raises:
+            with pytest.raises((cli.FormatError, TypeError)):
+                cli.verify_result(doc, inst)
+        elif tamper is claim_another_format:
+            assert cli.verify_result(doc, inst) == [], tamper
+        else:
+            assert cli.verify_result(doc, inst) != [], tamper
 
 
 # -- values that are not finite, the stored peak value, booleans ------------------
@@ -892,6 +851,20 @@ def supports_as_booleans(doc):
         seg["supports"] = [{0: False, 1: True}.get(sup, sup) for sup in seg["supports"]]
 
 
+def shift_a_support_change_earlier(doc):
+    """The first support change whose two segments are longer than 1e-4,
+    moved 1e-4 earlier: the new support sets the radius before it is the
+    farthest member."""
+    segments = doc["timeline"]["segments"]
+    for prev, seg in zip(segments, segments[1:]):
+        if prev["supports"] != seg["supports"] and not seg["moves"] \
+                and min(prev["t_end"] - prev["t_start"], seg["t_end"] - seg["t_start"]) > 1e-4:
+            prev["t_end"] -= 1e-4
+            seg["t_start"] -= 1e-4
+            return
+    raise AssertionError("no support change to shift")
+
+
 NEW_TAMPERS = [nan_objective, inf_constant, minus_inf_constant, value_one, value_inf,
                value_nan, drop_value, value_as_text, value_true, station_one_as_true,
                move_true_in_place, supports_as_booleans]
@@ -925,6 +898,7 @@ def nn_pair(tmp_path_factory):
     (value_true, EXIT_IO, "cannot read inputs: malformed timeline: value True"),
     (station_one_as_true, EXIT_IO, "cannot read inputs: malformed timeline: TypeError"),
     (move_true_in_place, EXIT_IO, "cannot read inputs: malformed timeline: IndexError"),
+    (shift_a_support_change_earlier, EXIT_CHECK, "infeasible: violation"),
 ])
 def test_check_fails_what_it_used_to_pass(tmp_path, capsys, nn_pair, tamper, code, message):
     inst_path, clean = nn_pair

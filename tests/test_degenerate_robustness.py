@@ -25,7 +25,7 @@ def solve_both_modes(inst, **cfg):
     x = solve_minmax(inst, SolverConfig(flags=ALL_FLAGS, exact_arithmetic=True, **cfg))
     assert x.upper == pytest.approx(f.upper, rel=1e-9)
     for res in (f, x):
-        assert check_feasible(res.timeline.segments, inst, 800).ok
+        assert check_feasible(res.timeline.segments, inst).ok
         assert res.lower <= res.upper * (1 + 1e-12)
     return f, x
 
@@ -54,7 +54,7 @@ def test_mirrored_pairs_identical_polynomials():
         ),
     )
     segs = extend((0, 0, 0, 0), 0.0, "forward", 1.0, ImprovementFlags(), inst)
-    assert check_feasible(segs, inst, 1000).ok
+    assert check_feasible(segs, inst).ok
     solve_both_modes(inst)
 
 

@@ -293,16 +293,23 @@ def test_quadratic_number_arithmetic():
 def test_quadratic_number_float_is_nearest_double():
     # 665857 - 470832*sqrt(2) is about 7.5e-7: its two terms cancel to 12
     # digits, which a fixed-precision sqrt turns into a wrong 8th digit.
+    # 2**1992 * sqrt(2) - isqrt(2 * 4**1992) lies in [0, 1), but the ends
+    # of its first 64-bit bracket are about 2**1928 apart, beyond the
+    # float range.
     def reference(x):
-        root = Fraction(math.isqrt(x.d << 600), 1 << 300)
+        root = Fraction(math.isqrt(x.d << 8000), 1 << 4000)
         return float((x.p + x.q * root) / x.r)
 
     rng = Random(7)
-    cases = [QuadraticNumber(665857, -470832, 1, 2), QuadraticNumber(-665857, 470832, 3, 2)]
+    q = 2 ** 1992
+    cases = [QuadraticNumber(665857, -470832, 1, 2), QuadraticNumber(-665857, 470832, 3, 2),
+             QuadraticNumber(-math.isqrt(2 * q * q), q, 1, 2)]
     cases += [x for x in (_random_qn(rng) for _ in range(200)) if not x.is_rational]
     assert len(cases) > 50
     for x in cases:
         assert float(x) == reference(x), x
+    with pytest.raises(OverflowError):  # a value beyond the float range
+        float(QuadraticNumber(10 ** 400, 1, 1, 2))
 
 
 def test_sign_helpers_against_decimal():
