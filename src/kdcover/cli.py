@@ -337,7 +337,8 @@ def cmd_solve(args) -> int:
         # Open the output first, so that an unwritable path costs no solve.
         with open(out, "w", encoding="utf-8") as fh:
             result = run_algorithm(instance, args.algo, flags, args)
-            fh.write(result_to_json(instance_id, args.algo, flags, config, result))
+            text = result_to_json(instance_id, args.algo, flags, config, result)
+            fh.write(text)
     except OSError as exc:
         print(f"cannot write result: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -348,6 +349,11 @@ def cmd_solve(args) -> int:
         f"iters={result.iterations} segments={len(result.timeline.segments)} "
         f"time={result.stats.time_total:.2f}s -> {out}"
     )
+    # A result that `check` would reject is a failed solve, timed out or not.
+    problems = verify_result(parse_json(text), instance)
+    if problems:
+        _print_problems(problems)
+        return EXIT_CHECK
     return EXIT_TIMEOUT if result.timed_out else EXIT_OK
 
 
@@ -586,6 +592,14 @@ def _same_gap(stored, derived) -> bool:
         and abs(stored - derived) <= 1e-12 * max(1.0, derived)
 
 
+def _print_problems(problems: list[str]) -> None:
+    """The `FAIL:` lines of a verification: the first problem, then the rest
+    indented."""
+    print(f"FAIL: {problems[0]}")
+    for extra in problems[1:]:
+        print(f"      {extra}")
+
+
 def cmd_check(args) -> int:
     try:
         doc = load_result(args.result)
@@ -599,9 +613,7 @@ def cmd_check(args) -> int:
         print(f"cannot read inputs: {exc}", file=sys.stderr)
         return EXIT_IO
     if problems:
-        print(f"FAIL: {problems[0]}")
-        for extra in problems[1:]:
-            print(f"      {extra}")
+        _print_problems(problems)
         return EXIT_CHECK
     print(f"PASS: {doc['instance_id']} ({len(doc['timeline']['segments'])} segments)")
     return EXIT_OK

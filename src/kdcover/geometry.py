@@ -88,12 +88,6 @@ class Trajectory:
             self.start.y + t * (self.end.y - self.start.y),
         )
 
-    @property
-    def length_sq(self) -> Scalar:
-        dx = self.end.x - self.start.x
-        dy = self.end.y - self.start.y
-        return dx * dx + dy * dy
-
 
 @dataclass(frozen=True)
 class MovingInstance:
@@ -215,6 +209,12 @@ def _roots_float(p: QuadraticPoly, t_lo, t_hi) -> tuple:
         root = -c / b
         return (root,) if t_lo <= root <= t_hi else ()
     disc = b * b - 4.0 * a * c
+    if not disc < math.inf and all(map(math.isfinite, (a, b, c))):
+        # b*b or 4ac overflowed: the same roots, with the largest
+        # coefficient scaled into [1/2, 1) by a power of two.
+        shift = -math.frexp(max(abs(a), abs(b), abs(c)))[1]
+        return _roots_float(QuadraticPoly(*(math.ldexp(v, shift) for v in (a, b, c))),
+                            t_lo, t_hi)
     if disc < 0.0:
         return ()
     if disc == 0.0:

@@ -11,6 +11,11 @@ or at the time limit.  A peak's solve only has to answer whether the peak
 can come down to the loop's lower bound, so it runs at the target gap but
 may stop at the first cover costing no more than that bound.
 
+`solve_minmax` and the FixedNN baseline `fixed_nn_baseline` differ only in
+where they anchor: both run through one harness (`_Harness`) that holds the
+horizon, clock and `SolveStats` and does the timed stationary solve, the
+timed extend-and-merge and the result assembly.
+
 Timeline polynomials store area / pi (sums of squared support radii);
 `KineticResult.upper` and `.lower` carry the pi factor.
 """
@@ -109,14 +114,6 @@ class KineticResult:
         return self.stats.stop_reason == "time_limit"
 
 
-def _horizon(instance: MovingInstance, exact: bool):
-    """(work, t0, t1): the instance to solve on and the horizon's ends, in
-    exact rationals or in floats."""
-    if exact:
-        return instance.as_exact(), Fraction(0), Fraction(1)
-    return instance, 0.0, 1.0
-
-
 def _extension(assignment, anchor, t_lo, t_hi, flags, instance, incumbent=None):
     """Segments of the fixed-assignment extension over [t_lo, t_hi],
     backward from the anchor and then forward.  Given an incumbent, each
@@ -184,6 +181,67 @@ def _until_crossing(segments, incumbent: SolutionTimeline, direction: int):
     return kept
 
 
+class _Harness:
+    """One solve: the work instance, the horizon's ends t0 and t1 (exact
+    rationals or floats), the clock and the `SolveStats`.  Each step looks
+    the layer routines up in this module when it runs, so a wrapper bound
+    over one of them (as the benchmark's tracer binds) sees every call."""
+
+    def __init__(self, instance: MovingInstance, config: SolverConfig):
+        self.began = _time.perf_counter()
+        self.config = config
+        self.stats = SolveStats()
+        if config.exact_arithmetic:
+            self.work, self.t0, self.t1 = instance.as_exact(), Fraction(0), Fraction(1)
+        else:
+            self.work, self.t0, self.t1 = instance, 0.0, 1.0
+
+    def remaining(self) -> float:
+        return self.config.time_limit - (_time.perf_counter() - self.began)
+
+    def static(self, t, cutoff=None):
+        """The configured stationary solver's solution at time t."""
+        tick = _time.perf_counter()
+        if self.config.static_backend == "exact":
+            sol = solve_exact(
+                enumerate_candidates(self.work, t),
+                target_gap=self.config.target_gap,
+                # At most half of what is left, so that one hard stationary
+                # solve cannot end the loop.
+                time_limit=max(self.remaining() / 2, 0.001),
+                backend=self.config.backend,
+                cutoff=cutoff,
+            )
+        else:
+            sol = nn_heuristic(self.work, t)
+        self.stats.time_static += _time.perf_counter() - tick
+        self.stats.static_solves += 1
+        return sol
+
+    def extend_merge(self, assignment, anchor, timeline, merge):
+        """`timeline` with the extension of `assignment` from `anchor` folded
+        in by `merge` (the extension alone when `timeline` is None); with
+        part_ext on, the extension is cut where it meets `timeline`."""
+        tick = _time.perf_counter()
+        segs = _extension(assignment, anchor, self.t0, self.t1, self.config.flags, self.work,
+                          timeline if self.config.flags.part_ext else None)
+        self.stats.events_processed += max(len(segs) - 1, 0)
+        if segs:
+            part = SolutionTimeline(tuple(segs))
+            timeline = part if timeline is None else merge(timeline, part)
+        self.stats.time_extend_merge += _time.perf_counter() - tick
+        return timeline
+
+    def result(self, timeline, lower_sum, iterations: int, stop: str) -> KineticResult:
+        """The result, its lower bound clamped to the upper."""
+        upper = math.pi * float(timeline.value)
+        lower = min(math.pi * float(lower_sum), upper)
+        self.stats.stop_reason = stop
+        self.stats.time_total = _time.perf_counter() - self.began
+        return KineticResult(timeline, upper, lower, ratio_gap(upper, lower), iterations,
+                             self.stats)
+
+
 def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()) -> KineticResult:
     """Run the iterative min-max algorithm; see the module docstring.
 
@@ -199,65 +257,24 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
     "iteration_cap".  With the "nn" backend the loop stops ("no_improvement")
     at the first peak the heuristic does not improve.
     """
-    t_begin = _time.perf_counter()
-    stats = SolveStats()
-    work, t0, t1 = _horizon(instance, config.exact_arithmetic)
+    run = _Harness(instance, config)
     use_ip = config.static_backend == "exact"
-
-    def remaining() -> float:
-        return config.time_limit - (_time.perf_counter() - t_begin)
-
-    def static_at(t, cutoff=None):
-        tick = _time.perf_counter()
-        if use_ip:
-            cands = enumerate_candidates(work, t)
-            sol = solve_exact(
-                cands,
-                target_gap=config.target_gap,
-                # At most half of what is left, so that one hard stationary
-                # solve cannot end the loop.
-                time_limit=max(remaining() / 2, 0.001),
-                backend=config.backend,
-                cutoff=cutoff,
-            )
-        else:
-            sol = nn_heuristic(work, t)
-        stats.time_static += _time.perf_counter() - tick
-        stats.static_solves += 1
-        return sol
-
-    def extend_merge(assignment, anchor, incumbent):
-        tick = _time.perf_counter()
-        segs = _extension(assignment, anchor, t0, t1, config.flags, work,
-                          incumbent if config.flags.part_ext else None)
-        stats.events_processed += max(len(segs) - 1, 0)
-        if not segs:
-            stats.time_extend_merge += _time.perf_counter() - tick
-            return incumbent
-        part = SolutionTimeline(tuple(segs))
-        merged = part if incumbent is None else merge_partial(incumbent, part)
-        stats.time_extend_merge += _time.perf_counter() - tick
-        return merged
-
-    seed = static_at(t0)
+    seed = run.static(run.t0)
     lower_sum = seed.lower_radius_sq
-    timeline = extend_merge(seed.assignment, t0, None)
+    timeline = run.extend_merge(seed.assignment, run.t0, None, merge_partial)
 
     # Times already solved, which a re-solve cannot improve: each was solved
     # to the target gap or to a cover at or below the lower bound.
-    excluded: list[object] = [t0] if use_ip else []
-    stop = ""
+    excluded: list[object] = [run.t0] if use_ip else []
     iterations = 0
 
     while True:
         iterations += 1
-        upper = math.pi * float(timeline.value)
-        lower = math.pi * float(lower_sum)
-        gap = ratio_gap(upper, lower)
+        gap = ratio_gap(math.pi * float(timeline.value), math.pi * float(lower_sum))
         if gap <= config.target_gap:
             stop = "gap"
             break
-        if remaining() <= 0:
+        if run.remaining() <= 0:
             stop = "time_limit"
             break
         if iterations > ITERATION_CAP:
@@ -268,7 +285,7 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
         if t_star is None:
             stop = "no_improvement"
             break
-        sol = static_at(t_star, cutoff=lower_sum)
+        sol = run.static(t_star, cutoff=lower_sum)
         if use_ip:
             excluded.append(t_star)
         if sol.lower_radius_sq > lower_sum:
@@ -277,7 +294,7 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
             float(sol.total_radius_sq), float(cur), rel_tol=1e-12, abs_tol=1e-15
         )
         if improving:
-            new_timeline = extend_merge(sol.assignment, t_star, timeline)
+            new_timeline = run.extend_merge(sol.assignment, t_star, timeline, merge_partial)
             # An extension that collapsed against the incumbent is no gain.
             if new_timeline is not timeline:
                 timeline = new_timeline
@@ -286,55 +303,22 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
             stop = "no_improvement"
             break
 
-    upper = math.pi * float(timeline.value)
-    lower = math.pi * float(lower_sum)
-    if lower > upper:
-        lower = upper
-    stats.stop_reason = stop
-    stats.time_total = _time.perf_counter() - t_begin
-    return KineticResult(
-        timeline=timeline,
-        upper=upper,
-        lower=lower,
-        gap=ratio_gap(upper, lower),
-        iterations=iterations,
-        stats=stats,
-    )
+    return run.result(timeline, lower_sum, iterations, stop)
 
 
 def fixed_nn_baseline(
     instance: MovingInstance, k: int = 10, exact_arithmetic: bool = False
 ) -> KineticResult:
     """Nearest-neighbor solutions at k+1 evenly spaced times, each extended
-    over the whole horizon, folded together by the lower envelope.  Provides
-    no lower bound."""
+    over the whole horizon with no improvement flags, folded together by the
+    lower envelope.  Provides no lower bound."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    t_begin = _time.perf_counter()
-    stats = SolveStats()
-    work, t0, t1 = _horizon(instance, exact_arithmetic)
-    flags = ImprovementFlags()
+    run = _Harness(instance, SolverConfig(static_backend="nn", time_limit=math.inf,
+                                          exact_arithmetic=exact_arithmetic))
     timeline = None
     for i in range(k + 1):
-        anchor = t1 * i / k
-        tick = _time.perf_counter()
-        sol = nn_heuristic(work, anchor)
-        stats.time_static += _time.perf_counter() - tick
-        stats.static_solves += 1
-        tick = _time.perf_counter()
-        segs = _extension(sol.assignment, anchor, t0, t1, flags, work)
-        part = SolutionTimeline(tuple(segs))
-        stats.events_processed += max(len(segs) - 1, 0)
-        timeline = part if timeline is None else merge_lower_envelope(timeline, part)
-        stats.time_extend_merge += _time.perf_counter() - tick
-    upper = math.pi * float(timeline.value)
-    stats.stop_reason = "baseline"
-    stats.time_total = _time.perf_counter() - t_begin
-    return KineticResult(
-        timeline=timeline,
-        upper=upper,
-        lower=0.0,
-        gap=ratio_gap(upper, 0.0),
-        iterations=k + 1,
-        stats=stats,
-    )
+        anchor = run.t1 * i / k
+        sol = run.static(anchor)
+        timeline = run.extend_merge(sol.assignment, anchor, timeline, merge_lower_envelope)
+    return run.result(timeline, 0, k + 1, "baseline")

@@ -182,8 +182,9 @@ class SolverBackend:
     keyword and never for zero objects, must return (selected candidate
     indices, lower bound on the sum of squared radii, stop cause) with the
     selection covering every object and the bound never exceeding the
-    optimal sum.  The stop cause is "optimal" (the bound reached the cover's
-    cost), "gap", "cutoff" or "time_limit" (cut short by the clock).
+    optimal sum.  An index that is not an int in range(len(candidates))
+    raises ValueError.  The stop cause is "optimal" (the bound reached the
+    cover's cost), "gap", "cutoff" or "time_limit" (cut short by the clock).
     `candidates`, the `Candidates` that `enumerate_candidates` returns, is
     the whole problem: its `n_objects`, `n_stations` and per-station
     levels, each covering a prefix of its station's distance order, so one
@@ -771,6 +772,8 @@ def _solution_from_selection(lv: Candidates, selected, lower, stop):
     # Each station's radius is its highest selected level.
     levels = [-1] * lv.n_stations
     for i in selected:
+        if not (isinstance(i, int) and 0 <= i < len(lv)):
+            raise ValueError(f"selected candidate {i!r} is not an index in range({len(lv)})")
         s = bisect_right(lv.offset, i) - 1
         levels[s] = max(levels[s], i - lv.offset[s])
     radius = [lv.values[s][lvl] if lvl >= 0 else 0 for s, lvl in enumerate(levels)]

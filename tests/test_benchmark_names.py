@@ -36,6 +36,32 @@ def test_traced_name_is_bound_and_callable(owner, name):
     assert callable(getattr(owner, name, None))
 
 
+def test_every_traced_minmax_name_is_looked_up_when_called(monkeypatch):
+    """The tracer binds its wrappers over these `minmax` globals after the
+    module is imported, so both solvers must look each one up when they run
+    it: a name bound earlier, as a default argument is, escapes the
+    wrapper and its counts."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    names = ("enumerate_candidates", "solve_exact", "nn_heuristic", "extend", "iter_extend",
+             "merge_partial", "merge_lower_envelope")
+    for name in names:
+        monkeypatch.setattr(minmax, name, counted(name, getattr(minmax, name)))
+    # Seed 2 improves once, so the exact run merges a cut extension.
+    inst = generate(GenParams(n=30, m=4, seed=2))
+    flags = ImprovementFlags(no_dup=True, imp_ext=True, part_ext=True)
+    solve_minmax(inst, SolverConfig(flags=flags))
+    solve_minmax(inst, SolverConfig(static_backend="nn", flags=flags))
+    minmax.fixed_nn_baseline(inst)
+    assert {name: calls[name] for name in names if not calls[name]} == {}
+
+
 def test_event_roots_go_through_the_kinetic_module_global(monkeypatch):
     """`geometry.roots_calls` counts through the `quadratic_roots` bound in
     `kinetic`, so support changes and handovers must both look it up there."""

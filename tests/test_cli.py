@@ -11,6 +11,7 @@ import pytest
 
 from kdcover import cli
 from kdcover.cli import (
+    ALGORITHMS,
     CSV_FIELDS,
     EXIT_CHECK,
     EXIT_IO,
@@ -23,7 +24,7 @@ from kdcover.cli import (
     result_to_json,
 )
 from kdcover.geometry import MovingInstance, Point2, Trajectory, squared_distance_poly
-from kdcover.instances import GenParams, generate, read_instance
+from kdcover.instances import GenParams, generate, read_instance, write_instance
 from kdcover.kinetic import ImprovementFlags
 from kdcover.minmax import SolverConfig, fixed_nn_baseline, solve_minmax
 
@@ -236,6 +237,35 @@ def test_solve_timeout_exit_still_writes_result(tmp_path):
     doc = json.loads(result.read_text())
     assert doc["timed_out"] is True
     assert doc["timeline"]["segments"]  # best-effort timeline still present
+
+
+def far_station_instance(tmp_path):
+    """Station 1 at 1e13: station 0's support changes at t ~ 7e-13, which
+    float mode's absolute event-time tolerance merges into t = 0."""
+    inst = MovingInstance((Point2(0.0, 0.0), Point2(1e13, 0.0)),
+                          (Trajectory(Point2(0.0, 0.0), Point2(1e13, 1.0)),
+                           Trajectory(Point2(5.0, 5.0), Point2(6.0, 6.0))))
+    path = tmp_path / "far.json"
+    write_instance(path, inst)
+    return path
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_solve_fails_a_result_that_check_rejects(tmp_path, capsys, algo):
+    inst_path = far_station_instance(tmp_path)
+    result = tmp_path / "r.json"
+    assert run(["solve", inst_path, "--algo", algo, "-o", result]) == EXIT_CHECK
+    assert "FAIL: infeasible" in capsys.readouterr().out
+    assert json.loads(result.read_text())["timeline"]["segments"]  # still written
+    assert run(["check", result, inst_path]) == EXIT_CHECK
+
+
+def test_solve_exact_arith_certifies_the_far_station(tmp_path, capsys):
+    inst_path = far_station_instance(tmp_path)
+    result = tmp_path / "r.json"
+    assert run(["solve", inst_path, "--exact-arith", "-o", result]) == EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
+    assert run(["check", result, inst_path]) == EXIT_OK
 
 
 def test_bench_empty_manifest(tmp_path):

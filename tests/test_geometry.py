@@ -84,6 +84,17 @@ def test_quadratic_roots_window_is_closed():
         quadratic_roots(QuadraticPoly(1.0, 0.0, 0.0), 1.0, 0.0)
 
 
+def test_float_roots_survive_an_overflowing_discriminant():
+    """b*b and 4ac overflow a double here (4ac alone in the second case);
+    the roots are those of the polynomial scaled by a power of two."""
+    assert quadratic_roots(QuadraticPoly(1e160, -3e160, 2e160), 0.0, 3.0) == (1.0, 2.0)
+    assert quadratic_roots(QuadraticPoly(1e200, 0.0, -1e200), -3.0, 3.0) == (-1.0, 1.0)
+    (root,) = quadratic_roots(QuadraticPoly(1.0, -3e300, 2e300), 0.0, 3.0)
+    assert root == pytest.approx(2 / 3, rel=1e-15)
+    # A linear polynomial divides and never forms a discriminant.
+    assert quadratic_roots(QuadraticPoly(0.0, 1e300, -5e299), 0.0, 1.0) == (0.5,)
+
+
 def test_quadratic_roots_dispatches_on_coefficient_types():
     """A polynomial with any float coefficient gets the float formula, the
     rest (int and Fraction only) the exact roots; compared by repr, so a

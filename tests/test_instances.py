@@ -30,12 +30,18 @@ PINNED_INSTANCES = {
 }
 
 
+def trajectory_length(obj):
+    dx = obj.end.x - obj.start.x
+    dy = obj.end.y - obj.start.y
+    return math.sqrt(dx * dx + dy * dy)
+
+
 def test_gen_random_basic():
     params = GenParams(n=200, m=8, seed=21)
     inst = generate(params)
     assert (inst.n, inst.m) == (200, 8)
     for obj in inst.objects:
-        length = math.sqrt(obj.length_sq)
+        length = trajectory_length(obj)
         assert 25.0 <= length <= 50.0
         for pt in (obj.start, obj.end):
             assert 0.0 <= pt.x <= 100.0 and 0.0 <= pt.y <= 100.0
@@ -74,12 +80,12 @@ def test_degenerate_classes():
     slope = generate(GenParams(n=100, m=3, seed=5, instance_class="same_slope"))
     dirs = set()
     for o in slope.objects:
-        length = math.sqrt(o.length_sq)
+        length = trajectory_length(o)
         dirs.add((round((o.end.x - o.start.x) / length, 12), round((o.end.y - o.start.y) / length, 12)))
     assert len(dirs) == 1
 
     for o in start.objects + end.objects + slope.objects:
-        assert 25.0 <= math.sqrt(o.length_sq) <= 50.0
+        assert 25.0 <= trajectory_length(o) <= 50.0
 
 
 @pytest.mark.parametrize("klass, seed", sorted(PINNED_INSTANCES))

@@ -7,8 +7,14 @@ import pytest
 
 from conftest import assert_timelines_agree, random_instance, random_sizes
 from kdcover import cli, minmax
-from kdcover.envelope import SolutionTimeline, timeline_cost
-from kdcover.geometry import MovingInstance, Point2, Trajectory, compare_event_times
+from kdcover.envelope import SolutionTimeline, TimelineSegment, timeline_cost
+from kdcover.geometry import (
+    MovingInstance,
+    Point2,
+    QuadraticPoly,
+    Trajectory,
+    compare_event_times,
+)
 from kdcover.instances import GenParams, generate
 from kdcover.kinetic import ImprovementFlags, check_feasible
 from kdcover.minmax import (
@@ -444,3 +450,55 @@ def test_partial_extension_walks_the_incumbent_once(monkeypatch):
     assert len(res.timeline.segments) == 581
     assert budget[0] > 1000
     assert calls[0] <= 4 * budget[0], (calls[0], budget[0])
+
+
+def piece(t0, t1, coefs, tag=0):
+    """A hand-built float timeline segment with objective a t^2 + b t + c."""
+    return TimelineSegment(t0, t1, (tag,), (0,), QuadraticPoly(*map(float, coefs)))
+
+
+def ends(segments):
+    return [(s.t_start, s.t_end) for s in segments]
+
+
+def cut(segments, incumbent, direction):
+    """`_until_crossing` on segments listed by time, read in travel order."""
+    return minmax._until_crossing(segments[::direction], SolutionTimeline(incumbent), direction)
+
+
+# The incumbent is 1 throughout, in two pieces.
+FLAT = [piece(0.0, 0.4, (0, 0, 1), 1), piece(0.4, 1.0, (0, 0, 1), 2)]
+
+
+def test_until_crossing_cuts_at_the_root_each_way():
+    rising = [piece(0.0, 0.25, (0, 0, 0.5)), piece(0.25, 1.0, (0, 2, 0))]  # 2t meets 1 at 1/2
+    assert ends(cut(rising, FLAT, +1)) == [(0.0, 0.25), (0.25, 0.5)]
+    falling = [piece(0.0, 0.75, (0, -2, 2)), piece(0.75, 1.0, (0, 0, 0.5))]  # 2 - 2t
+    assert ends(cut(falling, FLAT, -1)) == [(0.75, 1.0), (0.5, 0.75)]
+
+
+def test_until_crossing_takes_no_root_at_the_near_end():
+    # 2t and 3 - 2t leave the incumbent at their near ends, so neither is cut.
+    assert ends(cut([piece(0.5, 1.0, (0, 2, 0))], FLAT, +1)) == [(0.5, 1.0)]
+    assert ends(cut([piece(0.0, 1.0, (0, -2, 3))], FLAT, -1)) == [(0.0, 1.0)]
+
+
+def test_until_crossing_cuts_an_identical_overlap_at_its_near_end():
+    stepped = [piece(0.0, 0.5, (0, 0, 2), 1), piece(0.5, 1.0, (0, 0, 1), 2)]
+    level = [piece(0.0, 0.25, (0, 0, 0.5)), piece(0.25, 1.0, (0, 0, 1))]
+    assert ends(cut(level, stepped, +1)) == [(0.0, 0.25), (0.25, 0.5)]
+    stepped = [piece(0.0, 0.5, (0, 0, 1), 1), piece(0.5, 1.0, (0, 0, 2), 2)]
+    level = [piece(0.0, 0.75, (0, 0, 1)), piece(0.75, 1.0, (0, 0, 0.5))]
+    assert ends(cut(level, stepped, -1)) == [(0.75, 1.0), (0.5, 0.75)]
+    # Identical from the segment's own near end: none of it is kept.
+    level = [piece(0.0, 0.25, (0, 0, 0.5)), piece(0.25, 1.0, (0, 0, 1))]
+    assert ends(cut(level, FLAT, +1)) == [(0.0, 0.25)]
+
+
+def test_until_crossing_keeps_an_extension_below_the_incumbent_whole():
+    # The middle piece, 1 - (t - 1/2)^2, touches the incumbent at 1/2 and
+    # falls back: no crossing.
+    below = [piece(0.0, 0.3, (0, 0, 0.5)), piece(0.3, 0.8, (-1, 1, 0.75)),
+             piece(0.8, 1.0, (0, 1, -0.1))]
+    for direction in (+1, -1):
+        assert cut(below, FLAT, direction) == below[::direction]

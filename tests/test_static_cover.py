@@ -771,6 +771,17 @@ def test_a_backend_selection_that_misses_an_object_is_infeasible():
             solve_exact(cands, backend=FixedBackend(selected))
 
 
+def test_a_backend_index_out_of_range_is_rejected():
+    """Beside a valid cover, an index below 0, one past the last candidate
+    or one that is not an int is named in a ValueError."""
+    cands = enumerate_candidates(random_instance(12, 3, 4), 0.5)
+    cover = cands.offset[1] - 1  # station 0's top level covers every object
+    assert solve_exact(cands, backend=FixedBackend((cover,))).selected == (cover,)
+    for bad in (-1, len(cands), 1.0):
+        with pytest.raises(ValueError, match=rf"selected candidate {bad!r} is not an index"):
+            solve_exact(cands, backend=FixedBackend((bad, cover)))
+
+
 def test_objects_on_stations_tie_at_zero_increment():
     """Every object sits on a station, so every uncovered object's cheapest
     increment is zero and the search branches on the lowest one."""
