@@ -146,7 +146,9 @@ def _merge_core(a_segments, b_segments) -> list[TimelineSegment]:
             for x, y in zip(pieces, pieces[1:]):
                 if compare_event_times(x, y) >= 0:
                     continue
-                s = sign_ahead(diff, x)
+                # diff keeps one sign inside the piece; a float tie at x
+                # (within tolerance) is settled at the far end y.
+                s = sign_ahead(diff, x) or sign_ahead(diff, y, -1)
                 emit(x, y, sa if s <= 0 else sb)
         u = v
         if compare_event_times(sa.t_end, v) <= 0:

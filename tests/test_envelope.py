@@ -208,6 +208,16 @@ def test_merge_single_segments_is_pointwise_min(a2, a1, a0, b2, b1, b0, i):
     assert timeline_cost(merged, t) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
+def test_merge_settles_a_float_tie_at_the_far_end():
+    # 1e-9 * (t + 1) is within the float tolerance of 0 at t = 0 (value and
+    # slope alike) but above it by t = 1, so b is the cheaper one throughout.
+    a = SolutionTimeline((seg(0.0, 1.0, 0.0, 1e-9, 1e-9, tag=0),))
+    b = SolutionTimeline((seg(0.0, 1.0, 0.0, 0.0, 0.0, tag=1),))
+    merged = merge_lower_envelope(a, b)
+    assert [s.assignment for s in merged.segments] == [(1,)]
+    assert timeline_cost(merged, 1 / 99) == 0.0
+
+
 def test_timeline_contiguity_validation():
     with pytest.raises(ValueError):
         SolutionTimeline((seg(0.0, 0.4, 1, 0, 0), seg(0.6, 1.0, 1, 0, 0)))
