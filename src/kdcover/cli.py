@@ -175,11 +175,11 @@ def result_segments(doc) -> list[TimelineSegment]:
                 assignment = tuple(changed)
             segs.append(
                 TimelineSegment(
-                    float(raw["t_start"]),
-                    float(raw["t_end"]),
+                    _number(raw["t_start"]),
+                    _number(raw["t_end"]),
                     assignment,
                     tuple(raw["supports"]),
-                    QuadraticPoly(*(float(c) for c in raw["objective"])),
+                    QuadraticPoly(*map(_number, raw["objective"])),
                 )
             )
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
@@ -198,6 +198,14 @@ def _finite(v) -> bool:
 
 def _is_index(v, size: int) -> bool:
     return type(v) is int and 0 <= v < size  # JSON true and false are not indices
+
+
+def _number(v) -> float:
+    """A stored time or coefficient; a JSON int or float reads, a string or
+    a bool does not."""
+    if type(v) is not int and type(v) is not float:
+        raise TypeError(f"number {v!r}")
+    return float(v)
 
 
 def _station(v):

@@ -138,13 +138,33 @@ class MovingInstance:
         )
 
 
-@dataclass(frozen=True)
 class QuadraticPoly:
-    """a*t**2 + b*t + c.  Units are squared meters when derived from distances."""
+    """a*t**2 + b*t + c.  Units are squared meters when derived from distances.
 
-    a: Scalar
-    b: Scalar
-    c: Scalar
+    A value: two polynomials are equal, and hash alike, when their
+    coefficients are, and the repr is the one a frozen dataclass gives.  It
+    is immutable by convention, since nothing in the package assigns to a
+    coefficient; a plain slotted class is built at a third of a frozen
+    dataclass's cost, and the kinetic engine builds one per certificate.
+    """
+
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: Scalar, b: Scalar, c: Scalar):
+        self.a = a
+        self.b = b
+        self.c = c
+
+    def __repr__(self):
+        return f"QuadraticPoly(a={self.a!r}, b={self.b!r}, c={self.c!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is QuadraticPoly:
+            return (self.a, self.b, self.c) == (other.a, other.b, other.c)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c))
 
     def __call__(self, t):
         return (self.a * t + self.b) * t + self.c

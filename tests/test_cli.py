@@ -359,6 +359,20 @@ def spell_a_time(doc):
     doc["timeline"]["segments"][0]["t_start"] = "zero"
 
 
+def times_as_text(doc):
+    for seg in doc["timeline"]["segments"]:
+        seg["t_start"], seg["t_end"] = repr(seg["t_start"]), repr(seg["t_end"])
+
+
+def objective_as_text(doc):
+    for seg in doc["timeline"]["segments"]:
+        seg["objective"] = [repr(c) for c in seg["objective"]]
+
+
+def start_at_false(doc):
+    doc["timeline"]["segments"][0]["t_start"] = False
+
+
 def spell_the_upper_bound(doc):
     doc["upper"] = "big"
 
@@ -398,6 +412,9 @@ def run_a_segment_backwards(doc):
     (assign_a_list, EXIT_IO),
     (move_to_a_list, EXIT_IO),
     (spell_a_time, EXIT_IO),
+    (times_as_text, EXIT_IO),
+    (objective_as_text, EXIT_IO),
+    (start_at_false, EXIT_IO),
     (spell_the_upper_bound, EXIT_IO),
     (claim_another_format, EXIT_IO),
     (support_unknown_object, EXIT_CHECK),

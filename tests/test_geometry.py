@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
@@ -34,6 +35,36 @@ def test_squared_distance_poly_examples():
     assert (p.a, p.b, p.c) == (0.0, 0.0, 4.0)
     p = squared_distance_poly(Point2(1.0, 1.0), Trajectory(Point2(1.0, 1.0), Point2(2.0, 1.0)))
     assert (p.a, p.b, p.c) == (1.0, 0.0, 0.0)
+
+
+@dataclass(frozen=True)
+class ReferencePoly:
+    """`QuadraticPoly`'s value semantics as the frozen dataclass it was."""
+
+    a: object
+    b: object
+    c: object
+
+
+def test_quadratic_poly_keeps_the_frozen_dataclass_semantics():
+    """repr, ==, != and hash as the frozen dataclass gave them, over ints,
+    floats, Fractions, a signed zero and NaN; each triple's scalars are the
+    same objects in both classes, so a NaN equals itself by identity in
+    both tuples."""
+    nan = float("nan")
+    values = (0, -0.0, 2, 2.0, Fraction(2), Fraction(1, 3), nan)
+    triples = list(product(values, repeat=3))
+    polys = [QuadraticPoly(*abc) for abc in triples]
+    refs = [ReferencePoly(*abc) for abc in triples]
+    for p, r in zip(polys, refs):
+        assert repr(p) == "QuadraticPoly" + repr(r)[len("ReferencePoly"):]
+        assert hash(p) == hash(r)
+    for p, r in zip(polys, refs):
+        for q, r2 in zip(polys, refs):
+            assert (p == q) is (r == r2)
+            assert (p != q) is (r != r2)
+    assert (QuadraticPoly(1, 2, 3) == (1, 2, 3)) is False
+    assert not hasattr(QuadraticPoly(1, 2, 3), "__dict__")
 
 
 @given(coords, coords, coords, coords, coords, coords,

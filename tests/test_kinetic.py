@@ -603,6 +603,26 @@ def test_full_size_heuristic_solves_pinned():
     assert base.upper == 19821.001136801686
 
 
+def poly_digest(segments):
+    """`timeline_digest` with each segment's objective polynomial too, by
+    its repr."""
+    h = hashlib.sha256()
+    for seg in segments:
+        h.update(repr((seg.t_start, seg.t_end, seg.assignment, seg.supports, seg.poly)).encode())
+    return len(segments), h.hexdigest()[:16]
+
+
+def test_full_size_heuristic_polynomials_pinned():
+    """The solves of `test_full_size_heuristic_solves_pinned` with every
+    segment's objective polynomial in the digest, so that its coefficients,
+    their types and the polynomial's repr all stay as they were."""
+    inst = generate(GenParams(n=500, m=25, seed=0))
+    nn = solve_minmax(inst, SolverConfig(static_backend="nn", flags=ALL_FLAGS))
+    assert poly_digest(nn.timeline.segments) == (581, "3b7a6151d4bb26ae")
+    base = fixed_nn_baseline(inst, k=10)
+    assert poly_digest(base.timeline.segments) == (151, "45396d17653c72c1")
+
+
 def test_full_size_exact_arith_pinned():
     """A full-size solve in exact arithmetic with every flag, fix seed 2,
     where the exact number and geometry paths do the kinetic work.  Pinned
