@@ -20,7 +20,6 @@ from .minmax import KineticResult, SolverConfig, fixed_nn_baseline, solve_minmax
 from .static_cover import (
     BranchBoundBackend,
     Candidates,
-    MilpBackend,
     SolverBackend,
     StaticSolution,
     brute_force_cover,
@@ -43,7 +42,6 @@ __all__ = [
     "StaticSolution",
     "SolverBackend",
     "BranchBoundBackend",
-    "MilpBackend",
     "enumerate_candidates",
     "nn_heuristic",
     "solve_exact",

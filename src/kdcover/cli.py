@@ -153,8 +153,9 @@ def load_result(path):
     missing = [key for key in ("instance_id", "upper", "lower", "timeline") if key not in doc]
     if missing:
         raise FormatError(f"{path}: no {', '.join(missing)} in the result")
-    if not all(isinstance(doc[key], (int, float)) for key in ("upper", "lower")):
-        raise FormatError(f"{path}: upper and lower must be numbers")
+    if not (_is_number(doc["upper"]) and _is_number(doc["lower"])
+            and (doc.get("gap") is None or _is_number(doc["gap"]))):
+        raise FormatError(f"{path}: upper and lower must be numbers, and gap a number or null")
     return doc
 
 
@@ -200,10 +201,13 @@ def _is_index(v, size: int) -> bool:
     return type(v) is int and 0 <= v < size  # JSON true and false are not indices
 
 
+def _is_number(v) -> bool:
+    return type(v) is int or type(v) is float  # JSON true and false are not numbers
+
+
 def _number(v) -> float:
-    """A stored time or coefficient; a JSON int or float reads, a string or
-    a bool does not."""
-    if type(v) is not int and type(v) is not float:
+    """A stored time or coefficient, as a float; TypeError unless `_is_number`."""
+    if not _is_number(v):
         raise TypeError(f"number {v!r}")
     return float(v)
 
@@ -504,7 +508,7 @@ def verify_result(doc, instance: MovingInstance, samples=None) -> list[str]:
     problems = []
     segs = result_segments(doc)
     value = doc["timeline"].get("value")
-    if type(value) not in (int, float):
+    if not _is_number(value):
         raise FormatError(f"malformed timeline: value {value!r}")
     if not segs:
         return ["empty timeline"]
@@ -596,7 +600,7 @@ def _same_objective(stored, derived) -> bool:
 def _same_gap(stored, derived) -> bool:
     if stored is None or derived is None:
         return stored is derived
-    return isinstance(stored, (int, float)) and _finite(stored) \
+    return _is_number(stored) and _finite(stored) \
         and abs(stored - derived) <= 1e-12 * max(1.0, derived)
 
 

@@ -61,10 +61,12 @@ ITERATION_CAP = 100_000
 class SolverConfig:
     """Knobs for one min-max solve.
 
-    static_backend selects the stationary solver ("exact" or "nn");
-    target_gap (>= 0) is the overall gap to certify, and every exact
-    stationary solve runs at it; time_limit (> 0, math.inf for none) bounds
-    the wall time in seconds.
+    static_backend is the stationary solver ("exact" or "nn"), flags the
+    kinetic improvements, backend the exact solves' `SolverBackend` (None:
+    the built-in branch and bound; the benchmark's tracer and the tests
+    pass their own), target_gap (>= 0) the overall gap to certify, at which
+    every exact stationary solve runs, and time_limit (> 0, math.inf for
+    none) the wall time in seconds; exact_arithmetic solves in rationals.
     """
 
     static_backend: str = "exact"

@@ -59,7 +59,6 @@ __all__ = [
     "StaticSolution",
     "SolverBackend",
     "BranchBoundBackend",
-    "MilpBackend",
     "InfeasibleCoverError",
     "enumerate_candidates",
     "nn_heuristic",
@@ -710,59 +709,6 @@ class BranchBoundBackend(SolverBackend):
             term = red[chosen[s] - lvl - 1] - base if chosen[s] > lvl else 0.0
             children.append(certified(total - term + min(red[new_lvl - lvl - 1 :]) - base))
         return max(committed + maxmin, certified(total)), (j, children), relaxation
-
-
-class MilpBackend(SolverBackend):
-    """Weighted set cover through scipy's HiGHS MILP solver.
-
-    Optional heavier backend; float arithmetic only, and it does not honor
-    the lexicographic tie-break among equal-cost optima.  HiGHS's status 0
-    stops at "gap" ("optimal" at target gap 0); any other status (its time
-    limit) stops at "time_limit".  When HiGHS stops without a feasible
-    point, the greedy cover of `Candidates.complete` is returned with
-    HiGHS's dual bound, or 0 when it has none.  The cutoff is ignored:
-    `milp` takes no objective cutoff, so every solve runs to the target gap
-    or the time limit.
-    """
-
-    def solve(self, candidates, target_gap, time_limit, cutoff=None):
-        try:
-            from scipy import optimize, sparse
-        except ImportError as exc:  # pragma: no cover
-            raise RuntimeError("MilpBackend requires scipy") from exc
-        import numpy as np
-
-        lv = candidates
-        k = len(lv)
-        rows, cols = [], []
-        for s, (order, last) in enumerate(zip(lv.orders, lv.last)):
-            for lvl, end in enumerate(last):
-                rows.extend(order[: end + 1])
-                cols.extend([lv.offset[s] + lvl] * (end + 1))
-        cover = sparse.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=(lv.n_objects, k)
-        )
-        cost = np.array([v for fv in lv.fvalues for v in fv])
-        options = {"mip_rel_gap": max(target_gap, 0.0)}
-        if time_limit != math.inf:
-            options["time_limit"] = max(time_limit, 0.001)
-        res = optimize.milp(
-            c=cost,
-            constraints=optimize.LinearConstraint(cover, lb=1, ub=np.inf),
-            integrality=np.ones(k),
-            bounds=optimize.Bounds(0, 1),
-            options=options,
-        )
-        if res.x is None:
-            # No primal point (a time limit): fall back on the greedy cover
-            # and keep whatever dual bound HiGHS proved.
-            selected = lv.selection(lv.complete((-1,) * lv.n_stations)[0])
-            lower = res.mip_dual_bound or 0.0
-        else:
-            selected = [i for i, v in enumerate(res.x) if v > 0.5]
-            lower = res.mip_dual_bound if res.mip_dual_bound is not None else res.fun
-        stop = "time_limit" if res.status != 0 else "gap" if target_gap > 0 else "optimal"
-        return selected, max(float(lower), 0.0), stop
 
 
 DEFAULT_BACKEND = BranchBoundBackend()

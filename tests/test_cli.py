@@ -319,8 +319,10 @@ def test_check_rejects_a_support_from_another_station(tmp_path):
 
 def test_check_derives_the_gap_again_from_the_bounds(tmp_path):
     inst_path, _, doc = solved_pair(tmp_path, n=20, m=3)
-    for stored in (doc["gap"] + 0.25, None, "0"):
+    for stored in (doc["gap"] + 0.25, None):
         assert check_tampered(tmp_path, inst_path, dict(doc, gap=stored)) == EXIT_CHECK, stored
+    # A gap that is neither null nor a number makes a malformed result.
+    assert check_tampered(tmp_path, inst_path, dict(doc, gap="0")) == EXIT_IO
     # A weaker lower bound under the stored, certified gap.
     assert check_tampered(tmp_path, inst_path, dict(doc, lower=0.8 * doc["lower"])) == EXIT_CHECK
     assert check_tampered(tmp_path, inst_path, dict(doc, lower=2 * doc["upper"])) == EXIT_CHECK
@@ -377,6 +379,18 @@ def spell_the_upper_bound(doc):
     doc["upper"] = "big"
 
 
+def upper_as_true(doc):
+    doc["upper"] = True
+
+
+def lower_as_true(doc):
+    doc["lower"] = True
+
+
+def gap_as_true(doc):
+    doc["gap"] = True
+
+
 def claim_another_format(doc):
     doc["format"] = "kdc-instance"
 
@@ -416,6 +430,9 @@ def run_a_segment_backwards(doc):
     (objective_as_text, EXIT_IO),
     (start_at_false, EXIT_IO),
     (spell_the_upper_bound, EXIT_IO),
+    (upper_as_true, EXIT_IO),
+    (lower_as_true, EXIT_IO),
+    (gap_as_true, EXIT_IO),
     (claim_another_format, EXIT_IO),
     (support_unknown_object, EXIT_CHECK),
     (assign_unknown_station, EXIT_CHECK),

@@ -355,63 +355,6 @@ def test_lex_tiebreak_prefers_smaller_candidate_indices():
     assert brute_force_cover(cands).selected == (0,)
 
 
-def test_milp_backend_if_available():
-    scipy = pytest.importorskip("scipy")
-    from kdcover.static_cover import MilpBackend
-
-    for seed in range(6):
-        n, m = random_sizes(seed, 9, 3)
-        inst = random_instance(n, m, seed)
-        cands = enumerate_candidates(inst, 0.5)
-        ref = solve_exact(cands)
-        got = solve_exact(cands, backend=MilpBackend())
-        assert got.total_radius_sq == pytest.approx(ref.total_radius_sq, rel=1e-6)
-        assert got.lower_radius_sq <= ref.total_radius_sq * (1 + 1e-6)
-
-
-def test_milp_backend_without_primal_point(monkeypatch):
-    # At a time limit HiGHS may stop with no feasible point; the backend then
-    # returns the greedy cover and the dual bound (0 when there is none).
-    scipy = pytest.importorskip("scipy")
-    from types import SimpleNamespace
-
-    from kdcover.static_cover import MilpBackend
-
-    n, m = 20, 4
-    inst = random_instance(n, m, 3)
-    cands = enumerate_candidates(inst, 0.5)
-    opt = solve_exact(cands, target_gap=0.0)
-    for dual in (None, 0.5 * float(opt.total_radius_sq)):
-        stopped = SimpleNamespace(x=None, fun=None, mip_dual_bound=dual, status=1,
-                                  message="Time limit reached")
-        monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **k: stopped)
-        sol = solve_exact(cands, target_gap=1e-4, time_limit=1.0, backend=MilpBackend())
-        assert sol.timed_out
-        assert sol.lower_radius_sq == (dual or 0.0)
-        assert sol.total_radius_sq >= opt.total_radius_sq
-        for j, s in enumerate(sol.assignment):
-            assert cands.reach[s][j] <= sol.radius_sq[s], j
-
-
-def test_milp_backend_maps_its_status_to_a_stop_cause(monkeypatch):
-    # HiGHS's status 0 is a solve to the target gap, any other status one
-    # cut short.
-    scipy = pytest.importorskip("scipy")
-    from types import SimpleNamespace
-
-    from kdcover.static_cover import MilpBackend
-
-    cands = enumerate_candidates(random_instance(20, 4, 3), 0.5)
-    opt = solve_exact(cands, target_gap=0.0)
-    x = [float(i in opt.selected) for i in range(len(cands))]
-    for status, gap, stop in ((0, 0.0, "optimal"), (0, 1e-4, "gap"), (1, 1e-4, "time_limit")):
-        res = SimpleNamespace(x=x, fun=float(opt.total_radius_sq),
-                              mip_dual_bound=float(opt.lower_radius_sq), status=status)
-        monkeypatch.setattr(scipy.optimize, "milp", lambda *a, res=res, **k: res)
-        sol = solve_exact(cands, target_gap=gap, backend=MilpBackend())
-        assert (sol.stop, sol.selected) == (stop, opt.selected), status
-
-
 def scaled(inst, factor):
     def pt(p):
         return Point2(p.x * factor, p.y * factor)
@@ -461,23 +404,49 @@ def test_bound_sound_under_scaling(monkeypatch, quick_work):
                         assert sol.total_radius_sq == bf.total_radius_sq
 
 
+def milp_optimum(cands):
+    """The optimal sum of squared radii over `cands` by HiGHS, through
+    scipy: a 0/1 variable per candidate disk, each object in at least one
+    chosen disk.  An oracle that shares nothing with the branch and bound
+    but the candidates."""
+    import numpy as np
+    from scipy import optimize, sparse
+
+    rows, cols = [], []
+    for s, (order, last) in enumerate(zip(cands.orders, cands.last)):
+        for lvl, end in enumerate(last):
+            rows.extend(order[: end + 1])
+            cols.extend([cands.offset[s] + lvl] * (end + 1))
+    cover = sparse.csr_matrix(
+        (np.ones(len(rows)), (rows, cols)), shape=(cands.n_objects, len(cands))
+    )
+    res = optimize.milp(
+        c=[v for fv in cands.fvalues for v in fv],
+        constraints=optimize.LinearConstraint(cover, lb=1, ub=np.inf),
+        integrality=np.ones(len(cands)),
+        bounds=optimize.Bounds(0, 1),
+        options={"mip_rel_gap": 0},
+    )
+    assert res.status == 0, res.message
+    return res.fun
+
+
 @both_searches
 def test_bound_against_milp_at_moderate_size(monkeypatch, quick_work):
     pytest.importorskip("scipy")
     use_quick_work(monkeypatch, quick_work)
-    from kdcover.static_cover import MilpBackend
-
-    for seed, n, m, t in ((0, 40, 6, 0.0), (1, 50, 7, 0.5), (2, 60, 8, 0.0),
-                          (3, 45, 8, 0.5), (4, 60, 6, 0.5), (5, 55, 7, 0.0)):
+    small = [(seed, *random_sizes(seed, 9, 3), 0.5) for seed in range(6)]
+    for seed, n, m, t in small + [(0, 40, 6, 0.0), (1, 50, 7, 0.5), (2, 60, 8, 0.0),
+                                  (3, 45, 8, 0.5), (4, 60, 6, 0.5), (5, 55, 7, 0.0)]:
         inst = random_instance(n, m, seed)
         cands = enumerate_candidates(inst, t)
-        opt = solve_exact(cands, backend=MilpBackend()).total_radius_sq
+        opt = milp_optimum(cands)
         exact = solve_exact(cands, target_gap=0.0)
-        assert exact.total_radius_sq == pytest.approx(opt, rel=1e-6), seed
+        assert exact.total_radius_sq == pytest.approx(opt, rel=1e-6), (seed, n)
         coarse = solve_exact(cands, target_gap=1e-2)
-        assert coarse.lower_radius_sq <= opt * (1 + 1e-9), seed
-        assert opt <= coarse.total_radius_sq * (1 + 1e-9), seed
-        assert coarse.total_radius_sq <= (1 + 1e-2) * coarse.lower_radius_sq, seed
+        assert coarse.lower_radius_sq <= opt * (1 + 1e-9), (seed, n)
+        assert opt <= coarse.total_radius_sq * (1 + 1e-9), (seed, n)
+        assert coarse.total_radius_sq <= (1 + 1e-2) * coarse.lower_radius_sq, (seed, n)
 
 
 def test_lagrangian_margin_covers_rounding():
