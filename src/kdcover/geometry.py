@@ -19,6 +19,11 @@ quadratic leaves a point.  Each uses a tolerance on a float pair and
 integer-exact arithmetic otherwise; `sign_ahead` runs one body in both
 modes, with a zero tolerance in exact mode.
 
+An instance whose coordinates are all ints and Fractions has an
+`IntegerLift` (`MovingInstance.lift`): its coordinates as ints over one
+common denominator, from which `static_cover` and `kinetic` build exact
+squared distances and their polynomials in integer arithmetic.
+
 `value_bound` is the float filter of exact mode: a polynomial's value at a
 time in float, with a certified bound on its distance from the exact
 value, so that a scan decides in float wherever the bounds separate and
@@ -30,6 +35,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
+from operator import sub
 from typing import Union
 
 from .exactarith import QuadraticNumber
@@ -40,6 +48,7 @@ __all__ = [
     "Point2",
     "Trajectory",
     "MovingInstance",
+    "IntegerLift",
     "QuadraticPoly",
     "EventTime",
     "squared_distance_poly",
@@ -89,6 +98,25 @@ class Trajectory:
         )
 
 
+class IntegerLift:
+    """An exact instance's coordinates as ints over one common denominator.
+
+    Every coordinate is an int over `scale`, the least common multiple of
+    the coordinates' denominators: `stations` holds (X, Y) per station and
+    `objects` (sx, sy, vx, vy) per object, its start and its motion
+    end - start.  So the squared distances at one time share a denominator,
+    and their order and equality are those of integer numerators.
+    Immutable by convention, like `QuadraticPoly`.
+    """
+
+    __slots__ = ("scale", "stations", "objects")
+
+    def __init__(self, scale: int, stations: tuple, objects: tuple):
+        self.scale = scale
+        self.stations = stations
+        self.objects = objects
+
+
 @dataclass(frozen=True)
 class MovingInstance:
     """Fixed stations plus moving objects over the time horizon [0, 1].
@@ -115,6 +143,25 @@ class MovingInstance:
     @property
     def m(self) -> int:
         return len(self.stations)
+
+    @cached_property
+    def lift(self) -> IntegerLift | None:
+        """The `IntegerLift` of an instance whose coordinates are all ints
+        and Fractions, built once; None from the first coordinate of another
+        type on, so a float instance pays one type check."""
+        coords = []
+        ends = chain.from_iterable((o.start, o.end) for o in self.objects)
+        for p in chain(self.stations, ends):
+            if not isinstance(p.x, (int, Fraction)) or not isinstance(p.y, (int, Fraction)):
+                return None
+            coords += (p.x, p.y)
+        scale = math.lcm(*{v.denominator for v in coords})
+        ints = [v.numerator * (scale // v.denominator) for v in coords]
+        m2 = 2 * len(self.stations)
+        stations = tuple(zip(ints[0:m2:2], ints[1:m2:2]))
+        sx, sy, ex, ey = (ints[m2 + k::4] for k in range(4))
+        objects = tuple(zip(sx, sy, map(sub, ex, sx), map(sub, ey, sy)))
+        return IntegerLift(scale, stations, objects)
 
     def as_exact(self) -> "MovingInstance":
         """Lift all coordinates to exact rationals.

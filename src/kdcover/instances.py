@@ -150,6 +150,21 @@ def parse_json(text: str):
         raise FormatError(f"not valid JSON: {exc}") from None
 
 
+def _number(value) -> float:
+    """A coordinate or canvas entry: a number string, as `instance_to_json`
+    writes it, or a JSON number, never a bool."""
+    if type(value) not in (str, int, float):  # JSON gives these types exactly
+        raise FormatError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _point(value) -> Point2:
+    """A point: a list of exactly two numbers."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise FormatError(f"point {value!r} is not a list of two numbers")
+    return Point2(_number(value[0]), _number(value[1]))
+
+
 def instance_from_json(text: str) -> MovingInstance:
     doc = parse_json(text)
     if not isinstance(doc, dict) or doc.get("format") != INSTANCE_FORMAT:
@@ -162,19 +177,13 @@ def instance_from_json(text: str) -> MovingInstance:
     if not (canvas is None or isinstance(canvas, list) and len(canvas) == 2):
         raise FormatError("canvas is neither null nor two numbers")
     try:
-        canvas = None if canvas is None else tuple(float(c) for c in canvas)
+        canvas = None if canvas is None else tuple(map(_number, canvas))
         if canvas and not all(0 < c < math.inf for c in canvas):
             raise ValueError(f"canvas {canvas} is not finite and positive")
-        stations = tuple(Point2(float(x), float(y)) for x, y in doc["stations"])
-        objects = tuple(
-            Trajectory(
-                Point2(float(o["start"][0]), float(o["start"][1])),
-                Point2(float(o["end"][0]), float(o["end"][1])),
-            )
-            for o in doc["objects"]
-        )
+        stations = tuple(map(_point, doc["stations"]))
+        objects = tuple(Trajectory(_point(o["start"]), _point(o["end"])) for o in doc["objects"])
         instance = MovingInstance(stations, objects, canvas=canvas, metadata=metadata)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed instance fields: {exc}") from None
     _check_magnitude(instance)
     return instance

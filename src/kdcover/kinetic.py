@@ -47,7 +47,8 @@ The engine keeps its state across events and recomputes only what an
 event touched:
 
 - distance rows: each station-object squared-distance polynomial is built
-  on its first read (`DistanceRow`) and kept;
+  on its first read (`DistanceRow`; from the instance's integer lift when
+  it has one) and kept;
 - supports: re-picked for the stations an event touched;
 - runner-ups: a station's largest non-support object is scanned at most
   once per cursor and dropped when that station changes;
@@ -79,12 +80,13 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 from operator import ne
 from typing import Iterator, Optional
 
 from .envelope import Assignment, TimelineSegment
 from .geometry import (
+    IntegerLift,
     MovingInstance,
     QuadraticPoly,
     ZERO_POLY,
@@ -152,8 +154,32 @@ class DistanceRow(dict):
         return poly
 
 
+class _LiftedRow(DistanceRow):
+    """A `DistanceRow` of an instance with an `IntegerLift`: each polynomial
+    is three Fractions over L**2 of ints from the lifted coordinates, with
+    r = start - station and v = end - start as in `squared_distance_poly`."""
+
+    __slots__ = ("den",)
+
+    def __init__(self, station, lift: IntegerLift):
+        super().__init__(station, lift.objects)
+        self.den = lift.scale * lift.scale
+
+    def __missing__(self, obj: int) -> QuadraticPoly:
+        x, y = self.station
+        sx, sy, vx, vy = self.objects[obj]
+        rx, ry, den = sx - x, sy - y, self.den
+        poly = self[obj] = QuadraticPoly(Fraction(vx * vx + vy * vy, den),
+                                         Fraction(2 * (rx * vx + ry * vy), den),
+                                         Fraction(rx * rx + ry * ry, den))
+        return poly
+
+
 def distance_rows(instance: MovingInstance) -> list[DistanceRow]:
-    return [DistanceRow(st, instance.objects) for st in instance.stations]
+    lift = instance.lift
+    if lift is None:
+        return [DistanceRow(st, instance.objects) for st in instance.stations]
+    return [_LiftedRow(st, lift) for st in lift.stations]
 
 
 class FloatRow(dict):
@@ -184,14 +210,6 @@ def _double(x) -> float:
         return float(x)
     except OverflowError:
         return math.inf
-
-
-def _exact_coordinates(instance: MovingInstance) -> bool:
-    """Whether every coordinate is an int or a Fraction, so that squared
-    distances at an exact time are exact values."""
-    ends = chain.from_iterable((o.start, o.end) for o in instance.objects)
-    points = chain(instance.stations, ends)
-    return all(isinstance(v, (int, Fraction)) for p in points for v in (p.x, p.y))
 
 
 def moved_objects(before: Assignment, after: Assignment) -> list[int]:
@@ -282,7 +300,7 @@ class _Extender:
         self.t_stop = t_stop
         self.flags = flags
         self.polys = distance_rows(instance)
-        self.exact = _exact_coordinates(instance)  # values at exact times are exact
+        self.exact = instance.lift is not None  # values at exact times are exact
         self.floats = [FloatRow(row) for row in self.polys] if self.exact else None
         self.assignment = list(assignment)
         self.assignment_tuple = None  # tuple(self.assignment), built once per move

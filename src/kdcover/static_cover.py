@@ -10,7 +10,10 @@ One station's candidate disks are nested by radius, so each one covers a
 prefix of that station's objects sorted by distance.  `enumerate_candidates`
 builds them once as a `Candidates`: per station, that order and its radius
 levels, coverage bitmasks and each object's first covering level, in one
-O(nm log n) pass.  Every solver reads that one structure.
+O(nm log n) pass.  Every solver reads that one structure.  In exact
+arithmetic the distances at one time share a denominator, so the pass
+sorts and compares integer keys (`_exact_columns`) and builds one exact
+number per level.
 
 The O(nm) passes over it (the relaxation below, cover counts, the greedy
 completion's increments, the node bounds' column minima) run as C-level
@@ -52,6 +55,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
 from operator import add, gt, itemgetter, le, lshift, mul, ne, or_, sub
 
+from .exactarith import QuadraticNumber
 from .geometry import MovingInstance
 
 __all__ = [
@@ -125,9 +129,10 @@ def ratio_gap(upper: float, lower: float) -> float:
 
 
 def _distance_columns(instance: MovingInstance, t) -> list[list]:
-    """Squared distances at time t, one list over the objects per station:
-    dx * dx + dy * dy with dx = station.x - position.x, the position as
-    `Trajectory.at` computes it."""
+    """Squared distances at a float time t (or on an instance with float
+    coordinates), one list over the objects per station: dx * dx + dy * dy
+    with dx = station.x - position.x, the position as `Trajectory.at`
+    computes it."""
     positions = [obj.at(t) for obj in instance.objects]
     xs, ys = [p.x for p in positions], [p.y for p in positions]
     columns = []
@@ -135,6 +140,63 @@ def _distance_columns(instance: MovingInstance, t) -> list[list]:
         dx, dy = list(map(sub, repeat(st.x), xs)), list(map(sub, repeat(st.y), ys))
         columns.append(list(map(add, map(mul, dx, dx), map(mul, dy, dy))))
     return columns
+
+
+def _exact_columns(instance: MovingInstance, t):
+    """(keys, value) for the squared distances at an exact time t on an
+    instance with an `IntegerLift`, or None for a float time or an instance
+    without one.
+
+    `keys` holds one key per object per station, ordered as the distances
+    are, equal exactly where they are, and 0 exactly where a distance is;
+    `value(s, j)` is the exact distance from station s to object j.  With
+    coordinates over L and t = (p + q*sqrt(d))/r (q = 0 for a rational t),
+    the distance is (P + Q*sqrt(d))/(Lr)**2: dx * Lr = ax - q*vx*sqrt(d)
+    with ax = X*r - (sx*r + p*vx), so P = ax**2 + ay**2 + d*q**2*(vx**2 +
+    vy**2) and Q = -2*q*(ax*vx + ay*vy).  For q = 0 the int P is its own
+    key.  Otherwise the key is the int ceil((P + Q*sqrt(d)) * 2**64)
+    (`_ceil_key`): since sqrt(d) is irrational, equal distances are equal
+    pairs, and two pairs with one key and one P differ in Q by less than
+    2**-64 / sqrt(d), so they are equal too.  Only when two pairs with
+    different P share a key are the exact numbers themselves the keys.
+    """
+    lift = instance.lift
+    if lift is None or isinstance(t, float):
+        return None
+    if isinstance(t, QuadraticNumber):
+        p, q, r, d = t.p, t.q, t.r, t.d
+    else:
+        (p, r), q, d = t.as_integer_ratio(), 0, 0
+    objects = lift.objects
+    vx, vy = [o[2] for o in objects], [o[3] for o in objects]
+    cx = list(map(add, map(mul, [o[0] for o in objects], repeat(r)), map(mul, repeat(p), vx)))
+    cy = list(map(add, map(mul, [o[1] for o in objects], repeat(r)), map(mul, repeat(p), vy)))
+    ps, qs = [], []
+    for x, y in lift.stations:
+        ax, ay = list(map(sub, repeat(x * r), cx)), list(map(sub, repeat(y * r), cy))
+        ps.append(list(map(add, map(mul, ax, ax), map(mul, ay, ay))))
+        if q:
+            qs.append(list(map(mul, repeat(-2 * q), map(add, map(mul, ax, vx), map(mul, ay, vy)))))
+    den = (lift.scale * r) ** 2
+    if not isinstance(t, QuadraticNumber):
+        return ps, lambda s, j: Fraction(ps[s][j], den)
+    if not q:
+        return ps, lambda s, j: QuadraticNumber(ps[s][j], 0, den, 0)
+    sq = list(map(mul, repeat(d * q * q), map(add, map(mul, vx, vx), map(mul, vy, vy))))
+    ps = [list(map(add, pc, sq)) for pc in ps]
+    keys = [list(map(_ceil_key, pc, qc, repeat(d))) for pc, qc in zip(ps, qs)]
+    flat_keys, flat_ps = list(chain.from_iterable(keys)), list(chain.from_iterable(ps))
+    owner = dict(zip(flat_keys, flat_ps))
+    if any(map(ne, map(owner.__getitem__, flat_keys), flat_ps)):
+        keys = [list(map(QuadraticNumber, pc, qc, repeat(den), repeat(d))) for pc, qc in zip(ps, qs)]
+        return keys, lambda s, j: keys[s][j]
+    return keys, lambda s, j: QuadraticNumber(ps[s][j], qs[s][j], den, d)
+
+
+def _ceil_key(p: int, q: int, d: int) -> int:
+    """ceil((p + q*sqrt(d)) * 2**64) for a non-square d."""
+    root = math.isqrt(q * q * d << 128)  # floor(|q| * sqrt(d) * 2**64)
+    return (p << 64) + (root + 1 if q > 0 else -root)
 
 
 def enumerate_candidates(instance: MovingInstance, t) -> Candidates:
@@ -151,7 +213,8 @@ def nn_heuristic(instance: MovingInstance, t) -> StaticSolution:
     stations resolve to the lower station index.
     """
     n, m = instance.n, instance.m
-    columns = _distance_columns(instance, t)
+    exact = _exact_columns(instance, t)
+    columns, value = exact if exact else (_distance_columns(instance, t), None)
     rows = list(zip(*columns))
     near = list(map(min, rows))
     # The first index of a row's minimum is its lowest-index nearest station.
@@ -160,6 +223,7 @@ def nn_heuristic(instance: MovingInstance, t) -> StaticSolution:
 
     assignment = [-1] * n
     radius = [0] * m
+    source = [None] * m  # the object whose distance set the radius
     covered = [False] * n
     for j in order:
         if covered[j]:
@@ -167,10 +231,13 @@ def nn_heuristic(instance: MovingInstance, t) -> StaticSolution:
         s = nearest[j]
         if near[j] > radius[s]:
             radius[s] = near[j]
+            source[s] = j
         for o in compress(range(n), map(le, columns[s], repeat(radius[s]))):
             if not covered[o]:
                 covered[o] = True
                 assignment[o] = s
+    if value is not None:  # keys back to distances; a radius never raised stays 0
+        radius = [0 if j is None else value(s, j) for s, j in enumerate(source)]
     return StaticSolution(tuple(assignment), tuple(radius), sum(radius), 0)
 
 
@@ -233,11 +300,14 @@ class Candidates:
         self.values, self.masks, self.orders, self.last, self.rank = [], [], [], [], []
         self.offset, self.ends = [], []
         size = 0
-        for column in _distance_columns(instance, t):
+        exact = _exact_columns(instance, t)
+        columns, value = exact if exact else (_distance_columns(instance, t), None)
+        for s, column in enumerate(columns):
             dists = sorted(zip(column, range(n)))
             d, order = [r2 for r2, _ in dists], tuple([j for _, j in dists])
             ends = [*map(ne, d, d[1:]), True]  # True at each level's outermost object
-            vals = list(compress(d, ends))
+            vals = (list(compress(d, ends)) if value is None
+                    else list(map(value, repeat(s), compress(order, ends))))
             rank = [0] * n
             for j, lvl in zip(order, accumulate(ends, initial=0)):
                 rank[j] = lvl

@@ -385,3 +385,17 @@ def test_instance_validation():
     exact = inst.as_exact()
     assert exact.stations[0].x == Fraction(0.5)
     assert isinstance(exact.objects[0].start.y, Fraction)
+
+
+def test_integer_lift_puts_every_coordinate_over_one_denominator():
+    inst = MovingInstance(
+        (Point2(Fraction(1, 6), 2),),
+        (Trajectory(Point2(Fraction(3, 4), -1), Point2(5, Fraction(-7, 10))),))
+    lift = inst.lift
+    assert lift.scale == 60
+    assert lift.stations == ((10, 120),)
+    assert lift.objects == ((45, -60, 255, 18),)  # start, then end - start
+    assert inst.lift is lift  # built once
+    assert MovingInstance((Point2(0, 0.5),), ()).lift is None
+    assert MovingInstance((Point2(0, 0),), (Trajectory(Point2(1, 2), Point2(3.0, 4)),)).lift is None
+    assert MovingInstance((), ()).lift.scale == 1

@@ -121,7 +121,14 @@ def test_instance_format_errors():
     doc = json.loads(text)
     for field, value in (("metadata", ["x"]), ("canvas", ["5"]), ("canvas", ["nan", "5"]),
                          ("canvas", ["-5", "5"]), ("stations", []),
-                         ("stations", [["0.0", "0.0"], ["1e+200", "0.0"]])):
+                         ("stations", [["0.0", "0.0"], ["1e+200", "0.0"]]),
+                         # a bool is not a number, a string is not a point,
+                         # a point has two entries, and an int past the
+                         # float range is not a coordinate
+                         ("canvas", [True, "5"]), ("stations", [[True, "0.0"]]),
+                         ("stations", ["12"]), ("stations", [[10**400, 0]]),
+                         ("objects", [{"start": ["1", "2", "3"], "end": ["1", "2"]}]),
+                         ("objects", [{"start": ["1", "2"], "end": [False, "2"]}])):
         with pytest.raises(FormatError):
             instance_from_json(json.dumps(dict(doc, **{field: value})))
 

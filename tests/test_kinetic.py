@@ -705,6 +705,39 @@ def test_extend_builds_distance_polynomials_on_demand(monkeypatch):
     assert calls[0] < n * m
 
 
+def test_exact_distance_rows_match_squared_distance_poly():
+    """An instance with an integer lift builds each distance polynomial from
+    the lifted ints: equal to `squared_distance_poly` of the coordinates,
+    with the same doubles in `FloatRow`, for Fraction, int and mixed
+    coordinates.  A float instance keeps the plain rows."""
+    rng = Random(3)
+    base = random_instance(9, 3, 5)
+
+    def mixed(v):
+        pick = rng.randrange(3)
+        return round(v) if pick == 0 else Fraction(v) if pick == 1 else Fraction(round(v * 7), 3)
+
+    def ints(v):
+        return round(v)
+
+    def remap(inst, f):
+        def point(p):
+            return Point2(f(p.x), f(p.y))
+        return MovingInstance(tuple(map(point, inst.stations)),
+                              tuple(Trajectory(point(o.start), point(o.end)) for o in inst.objects))
+
+    for inst in (base.as_exact(), remap(base, ints), remap(base, mixed)):
+        assert inst.lift is not None
+        rows, floats = kinetic.distance_rows(inst), kinetic.float_rows(inst)
+        for s, st in enumerate(inst.stations):
+            for j in rng.sample(range(inst.n), inst.n):  # rows fill in any order
+                want = squared_distance_poly(st, inst.objects[j])
+                assert rows[s][j] == want, (s, j)
+                assert repr(floats[s][j]) == repr((float(want.a), float(want.b), float(want.c)))
+    assert base.lift is None
+    assert type(kinetic.distance_rows(base)[0]) is kinetic.DistanceRow
+
+
 def test_dedup_step_at_kept_support_ties_matches_exact_arithmetic():
     """Objects on a small integer grid come in mirror pairs whose distances
     to a station are equal polynomials, and support changes tie members

@@ -1,13 +1,14 @@
 import math
 from fractions import Fraction
-from itertools import accumulate
-from operator import gt, le, sub
+from itertools import accumulate, compress, repeat
+from operator import add, gt, le, mul, ne, sub
 from random import Random
 
 import pytest
 
 from conftest import random_instance, random_sizes
 from kdcover import static_cover
+from kdcover.exactarith import QuadraticNumber
 from kdcover.geometry import MovingInstance, Point2, Trajectory
 from kdcover.instances import GenParams, generate
 from kdcover.static_cover import (
@@ -156,6 +157,104 @@ def test_nn_matches_element_by_element_reference():
             assert repr(nn_heuristic(inst, t)) == repr(reference_nn_heuristic(inst, t)), t
             exact, tt = inst.as_exact(), Fraction(t)
             assert repr(nn_heuristic(exact, tt)) == repr(reference_nn_heuristic(exact, tt)), t
+
+
+def reference_columns(instance, t):
+    """Squared distances in the arithmetic of the coordinates and of t: dx *
+    dx + dy * dy with dx = station.x - position.x, the position from
+    `Trajectory.at`."""
+    positions = [obj.at(t) for obj in instance.objects]
+    xs, ys = [p.x for p in positions], [p.y for p in positions]
+    columns = []
+    for st in instance.stations:
+        dx, dy = list(map(sub, repeat(st.x), xs)), list(map(sub, repeat(st.y), ys))
+        columns.append(list(map(add, map(mul, dx, dx), map(mul, dy, dy))))
+    return columns
+
+
+def reference_levels(instance, t):
+    """(values, orders, rank, fvalues, last, ends) of the candidates at t,
+    each station's objects sorted by (distance, index) with the exact
+    numbers' own comparisons."""
+    n = instance.n
+    values, orders, rank, last, ends_all = [], [], [], [], []
+    for column in reference_columns(instance, t):
+        dists = sorted(zip(column, range(n)))
+        d, order = [r2 for r2, _ in dists], tuple(j for _, j in dists)
+        ends = [*map(ne, d, d[1:]), True]
+        vals = list(compress(d, ends))
+        level = [0] * n
+        for pos, j in enumerate(order):
+            level[j] = sum(ends[:pos])
+        values.append(vals)
+        orders.append(order)
+        rank.append(level)
+        last.append(list(compress(range(n), ends)))
+        ends_all.append(None if len(vals) == n else ends)
+    fvalues = [[float(v) for v in vals] for vals in values]
+    return values, orders, rank, fvalues, last, ends_all
+
+
+def level_lists(cands):
+    return cands.values, cands.orders, cands.rank, cands.fvalues, cands.last, cands.ends
+
+
+# Exact times: rationals, t=0 where `same_start` ties every object, and
+# quadratic numbers (p + q*sqrt(d))/r with q of either sign or q = 0.
+EXACT_TIMES = (Fraction(0), Fraction(1), Fraction(3, 7), QuadraticNumber(3, -1, 4, 2),
+               QuadraticNumber(1, 1, 4, 3), QuadraticNumber(-5, 3, 7, 11),
+               QuadraticNumber(5, 0, 7, 0))
+
+
+@pytest.mark.parametrize("klass", ["random", "same_slope", "same_start", "same_end"])
+def test_exact_candidates_match_the_reference(klass):
+    """`enumerate_candidates` and `nn_heuristic` in exact arithmetic read
+    integer keys; the levels and the solution are those that exact
+    arithmetic on the coordinates gives, compared by str and repr."""
+    for seed in range(3):
+        inst = generate(GenParams(n=25, m=4, seed=seed, instance_class=klass)).as_exact()
+        for t in EXACT_TIMES:
+            assert str(level_lists(enumerate_candidates(inst, t))) == str(reference_levels(inst, t)), \
+                (seed, t)
+            assert repr(nn_heuristic(inst, t)) == repr(reference_nn_heuristic(inst, t)), (seed, t)
+
+
+# Consecutive solutions of x**2 - 2*y**2 = 1.  x - y*sqrt(2) = 1/(x + y*sqrt(2))
+# is below 2**-32 for both, so its square (x*x + 2*y*y) - 2*x*y*sqrt(2) is
+# below 2**-64: the two squares, and the negated ones with 0, agree in
+# their first 64 bits after the point.
+PELL = ((4478554083, 3166815962), (26102926097, 18457556052))
+
+
+def test_ceil_key_of_values_that_agree_in_64_bits():
+    (x1, y1), (x2, y2) = PELL
+    tiny1, tiny2 = (x1 * x1 + 2 * y1 * y1, -2 * x1 * y1), (x2 * x2 + 2 * y2 * y2, -2 * x2 * y2)
+    pairs = [tiny1, tiny2, (-tiny1[0], -tiny1[1]), (1 + tiny2[0], tiny2[1]), (5, 0)]
+    assert [static_cover._ceil_key(p, q, 2) for p, q in pairs] == [1, 1, 0, 1 << 64 | 1, 5 << 64]
+
+
+def test_exact_candidates_order_distances_that_agree_in_64_bits():
+    """At t = sqrt(2) - 1 an object from (y - x, 0) to (2y - x, 0) is
+    x - y*sqrt(2) from a station at the origin.  Two Pell objects, whose
+    distances share a key, each twice, and two objects on the station: the
+    levels and the nearest neighbour solution are those of the exact
+    numbers' own comparisons, and equal distances fall back to index
+    order."""
+    (x1, y1), (x2, y2) = PELL
+    t = QuadraticNumber(-1, 1, 1, 2)
+
+    def pell(x, y):
+        return Trajectory(Point2(y - x, 0), Point2(2 * y - x, 0))
+
+    at_origin = Trajectory(Point2(0, 0), Point2(0, 0))
+    objects = (pell(x1, y1), at_origin, pell(x2, y2), pell(x1, y1), at_origin, pell(x2, y2))
+    for stations in ((Point2(0, 0),), (Point2(0, 0), Point2(Fraction(1, 3), 0))):
+        inst = MovingInstance(stations, objects)
+        cands = enumerate_candidates(inst, t)
+        assert cands.orders[0] == (1, 4, 2, 5, 0, 3)
+        assert cands.values[0][0] == 0 < cands.values[0][1] < cands.values[0][2]
+        assert str(level_lists(cands)) == str(reference_levels(inst, t))
+        assert repr(nn_heuristic(inst, t)) == repr(reference_nn_heuristic(inst, t))
 
 
 def test_solve_exact_trivial_and_errors():
