@@ -5,7 +5,8 @@ Coordinates are floats by default.  In exact mode the same types carry
 every operation here is written so that it works unchanged for either
 scalar type, and root finding dispatches on the coefficient type: float
 coefficients get the numerically stable quadratic formula, rational
-coefficients get exact `QuadraticNumber` roots.
+coefficients get exact `QuadraticNumber` roots, from int coefficients as
+they are and from Fractions over their least common denominator.
 
 `quadratic_roots` returns a plain tuple of the roots in a window; the
 identically zero polynomial, whose roots are a continuum, has none there
@@ -299,11 +300,11 @@ def _roots_float(p: QuadraticPoly, t_lo, t_hi) -> tuple:
 
 
 def _roots_exact(p: QuadraticPoly, t_lo, t_hi) -> tuple:
-    fa, fb, fc = Fraction(p.a), Fraction(p.b), Fraction(p.c)
-    den = math.lcm(fa.denominator, fb.denominator, fc.denominator)
-    A = fa.numerator * (den // fa.denominator)
-    B = fb.numerator * (den // fb.denominator)
-    C = fc.numerator * (den // fc.denominator)
+    A, B, C = p.a, p.b, p.c
+    if not (type(A) is type(B) is type(C) is int):  # over the least common denominator
+        (A, da), (B, db), (C, dc) = A.as_integer_ratio(), B.as_integer_ratio(), C.as_integer_ratio()
+        den = math.lcm(da, db, dc)
+        A, B, C = A * (den // da), B * (den // db), C * (den // dc)
 
     def in_window(t: QuadraticNumber) -> bool:
         return t.compare(t_lo) >= 0 and t.compare(t_hi) <= 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from random import Random
@@ -151,9 +152,10 @@ def parse_json(text: str):
 
 
 def _number(value) -> float:
-    """A coordinate or canvas entry: a number string, as `instance_to_json`
-    writes it, or a JSON number, never a bool."""
-    if type(value) not in (str, int, float):  # JSON gives these types exactly
+    """A coordinate or canvas entry: an ASCII JSON-number string, as
+    `instance_to_json` writes it, or a JSON number, never a bool."""
+    if type(value) not in (str, int, float) or type(value) is str and not re.fullmatch(
+            r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?", value):
         raise FormatError(f"{value!r} is not a number")
     return float(value)
 

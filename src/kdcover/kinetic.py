@@ -41,7 +41,13 @@ exact values, computed for the survivors alone, decide as before, and the
 dedup step passes over the stations that certainly do not cover a
 support.  A support change or handover difference certified negative over
 the window (`_negative_on`) has no root there and skips root finding.
-Every decision stays exact, and so does every timeline.
+Every decision stays exact, and so does every timeline.  The exact rows
+are ints, L**2 (`den`) times the true polynomials (`_LiftedRow`), since
+no sign, order, tie or root moves under a positive scale; a difference is
+put in lowest terms (`_lowest_terms`) so that its roots take the true
+Fractions' forms.  Values leave in true units only as segment objectives
+(Fractions over den) and as `FloatRow` doubles, each int / den correctly
+rounded, which values at a float time read (`_row`).
 
 The engine keeps its state across events and recomputes only what an
 event touched:
@@ -140,9 +146,10 @@ class FeasibilityReport:
 
 class DistanceRow(dict):
     """Squared-distance polynomials from one station to the objects, keyed
-    by object index; each is built on its first read."""
+    by object index, each built on its first read; `den` times the true."""
 
     __slots__ = ("station", "objects")
+    den = 1
 
     def __init__(self, station, objects):
         super().__init__()
@@ -156,8 +163,8 @@ class DistanceRow(dict):
 
 class _LiftedRow(DistanceRow):
     """A `DistanceRow` of an instance with an `IntegerLift`: each polynomial
-    is three Fractions over L**2 of ints from the lifted coordinates, with
-    r = start - station and v = end - start as in `squared_distance_poly`."""
+    is three ints, `den` = L**2 times `squared_distance_poly`'s, from the
+    lifted coordinates with r = start - station and v = end - start."""
 
     __slots__ = ("den",)
 
@@ -168,10 +175,9 @@ class _LiftedRow(DistanceRow):
     def __missing__(self, obj: int) -> QuadraticPoly:
         x, y = self.station
         sx, sy, vx, vy = self.objects[obj]
-        rx, ry, den = sx - x, sy - y, self.den
-        poly = self[obj] = QuadraticPoly(Fraction(vx * vx + vy * vy, den),
-                                         Fraction(2 * (rx * vx + ry * vy), den),
-                                         Fraction(rx * rx + ry * ry, den))
+        rx, ry = sx - x, sy - y
+        poly = self[obj] = QuadraticPoly(vx * vx + vy * vy, 2 * (rx * vx + ry * vy),
+                                         rx * rx + ry * ry)
         return poly
 
 
@@ -184,8 +190,8 @@ def distance_rows(instance: MovingInstance) -> list[DistanceRow]:
 
 class FloatRow(dict):
     """The (a, b, c) coefficients of one station's squared-distance
-    polynomials as the nearest doubles, keyed by object index; each is read
-    from its `DistanceRow` and converted on first use."""
+    polynomials in true units as the nearest doubles, keyed by object index;
+    each is read from its `DistanceRow` and converted on first use."""
 
     __slots__ = ("row",)
 
@@ -194,8 +200,8 @@ class FloatRow(dict):
         self.row = row
 
     def __missing__(self, obj: int) -> tuple:
-        p = self.row[obj]
-        coefs = self[obj] = (_double(p.a), _double(p.b), _double(p.c))
+        p, den = self.row[obj], self.row.den
+        coefs = self[obj] = (_double(p.a, den), _double(p.b, den), _double(p.c, den))
         return coefs
 
 
@@ -203,11 +209,11 @@ def float_rows(instance: MovingInstance) -> list[FloatRow]:
     return [FloatRow(row) for row in distance_rows(instance)]
 
 
-def _double(x) -> float:
-    """The double nearest x; inf beyond the float range, which
-    `value_bound` answers with an infinite bound."""
+def _double(x, den=1) -> float:
+    """The double nearest x / den, with x an int unless den is 1; inf beyond
+    the float range, which `value_bound` answers with an infinite bound."""
     try:
-        return float(x)
+        return float(x) if den == 1 else x / den
     except OverflowError:
         return math.inf
 
@@ -323,6 +329,13 @@ class _Extender:
         """Whether values at t are exact, so that scans filter in float."""
         return self.exact and type(t) is not float
 
+    def _row(self, station: int, t):
+        """The row that values at t are read from: at a float time, an exact
+        instance's `FloatRow` doubles, the true units float tolerances take."""
+        if self.exact and type(t) is float:
+            return [QuadraticPoly(*self.floats[station][o]) for o in range(self.instance.n)]
+        return self.polys[station]
+
     def _tie_group(self, station: int, t) -> list[int]:
         objs = self.members[station]
         if not objs:
@@ -331,7 +344,7 @@ class _Extender:
             objs = _may_be_largest(self.floats[station], objs, _double(t))
             if len(objs) == 1:
                 return objs
-        return _largest(_values(self.polys[station], objs, t), objs)
+        return _largest(_values(self._row(station, t), objs, t), objs)
 
     def _pick_support(self, station: int, t) -> None:
         group = self._tie_group(station, t)
@@ -349,9 +362,9 @@ class _Extender:
         travel direction, then the larger curvature, then the lower index."""
         best = None
         best_key = None
+        row = self._row(station, t)
         for o in group:
-            p = self.polys[station][o]
-            key = (self.direction * p.derivative_at(t), p.a)
+            key = (self.direction * row[o].derivative_at(t), row[o].a)
             if best is None or key > best_key or (key == best_key and o < best):
                 best, best_key = o, key
         return best
@@ -361,6 +374,9 @@ class _Extender:
         for s, sup in enumerate(self.supports):
             if sup is not None:
                 poly = poly + self.polys[s][sup]
+        if self.exact and poly is not ZERO_POLY:
+            a, b, c, den = poly.a, poly.b, poly.c, self.polys[0].den
+            poly = QuadraticPoly(Fraction(a, den), Fraction(b, den), Fraction(c, den))
         return poly
 
     def _move(self, obj: int, s1: int, s2: int) -> None:
@@ -400,8 +416,10 @@ class _Extender:
             if o == sup:
                 continue
             diff = row[o] - p_sup
-            if self.exact and _negative_on(diff, lo_f, hi_f):
-                continue  # no root in the window
+            if self.exact:
+                if _negative_on(diff, lo_f, hi_f):
+                    continue  # no root in the window
+                diff = _lowest_terms(diff, row.den)
             roots = quadratic_roots(diff, lo, hi)
             if not roots:
                 continue  # no crossing, or equidistant for all time: a tie
@@ -459,7 +477,7 @@ class _Extender:
         if rest:
             if self._filters(t):
                 rest = _may_be_largest(self.floats[station], rest, _double(t))
-            row = self.polys[station]
+            row = self._row(station, t)
             best = rest[0] if len(rest) == 1 else _farthest(_values(row, rest, t), rest)
         self.runner[station] = best
         return best
@@ -482,14 +500,9 @@ class _Extender:
         p_c = row2[c] if c is not None else ZERO_POLY
         return row1[b], p_c, p_a, row2[b]
 
-    def _handover_polys(self, s1: int, s2: int, inputs):
-        """Cost of s1 and s2 before and after s1's support moves to s2."""
-        p_b1, p_c, p_a, p_b2 = self._handover_rows(s1, s2, inputs)
-        return p_b1 + p_c, p_a + p_b2
-
     def _handover_diff(self, s1: int, s2: int, inputs) -> QuadraticPoly:
-        """before - after of `_handover_polys`, built as one polynomial with
-        the same operations in the same order."""
+        """Cost of s1 and s2 before minus after s1's support moves to s2, as
+        one polynomial composed like `handover_still_improves`'s costs."""
         p_b1, p_c, p_a, p_b2 = self._handover_rows(s1, s2, inputs)
         return QuadraticPoly((p_b1.a + p_c.a) - (p_a.a + p_b2.a),
                              (p_b1.b + p_c.b) - (p_a.b + p_b2.b),
@@ -500,8 +513,10 @@ class _Extender:
         ahead of the cursor."""
         diff = self._handover_diff(s1, s2, inputs)
         lo, hi = self._window(cursor)
-        if self.exact and _negative_on(diff, _double(lo), _double(hi)):
-            return None  # no root in the window
+        if self.exact:
+            if _negative_on(diff, _double(lo), _double(hi)):
+                return None  # no root in the window
+            diff = _lowest_terms(diff, self.polys[s1].den)
         for root in quadratic_roots(diff, lo, hi)[::self.direction]:
             if not self._ahead(root, cursor):
                 continue
@@ -531,8 +546,8 @@ class _Extender:
         inputs = self._handover_inputs(s1, s2, t)
         if inputs is None or inputs[0] != obj:
             return False
-        before, after = self._handover_polys(s1, s2, inputs)
-        return compare_values(after(t), before(t)) <= 0
+        p_b1, p_c, p_a, p_b2 = self._handover_rows(s1, s2, inputs)
+        return compare_values((p_a + p_b2)(t), (p_b1 + p_c)(t)) <= 0
 
     def apply_handover(self, s1: int, s2: int, obj: int, t) -> None:
         self._move(obj, s1, s2)
@@ -553,7 +568,7 @@ class _Extender:
         runner = self._second_support(station, t)
         if runner is None:
             return sup
-        row = self.polys[station]
+        row = self._row(station, t)
         if self._filters(t):
             tf, floats = _double(t), self.floats[station]
             v, e = value_bound(floats[sup], tf)
@@ -572,7 +587,8 @@ class _Extender:
         """
         known = [self._clear_support(s, t) for s in range(self.instance.m)]
         floats = self.floats if self._filters(t) else None
-        moved = _dedup(self.instance, t, self.members, known, self.polys, floats)
+        rows = [self._row(s, t) for s in range(self.instance.m)]
+        moved = _dedup(self.instance, t, self.members, known, rows, floats)
         changed = set()
         for j in sorted(moved):
             old, new = self.assignment[j], moved[j]
@@ -648,6 +664,12 @@ def _values(row: DistanceRow, objs, t) -> list:
     """The objects' squared distances from the row's station at t, in
     order; p(t) written out, as in QuadraticPoly.__call__."""
     return [(p.a * t + p.b) * t + p.c for p in map(row.__getitem__, objs)]
+
+
+def _lowest_terms(p: QuadraticPoly, den) -> QuadraticPoly:
+    """p / gcd(a, b, c, den): p / den over its least common denominator."""
+    g = math.gcd(p.a, p.b, p.c, den)
+    return p if g == 1 else QuadraticPoly(p.a // g, p.b // g, p.c // g)
 
 
 def _may_be_largest(floats: FloatRow, objs: list[int], tf: float) -> list[int]:

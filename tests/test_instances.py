@@ -128,7 +128,11 @@ def test_instance_format_errors():
                          ("canvas", [True, "5"]), ("stations", [[True, "0.0"]]),
                          ("stations", ["12"]), ("stations", [[10**400, 0]]),
                          ("objects", [{"start": ["1", "2", "3"], "end": ["1", "2"]}]),
-                         ("objects", [{"start": ["1", "2"], "end": [False, "2"]}])):
+                         ("objects", [{"start": ["1", "2"], "end": [False, "2"]}]),
+                         # a string is an ASCII JSON number: no digit
+                         # separators, padding or other digits
+                         ("stations", [["1_000", "5.0"]]), ("stations", [[" 5 ", "5.0"]]),
+                         ("stations", [["\u0661\u0662", "3.0"]])):
         with pytest.raises(FormatError):
             instance_from_json(json.dumps(dict(doc, **{field: value})))
 

@@ -12,8 +12,10 @@ from kdcover.geometry import (
     ZERO_POLY,
     MovingInstance,
     Point2,
+    QuadraticPoly,
     Trajectory,
     compare_values,
+    quadratic_roots,
     squared_distance_poly,
 )
 from kdcover.instances import GenParams, generate
@@ -636,6 +638,86 @@ def test_full_size_exact_arith_pinned():
     assert res.lower == 12871.203770479342
 
 
+def tiny_station_instance():
+    """random_instance(40, 6, 12) as exact rationals, with its first station
+    at (5e-324, 1e-300): the lift's scale is 2**1074, so every lifted
+    coefficient lies far past the float range."""
+    base = random_instance(40, 6, 12)
+    return MovingInstance((Point2(5e-324, 1e-300),) + base.stations[1:],
+                          base.objects).as_exact()
+
+
+def test_exact_lift_past_the_float_range_pinned():
+    """The engine's float filters of differences of lifted rows decide
+    nothing on the tiny-station instance, and exact arithmetic decides
+    alone.  Pinned from the engine whose rows were Fractions over L**2."""
+    inst = tiny_station_instance()
+    assert inst.lift.scale == 2 ** 1074
+    with pytest.raises(OverflowError):
+        float(inst.lift.scale ** 2)
+    res = solve_minmax(inst, SolverConfig(flags=ALL_FLAGS, exact_arithmetic=True))
+    assert poly_digest(res.timeline.segments) == (22, "9d4316679444e2a0")
+    assert res.upper == res.lower == 11575.326776303522
+    nn = solve_minmax(inst, SolverConfig(static_backend="nn", flags=ALL_FLAGS,
+                                         exact_arithmetic=True))
+    assert poly_digest(nn.timeline.segments) == (64, "520f64649722e147")
+    assert nn.upper == 13576.313080343194
+    half = Fraction(1, 2)
+    assignment = nn_heuristic(inst, half).assignment
+    for direction, stop, want in (("forward", Fraction(1), (23, "1d5dc27d49a4700a")),
+                                  ("backward", Fraction(0), (24, "0617a4b7b813caeb"))):
+        assert poly_digest(extend(assignment, half, direction, stop, ALL_FLAGS, inst)) == want
+
+
+# `poly_digest` of `extend` of exact instances from the float time 0.5,
+# by instance, flags and direction: n=40, m=6 seed 0 of each class, with
+# the float instance's nearest-neighbor assignment, and the tiny-station
+# instance with its own.
+PINNED_FLOAT_TIME = {
+    ('random', 'none', 'forward'): (5, '09bfe3fcb4bb6405'),
+    ('random', 'none', 'backward'): (8, '734cb40582bf9285'),
+    ('random', 'all', 'forward'): (15, 'cf64de5967a1bce5'),
+    ('random', 'all', 'backward'): (26, 'c24a4be613753e9c'),
+    ('same_slope', 'none', 'forward'): (2, '798b3d9883a5fe9d'),
+    ('same_slope', 'none', 'backward'): (3, 'e8a8a81df7c0c1fc'),
+    ('same_slope', 'all', 'forward'): (6, '5403ce29ea924694'),
+    ('same_slope', 'all', 'backward'): (10, 'f85fab21aaba0b19'),
+    ('same_start', 'none', 'forward'): (1, 'ef9cd1fabea75420'),
+    ('same_start', 'none', 'backward'): (1, '8863f167f033e03f'),
+    ('same_start', 'all', 'forward'): (1, 'ef9cd1fabea75420'),
+    ('same_start', 'all', 'backward'): (1, '8863f167f033e03f'),
+    ('same_end', 'none', 'forward'): (1, '2642ca52e968fde5'),
+    ('same_end', 'none', 'backward'): (1, 'd7ae8c216bf22cf2'),
+    ('same_end', 'all', 'forward'): (1, '2642ca52e968fde5'),
+    ('same_end', 'all', 'backward'): (1, 'd7ae8c216bf22cf2'),
+    ('tiny', 'none', 'forward'): (5, 'e7264a38dbdab76c'),
+    ('tiny', 'none', 'backward'): (6, '6def314d359fd8e5'),
+    ('tiny', 'all', 'forward'): (23, '62344fb36d0c0c18'),
+    ('tiny', 'all', 'backward'): (24, '419d5f7a627f4f19'),
+}
+
+
+def test_extend_exact_instances_at_a_float_time_pinned():
+    """At a float time the scans read values as floats, which
+    `compare_values` compares with a max(1, .) floor that is not invariant
+    under a scale: the engine reads them in true units there, as the
+    Fraction rows gave them, also where the lifted ints are past the float
+    range.  Pinned from the engine whose rows were Fractions over L**2."""
+    cases = []
+    for klass in ("random", "same_slope", "same_start", "same_end"):
+        inst = generate(GenParams(n=40, m=6, seed=0, instance_class=klass))
+        cases.append((klass, inst.as_exact(), nn_heuristic(inst, 0.5).assignment))
+    inst = tiny_station_instance()
+    cases.append(("tiny", inst, nn_heuristic(inst, Fraction(1, 2)).assignment))
+    got = {}
+    for key, inst, assignment in cases:
+        for name, flags in (("none", NO_FLAGS), ("all", ALL_FLAGS)):
+            for direction, stop in (("forward", 1.0), ("backward", 0.0)):
+                segs = extend(assignment, 0.5, direction, stop, flags, inst)
+                got[(key, name, direction)] = poly_digest(segs)
+    assert got == PINNED_FLOAT_TIME
+
+
 def reference_handover_diff(engine, s1, s2, inputs):
     """The handover difference composed as `before - after`."""
     b, a2, c = inputs
@@ -707,9 +789,10 @@ def test_extend_builds_distance_polynomials_on_demand(monkeypatch):
 
 def test_exact_distance_rows_match_squared_distance_poly():
     """An instance with an integer lift builds each distance polynomial from
-    the lifted ints: equal to `squared_distance_poly` of the coordinates,
-    with the same doubles in `FloatRow`, for Fraction, int and mixed
-    coordinates.  A float instance keeps the plain rows."""
+    the lifted ints: three ints which, over the row's `den`, equal
+    `squared_distance_poly` of the coordinates, with the same doubles in
+    `FloatRow`, for Fraction, int and mixed coordinates.  A float instance
+    keeps the plain rows."""
     rng = Random(3)
     base = random_instance(9, 3, 5)
 
@@ -731,11 +814,44 @@ def test_exact_distance_rows_match_squared_distance_poly():
         rows, floats = kinetic.distance_rows(inst), kinetic.float_rows(inst)
         for s, st in enumerate(inst.stations):
             for j in rng.sample(range(inst.n), inst.n):  # rows fill in any order
-                want = squared_distance_poly(st, inst.objects[j])
-                assert rows[s][j] == want, (s, j)
+                want, got, den = squared_distance_poly(st, inst.objects[j]), rows[s][j], rows[s].den
+                assert all(type(x) is int for x in (got.a, got.b, got.c)), (s, j)
+                assert (Fraction(got.a, den), Fraction(got.b, den), Fraction(got.c, den)) == \
+                    (want.a, want.b, want.c), (s, j)
                 assert repr(floats[s][j]) == repr((float(want.a), float(want.b), float(want.c)))
     assert base.lift is None
     assert type(kinetic.distance_rows(base)[0]) is kinetic.DistanceRow
+
+
+def test_lowest_terms_roots_take_the_forms_of_the_fraction_roots():
+    """An int polynomial over den, divided by gcd(a, b, c, den) by
+    `_lowest_terms`, has the roots that its Fractions a/den, b/den, c/den
+    give, each in the same `QuadraticNumber` form (p, q, r, d), so that
+    event times and timeline digests stay as they were.  Random
+    polynomials with shared factors over den in {1, 2**k, 9, 3 * 2**k},
+    and linear, double-root, negative-leading, constant and zero ones."""
+    rng = Random(28)
+    cases = []
+    for _ in range(300):
+        den = rng.choice([1, 2 ** rng.randrange(1, 60), 9, 3 * 2 ** rng.randrange(1, 60)])
+        f = rng.choice([1, 2, 3, 6, 9, 2 ** 30, 3 * 2 ** 20, den])
+        a, b, c = (f * rng.randint(-10 ** 6, 10 ** 6) for _ in range(3))
+        k, x = f * rng.randint(1, 10 ** 4), rng.randint(-50, 50)  # k (t - x)**2
+        cases += [((a, b, c), den), ((-abs(a) or -f, b, c), den), ((0, b, c), den),
+                  ((k, -2 * k * x, k * x * x), den), ((-k, 2 * k * x, -k * x * x), den)]
+    cases += [((0, 0, 0), 9), ((0, 0, 12), 9), ((0, 0, 0), 1), ((0, 6, 0), 2 ** 40)]
+    lo, hi = Fraction(-10 ** 9), Fraction(10 ** 9)
+    irrational = 0
+    for (a, b, c), den in cases:
+        got = kinetic._lowest_terms(QuadraticPoly(a, b, c), den)
+        assert all(type(x) is int for x in (got.a, got.b, got.c))
+        want = QuadraticPoly(Fraction(a, den), Fraction(b, den), Fraction(c, den))
+        roots = quadratic_roots(got, lo, hi)
+        assert repr(roots) == repr(quadratic_roots(want, lo, hi)), ((a, b, c), den)
+        irrational += sum(r.q != 0 for r in roots)
+    assert irrational > 300
+    p = QuadraticPoly(4, 6, 8)
+    assert kinetic._lowest_terms(p, 1) is p
 
 
 def test_dedup_step_at_kept_support_ties_matches_exact_arithmetic():
