@@ -6,6 +6,7 @@ computes a radius schedule minimizing the peak total disk area together
 with a certified optimality gap.
 """
 
+from .certificate import check_feasible
 from .envelope import (
     SolutionTimeline,
     TimelineSegment,
@@ -15,7 +16,7 @@ from .envelope import (
 )
 from .geometry import MovingInstance, Point2, QuadraticPoly, Trajectory
 from .instances import GenParams, read_instance, write_instance
-from .kinetic import ImprovementFlags, check_feasible, extend
+from .kinetic import ImprovementFlags, extend
 from .minmax import KineticResult, SolverConfig, fixed_nn_baseline, solve_minmax
 from .static_cover import (
     BranchBoundBackend,

@@ -1,10 +1,6 @@
 """Command line interface: gen, solve, bench, check, render.
 
-Result files are self-contained JSON: the full timeline (assignments,
-supports, objective coefficients), the certified bounds, and run stats, so
-`check` is an independent verifier rather than a re-run.  Objective
-coefficients are stored divided by pi (sums of squared radii); reported
-upper/lower values include the pi factor.
+Result files are written, read and checked by `certificate`.
 """
 
 from __future__ import annotations
@@ -17,8 +13,8 @@ import math
 import sys
 from pathlib import Path
 
-from .envelope import TimelineSegment
-from .geometry import MovingInstance, QuadraticPoly, squared_distance_poly
+from .certificate import _is_index, load_result, result_segments, result_to_json, verify_result
+from .geometry import MovingInstance, squared_distance_poly
 from .instances import (
     CLASSES,
     FormatError,
@@ -29,9 +25,8 @@ from .instances import (
     read_instance,
     write_instance,
 )
-from .kinetic import ImprovementFlags, check_feasible, float_rows, moved_objects
+from .kinetic import ImprovementFlags
 from .minmax import KineticResult, SolverConfig, fixed_nn_baseline, solve_minmax
-from .static_cover import ratio_gap
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -40,9 +35,6 @@ EXIT_CHECK = 4
 EXIT_IO = 5
 
 ALGORITHMS = ("exact", "nn", "fixed_nn")
-
-RESULT_FORMAT = "kdc-result"
-RESULT_VERSION = 2
 
 CSV_FIELDS = [
     "instance_id",
@@ -88,136 +80,6 @@ def parse_flags(text: str) -> ImprovementFlags:
             raise argparse.ArgumentTypeError(f"unknown flag {token!r}")
         values[FLAG_FIELDS[token]] = True
     return ImprovementFlags(**values)
-
-
-def result_to_json(instance_id: str, algorithm: str, flags: ImprovementFlags,
-                   config: dict, result: KineticResult) -> str:
-    """The result file's text: the header indented, then the timeline's
-    segments one per line."""
-    tl = result.timeline
-    segments = []
-    prev = tl.segments[0].assignment
-    for seg in tl.segments:
-        # Segments between moves share one assignment tuple.
-        moves = [] if seg.assignment is prev else [
-            [j, seg.assignment[j]] for j in moved_objects(prev, seg.assignment)
-        ]
-        prev = seg.assignment
-        segments.append({
-            "t_start": float(seg.t_start),
-            "t_end": float(seg.t_end),
-            "moves": moves,
-            "supports": list(seg.supports),
-            "objective": [float(seg.poly.a), float(seg.poly.b), float(seg.poly.c)],
-        })
-    doc = {
-        "format": RESULT_FORMAT,
-        "version": RESULT_VERSION,
-        "instance_id": instance_id,
-        "algorithm": algorithm,
-        "flags": {field: getattr(flags, field) for field in FLAG_FIELDS.values()},
-        "config": config,
-        "upper": result.upper,
-        "lower": result.lower,
-        "gap": None if math.isinf(result.gap) else result.gap,
-        "iterations": result.iterations,
-        "timed_out": result.timed_out,
-        "stats": {
-            "time_static_s": result.stats.time_static,
-            "time_extend_merge_s": result.stats.time_extend_merge,
-            "time_total_s": result.stats.time_total,
-            "static_solves": result.stats.static_solves,
-            "events_processed": result.stats.events_processed,
-            "stop_reason": result.stats.stop_reason,
-        },
-        "timeline": {
-            "value": float(tl.value),
-            "assignment": list(tl.segments[0].assignment),
-            "segments": [],
-        },
-    }
-    # The segments list is the document's last value: its `[]` is the last
-    # in the indented header, and each segment is written in its place on
-    # one line by the C encoder, which an indent would bypass.
-    head, tail = json.dumps(doc, indent=2).rsplit("[]", 1)
-    body = ",\n      ".join(map(json.dumps, segments))
-    return f"{head}[\n      {body}\n    ]{tail}\n"
-
-
-def load_result(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = parse_json(fh.read())
-    if not isinstance(doc, dict) or doc.get("format") != RESULT_FORMAT \
-            or doc.get("version") != RESULT_VERSION:
-        raise FormatError(f"{path}: not a kdc-result v{RESULT_VERSION} file")
-    missing = [key for key in ("instance_id", "upper", "lower", "timeline") if key not in doc]
-    if missing:
-        raise FormatError(f"{path}: no {', '.join(missing)} in the result")
-    if not (_is_number(doc["upper"]) and _is_number(doc["lower"])
-            and (doc.get("gap") is None or _is_number(doc["gap"]))):
-        raise FormatError(f"{path}: upper and lower must be numbers, and gap a number or null")
-    return doc
-
-
-def result_segments(doc) -> list[TimelineSegment]:
-    """The stored timeline with each segment's full assignment rebuilt from
-    the first segment's and the moves since.  Raises FormatError when the
-    timeline is malformed."""
-    try:
-        assignment = tuple(map(_station, doc["timeline"]["assignment"]))
-        segs = []
-        for raw in doc["timeline"]["segments"]:
-            if raw["moves"]:
-                changed = list(assignment)
-                for j, s in raw["moves"]:
-                    if not _is_index(j, len(changed)):
-                        raise IndexError(f"move of object {j!r}")
-                    changed[j] = _station(s)
-                assignment = tuple(changed)
-            segs.append(
-                TimelineSegment(
-                    _number(raw["t_start"]),
-                    _number(raw["t_end"]),
-                    assignment,
-                    tuple(raw["supports"]),
-                    QuadraticPoly(*map(_number, raw["objective"])),
-                )
-            )
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"malformed timeline: {type(exc).__name__} {exc}") from None
-    return segs
-
-
-def _finite(v) -> bool:
-    """Whether a stored number is finite; an int beyond the float range,
-    which float arithmetic cannot take, is not."""
-    try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
-
-
-def _is_index(v, size: int) -> bool:
-    return type(v) is int and 0 <= v < size  # JSON true and false are not indices
-
-
-def _is_number(v) -> bool:
-    return type(v) is int or type(v) is float  # JSON true and false are not numbers
-
-
-def _number(v) -> float:
-    """A stored time or coefficient, as a float; TypeError unless `_is_number`."""
-    if not _is_number(v):
-        raise TypeError(f"number {v!r}")
-    return float(v)
-
-
-def _station(v):
-    """A stored station entry; any int (not a bool) reads, and
-    `verify_result` checks its range against the instance."""
-    if type(v) is not int:
-        raise TypeError(f"station {v!r}")
-    return v
 
 
 # -- gen ---------------------------------------------------------------------
@@ -484,124 +346,6 @@ def cmd_bench(args) -> int:
 
 
 # -- check -------------------------------------------------------------------
-
-
-def verify_result(doc, instance: MovingInstance, samples=None) -> list[str]:
-    """Independent verification of a result file against its instance.
-
-    Checks each segment's assignment and supports against the instance,
-    that the segment times ascend and join up and that the objectives are
-    finite, proves the timeline feasible (`check_feasible`: every object
-    inside its station's disk, whose radius is set by the stored support,
-    at every time), checks each stored objective against the sum of its
-    stored supports' polynomials, the stored peak value and bounds against
-    the timeline's peak and the stored gap against the stored bounds.
-    Feasibility makes each stored support its station's farthest member
-    over its segment, so that sum is the segment's true objective.
-    Returns a list of violation messages (empty = pass); raises FormatError
-    when the timeline cannot be read.
-
-    `samples` is ignored: the feasibility proof is analytic and needs no
-    sample count.  It is still taken so that callers which pass one as the
-    third argument, such as the benchmark, keep working.
-    """
-    problems = []
-    segs = result_segments(doc)
-    value = doc["timeline"].get("value")
-    if not _is_number(value):
-        raise FormatError(f"malformed timeline: value {value!r}")
-    if not segs:
-        return ["empty timeline"]
-    if abs(segs[0].t_start - 0.0) > 1e-9 or abs(segs[-1].t_end - 1.0) > 1e-9:
-        problems.append("timeline does not span [0, 1]")
-    for i, seg in enumerate(segs):
-        # Equal times pass: an exact-mode segment can round to zero length.
-        if not (math.isfinite(seg.t_start) and math.isfinite(seg.t_end)
-                and seg.t_start <= seg.t_end):
-            problems.append(f"segment {i}: times are not finite and ascending")
-        if i and abs(seg.t_start - segs[i - 1].t_end) > 1e-9:
-            problems.append(f"segment {i}: gap/overlap at t={seg.t_start!r}")
-        if not all(map(math.isfinite, (seg.poly.a, seg.poly.b, seg.poly.c))):
-            problems.append(f"segment {i}: objective is not finite")
-    segment_problems, malformed = _segment_problems(segs, instance)
-    problems += segment_problems
-    if malformed:
-        return problems
-    report = check_feasible(segs, instance)
-    if not report.ok:
-        problems.append(
-            f"infeasible: violation {report.worst_violation:.3e} at "
-            f"t={report.worst_time} object {report.worst_object}"
-        )
-    top = max(max(seg.poly(seg.t_start), seg.poly(seg.t_end)) for seg in segs)
-    peak = math.pi * top
-    # The stored value is the peak that upper = pi * value reports.
-    if not (_finite(value) and abs(peak - math.pi * value) <= 1e-9 * max(1.0, peak)):
-        problems.append(f"stored timeline value {value} != timeline peak {top}")
-    upper, lower = doc["upper"], doc["lower"]
-    if not (_finite(upper) and _finite(lower)):
-        problems.append(f"stored bounds are not finite: upper {upper}, lower {lower}")
-        return problems
-    if abs(peak - upper) > 1e-9 * max(1.0, peak):
-        problems.append(f"stored upper {upper} != pi * timeline peak {peak}")
-    if lower > upper * (1 + 1e-12) + 1e-12:
-        problems.append(f"lower {lower} exceeds upper {upper}")
-    gap = ratio_gap(upper, lower)
-    gap = None if math.isinf(gap) else gap  # as result_to_json stores it
-    stored = doc.get("gap")
-    if not _same_gap(stored, gap):
-        problems.append(f"stored gap {stored!r} != gap {gap!r} of the stored bounds")
-    return problems
-
-
-def _segment_problems(segs, instance: MovingInstance) -> tuple[list[str], bool]:
-    """Each segment's assignment and supports against the instance, and its
-    stored objective against the sum of its supports' polynomials; returns
-    the problems and whether some segment does not fit.
-
-    The segments' assignments have one length, as `result_segments` builds
-    them; segments between moves share one assignment tuple, whose shape is
-    checked once.
-    """
-    n, m = instance.n, instance.m
-    rows = float_rows(instance)
-    problems = []
-    malformed = False
-    assignment = None
-    for i, seg in enumerate(segs):
-        if seg.assignment is not assignment:
-            assignment = seg.assignment
-            # n objects on stations in range(m)
-            stations = set(assignment)
-            fits = len(assignment) == n and all(_is_index(s, m) for s in stations)
-        # A station's support is one of its objects, or None when it has none.
-        if not fits or len(seg.supports) != m \
-                or not all(sup is None and s not in stations
-                           or _is_index(sup, n) and assignment[sup] == s
-                           for s, sup in enumerate(seg.supports)):
-            problems.append(f"segment {i}: assignment or supports do not fit n={n}, m={m}")
-            malformed = True
-            continue
-        polys = [rows[s][sup] for s, sup in enumerate(seg.supports) if sup is not None]
-        derived = list(map(sum, zip(*polys))) or [0.0, 0.0, 0.0]
-        stored = [seg.poly.a, seg.poly.b, seg.poly.c]
-        if not _same_objective(stored, derived):
-            problems.append(
-                f"segment {i}: stored objective {stored} != derived {derived}"
-            )
-    return problems, malformed
-
-
-def _same_objective(stored, derived) -> bool:
-    scale = max(1.0, *(abs(v) for v in stored), *(abs(v) for v in derived))
-    return not any(abs(a - b) > 1e-9 * scale for a, b in zip(derived, stored))
-
-
-def _same_gap(stored, derived) -> bool:
-    if stored is None or derived is None:
-        return stored is derived
-    return _is_number(stored) and _finite(stored) \
-        and abs(stored - derived) <= 1e-12 * max(1.0, derived)
 
 
 def _print_problems(problems: list[str]) -> None:

@@ -26,6 +26,7 @@ __all__ = [
     "timeline_cost",
     "segment_at",
     "argmax_timeline",
+    "merge_partial",
     "merge_lower_envelope",
 ]
 

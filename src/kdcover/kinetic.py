@@ -73,11 +73,7 @@ event touched:
 The engine is written once for float and exact coordinates, apart from
 the float filter that exact values pass first; every tolerance lives in
 the `geometry` predicates it calls (`compare_event_times`, `compare_values`
-with its `tolerance_band`, `sign_ahead`).  `check_feasible`
-proves a finished timeline feasible without sampling: within a run of
-segments where a station keeps its members and support, each member's
-distance minus the support's is one quadratic, checked once at the run's
-ends and its vertex.
+with its `tolerance_band`, `sign_ahead`).
 """
 
 from __future__ import annotations
@@ -86,8 +82,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from operator import ne
 from typing import Iterator, Optional
 
 from .envelope import Assignment, TimelineSegment
@@ -107,15 +101,10 @@ from .geometry import (
 
 __all__ = [
     "ImprovementFlags",
-    "FeasibilityReport",
     "dedup_improve",
     "extend",
     "iter_extend",
-    "check_feasible",
 ]
-
-# Largest relative violation `check_feasible` accepts.
-FEASIBILITY_TOL = 1e-7
 
 # Event kinds; the lower kind wins a tie in time.
 SUPPORT_CHANGE, HANDOVER = 0, 1
@@ -134,14 +123,6 @@ class ImprovementFlags:
     no_dup: bool = False
     imp_ext: bool = False
     part_ext: bool = False
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    ok: bool
-    worst_violation: float
-    worst_time: float | None = None
-    worst_object: int | None = None
 
 
 class DistanceRow(dict):
@@ -205,10 +186,6 @@ class FloatRow(dict):
         return coefs
 
 
-def float_rows(instance: MovingInstance) -> list[FloatRow]:
-    return [FloatRow(row) for row in distance_rows(instance)]
-
-
 def _double(x, den=1) -> float:
     """The double nearest x / den, with x an int unless den is 1; inf beyond
     the float range, which `value_bound` answers with an infinite bound."""
@@ -216,12 +193,6 @@ def _double(x, den=1) -> float:
         return float(x) if den == 1 else x / den
     except OverflowError:
         return math.inf
-
-
-def moved_objects(before: Assignment, after: Assignment) -> list[int]:
-    """The objects whose station differs between two assignments of one
-    length, ascending."""
-    return list(compress(range(len(after)), map(ne, before, after)))
 
 
 class _EventQueue:
@@ -880,99 +851,3 @@ def extend(
     if direction == "backward":
         segments.reverse()
     return segments
-
-
-def check_feasible(segments, instance: MovingInstance) -> FeasibilityReport:
-    """Verify that every object sits inside its assigned station's disk over
-    the whole timeline, the radius taken from the segment supports (zero
-    for a None support).
-
-    The violation of object j at t is relative: (d2 - r2) / max(r2, 1), with
-    d2 and r2 the squared distances of j and of the support from j's
-    station, and the timeline passes when its largest is at most
-    `FEASIBILITY_TOL`.  While a station keeps its members and its support
-    (a run of segments), d2 and r2 are fixed quadratics, so each member is
-    checked once per run: where d2 - r2 is at most 0 at the run's ends and
-    at its vertex, it is at most 0 over the whole run, and elsewhere
-    `_peak_violation` finds the largest violation.  Values are floats.  The
-    worst object and time are reported; on a tie, the lowest object, then
-    the earliest time.
-    """
-    segments = list(segments)
-    if not segments or instance.n == 0:
-        return FeasibilityReport(True, 0.0)
-    rows = float_rows(instance)
-    first = segments[0]
-    members = [set() for _ in range(instance.m)]
-    for j, s in enumerate(first.assignment):
-        members[s].add(j)
-    supports = list(first.supports)
-    starts = [float(first.t_start)] * instance.m
-    worst, worst_t, worst_obj = 0.0, None, None
-
-    def close(s, t1):
-        nonlocal worst, worst_t, worst_obj
-        t0, row = starts[s], rows[s]
-        r = (0.0, 0.0, 0.0) if supports[s] is None else row[supports[s]]
-        ra, rb, rc = r
-        r0, r1 = (ra * t0 + rb) * t0 + rc, (ra * t1 + rb) * t1 + rc
-        for j in members[s]:
-            a, b, c = p = row[j]
-            if (a * t0 + b) * t0 + c <= r0 and (a * t1 + b) * t1 + c <= r1 and (
-                    a >= ra or not t0 < (rb - b) / (2 * (a - ra)) < t1
-                    or c - rc - (b - rb) ** 2 / (4 * (a - ra)) <= 0):
-                continue
-            v, t = _peak_violation(p, r, t0, t1)
-            if v > worst or v == worst and worst_obj is not None \
-                    and (j, t) < (worst_obj, worst_t):
-                worst, worst_t, worst_obj = v, t, j
-
-    prev = first
-    for seg in segments[1:]:
-        touched = set()
-        # Segments between moves share one assignment tuple.
-        if seg.assignment is not prev.assignment:
-            moved = moved_objects(prev.assignment, seg.assignment)
-            touched.update(prev.assignment[j] for j in moved)
-            touched.update(seg.assignment[j] for j in moved)
-        touched.update(moved_objects(prev.supports, seg.supports))
-        if touched:
-            t = float(seg.t_start)
-            for s in touched:
-                close(s, t)
-            if seg.assignment is not prev.assignment:
-                for j in moved:
-                    members[prev.assignment[j]].discard(j)
-                    members[seg.assignment[j]].add(j)
-            for s in touched:
-                supports[s], starts[s] = seg.supports[s], t
-        prev = seg
-    t = float(prev.t_end)
-    for s in range(instance.m):
-        close(s, t)
-    return FeasibilityReport(worst <= FEASIBILITY_TOL, worst, worst_t, worst_obj)
-
-
-def _peak_violation(p, r, t0, t1) -> tuple[float, float]:
-    """The largest of v(t) = (p(t) - r(t)) / max(r(t), 1) over [t0, t1] and
-    the earliest of the times below that reaches it, for the coefficients p
-    and r of two quadratics.  v is p - r where r <= 1, which peaks at its
-    vertex, and p / r - 1 where r > 1, whose derivative has the sign of
-    p'r - pr', a quadratic (the cubic terms cancel).  So v peaks at t0, at
-    t1, where r crosses 1, at the vertex of p - r or at a root of p'r - pr'.
-    """
-    (pa, pb, pc), (ra, rb, rc) = p, r
-    times = [t0, t1]
-    if t0 < t1:
-        if pa != ra:
-            times.append(min(max(-(pb - rb) / (2 * (pa - ra)), t0), t1))
-        for a, b, c in ((ra, rb, rc - 1.0),
-                        (pa * rb - pb * ra, 2 * (pa * rc - pc * ra), pb * rc - pc * rb)):
-            times += quadratic_roots(QuadraticPoly(a, b, c), t0, t1)
-    best, best_t = -math.inf, None
-    for t in sorted(times):
-        d2, r2 = (pa * t + pb) * t + pc, (ra * t + rb) * t + rc
-        v = (d2 - r2) / max(r2, 1.0)
-        if v > best:
-            best, best_t = v, t
-    return best, best_t

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_instance, random_sizes
+from kdcover.certificate import check_feasible
 from kdcover.cli import main as cli_main
 from kdcover.envelope import (
     SolutionTimeline,
@@ -24,7 +25,7 @@ from kdcover.envelope import (
 )
 from kdcover.geometry import MovingInstance, Point2, QuadraticPoly, Trajectory
 from kdcover.instances import GenParams, generate, write_instance
-from kdcover.kinetic import ImprovementFlags, check_feasible
+from kdcover.kinetic import ImprovementFlags
 from kdcover.minmax import SolverConfig, fixed_nn_baseline, solve_minmax
 from kdcover.static_cover import (
     brute_force_cover,

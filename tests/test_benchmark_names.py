@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from kdcover import cli, envelope, kinetic, minmax
+from kdcover import certificate, cli, envelope, kinetic, minmax
 from kdcover.exactarith import QuadraticNumber
 from kdcover.instances import GenParams, generate
 from kdcover.kinetic import ImprovementFlags
@@ -89,6 +89,13 @@ def test_verify_result_takes_doc_instance_samples_positionally():
     res = solve_minmax(inst, SolverConfig())
     doc = json.loads(cli.result_to_json("inst", "exact", ImprovementFlags(), {}, res))
     assert cli.verify_result(doc, inst, 50) == []
+
+
+def test_cli_binds_the_certificate_writer_and_checker():
+    """The benchmark reaches the writer and checker through `cli`; they are
+    the `certificate` functions, not second copies."""
+    assert cli.result_to_json is certificate.result_to_json
+    assert cli.verify_result is certificate.verify_result
 
 
 # Candidate disks at the given time, one per station and distinct

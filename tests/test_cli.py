@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from kdcover import cli
+from kdcover import certificate, cli
+from kdcover.certificate import result_segments, result_to_json
 from kdcover.cli import (
     ALGORITHMS,
     CSV_FIELDS,
@@ -20,8 +21,6 @@ from kdcover.cli import (
     flags_label,
     main,
     parse_flags,
-    result_segments,
-    result_to_json,
 )
 from kdcover.geometry import MovingInstance, Point2, Trajectory, squared_distance_poly
 from kdcover.instances import GenParams, generate, read_instance, write_instance
@@ -166,21 +165,24 @@ def test_check_mismatched_pair(tmp_path):
 
 
 def test_result_timeline_round_trips_through_moves():
-    inst = generate(GenParams(n=60, m=6, seed=4))
-    flags = ImprovementFlags(no_dup=True, imp_ext=True, part_ext=True)
-    result = solve_minmax(inst, SolverConfig(static_backend="nn", flags=flags))
-    doc = json.loads(result_to_json("x", "nn", flags, {}, result))
-    segs = result.timeline.segments
-    assert len(segs) > 5
-    assert [(s.t_start, s.t_end, s.assignment, s.supports) for s in result_segments(doc)] == [
-        (s.t_start, s.t_end, s.assignment, s.supports) for s in segs
-    ]
-    # Only the objects that change station are stored after the first segment.
-    stored = doc["timeline"]["segments"]
-    assert stored[0]["moves"] == []
-    for prev, seg, raw in zip(segs, segs[1:], stored[1:]):
-        changed = [j for j, (a, b) in enumerate(zip(prev.assignment, seg.assignment)) if a != b]
-        assert [j for j, _ in raw["moves"]] == changed
+    """Every kind of result, the exact-arithmetic one with `QuadraticNumber`
+    times, reads back as its timeline, times through `float`."""
+    moved = 0
+    for _, algorithm, flags, result in valid_results():
+        doc = json.loads(result_to_json("x", algorithm, flags, {}, result))
+        segs = result.timeline.segments
+        assert [(s.t_start, s.t_end, s.assignment, s.supports) for s in result_segments(doc)] == [
+            (float(s.t_start), float(s.t_end), s.assignment, s.supports) for s in segs
+        ], algorithm
+        # Only the objects that change station are stored after the first segment.
+        stored = doc["timeline"]["segments"]
+        assert stored[0]["moves"] == []
+        for prev, seg, raw in zip(segs, segs[1:], stored[1:]):
+            changed = [j for j, (a, b) in enumerate(zip(prev.assignment, seg.assignment))
+                       if a != b]
+            assert [j for j, _ in raw["moves"]] == changed, algorithm
+            moved += bool(changed)
+    assert moved > 5
 
 
 def test_check_rejects_nonpositive_samples(tmp_path):
@@ -700,8 +702,8 @@ def reference_result_to_json(instance_id, algorithm, flags, config, result):
     `json.dumps(doc, indent=2)`, each move found by a scan over every object."""
     tl = result.timeline
     doc = {
-        "format": cli.RESULT_FORMAT,
-        "version": cli.RESULT_VERSION,
+        "format": certificate.RESULT_FORMAT,
+        "version": certificate.RESULT_VERSION,
         "instance_id": instance_id,
         "algorithm": algorithm,
         "flags": {field: getattr(flags, field) for field in cli.FLAG_FIELDS.values()},
@@ -838,19 +840,20 @@ EXISTING_TAMPERS = [
 def test_every_tamper_keeps_its_verdict(tmp_path):
     """Each tamper on `solved_pair`'s result keeps the verdict that
     `verify_result` gave it with the sampled check and the midpoint derive:
-    the tampers in `raises` raise an error; `claim_another_format` passes,
+    the tampers in `raises` raise FormatError; `claim_another_format` passes,
     because the format tag is `load_result`'s to check; every other tamper
     is reported as a problem."""
     raises = {drop_timeline, move_unknown_object, assign_a_list, move_to_a_list, spell_a_time,
               spell_the_upper_bound, drop_value, value_as_text, value_true,
-              station_one_as_true, move_true_in_place}
+              station_one_as_true, move_true_in_place, upper_as_true, lower_as_true,
+              gap_as_true}
     inst_path, _, clean = solved_pair(tmp_path)
     inst = read_instance(inst_path)
     for tamper in EXISTING_TAMPERS + NEW_TAMPERS:
         doc = json.loads(json.dumps(clean))
         tamper(doc)
         if tamper in raises:
-            with pytest.raises((cli.FormatError, TypeError)):
+            with pytest.raises(cli.FormatError):
                 cli.verify_result(doc, inst)
         elif tamper is claim_another_format:
             assert cli.verify_result(doc, inst) == [], tamper
@@ -931,7 +934,8 @@ def shift_a_support_change_earlier(doc):
 
 NEW_TAMPERS = [nan_objective, inf_constant, minus_inf_constant, value_one, value_inf,
                value_nan, drop_value, value_as_text, value_true, station_one_as_true,
-               move_true_in_place, supports_as_booleans]
+               move_true_in_place, supports_as_booleans, upper_as_true, lower_as_true,
+               gap_as_true]
 
 
 @pytest.fixture(scope="module")

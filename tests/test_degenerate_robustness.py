@@ -11,9 +11,10 @@ from fractions import Fraction
 
 import pytest
 
+from kdcover.certificate import check_feasible
 from kdcover.geometry import MovingInstance, Point2, Trajectory
 from kdcover.instances import GenParams, generate
-from kdcover.kinetic import ImprovementFlags, check_feasible, extend
+from kdcover.kinetic import ImprovementFlags, extend
 from kdcover.minmax import SolverConfig, solve_minmax
 from kdcover.static_cover import enumerate_candidates, nn_heuristic, solve_exact
 

@@ -6,7 +6,9 @@ from random import Random
 import pytest
 
 from conftest import assert_timelines_agree, random_instance, random_sizes
+import kdcover.certificate as certificate
 import kdcover.kinetic as kinetic
+from kdcover.certificate import check_feasible
 from kdcover.envelope import SolutionTimeline, TimelineSegment
 from kdcover.geometry import (
     ZERO_POLY,
@@ -19,7 +21,7 @@ from kdcover.geometry import (
     squared_distance_poly,
 )
 from kdcover.instances import GenParams, generate
-from kdcover.kinetic import ImprovementFlags, check_feasible, dedup_improve, extend
+from kdcover.kinetic import ImprovementFlags, dedup_improve, extend
 from kdcover.minmax import SolverConfig, fixed_nn_baseline, solve_minmax
 from kdcover.static_cover import enumerate_candidates, nn_heuristic, solve_exact
 
@@ -267,7 +269,8 @@ def reference_check_feasible(segments, instance, sample_count=4000):
             violation = (d2 - radius[s]) / max(radius[s], 1.0)
             if violation > worst:
                 worst, worst_t, worst_obj = violation, t, j
-    return kinetic.FeasibilityReport(worst <= kinetic.FEASIBILITY_TOL, worst, worst_t, worst_obj)
+    return certificate.FeasibilityReport(worst <= certificate.FEASIBILITY_TOL, worst, worst_t,
+                                         worst_obj)
 
 
 def tampered(segments, m, seed):
@@ -811,7 +814,7 @@ def test_exact_distance_rows_match_squared_distance_poly():
 
     for inst in (base.as_exact(), remap(base, ints), remap(base, mixed)):
         assert inst.lift is not None
-        rows, floats = kinetic.distance_rows(inst), kinetic.float_rows(inst)
+        rows, floats = kinetic.distance_rows(inst), certificate.float_rows(inst)
         for s, st in enumerate(inst.stations):
             for j in rng.sample(range(inst.n), inst.n):  # rows fill in any order
                 want, got, den = squared_distance_poly(st, inst.objects[j]), rows[s][j], rows[s].den

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import assert_timelines_agree, random_instance, random_sizes
 from kdcover import cli, minmax
+from kdcover.certificate import check_feasible
 from kdcover.envelope import SolutionTimeline, TimelineSegment, timeline_cost
 from kdcover.geometry import (
     MovingInstance,
@@ -16,7 +17,7 @@ from kdcover.geometry import (
     compare_event_times,
 )
 from kdcover.instances import GenParams, generate
-from kdcover.kinetic import ImprovementFlags, check_feasible
+from kdcover.kinetic import ImprovementFlags
 from kdcover.minmax import (
     SolverConfig,
     fixed_nn_baseline,
