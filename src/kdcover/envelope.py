@@ -14,10 +14,12 @@ two timelines over the same span.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import QuadraticPoly, compare_event_times, quadratic_roots, sign_ahead
+from .geometry import (QuadraticPoly, compare_event_times, quadratic_roots, sign_ahead,
+                       value_bound)
 
 __all__ = [
     "Assignment",
@@ -96,17 +98,42 @@ def argmax_timeline(timeline: SolutionTimeline, excluded=()) -> tuple:
 
     Every segment objective opens upward, so only segment endpoints are
     inspected; ties resolve to the smallest t.
+
+    A timeline with exact coefficients is filtered first: each endpoint's
+    value is bounded by `value_bound` on the doubles of its coefficients
+    and time, and only the endpoints whose upper bound reaches the largest
+    lower bound are evaluated exactly, in the same order and with the same
+    strict test (`_near_peak`).  Every endpoint left out is strictly below
+    one of those, so the peak and its tie-break are those of evaluating
+    every endpoint.
     """
+    ends = [(t, seg.poly) for seg in timeline.segments for t in (seg.t_start, seg.t_end)
+            if not (excluded and any(compare_event_times(t, ex) == 0 for ex in excluded))]
+    if ends and not isinstance(ends[0][1].a, float):
+        ends = _near_peak(ends)
     best_t = None
     best_v = None
-    for seg in timeline.segments:
-        for t in (seg.t_start, seg.t_end):
-            if excluded and any(compare_event_times(t, ex) == 0 for ex in excluded):
-                continue
-            v = seg.poly(t)
-            if best_v is None or v > best_v:
-                best_t, best_v = t, v
+    for t, p in ends:
+        v = p(t)
+        if best_v is None or v > best_v:
+            best_t, best_v = t, v
     return best_t, best_v
+
+
+def _near_peak(ends) -> list:
+    """The (t, poly) endpoints, in order, whose `value_bound` upper bound
+    reaches the largest lower bound."""
+    bounds, last = [], None
+    for t, p in ends:
+        if p is not last:  # a segment's two endpoints share its coefficients
+            last = p
+            try:
+                coefs = (float(p.a), float(p.b), float(p.c))
+            except OverflowError:  # beyond the float range: an infinite bound
+                coefs = (math.inf, 0.0, 0.0)
+        bounds.append(value_bound(coefs, float(t)))
+    floor = max([v - e for v, e in bounds])
+    return [end for end, (v, e) in zip(ends, bounds) if v + e >= floor]
 
 
 def _clip(segments, lo, hi) -> list[TimelineSegment]:

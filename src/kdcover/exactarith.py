@@ -71,7 +71,8 @@ class QuadraticNumber:
     Arithmetic is supported with ints, Fractions, and other
     QuadraticNumbers over the same radicand (the same d, not merely the
     same square-free part); comparisons additionally accept floats, which
-    compare by their exact rational value.
+    compare as Fraction compares them: by their exact rational value, with
+    +-inf beyond every number and NaN unordered.
     """
 
     __slots__ = ("p", "q", "r", "d", "_float")
@@ -169,13 +170,20 @@ class QuadraticNumber:
     # -- comparisons ------------------------------------------------------
 
     def compare(self, other) -> int:
-        """-1, 0 or +1; exact.  Floats compare by their exact rational value.
+        """-1, 0 or +1; exact.  Floats compare by their exact rational value,
+        +-inf as beyond every number.  NaN is unordered: comparing with it
+        raises ValueError, and every operator but != answers False, as for
+        a Fraction.
 
         The sign of self - other is that of (p1*r2 - p2*r1) + q1*r2*sqrt(d1)
         - q2*r1*sqrt(d2), since both denominators are positive.
         """
         if isinstance(other, QuadraticNumber):
             p, q, r, d = other.p, other.q, other.r, other.d
+        elif isinstance(other, float) and not math.isfinite(other):
+            if other != other:
+                raise ValueError("NaN is unordered")
+            return -1 if other > 0 else 1
         elif isinstance(other, (int, Fraction, float)):
             p, r = other.as_integer_ratio()
             q = d = 0
@@ -188,18 +196,32 @@ class QuadraticNumber:
             return self.compare(other) == 0
         except TypeError:
             return NotImplemented
+        except ValueError:  # NaN
+            return False
 
     def __lt__(self, other):
-        return self.compare(other) < 0
+        try:
+            return self.compare(other) < 0
+        except ValueError:  # NaN
+            return False
 
     def __le__(self, other):
-        return self.compare(other) <= 0
+        try:
+            return self.compare(other) <= 0
+        except ValueError:  # NaN
+            return False
 
     def __gt__(self, other):
-        return self.compare(other) > 0
+        try:
+            return self.compare(other) > 0
+        except ValueError:  # NaN
+            return False
 
     def __ge__(self, other):
-        return self.compare(other) >= 0
+        try:
+            return self.compare(other) >= 0
+        except ValueError:  # NaN
+            return False
 
     def __hash__(self):
         # The rational part, the square of the irrational part and its sign

@@ -331,8 +331,9 @@ def compare_event_times(a, b) -> int:
     """Order two event times: -1, 0 or +1.
 
     If either side is exact (Fraction or QuadraticNumber) the comparison is
-    decided by integer sign computations with no rounding; a plain float
-    pair compares with absolute tolerance `TIME_EPS`.
+    exact, with no rounding (`QuadraticNumber.compare`; a NaN raises
+    ValueError there); a plain float pair compares with absolute tolerance
+    `TIME_EPS`.
     """
     if isinstance(a, float) and isinstance(b, float):
         if abs(a - b) <= TIME_EPS:

@@ -13,10 +13,12 @@ levels, coverage bitmasks and each object's first covering level, in one
 O(nm log n) pass.  Every solver reads that one structure.  In exact
 arithmetic the distances at one time share a denominator, so the pass
 sorts and compares integer keys (`_exact_columns`) and builds one exact
-number per level.
+number per level; the search then picks its branch objects from the
+levels' doubles, computing exact increments only where a certified error
+bound cannot decide (`Candidates.branch_object`).
 
 The O(nm) passes over it (the relaxation below, cover counts, the greedy
-completion's increments, the node bounds' column minima) run as C-level
+completion's increments, the branch object's column minima) run as C-level
 `itertools`/`operator` passes, gathering the multipliers in a station's
 order with one `itemgetter` per station.  Each computes every float with
 the same operations in the same order as an element-by-element loop
@@ -53,7 +55,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
-from operator import add, gt, itemgetter, le, lshift, mul, ne, or_, sub
+from operator import add, ge, gt, itemgetter, le, lshift, mul, ne, or_, sub
 
 from .exactarith import QuadraticNumber
 from .geometry import MovingInstance
@@ -276,7 +278,8 @@ class Candidates:
     and `fvalues` (floats), `masks` (coverage bitmasks), `last[s][k]` (the
     position in the order of level k's outermost object), `rank[s][j]` (the
     level at which object j enters the prefix) and `reach[s][j]` (that
-    level's value; `freach[j]` holds the float values per station).  Every
+    level's value; `fcolumns[s][j]` holds its float value, and `freach[j]`
+    the float values of object j per station).  Every
     station covers every object at its top level.  `gather[s]` maps a
     sequence indexed by object to the tuple of its entries in `orders[s]`,
     and `ends[s]` flags, per position in that order, the outermost object
@@ -286,7 +289,7 @@ class Candidates:
     (-1 for none), set by `cap` and lifted to the top by `reset_caps`.
     `gather[s]` reads `orders[s]` only up to the cap, so `lagrangian`
     reads no level past it and bounds only the covers within the caps.
-    `cover_counts`, `min_increments`, `complete` and `improve` read every
+    `cover_counts`, `branch_object`, `complete` and `improve` read every
     level: the primal heuristics may raise a station past its cap.
 
     Candidate i is level i - offset[s] of station s: numbering is
@@ -323,8 +326,12 @@ class Candidates:
         self.universe = (1 << n) - 1
         self.fvalues = [[float(v) for v in vals] for vals in self.values]
         self.reach = [[vals[r] for r in rank] for vals, rank in zip(self.values, self.rank)]
-        self.freach = list(zip(*[[fv[r] for r in rank]
-                                 for fv, rank in zip(self.fvalues, self.rank)]))
+        self.fcolumns = [[fv[r] for r in rank] for fv, rank in zip(self.fvalues, self.rank)]
+        self.freach = list(zip(*self.fcolumns))
+        # `branch_object`'s bound E = 4u*top + 2**-1073 (u = _ULP / 2) on a
+        # float increment's error: none when the floats are the values
+        top = max([fv[-1] for fv in self.fvalues if fv], default=0.0)
+        self._increment_error = 0.0 if value is None else 2 * _ULP * top + 2.0**-1073
         self.caps, self.gather = [None] * self.n_stations, [None] * self.n_stations
         self.reset_caps()
 
@@ -407,13 +414,54 @@ class Candidates:
             self.orders[s][: self.last[s][lvl] + 1] for s, lvl in enumerate(levels) if lvl >= 0))
         return list(map(count.get, range(self.n_objects), repeat(0)))
 
-    def min_increments(self, levels):
-        """Per object, the least increment over the given levels of a
-        single disk covering it (exact values)."""
-        cols = [reach if lvl < 0 else map(sub, reach, repeat(vals[lvl]))
-                for reach, vals, lvl in zip(self.reach, self.values, levels)]
+    def branch_object(self, levels, is_open):
+        """(maxmin, j): the largest exact least increment over the given
+        levels of a single disk covering an open object (flagged in
+        `is_open`), 0 when that is not positive, and the lowest-index open
+        object that attains it.
+
+        Decided in float first.  Each object's float least increment is one
+        C-level pass, `map(sub, ...)` per station and `map(min, ...)` across
+        them.  Every exact value x is a squared distance in [0, T] held as
+        its correctly rounded double, within u*x + 2**-1075 of it (u =
+        2**-53; the half subnormal covers underflow), and `top`, the double
+        of T, is at least T(1 - u).  So a float increment fl(fl(x) - fl(y))
+        lies within 2uT + 2**-1074 + u*top of x - y (a difference that
+        underflows is exact), which is below E = 4u*top + 2**-1073, and so
+        does an object's float least increment of its exact one, since a
+        minimum moves no more than its terms.  An object attaining maxmin
+        then has a float least increment of at least the largest one less
+        2E, and at a station attaining its exact least increment a float
+        increment within 2E of its float least one.  Only those objects, at
+        only those stations, are computed exactly.  2E exceeds twice the
+        error by almost 2u*top, more than the rounding of either threshold,
+        at most u*(top + 2E).  In float mode the floats are the values and
+        E = 0; a distance that overflows to +inf makes the threshold +inf,
+        and the filter keeps the objects whose least increment is +inf, at
+        every station (an open object's increment is never NaN: its level
+        lies above the station's, below the top, so the station's value is
+        finite).
+        """
+        cur = [fv[lvl] if lvl >= 0 else 0.0 for fv, lvl in zip(self.fvalues, levels)]
+        cols = [fc if lvl < 0 else map(sub, fc, repeat(c))
+                for fc, c, lvl in zip(self.fcolumns, cur, levels)]
         # map(min, col) would call min on each single value
-        return list(map(min, *cols)) if len(cols) > 1 else list(cols[0])
+        low = list(map(min, *cols)) if len(cols) > 1 else list(cols[0])
+        opened = list(compress(range(self.n_objects), is_open))
+        lows = list(compress(low, is_open))
+        width = 2 * self._increment_error
+        floor = max(lows) - width
+        reach, values, stations = self.reach, self.values, range(self.n_stations)
+        maxmin = j = None
+        for o in compress(opened, map(ge, lows, repeat(floor))):
+            incs = map(sub, self.freach[o], cur)
+            near = compress(stations, map(le, incs, repeat(low[o] + width)))
+            least = min([reach[s][o] if levels[s] < 0 else reach[s][o] - values[s][levels[s]]
+                         for s in near])
+            if maxmin is None or least > maxmin:
+                maxmin, j = least, o
+        # Open objects all tying at zero increment come out as the lowest.
+        return (maxmin, j) if maxmin > 0 else (0, j)
 
     def cheapest_raise(self, j, cur):
         """(increment, station) of the cheapest raise covering object j from
@@ -502,7 +550,8 @@ class BranchBoundBackend(SolverBackend):
     picks the level minimizing its increment minus the u of the objects it
     covers, an O(nm) pass over the shared orders (`Candidates.lagrangian`).
     A node's bound is the committed area plus the larger of that value and
-    the max-min single-disk increment.  Each child is pushed with the same
+    the max-min single-disk increment (`Candidates.branch_object`, which
+    also picks the branch object).  Each child is pushed with the same
     relaxation, its station forced to the child's level or above, so a
     child that cannot beat the incumbent is never queued.  The float
     Lagrangian value is lowered by a rounding margin (`_margin`) and, in
@@ -748,15 +797,8 @@ class BranchBoundBackend(SolverBackend):
         child's level or above (None past the station's cap).  Also returns
         the relaxation; at the root it first fixes levels against
         `best_cost`."""
-        cheapest = lv.min_increments(levels)
         is_open = lv.uncovered(covered)
-        maxmin = max(compress(cheapest, is_open))
-        if maxmin > 0:
-            j = next(j for j in compress(range(lv.n_objects), is_open) if cheapest[j] == maxmin)
-        else:
-            # All uncovered objects tie at zero increment; branch on the lowest.
-            maxmin = 0
-            j = is_open.index(True)
+        maxmin, j = lv.branch_object(levels, is_open)
         weights = [x if o else 0.0 for o, x in zip(is_open, u)]
         total, chosen, scale, reduced = lv.lagrangian(levels, weights)
         margin = _margin(scale + abs(float(committed)), lv)

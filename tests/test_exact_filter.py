@@ -1,17 +1,24 @@
-"""The float filter of exact mode (`geometry.value_bound`) and the kinetic
+"""The float filters of exact mode.  `geometry.value_bound` and the kinetic
 engine's use of it: the bound holds, the root screen never hides a root,
 and with the filter turned off (an infinite bound) every exact timeline is
-the same, while the filter removes most exact evaluations."""
+the same, while the filter removes most exact evaluations.  And the two
+other filters in front of exact decisions: `QuadraticNumber.compare` on
+the doubles that its operands hold, and `argmax_timeline` on exact
+timelines, each against the exact computation alone."""
 
 import math
+import operator
 from fractions import Fraction
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kdcover.kinetic as kinetic
-from kdcover.geometry import QuadraticPoly, quadratic_roots, value_bound
+from kdcover.envelope import SolutionTimeline, TimelineSegment, argmax_timeline
+from kdcover.exactarith import QuadraticNumber
+from kdcover.geometry import QuadraticPoly, compare_event_times, quadratic_roots, value_bound
 from kdcover.instances import GenParams, generate
 from kdcover.kinetic import ImprovementFlags, dedup_improve, extend
 from kdcover.minmax import SolverConfig, solve_minmax
@@ -246,3 +253,169 @@ def test_filter_falls_back_on_ties_and_skips_most_exact_values(monkeypatch):
         filtered = exact_evaluations(monkeypatch, run, True)
         unfiltered = exact_evaluations(monkeypatch, run, False)
         assert 3 * filtered <= unfiltered, (seed, filtered, unfiltered)
+
+
+# -- QuadraticNumber.compare: the doubles first ------------------------------
+
+OPERATORS = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def uncached(x):
+    """x with no double held (a float is returned as it is)."""
+    return QuadraticNumber(x.p, x.q, x.r, x.d) if isinstance(x, QuadraticNumber) else x
+
+
+def cached(x):
+    x = uncached(x)
+    if isinstance(x, QuadraticNumber):
+        float(x)
+    return x
+
+
+def random_number(rng) -> QuadraticNumber:
+    """(p + q*sqrt(d))/r over a few radicands, rational one time in five."""
+    q = 0 if rng.random() < 0.2 else rng.randint(-10 ** 6, 10 ** 6)
+    return QuadraticNumber(rng.randint(-10 ** 7, 10 ** 7), q, rng.randint(1, 10 ** 5),
+                           rng.choice((2, 3, 8, 12)))
+
+
+def comparison_pairs():
+    """Random pairs, pairs whose doubles are equal while their values
+    differ (a number and the same number plus 2**-k, k = 60..90), equal
+    pairs in two forms, and numbers against floats: random ones, their own
+    double and its two neighbours, zero and the infinities."""
+    rng = Random(30)
+    tiny = QuadraticNumber(1, 0, 1, 0), QuadraticNumber(2 ** 60 + 1, 0, 2 ** 60, 0)
+    pairs = [tiny, tiny[::-1], (QuadraticNumber(0, 1, 1, 8), QuadraticNumber(0, 2, 1, 2))]
+    for _ in range(300):
+        x, y = random_number(rng), random_number(rng)
+        near = x + Fraction(rng.choice((-1, 1)), 2 ** rng.randint(60, 90))
+        pairs += [(x, y), (x, near), (near, x), (x, uncached(x)), (x, -x)]
+        fx = float(uncached(x))
+        pairs += [(x, f) for f in (fx, math.nextafter(fx, math.inf),
+                                   math.nextafter(fx, -math.inf), rng.uniform(-200, 200),
+                                   0.0, math.inf, -math.inf)]
+    return pairs
+
+
+def exact_order(x, y) -> int:
+    """The sign computation's order, with no double held; an infinity by
+    its sign."""
+    if isinstance(y, float) and math.isinf(y):
+        return -1 if y > 0 else 1
+    return uncached(x).compare(uncached(y))
+
+
+def test_compare_on_held_doubles_matches_the_exact_order():
+    """With doubles held on neither side, one or both, compare and every
+    operator give what the sign computation alone gives."""
+    same_double = 0
+    for x, y in comparison_pairs():
+        exact = exact_order(x, y)
+        if isinstance(y, QuadraticNumber):
+            same_double += float(uncached(x)) == float(uncached(y)) and exact != 0
+        for a, b in ((uncached(x), uncached(y)), (cached(x), uncached(y)),
+                     (uncached(x), cached(y)), (cached(x), cached(y))):
+            assert a.compare(b) == exact, (x, y)
+            assert [op(a, b) for op in OPERATORS] == [op(exact, 0) for op in OPERATORS], (x, y)
+    assert same_double >= 100
+
+
+@pytest.mark.parametrize("held", (False, True))
+def test_comparisons_with_infinities_and_nan_follow_fraction(held):
+    """+-inf order beyond every number and NaN is unordered, as for a
+    Fraction, whether or not the number holds its double."""
+    for x in (QuadraticNumber(1, 1, 2, 2), QuadraticNumber(-3, 0, 1, 0),
+              QuadraticNumber(0, 0, 1, 0)):
+        x = cached(x) if held else uncached(x)
+        proxy = Fraction(x.p, x.r)  # any finite Fraction orders the same against these
+        for f in (math.inf, -math.inf, math.nan):
+            for op in OPERATORS:
+                assert op(x, f) == op(proxy, f), (x, f, op)
+                assert op(f, x) == op(f, proxy), (f, x, op)
+        assert (x.compare(math.inf), x.compare(-math.inf)) == (-1, 1)
+        with pytest.raises(ValueError):
+            x.compare(math.nan)
+
+
+# -- argmax_timeline on exact timelines --------------------------------------
+
+
+def reference_argmax(timeline, excluded=()):
+    """Every endpoint evaluated exactly, in order, the first largest kept."""
+    best_t = best_v = None
+    for seg in timeline.segments:
+        for t in (seg.t_start, seg.t_end):
+            if any(compare_event_times(t, ex) == 0 for ex in excluded):
+                continue
+            v = seg.poly(t)
+            if best_v is None or v > best_v:
+                best_t, best_v = t, v
+    return best_t, best_v
+
+
+def exact_timeline(times, polys):
+    return SolutionTimeline(tuple(TimelineSegment(t0, t1, (k,), (None,), p) for k, (t0, t1, p)
+                                  in enumerate(zip(times, times[1:], polys))))
+
+
+def test_argmax_filter_examples():
+    half, eps = Fraction(1, 2), Fraction(1, 2 ** 60)
+    one = QuadraticPoly(Fraction(0), Fraction(0), Fraction(1))
+    above = QuadraticPoly(Fraction(0), Fraction(0), 1 + eps)  # the same double as 1
+    assert float(1 + eps) == 1.0
+    # two values that round to one double: the exact one decides
+    assert argmax_timeline(exact_timeline((0, half, 1), (one, above))) == (half, 1 + eps)
+    assert argmax_timeline(exact_timeline((0, half, 1), (above, one))) == (0, 1 + eps)
+    # cancelling terms: 1 + 2**-20 at t = 1, read as 1.0 with a wide bound,
+    # beats a constant 1 + 2**-30 whose double is its value
+    cancel = QuadraticPoly(2 ** 40 + Fraction(1, 2 ** 20), Fraction(-2 ** 40), Fraction(1))
+    level = QuadraticPoly(Fraction(0), Fraction(0), 1 + Fraction(1, 2 ** 30))
+    assert value_bound((float(cancel.a), float(cancel.b), float(cancel.c)), 1.0)[0] == 1.0
+    assert argmax_timeline(exact_timeline((half, 1), (cancel,)), (half,)) == (1, cancel(1))
+    assert argmax_timeline(exact_timeline((0, half, 1), (level, cancel))) == (1, cancel(1))
+    # an exact tie between t = 0 and t = 1 (and between irrational times):
+    # the smaller wins
+    bowl = QuadraticPoly(Fraction(20), Fraction(-20), Fraction(5))  # 5 at 0 and 1, 0 at 1/2
+    tied = exact_timeline((0, half, 1), (bowl, bowl))
+    assert argmax_timeline(tied) == (0, 5)
+    assert argmax_timeline(tied, excluded=(Fraction(0),)) == (1, 5)
+    assert argmax_timeline(tied, excluded=(0, half, 1)) == (None, None)
+    # 8t**2 - 8t + 1 = 0 at two irrational times, where the bowl is 5/2
+    lo, hi = quadratic_roots(QuadraticPoly(Fraction(8), Fraction(-8), Fraction(1)), 0, 1)
+    assert not lo.is_rational and bowl(lo) == bowl(hi) == Fraction(5, 2)
+    around = exact_timeline((lo, half, hi), (bowl, bowl))
+    assert argmax_timeline(around) == reference_argmax(around)
+    assert argmax_timeline(around)[0] is lo
+    # coefficients past the float range: an infinite bound, exact values
+    huge = QuadraticPoly(Fraction(10 ** 400), Fraction(0), Fraction(1))
+    wide = exact_timeline((0, half, 1), (bowl, huge))
+    assert argmax_timeline(wide) == (1, 10 ** 400 + 1) == reference_argmax(wide)
+    for timeline in (tied, around, wide):
+        for excluded in ((), (half,), (lo,), (Fraction(0), Fraction(1))):
+            assert repr(argmax_timeline(timeline, excluded)) == repr(
+                reference_argmax(timeline, excluded))
+
+
+def test_argmax_filter_matches_the_reference_scan():
+    """Random exact timelines with Fraction and irrational times, objective
+    values often within a few units in the last place of one another, and
+    random excluded times."""
+    rng = Random(7)
+    for trial in range(300):
+        k = rng.randint(1, 8)
+        times = {Fraction(rng.randint(1, 999), 1000) for _ in range(k)}
+        if trial % 2:
+            times |= {r for r in quadratic_roots(
+                QuadraticPoly(Fraction(rng.randint(1, 9)), Fraction(-rng.randint(1, 9)),
+                              Fraction(rng.randint(0, 2), rng.randint(1, 9))), 0, 1)
+                      if 0 < r < 1}
+        times = [Fraction(0), *sorted(times), Fraction(1)]
+        base = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 3))
+        polys = [QuadraticPoly(Fraction(rng.randint(0, 3)), Fraction(rng.randint(-3, 3)),
+                               base + Fraction(rng.randint(-2, 2), 2 ** rng.choice((20, 55, 80))))
+                 for _ in times[1:]]
+        timeline = exact_timeline(times, polys)
+        excluded = tuple(rng.sample(times, rng.randint(0, 2)))
+        assert repr(argmax_timeline(timeline, excluded)) == repr(
+            reference_argmax(timeline, excluded)), trial

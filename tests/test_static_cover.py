@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress, product, repeat
 from operator import add, gt, le, mul, ne, sub
 from random import Random
 
@@ -9,7 +9,8 @@ import pytest
 from conftest import random_instance, random_sizes
 from kdcover import static_cover
 from kdcover.exactarith import QuadraticNumber
-from kdcover.geometry import MovingInstance, Point2, Trajectory
+from kdcover.geometry import (MovingInstance, Point2, Trajectory, quadratic_roots,
+                              squared_distance_poly)
 from kdcover.instances import GenParams, generate
 from kdcover.static_cover import (
     BranchBoundBackend,
@@ -930,6 +931,15 @@ def reference_min_increments(lv, levels):
     return [min(incs) for incs in zip(*cols)]
 
 
+def reference_branch_object(lv, levels, is_open):
+    """(the largest least increment over the open objects, the first open
+    object attaining it), with 0 for a largest one that is not positive."""
+    cheapest = reference_min_increments(lv, levels)
+    maxmin = max(compress(cheapest, is_open))
+    j = next(j for j in compress(range(lv.n_objects), is_open) if cheapest[j] == maxmin)
+    return (maxmin, j) if maxmin > 0 else (0, j)
+
+
 def random_caps(lv, rng):
     """Each station capped at a random level, -1 (no level) included."""
     caps = [rng.randrange(-1, len(v)) for v in lv.values]
@@ -938,32 +948,48 @@ def random_caps(lv, rng):
     return caps
 
 
+def event_time(inst):
+    """An irrational event time in (0, 1) of an exact instance: a root of
+    the difference of two of its squared-distance polynomials."""
+    polys = [squared_distance_poly(st, ob) for st in inst.stations for ob in inst.objects]
+    return next(r for p1, p2 in zip(polys, polys[1:])
+                for r in quadratic_roots(p1 - p2, Fraction(0), Fraction(1)) if not r.is_rational)
+
+
 def gather_cases():
     """Candidates on random and same-start instances (whose objects share
     one point at t=0, so each station's levels tie), with one object or one
-    station, on an integer grid (partial ties), and in exact arithmetic."""
+    station, on an integer grid (partial ties), and in exact arithmetic:
+    at a rational time, at an irrational event time, and on the integer
+    grid, where different objects have equal increments."""
     for seed in range(4):
         for klass in ("random", "same_start"):
             inst = generate(GenParams(n=30, m=5, seed=seed, instance_class=klass))
             yield enumerate_candidates(inst, 0.0)
             yield enumerate_candidates(inst, 0.5)
             yield enumerate_candidates(inst.as_exact(), Fraction(1, 3))
+    exact = generate(GenParams(n=30, m=5, seed=4)).as_exact()
+    yield enumerate_candidates(exact, event_time(exact))
     yield enumerate_candidates(stationary([(1.0, 2.0)], [(0.0, 0.0), (3.0, 1.0)]), 0.0)
     yield enumerate_candidates(random_instance(20, 1, 3), 0.25)
     yield enumerate_candidates(stationary([(1.0, 2.0)], [(0.0, 0.0)]), 0.0)
     grid = Random(100)
-    yield enumerate_candidates(stationary(
+    grid_instance = stationary(
         [(grid.randint(0, 4), grid.randint(0, 4)) for _ in range(40)],
-        [(grid.randint(0, 4), grid.randint(0, 4)) for _ in range(6)]), 0.0)
+        [(grid.randint(0, 4), grid.randint(0, 4)) for _ in range(6)])
+    yield enumerate_candidates(grid_instance, 0.0)
+    yield enumerate_candidates(grid_instance, Fraction(0))
 
 
 def test_gathers_match_element_by_element_references():
     """At the top caps and at random ones, with committed levels up to the
     top, some past the caps: the relaxation reads levels up to the caps,
-    the cover counts and increments every level."""
+    the cover counts and the branch object every level."""
     rng = Random(8)
-    tied = capped = False
+    tied = capped = quadratic = shared = False
     for lv in gather_cases():
+        exact = not isinstance(lv.values[0][0], float)
+        quadratic |= isinstance(lv.values[0][0], QuadraticNumber)
         tied |= any(ends is not None for ends in lv.ends)
         top = max(max(fv) for fv in lv.fvalues) or 1.0
         for trial in range(24):
@@ -979,17 +1005,60 @@ def test_gathers_match_element_by_element_references():
             assert repr(lv.lagrangian(levels, weights)) == repr(
                 reference_lagrangian(lv, levels, weights, caps))
             assert repr(lv.cover_counts(levels)) == repr(reference_cover_counts(lv, levels))
-            assert repr(lv.min_increments(levels)) == repr(
-                reference_min_increments(lv, levels))
+            if any(open_):  # the search branches only while an object is open
+                assert repr(lv.branch_object(levels, open_)) == repr(
+                    reference_branch_object(lv, levels, open_))
+                if exact:  # open objects tying at a positive branch increment
+                    least = list(compress(reference_min_increments(lv, levels), open_))
+                    shared |= max(least) > 0 and least.count(max(least)) > 1
             cur = [fv[lvl] if lvl >= 0 else 0.0 for fv, lvl in zip(lv.fvalues, levels)]
             for j in range(lv.n_objects):
                 assert repr(lv.cheapest_raise(j, cur)) == repr(
                     reference_cheapest_raise(lv, j, cur))
-    assert tied and capped
+    assert tied and capped and quadratic and shared
+
+
+def test_branch_object_decides_where_the_doubles_cannot():
+    """Station 0 commits the level of object 0 at 2**60 + 121, whose double
+    is 2**60, and object 1 lies at 2**60 + 1156, whose double is
+    2**60 + 1280: its increment 1035 reads 1280 in float, more than twice
+    the unit roundoff of 2**60 (128) too high.  Against object 2 at 1090
+    from station 1, the float order of the two objects is the wrong one;
+    with object 1 itself at 1090 from station 1, its float least increment
+    is at the wrong station.  Every distance is near 2**60 at most, so the
+    error bound is near 512 and only just covers the error."""
+    big = 2**30
+    for points, stations, expected in (
+            ([(big, 11), (big, 34), (big + 2001, 33)], [(0, 0), (big + 2000, 0)], (1090, 2)),
+            ([(big, 11), (big, 34)], [(0, 0), (big + 1, 67)], (1035, 1))):
+        lv = enumerate_candidates(stationary(points, stations), Fraction(0))
+        levels = (lv.rank[0][0], -1)
+        open_ = lv.uncovered(lv.committed(levels)[1])
+        assert open_ == [False] + [True] * (len(points) - 1)
+        assert (lv.fvalues[0][levels[0]], lv.fcolumns[0][1]) == (2.0**60, 2.0**60 + 1280)
+        assert reference_min_increments(lv, levels)[1] == 1035
+        assert lv.branch_object(levels, open_) == expected == reference_branch_object(
+            lv, levels, open_)
+
+
+def test_branch_object_past_the_float_range():
+    """Float distances that overflow to inf make the largest increment and
+    the threshold inf: the filter keeps the infinite objects, at every
+    station, and the result is the reference's, with the infinite object
+    first or after a finite one."""
+    far = 1e200
+    for points in ([(far, 0.0), (1.0, 1.0), (2.0, 0.5), (0.0, far)],
+                   [(1.0, 1.0), (far, 0.0), (2.0, 0.5), (0.0, far)]):
+        lv = enumerate_candidates(stationary(points, [(0.0, 0.0), (far, far)]), 0.0)
+        for levels in product(*(range(-1, len(v)) for v in lv.values)):
+            open_ = lv.uncovered(lv.committed(levels)[1])
+            if any(open_):
+                assert repr(lv.branch_object(levels, open_)) == repr(
+                    reference_branch_object(lv, levels, open_))
 
 
 def test_candidates_without_objects():
     lv = enumerate_candidates(MovingInstance((Point2(0.0, 0.0), Point2(1.0, 1.0)), ()), 0.0)
     assert (lv.values, lv.orders, lv.last, lv.ends) == ([[], []], [(), ()], [[], []], [None, None])
     assert [gather([]) for gather in lv.gather] == [(), ()]
-    assert lv.cover_counts((-1, -1)) == lv.min_increments((-1, -1)) == []
+    assert lv.cover_counts((-1, -1)) == []
