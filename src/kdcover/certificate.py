@@ -49,6 +49,21 @@ class FeasibilityReport:
     worst_object: int | None = None
 
 
+def squared_floor(instance: MovingInstance) -> float:
+    """The floor F below which the checks read a squared distance as small:
+    S**2 * 2**-14, with S the larger side of the bounding box of the
+    stations and the trajectory end points, so that F scales with the
+    instance and never exceeds 0.61 on the 100 x 100 canvas; 1.0 when S is
+    0 (or S**2 underflows), where every distance is 0."""
+    stations, objects = instance.stations, instance.objects
+    xs = [p.x for p in stations] + [o.start.x for o in objects] + [o.end.x for o in objects]
+    ys = [p.y for p in stations] + [o.start.y for o in objects] + [o.end.y for o in objects]
+    if not xs:
+        return 1.0
+    side = float(max(max(xs) - min(xs), max(ys) - min(ys)))
+    return side * side * 2.0 ** -14 or 1.0
+
+
 def float_rows(instance: MovingInstance) -> list[FloatRow]:
     return [FloatRow(row) for row in distance_rows(instance)]
 
@@ -197,9 +212,11 @@ def verify_result(doc, instance: MovingInstance, samples=None) -> list[str]:
     value and bounds against the timeline's peak and the stored gap against
     the stored bounds.  Feasibility makes each stored support its station's
     farthest member over its segment, so that sum is the segment's true
-    objective.  Returns a list of violation messages (empty = pass); raises
-    FormatError when the timeline, the peak value or the bounds cannot be
-    read.
+    objective.  Every tolerance on a squared distance, objective or bound
+    is relative, with the instance's `squared_floor` in place of 1, so that
+    no verdict depends on the instance's scale.  Returns a list of
+    violation messages (empty = pass); raises FormatError when the
+    timeline, the peak value or the bounds cannot be read.
 
     `samples` is ignored: the feasibility proof is analytic and needs no
     sample count.  It is still taken so that callers which pass one as the
@@ -220,6 +237,7 @@ def verify_result(doc, instance: MovingInstance, samples=None) -> list[str]:
         problems.append("timeline does not span [0, 1]")
     n, m = instance.n, instance.m
     rows = float_rows(instance)
+    floor = squared_floor(instance)
     malformed = False
     assignment = None
     for i, seg in enumerate(segs):
@@ -248,28 +266,28 @@ def verify_result(doc, instance: MovingInstance, samples=None) -> list[str]:
             continue
         polys = [rows[s][sup] for s, sup in enumerate(seg.supports) if sup is not None]
         derived = list(map(sum, zip(*polys))) or [0.0, 0.0, 0.0]
-        scale = max(1.0, *(abs(v) for v in stored), *(abs(v) for v in derived))
+        scale = max(floor, *(abs(v) for v in stored), *(abs(v) for v in derived))
         if any(abs(a - b) > 1e-9 * scale for a, b in zip(derived, stored)):
             problems.append(f"segment {i}: stored objective {stored} != derived {derived}")
     if malformed:
         return problems
-    report = check_feasible(segs, instance)
+    report = _check_feasible(segs, instance, rows, floor)
     if not report.ok:
         problems.append(
             f"infeasible: violation {report.worst_violation:.3e} at "
             f"t={report.worst_time} object {report.worst_object}"
         )
     top = max(max(seg.poly(seg.t_start), seg.poly(seg.t_end)) for seg in segs)
-    peak = math.pi * top
+    peak, peak_floor = math.pi * top, math.pi * floor
     # The stored value is the peak that upper = pi * value reports.
-    if not (_finite(value) and abs(peak - math.pi * value) <= 1e-9 * max(1.0, peak)):
+    if not (_finite(value) and abs(peak - math.pi * value) <= 1e-9 * max(peak_floor, peak)):
         problems.append(f"stored timeline value {value} != timeline peak {top}")
     if not (_finite(upper) and _finite(lower)):
         problems.append(f"stored bounds are not finite: upper {upper}, lower {lower}")
         return problems
-    if abs(peak - upper) > 1e-9 * max(1.0, peak):
+    if abs(peak - upper) > 1e-9 * max(peak_floor, peak):
         problems.append(f"stored upper {upper} != pi * timeline peak {peak}")
-    if lower > upper * (1 + 1e-12) + 1e-12:
+    if lower > upper * (1 + 1e-12) + 1e-12 * peak_floor:
         problems.append(f"lower {lower} exceeds upper {upper}")
     gap = ratio_gap(upper, lower)
     gap = None if math.isinf(gap) else gap  # as result_to_json stores it
@@ -287,21 +305,26 @@ def check_feasible(segments, instance: MovingInstance) -> FeasibilityReport:
     the whole timeline, the radius taken from the segment supports (zero
     for a None support).
 
-    The violation of object j at t is relative: (d2 - r2) / max(r2, 1), with
+    The violation of object j at t is relative: (d2 - r2) / max(r2, F), with
     d2 and r2 the squared distances of j and of the support from j's
-    station, and the timeline passes when its largest is at most
-    `FEASIBILITY_TOL`.  While a station keeps its members and its support
-    (a run of segments), d2 and r2 are fixed quadratics, so each member is
-    checked once per run: where d2 - r2 is at most 0 at the run's ends and
-    at its vertex, it is at most 0 over the whole run, and elsewhere
-    `_peak_violation` finds the largest violation.  Values are floats.  The
-    worst object and time are reported; on a tie, the lowest object, then
-    the earliest time.
+    station and F the instance's `squared_floor`, and the timeline passes
+    when its largest is at most `FEASIBILITY_TOL`.  While a station keeps
+    its members and its support (a run of segments), d2 and r2 are fixed
+    quadratics, so each member is checked once per run: where d2 - r2 is
+    at most 0 at the run's ends and at its vertex, it is at most 0 over the
+    whole run, and elsewhere `_peak_violation` finds the largest violation.
+    Values are floats.  The worst object and time are reported; on a tie,
+    the lowest object, then the earliest time.
     """
-    segments = list(segments)
+    return _check_feasible(list(segments), instance, float_rows(instance),
+                           squared_floor(instance))
+
+
+def _check_feasible(segments, instance, rows, floor) -> FeasibilityReport:
+    """`check_feasible` on a segment list, given the instance's
+    `float_rows` and `squared_floor`, which `verify_result` has built."""
     if not segments or instance.n == 0:
         return FeasibilityReport(True, 0.0)
-    rows = float_rows(instance)
     first = segments[0]
     members = [set() for _ in range(instance.m)]
     for j, s in enumerate(first.assignment):
@@ -322,7 +345,7 @@ def check_feasible(segments, instance: MovingInstance) -> FeasibilityReport:
                     a >= ra or not t0 < (rb - b) / (2 * (a - ra)) < t1
                     or c - rc - (b - rb) ** 2 / (4 * (a - ra)) <= 0):
                 continue
-            v, t = _peak_violation(p, r, t0, t1)
+            v, t = _peak_violation(p, r, t0, t1, floor)
             if v > worst or v == worst and worst_obj is not None \
                     and (j, t) < (worst_obj, worst_t):
                 worst, worst_t, worst_obj = v, t, j
@@ -353,26 +376,27 @@ def check_feasible(segments, instance: MovingInstance) -> FeasibilityReport:
     return FeasibilityReport(worst <= FEASIBILITY_TOL, worst, worst_t, worst_obj)
 
 
-def _peak_violation(p, r, t0, t1) -> tuple[float, float]:
-    """The largest of v(t) = (p(t) - r(t)) / max(r(t), 1) over [t0, t1] and
-    the earliest of the times below that reaches it, for the coefficients p
-    and r of two quadratics.  v is p - r where r <= 1, which peaks at its
-    vertex, and p / r - 1 where r > 1, whose derivative has the sign of
-    p'r - pr', a quadratic (the cubic terms cancel).  So v peaks at t0, at
-    t1, where r crosses 1, at the vertex of p - r or at a root of p'r - pr'.
+def _peak_violation(p, r, t0, t1, floor) -> tuple[float, float]:
+    """The largest of v(t) = (p(t) - r(t)) / max(r(t), F) over [t0, t1],
+    with F the instance's `squared_floor`, and the earliest of the times
+    below that reaches it, for the coefficients p and r of two quadratics.
+    v is (p - r) / F where r <= F, which peaks at the vertex of p - r, and
+    p / r - 1 where r > F, whose derivative has the sign of p'r - pr', a
+    quadratic (the cubic terms cancel).  So v peaks at t0, at t1, where r
+    crosses F, at the vertex of p - r or at a root of p'r - pr'.
     """
     (pa, pb, pc), (ra, rb, rc) = p, r
     times = [t0, t1]
     if t0 < t1:
         if pa != ra:
             times.append(min(max(-(pb - rb) / (2 * (pa - ra)), t0), t1))
-        for a, b, c in ((ra, rb, rc - 1.0),
+        for a, b, c in ((ra, rb, rc - floor),
                         (pa * rb - pb * ra, 2 * (pa * rc - pc * ra), pb * rc - pc * rb)):
             times += quadratic_roots(QuadraticPoly(a, b, c), t0, t1)
     best, best_t = -math.inf, None
     for t in sorted(times):
         d2, r2 = (pa * t + pb) * t + pc, (ra * t + rb) * t + rc
-        v = (d2 - r2) / max(r2, 1.0)
+        v = (d2 - r2) / max(r2, floor)
         if v > best:
             best, best_t = v, t
     return best, best_t

@@ -16,6 +16,7 @@ from pathlib import Path
 from .certificate import _is_index, load_result, result_segments, result_to_json, verify_result
 from .geometry import MovingInstance, squared_distance_poly
 from .instances import (
+    CANVAS,
     CLASSES,
     FormatError,
     GenerationError,
@@ -86,20 +87,40 @@ def parse_flags(text: str) -> ImprovementFlags:
 
 
 def _schedule(set_name: str, scale: float):
-    """Benchmark set schedules, scaled.  Yields (n, m, count)."""
+    """Benchmark set schedules, scaled.  Yields one (n, m) per instance."""
     def sc(v):
         return max(1, round(v * scale))
 
     if set_name == "fix":
-        yield sc(500), sc(25), 25
+        yield from [(sc(500), sc(25))] * 25
     elif set_name == "fix_n":
         for m in range(5, 51, 5):
-            yield sc(500), sc(m), 10
+            yield from [(sc(500), sc(m))] * 10
     elif set_name == "fix_m":
         for n in range(50, 501, 50):
-            yield sc(n), sc(25), 10
+            yield from [(sc(n), sc(25))] * 10
     else:
         raise ValueError(f"unknown set {set_name!r}")
+
+
+def write_instances(out: Path, params, prefix: str | None = None, **header) -> int:
+    """Generate one instance per GenParams into `out`, named
+    `<prefix>_n<n>_m<m>_s<seed>` (the prefix defaults to the class), and
+    their `kdc-manifest`, with the header fields (a benchmark set's `set`
+    and `scale`) ahead of the entries.  Returns the instance count."""
+    out.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for p in params:
+        inst = generate(p)
+        name = inst.metadata["id"] = f"{prefix or p.instance_class}_n{p.n}_m{p.m}_s{p.seed}"
+        write_instance(out / f"{name}.json", inst)
+        entries.append({"id": name, "path": f"{name}.json", "n": p.n, "m": p.m,
+                        "seed": p.seed, "class": p.instance_class})
+    manifest = {"format": "kdc-manifest", "version": 1, **header, "instances": entries}
+    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2)
+        fh.write("\n")
+    return len(entries)
 
 
 def cmd_gen(args) -> int:
@@ -108,40 +129,21 @@ def cmd_gen(args) -> int:
     if not (math.isfinite(args.scale) and args.scale > 0):
         print(f"--scale must be finite and positive, got {args.scale}", file=sys.stderr)
         return EXIT_USAGE
-    if args.set:
-        prefix, schedule = args.set, _schedule(args.set, args.scale)
-    else:
-        prefix, schedule = args.instance_class, [(args.n, args.m, 1)]
+    sizes = _schedule(args.set, args.scale) if args.set else [(args.n, args.m)]
     out = Path(args.output)
-    entries = []
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        sizes = [(n, m) for n, m, count in schedule for _ in range(count)]
-        for seed, (n, m) in enumerate(sizes, start=args.seed):
-            params = GenParams(
-                n=n, m=m, seed=seed,
-                len_min=args.len_min, len_max=args.len_max,
-                instance_class=args.instance_class,
-            )
-            inst = generate(params)
-            name = f"{prefix}_n{n}_m{m}_s{seed}"
-            inst.metadata["id"] = name
-            write_instance(out / f"{name}.json", inst)
-            entries.append({"id": name, "path": f"{name}.json", "n": n, "m": m,
-                            "seed": seed, "class": args.instance_class})
-        manifest = {"format": "kdc-manifest", "version": 1,
-                    **({"set": args.set, "scale": args.scale} if args.set else {}),
-                    "instances": entries}
-        with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
+        count = write_instances(out, (
+            GenParams(n=n, m=m, seed=seed, len_min=args.len_min, len_max=args.len_max,
+                      instance_class=args.instance_class)
+            for seed, (n, m) in enumerate(sizes, start=args.seed)
+        ), args.set, **({"set": args.set, "scale": args.scale} if args.set else {}))
     except (ValueError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {len(entries)} instance(s) + manifest.json to {out}")
+    print(f"wrote {count} instance(s) + manifest.json to {out}")
     return EXIT_OK
 
 
@@ -381,7 +383,7 @@ def cmd_check(args) -> int:
 def render_svg(instance: MovingInstance, segments, t: float, size: int = 640) -> str:
     """One SVG snapshot: trajectories dotted, objects as dots, stations as
     triangles (solid green when their radius is zero), active disks shaded."""
-    canvas = instance.canvas or (100.0, 100.0)
+    canvas = instance.canvas or CANVAS
     w, h = float(canvas[0]), float(canvas[1])
     margin = 0.05 * max(w, h, 1.0)
     scale = size / (max(w, h) + 2 * margin)

@@ -33,6 +33,8 @@ __all__ = [
 INSTANCE_FORMAT = "kdc-instance"
 INSTANCE_VERSION = 1
 CLASSES = ("random", "same_slope", "same_start", "same_end")
+# Width and height of the square every instance is drawn in.
+CANVAS = (100.0, 100.0)
 _RETRY_CAP = 10_000
 
 
@@ -49,7 +51,6 @@ class GenParams:
     n: int
     m: int
     seed: int = 0
-    canvas: tuple[float, float] = (100.0, 100.0)
     len_min: float = 25.0
     len_max: float = 50.0
     instance_class: str = "random"
@@ -57,36 +58,36 @@ class GenParams:
     def __post_init__(self):
         if self.n < 0 or self.m < 0:
             raise ValueError("n and m must be nonnegative")
-        diag = math.hypot(*self.canvas)
+        diag = math.hypot(*CANVAS)
         if not (0 < self.len_min <= self.len_max <= diag):
             raise ValueError(
                 f"need 0 < len_min <= len_max <= canvas diagonal, got "
-                f"[{self.len_min}, {self.len_max}] on {self.canvas}"
+                f"[{self.len_min}, {self.len_max}] on {CANVAS}"
             )
         if self.instance_class not in CLASSES:
             raise ValueError(f"unknown instance class {self.instance_class!r}")
 
 
-def _inside(x: float, y: float, canvas) -> bool:
-    return 0.0 <= x <= canvas[0] and 0.0 <= y <= canvas[1]
+def _inside(x: float, y: float) -> bool:
+    return 0.0 <= x <= CANVAS[0] and 0.0 <= y <= CANVAS[1]
 
 
 def _sample_trajectory(rng: Random, params: GenParams, direction=None, start=None, end=None):
     """One trajectory with the stated distributions, resampling whole draws
     until the free endpoint lands inside the canvas."""
-    w, h = params.canvas
+    w, h = CANVAS
     for _ in range(_RETRY_CAP):
         length = rng.uniform(params.len_min, params.len_max)
         ang = direction if direction is not None else rng.uniform(0.0, 2.0 * math.pi)
         dx, dy = length * math.cos(ang), length * math.sin(ang)
         if end is not None:
             sx, sy = end[0] - dx, end[1] - dy
-            if _inside(sx, sy, params.canvas):
+            if _inside(sx, sy):
                 return Trajectory(Point2(sx, sy), Point2(end[0], end[1]))
             continue
         sx, sy = start if start is not None else (rng.uniform(0.0, w), rng.uniform(0.0, h))
         ex, ey = sx + dx, sy + dy
-        if _inside(ex, ey, params.canvas):
+        if _inside(ex, ey):
             return Trajectory(Point2(sx, sy), Point2(ex, ey))
     raise GenerationError(
         f"could not place a trajectory after {_RETRY_CAP} draws (params {params})"
@@ -99,7 +100,7 @@ def generate(params: GenParams) -> MovingInstance:
     starts uniform on the canvas, directions uniform on the circle, lengths
     uniform in [len_min, len_max], each resampled until it fits."""
     rng = Random(params.seed)
-    w, h = params.canvas
+    w, h = CANVAS
     stations = tuple(Point2(rng.uniform(0.0, w), rng.uniform(0.0, h)) for _ in range(params.m))
     klass = params.instance_class
     shared = {}
@@ -112,7 +113,7 @@ def generate(params: GenParams) -> MovingInstance:
     return MovingInstance(
         stations,
         objects,
-        canvas=params.canvas,
+        canvas=CANVAS,
         metadata={"class": klass, "seed": params.seed,
                   "n": params.n, "m": params.m,
                   "len_min": params.len_min, "len_max": params.len_max},

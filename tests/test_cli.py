@@ -781,24 +781,63 @@ def tie_instance(swap):
     a = Trajectory(Point2(-2, 3), Point2(2, 3))
     b = Trajectory(Point2(0, 3), Point2(0, 3))
     return MovingInstance((Point2(0, 0), Point2(20, 0)),
-                          (b, a) if swap else (a, b),
-                          (Trajectory(Point2(18, 0), Point2(18, 2)),))
+                          ((b, a) if swap else (a, b))
+                          + (Trajectory(Point2(18, 0), Point2(18, 2)),))
+
+
+# Powers of two that every verdict of `verify_result` must not depend on.
+SCALE_EXPONENTS = (-40, -20, 0, 20, 40)
+
+
+def scaled(instance, doc, k):
+    """The instance with every coordinate times 2**k, and a copy of its
+    result document with the squared-distance values (objectives, the
+    timeline value, upper and lower) times 4**k.  Both are exact in binary.
+    Only numbers are scaled, so a tampered field keeps what it holds."""
+
+    def point(p):
+        return Point2(math.ldexp(p.x, k), math.ldexp(p.y, k))
+
+    def value(v):
+        return math.ldexp(v, 2 * k) if type(v) in (int, float) else v
+
+    image = MovingInstance(tuple(map(point, instance.stations)),
+                           tuple(Trajectory(point(o.start), point(o.end))
+                                 for o in instance.objects))
+    doc = json.loads(json.dumps(doc))
+    for key in ("upper", "lower"):
+        if key in doc:
+            doc[key] = value(doc[key])
+    timeline = doc.get("timeline")
+    if isinstance(timeline, dict):
+        if "value" in timeline:
+            timeline["value"] = value(timeline["value"])
+        for seg in timeline.get("segments") or ():
+            if isinstance(seg, dict) and isinstance(seg.get("objective"), list):
+                seg["objective"] = list(map(value, seg["objective"]))
+    return image, doc
 
 
 def test_verify_passes_valid_results_and_a_midpoint_tie():
+    """Valid results pass at every scale 2**k of the instance, in float and
+    exact coordinates."""
     for inst, algorithm, flags, result in valid_results():
-        doc = json.loads(result_to_json("x", algorithm, flags, {}, result))
-        for instance in (inst, inst.as_exact()):
-            assert cli.verify_result(doc, instance) == [], algorithm
+        clean = json.loads(result_to_json("x", algorithm, flags, {}, result))
+        for k in SCALE_EXPONENTS:
+            image, doc = scaled(inst, clean, k)
+            for instance in (image, image.as_exact()):
+                assert cli.verify_result(doc, instance) == [], (algorithm, k)
     for swap in (False, True):
         inst = tie_instance(swap)
         result = solve_minmax(inst, SolverConfig(static_backend="nn"))
-        doc = json.loads(result_to_json("tie", "nn", ImprovementFlags(), {}, result))
-        seg = result_segments(doc)[0]
+        clean = json.loads(result_to_json("tie", "nn", ImprovementFlags(), {}, result))
+        seg = result_segments(clean)[0]
         assert 0.5 * (seg.t_start + seg.t_end) == 0.5 and seg.assignment[:2] == (0, 0)
         # The stored support ties with the other member at the midpoint;
         # with b first it is not the lowest index there, and passes too.
-        assert cli.verify_result(doc, inst) == []
+        for k in SCALE_EXPONENTS:
+            image, doc = scaled(inst, clean, k)
+            assert cli.verify_result(doc, image) == [], (swap, k)
 
 
 def shift_to_the_next_station(doc):
@@ -842,7 +881,8 @@ def test_every_tamper_keeps_its_verdict(tmp_path):
     `verify_result` gave it with the sampled check and the midpoint derive:
     the tampers in `raises` raise FormatError; `claim_another_format` passes,
     because the format tag is `load_result`'s to check; every other tamper
-    is reported as a problem."""
+    is reported as a problem.  Each verdict holds with the instance scaled
+    by 2**k and the tampered result's values by 4**k."""
     raises = {drop_timeline, move_unknown_object, assign_a_list, move_to_a_list, spell_a_time,
               spell_the_upper_bound, drop_value, value_as_text, value_true,
               station_one_as_true, move_true_in_place, upper_as_true, lower_as_true,
@@ -850,15 +890,59 @@ def test_every_tamper_keeps_its_verdict(tmp_path):
     inst_path, _, clean = solved_pair(tmp_path)
     inst = read_instance(inst_path)
     for tamper in EXISTING_TAMPERS + NEW_TAMPERS:
-        doc = json.loads(json.dumps(clean))
-        tamper(doc)
-        if tamper in raises:
-            with pytest.raises(cli.FormatError):
-                cli.verify_result(doc, inst)
-        elif tamper is claim_another_format:
-            assert cli.verify_result(doc, inst) == [], tamper
-        else:
-            assert cli.verify_result(doc, inst) != [], tamper
+        tampered = json.loads(json.dumps(clean))
+        tamper(tampered)
+        for k in SCALE_EXPONENTS:
+            image, doc = scaled(inst, tampered, k)
+            if tamper in raises:
+                with pytest.raises(cli.FormatError):
+                    cli.verify_result(doc, image)
+            elif tamper is claim_another_format:
+                assert cli.verify_result(doc, image) == [], (tamper, k)
+            else:
+                assert cli.verify_result(doc, image) != [], (tamper, k)
+
+
+def small_same_end_instance():
+    """`same_end` seed 3 at n=40, m=6 with every coordinate times 2**-17,
+    where float solves lose handovers and support changes below their unit
+    tolerances: float `exact` certifies upper = lower = 3467.7187 * 2**-34 pi,
+    below the optimum 3484.7955 * 2**-34 pi."""
+    inst = generate(GenParams(n=40, m=6, seed=3, instance_class="same_end"))
+    image, _ = scaled(inst, {}, -17)
+    image.metadata["id"] = "same_end_small"
+    return image
+
+
+def test_check_rejects_the_small_scale_false_certificate(tmp_path, capsys):
+    """`check` measures violations against the instance's own scale, so the
+    false certificate above fails with the violation its timeline has at
+    scale 1; `solve` verifies its own result and exits 4."""
+    inst = small_same_end_instance()
+    flags = ImprovementFlags(no_dup=True, imp_ext=True, part_ext=True)
+    result = solve_minmax(inst, SolverConfig(flags=flags))
+    doc = json.loads(result_to_json("same_end_small", "exact", flags, {}, result))
+    problems = cli.verify_result(doc, inst)
+    assert problems and problems[0].startswith("infeasible: violation 7.717e-03 at t=0.0 object 27")
+    unscaled = generate(GenParams(n=40, m=6, seed=3, instance_class="same_end"))
+    report = certificate.check_feasible(result.timeline.segments, unscaled)
+    assert f"{report.worst_violation:.3e}" == "7.717e-03"
+    path = tmp_path / "small.json"
+    write_instance(path, inst)
+    assert run(["solve", path, "--flags", "nodup,impext,partext",
+                "-o", tmp_path / "r.json"]) == EXIT_CHECK
+    assert "FAIL: infeasible" in capsys.readouterr().out
+
+
+def test_verify_passes_a_zero_extent_instance():
+    """Every station and end point on one spot: every squared distance is 0,
+    and the scale floor falls back to 1 rather than dividing by 0."""
+    spot = Point2(3.0, 4.0)
+    inst = MovingInstance((spot, spot), (Trajectory(spot, spot),) * 2)
+    assert certificate.squared_floor(inst) == 1.0
+    result = solve_minmax(inst, SolverConfig())
+    doc = json.loads(result_to_json("spot", "exact", ImprovementFlags(), {}, result))
+    assert result.upper == 0.0 and cli.verify_result(doc, inst) == []
 
 
 # -- values that are not finite, the stored peak value, booleans ------------------

@@ -1,5 +1,6 @@
-"""Smoke runs of the experiment scripts in `scripts/` at their smallest size,
-so that a change to the CLI they call cannot break them unseen."""
+"""Smoke runs of each study of `scripts/studies.py` at its smallest size, so
+that a change to the CLI it calls cannot break it unseen, and the readers of
+`scripts/bench_record.py` and `scripts/bench_trajectory.py`."""
 
 import importlib.util
 import subprocess
@@ -10,18 +11,17 @@ import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
-EXPERIMENTS = [
-    ("bench_degenerate.py", ["-n", "6", "-m", "2", "--count", "1"], "Degeneracy summary ("),
-    ("bench_algorithms.py", ["--scale", "0.02"], "grouped by n:"),
-    ("bench_improvements.py", ["--scale", "0.02"], "Improvement-strategy summary ("),
+STUDIES = [
+    ("degenerate", ["-n", "6", "-m", "2", "--count", "1"], "Degeneracy summary ("),
+    ("algorithms", ["--scale", "0.02"], "grouped by n:"),
+    ("improvements", ["--scale", "0.02"], "Improvement-strategy summary ("),
 ]
 
 
-@pytest.mark.parametrize("script, options, header", EXPERIMENTS,
-                         ids=[e[0] for e in EXPERIMENTS])
-def test_experiment_script_runs_at_its_smallest_size(tmp_path, script, options, header):
+@pytest.mark.parametrize("study, options, header", STUDIES, ids=[s[0] for s in STUDIES])
+def test_experiment_script_runs_at_its_smallest_size(tmp_path, study, options, header):
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / script), str(tmp_path / "work"), *options],
+        [sys.executable, str(SCRIPTS / "studies.py"), study, str(tmp_path / "work"), *options],
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -65,3 +65,19 @@ def test_bench_record_parses_a_recorded_run():
     assert doc["result"]["metrics"]["solve_s_total"]["value"] == 0.01045571245327563
     with pytest.raises(ValueError):
         bench_record.parse_run_output("error: no kdcover package under src\n")
+
+
+def test_bench_trajectory_reads_the_committed_recordings():
+    spec = importlib.util.spec_from_file_location("bench_trajectory",
+                                                  SCRIPTS / "bench_trajectory.py")
+    bench_trajectory = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_trajectory)
+    header, *lines = bench_trajectory.trajectory()
+    assert header.split() == ["label", "workload", "commit", "source", "rows", "solve_s_total"]
+    assert len(lines) == len(list(SCRIPTS.parent.glob("BENCH_*.json"))) >= 5
+    rows = {tuple(line.split()[:2]): line.split() for line in lines}
+    parent = rows["double_filters_parent", "exact_arith"]
+    child = rows["double_filters", "exact_arith"]
+    assert parent[2] == child[2] == "a0e45c682529"
+    assert (parent[3], parent[4]) == ("0e4bff12f0781c55", "1232")
+    assert (parent[-1], child[-1]) == ("0.0422", "0.0294")
