@@ -2,16 +2,20 @@
 
 Runs `perfbench/run.py --workload W --seed S --seconds 20 --trace 0` as a
 subprocess and writes, at the repository root, its `context:` lines
-(commit, source digest, CPU, Python), its per-solve table and its final
-JSON object of metrics.  The commit line names the checkout's HEAD, so a
-recording made before its tree is committed names the parent commit; the
-source digest names the tree.
+(commit, source digest, CPU, Python), one compact row per instance and
+recipe, and its final JSON object of metrics.  A row holds the pass count,
+the median and minimum `wall_s` and `fast_s` over the passes, the first
+pass's stop reason, upper, lower and gap, and every distinct `FAIL:` line.
+The commit line names the checkout's HEAD, so a recording made before its
+tree is committed names the parent commit; the source digest names the
+tree.
 
 Usage: python scripts/bench_record.py --workload W --seed S --label L
 """
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +25,9 @@ SECONDS = 20
 
 # Per-solve table columns read as floats; "-" stands for none.
 FLOAT_COLUMNS = ("wall_s", "fast_s", "upper", "lower", "gap")
+# The columns that name an instance and recipe, and the timed ones.
+KEY_COLUMNS = ("instance", "algorithm", "flags", "arith", "role")
+TIMED_COLUMNS = ("wall_s", "fast_s")
 
 
 def _cell(column: str, text: str):
@@ -60,6 +67,25 @@ def parse_run_output(text: str) -> dict:
     return {"context": context, "solves": rows, "result": result}
 
 
+def compact_rows(solves: list[dict]) -> list[dict]:
+    """One row per instance and recipe, in order of first appearance."""
+    groups: dict = {}
+    for row in solves:
+        groups.setdefault(tuple(row[c] for c in KEY_COLUMNS), []).append(row)
+    out = []
+    for key, rows in groups.items():
+        first = rows[0]
+        compact = {**dict(zip(KEY_COLUMNS, key)), "passes": len(rows)}
+        for column in TIMED_COLUMNS:
+            times = [row[column] for row in rows if row[column] is not None]
+            compact[f"{column}_median"] = statistics.median(times) if times else None
+            compact[f"{column}_min"] = min(times, default=None)
+        compact.update({c: first[c] for c in ("stop", "upper", "lower", "gap")})
+        compact["problems"] = list(dict.fromkeys(p for row in rows for p in row["problems"]))
+        out.append(compact)
+    return out
+
+
 def record(workload: str, seed: int, label: str) -> Path:
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(SECONDS), "--trace", "0"]
@@ -71,8 +97,9 @@ def record(workload: str, seed: int, label: str) -> Path:
     except ValueError as exc:
         raise SystemExit(f"benchmark run failed (exit {proc.returncode}): {exc}") from None
     out = ROOT / f"BENCH_{label}_{workload}.json"
-    out.write_text(json.dumps({"workload": workload, "seed": seed, "label": label, **doc},
-                              indent=2) + "\n")
+    out.write_text(json.dumps({"workload": workload, "seed": seed, "label": label,
+                               "context": doc["context"], "rows": compact_rows(doc["solves"]),
+                               "result": doc["result"]}, indent=1) + "\n")
     return out
 
 

@@ -3,11 +3,16 @@
 Every event time in this package is a root of a quadratic polynomial with
 rational coefficients, i.e. a number of the form (p + q*sqrt(d)) / r with
 integers p, q, r, d.  This module implements that class of numbers with
-comparisons decided purely by integer sign computations (`_sign_pair` and
-`_sign_sum` take and multiply plain ints; no Fraction is built), so ordering
-two event times never suffers rounding error.  It is the backbone of the
+comparisons that never suffer rounding error.  It is the backbone of the
 optional exact mode used for degenerate inputs where floating point breaks
 down (coincident start points, identical slopes, repeated distances).
+
+A comparison reads the doubles first: a number may carry an enclosure lo
+<= x <= hi (`enclosed`), and one that lies clear of the other side's, or
+of the correctly rounded double of an int, Fraction or float, decides.
+Otherwise integer sign computations decide (`_sign_pair` and `_sign_sum`
+multiply plain ints; no Fraction is built).  `poly_parts` evaluates an
+int polynomial at a number in one integer step.
 
 The radicand is kept as given, not reduced to its square-free part: the
 sign computations are exact for any d, so pulling square factors out of d
@@ -19,7 +24,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["QuadraticNumber"]
+__all__ = ["QuadraticNumber", "enclosed", "poly_parts"]
+
+_INF = math.inf
 
 
 def _sgn(x) -> int:
@@ -61,6 +68,15 @@ def _sign_sum(a: int, b: int, d1: int, c: int, d2: int) -> int:
     return s1 * _sign_pair(a * a + b * b * d1 - c * c * d2, 2 * a * b, d1)
 
 
+def poly_parts(a: int, b: int, c: int, x: "QuadraticNumber") -> tuple[int, int]:
+    """(P, Q) with a*x**2 + b*x + c = (P + Q*sqrt(d)) / r**2 for ints a, b,
+    c and x = (p + q*sqrt(d))/r: x**2 = (p**2 + q**2 d + 2pq sqrt(d))/r**2,
+    so P = (ap + br)p + a q**2 d + c r**2 and Q = q(2ap + br)."""
+    p, q, r = x.p, x.q, x.r
+    ap = a * p
+    return (ap + b * r) * p + a * q * q * x.d + c * r * r, q * (2 * ap + b * r)
+
+
 class QuadraticNumber:
     """(p + q*sqrt(d)) / r with integers p, q, r > 0, d >= 0.
 
@@ -73,9 +89,12 @@ class QuadraticNumber:
     same square-free part); comparisons additionally accept floats, which
     compare as Fraction compares them: by their exact rational value, with
     +-inf beyond every number and NaN unordered.
+
+    `lo` and `hi` are doubles with lo <= value <= hi: -inf and inf unless
+    the number was made by `enclosed`.  They only speed up comparisons.
     """
 
-    __slots__ = ("p", "q", "r", "d", "_float")
+    __slots__ = ("p", "q", "r", "d", "_float", "lo", "hi")
 
     def __init__(self, p: int, q: int, r: int, d: int):
         if r == 0:
@@ -99,6 +118,8 @@ class QuadraticNumber:
         self.r = r
         self.d = d
         self._float = None  # the nearest double, once asked for
+        self.lo = -_INF
+        self.hi = _INF
 
     @classmethod
     def from_rational(cls, x) -> "QuadraticNumber":
@@ -175,11 +196,21 @@ class QuadraticNumber:
         raises ValueError, and every operator but != answers False, as for
         a Fraction.
 
-        The sign of self - other is that of (p1*r2 - p2*r1) + q1*r2*sqrt(d1)
-        - q2*r1*sqrt(d2), since both denominators are positive.
+        The enclosures decide first: self < other when self.hi is below
+        other.lo, or below the correctly rounded double f of an int,
+        Fraction or float other, which lies above f's predecessor >= self.hi;
+        mirrored for >.  Equal fields give 0.  Otherwise the sign of self -
+        other is that of (p1*r2 - p2*r1) + q1*r2*sqrt(d1) - q2*r1*sqrt(d2),
+        since both denominators are positive.
         """
         if isinstance(other, QuadraticNumber):
+            if self.hi < other.lo:
+                return -1
+            if self.lo > other.hi:
+                return 1
             p, q, r, d = other.p, other.q, other.r, other.d
+            if p == self.p and q == self.q and r == self.r and d == self.d:
+                return 0
         elif isinstance(other, float) and not math.isfinite(other):
             if other != other:
                 raise ValueError("NaN is unordered")
@@ -187,6 +218,15 @@ class QuadraticNumber:
         elif isinstance(other, (int, Fraction, float)):
             p, r = other.as_integer_ratio()
             q = d = 0
+            if self.hi < _INF:
+                try:
+                    f = p / r  # int true division rounds correctly
+                except OverflowError:  # beyond the float range: the signs decide
+                    f = math.nan
+                if self.hi < f:
+                    return -1
+                if self.lo > f:
+                    return 1
         else:
             raise TypeError(f"cannot compare QuadraticNumber with {type(other).__name__}")
         return _sign_sum(self.p * r - p * self.r, self.q * r, self.d, -q * self.r, d)
@@ -274,3 +314,16 @@ class QuadraticNumber:
         if self.q == 0:
             return str(Fraction(self.p, self.r))
         return f"({self.p} + {self.q}*sqrt({self.d}))/{self.r}"
+
+
+_new = object.__new__
+
+
+def enclosed(p: int, q: int, r: int, d: int, lo: float, hi: float) -> QuadraticNumber:
+    """(p + q*sqrt(d))/r with the enclosure lo <= value <= hi, from fields
+    already in `QuadraticNumber`'s normal form (r > 0, gcd(p, q, r) == 1,
+    and d == 0 when q == 0, else not a perfect square), built without the
+    normalization's isqrt and gcd."""
+    x = _new(QuadraticNumber)
+    x.p, x.q, x.r, x.d, x._float, x.lo, x.hi = p, q, r, d, None, lo, hi
+    return x

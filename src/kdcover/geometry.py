@@ -25,10 +25,14 @@ An instance whose coordinates are all ints and Fractions has an
 common denominator, from which `static_cover` and `kinetic` build exact
 squared distances and their polynomials in integer arithmetic.
 
-`value_bound` is the float filter of exact mode: a polynomial's value at a
-time in float, with a certified bound on its distance from the exact
-value, so that a scan decides in float wherever the bounds separate and
-computes exact values only where they do not.
+Exact mode decides in float first and falls back on exact work only
+where the doubles cannot decide.  Its two filters each turn off when their
+entry returns an infinite bound: `value_bound`, a polynomial's value at a
+time in float with a certified bound on its error, and `root_bounds`, a
+certified enclosure of each root of an integer quadratic, which
+`_roots_exact` tests against the window before it makes the root and
+which the root then carries, so that `QuadraticNumber.compare` reads it
+first.  `sign_ahead` at an exact root builds no number.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from itertools import chain
 from operator import sub
 from typing import Union
 
-from .exactarith import QuadraticNumber
+from .exactarith import QuadraticNumber, _sign_pair, enclosed, poly_parts
 
 __all__ = [
     "EPS",
@@ -59,6 +63,7 @@ __all__ = [
     "tolerance_band",
     "sign_ahead",
     "value_bound",
+    "root_bounds",
 ]
 
 # Relative tolerance for float objective values (`compare_values`,
@@ -123,7 +128,8 @@ class MovingInstance:
     """Fixed stations plus moving objects over the time horizon [0, 1].
 
     Indices into `stations` and `objects` are the stable identifiers used
-    throughout the package.
+    throughout the package.  `canvas` is None or a (width, height) pair of
+    finite, positive numbers.
     """
 
     stations: tuple[Point2, ...]
@@ -134,6 +140,12 @@ class MovingInstance:
     def __post_init__(self):
         object.__setattr__(self, "stations", tuple(self.stations))
         object.__setattr__(self, "objects", tuple(self.objects))
+        if self.canvas is not None:
+            canvas = tuple(self.canvas) if isinstance(self.canvas, (tuple, list)) else ()
+            if len(canvas) != 2 or not all(type(c) in (int, float, Fraction) and 0 < c < math.inf
+                                           for c in canvas):
+                raise ValueError(f"canvas {self.canvas!r} is not two finite, positive numbers")
+            object.__setattr__(self, "canvas", canvas)
         if self.objects and not self.stations:
             raise ValueError("an instance with objects needs at least one station")
 
@@ -299,12 +311,37 @@ def _roots_float(p: QuadraticPoly, t_lo, t_hi) -> tuple:
     return (r2,) if t_lo <= r2 <= t_hi else ()
 
 
-def _roots_exact(p: QuadraticPoly, t_lo, t_hi) -> tuple:
+def _int_coefs(p: QuadraticPoly) -> tuple[int, int, int]:
+    """p's int or Fraction coefficients as ints over their least common
+    denominator: the same roots and signs."""
     A, B, C = p.a, p.b, p.c
-    if not (type(A) is type(B) is type(C) is int):  # over the least common denominator
+    if not (type(A) is type(B) is type(C) is int):
         (A, da), (B, db), (C, dc) = A.as_integer_ratio(), B.as_integer_ratio(), C.as_integer_ratio()
         den = math.lcm(da, db, dc)
         A, B, C = A * (den // da), B * (den // db), C * (den // dc)
+    return A, B, C
+
+
+def _separating(t) -> tuple[float, float]:
+    """Doubles (lo, hi) with every double below lo below t and every
+    double above hi above t: a `QuadraticNumber`'s enclosure, else (f, f)
+    for t's correctly rounded double f (t lies above f's predecessor), or
+    infinities beyond the float range."""
+    if isinstance(t, QuadraticNumber):
+        return t.lo, t.hi
+    try:
+        p, r = t.as_integer_ratio()
+        f = p / r
+    except OverflowError:
+        return -math.inf, math.inf
+    return f, f
+
+
+def _roots_exact(p: QuadraticPoly, t_lo, t_hi) -> tuple:
+    """The roots in [t_lo, t_hi]; a root is made only when its
+    `root_bounds` enclosure does not place it outside the window, and
+    compared exactly with a window end only when the enclosure cannot."""
+    A, B, C = _int_coefs(p)
 
     def in_window(t: QuadraticNumber) -> bool:
         return t.compare(t_lo) >= 0 and t.compare(t_hi) <= 0
@@ -320,11 +357,30 @@ def _roots_exact(p: QuadraticPoly, t_lo, t_hi) -> tuple:
     if disc == 0:
         root = QuadraticNumber(-B, 0, 2 * A, 0)
         return (root,) if in_window(root) else ()
-    lo = QuadraticNumber(-B, -1, 2 * A, disc)
-    hi = QuadraticNumber(-B, 1, 2 * A, disc)
-    if A < 0:  # dividing by 2A < 0 reverses the order of -B -+ sqrt(disc)
-        lo, hi = hi, lo
-    return tuple(r for r in (lo, hi) if in_window(r))
+    lo_minus, hi_minus, lo_plus, hi_plus = root_bounds(A, B, C, disc)
+    below, after_lo = _separating(t_lo)
+    before_hi, above = _separating(t_hi)
+    # (sign of sqrt(disc), enclosure) in ascending order: dividing by 2A < 0
+    # reverses the order of -B -+ sqrt(disc)
+    roots = ((-1, lo_minus, hi_minus), (1, lo_plus, hi_plus))
+    out = []
+    s = None
+    for sign, lo, hi in roots if A > 0 else roots[::-1]:
+        if hi < below or lo > above:
+            continue  # certainly outside the window
+        if s is None:
+            s = math.isqrt(disc)
+        if s * s == disc:
+            root = QuadraticNumber(-B + sign * s, 0, 2 * A, 0)
+            root.lo, root.hi = lo, hi
+        elif A > 0:  # q = +-1 makes the fields coprime
+            root = enclosed(-B, sign, 2 * A, disc, lo, hi)
+        else:
+            root = enclosed(B, -sign, -2 * A, disc, lo, hi)
+        if (lo > after_lo or root.compare(t_lo) >= 0) and (
+                hi < before_hi or root.compare(t_hi) <= 0):
+            out.append(root)
+    return tuple(out)
 
 
 def compare_event_times(a, b) -> int:
@@ -388,6 +444,13 @@ def sign_ahead(p: QuadraticPoly, t, direction: int = 1) -> int:
     stays on: a minimum at t gives +1, a maximum -1.  Returns 0 only when p
     vanishes near t (in float mode: within the tolerance).
     """
+    if type(t) is QuadraticNumber and type(p.a) is not float:
+        # p(t) = (P + Q*sqrt(d))/r**2 and p'(t) = (2A p + B r + 2A q*sqrt(d))/r
+        # for t = (p + q*sqrt(d))/r, over ints A, B, C a positive multiple of p
+        A, B, C = _int_coefs(p)
+        return (_sign_pair(*poly_parts(A, B, C, t), t.d)
+                or _sign_pair(2 * A * t.p + B * t.r, 2 * A * t.q, t.d) * direction
+                or _sign(A, 0))
     v = p(t)
     tol = 0
     if isinstance(v, float):
@@ -430,8 +493,8 @@ def value_bound(coefs, t: float) -> tuple[float, float]:
 
     When a coefficient or t is not finite, or the bound overflows, returns
     (0.0, inf), whose interval holds every value: callers then compute the
-    exact value.  This is the filter's one entry; a bound of inf everywhere
-    turns every filter off.
+    exact value.  This is the value filters' one entry; a bound of inf
+    everywhere turns them off.
     """
     a, b, c = coefs
     v = (a * t + b) * t + c
@@ -441,3 +504,51 @@ def value_bound(coefs, t: float) -> tuple[float, float]:
     if e < math.inf:  # False for inf and nan
         return v, e
     return 0.0, math.inf
+
+
+# `root_bounds`' error bound, relative to the root's double, and an
+# absolute term for underflow.
+_ROOT_REL = 8 * _UNIT
+_ROOT_ABS = 2.0 ** -1070
+_NO_ROOT_BOUNDS = (-math.inf, math.inf, -math.inf, math.inf)
+
+
+def root_bounds(A: int, B: int, C: int, disc: int) -> tuple[float, float, float, float]:
+    """Enclosures (lo_minus, hi_minus, lo_plus, hi_plus) in doubles of the
+    roots (-B - sqrt(disc))/2A and (-B + sqrt(disc))/2A of A*t**2 + B*t + C,
+    for ints A != 0, B, C and disc = B**2 - 4AC > 0.
+
+    Derivation.  As in `_roots_float`, q = -(b + sign(b) s)/2 for the
+    doubles a, b, c nearest A, B, C and s = fl(sqrt(disc)), with b = 0
+    counted as positive, gives the roots q/a and c/q: rationalized, C/Q =
+    (-B +- sqrt(disc))/2A for the exact Q.  With unit roundoff u = 2**-53
+    each conversion and operation adds a factor (1 + delta), |delta| <= u,
+    and sqrt(disc (1 + delta)) = sqrt(disc)(1 + delta/2 + ...), so s has
+    relative error below 1.5u + u**2.  |b| and s are both nonnegative, so
+    their rounded sum keeps the larger relative error, times one rounding:
+    q has relative error below 2.6u, and its halving is exact (|Q| >= 1/2).
+    Each quotient then adds two factors, one for converting a or c and one
+    for its rounding, below 4.6u in all, plus at most 2**-1075 if it falls
+    below the normal range (a, c and q do not).  So each root X lies
+    within 4.7u|x| + 2**-1074 of its double x, and e = 8u|x| + 2**-1070
+    leaves more than 3u|x| + 2**-1072 beyond that for the rounding of x -+ e
+    (at most u(|x| + e) each; differences below the normal range are
+    exact).
+
+    When a conversion overflows or a root's bound is not finite, returns
+    infinite enclosures: callers then decide exactly.  A function that
+    returns those everywhere turns the root filter off.
+    """
+    try:
+        a, b, c, s = float(A), float(B), float(C), math.sqrt(disc)
+    except OverflowError:
+        return _NO_ROOT_BOUNDS
+    q = -0.5 * (b + s) if b >= 0.0 else 0.5 * (s - b)
+    x, y = q / a, c / q  # the roots with -sign(b) and +sign(b) before sqrt
+    ex = _ROOT_REL * abs(x) + _ROOT_ABS
+    ey = _ROOT_REL * abs(y) + _ROOT_ABS
+    if not (ex < math.inf and ey < math.inf):  # False for inf and nan
+        return _NO_ROOT_BOUNDS
+    if b >= 0.0:
+        return x - ex, x + ex, y - ey, y + ey
+    return y - ey, y + ey, x - ex, x + ex

@@ -181,8 +181,6 @@ def instance_from_json(text: str) -> MovingInstance:
         raise FormatError("canvas is neither null nor two numbers")
     try:
         canvas = None if canvas is None else tuple(map(_number, canvas))
-        if canvas and not all(0 < c < math.inf for c in canvas):
-            raise ValueError(f"canvas {canvas} is not finite and positive")
         stations = tuple(map(_point, doc["stations"]))
         objects = tuple(Trajectory(_point(o["start"]), _point(o["end"])) for o in doc["objects"])
         instance = MovingInstance(stations, objects, canvas=canvas, metadata=metadata)

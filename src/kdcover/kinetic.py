@@ -41,13 +41,15 @@ exact values, computed for the survivors alone, decide as before, and the
 dedup step passes over the stations that certainly do not cover a
 support.  A support change or handover difference certified negative over
 the window (`_negative_on`) has no root there and skips root finding.
-Every decision stays exact, and so does every timeline.  The exact rows
-are ints, L**2 (`den`) times the true polynomials (`_LiftedRow`), since
-no sign, order, tie or root moves under a positive scale; a difference is
-put in lowest terms (`_lowest_terms`) so that its roots take the true
-Fractions' forms.  Values leave in true units only as segment objectives
-(Fractions over den) and as `FloatRow` doubles, each int / den correctly
-rounded, which values at a float time read (`_row`).
+At an exact root each exact value is one `QuadraticNumber` construction
+(`exactarith.poly_parts`).  Every decision stays exact, and so does every
+timeline.  The exact rows are ints, L**2 (`den`) times the true
+polynomials (`_LiftedRow`), since no sign, order, tie or root moves under
+a positive scale; a difference is put in lowest terms (`_lowest_terms`)
+so that its roots take the true Fractions' forms.  Values leave in true
+units only as segment objectives (Fractions over den) and as `FloatRow`
+doubles, each int / den correctly rounded, which values at a float time
+read (`_row`).
 
 The engine keeps its state across events and recomputes only what an
 event touched:
@@ -85,6 +87,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .envelope import Assignment, TimelineSegment
+from .exactarith import QuadraticNumber, poly_parts
 from .geometry import (
     IntegerLift,
     MovingInstance,
@@ -279,6 +282,10 @@ class _Extender:
         self.polys = distance_rows(instance)
         self.exact = instance.lift is not None  # values at exact times are exact
         self.floats = [FloatRow(row) for row in self.polys] if self.exact else None
+        # the window ends' doubles for `_negative_on`: t_stop's, and the last
+        # cursor's with the cursor it was converted from
+        self.stop_f = _double(t_stop) if self.exact else None
+        self.cursor_f = (None, None)
         self.assignment = list(assignment)
         self.assignment_tuple = None  # tuple(self.assignment), built once per move
         self.members: list[list[int]] = [[] for _ in instance.stations]
@@ -369,6 +376,14 @@ class _Extender:
     def _window(self, cursor):
         return (cursor, self.t_stop) if self.direction > 0 else (self.t_stop, cursor)
 
+    def _window_doubles(self, cursor) -> tuple[float, float]:
+        """The doubles of `_window`'s ends, the cursor's converted once per
+        cursor."""
+        if self.cursor_f[0] is not cursor:
+            self.cursor_f = (cursor, _double(cursor))
+        c = self.cursor_f[1]
+        return (c, self.stop_f) if self.direction > 0 else (self.stop_f, c)
+
     def support_change_after(self, station: int, cursor, objs=None, best=None):
         """Earliest time strictly ahead of the cursor at which some other
         assigned object overtakes the station's current support.
@@ -380,7 +395,7 @@ class _Extender:
             return None
         lo, hi = self._window(cursor)
         if self.exact:
-            lo_f, hi_f = _double(lo), _double(hi)
+            lo_f, hi_f = self._window_doubles(cursor)
         row = self.polys[station]
         p_sup = row[sup]
         for o in self.members[station] if objs is None else objs:
@@ -485,7 +500,7 @@ class _Extender:
         diff = self._handover_diff(s1, s2, inputs)
         lo, hi = self._window(cursor)
         if self.exact:
-            if _negative_on(diff, _double(lo), _double(hi)):
+            if _negative_on(diff, *self._window_doubles(cursor)):
                 return None  # no root in the window
             diff = _lowest_terms(diff, self.polys[s1].den)
         for root in quadratic_roots(diff, lo, hi)[::self.direction]:
@@ -633,7 +648,12 @@ class _Extender:
 
 def _values(row: DistanceRow, objs, t) -> list:
     """The objects' squared distances from the row's station at t, in
-    order; p(t) written out, as in QuadraticPoly.__call__."""
+    order; p(t) written out, as in QuadraticPoly.__call__, or at a
+    `QuadraticNumber` on an integer lift's rows in one construction."""
+    if type(t) is QuadraticNumber and type(row) is _LiftedRow:
+        rr, d = t.r * t.r, t.d
+        return [QuadraticNumber(*poly_parts(p.a, p.b, p.c, t), rr, d)
+                for p in map(row.__getitem__, objs)]
     return [(p.a * t + p.b) * t + p.c for p in map(row.__getitem__, objs)]
 
 

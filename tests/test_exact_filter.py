@@ -1,10 +1,14 @@
 """The float filters of exact mode.  `geometry.value_bound` and the kinetic
 engine's use of it: the bound holds, the root screen never hides a root,
 and with the filter turned off (an infinite bound) every exact timeline is
-the same, while the filter removes most exact evaluations.  And the two
-other filters in front of exact decisions: `QuadraticNumber.compare` on
-the doubles that its operands hold, and `argmax_timeline` on exact
-timelines, each against the exact computation alone."""
+the same, while the filter removes most exact evaluations.
+`geometry.root_bounds` likewise: every enclosure holds its root, the
+filtered roots are the unfiltered ones, and with the filter off every
+exact solve is the same.  And the other filters in front of exact
+decisions: `QuadraticNumber.compare` on the doubles and enclosures that
+its operands hold, the integer evaluation of a polynomial at an algebraic
+time, and `argmax_timeline` on exact timelines, each against the exact
+computation alone."""
 
 import math
 import operator
@@ -15,10 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kdcover.geometry as geometry
 import kdcover.kinetic as kinetic
 from kdcover.envelope import SolutionTimeline, TimelineSegment, argmax_timeline
-from kdcover.exactarith import QuadraticNumber
-from kdcover.geometry import QuadraticPoly, compare_event_times, quadratic_roots, value_bound
+from kdcover.exactarith import QuadraticNumber, enclosed, poly_parts
+from kdcover.geometry import (QuadraticPoly, compare_event_times, quadratic_roots, root_bounds,
+                              sign_ahead, value_bound)
 from kdcover.instances import GenParams, generate
 from kdcover.kinetic import ImprovementFlags, dedup_improve, extend
 from kdcover.minmax import SolverConfig, solve_minmax
@@ -166,6 +172,148 @@ def test_root_screen_examples():
     assert not kinetic._negative_on(QuadraticPoly(-tiny, 0, Fraction(-1)), 0.0, 1.0)
 
 
+# -- root enclosures ---------------------------------------------------------
+
+
+def no_root_filter(A, B, C, disc):
+    """`root_bounds` with infinite enclosures: the root filter decides
+    nothing and every root is tested exactly."""
+    return -math.inf, math.inf, -math.inf, math.inf
+
+
+def unfiltered_roots(p, lo, hi):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "root_bounds", no_root_filter)
+        return quadratic_roots(p, lo, hi)
+
+
+def assert_roots_filtered_alike(p, lo, hi) -> tuple:
+    """The filtered roots are the unfiltered ones, by repr and by exact
+    equality, and each enclosure holds its root, by an exact compare on an
+    enclosure-free copy."""
+    roots = quadratic_roots(p, lo, hi)
+    plain = unfiltered_roots(p, lo, hi)
+    assert repr(roots) == repr(plain)
+    assert len(roots) == len(plain) and all(x == y for x, y in zip(roots, plain))
+    for root in roots:
+        bare = uncached(root)
+        assert (bare.lo, bare.hi) == (-math.inf, math.inf)
+        assert bare.compare(root.lo) >= 0 and bare.compare(root.hi) <= 0, root
+    return roots
+
+
+BIG = Fraction(2) ** 200
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_polys(), exact_times(), exact_times(), st.integers(0, 3), st.booleans())
+def test_root_enclosures_hold_and_change_no_root(p, t1, t2, k, upper):
+    """Every root in a window wide enough to hold them all, and windows
+    whose ends are Fractions or QuadraticNumbers, with one end moved onto
+    the k-th root when there is one, in the form the same root takes as a
+    root of 4p (other fields, an overlapping enclosure)."""
+    every = assert_roots_filtered_alike(p, -BIG, BIG)
+    lo, hi = (t1, t2) if t1 <= t2 else (t2, t1)
+    if k < len(every):
+        root = quadratic_roots(QuadraticPoly(4 * p.a, 4 * p.b, 4 * p.c), -BIG, BIG)[k]
+        assert root == every[k]
+        lo, hi = (min(lo, root), root) if upper else (root, max(hi, root))
+    assert_roots_filtered_alike(p, lo, hi)
+
+
+def test_root_enclosure_examples():
+    F = Fraction
+    sqrt2 = QuadraticNumber(0, 1, 1, 2)
+    # coefficients past the float range: no enclosure, every root tested exactly
+    huge = QuadraticPoly(F(10 ** 400), F(-3 * 10 ** 400), F(2 * 10 ** 400))
+    assert root_bounds(10 ** 400, -3 * 10 ** 400, 2 * 10 ** 400, 10 ** 800) == \
+        no_root_filter(0, 0, 0, 0)
+    assert assert_roots_filtered_alike(huge, 0, 3) == (1, 2)
+    # a discriminant past the float range, with coefficients inside it
+    wide = QuadraticPoly(1, 10 ** 200, -1)
+    assert root_bounds(1, 10 ** 200, -1, 10 ** 400 + 4) == no_root_filter(0, 0, 0, 0)
+    assert len(assert_roots_filtered_alike(wide, -10 ** 201, 1)) == 2
+    # a perfect-square discriminant: rational roots 1/3 and 1/2, at the
+    # window's ends, at one end, and just outside it
+    square = QuadraticPoly(F(6), F(-5), F(1))
+    assert assert_roots_filtered_alike(square, F(1, 3), F(1, 2)) == (F(1, 3), F(1, 2))
+    assert assert_roots_filtered_alike(square, F(1, 3), F(2, 5)) == (F(1, 3),)
+    assert assert_roots_filtered_alike(square, F(2, 5), F(1, 2)) == (F(1, 2),)
+    assert assert_roots_filtered_alike(square, F(1, 3) + F(1, 2 ** 80), F(1, 2) - F(1, 2 ** 80)) \
+        == ()
+    # A < 0: the roots -sqrt(2) < sqrt(2) come ascending, and a window end
+    # at sqrt(2) in another form (sqrt(8)/2) holds it
+    down = QuadraticPoly(F(-1), F(0), F(2))
+    assert assert_roots_filtered_alike(down, -2, 2) == (-sqrt2, sqrt2)
+    assert assert_roots_filtered_alike(down, 0, QuadraticNumber(0, 1, 2, 8)) == (sqrt2,)
+    assert assert_roots_filtered_alike(down, QuadraticNumber(0, 1, 2, 8), 2) == (sqrt2,)
+    # coefficients near 2**-1000: roots near 2**-500, and a root below the
+    # normal range, -1/(3 * 2**1021)
+    tiny = F(1, 2 ** 1000)
+    assert len(assert_roots_filtered_alike(QuadraticPoly(F(1), tiny, -tiny), -1, 1)) == 2
+    assert assert_roots_filtered_alike(QuadraticPoly(F(1), F(0), -tiny), -1, 1) == (
+        -F(1, 2 ** 500), F(1, 2 ** 500))
+    sub = QuadraticPoly(F(3), F(1, 2 ** 1021), F(0))
+    low, zero = assert_roots_filtered_alike(sub, -1, 1)
+    assert low == -F(1, 3 * 2 ** 1021) and zero == 0
+    assert 0 < -low.lo < math.inf and low.lo <= float(low) <= low.hi < 0
+    assert assert_roots_filtered_alike(sub, low, low) == (low,)
+    assert assert_roots_filtered_alike(sub, -1, F(-1, 2 ** 1100)) == (low,)
+
+
+def test_enclosure_ends_that_touch_decide_exactly(monkeypatch):
+    """An enclosure end equal to the other side's double decides nothing:
+    the roots -1/2 and 1/2 of 4t**2 - 1, given the valid enclosures
+    [prev(-0.5), -0.5] and [0.5, next(0.5)], against window ends that round
+    to -0.5 or 0.5 from either side; and compare on touching enclosures."""
+    F = Fraction
+    down, up = math.nextafter(-0.5, -1), math.nextafter(0.5, 1)
+    monkeypatch.setattr(geometry, "root_bounds", lambda A, B, C, disc: (down, -0.5, 0.5, up))
+    poly, off = QuadraticPoly(4, 0, -1), F(1, 2 ** 80)
+    assert quadratic_roots(poly, F(-1, 2), F(1, 2)) == (F(-1, 2), F(1, 2))
+    assert quadratic_roots(poly, F(1, 2) + off, 1) == ()
+    assert quadratic_roots(poly, F(-1, 2) + off, F(1, 2) - off) == ()
+    assert quadratic_roots(poly, -1, F(-1, 2) - off) == ()
+    assert quadratic_roots(poly, F(1, 2) - off, F(1, 2) + off) == (F(1, 2),)
+    # 1 - 2**-80 against a Fraction below it that rounds to its enclosure's
+    # top, and 1 with enclosures that touch at 1.0
+    below_one = enclosed(2 ** 80 - 1, 0, 2 ** 80, 0, math.nextafter(1.0, 0), 1.0)
+    assert below_one.compare(1 - F(1, 2 ** 70)) == 1
+    assert below_one.compare(1 - F(1, 2 ** 90)) == -1
+    one_below = enclosed(1, 0, 1, 0, math.nextafter(1.0, 0), 1.0)
+    one_above = enclosed(1, 0, 1, 0, 1.0, math.nextafter(1.0, 2))
+    assert one_below.compare(one_above) == one_above.compare(one_below) == 0
+    assert one_below.compare(1.0) == one_above.compare(F(1)) == 0
+
+
+def desk_instances():
+    """`exact_arith`'s eight instances: n=40, m=6, every class, seeds 0-1."""
+    return [generate(GenParams(n=40, m=6, seed=seed, instance_class=klass))
+            for klass in CLASSES for seed in range(2)]
+
+
+def test_root_filter_switch_changes_no_exact_solve(monkeypatch):
+    """With the root filter off (infinite enclosures) the eight desk
+    instances give the same upper, lower and segments, by repr, while the
+    filter saves at least a quarter of the `QuadraticNumber.compare` calls."""
+    compare = QuadraticNumber.compare
+    runs = {}
+    for filtered in (True, False):
+        calls = [0]
+
+        def counted(self, other):
+            calls[0] += 1
+            return compare(self, other)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(QuadraticNumber, "compare", counted)
+            if not filtered:
+                mp.setattr(geometry, "root_bounds", no_root_filter)
+            runs[filtered] = [solve_repr(inst, ALL_FLAGS) for inst in desk_instances()], calls[0]
+    assert runs[True][0] == runs[False][0]
+    assert 4 * runs[True][1] <= 3 * runs[False][1], (runs[True][1], runs[False][1])
+
+
 def solve_repr(inst, flags):
     """Every segment and both bounds of an exact-arithmetic solve, by repr
     (QuadraticNumber times by their fields)."""
@@ -272,6 +420,15 @@ def cached(x):
     return x
 
 
+def enclosing(x):
+    """x with an enclosure, the two neighbours of its double, and no double
+    held (a float is returned as it is)."""
+    if not isinstance(x, QuadraticNumber):
+        return x
+    f = float(uncached(x))
+    return enclosed(x.p, x.q, x.r, x.d, math.nextafter(f, -math.inf), math.nextafter(f, math.inf))
+
+
 def random_number(rng) -> QuadraticNumber:
     """(p + q*sqrt(d))/r over a few radicands, rational one time in five."""
     q = 0 if rng.random() < 0.2 else rng.randint(-10 ** 6, 10 ** 6)
@@ -307,15 +464,15 @@ def exact_order(x, y) -> int:
 
 
 def test_compare_on_held_doubles_matches_the_exact_order():
-    """With doubles held on neither side, one or both, compare and every
-    operator give what the sign computation alone gives."""
+    """With a double held or an enclosure on neither side, one or both,
+    compare and every operator give what the sign computation alone gives."""
     same_double = 0
+    forms = (uncached, cached, enclosing)
     for x, y in comparison_pairs():
         exact = exact_order(x, y)
         if isinstance(y, QuadraticNumber):
             same_double += float(uncached(x)) == float(uncached(y)) and exact != 0
-        for a, b in ((uncached(x), uncached(y)), (cached(x), uncached(y)),
-                     (uncached(x), cached(y)), (cached(x), cached(y))):
+        for a, b in ((fx(x), fy(y)) for fx in forms for fy in forms):
             assert a.compare(b) == exact, (x, y)
             assert [op(a, b) for op in OPERATORS] == [op(exact, 0) for op in OPERATORS], (x, y)
     assert same_double >= 100
@@ -336,6 +493,44 @@ def test_comparisons_with_infinities_and_nan_follow_fraction(held):
         assert (x.compare(math.inf), x.compare(-math.inf)) == (-1, 1)
         with pytest.raises(ValueError):
             x.compare(math.nan)
+
+
+# -- polynomials at algebraic times in one integer step ----------------------
+
+
+def test_fused_value_and_sign_at_algebraic_times_table():
+    """`poly_parts` over r**2 and `sign_ahead`'s integer step against
+    `QuadraticPoly.__call__` and `derivative_at` in QuadraticNumber
+    arithmetic: on roots of the polynomial (value 0, the slope decides), a
+    tangency (the curvature decides), the zero polynomial, and with int and
+    Fraction coefficients."""
+    F = Fraction
+    sqrt2 = QuadraticNumber(0, 1, 1, 2)
+    golden = QuadraticNumber(3, -1, 7, 5)  # (3 - sqrt(5))/7, a root of 49t**2 - 42t + 4
+    # (label, (a, b, c), t, sign forward, sign backward)
+    table = [
+        ("crossing at sqrt(2)", (1, 0, -2), sqrt2, 1, -1),
+        ("falling through sqrt(2)", (-1, 0, 2), sqrt2, -1, 1),
+        ("crossing at -sqrt(2)", (1, 0, -2), -sqrt2, -1, 1),
+        ("value decides", (1, 0, -1), sqrt2, 1, 1),
+        ("negative value decides", (-3, 1, -1), golden, -1, -1),
+        ("root of an irrational pair", (49, -42, 4), golden, -1, 1),
+        ("tangency at 1/3 from above", (9, -6, 1), QuadraticNumber(1, 0, 3, 0), 1, 1),
+        ("tangency at 1/3 from below", (-9, 6, -1), QuadraticNumber(1, 0, 3, 0), -1, -1),
+        ("linear", (0, 3, -1), QuadraticNumber(1, 0, 3, 0), 1, -1),
+        ("constant", (0, 0, 5), golden, 1, 1),
+        ("zero", (0, 0, 0), sqrt2, 0, 0),
+    ]
+    for label, (a, b, c), t, forward, backward in table:
+        poly = QuadraticPoly(a, b, c)
+        value, slope = poly(t), poly.derivative_at(t)
+        assert repr(QuadraticNumber(*poly_parts(a, b, c, t), t.r ** 2, t.d)) == repr(value), label
+        for direction, expected in ((1, forward), (-1, backward)):
+            reference = (value > 0) - (value < 0) or (
+                (slope > 0) - (slope < 0)) * direction or (a > 0) - (a < 0)
+            assert reference == expected, label
+            for p in (poly, QuadraticPoly(F(a, 6), F(b, 6), F(c, 6))):
+                assert sign_ahead(p, t, direction) == expected, (label, p)
 
 
 # -- argmax_timeline on exact timelines --------------------------------------

@@ -2,10 +2,11 @@ import hashlib
 import json
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 
-from kdcover.geometry import ZERO_POLY, squared_distance_poly
+from kdcover.geometry import ZERO_POLY, MovingInstance, squared_distance_poly
 from kdcover.instances import (
     FormatError,
     GenParams,
@@ -107,6 +108,25 @@ def test_instance_round_trip(tmp_path):
     empty = generate(GenParams(n=0, m=2, seed=1))
     write_instance(path, empty)
     assert read_instance(path) == empty
+
+
+def test_canvas_is_none_or_two_finite_positive_numbers():
+    """A third positional argument is the canvas, so an object passed there
+    by mistake is rejected; generated, exact, read back and mirrored
+    instances keep theirs (the metamorphic suite builds its images
+    without one)."""
+    inst = generate(GenParams(n=3, m=2, seed=0))
+    for canvas in ((inst.objects[0],), (inst.objects[0], inst.objects[1]), (100.0,),
+                   (100.0, 0.0), (-1, 5), (math.inf, 5.0), (math.nan, 5.0), (True, 5.0),
+                   ("100", "100"), (100.0, 100.0, 100.0), 100.0):
+        with pytest.raises(ValueError):
+            MovingInstance(inst.stations, inst.objects[:1], canvas)
+    assert inst.canvas == (100.0, 100.0)
+    assert inst.as_exact().canvas == (100.0, 100.0)
+    assert instance_from_json(instance_to_json(inst)).canvas == (100.0, 100.0)
+    assert MovingInstance(inst.stations, inst.objects, [Fraction(5, 2), 3]).canvas == (
+        Fraction(5, 2), 3)
+    assert MovingInstance(inst.stations, inst.objects).canvas is None
 
 
 def test_instance_format_errors():

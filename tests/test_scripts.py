@@ -3,6 +3,7 @@ that a change to the CLI it calls cannot break it unseen, and the readers of
 `scripts/bench_record.py` and `scripts/bench_trajectory.py`."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -47,10 +48,15 @@ metric failed_frac = 0.5 ratio
 """
 
 
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_record_parses_a_recorded_run():
-    spec = importlib.util.spec_from_file_location("bench_record", SCRIPTS / "bench_record.py")
-    bench_record = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_record)
+    bench_record = load_script("bench_record")
     doc = bench_record.parse_run_output(RECORDED_RUN)
     assert doc["context"][1] == ("commit=65b54f83aa3c478afbac33d43f82b99ba582913e "
                                  "source_sha256=293e8c2800e12603")
@@ -67,17 +73,49 @@ def test_bench_record_parses_a_recorded_run():
         bench_record.parse_run_output("error: no kdcover package under src\n")
 
 
-def test_bench_trajectory_reads_the_committed_recordings():
-    spec = importlib.util.spec_from_file_location("bench_trajectory",
-                                                  SCRIPTS / "bench_trajectory.py")
-    bench_trajectory = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_trajectory)
+def test_bench_record_compacts_the_passes():
+    """Three passes of the recorded run's two solves: one row per instance
+    and recipe, with the pass count, the timing medians and minima, the
+    first pass's bounds and each distinct FAIL line once."""
+    bench_record = load_script("bench_record")
+    solves = bench_record.parse_run_output(RECORDED_RUN)["solves"]
+    passes = [dict(row, wall_s=row["wall_s"] * k, fast_s=row["fast_s"] * k)
+              for k in (3, 1, 2) for row in solves]
+    first, second = bench_record.compact_rows(passes)
+    assert first == {"instance": "random_n10_m3_s0_g1", "algorithm": "exact",
+                     "flags": "nodup+impext+partext", "arith": "exact", "role": "measured",
+                     "passes": 3, "wall_s_median": 0.0096, "wall_s_min": 0.0048,
+                     "fast_s_median": 0.0068, "fast_s_min": 0.0034, "stop": "gap",
+                     "upper": 8520.216018, "lower": 8520.216018, "gap": 0.0, "problems": []}
+    assert (second["algorithm"], second["passes"], second["gap"]) == ("nn", 3, None)
+    assert second["problems"] == ["lower 2.0 > upper 1.0"]
+
+
+def test_bench_trajectory_reads_the_committed_recordings(tmp_path):
+    """The committed per-solve recordings, and a compact one, whose solve
+    count is the sum of its rows' passes."""
+    bench_trajectory = load_script("bench_trajectory")
     header, *lines = bench_trajectory.trajectory()
-    assert header.split() == ["label", "workload", "commit", "source", "rows", "solve_s_total"]
-    assert len(lines) == len(list(SCRIPTS.parent.glob("BENCH_*.json"))) >= 5
+    assert header.split() == ["label", "workload", "commit", "source", "rows", "solves",
+                              "solve_s_total"]
+    assert len(lines) == len(list(SCRIPTS.parent.glob("BENCH_*.json"))) >= 7
     rows = {tuple(line.split()[:2]): line.split() for line in lines}
     parent = rows["double_filters_parent", "exact_arith"]
     child = rows["double_filters", "exact_arith"]
     assert parent[2] == child[2] == "a0e45c682529"
-    assert (parent[3], parent[4]) == ("0e4bff12f0781c55", "1232")
+    assert parent[3:6] == ["0e4bff12f0781c55", "1232", "1232"]
     assert (parent[-1], child[-1]) == ("0.0422", "0.0294")
+    for label in ("root_enclosures_parent", "root_enclosures"):
+        path = SCRIPTS.parent / f"BENCH_{label}_exact_arith.json"
+        assert path.stat().st_size < 50_000
+        line = rows[label, "exact_arith"]
+        assert int(line[4]) == 16 and int(line[5]) >= 32  # eight instances, two recipes
+
+    doc = load_script("bench_record").parse_run_output(RECORDED_RUN)
+    compact = {"workload": "exact_arith", "seed": 1, "label": "toy", "context": doc["context"],
+               "rows": load_script("bench_record").compact_rows(doc["solves"] * 3),
+               "result": doc["result"]}
+    (tmp_path / "BENCH_toy_exact_arith.json").write_text(json.dumps(compact))
+    (_, line), = [bench_trajectory.trajectory(tmp_path)]
+    assert line.split() == ["toy", "exact_arith", "65b54f83aa3c", "293e8c2800e12603", "2", "6",
+                            "0.0105"]
