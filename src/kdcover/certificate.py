@@ -392,7 +392,7 @@ def _peak_violation(p, r, t0, t1, floor) -> tuple[float, float]:
             times.append(min(max(-(pb - rb) / (2 * (pa - ra)), t0), t1))
         for a, b, c in ((ra, rb, rc - floor),
                         (pa * rb - pb * ra, 2 * (pa * rc - pc * ra), pb * rc - pc * rb)):
-            times += quadratic_roots(QuadraticPoly(a, b, c), t0, t1)
+            times += quadratic_roots(a, b, c, t0, t1)
     best, best_t = -math.inf, None
     for t in sorted(times):
         d2, r2 = (pa * t + pb) * t + pc, (ra * t + rb) * t + rc

@@ -167,16 +167,16 @@ def _merge_core(a_segments, b_segments) -> list[TimelineSegment]:
         sa, sb = a_segments[i], b_segments[j]
         v = sa.t_end if compare_event_times(sa.t_end, sb.t_end) <= 0 else sb.t_end
         if compare_event_times(u, v) < 0:
-            diff = sa.poly - sb.poly
-            cuts = [r for r in quadratic_roots(diff, u, v)
+            a, b, c = sa.poly.a - sb.poly.a, sa.poly.b - sb.poly.b, sa.poly.c - sb.poly.c
+            cuts = [r for r in quadratic_roots(a, b, c, u, v)
                     if compare_event_times(r, u) > 0 and compare_event_times(r, v) < 0]
             pieces = [u] + cuts + [v]
             for x, y in zip(pieces, pieces[1:]):
                 if compare_event_times(x, y) >= 0:
                     continue
-                # diff keeps one sign inside the piece; a float tie at x
+                # the difference keeps one sign inside the piece; a float tie at x
                 # (within tolerance) is settled at the far end y.
-                s = sign_ahead(diff, x) or sign_ahead(diff, y, -1)
+                s = sign_ahead(a, b, c, x) or sign_ahead(a, b, c, y, -1)
                 emit(x, y, sa if s <= 0 else sb)
         u = v
         if compare_event_times(sa.t_end, v) <= 0:

@@ -8,9 +8,9 @@ coefficients get the numerically stable quadratic formula, rational
 coefficients get exact `QuadraticNumber` roots, from int coefficients as
 they are and from Fractions over their least common denominator.
 
-`quadratic_roots` returns a plain tuple of the roots in a window; the
-identically zero polynomial, whose roots are a continuum, has none there
-and is told apart by `QuadraticPoly.is_zero`.
+`quadratic_roots(a, b, c, t_lo, t_hi)` and `sign_ahead(a, b, c, t)` take
+coefficients, so a difference needs no `QuadraticPoly`; the roots are a
+plain tuple, empty for the zero polynomial, whose roots are a continuum.
 
 The kinetic layers decide every float-versus-exact question through the
 predicates at the bottom of this module: `compare_event_times` orders
@@ -32,7 +32,7 @@ time in float with a certified bound on its error, and `root_bounds`, a
 certified enclosure of each root of an integer quadratic, which
 `_roots_exact` tests against the window before it makes the root and
 which the root then carries, so that `QuadraticNumber.compare` reads it
-first.  `sign_ahead` at an exact root builds no number.
+first, as are the window's ends.  `sign_ahead` at a root builds no number.
 """
 
 from __future__ import annotations
@@ -261,28 +261,26 @@ def _is_exact(v) -> bool:
     return isinstance(v, (int, Fraction))
 
 
-def quadratic_roots(p: QuadraticPoly, t_lo, t_hi) -> tuple[EventTime, ...]:
-    """The tuple of real roots of p in the closed window [t_lo, t_hi],
-    ascending.
+def quadratic_roots(a: Scalar, b: Scalar, c: Scalar, t_lo, t_hi) -> tuple[EventTime, ...]:
+    """The tuple of real roots of a*t**2 + b*t + c in the closed window
+    [t_lo, t_hi], ascending.
 
     Degenerate polynomials are results, not errors: a linear polynomial
     yields at most one root and a constant none.  That includes the
     identically zero polynomial, whose roots form a continuum rather than
-    isolated events; a caller that must tell it apart tests `p.is_zero`.
+    isolated events; a caller that must tell it apart tests its coefficients.
     """
+    # A float coefficient is never exact: the common case skips the ABC checks.
+    if type(a) is not float and type(b) is not float and type(c) is not float and (
+            _is_exact(a) and _is_exact(b) and _is_exact(c)):
+        return _roots_exact(a, b, c, t_lo, t_hi)
     if not (t_lo <= t_hi):
         raise ValueError(f"empty window [{t_lo}, {t_hi}]")
-    a, b, c = p.a, p.b, p.c
-    # A float coefficient is never exact: the common case skips the ABC checks.
-    if type(a) is float or type(b) is float or type(c) is float:
-        return _roots_float(p, t_lo, t_hi)
-    if _is_exact(a) and _is_exact(b) and _is_exact(c):
-        return _roots_exact(p, t_lo, t_hi)
-    return _roots_float(p, t_lo, t_hi)
+    return _roots_float(a, b, c, t_lo, t_hi)
 
 
-def _roots_float(p: QuadraticPoly, t_lo, t_hi) -> tuple:
-    a, b, c = float(p.a), float(p.b), float(p.c)
+def _roots_float(a, b, c, t_lo, t_hi) -> tuple:
+    a, b, c = float(a), float(b), float(c)
     if a == 0.0:
         if b == 0.0:
             return ()
@@ -293,7 +291,7 @@ def _roots_float(p: QuadraticPoly, t_lo, t_hi) -> tuple:
         # b*b or 4ac overflowed: the same roots, with the largest
         # coefficient scaled into [1/2, 1) by a power of two.
         shift = -math.frexp(max(abs(a), abs(b), abs(c)))[1]
-        return _roots_float(QuadraticPoly(*(math.ldexp(v, shift) for v in (a, b, c))),
+        return _roots_float(math.ldexp(a, shift), math.ldexp(b, shift), math.ldexp(c, shift),
                             t_lo, t_hi)
     if disc < 0.0:
         return ()
@@ -311,15 +309,14 @@ def _roots_float(p: QuadraticPoly, t_lo, t_hi) -> tuple:
     return (r2,) if t_lo <= r2 <= t_hi else ()
 
 
-def _int_coefs(p: QuadraticPoly) -> tuple[int, int, int]:
-    """p's int or Fraction coefficients as ints over their least common
+def _int_coefs(a, b, c) -> tuple[int, int, int]:
+    """Int or Fraction coefficients as ints over their least common
     denominator: the same roots and signs."""
-    A, B, C = p.a, p.b, p.c
-    if not (type(A) is type(B) is type(C) is int):
-        (A, da), (B, db), (C, dc) = A.as_integer_ratio(), B.as_integer_ratio(), C.as_integer_ratio()
+    if not (type(a) is type(b) is type(c) is int):
+        (a, da), (b, db), (c, dc) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
         den = math.lcm(da, db, dc)
-        A, B, C = A * (den // da), B * (den // db), C * (den // dc)
-    return A, B, C
+        a, b, c = a * (den // da), b * (den // db), c * (den // dc)
+    return a, b, c
 
 
 def _separating(t) -> tuple[float, float]:
@@ -337,11 +334,16 @@ def _separating(t) -> tuple[float, float]:
     return f, f
 
 
-def _roots_exact(p: QuadraticPoly, t_lo, t_hi) -> tuple:
+def _roots_exact(a, b, c, t_lo, t_hi) -> tuple:
     """The roots in [t_lo, t_hi]; a root is made only when its
     `root_bounds` enclosure does not place it outside the window, and
-    compared exactly with a window end only when the enclosure cannot."""
-    A, B, C = _int_coefs(p)
+    compared exactly with a window end only when the enclosure cannot, as
+    the window's ends are with each other (`_separating`)."""
+    below, after_lo = _separating(t_lo)
+    before_hi, above = _separating(t_hi)
+    if not after_lo < before_hi and (above < below or not t_lo <= t_hi):
+        raise ValueError(f"empty window [{t_lo}, {t_hi}]")
+    A, B, C = _int_coefs(a, b, c)
 
     def in_window(t: QuadraticNumber) -> bool:
         return t.compare(t_lo) >= 0 and t.compare(t_hi) <= 0
@@ -358,8 +360,6 @@ def _roots_exact(p: QuadraticPoly, t_lo, t_hi) -> tuple:
         root = QuadraticNumber(-B, 0, 2 * A, 0)
         return (root,) if in_window(root) else ()
     lo_minus, hi_minus, lo_plus, hi_plus = root_bounds(A, B, C, disc)
-    below, after_lo = _separating(t_lo)
-    before_hi, above = _separating(t_hi)
     # (sign of sqrt(disc), enclosure) in ascending order: dividing by 2A < 0
     # reverses the order of -B -+ sqrt(disc)
     roots = ((-1, lo_minus, hi_minus), (1, lo_plus, hi_plus))
@@ -434,28 +434,28 @@ def _sign(v, tol) -> int:
     return 1 if v > tol else -1 if v < -tol else 0
 
 
-def sign_ahead(p: QuadraticPoly, t, direction: int = 1) -> int:
-    """Sign of p immediately ahead of t in the travel direction.
+def sign_ahead(a: Scalar, b: Scalar, c: Scalar, t, direction: int = 1) -> int:
+    """Sign of a*t**2 + b*t + c just ahead of t in the travel direction.
 
     Looks at the value, then the slope in the travel direction, then the
     curvature, stopping at the first that is nonzero.  In float mode
     "nonzero" means beyond the tolerance EPS * max(1, |a|, |b|, |c|); in
     exact mode it is exact.  A tangency therefore counts by the side it
-    stays on: a minimum at t gives +1, a maximum -1.  Returns 0 only when p
-    vanishes near t (in float mode: within the tolerance).
+    stays on: a minimum at t gives +1, a maximum -1.  Returns 0 only when
+    the polynomial vanishes near t (in float mode: within the tolerance).
     """
-    if type(t) is QuadraticNumber and type(p.a) is not float:
+    if type(t) is QuadraticNumber and type(a) is not float:
         # p(t) = (P + Q*sqrt(d))/r**2 and p'(t) = (2A p + B r + 2A q*sqrt(d))/r
-        # for t = (p + q*sqrt(d))/r, over ints A, B, C a positive multiple of p
-        A, B, C = _int_coefs(p)
+        # at t = (p + q*sqrt(d))/r, for ints A, B, C a positive multiple of a, b, c
+        A, B, C = _int_coefs(a, b, c)
         return (_sign_pair(*poly_parts(A, B, C, t), t.d)
                 or _sign_pair(2 * A * t.p + B * t.r, 2 * A * t.q, t.d) * direction
                 or _sign(A, 0))
-    v = p(t)
+    v = (a * t + b) * t + c
     tol = 0
     if isinstance(v, float):
-        tol = EPS * max(1.0, abs(float(p.a)), abs(float(p.b)), abs(float(p.c)))
-    return _sign(v, tol) or _sign(p.derivative_at(t) * direction, tol) or _sign(p.a, tol)
+        tol = EPS * max(1.0, abs(float(a)), abs(float(b)), abs(float(c)))
+    return _sign(v, tol) or _sign((2 * a * t + b) * direction, tol) or _sign(a, tol)
 
 
 # `value_bound`'s error bound: a multiple of the unit roundoff u = 2**-53

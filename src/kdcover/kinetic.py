@@ -13,19 +13,19 @@ event (`apply_dedup`; `dedup_improve` runs it once, at one time).
 events from an anchor time toward a stop time.  What each event computes:
 
 - support change of station s: for each other member o, the difference
-  d(s, o) - d(s, sup) of squared-distance polynomials, and its first root
-  strictly ahead of the cursor past which it is positive (`sign_ahead`);
-  the earliest over the members is queued;
-- handover of s1's support b to s2: the first such root of one polynomial,
+  d(s, o) - d(s, sup) of squared-distance polynomials, as three local
+  coefficients, and its first root strictly ahead of the cursor past
+  which it is positive (`sign_ahead`); the earliest is queued;
+- handover of s1's support b to s2: the first such root of one difference,
   (d(s1, b) + d(s2, c)) - (d(s1, a) + d(s2, b)), the two stations' cost
   before minus after the transfer, with a the runner-up of s1 and c the
   support of s2 (zero when None); at its time the handover is re-checked
   against the live state (`handover_still_improves`) and applied only if
   the cost does not rise;
 - duplicate coverage (no_dup) runs at every event time (`_dedup`), moving
-  supports already inside another disk; it reads the same distance
-  polynomials as every other step, so float and exact arithmetic break
-  its ties alike.
+  supports already inside another disk, read only at the stations that
+  hold a support; it reads the same distance polynomials as every other
+  step, so float and exact arithmetic break its ties alike.
 
 Runner-ups are found by evaluating each member's polynomial at the time in
 one list pass, then the largest value and its lowest-index object by
@@ -397,16 +397,18 @@ class _Extender:
         if self.exact:
             lo_f, hi_f = self._window_doubles(cursor)
         row = self.polys[station]
-        p_sup = row[sup]
+        p = row[sup]
+        sa, sb, sc = p.a, p.b, p.c
         for o in self.members[station] if objs is None else objs:
             if o == sup:
                 continue
-            diff = row[o] - p_sup
+            p = row[o]
+            a, b, c = p.a - sa, p.b - sb, p.c - sc  # row[o] - row[sup]
             if self.exact:
-                if _negative_on(diff, lo_f, hi_f):
+                if _negative_on(a, b, c, lo_f, hi_f):
                     continue  # no root in the window
-                diff = _lowest_terms(diff, row.den)
-            roots = quadratic_roots(diff, lo, hi)
+                a, b, c = _lowest_terms((a, b, c), row.den)
+            roots = quadratic_roots(a, b, c, lo, hi)
             if not roots:
                 continue  # no crossing, or equidistant for all time: a tie
             for root in roots[::self.direction]:  # ascending roots, in travel order
@@ -414,7 +416,7 @@ class _Extender:
                     continue
                 if best is not None and not self._ahead(best, root):
                     break
-                if sign_ahead(diff, root, self.direction) > 0:
+                if sign_ahead(a, b, c, root, self.direction) > 0:
                     best = root
                     break
         return best
@@ -486,27 +488,23 @@ class _Extender:
         p_c = row2[c] if c is not None else ZERO_POLY
         return row1[b], p_c, p_a, row2[b]
 
-    def _handover_diff(self, s1: int, s2: int, inputs) -> QuadraticPoly:
-        """Cost of s1 and s2 before minus after s1's support moves to s2, as
-        one polynomial composed like `handover_still_improves`'s costs."""
-        p_b1, p_c, p_a, p_b2 = self._handover_rows(s1, s2, inputs)
-        return QuadraticPoly((p_b1.a + p_c.a) - (p_a.a + p_b2.a),
-                             (p_b1.b + p_c.b) - (p_a.b + p_b2.b),
-                             (p_b1.c + p_c.c) - (p_a.c + p_b2.c))
-
     def handover_after(self, s1: int, s2: int, inputs, cursor):
         """Earliest strict-improvement handover time of s1's support to s2
-        ahead of the cursor."""
-        diff = self._handover_diff(s1, s2, inputs)
+        ahead of the cursor: a root of the cost of s1 and s2 before minus
+        after the move, composed like `handover_still_improves`'s costs."""
+        p_b1, p_c, p_a, p_b2 = self._handover_rows(s1, s2, inputs)
+        a = (p_b1.a + p_c.a) - (p_a.a + p_b2.a)
+        b = (p_b1.b + p_c.b) - (p_a.b + p_b2.b)
+        c = (p_b1.c + p_c.c) - (p_a.c + p_b2.c)
         lo, hi = self._window(cursor)
         if self.exact:
-            if _negative_on(diff, *self._window_doubles(cursor)):
+            if _negative_on(a, b, c, *self._window_doubles(cursor)):
                 return None  # no root in the window
-            diff = _lowest_terms(diff, self.polys[s1].den)
-        for root in quadratic_roots(diff, lo, hi)[::self.direction]:
+            a, b, c = _lowest_terms((a, b, c), self.polys[s1].den)
+        for root in quadratic_roots(a, b, c, lo, hi)[::self.direction]:
             if not self._ahead(root, cursor):
                 continue
-            if sign_ahead(diff, root, self.direction) > 0:
+            if sign_ahead(a, b, c, root, self.direction) > 0:
                 return root
         return None
 
@@ -516,8 +514,8 @@ class _Extender:
         pair = (s1, s2)
         inputs = self._handover_inputs(s1, s2, cursor)
         if inputs is None:
-            self.handover_inputs.pop(pair, None)
-            self.queue.set(HANDOVER, pair, None)
+            if self.handover_inputs.pop(pair, None) is not None:  # else none is queued
+                self.queue.set(HANDOVER, pair, None)
         elif not self._reusable(self.handover_inputs.get(pair), HANDOVER, pair, inputs, cursor):
             self.handover_inputs[pair] = (inputs, cursor)
             self.queue.set(HANDOVER, pair, self.handover_after(s1, s2, inputs, cursor), inputs[0])
@@ -657,10 +655,10 @@ def _values(row: DistanceRow, objs, t) -> list:
     return [(p.a * t + p.b) * t + p.c for p in map(row.__getitem__, objs)]
 
 
-def _lowest_terms(p: QuadraticPoly, den) -> QuadraticPoly:
-    """p / gcd(a, b, c, den): p / den over its least common denominator."""
-    g = math.gcd(p.a, p.b, p.c, den)
-    return p if g == 1 else QuadraticPoly(p.a // g, p.b // g, p.c // g)
+def _lowest_terms(coefs: tuple, den) -> tuple:
+    """Ints (a, b, c) / gcd(a, b, c, den): (a, b, c) / den in lowest terms."""
+    g = math.gcd(*coefs, den)
+    return coefs if g == 1 else (coefs[0] // g, coefs[1] // g, coefs[2] // g)
 
 
 def _may_be_largest(floats: FloatRow, objs: list[int], tf: float) -> list[int]:
@@ -673,8 +671,8 @@ def _may_be_largest(floats: FloatRow, objs: list[int], tf: float) -> list[int]:
     return [o for o, (v, e) in zip(objs, bounds) if v + e >= floor]
 
 
-def _negative_on(p: QuadraticPoly, lo: float, hi: float) -> bool:
-    """Whether p, with exact coefficients, is certified negative on a window
+def _negative_on(A, B, C, lo: float, hi: float) -> bool:
+    """Whether p = A*t**2 + B*t + C, exact, is certified negative on a window
     whose ends have the doubles lo and hi, so that it has no root there.
 
     Its largest value on the window is at an end unless it opens downward
@@ -683,7 +681,7 @@ def _negative_on(p: QuadraticPoly, lo: float, hi: float) -> bool:
     as p at the vertex time's double tv = -b/2a.  p at the true vertex
     exceeds p(tv) by |a| (tv - vertex)**2, under 10 u**2 |a| tv**2: less
     than u times `value_bound`'s e there, so v + 2e bounds it."""
-    coefs = (_double(p.a), _double(p.b), _double(p.c))
+    coefs = (_double(A), _double(B), _double(C))
     for t in (lo, hi):
         v, e = value_bound(coefs, t)
         if not v + e < 0.0:
@@ -699,7 +697,7 @@ def _negative_on(p: QuadraticPoly, lo: float, hi: float) -> bool:
             return True  # rising across the window: largest at hi
         v, e = value_bound(coefs, b / a * -0.5)
         return v + 2.0 * e < 0.0
-    return a > 0.0 or p.a >= 0  # a leading term below the float range counts by its sign
+    return a > 0.0 or A >= 0  # a leading term below the float range counts by its sign
 
 
 def _largest(vals: list, objs: list[int]) -> list[int]:
@@ -734,36 +732,37 @@ def _dedup(instance: MovingInstance, t, members, known, rows, floats) -> dict:
     distance of its support.
 
     Only the stations that a support may lie inside are compared: those
-    where its distance, or with `floats` (the `FloatRow`s of exact
-    coordinates at an exact time) the lower end of its `value_bound`, is at
-    most the station's cap, one list pass per support.  A cap is -inf for
-    an empty disk, else the upper end of the radius's `tolerance_band`, or
-    with `floats` of its `value_bound`; exact values are computed only for
-    the stations that pass.  `members` is left as it is; returns {object:
-    final station} for every object that moved (possibly back to where it
-    was).
+    holding a support where its distance, or with `floats` (the `FloatRow`s
+    of exact coordinates at an exact time) the lower end of its
+    `value_bound`, is at most the station's cap, in one list pass per
+    support.  A cap is -inf for an empty disk, else the upper end of the
+    radius's `tolerance_band`, or with `floats` of its `value_bound`; exact
+    values are computed only for those that pass.  `members` is left as it
+    is; returns {object: final station} for every object that moved
+    (possibly back to where it was).
     """
     m = instance.m
     tf = _double(t)
-    lows: dict = {}  # object -> its distance to each station, or with floats a lower bound
+    lows: dict = {}  # object -> its distance to each `held` station, or with floats a lower bound
     exact: dict = {}  # (station, object) -> exact squared distance
 
     def low(o):
         col = lows.get(o)
         if col is None:
             if floats is None:
-                col = [(p.a * t + p.b) * t + p.c for p in [row[o] for row in rows]]
+                col = [(p.a * t + p.b) * t + p.c for p in [rows[s][o] for s in held]]
             else:
                 # at least 0, as squared distances are, so that an infinite
                 # bound's -inf cannot pass an empty disk's cap
                 col = [v - e if v > e else 0.0 for v, e in
-                       (value_bound(row[o], tf) for row in floats)]
+                       (value_bound(floats[s][o], tf) for s in held)]
             lows[o] = col
         return col
 
     def d2(s, o):
         if floats is None:
-            return low(o)[s]
+            p = rows[s][o]
+            return (p.a * t + p.b) * t + p.c  # the bits of `low`'s entry
         d = exact.get((s, o))
         if d is None:
             d = exact[(s, o)] = _values(rows[s], (o,), t)[0]
@@ -774,7 +773,7 @@ def _dedup(instance: MovingInstance, t, members, known, rows, floats) -> dict:
         if o is None:
             return -math.inf
         if floats is None:
-            r = low(o)[s]
+            r = d2(s, o)
             return tolerance_band(r)[1] if r != 0 else -math.inf
         v, e = value_bound(floats[s][o], tf)
         return v + e if v - e > 0 or d2(s, o) != 0 else -math.inf
@@ -792,15 +791,16 @@ def _dedup(instance: MovingInstance, t, members, known, rows, floats) -> dict:
         return min(_largest(_values(rows[s], objs, t), objs))
 
     sup = [known[s] if known[s] is not None else support_of(s) for s in range(m)]
+    held = [s for s in range(m) if sup[s] is not None]  # moves only go to these
     caps = [cap(s) for s in range(m)]
     moved: dict[int, int] = {}
     for _ in range(instance.n * m + m):
-        for s in range(m):
+        for s in held:
             if caps[s] == -math.inf:
                 continue
             o = sup[s]
             best = None
-            for s2 in [s2 for s2, d, c in zip(range(m), low(o), caps) if d <= c]:
+            for s2 in [s2 for s2, d in zip(held, low(o)) if d <= caps[s2]]:
                 if s2 == s:
                     continue
                 d = d2(s2, o)

@@ -169,9 +169,9 @@ def _until_crossing(segments, incumbent: SolutionTimeline, direction: int):
             if diff.is_zero:
                 cut = a if direction > 0 else b
             else:
-                roots = quadratic_roots(diff, a, b)
+                roots = quadratic_roots(diff.a, diff.b, diff.c, a, b)
                 cut = next((root for root in roots[::direction]
-                            if sign_ahead(diff, root, direction) > 0
+                            if sign_ahead(diff.a, diff.b, diff.c, root, direction) > 0
                             and compare_event_times(root, near) != 0), None)
         if cut is None:
             kept.append(seg)

@@ -57,9 +57,12 @@ def test_argmax_examples():
 
 def test_intersect_examples():
     f, g = QuadraticPoly(1.0, 0.0, 0.0), QuadraticPoly(1.0, -2.0, 1.0)
-    assert quadratic_roots(f - g, 0.0, 1.0) == (0.5,)
-    assert (f - f).is_zero and quadratic_roots(f - f, 0.0, 1.0) == ()
-    assert quadratic_roots(QuadraticPoly(1.0, 0.0, 2.0) - f, 0.0, 1.0) == ()
+    d = f - g
+    assert quadratic_roots(d.a, d.b, d.c, 0.0, 1.0) == (0.5,)
+    d = f - f
+    assert d.is_zero and quadratic_roots(d.a, d.b, d.c, 0.0, 1.0) == ()
+    d = QuadraticPoly(1.0, 0.0, 2.0) - f
+    assert quadratic_roots(d.a, d.b, d.c, 0.0, 1.0) == ()
 
 
 def test_merge_examples():

@@ -72,7 +72,8 @@ def exact_times(draw):
     """A Fraction, or a root of a random exact polynomial (a QuadraticNumber)."""
     if draw(st.booleans()):
         return scaled(draw(fractions), draw(st.integers(min_value=-30, max_value=4)))
-    roots = quadratic_roots(draw(exact_polys()), -1e6, 1e6)
+    p = draw(exact_polys())
+    roots = quadratic_roots(p.a, p.b, p.c, -1e6, 1e6)
     return roots[draw(st.integers(0, len(roots) - 1))] if roots else draw(fractions)
 
 
@@ -91,7 +92,7 @@ def test_value_bound_holds_where_the_value_cancels(p, t):
         p = QuadraticPoly(p.a, p.b, -(p.a * t + p.b) * t)
         assert exact_value(p, t) == 0
         assert_bounded(p, t)
-    for root in quadratic_roots(p, -1e6, 1e6):
+    for root in quadratic_roots(p.a, p.b, p.c, -1e6, 1e6):
         assert exact_value(p, root) == 0
         assert_bounded(p, root)
 
@@ -110,7 +111,8 @@ def test_value_bound_holds_on_equal_squared_distances():
                 for i in range(inst.n):
                     for j in range(i + 1, inst.n):
                         diff = row[i] - row[j]
-                        times = [Fraction(0), Fraction(1), *quadratic_roots(diff, 0, 1)]
+                        roots = quadratic_roots(diff.a, diff.b, diff.c, 0, 1)
+                        times = [Fraction(0), Fraction(1), *roots]
                         for t in times:
                             for p in (row[i], row[j], diff):
                                 assert_bounded(p, t)
@@ -144,32 +146,32 @@ def test_root_screen_never_hides_a_root(p, t1, t2):
     negative at its midpoint; one with a root in the window is never
     certified."""
     lo, hi = min(t1, t2), max(t1, t2)
-    if kinetic._negative_on(p, float(lo), float(hi)):
-        assert quadratic_roots(p, lo, hi) == ()
+    if kinetic._negative_on(p.a, p.b, p.c, float(lo), float(hi)):
+        assert quadratic_roots(p.a, p.b, p.c, lo, hi) == ()
         assert exact_value(p, (lo + hi) / 2) < 0
 
 
 def test_root_screen_examples():
     # negative at both ends, positive in the middle: two roots inside
     hump = QuadraticPoly(Fraction(-4), Fraction(4), Fraction(-1, 2))
-    assert len(quadratic_roots(hump, 0, 1)) == 2
-    assert not kinetic._negative_on(hump, 0.0, 1.0)
+    assert len(quadratic_roots(hump.a, hump.b, hump.c, 0, 1)) == 2
+    assert not kinetic._negative_on(hump.a, hump.b, hump.c, 0.0, 1.0)
     # the same hump with its vertex outside the window: negative throughout
-    assert kinetic._negative_on(hump, 0.0, 0.1)
-    assert kinetic._negative_on(hump, 0.9, 1.0)
+    assert kinetic._negative_on(hump.a, hump.b, hump.c, 0.0, 0.1)
+    assert kinetic._negative_on(hump.a, hump.b, hump.c, 0.9, 1.0)
     # just below zero at its vertex, and just above it
     near = QuadraticPoly(Fraction(-4), Fraction(4), Fraction(-1) - Fraction(1, 10 ** 12))
-    assert kinetic._negative_on(near, 0.0, 1.0)
+    assert kinetic._negative_on(near.a, near.b, near.c, 0.0, 1.0)
     touch = QuadraticPoly(Fraction(-4), Fraction(4), Fraction(-1))
-    assert not kinetic._negative_on(touch, 0.0, 1.0)
+    assert not kinetic._negative_on(touch.a, touch.b, touch.c, 0.0, 1.0)
     # upward parabolas and lines: their ends decide
-    assert kinetic._negative_on(QuadraticPoly(Fraction(1), Fraction(0), Fraction(-2)), 0.0, 1.0)
-    assert not kinetic._negative_on(QuadraticPoly(Fraction(1), Fraction(0), Fraction(-1)), 0.0, 1.0)
-    assert kinetic._negative_on(QuadraticPoly(0, Fraction(1), Fraction(-2)), 0.0, 1.0)
+    assert kinetic._negative_on(Fraction(1), Fraction(0), Fraction(-2), 0.0, 1.0)
+    assert not kinetic._negative_on(Fraction(1), Fraction(0), Fraction(-1), 0.0, 1.0)
+    assert kinetic._negative_on(0, Fraction(1), Fraction(-2), 0.0, 1.0)
     # a leading term below the float range: only its sign is known
     tiny = Fraction(1, 2 ** 1100)
-    assert kinetic._negative_on(QuadraticPoly(tiny, 0, Fraction(-1)), 0.0, 1.0)
-    assert not kinetic._negative_on(QuadraticPoly(-tiny, 0, Fraction(-1)), 0.0, 1.0)
+    assert kinetic._negative_on(tiny, 0, Fraction(-1), 0.0, 1.0)
+    assert not kinetic._negative_on(-tiny, 0, Fraction(-1), 0.0, 1.0)
 
 
 # -- root enclosures ---------------------------------------------------------
@@ -184,14 +186,14 @@ def no_root_filter(A, B, C, disc):
 def unfiltered_roots(p, lo, hi):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "root_bounds", no_root_filter)
-        return quadratic_roots(p, lo, hi)
+        return quadratic_roots(p.a, p.b, p.c, lo, hi)
 
 
 def assert_roots_filtered_alike(p, lo, hi) -> tuple:
     """The filtered roots are the unfiltered ones, by repr and by exact
     equality, and each enclosure holds its root, by an exact compare on an
     enclosure-free copy."""
-    roots = quadratic_roots(p, lo, hi)
+    roots = quadratic_roots(p.a, p.b, p.c, lo, hi)
     plain = unfiltered_roots(p, lo, hi)
     assert repr(roots) == repr(plain)
     assert len(roots) == len(plain) and all(x == y for x, y in zip(roots, plain))
@@ -215,7 +217,7 @@ def test_root_enclosures_hold_and_change_no_root(p, t1, t2, k, upper):
     every = assert_roots_filtered_alike(p, -BIG, BIG)
     lo, hi = (t1, t2) if t1 <= t2 else (t2, t1)
     if k < len(every):
-        root = quadratic_roots(QuadraticPoly(4 * p.a, 4 * p.b, 4 * p.c), -BIG, BIG)[k]
+        root = quadratic_roots(4 * p.a, 4 * p.b, 4 * p.c, -BIG, BIG)[k]
         assert root == every[k]
         lo, hi = (min(lo, root), root) if upper else (root, max(hi, root))
     assert_roots_filtered_alike(p, lo, hi)
@@ -270,11 +272,11 @@ def test_enclosure_ends_that_touch_decide_exactly(monkeypatch):
     down, up = math.nextafter(-0.5, -1), math.nextafter(0.5, 1)
     monkeypatch.setattr(geometry, "root_bounds", lambda A, B, C, disc: (down, -0.5, 0.5, up))
     poly, off = QuadraticPoly(4, 0, -1), F(1, 2 ** 80)
-    assert quadratic_roots(poly, F(-1, 2), F(1, 2)) == (F(-1, 2), F(1, 2))
-    assert quadratic_roots(poly, F(1, 2) + off, 1) == ()
-    assert quadratic_roots(poly, F(-1, 2) + off, F(1, 2) - off) == ()
-    assert quadratic_roots(poly, -1, F(-1, 2) - off) == ()
-    assert quadratic_roots(poly, F(1, 2) - off, F(1, 2) + off) == (F(1, 2),)
+    assert quadratic_roots(poly.a, poly.b, poly.c, F(-1, 2), F(1, 2)) == (F(-1, 2), F(1, 2))
+    assert quadratic_roots(poly.a, poly.b, poly.c, F(1, 2) + off, 1) == ()
+    assert quadratic_roots(poly.a, poly.b, poly.c, F(-1, 2) + off, F(1, 2) - off) == ()
+    assert quadratic_roots(poly.a, poly.b, poly.c, -1, F(-1, 2) - off) == ()
+    assert quadratic_roots(poly.a, poly.b, poly.c, F(1, 2) - off, F(1, 2) + off) == (F(1, 2),)
     # 1 - 2**-80 against a Fraction below it that rounds to its enclosure's
     # top, and 1 with enclosures that touch at 1.0
     below_one = enclosed(2 ** 80 - 1, 0, 2 ** 80, 0, math.nextafter(1.0, 0), 1.0)
@@ -346,8 +348,8 @@ def test_filtered_dedup_matches_the_unfiltered_one_at_quadratic_times(monkeypatc
             times = []
             for _ in range(200):
                 s, i, j = rng.randrange(m), rng.randrange(n), rng.randrange(n)
-                times += [t for t in quadratic_roots(rows[s][i] - rows[s][j], 0, 1)
-                          if 0 < t < 1]
+                diff = rows[s][i] - rows[s][j]
+                times += [t for t in quadratic_roots(diff.a, diff.b, diff.c, 0, 1) if 0 < t < 1]
                 if len(times) >= 4:
                     break
             for t in times:
@@ -530,7 +532,7 @@ def test_fused_value_and_sign_at_algebraic_times_table():
                 (slope > 0) - (slope < 0)) * direction or (a > 0) - (a < 0)
             assert reference == expected, label
             for p in (poly, QuadraticPoly(F(a, 6), F(b, 6), F(c, 6))):
-                assert sign_ahead(p, t, direction) == expected, (label, p)
+                assert sign_ahead(p.a, p.b, p.c, t, direction) == expected, (label, p)
 
 
 # -- argmax_timeline on exact timelines --------------------------------------
@@ -577,7 +579,7 @@ def test_argmax_filter_examples():
     assert argmax_timeline(tied, excluded=(Fraction(0),)) == (1, 5)
     assert argmax_timeline(tied, excluded=(0, half, 1)) == (None, None)
     # 8t**2 - 8t + 1 = 0 at two irrational times, where the bowl is 5/2
-    lo, hi = quadratic_roots(QuadraticPoly(Fraction(8), Fraction(-8), Fraction(1)), 0, 1)
+    lo, hi = quadratic_roots(Fraction(8), Fraction(-8), Fraction(1), 0, 1)
     assert not lo.is_rational and bowl(lo) == bowl(hi) == Fraction(5, 2)
     around = exact_timeline((lo, half, hi), (bowl, bowl))
     assert argmax_timeline(around) == reference_argmax(around)
@@ -602,8 +604,8 @@ def test_argmax_filter_matches_the_reference_scan():
         times = {Fraction(rng.randint(1, 999), 1000) for _ in range(k)}
         if trial % 2:
             times |= {r for r in quadratic_roots(
-                QuadraticPoly(Fraction(rng.randint(1, 9)), Fraction(-rng.randint(1, 9)),
-                              Fraction(rng.randint(0, 2), rng.randint(1, 9))), 0, 1)
+                Fraction(rng.randint(1, 9)), Fraction(-rng.randint(1, 9)),
+                Fraction(rng.randint(0, 2), rng.randint(1, 9)), 0, 1)
                       if 0 < r < 1}
         times = [Fraction(0), *sorted(times), Fraction(1)]
         base = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 3))

@@ -95,35 +95,68 @@ def test_poly_matches_direct_distance_bulk():
 
 
 def test_quadratic_roots_examples():
-    assert quadratic_roots(QuadraticPoly(4.0, 4.0, -3.0), 0.0, 1.0) == (0.5,)
-    assert quadratic_roots(QuadraticPoly(0.0, 2.0, -1.0), 0.0, 1.0) == (0.5,)
-    assert quadratic_roots(QuadraticPoly(1.0, 0.0, 1.0), 0.0, 1.0) == ()
+    assert quadratic_roots(4.0, 4.0, -3.0, 0.0, 1.0) == (0.5,)
+    assert quadratic_roots(0.0, 2.0, -1.0, 0.0, 1.0) == (0.5,)
+    assert quadratic_roots(1.0, 0.0, 1.0, 0.0, 1.0) == ()
 
 
 def test_quadratic_roots_degenerate():
     zero = QuadraticPoly(0.0, 0.0, 0.0)
-    assert zero.is_zero and quadratic_roots(zero, 0.0, 1.0) == ()
+    assert zero.is_zero and quadratic_roots(0.0, 0.0, 0.0, 0.0, 1.0) == ()
     constant = QuadraticPoly(0.0, 0.0, 5.0)
-    assert not constant.is_zero and quadratic_roots(constant, 0.0, 1.0) == ()
+    assert not constant.is_zero and quadratic_roots(0.0, 0.0, 5.0, 0.0, 1.0) == ()
     # double root
-    assert quadratic_roots(QuadraticPoly(1.0, -1.0, 0.25), 0.0, 1.0) == (0.5,)
+    assert quadratic_roots(1.0, -1.0, 0.25, 0.0, 1.0) == (0.5,)
 
 
 def test_quadratic_roots_window_is_closed():
-    assert quadratic_roots(QuadraticPoly(0.0, 1.0, 0.0), 0.0, 1.0) == (0.0,)
+    assert quadratic_roots(0.0, 1.0, 0.0, 0.0, 1.0) == (0.0,)
     with pytest.raises(ValueError):
-        quadratic_roots(QuadraticPoly(1.0, 0.0, 0.0), 1.0, 0.0)
+        quadratic_roots(1.0, 0.0, 0.0, 1.0, 0.0)
+
+
+def test_exact_window_ends_are_ordered_by_their_doubles_first(monkeypatch):
+    """An exact window is checked on its ends' enclosures or correctly
+    rounded doubles, with an exact compare only where those overlap: a
+    window between the enclosed roots -sqrt(2) and sqrt(2), or from one to
+    a Fraction, is decided with no `QuadraticNumber.compare` call, either
+    way round.  Equal `QuadraticNumber` ends are a valid window, and ends
+    whose doubles tie are ordered exactly."""
+    lo, hi = quadratic_roots(1, 0, -2, -2, 2)
+    twin = QuadraticNumber(hi.p, hi.q, hi.r, hi.d)  # sqrt(2) with no enclosure
+    calls = [0]
+    compare = QuadraticNumber.compare
+
+    def counted(self, other):
+        calls[0] += 1
+        return compare(self, other)
+
+    monkeypatch.setattr(QuadraticNumber, "compare", counted)
+    assert quadratic_roots(0, 0, 1, lo, hi) == ()
+    assert quadratic_roots(0, 0, 1, Fraction(-2), lo) == ()
+    assert quadratic_roots(0, 0, 1, hi, Fraction(3, 2)) == ()
+    for t_lo, t_hi in ((hi, lo), (hi, Fraction(1)), (Fraction(2), hi)):
+        with pytest.raises(ValueError):
+            quadratic_roots(0, 0, 1, t_lo, t_hi)
+    assert calls[0] == 0
+    assert quadratic_roots(1, 0, -2, hi, hi) == (hi,)
+    assert quadratic_roots(1, 0, -2, twin, hi) == (hi,)
+    assert quadratic_roots(1, 0, -2, hi, twin) == (hi,)
+    near = Fraction(1) + Fraction(1, 2 ** 80)
+    assert quadratic_roots(0, 1, -1, Fraction(1), near) == (Fraction(1),)
+    with pytest.raises(ValueError):
+        quadratic_roots(0, 1, -1, near, Fraction(1))
 
 
 def test_float_roots_survive_an_overflowing_discriminant():
     """b*b and 4ac overflow a double here (4ac alone in the second case);
     the roots are those of the polynomial scaled by a power of two."""
-    assert quadratic_roots(QuadraticPoly(1e160, -3e160, 2e160), 0.0, 3.0) == (1.0, 2.0)
-    assert quadratic_roots(QuadraticPoly(1e200, 0.0, -1e200), -3.0, 3.0) == (-1.0, 1.0)
-    (root,) = quadratic_roots(QuadraticPoly(1.0, -3e300, 2e300), 0.0, 3.0)
+    assert quadratic_roots(1e160, -3e160, 2e160, 0.0, 3.0) == (1.0, 2.0)
+    assert quadratic_roots(1e200, 0.0, -1e200, -3.0, 3.0) == (-1.0, 1.0)
+    (root,) = quadratic_roots(1.0, -3e300, 2e300, 0.0, 3.0)
     assert root == pytest.approx(2 / 3, rel=1e-15)
     # A linear polynomial divides and never forms a discriminant.
-    assert quadratic_roots(QuadraticPoly(0.0, 1e300, -5e299), 0.0, 1.0) == (0.5,)
+    assert quadratic_roots(0.0, 1e300, -5e299, 0.0, 1.0) == (0.5,)
 
 
 def test_quadratic_roots_dispatches_on_coefficient_types():
@@ -148,11 +181,13 @@ def test_quadratic_roots_dispatches_on_coefficient_types():
         exact = [QuadraticPoly(rational(), rational(), rational()), QuadraticPoly(0, rational(), 0)]
         for lo, hi in windows:
             for q in floats:
-                assert repr(quadratic_roots(q, lo, hi)) == repr(_roots_float(q, lo, hi)), q
+                args = (q.a, q.b, q.c, lo, hi)
+                assert repr(quadratic_roots(*args)) == repr(_roots_float(*args)), q
             for q in exact:
-                assert repr(quadratic_roots(q, lo, hi)) == repr(_roots_exact(q, lo, hi)), q
-    double = QuadraticPoly(1.0, -1.0, 0.25)
-    assert repr(quadratic_roots(double, 0, 1)) == repr(_roots_float(double, 0, 1)) == "(0.5,)"
+                args = (q.a, q.b, q.c, lo, hi)
+                assert repr(quadratic_roots(*args)) == repr(_roots_exact(*args)), q
+    double = (1.0, -1.0, 0.25, 0, 1)
+    assert repr(quadratic_roots(*double)) == repr(_roots_float(*double)) == "(0.5,)"
 
 
 def test_float_roots_window_only_filters():
@@ -162,12 +197,12 @@ def test_float_roots_window_only_filters():
     everywhere = (-math.inf, math.inf)
     for _ in range(500):
         p = QuadraticPoly(*(rng.choice([rng.uniform(-4, 4), 0.0]) for _ in range(3)))
-        roots = _roots_float(p, *everywhere)
+        roots = _roots_float(p.a, p.b, p.c, *everywhere)
         assert list(roots) == sorted(roots)
         lo = rng.uniform(-3, 2)
         for lo, hi in ((lo, lo + rng.uniform(0, 2)), (lo, lo)) + tuple((r, r) for r in roots):
             inside = tuple(r for r in roots if lo <= r <= hi)
-            assert repr(quadratic_roots(p, lo, hi)) == repr(inside), (p, lo, hi)
+            assert repr(quadratic_roots(p.a, p.b, p.c, lo, hi)) == repr(inside), (p, lo, hi)
 
 
 def test_exact_roots_evaluate_to_zero_exactly():
@@ -177,7 +212,7 @@ def test_exact_roots_evaluate_to_zero_exactly():
         a = Fraction(rng.randint(-20, 20))
         b = Fraction(rng.randint(-20, 20))
         c = Fraction(rng.randint(-20, 20))
-        roots = quadratic_roots(QuadraticPoly(a, b, c), Fraction(-10), Fraction(10))
+        roots = quadratic_roots(a, b, c, Fraction(-10), Fraction(10))
         for root in roots:
             assert QuadraticPoly(a, b, c)(root) == 0
         # Ascending, also where a < 0 swaps the formula's two roots.
@@ -194,7 +229,7 @@ def test_float_roots_evaluate_near_zero():
         c = rng.uniform(-50, 50)
         poly = QuadraticPoly(a, b, c)
         scale = max(abs(a), abs(b), abs(c))
-        for root in quadratic_roots(poly, -10.0, 10.0):
+        for root in quadratic_roots(poly.a, poly.b, poly.c, -10.0, 10.0):
             assert abs(poly(root)) <= 1e-9 * max(scale, 1.0) * max(abs(root), 1.0) ** 2
 
 
@@ -241,9 +276,9 @@ def test_sign_ahead_table():
         ("exact zero", QuadraticPoly(F(0), F(0), F(0)), sqrt2, 0, 0),
     ]
     for label, poly, t, forward, backward in table:
-        assert sign_ahead(poly, t) == forward, label
-        assert sign_ahead(poly, t, 1) == forward, label
-        assert sign_ahead(poly, t, -1) == backward, label
+        assert sign_ahead(poly.a, poly.b, poly.c, t) == forward, label
+        assert sign_ahead(poly.a, poly.b, poly.c, t, 1) == forward, label
+        assert sign_ahead(poly.a, poly.b, poly.c, t, -1) == backward, label
 
 
 def test_compare_values_table():
@@ -273,9 +308,7 @@ def _random_qn(rng: Random) -> QuadraticNumber:
     a = rng.randint(1, 12)
     b = rng.randint(-12, 12)
     c = rng.randint(-12, 12)
-    roots = quadratic_roots(
-        QuadraticPoly(Fraction(a), Fraction(b), Fraction(c)), Fraction(-100), Fraction(100)
-    )
+    roots = quadratic_roots(Fraction(a), Fraction(b), Fraction(c), Fraction(-100), Fraction(100))
     if roots:
         return roots[rng.randrange(len(roots))]
     return QuadraticNumber.from_rational(Fraction(rng.randint(-50, 50), rng.randint(1, 9)))

@@ -4,6 +4,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_timelines_agree, random_instance, random_sizes
 import kdcover.certificate as certificate
@@ -730,10 +732,22 @@ def reference_handover_diff(engine, s1, s2, inputs):
     return (row1[b] + p_c) - (p_a + row2[b])
 
 
-def test_handover_difference_matches_before_minus_after():
+def test_handover_difference_matches_before_minus_after(monkeypatch):
     """Coefficient by coefficient by repr, so an int, a Fraction or a -0.0
     where the composition gives something else fails.  Runner-ups and s2
-    supports of None stand at the int zeros of ZERO_POLY."""
+    supports of None stand at the int zeros of ZERO_POLY.  The difference
+    is read where `handover_after` hands it on: to `_negative_on` in exact
+    arithmetic, to `quadratic_roots` in float."""
+    seen = []
+
+    def record(answer):
+        def recorder(a, b, c, lo, hi):
+            seen.append((a, b, c))
+            return answer
+        return recorder
+
+    monkeypatch.setattr(kinetic, "_negative_on", record(True))
+    monkeypatch.setattr(kinetic, "quadratic_roots", record(()))
     for inst, t in ((random_instance(40, 6, 3), 0.37),
                     (random_instance(12, 4, 5).as_exact(), Fraction(2, 7))):
         engine = kinetic._Extender(inst, nn_heuristic(inst, t).assignment, 1, 1, ALL_FLAGS)
@@ -750,9 +764,11 @@ def test_handover_difference_matches_before_minus_after():
                     continue
                 for a2 in [None] + others:
                     for c in (engine.supports[s2], None):
-                        got = engine._handover_diff(s1, s2, (b, a2, c))
+                        seen.clear()
+                        assert engine.handover_after(s1, s2, (b, a2, c), t) is None
+                        (got,) = seen
                         ref = reference_handover_diff(engine, s1, s2, (b, a2, c))
-                        assert list(map(repr, (got.a, got.b, got.c))) == \
+                        assert list(map(repr, got)) == \
                             list(map(repr, (ref.a, ref.b, ref.c))), (s1, s2, a2, c)
                         checked += 1
         assert checked > 50
@@ -846,14 +862,14 @@ def test_lowest_terms_roots_take_the_forms_of_the_fraction_roots():
     lo, hi = Fraction(-10 ** 9), Fraction(10 ** 9)
     irrational = 0
     for (a, b, c), den in cases:
-        got = kinetic._lowest_terms(QuadraticPoly(a, b, c), den)
-        assert all(type(x) is int for x in (got.a, got.b, got.c))
-        want = QuadraticPoly(Fraction(a, den), Fraction(b, den), Fraction(c, den))
-        roots = quadratic_roots(got, lo, hi)
-        assert repr(roots) == repr(quadratic_roots(want, lo, hi)), ((a, b, c), den)
+        got = kinetic._lowest_terms((a, b, c), den)
+        assert all(type(x) is int for x in got)
+        want = (Fraction(a, den), Fraction(b, den), Fraction(c, den))
+        roots = quadratic_roots(*got, lo, hi)
+        assert repr(roots) == repr(quadratic_roots(*want, lo, hi)), ((a, b, c), den)
         irrational += sum(r.q != 0 for r in roots)
     assert irrational > 300
-    p = QuadraticPoly(4, 6, 8)
+    p = (4, 6, 8)
     assert kinetic._lowest_terms(p, 1) is p
 
 
@@ -878,3 +894,145 @@ def test_dedup_step_at_kept_support_ties_matches_exact_arithmetic():
         want = extend(assignment, Fraction(anchor), direction, Fraction(stop), ALL_FLAGS, exact)
         assert len(want) > 30
         assert_timelines_agree(segs, want, direction)
+
+
+def test_crossing_scans_build_no_polynomial(monkeypatch):
+    """Once every distance polynomial is built, the support-change and
+    handover scans of a full-flag sweep construct no `QuadraticPoly`: each
+    difference is three local coefficients, in float and in exact
+    arithmetic."""
+    builds, scans, depth = [0], [0], [0]
+    init = QuadraticPoly.__init__
+
+    def counted_init(self, a, b, c):
+        builds[0] += depth[0] > 0
+        init(self, a, b, c)
+
+    def inside(method):
+        def scan(self, *args):
+            scans[0] += 1
+            depth[0] += 1
+            try:
+                return method(self, *args)
+            finally:
+                depth[0] -= 1
+        return scan
+
+    def built_rows(instance):
+        rows = make_rows(instance)
+        for row in rows:
+            for j in range(instance.n):
+                row[j]
+        return rows
+
+    make_rows = kinetic.distance_rows
+    monkeypatch.setattr(kinetic, "distance_rows", built_rows)
+    monkeypatch.setattr(QuadraticPoly, "__init__", counted_init)
+    for name in ("support_change_after", "handover_after"):
+        monkeypatch.setattr(kinetic._Extender, name, inside(getattr(kinetic._Extender, name)))
+    inst = random_instance(30, 5, 11)
+    for work, zero, anchor, one in ((inst, 0.0, 0.5, 1.0),
+                                    (inst.as_exact(), Fraction(0), Fraction(1, 2), Fraction(1))):
+        assignment = nn_heuristic(work, anchor).assignment
+        scans[0] = 0
+        for direction, end in (("forward", one), ("backward", zero)):
+            extend(assignment, anchor, direction, end, ALL_FLAGS, work)
+        assert scans[0] > 100
+    assert builds[0] == 0
+
+
+def reference_dedup(instance, t, members, known, rows) -> dict:
+    """The duplicate-coverage rule of `kinetic._dedup` from its docstring,
+    read off every station with plain values at t: no caps, no float
+    filter and no restriction to the stations that hold a support."""
+    m = instance.m
+    own = [list(objs) for objs in members]
+
+    def dist(s, o):
+        p = rows[s][o]
+        return (p.a * t + p.b) * t + p.c
+
+    def support_of(s):
+        if not own[s]:
+            return None
+        vals = [dist(s, o) for o in own[s]]
+        vmax = max(vals)
+        return min(o for v, o in zip(vals, own[s]) if compare_values(v, vmax) >= 0)
+
+    def radius(s):  # None for an empty disk, which takes nothing
+        r = dist(s, sup[s]) if sup[s] is not None else 0
+        return r if r != 0 else None
+
+    sup = [known[s] if known[s] is not None else support_of(s) for s in range(m)]
+    moved = {}
+    for _ in range(instance.n * m + m):
+        for s in range(m):
+            if radius(s) is None:
+                continue
+            o, best = sup[s], None
+            for s2 in range(m):
+                r2 = radius(s2)
+                if s2 == s or r2 is None:
+                    continue
+                d = dist(s2, o)
+                if compare_values(d, r2) <= 0 and (best is None or compare_values(d, best[0]) < 0):
+                    best = (d, s2)
+            if best is None:
+                continue
+            d, s2 = best
+            own[s].remove(o)
+            own[s2].append(o)
+            moved[o] = s2
+            sup[s] = support_of(s)
+            if o < sup[s2] and compare_values(d, dist(s2, sup[s2])) == 0:
+                sup[s2] = o
+            break
+        else:
+            break
+    return moved
+
+
+@st.composite
+def grid_dedup_cases(draw):
+    """A tiny instance on an integer grid, where distances tie often, an
+    assignment that leaves at least one station empty, and a time."""
+    coord = st.integers(0, 3)
+
+    def point():
+        return Point2(float(draw(coord)), float(draw(coord)))
+
+    m, n = draw(st.integers(2, 4)), draw(st.integers(1, 6))
+    stations = tuple(point() for _ in range(m))
+    objects = tuple(Trajectory(point(), point()) for _ in range(n))
+    empty = draw(st.integers(0, m - 1))
+    held = st.sampled_from([s for s in range(m) if s != empty])
+    assignment = tuple(draw(held) for _ in range(n))
+    return MovingInstance(stations, objects), assignment, Fraction(draw(st.integers(0, 4)), 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_dedup_cases())
+def test_dedup_over_held_stations_matches_a_scan_of_every_station(case):
+    """`_dedup` compares a support only with the stations that hold one; it
+    moves the objects that `reference_dedup` moves, and `apply_dedup`
+    leaves the assignment those moves give, with the supports the engine
+    picks for it, in float and in exact arithmetic."""
+    inst, assignment, t = case
+    for work, at in ((inst, float(t)), (inst.as_exact(), t)):
+        engine = kinetic._Extender(work, assignment, 1, at, ALL_FLAGS)
+        for s in range(work.m):
+            engine._pick_support(s, at)
+        known = [engine._clear_support(s, at) for s in range(work.m)]
+        rows = [engine._row(s, at) for s in range(work.m)]
+        floats = engine.floats if engine._filters(at) else None
+        want = reference_dedup(work, at, engine.members, known, rows)
+        assert kinetic._dedup(work, at, engine.members, known, rows, floats) == want
+        final = list(assignment)
+        for obj, s in want.items():
+            final[obj] = s
+        engine.apply_dedup(at)
+        assert tuple(engine.assignment) == tuple(final)
+        fresh = kinetic._Extender(work, tuple(final), 1, at, ALL_FLAGS)
+        for s in range(work.m):
+            fresh._pick_support(s, at)
+        assert engine.supports == fresh.supports

@@ -952,8 +952,9 @@ def event_time(inst):
     """An irrational event time in (0, 1) of an exact instance: a root of
     the difference of two of its squared-distance polynomials."""
     polys = [squared_distance_poly(st, ob) for st in inst.stations for ob in inst.objects]
-    return next(r for p1, p2 in zip(polys, polys[1:])
-                for r in quadratic_roots(p1 - p2, Fraction(0), Fraction(1)) if not r.is_rational)
+    diffs = (p1 - p2 for p1, p2 in zip(polys, polys[1:]))
+    return next(r for d in diffs for r in quadratic_roots(d.a, d.b, d.c, Fraction(0), Fraction(1))
+                if not r.is_rational)
 
 
 def gather_cases():
