@@ -12,7 +12,8 @@ A comparison reads the doubles first: a number may carry an enclosure lo
 of the correctly rounded double of an int, Fraction or float, decides.
 Otherwise integer sign computations decide (`_sign_pair` and `_sign_sum`
 multiply plain ints; no Fraction is built).  `poly_parts` evaluates an
-int polynomial at a number in one integer step.
+int polynomial at a number in one integer step, and `nearest_double`
+rounds a number given by its fields without building it.
 
 The radicand is kept as given, not reduced to its square-free part: the
 sign computations are exact for any d, so pulling square factors out of d
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["QuadraticNumber", "enclosed", "poly_parts"]
+__all__ = ["QuadraticNumber", "enclosed", "nearest_double", "poly_parts"]
 
 _INF = math.inf
 
@@ -75,6 +76,36 @@ def poly_parts(a: int, b: int, c: int, x: "QuadraticNumber") -> tuple[int, int]:
     p, q, r = x.p, x.q, x.r
     ap = a * p
     return (ap + b * r) * p + a * q * q * x.d + c * r * r, q * (2 * ap + b * r)
+
+
+def nearest_double(p: int, q: int, r: int, d: int) -> float:
+    """The double nearest (p + q*sqrt(d))/r, for ints r > 0 and d >= 0 where
+    d is not a perfect square unless q or d is 0; the fields need not be in
+    `QuadraticNumber`'s normal form, since the result depends only on the
+    value.
+
+    sqrt(d) is bracketed between s/2**k and (s + 1)/2**k, s = isqrt(d *
+    4**k), to more bits k until both ends of the value's interval round to
+    the same double, so the result stays within half an ulp even when p and
+    q*sqrt(d) nearly cancel; an irrational value never sits on a rounding
+    boundary, so this ends.  Each end is one int true division, which rounds
+    correctly.  An end beyond the float range raises OverflowError only once
+    the interval, of width |q| / (r * 2**k), is narrower than 1: before that
+    the value itself may still fit.
+    """
+    if q == 0 or d == 0:
+        return p / r
+    bits = 64
+    while True:
+        s = math.isqrt(d << (2 * bits))
+        try:
+            a = ((p << bits) + q * s) / (r << bits)
+            if a == ((p << bits) + q * (s + 1)) / (r << bits):
+                return a
+        except OverflowError:
+            if abs(q) < r << bits:
+                raise
+        bits *= 2
 
 
 class QuadraticNumber:
@@ -276,36 +307,11 @@ class QuadraticNumber:
         return self.p != 0 or self.q != 0
 
     def __float__(self) -> float:
-        """The nearest double.  sqrt(d) is bracketed between s/2**k and
-        (s + 1)/2**k, s = isqrt(d * 4**k), to more bits k until both ends of
-        the value's interval round to the same double, so the result stays
-        within half an ulp even when p and q*sqrt(d) nearly cancel; an
-        irrational value never sits on a rounding boundary, so this ends.
-        Each end is one int true division, which rounds correctly.  An end
-        beyond the float range raises OverflowError only once the interval,
-        of width |q| / (r * 2**k), is narrower than 1: before that the value
-        itself may still fit.  An event time is read many times, so the
-        double is kept.
-        """
-        if self._float is not None:
-            return self._float
-        p, q, r = self.p, self.q, self.r
-        if q == 0:
-            a = p / r
-        else:
-            bits = 64
-            while True:
-                s = math.isqrt(self.d << (2 * bits))
-                try:
-                    a = ((p << bits) + q * s) / (r << bits)
-                    if a == ((p << bits) + q * (s + 1)) / (r << bits):
-                        break
-                except OverflowError:
-                    if abs(q) < r << bits:
-                        raise
-                bits *= 2
-        self._float = a
-        return a
+        """The nearest double (`nearest_double`), kept: an event time is
+        read many times."""
+        if self._float is None:
+            self._float = nearest_double(self.p, self.q, self.r, self.d)
+        return self._float
 
     def __repr__(self):
         return f"QuadraticNumber({self.p}, {self.q}, {self.r}, {self.d})"

@@ -33,6 +33,10 @@ certified enclosure of each root of an integer quadratic, which
 `_roots_exact` tests against the window before it makes the root and
 which the root then carries, so that `QuadraticNumber.compare` reads it
 first, as are the window's ends.  `sign_ahead` at a root builds no number.
+`earliest_crossing`, the kinetic engine's search for the first upward
+crossing of several int differences, reads each one's single candidate
+root from its integers and its `root_bounds` enclosure, and makes only the
+roots that may be the earliest.
 """
 
 from __future__ import annotations
@@ -64,6 +68,8 @@ __all__ = [
     "sign_ahead",
     "value_bound",
     "root_bounds",
+    "lowest_terms",
+    "earliest_crossing",
 ]
 
 # Relative tolerance for float objective values (`compare_values`,
@@ -370,17 +376,97 @@ def _roots_exact(a, b, c, t_lo, t_hi) -> tuple:
             continue  # certainly outside the window
         if s is None:
             s = math.isqrt(disc)
-        if s * s == disc:
-            root = QuadraticNumber(-B + sign * s, 0, 2 * A, 0)
-            root.lo, root.hi = lo, hi
-        elif A > 0:  # q = +-1 makes the fields coprime
-            root = enclosed(-B, sign, 2 * A, disc, lo, hi)
-        else:
-            root = enclosed(B, -sign, -2 * A, disc, lo, hi)
+        root = _root(A, B, disc, sign, lo, hi, s if s * s == disc else None)
         if (lo > after_lo or root.compare(t_lo) >= 0) and (
                 hi < before_hi or root.compare(t_hi) <= 0):
             out.append(root)
     return tuple(out)
+
+
+def _root(A: int, B: int, disc: int, sign: int, lo: float, hi: float, s=None) -> QuadraticNumber:
+    """(-B + sign*sqrt(disc))/2A for ints A != 0, B and disc > 0, with the
+    enclosure lo <= root <= hi; s is sqrt(disc) when that is an int, else
+    None.  In normal form: q = +-1 makes the fields coprime."""
+    if s is not None:
+        root = QuadraticNumber(-B + sign * s, 0, 2 * A, 0)
+        root.lo, root.hi = lo, hi
+        return root
+    if A > 0:
+        return enclosed(-B, sign, 2 * A, disc, lo, hi)
+    return enclosed(B, -sign, -2 * A, disc, lo, hi)
+
+
+def lowest_terms(coefs: tuple, den: int) -> tuple:
+    """Ints (a, b, c) / gcd(a, b, c, den): (a, b, c) / den in lowest terms,
+    the same tuple when the gcd is 1."""
+    g = math.gcd(*coefs, den)
+    return coefs if g == 1 else (coefs[0] // g, coefs[1] // g, coefs[2] // g)
+
+
+def earliest_crossing(diffs, den: int, t_from, t_to, direction: int, best=None):
+    """The earliest time strictly past t_from, and not past t_to, in the
+    travel direction (+1 forward, -1 backward) at which one of the
+    quadratics in `diffs` crosses zero upward, or `best` when none is
+    strictly earlier.  `diffs` holds int triples (A, B, C), each standing
+    for (A*t**2 + B*t + C) / den; a crossing is a root past which the
+    polynomial is positive (`sign_ahead` > 0), in the form that
+    `quadratic_roots` gives the polynomial in `lowest_terms`.  On a tie the
+    earlier difference wins, and `best` wins over all.
+
+    A polynomial has at most one such root, and its integers tell which:
+    at a simple root p'(t) = +-sqrt(disc), so it is (-B + direction *
+    sqrt(disc))/2A; a double root (disc = 0) counts when A > 0, where the
+    polynomial stays positive, and a line's root when B * direction > 0.
+    The simple root's `root_bounds` enclosure is read first: a difference
+    whose root certainly lies behind t_from or past t_to is passed over,
+    and so is one whose root certainly lies past a root already certain to
+    qualify, or past `best`.  Only the others get an exact root, in order,
+    and exact comparisons (enclosures first) decide as a scan of every
+    root would.  Double roots and lines carry no enclosure and are always
+    decided exactly.
+    """
+    inf = math.inf
+    (f_lo, f_hi), (s_lo, s_hi) = _separating(t_from), _separating(t_to)
+    if direction < 0:  # mirrored into travel coordinates, where later is larger
+        f_lo, f_hi, s_lo, s_hi = -f_hi, -f_lo, -s_hi, -s_lo
+    # every root past `bound` (travel) is certainly later than one that qualifies
+    bound = inf if best is None else direction * _separating(best)[direction > 0]
+    unsettled = []  # (travel lower bound, A, B, C, disc, enclosure) of the possible roots
+    for A, B, C in diffs:
+        if A:
+            disc = B * B - 4 * A * C
+            if disc > 0:
+                bounds = root_bounds(A, B, C, disc)
+                lo, hi = bounds[2:] if direction > 0 else bounds[:2]
+                t_lo, t_hi = (lo, hi) if direction > 0 else (-hi, -lo)
+                if t_hi < f_lo or t_lo > s_hi:
+                    continue  # certainly behind t_from or past t_to
+                if t_lo > f_hi and t_hi < s_lo and t_hi < bound:
+                    bound = t_hi  # certainly qualifies
+                unsettled.append((t_lo, A, B, C, disc, lo, hi))
+            elif disc == 0 and A > 0:
+                unsettled.append((-inf, A, B, C, 0, -inf, inf))
+        elif B * direction > 0:
+            unsettled.append((-inf, 0, B, C, 0, -inf, inf))
+    for t_lo, A, B, C, disc, lo, hi in unsettled:
+        if t_lo > bound:
+            continue  # certainly later than a root that qualifies
+        if disc:
+            s = math.isqrt(disc)
+            if s * s == disc:  # a rational root, the same in every form
+                root = _root(A, B, disc, direction, lo, hi, s)
+            else:
+                A, B, C = lowest_terms((A, B, C), den)
+                root = _root(A, B, B * B - 4 * A * C, direction, lo, hi)
+        elif A:
+            root = QuadraticNumber(-B, 0, 2 * A, 0)
+        else:
+            root = QuadraticNumber(-C, 0, B, 0)
+        if (compare_event_times(root, t_from) * direction > 0
+                and compare_event_times(root, t_to) * direction <= 0
+                and (best is None or compare_event_times(best, root) * direction > 0)):
+            best = root
+    return best
 
 
 def compare_event_times(a, b) -> int:

@@ -15,7 +15,8 @@ events from an anchor time toward a stop time.  What each event computes:
 - support change of station s: for each other member o, the difference
   d(s, o) - d(s, sup) of squared-distance polynomials, as three local
   coefficients, and its first root strictly ahead of the cursor past
-  which it is positive (`sign_ahead`); the earliest is queued;
+  which it is positive (`sign_ahead`); the earliest is queued, the first
+  member's on a tie;
 - handover of s1's support b to s2: the first such root of one difference,
   (d(s1, b) + d(s2, c)) - (d(s1, a) + d(s2, b)), the two stations' cost
   before minus after the transfer, with a the runner-up of s1 and c the
@@ -34,22 +35,25 @@ the members that `compare_values` calls largest (`_largest`): by the
 engine among them (`_tie_group`, `_resolve`), by the dedup step as the
 lowest index.
 
-With exact coordinates at an exact time, those scans first bound every
-value in float (`geometry.value_bound`) and keep only the members whose
-upper bound reaches the largest lower bound (`_may_be_largest`): the
-exact values, computed for the survivors alone, decide as before, and the
-dedup step passes over the stations that certainly do not cover a
-support.  A support change or handover difference certified negative over
-the window (`_negative_on`) has no root there and skips root finding.
-At an exact root each exact value is one `QuadraticNumber` construction
-(`exactarith.poly_parts`).  Every decision stays exact, and so does every
-timeline.  The exact rows are ints, L**2 (`den`) times the true
-polynomials (`_LiftedRow`), since no sign, order, tie or root moves under
-a positive scale; a difference is put in lowest terms (`_lowest_terms`)
-so that its roots take the true Fractions' forms.  Values leave in true
-units only as segment objectives (Fractions over den) and as `FloatRow`
-doubles, each int / den correctly rounded, which values at a float time
-read (`_row`).
+With exact coordinates at an exact time, those scans first evaluate every
+value in float by Horner's rule on the `FloatRow` doubles, within one
+error bound per station and time (`FloatRow.error`), and keep only the
+members whose upper bound reaches the largest lower bound
+(`_may_be_largest`): the exact values, computed for the survivors alone,
+decide as before, and the dedup step passes over the stations that
+certainly do not cover a support.  A support change or handover search
+hands its int differences to `geometry.earliest_crossing`, which reads
+each difference's one upward crossing from its integers and its root
+enclosure, and builds exact roots only for the differences whose crossing
+may be the earliest.  At an exact root each exact value is one
+`QuadraticNumber` construction (`exactarith.poly_parts`).  Every decision
+stays exact, and so does every timeline.  The exact rows are ints, L**2
+(`den`) times the true polynomials (`_LiftedRow`), since no sign, order,
+tie or root moves under a positive scale; a root is built from its
+difference in lowest terms (`geometry.lowest_terms`) so that it takes the
+true Fractions' form.  Values leave in true units only as segment
+objectives (Fractions over den) and as `FloatRow` doubles, each int / den
+correctly rounded, which values at a float time read (`_row`).
 
 The engine keeps its state across events and recomputes only what an
 event touched:
@@ -95,6 +99,7 @@ from .geometry import (
     ZERO_POLY,
     compare_event_times,
     compare_values,
+    earliest_crossing,
     quadratic_roots,
     sign_ahead,
     squared_distance_poly,
@@ -164,6 +169,16 @@ class _LiftedRow(DistanceRow):
                                          rx * rx + ry * ry)
         return poly
 
+    def coef_maxima(self) -> tuple[int, int, int]:
+        """Ints (A, B, C) with A >= |a|, B >= |b| and C >= |c| for every
+        polynomial of the row: A the largest |v|**2, C the largest |r|**2, and
+        B = 2 * (isqrt(A*C) + 1), since |b| = 2|r.v| <= 2|r||v|."""
+        x, y = self.station
+        objs = self.objects
+        a = max([vx * vx + vy * vy for _, _, vx, vy in objs], default=0)
+        c = max([(sx - x) ** 2 + (sy - y) ** 2 for sx, sy, _, _ in objs], default=0)
+        return a, 2 * (math.isqrt(a * c) + 1), c
+
 
 def distance_rows(instance: MovingInstance) -> list[DistanceRow]:
     lift = instance.lift
@@ -175,18 +190,38 @@ def distance_rows(instance: MovingInstance) -> list[DistanceRow]:
 class FloatRow(dict):
     """The (a, b, c) coefficients of one station's squared-distance
     polynomials in true units as the nearest doubles, keyed by object index;
-    each is read from its `DistanceRow` and converted on first use."""
+    each is read from its `DistanceRow` and converted on first use.
 
-    __slots__ = ("row",)
+    `error(tf)` bounds, on an integer lift's row, the error of Horner's
+    rule at the double tf on every triple of the row at once: the
+    `value_bound` error term of the row's coefficient maxima (`_LiftedRow.
+    coef_maxima`, as doubles), which is at least that of each triple, since
+    the term grows with |a|, |b| and |c|.  It grows with |tf| too, so every
+    time in [-1, 1], the horizon included, takes the term at 1, computed
+    once.
+    """
+
+    __slots__ = ("row", "maxima", "unit_error")
 
     def __init__(self, row: DistanceRow):
         super().__init__()
         self.row = row
+        self.maxima = None
+        self.unit_error = None
 
     def __missing__(self, obj: int) -> tuple:
         p, den = self.row[obj], self.row.den
         coefs = self[obj] = (_double(p.a, den), _double(p.b, den), _double(p.c, den))
         return coefs
+
+    def error(self, tf: float) -> float:
+        if self.maxima is None:
+            den = self.row.den
+            self.maxima = tuple(_double(x, den) for x in self.row.coef_maxima())
+            self.unit_error = value_bound(self.maxima, 1.0)[1]
+        if -1.0 <= tf <= 1.0:
+            return self.unit_error
+        return value_bound(self.maxima, tf)[1]
 
 
 def _double(x, den=1) -> float:
@@ -282,10 +317,6 @@ class _Extender:
         self.polys = distance_rows(instance)
         self.exact = instance.lift is not None  # values at exact times are exact
         self.floats = [FloatRow(row) for row in self.polys] if self.exact else None
-        # the window ends' doubles for `_negative_on`: t_stop's, and the last
-        # cursor's with the cursor it was converted from
-        self.stop_f = _double(t_stop) if self.exact else None
-        self.cursor_f = (None, None)
         self.assignment = list(assignment)
         self.assignment_tuple = None  # tuple(self.assignment), built once per move
         self.members: list[list[int]] = [[] for _ in instance.stations]
@@ -341,8 +372,16 @@ class _Extender:
         best = None
         best_key = None
         row = self._row(station, t)
+        lifted = type(t) is QuadraticNumber and type(row) is _LiftedRow
         for o in group:
-            key = (self.direction * row[o].derivative_at(t), row[o].a)
+            p = row[o]
+            if lifted:  # 2a*t + b at t = (tp + tq*sqrt(d))/r, in one construction
+                sign = self.direction
+                slope = QuadraticNumber(sign * (2 * p.a * t.p + p.b * t.r), sign * 2 * p.a * t.q,
+                                        t.r, t.d)
+            else:
+                slope = self.direction * p.derivative_at(t)
+            key = (slope, p.a)
             if best is None or key > best_key or (key == best_key and o < best):
                 best, best_key = o, key
         return best
@@ -376,14 +415,6 @@ class _Extender:
     def _window(self, cursor):
         return (cursor, self.t_stop) if self.direction > 0 else (self.t_stop, cursor)
 
-    def _window_doubles(self, cursor) -> tuple[float, float]:
-        """The doubles of `_window`'s ends, the cursor's converted once per
-        cursor."""
-        if self.cursor_f[0] is not cursor:
-            self.cursor_f = (cursor, _double(cursor))
-        c = self.cursor_f[1]
-        return (c, self.stop_f) if self.direction > 0 else (self.stop_f, c)
-
     def support_change_after(self, station: int, cursor, objs=None, best=None):
         """Earliest time strictly ahead of the cursor at which some other
         assigned object overtakes the station's current support.
@@ -393,21 +424,20 @@ class _Extender:
         sup = self.supports[station]
         if sup is None or len(self.members[station]) < 2:
             return None
-        lo, hi = self._window(cursor)
-        if self.exact:
-            lo_f, hi_f = self._window_doubles(cursor)
         row = self.polys[station]
         p = row[sup]
         sa, sb, sc = p.a, p.b, p.c
-        for o in self.members[station] if objs is None else objs:
+        if objs is None:
+            objs = self.members[station]
+        if self.exact:  # row[o] - row[sup] for every other member o
+            diffs = [(p.a - sa, p.b - sb, p.c - sc) for p in [row[o] for o in objs if o != sup]]
+            return earliest_crossing(diffs, row.den, cursor, self.t_stop, self.direction, best)
+        lo, hi = self._window(cursor)
+        for o in objs:
             if o == sup:
                 continue
             p = row[o]
             a, b, c = p.a - sa, p.b - sb, p.c - sc  # row[o] - row[sup]
-            if self.exact:
-                if _negative_on(a, b, c, lo_f, hi_f):
-                    continue  # no root in the window
-                a, b, c = _lowest_terms((a, b, c), row.den)
             roots = quadratic_roots(a, b, c, lo, hi)
             if not roots:
                 continue  # no crossing, or equidistant for all time: a tie
@@ -496,11 +526,10 @@ class _Extender:
         a = (p_b1.a + p_c.a) - (p_a.a + p_b2.a)
         b = (p_b1.b + p_c.b) - (p_a.b + p_b2.b)
         c = (p_b1.c + p_c.c) - (p_a.c + p_b2.c)
-        lo, hi = self._window(cursor)
         if self.exact:
-            if _negative_on(a, b, c, *self._window_doubles(cursor)):
-                return None  # no root in the window
-            a, b, c = _lowest_terms((a, b, c), self.polys[s1].den)
+            return earliest_crossing(((a, b, c),), self.polys[s1].den, cursor, self.t_stop,
+                                     self.direction)
+        lo, hi = self._window(cursor)
         for root in quadratic_roots(a, b, c, lo, hi)[::self.direction]:
             if not self._ahead(root, cursor):
                 continue
@@ -555,9 +584,9 @@ class _Extender:
         row = self._row(station, t)
         if self._filters(t):
             tf, floats = _double(t), self.floats[station]
-            v, e = value_bound(floats[sup], tf)
-            v2, e2 = value_bound(floats[runner], tf)
-            if v - e > v2 + e2:
+            e = floats.error(tf)
+            (a, b, c), (a2, b2, c2) = floats[sup], floats[runner]
+            if ((a * tf + b) * tf + c) - e > ((a2 * tf + b2) * tf + c2) + e:
                 return sup
         return sup if compare_values(*_values(row, (sup, runner), t)) > 0 else None
 
@@ -646,58 +675,36 @@ class _Extender:
 
 def _values(row: DistanceRow, objs, t) -> list:
     """The objects' squared distances from the row's station at t, in
-    order; p(t) written out, as in QuadraticPoly.__call__, or at a
-    `QuadraticNumber` on an integer lift's rows in one construction."""
-    if type(t) is QuadraticNumber and type(row) is _LiftedRow:
-        rr, d = t.r * t.r, t.d
-        return [QuadraticNumber(*poly_parts(p.a, p.b, p.c, t), rr, d)
-                for p in map(row.__getitem__, objs)]
+    order; p(t) written out, as in QuadraticPoly.__call__, or at an exact
+    time on an integer lift's rows in one construction: (a P**2 + b P Q +
+    c Q**2)/Q**2 at a Fraction P/Q, `poly_parts` at a `QuadraticNumber`."""
+    if type(row) is _LiftedRow:
+        if type(t) is QuadraticNumber:
+            rr, d = t.r * t.r, t.d
+            return [QuadraticNumber(*poly_parts(p.a, p.b, p.c, t), rr, d)
+                    for p in map(row.__getitem__, objs)]
+        if type(t) is Fraction:
+            P, Q = t.numerator, t.denominator
+            QQ = Q * Q
+            return [Fraction((p.a * P + p.b * Q) * P + p.c * QQ, QQ)
+                    for p in map(row.__getitem__, objs)]
     return [(p.a * t + p.b) * t + p.c for p in map(row.__getitem__, objs)]
-
-
-def _lowest_terms(coefs: tuple, den) -> tuple:
-    """Ints (a, b, c) / gcd(a, b, c, den): (a, b, c) / den in lowest terms."""
-    g = math.gcd(*coefs, den)
-    return coefs if g == 1 else (coefs[0] // g, coefs[1] // g, coefs[2] // g)
 
 
 def _may_be_largest(floats: FloatRow, objs: list[int], tf: float) -> list[int]:
     """The objects that may be farthest at the time whose double is tf, in
-    order: those whose value's upper bound (`value_bound`) reaches the
-    largest lower bound.  Every other object is strictly nearer than one of
-    these, so the farthest objects and all ties among them are kept."""
-    bounds = [value_bound(floats[o], tf) for o in objs]
-    floor = max([v - e for v, e in bounds])
-    return [o for o, (v, e) in zip(objs, bounds) if v + e >= floor]
-
-
-def _negative_on(A, B, C, lo: float, hi: float) -> bool:
-    """Whether p = A*t**2 + B*t + C, exact, is certified negative on a window
-    whose ends have the doubles lo and hi, so that it has no root there.
-
-    Its largest value on the window is at an end unless it opens downward
-    with its slope 2at + b (also bounded by `value_bound`) rising at lo and
-    falling at hi; then it is at most the vertex value c - b**2/4a, taken
-    as p at the vertex time's double tv = -b/2a.  p at the true vertex
-    exceeds p(tv) by |a| (tv - vertex)**2, under 10 u**2 |a| tv**2: less
-    than u times `value_bound`'s e there, so v + 2e bounds it."""
-    coefs = (_double(A), _double(B), _double(C))
-    for t in (lo, hi):
-        v, e = value_bound(coefs, t)
-        if not v + e < 0.0:
-            return False
-    a, b, _ = coefs
-    if a < 0.0:
-        slope = (0.0, 2.0 * a, b)
-        v, e = value_bound(slope, lo)
-        if v + e <= 0.0:
-            return True  # falling across the window: largest at lo
-        v, e = value_bound(slope, hi)
-        if v - e >= 0.0:
-            return True  # rising across the window: largest at hi
-        v, e = value_bound(coefs, b / a * -0.5)
-        return v + 2.0 * e < 0.0
-    return a > 0.0 or A >= 0  # a leading term below the float range counts by its sign
+    order: those whose value's upper bound reaches the largest lower bound,
+    each value Horner's rule on the object's triple and each bound its row's
+    `error`.  A `value_bound` per object would bound no wider, so this keeps
+    all that those bounds keep.  Every other object is strictly nearer than
+    one of these, so the farthest objects and all ties among them are
+    kept."""
+    e = floats.error(tf)
+    if not e < math.inf:
+        return objs
+    vals = [(a * tf + b) * tf + c for a, b, c in map(floats.__getitem__, objs)]
+    floor = max(vals) - e
+    return [o for o, v in zip(objs, vals) if v + e >= floor]
 
 
 def _largest(vals: list, objs: list[int]) -> list[int]:
@@ -733,11 +740,11 @@ def _dedup(instance: MovingInstance, t, members, known, rows, floats) -> dict:
 
     Only the stations that a support may lie inside are compared: those
     holding a support where its distance, or with `floats` (the `FloatRow`s
-    of exact coordinates at an exact time) the lower end of its
-    `value_bound`, is at most the station's cap, in one list pass per
+    of exact coordinates at an exact time) its Horner value in float less
+    the row's `error`, is at most the station's cap, in one list pass per
     support.  A cap is -inf for an empty disk, else the upper end of the
-    radius's `tolerance_band`, or with `floats` of its `value_bound`; exact
-    values are computed only for those that pass.  `members` is left as it
+    radius's `tolerance_band`, or with `floats` its Horner value plus the
+    row's `error`; exact values are computed only for those that pass.  `members` is left as it
     is; returns {object: final station} for every object that moved
     (possibly back to where it was).
     """
@@ -754,8 +761,8 @@ def _dedup(instance: MovingInstance, t, members, known, rows, floats) -> dict:
             else:
                 # at least 0, as squared distances are, so that an infinite
                 # bound's -inf cannot pass an empty disk's cap
-                col = [v - e if v > e else 0.0 for v, e in
-                       (value_bound(floats[s][o], tf) for s in held)]
+                vals = [(a * tf + b) * tf + c for a, b, c in [floats[s][o] for s in held]]
+                col = [v - e if v > e else 0.0 for v, e in zip(vals, held_errors)]
             lows[o] = col
         return col
 
@@ -775,8 +782,11 @@ def _dedup(instance: MovingInstance, t, members, known, rows, floats) -> dict:
         if floats is None:
             r = d2(s, o)
             return tolerance_band(r)[1] if r != 0 else -math.inf
-        v, e = value_bound(floats[s][o], tf)
-        return v + e if v - e > 0 or d2(s, o) != 0 else -math.inf
+        a, b, c = floats[s][o]
+        v, e = (a * tf + b) * tf + c, errors[s]
+        if v - e > 0 or d2(s, o) != 0:
+            return v + e if e < math.inf else math.inf
+        return -math.inf
 
     own: dict[int, list[int]] = {}  # copied member lists of changed stations
 
@@ -792,6 +802,9 @@ def _dedup(instance: MovingInstance, t, members, known, rows, floats) -> dict:
 
     sup = [known[s] if known[s] is not None else support_of(s) for s in range(m)]
     held = [s for s in range(m) if sup[s] is not None]  # moves only go to these
+    if floats is not None:
+        errors = [floats[s].error(tf) for s in range(m)]
+        held_errors = [errors[s] for s in held]
     caps = [cap(s) for s in range(m)]
     moved: dict[int, int] = {}
     for _ in range(instance.n * m + m):

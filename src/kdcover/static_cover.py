@@ -12,10 +12,11 @@ builds them once as a `Candidates`: per station, that order and its radius
 levels, coverage bitmasks and each object's first covering level, in one
 O(nm log n) pass.  Every solver reads that one structure.  In exact
 arithmetic the distances at one time share a denominator, so the pass
-sorts and compares integer keys (`_exact_columns`) and builds one exact
-number per level; the search then picks its branch objects from the
-levels' doubles, computing exact increments only where a certified error
-bound cannot decide (`Candidates.branch_object`).
+sorts and compares integer keys (`_exact_columns`) and reads each level's
+correctly rounded double straight off its integers; a level's exact
+number is built on its first read.  The search then picks its branch
+objects from the levels' doubles, computing exact increments only where a
+certified error bound cannot decide (`Candidates.branch_object`).
 
 The O(nm) passes over it (the relaxation below, cover counts, the greedy
 completion's increments, the branch object's column minima) run as C-level
@@ -51,13 +52,14 @@ import heapq
 import math
 from bisect import bisect_right
 import time as _time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, chain, compress, repeat
-from operator import add, ge, gt, itemgetter, le, lshift, mul, ne, or_, sub
+from operator import add, attrgetter, ge, gt, itemgetter, le, lshift, mul, ne, or_, sub
 
-from .exactarith import QuadraticNumber
+from .exactarith import QuadraticNumber, nearest_double
 from .geometry import MovingInstance
 
 __all__ = [
@@ -133,10 +135,16 @@ def ratio_gap(upper: float, lower: float) -> float:
 def _distance_columns(instance: MovingInstance, t) -> list[list]:
     """Squared distances at a float time t (or on an instance with float
     coordinates), one list over the objects per station: dx * dx + dy * dy
-    with dx = station.x - position.x, the position as `Trajectory.at`
-    computes it."""
-    positions = [obj.at(t) for obj in instance.objects]
-    xs, ys = [p.x for p in positions], [p.y for p in positions]
+    with dx = station.x - position.x, the position start + t * (end - start)
+    as `Trajectory.at` computes it, in C-level passes over the coordinates."""
+    objects = instance.objects
+    starts, ends = [o.start for o in objects], [o.end for o in objects]
+    positions = []
+    for axis in ("x", "y"):
+        get = attrgetter(axis)
+        s0, s1 = list(map(get, starts)), map(get, ends)
+        positions.append(list(map(add, s0, map(mul, repeat(t), map(sub, s1, s0)))))
+    xs, ys = positions
     columns = []
     for st in instance.stations:
         dx, dy = list(map(sub, repeat(st.x), xs)), list(map(sub, repeat(st.y), ys))
@@ -145,22 +153,24 @@ def _distance_columns(instance: MovingInstance, t) -> list[list]:
 
 
 def _exact_columns(instance: MovingInstance, t):
-    """(keys, value) for the squared distances at an exact time t on an
-    instance with an `IntegerLift`, or None for a float time or an instance
-    without one.
+    """(keys, value, double) for the squared distances at an exact time t
+    on an instance with an `IntegerLift`, or None for a float time or an
+    instance without one.
 
     `keys` holds one key per object per station, ordered as the distances
     are, equal exactly where they are, and 0 exactly where a distance is;
-    `value(s, j)` is the exact distance from station s to object j.  With
-    coordinates over L and t = (p + q*sqrt(d))/r (q = 0 for a rational t),
-    the distance is (P + Q*sqrt(d))/(Lr)**2: dx * Lr = ax - q*vx*sqrt(d)
-    with ax = X*r - (sx*r + p*vx), so P = ax**2 + ay**2 + d*q**2*(vx**2 +
-    vy**2) and Q = -2*q*(ax*vx + ay*vy).  For q = 0 the int P is its own
-    key.  Otherwise the key is the int ceil((P + Q*sqrt(d)) * 2**64)
-    (`_ceil_key`): since sqrt(d) is irrational, equal distances are equal
-    pairs, and two pairs with one key and one P differ in Q by less than
-    2**-64 / sqrt(d), so they are equal too.  Only when two pairs with
-    different P share a key are the exact numbers themselves the keys.
+    `value(s, j)` is the exact distance from station s to object j, built
+    when called, and `double(s, j)` its correctly rounded double, read off
+    the same integers without building it.  With coordinates over L and t
+    = (p + q*sqrt(d))/r (q = 0 for a rational t), the distance is (P +
+    Q*sqrt(d))/(Lr)**2: dx * Lr = ax - q*vx*sqrt(d) with ax = X*r - (sx*r +
+    p*vx), so P = ax**2 + ay**2 + d*q**2*(vx**2 + vy**2) and Q =
+    -2*q*(ax*vx + ay*vy).  For q = 0 the int P is its own key.  Otherwise
+    the key is the int ceil((P + Q*sqrt(d)) * 2**64) (`_ceil_key`): since
+    sqrt(d) is irrational, equal distances are equal pairs, and two pairs
+    with one key and one P differ in Q by less than 2**-64 / sqrt(d), so
+    they are equal too.  Only when two pairs with different P share a key
+    are the exact numbers themselves the keys.
     """
     lift = instance.lift
     if lift is None or isinstance(t, float):
@@ -180,10 +190,14 @@ def _exact_columns(instance: MovingInstance, t):
         if q:
             qs.append(list(map(mul, repeat(-2 * q), map(add, map(mul, ax, vx), map(mul, ay, vy)))))
     den = (lift.scale * r) ** 2
+
+    def ratio(s, j):
+        return ps[s][j] / den  # int true division rounds correctly
+
     if not isinstance(t, QuadraticNumber):
-        return ps, lambda s, j: Fraction(ps[s][j], den)
+        return ps, lambda s, j: Fraction(ps[s][j], den), ratio
     if not q:
-        return ps, lambda s, j: QuadraticNumber(ps[s][j], 0, den, 0)
+        return ps, lambda s, j: QuadraticNumber(ps[s][j], 0, den, 0), ratio
     sq = list(map(mul, repeat(d * q * q), map(add, map(mul, vx, vx), map(mul, vy, vy))))
     ps = [list(map(add, pc, sq)) for pc in ps]
     keys = [list(map(_ceil_key, pc, qc, repeat(d))) for pc, qc in zip(ps, qs)]
@@ -191,8 +205,9 @@ def _exact_columns(instance: MovingInstance, t):
     owner = dict(zip(flat_keys, flat_ps))
     if any(map(ne, map(owner.__getitem__, flat_keys), flat_ps)):
         keys = [list(map(QuadraticNumber, pc, qc, repeat(den), repeat(d))) for pc, qc in zip(ps, qs)]
-        return keys, lambda s, j: keys[s][j]
-    return keys, lambda s, j: QuadraticNumber(ps[s][j], qs[s][j], den, d)
+        return keys, lambda s, j: keys[s][j], lambda s, j: float(keys[s][j])
+    return (keys, lambda s, j: QuadraticNumber(ps[s][j], qs[s][j], den, d),
+            lambda s, j: nearest_double(ps[s][j], qs[s][j], den, d))
 
 
 def _ceil_key(p: int, q: int, d: int) -> int:
@@ -216,7 +231,7 @@ def nn_heuristic(instance: MovingInstance, t) -> StaticSolution:
     """
     n, m = instance.n, instance.m
     exact = _exact_columns(instance, t)
-    columns, value = exact if exact else (_distance_columns(instance, t), None)
+    columns, value = exact[:2] if exact else (_distance_columns(instance, t), None)
     rows = list(zip(*columns))
     near = list(map(min, rows))
     # The first index of a row's minimum is its lowest-index nearest station.
@@ -268,19 +283,46 @@ class SolverBackend:
         raise NotImplementedError
 
 
+class _Levels(dict):
+    """A read-only sequence of `size` values whose k-th entry is
+    build(args[k]), made on its first read and kept: a dict underneath, so
+    that reading an entry already made is a C-level lookup; `len` and
+    iteration are the sequence's."""
+
+    __slots__ = ("size", "build", "args")
+
+    def __init__(self, size: int, build, args):
+        super().__init__()
+        self.size, self.build, self.args = size, build, args
+
+    def __missing__(self, k):
+        v = self[k] = self.build(self.args[k])
+        return v
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self.size))
+
+    def __repr__(self):
+        return repr(list(self))
+
+
 class Candidates:
     """The candidate disks at one time, as per-station radius levels.
 
     Each station's objects sorted by (squared distance, index) form its
     `orders[s]`; level k is the disk reaching the k-th distinct distance in
     that order, so it covers a prefix of the order and a station's levels
-    are nested.  Per station, levels in ascending radius: `values` (exact)
-    and `fvalues` (floats), `masks` (coverage bitmasks), `last[s][k]` (the
-    position in the order of level k's outermost object), `rank[s][j]` (the
-    level at which object j enters the prefix) and `reach[s][j]` (that
+    are nested.  Per station, levels in ascending radius: `values` (exact;
+    at an exact time each is built on its first read) and `fvalues` (their
+    correctly rounded doubles), `masks` (coverage bitmasks), `last[s][k]`
+    (the position in the order of level k's outermost object), `rank[s][j]`
+    (the level at which object j enters the prefix) and `reach[s][j]` (that
     level's value; `fcolumns[s][j]` holds its float value, and `freach[j]`
-    the float values of object j per station).  Every
-    station covers every object at its top level.  `gather[s]` maps a
+    the float values of object j per station).  Every station covers every
+    object at its top level.  `gather[s]` maps a
     sequence indexed by object to the tuple of its entries in `orders[s]`,
     and `ends[s]` flags, per position in that order, the outermost object
     of a level (None when no two objects tie, so every position ends one).
@@ -301,31 +343,37 @@ class Candidates:
         n = instance.n
         self.n_objects, self.n_stations = n, instance.m
         self.values, self.masks, self.orders, self.last, self.rank = [], [], [], [], []
-        self.offset, self.ends = [], []
+        self.offset, self.ends, self.fvalues = [], [], []
         size = 0
         exact = _exact_columns(instance, t)
-        columns, value = exact if exact else (_distance_columns(instance, t), None)
+        columns, value, double = exact if exact else (_distance_columns(instance, t), None, None)
         for s, column in enumerate(columns):
-            dists = sorted(zip(column, range(n)))
-            d, order = [r2 for r2, _ in dists], tuple([j for _, j in dists])
+            # a stable sort: ties keep index order, as (distance, index) pairs would
+            order = sorted(range(n), key=column.__getitem__)
+            d = list(map(column.__getitem__, order))
             ends = [*map(ne, d, d[1:]), True]  # True at each level's outermost object
-            vals = (list(compress(d, ends)) if value is None
-                    else list(map(value, repeat(s), compress(order, ends))))
+            if value is None:
+                vals = list(compress(d, ends))
+                fvals = list(map(float, vals))
+            else:
+                outer = list(compress(order, ends))
+                vals = _Levels(len(outer), partial(value, s), outer)
+                fvals = list(map(double, repeat(s), outer))
             rank = [0] * n
-            for j, lvl in zip(order, accumulate(ends, initial=0)):
-                rank[j] = lvl
+            deque(map(rank.__setitem__, order, accumulate(ends, initial=0)), 0)
             self.offset.append(size)
             size += len(vals)
             self.values.append(vals)
+            self.fvalues.append(fvals)
             self.masks.append(list(compress(accumulate(map(lshift, repeat(1), order), or_), ends)))
-            self.orders.append(order)
+            self.orders.append(tuple(order))
             self.last.append(list(compress(range(n), ends)))
             self.rank.append(rank)
             self.ends.append(None if len(vals) == n else ends)
         self._size = size
         self.universe = (1 << n) - 1
-        self.fvalues = [[float(v) for v in vals] for vals in self.values]
-        self.reach = [[vals[r] for r in rank] for vals, rank in zip(self.values, self.rank)]
+        self.reach = [[vals[r] for r in rank] if value is None else _Levels(n, vals.__getitem__, rank)
+                      for vals, rank in zip(self.values, self.rank)]
         self.fcolumns = [[fv[r] for r in rank] for fv, rank in zip(self.fvalues, self.rank)]
         self.freach = list(zip(*self.fcolumns))
         # `branch_object`'s bound E = 4u*top + 2**-1073 (u = _ULP / 2) on a
@@ -830,7 +878,8 @@ def _solution_from_selection(lv: Candidates, selected, lower, stop):
     # Each station's radius is its highest selected level.
     levels = [-1] * lv.n_stations
     for i in selected:
-        if not (isinstance(i, int) and 0 <= i < len(lv)):
+        # not isinstance: a bool is an int
+        if not (type(i) is int and 0 <= i < len(lv)):
             raise ValueError(f"selected candidate {i!r} is not an index in range({len(lv)})")
         s = bisect_right(lv.offset, i) - 1
         levels[s] = max(levels[s], i - lv.offset[s])
@@ -838,13 +887,17 @@ def _solution_from_selection(lv: Candidates, selected, lower, stop):
     used = [s for s, lvl in enumerate(levels) if lvl >= 0]
     # Each object goes to the nearest station whose level covers it (the
     # lowest station on ties); its distance is the value of the level at
-    # which it enters.
+    # which it enters.  The doubles decide first: they round correctly, so
+    # every nearest station has the least double.
     assignment = []
+    fcolumns, reach, rank = lv.fcolumns, lv.reach, lv.rank
     for j in range(lv.n_objects):
-        reached = [(lv.reach[s][j], s) for s in used if lv.rank[s][j] <= levels[s]]
+        reached = [(fcolumns[s][j], s) for s in used if rank[s][j] <= levels[s]]
         if not reached:
             raise InfeasibleCoverError(f"selection does not cover object {j}")
-        assignment.append(min(reached)[1])
+        low, s = min(reached)
+        near = [x for f, x in reached if f == low]
+        assignment.append(s if len(near) == 1 else min([(reach[x][j], x) for x in near])[1])
     total = sum(radius)
     if lower > total:
         lower = total

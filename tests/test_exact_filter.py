@@ -1,10 +1,12 @@
 """The float filters of exact mode.  `geometry.value_bound` and the kinetic
-engine's use of it: the bound holds, the root screen never hides a root,
-and with the filter turned off (an infinite bound) every exact timeline is
-the same, while the filter removes most exact evaluations.
-`geometry.root_bounds` likewise: every enclosure holds its root, the
-filtered roots are the unfiltered ones, and with the filter off every
-exact solve is the same.  And the other filters in front of exact
+engine's use of it: the bound holds, and with the filter turned off (an
+infinite bound) every exact timeline is the same, while the filter removes
+most exact evaluations.  `geometry.root_bounds` likewise: every enclosure
+holds its root, the filtered roots are the unfiltered ones, the crossing
+search `earliest_crossing` never hides a crossing, and with the filter off
+every exact solve is the same.  On integer-grid instances the engine's
+searches and the lazy candidate values match all-exact references.  And
+the other filters in front of exact
 decisions: `QuadraticNumber.compare` on the doubles and enclosures that
 its operands hold, the integer evaluation of a polynomial at an algebraic
 time, and `argmax_timeline` on exact timelines, each against the exact
@@ -23,12 +25,14 @@ import kdcover.geometry as geometry
 import kdcover.kinetic as kinetic
 from kdcover.envelope import SolutionTimeline, TimelineSegment, argmax_timeline
 from kdcover.exactarith import QuadraticNumber, enclosed, poly_parts
-from kdcover.geometry import (QuadraticPoly, compare_event_times, quadratic_roots, root_bounds,
-                              sign_ahead, value_bound)
+from kdcover.geometry import (MovingInstance, Point2, QuadraticPoly, Trajectory, compare_event_times,
+                              earliest_crossing, lowest_terms, quadratic_roots, root_bounds,
+                              sign_ahead, squared_distance_poly, value_bound)
 from kdcover.instances import GenParams, generate
 from kdcover.kinetic import ImprovementFlags, dedup_improve, extend
 from kdcover.minmax import SolverConfig, solve_minmax
-from kdcover.static_cover import nn_heuristic
+from kdcover import static_cover
+from kdcover.static_cover import Candidates, nn_heuristic
 
 ALL_FLAGS = ImprovementFlags(no_dup=True, imp_ext=True, part_ext=True)
 CLASSES = ("random", "same_slope", "same_start", "same_end")
@@ -138,40 +142,110 @@ def test_value_bound_holds_below_the_float_range():
         assert_bounded(QuadraticPoly(a, b, c), t)
 
 
-@settings(max_examples=200, deadline=None)
-@given(exact_polys(), st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6),
-       st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6))
-def test_root_screen_never_hides_a_root(p, t1, t2):
-    """A polynomial certified negative on a window has no root there and is
-    negative at its midpoint; one with a root in the window is never
-    certified."""
-    lo, hi = min(t1, t2), max(t1, t2)
-    if kinetic._negative_on(p.a, p.b, p.c, float(lo), float(hi)):
-        assert quadratic_roots(p.a, p.b, p.c, lo, hi) == ()
-        assert exact_value(p, (lo + hi) / 2) < 0
+def bare_roots(a: int, b: int, c: int) -> tuple:
+    """Every real root of a*t**2 + b*t + c (none for the zero polynomial),
+    ascending, by the exact formula in `QuadraticNumber`'s normal form and
+    with no enclosure."""
+    if a == 0:
+        return () if b == 0 else (QuadraticNumber(-c, 0, b, 0),)
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return ()
+    if disc == 0:
+        return (QuadraticNumber(-b, 0, 2 * a, 0),)
+    roots = tuple(QuadraticNumber(-b, sign, 2 * a, disc) for sign in (-1, 1))
+    return roots if a > 0 else roots[::-1]
 
 
-def test_root_screen_examples():
-    # negative at both ends, positive in the middle: two roots inside
-    hump = QuadraticPoly(Fraction(-4), Fraction(4), Fraction(-1, 2))
-    assert len(quadratic_roots(hump.a, hump.b, hump.c, 0, 1)) == 2
-    assert not kinetic._negative_on(hump.a, hump.b, hump.c, 0.0, 1.0)
-    # the same hump with its vertex outside the window: negative throughout
-    assert kinetic._negative_on(hump.a, hump.b, hump.c, 0.0, 0.1)
-    assert kinetic._negative_on(hump.a, hump.b, hump.c, 0.9, 1.0)
-    # just below zero at its vertex, and just above it
-    near = QuadraticPoly(Fraction(-4), Fraction(4), Fraction(-1) - Fraction(1, 10 ** 12))
-    assert kinetic._negative_on(near.a, near.b, near.c, 0.0, 1.0)
-    touch = QuadraticPoly(Fraction(-4), Fraction(4), Fraction(-1))
-    assert not kinetic._negative_on(touch.a, touch.b, touch.c, 0.0, 1.0)
-    # upward parabolas and lines: their ends decide
-    assert kinetic._negative_on(Fraction(1), Fraction(0), Fraction(-2), 0.0, 1.0)
-    assert not kinetic._negative_on(Fraction(1), Fraction(0), Fraction(-1), 0.0, 1.0)
-    assert kinetic._negative_on(0, Fraction(1), Fraction(-2), 0.0, 1.0)
-    # a leading term below the float range: only its sign is known
-    tiny = Fraction(1, 2 ** 1100)
-    assert kinetic._negative_on(tiny, 0, Fraction(-1), 0.0, 1.0)
-    assert not kinetic._negative_on(-tiny, 0, Fraction(-1), 0.0, 1.0)
+def reference_crossing(diffs, den, t_from, t_to, direction, best=None):
+    """The scan `earliest_crossing` stands for, with no double read: each
+    difference in lowest terms, each of its roots in the window in travel
+    order, the first one strictly ahead of t_from past which the difference
+    is positive (`sign_ahead`), kept only when strictly earlier than the
+    best so far."""
+    lo, hi = (t_from, t_to) if direction > 0 else (t_to, t_from)
+    for coefs in diffs:
+        a, b, c = lowest_terms(coefs, den)
+        for root in bare_roots(a, b, c)[::direction]:
+            if not (lo <= root <= hi) or compare_event_times(root, t_from) * direction <= 0:
+                continue
+            if best is not None and compare_event_times(best, root) * direction <= 0:
+                break
+            if sign_ahead(a, b, c, root, direction) > 0:
+                best = root
+                break
+    return best
+
+
+def int_triple(p: QuadraticPoly) -> tuple:
+    """p's coefficients as ints over their least common denominator."""
+    den = math.lcm(*(x.denominator for x in (p.a, p.b, p.c)))
+    return tuple(int(x * den) for x in (p.a, p.b, p.c)), den
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(exact_polys(), min_size=1, max_size=3), st.lists(st.integers(1, 12), min_size=3,
+       max_size=3), exact_times(), exact_times(), st.sampled_from((1, -1)), st.integers(0, 3))
+def test_crossing_screen_never_hides_a_crossing(polys, factors, t1, t2, direction, pick):
+    """`earliest_crossing` against `reference_crossing`, by repr: each
+    polynomial also comes as a multiple of itself, so that equal roots come
+    in several forms and with doubles from other integers; the window's
+    start is moved onto a root now and then, and `best` is one of the
+    roots, or none."""
+    den = int_triple(polys[0])[1]
+    diffs = []
+    for p, k in zip(polys, factors):
+        a, b, c = int_triple(p)[0]
+        diffs += [(k * a, k * b, k * c), (a, b, c)]
+    every = [r for d in diffs for r in bare_roots(*d)]
+    lo, hi = sorted((t1, t2))
+    if every and pick:
+        lo = min(every[pick % len(every)], hi)
+    t_from, t_to = (lo, hi) if direction > 0 else (hi, lo)
+    for best in (None, every[pick % len(every)] if every else None):
+        got = earliest_crossing(diffs, den, t_from, t_to, direction, best)
+        assert repr(got) == repr(reference_crossing(diffs, den, t_from, t_to, direction, best))
+
+
+def test_crossing_screen_examples():
+    F = Fraction
+    # -4t**2 + 4t - 1/2: negative at both ends, positive between its roots
+    # (1 -+ 1/sqrt(2))/2, so it crosses upward at the first going forward
+    # and at the second going backward
+    hump = ((-8, 8, -1), 2)
+    low, high = bare_roots(-8, 8, -1)
+    assert repr(earliest_crossing([hump[0]], hump[1], 0, 1, 1)) == repr(low)
+    assert repr(earliest_crossing([hump[0]], hump[1], 1, 0, -1)) == repr(high)
+    assert earliest_crossing([hump[0]], hump[1], 0, F(1, 10), 1) is None
+    assert earliest_crossing([hump[0]], hump[1], F(9, 10), 1, 1) is None
+    # just below zero at its vertex; touching it from below (a double root
+    # where the polynomial stays negative); touching from above
+    assert earliest_crossing([(-4 * 10 ** 12, 4 * 10 ** 12, -10 ** 12 - 1)], 10 ** 12, 0, 1, 1) \
+        is None
+    assert earliest_crossing([(-4, 4, -1)], 1, 0, 1, 1) is None
+    assert earliest_crossing([(4, -4, 1)], 1, 0, 1, 1) == F(1, 2)
+    # t**2 - 1 reaches zero at 1, the window's end going forward and its
+    # start going backward, which is not strictly ahead
+    assert earliest_crossing([(1, 0, -1)], 1, 0, 1, 1) == 1
+    assert earliest_crossing([(1, 0, -1)], 1, 1, 0, -1) is None
+    # lines count in the direction they rise
+    assert earliest_crossing([(0, 2, -1)], 1, 0, 1, 1) == F(1, 2)
+    assert earliest_crossing([(0, 2, -1)], 1, 1, 0, -1) is None
+    assert earliest_crossing([(0, -2, 1)], 1, 1, 0, -1) == F(1, 2)
+    assert earliest_crossing([(0, 0, 1), (0, 0, 0)], 1, 0, 1, 1) is None
+    # a leading term below the float range: only the exact roots decide
+    assert earliest_crossing([(1, 0, -(2 ** 1100))], 2 ** 1100, 0, 1, 1) is None
+    assert earliest_crossing([(2 ** 1100, 0, -1)], 2 ** 1100, 0, 1, 1) == F(1, 2 ** 550)
+    # one root, (5 + sqrt(5))/10, in two forms, p and 3p over den 1: the
+    # first difference gives the form, and an equal `best` is kept
+    first, second = (5, -5, 1), (15, -15, 3)
+    for diffs in ([first, second], [second, first]):
+        got = earliest_crossing(diffs, 1, 0, 1, 1)
+        assert repr(got) == repr(bare_roots(*diffs[0])[1]) == repr(
+            reference_crossing(diffs, 1, 0, 1, 1))
+        assert earliest_crossing(diffs, 1, 0, 1, 1, got) is got
+    assert repr(earliest_crossing([first, second], 1, 0, 1, 1)) != repr(
+        earliest_crossing([second, first], 1, 0, 1, 1))
 
 
 # -- root enclosures ---------------------------------------------------------
@@ -314,6 +388,127 @@ def test_root_filter_switch_changes_no_exact_solve(monkeypatch):
             runs[filtered] = [solve_repr(inst, ALL_FLAGS) for inst in desk_instances()], calls[0]
     assert runs[True][0] == runs[False][0]
     assert 4 * runs[True][1] <= 3 * runs[False][1], (runs[True][1], runs[False][1])
+
+
+@st.composite
+def grid_cases(draw):
+    """An instance on the integer grid 0..4 with n <= 6 objects and m <= 3
+    stations, whose objects start and end at one or two shared points half
+    the time, so that members tie, touch and cross at equal times; an
+    assignment; and an anchor: k/4, or a root of a difference of two of
+    its distance polynomials in (0, 1), often irrational."""
+    coord = st.integers(0, 4)
+    point = st.builds(Point2, coord, coord)
+    hubs = draw(st.lists(point, min_size=1, max_size=2))
+    end = st.one_of(st.sampled_from(hubs), point)
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    inst = MovingInstance(tuple(draw(point) for _ in range(m)),
+                          tuple(Trajectory(draw(end), draw(end)) for _ in range(n)))
+    assignment = tuple(draw(st.integers(0, m - 1)) for _ in range(n))
+    anchors = [Fraction(draw(st.integers(0, 4)), 4)]
+    rows = kinetic.distance_rows(inst)
+    for s, i, j in ((s, i, j) for s in range(m) for i in range(n) for j in range(i)):
+        diff = rows[s][i] - rows[s][j]
+        anchors += [t for t in quadratic_roots(diff.a, diff.b, diff.c, 0, 1) if 0 < t < 1]
+    return inst, assignment, anchors[draw(st.integers(0, len(anchors) - 1))]
+
+
+def checked_scans(mp, seen):
+    """Wrap the engine's two crossing searches so that each call is checked,
+    by repr, against `reference_crossing` on the differences that the
+    engine's state gives: every other member against the support, and the
+    handover's cost before minus after."""
+    support_change_after = kinetic._Extender.support_change_after
+    handover_after = kinetic._Extender.handover_after
+
+    def support_change(self, station, cursor, objs=None, best=None):
+        got = support_change_after(self, station, cursor, objs, best)
+        sup, row = self.supports[station], self.polys[station]
+        want = None
+        if sup is not None and len(self.members[station]) >= 2:
+            diffs = [(d.a, d.b, d.c) for d in (row[o] - row[sup] for o in
+                     (self.members[station] if objs is None else objs) if o != sup)]
+            want = reference_crossing(diffs, row.den, cursor, self.t_stop, self.direction, best)
+        assert repr(got) == repr(want), (station, cursor)
+        seen.append(cursor)
+        return got
+
+    def handover(self, s1, s2, inputs, cursor):
+        got = handover_after(self, s1, s2, inputs, cursor)
+        b, a, c = inputs
+        row1, row2 = self.polys[s1], self.polys[s2]
+        before = row1[b] + (row2[c] if c is not None else QuadraticPoly(0, 0, 0))
+        after = (row1[a] if a is not None else QuadraticPoly(0, 0, 0)) + row2[b]
+        d = before - after
+        want = reference_crossing([(d.a, d.b, d.c)], row1.den, cursor, self.t_stop,
+                                  self.direction)
+        assert repr(got) == repr(want), (s1, s2, inputs, cursor)
+        seen.append(cursor)
+        return got
+
+    mp.setattr(kinetic._Extender, "support_change_after", support_change)
+    mp.setattr(kinetic._Extender, "handover_after", handover)
+
+
+def assert_lazy_values_are_the_eager_ones(inst, t):
+    """Each level value, reach and double of `Candidates` at t against the
+    exact squared distance p(t) of the level's outermost object, computed in
+    Fraction or `QuadraticNumber` arithmetic: values and reaches by repr,
+    read in reverse order, and doubles bit for bit."""
+    lv = Candidates(inst, t)
+    for s, st_ in enumerate(inst.stations):
+        eager = [squared_distance_poly(st_, o)(t) for o in inst.objects]
+        outer = [lv.orders[s][e] for e in lv.last[s]]
+        assert [repr(x) for x in lv.fvalues[s]] == [repr(float(eager[j])) for j in outer]
+        assert [repr(x) for x in lv.fcolumns[s]] == [repr(float(x)) for x in eager]
+        for k in reversed(range(len(outer))):
+            assert repr(lv.values[s][k]) == repr(eager[outer[k]])
+        assert len(lv.values[s]) == len(outer)
+        assert repr(list(lv.values[s])) == repr([eager[j] for j in outer])
+        for j in reversed(range(inst.n)):
+            assert repr(lv.reach[s][j]) == repr(eager[outer[lv.rank[s][j]]])
+            assert lv.reach[s][j] == eager[j]
+    return lv
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_cases())
+def test_grid_crossings_and_candidate_values_match_the_exact_references(case):
+    """On integer-grid instances with shared start and end points, every
+    support-change and handover search of a forward and a backward sweep
+    (all flags) from the anchor gives the all-exact scan's time, and
+    `Candidates` at the anchor and at the sweeps' event times builds the
+    values that eager exact arithmetic gives, also when every `_ceil_key`
+    collides, so that the exact numbers themselves are the keys."""
+    inst, assignment, anchor = case
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        checked_scans(mp, seen)
+        forward = extend(assignment, anchor, "forward", Fraction(1), ALL_FLAGS, inst)
+        backward = extend(assignment, anchor, "backward", Fraction(0), ALL_FLAGS, inst)
+    times = {repr(t): t for t in [anchor] + [seg.t_end for seg in forward + backward]}
+    # the searches themselves over every pair at each station, each
+    # difference also as 3 and 7 times itself: equal roots in other forms,
+    # from the event times on
+    rows = kinetic.distance_rows(inst)
+    for t in times.values():
+        for row in rows:
+            diffs = []
+            for i in range(inst.n):
+                for j in range(i):
+                    d = row[i] - row[j]
+                    diffs += [(k * d.a, k * d.b, k * d.c) for k in (1, 3, 7)]
+            for direction, stop in ((1, 1), (-1, 0)):
+                got = earliest_crossing(diffs, row.den, t, stop, direction)
+                want = reference_crossing(diffs, row.den, t, stop, direction)
+                assert repr(got) == repr(want), (t, direction)
+    for t in list(times.values())[:4]:
+        lv = assert_lazy_values_are_the_eager_ones(inst, t)
+        if isinstance(t, QuadraticNumber) and not t.is_rational:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(static_cover, "_ceil_key", lambda p, q, d: 0)
+                collided = assert_lazy_values_are_the_eager_ones(inst, t)
+            assert (collided.orders, collided.last, collided.rank) == (lv.orders, lv.last, lv.rank)
 
 
 def solve_repr(inst, flags):

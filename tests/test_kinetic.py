@@ -19,6 +19,7 @@ from kdcover.geometry import (
     QuadraticPoly,
     Trajectory,
     compare_values,
+    lowest_terms,
     quadratic_roots,
     squared_distance_poly,
 )
@@ -736,18 +737,20 @@ def test_handover_difference_matches_before_minus_after(monkeypatch):
     """Coefficient by coefficient by repr, so an int, a Fraction or a -0.0
     where the composition gives something else fails.  Runner-ups and s2
     supports of None stand at the int zeros of ZERO_POLY.  The difference
-    is read where `handover_after` hands it on: to `_negative_on` in exact
-    arithmetic, to `quadratic_roots` in float."""
+    is read where `handover_after` hands it on: to `earliest_crossing` in
+    exact arithmetic, to `quadratic_roots` in float."""
     seen = []
 
-    def record(answer):
-        def recorder(a, b, c, lo, hi):
-            seen.append((a, b, c))
-            return answer
-        return recorder
+    def record(a, b, c, lo, hi):
+        seen.append((a, b, c))
+        return ()
 
-    monkeypatch.setattr(kinetic, "_negative_on", record(True))
-    monkeypatch.setattr(kinetic, "quadratic_roots", record(()))
+    def record_crossing(diffs, den, t_from, t_to, direction, best=None):
+        seen.extend(diffs)
+        return None
+
+    monkeypatch.setattr(kinetic, "earliest_crossing", record_crossing)
+    monkeypatch.setattr(kinetic, "quadratic_roots", record)
     for inst, t in ((random_instance(40, 6, 3), 0.37),
                     (random_instance(12, 4, 5).as_exact(), Fraction(2, 7))):
         engine = kinetic._Extender(inst, nn_heuristic(inst, t).assignment, 1, 1, ALL_FLAGS)
@@ -844,7 +847,7 @@ def test_exact_distance_rows_match_squared_distance_poly():
 
 def test_lowest_terms_roots_take_the_forms_of_the_fraction_roots():
     """An int polynomial over den, divided by gcd(a, b, c, den) by
-    `_lowest_terms`, has the roots that its Fractions a/den, b/den, c/den
+    `lowest_terms`, has the roots that its Fractions a/den, b/den, c/den
     give, each in the same `QuadraticNumber` form (p, q, r, d), so that
     event times and timeline digests stay as they were.  Random
     polynomials with shared factors over den in {1, 2**k, 9, 3 * 2**k},
@@ -862,7 +865,7 @@ def test_lowest_terms_roots_take_the_forms_of_the_fraction_roots():
     lo, hi = Fraction(-10 ** 9), Fraction(10 ** 9)
     irrational = 0
     for (a, b, c), den in cases:
-        got = kinetic._lowest_terms((a, b, c), den)
+        got = lowest_terms((a, b, c), den)
         assert all(type(x) is int for x in got)
         want = (Fraction(a, den), Fraction(b, den), Fraction(c, den))
         roots = quadratic_roots(*got, lo, hi)
@@ -870,7 +873,7 @@ def test_lowest_terms_roots_take_the_forms_of_the_fraction_roots():
         irrational += sum(r.q != 0 for r in roots)
     assert irrational > 300
     p = (4, 6, 8)
-    assert kinetic._lowest_terms(p, 1) is p
+    assert lowest_terms(p, 1) is p
 
 
 def test_dedup_step_at_kept_support_ties_matches_exact_arithmetic():

@@ -851,6 +851,33 @@ def test_a_backend_index_out_of_range_is_rejected():
             solve_exact(cands, backend=FixedBackend((bad, cover)))
 
 
+def test_a_backend_bool_index_is_rejected():
+    """True and False are ints to isinstance, but no candidate index: a
+    selection (True, 5) is not candidate 1 and 5."""
+    cands = enumerate_candidates(random_instance(12, 3, 4), 0.5)
+    cover = cands.offset[1] - 1
+    for bad in (True, False):
+        with pytest.raises(ValueError, match=rf"selected candidate {bad!r} is not an index"):
+            solve_exact(cands, backend=FixedBackend((bad, cover)))
+
+
+def test_distance_columns_match_trajectory_positions_bit_for_bit():
+    """`_distance_columns` against the distances from `Trajectory.at`'s
+    positions, by repr: float instances at float times, and exact
+    instances at float times, whose Fraction coordinates meet a float t,
+    and the float instance at Fraction times."""
+    def reference(inst, t):
+        positions = [o.at(t) for o in inst.objects]
+        return [[(st.x - p.x) * (st.x - p.x) + (st.y - p.y) * (st.y - p.y) for p in positions]
+                for st in inst.stations]
+
+    for seed in range(6):
+        inst = random_instance(*random_sizes(seed, 20, 5), seed)
+        for work, t in ((inst, 0.37), (inst, 1.0 / 3.0), (inst.as_exact(), 0.61),
+                        (inst, Fraction(2, 7)), (inst, Fraction(0))):
+            assert repr(static_cover._distance_columns(work, t)) == repr(reference(work, t))
+
+
 def test_objects_on_stations_tie_at_zero_increment():
     """Every object sits on a station, so every uncovered object's cheapest
     increment is zero and the search branches on the lowest one."""
