@@ -65,7 +65,7 @@ def squared_floor(instance: MovingInstance) -> float:
 
 
 def float_rows(instance: MovingInstance) -> list[FloatRow]:
-    return [FloatRow(row) for row in distance_rows(instance)]
+    return [FloatRow(row) for row in distance_rows(instance, exact=False)]
 
 
 def moved_objects(before: Assignment, after: Assignment) -> list[int]:

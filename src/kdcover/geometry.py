@@ -1,9 +1,10 @@
 """Planar points, linear trajectories, and squared-distance polynomials.
 
-Coordinates are floats by default.  In exact mode the same types carry
-`fractions.Fraction` coordinates instead (see `MovingInstance.as_exact`);
-every operation here is written so that it works unchanged for either
-scalar type, and root finding dispatches on the coefficient type: float
+Coordinates are floats, ints or `fractions.Fraction`s, each an exact
+rational (a double is a binary one); the type of the time, not of the
+coordinates, picks the arithmetic (see `IntegerLift` below).  Every
+operation here is written so that it works unchanged for either scalar
+type, and root finding dispatches on the coefficient type: float
 coefficients get the numerically stable quadratic formula, rational
 coefficients get exact `QuadraticNumber` roots, from int coefficients as
 they are and from Fractions over their least common denominator.
@@ -20,10 +21,12 @@ quadratic leaves a point.  Each uses a tolerance on a float pair and
 integer-exact arithmetic otherwise; `sign_ahead` runs one body in both
 modes, with a zero tolerance in exact mode.
 
-An instance whose coordinates are all ints and Fractions has an
-`IntegerLift` (`MovingInstance.lift`): its coordinates as ints over one
-common denominator, from which `static_cover` and `kinetic` build exact
-squared distances and their polynomials in integer arithmetic.
+Every instance has an `IntegerLift` (`MovingInstance.lift`): its
+coordinates as ints over one common denominator, exact for floats too, from
+which `static_cover` and `kinetic` build exact squared distances and their
+polynomials in integer arithmetic whenever the time is exact (an int, a
+Fraction or a `QuadraticNumber`); at a float time they read the
+coordinates as they are.
 
 Exact mode decides in float first and falls back on exact work only
 where the doubles cannot decide.  Its two filters each turn off when their
@@ -111,14 +114,15 @@ class Trajectory:
 
 
 class IntegerLift:
-    """An exact instance's coordinates as ints over one common denominator.
+    """An instance's coordinates as ints over one common denominator.
 
-    Every coordinate is an int over `scale`, the least common multiple of
-    the coordinates' denominators: `stations` holds (X, Y) per station and
-    `objects` (sx, sy, vx, vy) per object, its start and its motion
-    end - start.  So the squared distances at one time share a denominator,
-    and their order and equality are those of integer numerators.
-    Immutable by convention, like `QuadraticPoly`.
+    Every coordinate, a float, int or Fraction, is exactly an int over
+    `scale`, the least common multiple of the coordinates' denominators (a
+    power of two for floats, down to 2**-1074): `stations` holds (X, Y)
+    per station and `objects` (sx, sy, vx, vy) per object, its start and
+    its motion end - start.  So the squared distances at one time share a
+    denominator, and their order and equality are those of integer
+    numerators.  Immutable by convention, like `QuadraticPoly`.
     """
 
     __slots__ = ("scale", "stations", "objects")
@@ -164,44 +168,18 @@ class MovingInstance:
         return len(self.stations)
 
     @cached_property
-    def lift(self) -> IntegerLift | None:
-        """The `IntegerLift` of an instance whose coordinates are all ints
-        and Fractions, built once; None from the first coordinate of another
-        type on, so a float instance pays one type check."""
-        coords = []
+    def lift(self) -> IntegerLift:
+        """The `IntegerLift` of the coordinates, read exactly through
+        `as_integer_ratio()` (a double is a binary rational), built once."""
         ends = chain.from_iterable((o.start, o.end) for o in self.objects)
-        for p in chain(self.stations, ends):
-            if not isinstance(p.x, (int, Fraction)) or not isinstance(p.y, (int, Fraction)):
-                return None
-            coords += (p.x, p.y)
-        scale = math.lcm(*{v.denominator for v in coords})
-        ints = [v.numerator * (scale // v.denominator) for v in coords]
+        ratios = [v.as_integer_ratio() for p in chain(self.stations, ends) for v in (p.x, p.y)]
+        scale = math.lcm(*{d for _, d in ratios})
+        ints = [v * (scale // d) for v, d in ratios]
         m2 = 2 * len(self.stations)
         stations = tuple(zip(ints[0:m2:2], ints[1:m2:2]))
         sx, sy, ex, ey = (ints[m2 + k::4] for k in range(4))
         objects = tuple(zip(sx, sy, map(sub, ex, sx), map(sub, ey, sy)))
         return IntegerLift(scale, stations, objects)
-
-    def as_exact(self) -> "MovingInstance":
-        """Lift all coordinates to exact rationals.
-
-        Float coordinates are converted via `Fraction(float)`, i.e. to the
-        exact rational value of the stored double.  All downstream algebra
-        is then rounding-free relative to those values.
-        """
-
-        def lift(v):
-            return v if isinstance(v, (Fraction, int)) else Fraction(v)
-
-        def lift_pt(p: Point2) -> Point2:
-            return Point2(lift(p.x), lift(p.y))
-
-        return MovingInstance(
-            tuple(lift_pt(s) for s in self.stations),
-            tuple(Trajectory(lift_pt(o.start), lift_pt(o.end)) for o in self.objects),
-            self.canvas,
-            dict(self.metadata),
-        )
 
 
 class QuadraticPoly:

@@ -35,10 +35,14 @@ the members that `compare_values` calls largest (`_largest`): by the
 engine among them (`_tie_group`, `_resolve`), by the dedup step as the
 lowest index.
 
-With exact coordinates at an exact time, those scans first evaluate every
-value in float by Horner's rule on the `FloatRow` doubles, within one
-error bound per station and time (`FloatRow.error`), and keep only the
-members whose upper bound reaches the largest lower bound
+The type of the stop time picks the arithmetic of a run
+(`_Extender.exact`): at a float time the engine reads the coordinates as
+they are, and at an exact one (an int, a Fraction or a `QuadraticNumber`)
+the instance's integer lift, with a float anchor read as the rational it
+is.  In exact arithmetic those scans first
+evaluate every value in float by Horner's rule on the `FloatRow` doubles,
+within one error bound per station and time (`FloatRow.error`), and keep
+only the members whose upper bound reaches the largest lower bound
 (`_may_be_largest`): the exact values, computed for the survivors alone,
 decide as before, and the dedup step passes over the stations that
 certainly do not cover a support.  A support change or handover search
@@ -53,14 +57,14 @@ tie or root moves under a positive scale; a root is built from its
 difference in lowest terms (`geometry.lowest_terms`) so that it takes the
 true Fractions' form.  Values leave in true units only as segment
 objectives (Fractions over den) and as `FloatRow` doubles, each int / den
-correctly rounded, which values at a float time read (`_row`).
+correctly rounded.
 
 The engine keeps its state across events and recomputes only what an
 event touched:
 
 - distance rows: each station-object squared-distance polynomial is built
-  on its first read (`DistanceRow`; from the instance's integer lift when
-  it has one) and kept;
+  on its first read (`DistanceRow`; from the instance's integer lift in
+  exact arithmetic) and kept;
 - supports: re-picked for the stations an event touched;
 - runner-ups: a station's largest non-support object is scanned at most
   once per cursor and dropped when that station changes;
@@ -76,9 +80,9 @@ event touched:
   cached event;
 - segments: those between two moves share one assignment tuple.
 
-The engine is written once for float and exact coordinates, apart from
-the float filter that exact values pass first; every tolerance lives in
-the `geometry` predicates it calls (`compare_event_times`, `compare_values`
+The engine is written once for both arithmetics, apart from the float
+filter that exact values pass first; every tolerance lives in the
+`geometry` predicates it calls (`compare_event_times`, `compare_values`
 with its `tolerance_band`, `sign_ahead`).
 """
 
@@ -180,11 +184,13 @@ class _LiftedRow(DistanceRow):
         return a, 2 * (math.isqrt(a * c) + 1), c
 
 
-def distance_rows(instance: MovingInstance) -> list[DistanceRow]:
-    lift = instance.lift
-    if lift is None:
-        return [DistanceRow(st, instance.objects) for st in instance.stations]
-    return [_LiftedRow(st, lift) for st in lift.stations]
+def distance_rows(instance: MovingInstance, exact: bool) -> list[DistanceRow]:
+    """One row per station: on the integer lift in exact arithmetic, else
+    from the coordinates as they are."""
+    if exact:
+        lift = instance.lift
+        return [_LiftedRow(st, lift) for st in lift.stations]
+    return [DistanceRow(st, instance.objects) for st in instance.stations]
 
 
 class FloatRow(dict):
@@ -314,8 +320,8 @@ class _Extender:
         self.direction = direction  # +1 forward, -1 backward
         self.t_stop = t_stop
         self.flags = flags
-        self.polys = distance_rows(instance)
-        self.exact = instance.lift is not None  # values at exact times are exact
+        self.exact = type(t_stop) is not float  # an exact time: every value is exact
+        self.polys = distance_rows(instance, self.exact)
         self.floats = [FloatRow(row) for row in self.polys] if self.exact else None
         self.assignment = list(assignment)
         self.assignment_tuple = None  # tuple(self.assignment), built once per move
@@ -334,26 +340,15 @@ class _Extender:
 
     # -- state helpers ----------------------------------------------------
 
-    def _filters(self, t) -> bool:
-        """Whether values at t are exact, so that scans filter in float."""
-        return self.exact and type(t) is not float
-
-    def _row(self, station: int, t):
-        """The row that values at t are read from: at a float time, an exact
-        instance's `FloatRow` doubles, the true units float tolerances take."""
-        if self.exact and type(t) is float:
-            return [QuadraticPoly(*self.floats[station][o]) for o in range(self.instance.n)]
-        return self.polys[station]
-
     def _tie_group(self, station: int, t) -> list[int]:
         objs = self.members[station]
         if not objs:
             return []
-        if self._filters(t):
+        if self.exact:
             objs = _may_be_largest(self.floats[station], objs, _double(t))
             if len(objs) == 1:
                 return objs
-        return _largest(_values(self._row(station, t), objs, t), objs)
+        return _largest(_values(self.polys[station], objs, t), objs)
 
     def _pick_support(self, station: int, t) -> None:
         group = self._tie_group(station, t)
@@ -371,8 +366,8 @@ class _Extender:
         travel direction, then the larger curvature, then the lower index."""
         best = None
         best_key = None
-        row = self._row(station, t)
-        lifted = type(t) is QuadraticNumber and type(row) is _LiftedRow
+        row = self.polys[station]
+        lifted = self.exact and type(t) is QuadraticNumber
         for o in group:
             p = row[o]
             if lifted:  # 2a*t + b at t = (tp + tq*sqrt(d))/r, in one construction
@@ -493,9 +488,9 @@ class _Extender:
         rest = [o for o in self.members[station] if o != sup]
         best = None
         if rest:
-            if self._filters(t):
+            if self.exact:
                 rest = _may_be_largest(self.floats[station], rest, _double(t))
-            row = self._row(station, t)
+            row = self.polys[station]
             best = rest[0] if len(rest) == 1 else _farthest(_values(row, rest, t), rest)
         self.runner[station] = best
         return best
@@ -581,14 +576,13 @@ class _Extender:
         runner = self._second_support(station, t)
         if runner is None:
             return sup
-        row = self._row(station, t)
-        if self._filters(t):
+        if self.exact:
             tf, floats = _double(t), self.floats[station]
             e = floats.error(tf)
             (a, b, c), (a2, b2, c2) = floats[sup], floats[runner]
             if ((a * tf + b) * tf + c) - e > ((a2 * tf + b2) * tf + c2) + e:
                 return sup
-        return sup if compare_values(*_values(row, (sup, runner), t)) > 0 else None
+        return sup if compare_values(*_values(self.polys[station], (sup, runner), t)) > 0 else None
 
     def apply_dedup(self, t) -> set[int]:
         """Run the duplicate-coverage improvement in place at time t, the
@@ -599,9 +593,7 @@ class _Extender:
         `compare_values` calls farthest, in float as in exact arithmetic.
         """
         known = [self._clear_support(s, t) for s in range(self.instance.m)]
-        floats = self.floats if self._filters(t) else None
-        rows = [self._row(s, t) for s in range(self.instance.m)]
-        moved = _dedup(self.instance, t, self.members, known, rows, floats)
+        moved = _dedup(self.instance, t, self.members, known, self.polys, self.floats)
         changed = set()
         for j in sorted(moved):
             old, new = self.assignment[j], moved[j]
@@ -636,6 +628,8 @@ class _Extender:
     def sweep(self, t_anchor) -> Iterator[TimelineSegment]:
         instance, t_stop = self.instance, self.t_stop
         m = instance.m
+        if self.exact and type(t_anchor) is float:
+            t_anchor = Fraction(t_anchor)
         cursor = t_anchor
         for s in range(m):
             self._pick_support(s, cursor)
@@ -740,7 +734,7 @@ def _dedup(instance: MovingInstance, t, members, known, rows, floats) -> dict:
 
     Only the stations that a support may lie inside are compared: those
     holding a support where its distance, or with `floats` (the `FloatRow`s
-    of exact coordinates at an exact time) its Horner value in float less
+    of the rows in exact arithmetic) its Horner value in float less
     the row's `error`, is at most the station's cap, in one list pass per
     support.  A cap is -inf for an empty disk, else the upper end of the
     radius's `tolerance_band`, or with `floats` its Horner value plus the

@@ -66,7 +66,9 @@ class SolverConfig:
     the built-in branch and bound; the benchmark's tracer and the tests
     pass their own), target_gap (>= 0) the overall gap to certify, at which
     every exact stationary solve runs, and time_limit (> 0, math.inf for
-    none) the wall time in seconds; exact_arithmetic solves in rationals.
+    none) the wall time in seconds; exact_arithmetic solves at exact
+    times, on the instance's integer lift, and decides every comparison
+    exactly, else at float times on the coordinates as they are.
     """
 
     static_backend: str = "exact"
@@ -184,19 +186,18 @@ def _until_crossing(segments, incumbent: SolutionTimeline, direction: int):
 
 
 class _Harness:
-    """One solve: the work instance, the horizon's ends t0 and t1 (exact
-    rationals or floats), the clock and the `SolveStats`.  Each step looks
-    the layer routines up in this module when it runs, so a wrapper bound
-    over one of them (as the benchmark's tracer binds) sees every call."""
+    """One solve: the instance, the horizon's ends t0 and t1 (Fractions in
+    exact arithmetic, else floats, so that their type picks the arithmetic
+    of every step), the clock and the `SolveStats`.  Each step looks the
+    layer routines up in this module when it runs, so a wrapper bound over
+    one of them (as the benchmark's tracer binds) sees every call."""
 
     def __init__(self, instance: MovingInstance, config: SolverConfig):
         self.began = _time.perf_counter()
         self.config = config
         self.stats = SolveStats()
-        if config.exact_arithmetic:
-            self.work, self.t0, self.t1 = instance.as_exact(), Fraction(0), Fraction(1)
-        else:
-            self.work, self.t0, self.t1 = instance, 0.0, 1.0
+        self.instance = instance
+        self.t0, self.t1 = (Fraction(0), Fraction(1)) if config.exact_arithmetic else (0.0, 1.0)
 
     def remaining(self) -> float:
         return self.config.time_limit - (_time.perf_counter() - self.began)
@@ -206,7 +207,7 @@ class _Harness:
         tick = _time.perf_counter()
         if self.config.static_backend == "exact":
             sol = solve_exact(
-                enumerate_candidates(self.work, t),
+                enumerate_candidates(self.instance, t),
                 target_gap=self.config.target_gap,
                 # At most half of what is left, so that one hard stationary
                 # solve cannot end the loop.
@@ -215,7 +216,7 @@ class _Harness:
                 cutoff=cutoff,
             )
         else:
-            sol = nn_heuristic(self.work, t)
+            sol = nn_heuristic(self.instance, t)
         self.stats.time_static += _time.perf_counter() - tick
         self.stats.static_solves += 1
         return sol
@@ -225,7 +226,7 @@ class _Harness:
         in by `merge` (the extension alone when `timeline` is None); with
         part_ext on, the extension is cut where it meets `timeline`."""
         tick = _time.perf_counter()
-        segs = _extension(assignment, anchor, self.t0, self.t1, self.config.flags, self.work,
+        segs = _extension(assignment, anchor, self.t0, self.t1, self.config.flags, self.instance,
                           timeline if self.config.flags.part_ext else None)
         self.stats.events_processed += max(len(segs) - 1, 0)
         if segs:

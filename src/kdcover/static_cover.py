@@ -133,10 +133,10 @@ def ratio_gap(upper: float, lower: float) -> float:
 
 
 def _distance_columns(instance: MovingInstance, t) -> list[list]:
-    """Squared distances at a float time t (or on an instance with float
-    coordinates), one list over the objects per station: dx * dx + dy * dy
-    with dx = station.x - position.x, the position start + t * (end - start)
-    as `Trajectory.at` computes it, in C-level passes over the coordinates."""
+    """Squared distances at a float time t, one list over the objects per
+    station: dx * dx + dy * dy with dx = station.x - position.x, the
+    position start + t * (end - start) as `Trajectory.at` computes it, in
+    C-level passes over the coordinates."""
     objects = instance.objects
     starts, ends = [o.start for o in objects], [o.end for o in objects]
     positions = []
@@ -153,9 +153,8 @@ def _distance_columns(instance: MovingInstance, t) -> list[list]:
 
 
 def _exact_columns(instance: MovingInstance, t):
-    """(keys, value, double) for the squared distances at an exact time t
-    on an instance with an `IntegerLift`, or None for a float time or an
-    instance without one.
+    """(keys, value, double) for the squared distances at an exact time t,
+    on the instance's `IntegerLift`, or None for a float time.
 
     `keys` holds one key per object per station, ordered as the distances
     are, equal exactly where they are, and 0 exactly where a distance is;
@@ -172,9 +171,9 @@ def _exact_columns(instance: MovingInstance, t):
     they are equal too.  Only when two pairs with different P share a key
     are the exact numbers themselves the keys.
     """
-    lift = instance.lift
-    if lift is None or isinstance(t, float):
+    if isinstance(t, float):
         return None
+    lift = instance.lift
     if isinstance(t, QuadraticNumber):
         p, q, r, d = t.p, t.q, t.r, t.d
     else:

@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
@@ -26,6 +27,18 @@ def random_instance(n: int, m: int, seed: int, canvas=100.0,
                 break
         objects.append(Trajectory(Point2(sx, sy), Point2(ex, ey)))
     return MovingInstance(stations, tuple(objects), canvas=(canvas, canvas))
+
+
+def fraction_image(inst: MovingInstance) -> MovingInstance:
+    """The instance with every coordinate as the `Fraction` of its value:
+    the same numbers, and so the same integer lift."""
+
+    def image(p: Point2) -> Point2:
+        return Point2(Fraction(p.x), Fraction(p.y))
+
+    return MovingInstance(tuple(map(image, inst.stations)),
+                          tuple(Trajectory(image(o.start), image(o.end)) for o in inst.objects),
+                          inst.canvas, dict(inst.metadata))
 
 
 def random_sizes(seed: int, n_max: int, m_max: int) -> tuple[int, int]:

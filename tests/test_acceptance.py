@@ -51,8 +51,7 @@ def test_criterion_1_static_oracle_equivalence():
         worst = max(worst, rel)
         assert rel <= 1e-9, (seed, ex.total_radius_sq, bf.total_radius_sq)
 
-        exact_inst = inst.as_exact()
-        cands_x = enumerate_candidates(exact_inst, Fraction(1, 2))
+        cands_x = enumerate_candidates(inst, Fraction(1, 2))
         ex_x = solve_exact(cands_x, target_gap=0.0)
         bf_x = brute_force_cover(cands_x)
         assert ex_x.total_radius_sq == bf_x.total_radius_sq, seed  # exact equality

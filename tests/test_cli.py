@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import fraction_image
 from kdcover import certificate, cli
 from kdcover.certificate import result_segments, result_to_json
 from kdcover.cli import (
@@ -825,7 +826,7 @@ def test_verify_passes_valid_results_and_a_midpoint_tie():
         clean = json.loads(result_to_json("x", algorithm, flags, {}, result))
         for k in SCALE_EXPONENTS:
             image, doc = scaled(inst, clean, k)
-            for instance in (image, image.as_exact()):
+            for instance in (image, fraction_image(image)):
                 assert cli.verify_result(doc, instance) == [], (algorithm, k)
     for swap in (False, True):
         inst = tie_instance(swap)

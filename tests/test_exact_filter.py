@@ -109,8 +109,8 @@ def test_value_bound_holds_on_equal_squared_distances():
     checked = 0
     for klass in ("same_start", "same_end"):
         for seed in range(3):
-            inst = generate(GenParams(n=8, m=3, seed=seed, instance_class=klass)).as_exact()
-            rows = kinetic.distance_rows(inst)
+            inst = generate(GenParams(n=8, m=3, seed=seed, instance_class=klass))
+            rows = kinetic.distance_rows(inst, exact=True)
             for row in rows:
                 for i in range(inst.n):
                     for j in range(i + 1, inst.n):
@@ -406,7 +406,7 @@ def grid_cases(draw):
                           tuple(Trajectory(draw(end), draw(end)) for _ in range(n)))
     assignment = tuple(draw(st.integers(0, m - 1)) for _ in range(n))
     anchors = [Fraction(draw(st.integers(0, 4)), 4)]
-    rows = kinetic.distance_rows(inst)
+    rows = kinetic.distance_rows(inst, exact=True)
     for s, i, j in ((s, i, j) for s in range(m) for i in range(n) for j in range(i)):
         diff = rows[s][i] - rows[s][j]
         anchors += [t for t in quadratic_roots(diff.a, diff.b, diff.c, 0, 1) if 0 < t < 1]
@@ -490,7 +490,7 @@ def test_grid_crossings_and_candidate_values_match_the_exact_references(case):
     # the searches themselves over every pair at each station, each
     # difference also as 3 and 7 times itself: equal roots in other forms,
     # from the event times on
-    rows = kinetic.distance_rows(inst)
+    rows = kinetic.distance_rows(inst, exact=True)
     for t in times.values():
         for row in rows:
             diffs = []
@@ -537,8 +537,8 @@ def test_filtered_dedup_matches_the_unfiltered_one_at_quadratic_times(monkeypatc
     checked = irrational = 0
     for n, m, seed in ((40, 6, 0), (30, 4, 2)):
         for klass in CLASSES:
-            inst = generate(GenParams(n=n, m=m, seed=seed, instance_class=klass)).as_exact()
-            rows = kinetic.distance_rows(inst)
+            inst = generate(GenParams(n=n, m=m, seed=seed, instance_class=klass))
+            rows = kinetic.distance_rows(inst, exact=True)
             rng = Random(seed)
             times = []
             for _ in range(200):
@@ -582,7 +582,7 @@ def test_filter_falls_back_on_ties_and_skips_most_exact_values(monkeypatch):
     # values decide: extension away from it, with every flag.
     for klass, anchor, direction, stop in (("same_start", 0, "forward", 1),
                                            ("same_end", 1, "backward", 0)):
-        inst = generate(GenParams(n=20, m=4, seed=0, instance_class=klass)).as_exact()
+        inst = generate(GenParams(n=20, m=4, seed=0, instance_class=klass))
         assignment = nn_heuristic(inst, anchor).assignment
 
         def run():

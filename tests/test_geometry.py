@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import fraction_image, random_instance
 from kdcover.exactarith import QuadraticNumber, _sign_pair, _sign_sum
 from kdcover.geometry import (
     ZERO_POLY,
@@ -415,9 +416,10 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         Point2(math.nan, 0.0)
     inst = MovingInstance((Point2(0.5, 0.25),), (Trajectory(Point2(0.1, 0.2), Point2(0.3, 0.4)),))
-    exact = inst.as_exact()
-    assert exact.stations[0].x == Fraction(0.5)
-    assert isinstance(exact.objects[0].start.y, Fraction)
+    lift = inst.lift
+    assert Fraction(lift.stations[0][0], lift.scale) == Fraction(0.5)
+    assert Fraction(lift.objects[0][1], lift.scale) == Fraction(0.2)
+    assert Fraction(lift.objects[0][2], lift.scale) == Fraction(0.3) - Fraction(0.1)
 
 
 def test_integer_lift_puts_every_coordinate_over_one_denominator():
@@ -429,6 +431,15 @@ def test_integer_lift_puts_every_coordinate_over_one_denominator():
     assert lift.stations == ((10, 120),)
     assert lift.objects == ((45, -60, 255, 18),)  # start, then end - start
     assert inst.lift is lift  # built once
-    assert MovingInstance((Point2(0, 0.5),), ()).lift is None
-    assert MovingInstance((Point2(0, 0),), (Trajectory(Point2(1, 2), Point2(3.0, 4)),)).lift is None
     assert MovingInstance((), ()).lift.scale == 1
+    # a float is an exact binary rational: the lift of its Fraction image,
+    # from the least subnormal to near the top of the float range
+    for inst in (MovingInstance((Point2(0, 0.5),), ()),
+                 MovingInstance((Point2(0, 0),), (Trajectory(Point2(1, 2), Point2(3.0, 4)),)),
+                 MovingInstance((Point2(5e-324, -0.0), Point2(1e300, 0.1)),
+                                (Trajectory(Point2(-0.0, 1e300), Point2(-5e-324, 2.5)),)),
+                 random_instance(5, 3, 0)):
+        lift, image = inst.lift, fraction_image(inst).lift
+        assert (lift.scale, lift.stations, lift.objects) == (
+            image.scale, image.stations, image.objects)
+    assert MovingInstance((Point2(5e-324, 1e300),), ()).lift.scale == 2 ** 1074

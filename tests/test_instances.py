@@ -112,9 +112,9 @@ def test_instance_round_trip(tmp_path):
 
 def test_canvas_is_none_or_two_finite_positive_numbers():
     """A third positional argument is the canvas, so an object passed there
-    by mistake is rejected; generated, exact, read back and mirrored
-    instances keep theirs (the metamorphic suite builds its images
-    without one)."""
+    by mistake is rejected; generated, read back and mirrored instances
+    keep theirs (the metamorphic suite builds its images without one), and
+    the integer lift that exact arithmetic solves on does not read it."""
     inst = generate(GenParams(n=3, m=2, seed=0))
     for canvas in ((inst.objects[0],), (inst.objects[0], inst.objects[1]), (100.0,),
                    (100.0, 0.0), (-1, 5), (math.inf, 5.0), (math.nan, 5.0), (True, 5.0),
@@ -122,7 +122,8 @@ def test_canvas_is_none_or_two_finite_positive_numbers():
         with pytest.raises(ValueError):
             MovingInstance(inst.stations, inst.objects[:1], canvas)
     assert inst.canvas == (100.0, 100.0)
-    assert inst.as_exact().canvas == (100.0, 100.0)
+    lift, bare = inst.lift, MovingInstance(inst.stations, inst.objects).lift
+    assert (lift.scale, lift.stations, lift.objects) == (bare.scale, bare.stations, bare.objects)
     assert instance_from_json(instance_to_json(inst)).canvas == (100.0, 100.0)
     assert MovingInstance(inst.stations, inst.objects, [Fraction(5, 2), 3]).canvas == (
         Fraction(5, 2), 3)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_timelines_agree, random_instance, random_sizes
+from conftest import assert_timelines_agree, fraction_image, random_instance, random_sizes
 import kdcover.certificate as certificate
 import kdcover.kinetic as kinetic
 from kdcover.certificate import check_feasible
@@ -155,7 +155,7 @@ def test_dedup_improve_examples():
     points = (Point2(3.0, 4.0), Point2(11.0, 8.0), Point2(3.0, -7.0))
     join = MovingInstance((Point2(0.0, 0.0), Point2(6.0, 8.0), Point2(3.0, -1.0)),
                           tuple(Trajectory(p, p) for p in points))
-    for inst, t in ((join, 0.0), (join.as_exact(), Fraction(0))):
+    for inst, t in ((join, 0.0), (join, Fraction(0))):
         assert dedup_improve((0, 1, 2), t, inst) == (2, 1, 2)
     # An empty disk (radius 0) takes nothing, not even a support that
     # `compare_values` calls at its radius.
@@ -177,6 +177,7 @@ def cost_at(assignment, t, inst):
 
 
 def exact_cost_at(assignment, t, inst):
+    inst = fraction_image(inst)
     radius = [0] * inst.m
     for j, s in enumerate(assignment):
         radius[s] = max(radius[s], squared_distance_poly(inst.stations[s], inst.objects[j])(t))
@@ -200,7 +201,7 @@ def test_dedup_never_increases_cost():
     # at all.
     for seed in range(20):
         n, m = random_sizes(seed, 12, 4)
-        inst = random_instance(n, m, seed).as_exact()
+        inst = random_instance(n, m, seed)
         rng = Random(seed)
         assignment = tuple(rng.randrange(m) for _ in range(n))
         t = Fraction(rng.random())
@@ -314,7 +315,7 @@ def test_analytic_check_bounds_the_sampling_oracle():
     for seed in range(12):
         n, m = random_sizes(seed, 20, 5)
         base = random_instance(n, m, seed)
-        for inst, t0, t1 in ((base, 0.0, 1.0), (base.as_exact(), Fraction(0), Fraction(1))):
+        for inst, t0, t1 in ((base, 0.0, 1.0), (base, Fraction(0), Fraction(1))):
             sol = nn_heuristic(inst, t0)
             segs = extend(sol.assignment, t0, "forward", t1, ALL_FLAGS, inst)
             assert check_feasible(segs, inst).worst_violation <= 1e-12
@@ -390,7 +391,7 @@ def test_event_counts_within_pairwise_bounds():
 
 
 def test_support_change_polys_equal_at_event():
-    inst = support_change_instance().as_exact()
+    inst = fraction_image(support_change_instance())
     segs = extend((0, 0), Fraction(0), "forward", Fraction(1), NO_FLAGS, inst)
     t_event = segs[0].t_end
     assert t_event == Fraction(1, 2)
@@ -402,7 +403,7 @@ def test_support_change_polys_equal_at_event():
 
     for seed in range(8):
         n, m = random_sizes(seed, 8, 3)
-        inst = random_instance(n, m, seed).as_exact()
+        inst = fraction_image(random_instance(n, m, seed))
         sol = nn_heuristic(inst, Fraction(0))
         segs = extend(sol.assignment, Fraction(0), "forward", Fraction(1), NO_FLAGS, inst)
         for prev, cur in zip(segs, segs[1:]):
@@ -534,13 +535,14 @@ def test_dedup_improve_matches_reference():
             inst = random_instance(n, m, seed)
             rng = Random(seed)
             t = rng.random()
-            for work, tt in ((inst, t), (inst.as_exact(), Fraction(t))):
+            # the reference computes in the arithmetic of its coordinates
+            for ref, tt in ((inst, t), (fraction_image(inst), Fraction(t))):
                 for assignment in (
                     tuple(rng.randrange(m) for _ in range(n)),
-                    nn_heuristic(work, tt).assignment,
+                    nn_heuristic(inst, tt).assignment,
                 ):
-                    expected = reference_dedup_improve(assignment, tt, work)
-                    assert dedup_improve(assignment, tt, work) == expected, (n, seed, tt)
+                    expected = reference_dedup_improve(assignment, tt, ref)
+                    assert dedup_improve(assignment, tt, inst) == expected, (n, seed, tt)
 
 
 def timeline_digest(segments):
@@ -576,7 +578,7 @@ PINNED_TIMELINES = {
 
 def test_extend_timelines_pinned():
     cases = [(seed, random_instance(120, 10, seed), 0.5, 0.0, 1.0) for seed in range(3)]
-    cases.append(("exact", random_instance(30, 5, 0).as_exact(),
+    cases.append(("exact", random_instance(30, 5, 0),
                   Fraction(1, 2), Fraction(0), Fraction(1)))
     for key, inst, half, zero, one in cases:
         assignment = nn_heuristic(inst, half).assignment
@@ -645,12 +647,11 @@ def test_full_size_exact_arith_pinned():
 
 
 def tiny_station_instance():
-    """random_instance(40, 6, 12) as exact rationals, with its first station
-    at (5e-324, 1e-300): the lift's scale is 2**1074, so every lifted
-    coefficient lies far past the float range."""
+    """random_instance(40, 6, 12) with its first station at (5e-324,
+    1e-300): the lift's scale is 2**1074, so every lifted coefficient lies
+    far past the float range."""
     base = random_instance(40, 6, 12)
-    return MovingInstance((Point2(5e-324, 1e-300),) + base.stations[1:],
-                          base.objects).as_exact()
+    return MovingInstance((Point2(5e-324, 1e-300),) + base.stations[1:], base.objects)
 
 
 def test_exact_lift_past_the_float_range_pinned():
@@ -670,15 +671,21 @@ def test_exact_lift_past_the_float_range_pinned():
     assert nn.upper == 13576.313080343194
     half = Fraction(1, 2)
     assignment = nn_heuristic(inst, half).assignment
+    # Exact arithmetic reads a float anchor as the rational it is, also where
+    # the dedup step's values lie past the float range: with the assignment
+    # of the instance before its station moved.
+    moved = nn_heuristic(random_instance(40, 6, 12), 0.5).assignment
     for direction, stop, want in (("forward", Fraction(1), (23, "1d5dc27d49a4700a")),
                                   ("backward", Fraction(0), (24, "0617a4b7b813caeb"))):
         assert poly_digest(extend(assignment, half, direction, stop, ALL_FLAGS, inst)) == want
+        assert extend(moved, 0.5, direction, stop, ALL_FLAGS, inst) == \
+            extend(moved, half, direction, stop, ALL_FLAGS, inst)
 
 
-# `poly_digest` of `extend` of exact instances from the float time 0.5,
-# by instance, flags and direction: n=40, m=6 seed 0 of each class, with
-# the float instance's nearest-neighbor assignment, and the tiny-station
-# instance with its own.
+# `poly_digest` of `extend` of instances with Fraction coordinates from
+# the float time 0.5, by instance, flags and direction: n=40, m=6 seed 0 of
+# each class, with the float instance's nearest-neighbor assignment, and
+# the tiny-station instance with its own.
 PINNED_FLOAT_TIME = {
     ('random', 'none', 'forward'): (5, '09bfe3fcb4bb6405'),
     ('random', 'none', 'backward'): (8, '734cb40582bf9285'),
@@ -706,14 +713,15 @@ PINNED_FLOAT_TIME = {
 def test_extend_exact_instances_at_a_float_time_pinned():
     """At a float time the scans read values as floats, which
     `compare_values` compares with a max(1, .) floor that is not invariant
-    under a scale: the engine reads them in true units there, as the
-    Fraction rows gave them, also where the lifted ints are past the float
-    range.  Pinned from the engine whose rows were Fractions over L**2."""
+    under a scale: the engine reads them in true units there, from Fraction
+    coordinates as they are, also where their lifted ints would lie past
+    the float range.  Pinned from the engine whose rows were Fractions over
+    L**2."""
     cases = []
     for klass in ("random", "same_slope", "same_start", "same_end"):
         inst = generate(GenParams(n=40, m=6, seed=0, instance_class=klass))
-        cases.append((klass, inst.as_exact(), nn_heuristic(inst, 0.5).assignment))
-    inst = tiny_station_instance()
+        cases.append((klass, fraction_image(inst), nn_heuristic(inst, 0.5).assignment))
+    inst = fraction_image(tiny_station_instance())
     cases.append(("tiny", inst, nn_heuristic(inst, Fraction(1, 2)).assignment))
     got = {}
     for key, inst, assignment in cases:
@@ -751,9 +759,9 @@ def test_handover_difference_matches_before_minus_after(monkeypatch):
 
     monkeypatch.setattr(kinetic, "earliest_crossing", record_crossing)
     monkeypatch.setattr(kinetic, "quadratic_roots", record)
-    for inst, t in ((random_instance(40, 6, 3), 0.37),
-                    (random_instance(12, 4, 5).as_exact(), Fraction(2, 7))):
-        engine = kinetic._Extender(inst, nn_heuristic(inst, t).assignment, 1, 1, ALL_FLAGS)
+    for inst, t, stop in ((random_instance(40, 6, 3), 0.37, 1.0),
+                          (random_instance(12, 4, 5), Fraction(2, 7), Fraction(1))):
+        engine = kinetic._Extender(inst, nn_heuristic(inst, t).assignment, 1, stop, ALL_FLAGS)
         for s in range(inst.m):
             engine._pick_support(s, t)
         checked = 0
@@ -810,11 +818,11 @@ def test_extend_builds_distance_polynomials_on_demand(monkeypatch):
 
 
 def test_exact_distance_rows_match_squared_distance_poly():
-    """An instance with an integer lift builds each distance polynomial from
-    the lifted ints: three ints which, over the row's `den`, equal
-    `squared_distance_poly` of the coordinates, with the same doubles in
-    `FloatRow`, for Fraction, int and mixed coordinates.  A float instance
-    keeps the plain rows."""
+    """Exact arithmetic builds each distance polynomial from the lifted
+    ints, for float, Fraction, int and mixed coordinates: three ints which,
+    over the row's `den`, equal `squared_distance_poly` of the coordinates'
+    Fractions, with the same doubles in `FloatRow`.  Float arithmetic, and
+    the certificate's float rows, keep the plain rows."""
     rng = Random(3)
     base = random_instance(9, 3, 5)
 
@@ -831,18 +839,20 @@ def test_exact_distance_rows_match_squared_distance_poly():
         return MovingInstance(tuple(map(point, inst.stations)),
                               tuple(Trajectory(point(o.start), point(o.end)) for o in inst.objects))
 
-    for inst in (base.as_exact(), remap(base, ints), remap(base, mixed)):
-        assert inst.lift is not None
-        rows, floats = kinetic.distance_rows(inst), certificate.float_rows(inst)
-        for s, st in enumerate(inst.stations):
+    for inst in (base, fraction_image(base), remap(base, ints), remap(base, mixed)):
+        exact = fraction_image(inst)
+        rows = kinetic.distance_rows(inst, exact=True)
+        floats = [kinetic.FloatRow(row) for row in rows]
+        for s, st in enumerate(exact.stations):
             for j in rng.sample(range(inst.n), inst.n):  # rows fill in any order
-                want, got, den = squared_distance_poly(st, inst.objects[j]), rows[s][j], rows[s].den
+                want = squared_distance_poly(st, exact.objects[j])
+                got, den = rows[s][j], rows[s].den
                 assert all(type(x) is int for x in (got.a, got.b, got.c)), (s, j)
                 assert (Fraction(got.a, den), Fraction(got.b, den), Fraction(got.c, den)) == \
                     (want.a, want.b, want.c), (s, j)
                 assert repr(floats[s][j]) == repr((float(want.a), float(want.b), float(want.c)))
-    assert base.lift is None
-    assert type(kinetic.distance_rows(base)[0]) is kinetic.DistanceRow
+    assert type(kinetic.distance_rows(base, exact=False)[0]) is kinetic.DistanceRow
+    assert type(certificate.float_rows(base)[0].row) is kinetic.DistanceRow
 
 
 def test_lowest_terms_roots_take_the_forms_of_the_fraction_roots():
@@ -889,12 +899,11 @@ def test_dedup_step_at_kept_support_ties_matches_exact_arithmetic():
 
     stations = tuple(point() for _ in range(6))
     inst = MovingInstance(stations, tuple(Trajectory(point(), point()) for _ in range(40)))
-    exact = inst.as_exact()
     for anchor, direction, stop in ((0, "forward", 1), (1, "backward", 0)):
         assignment = nn_heuristic(inst, float(anchor)).assignment
-        assert nn_heuristic(exact, Fraction(anchor)).assignment == assignment
+        assert nn_heuristic(inst, Fraction(anchor)).assignment == assignment
         segs = extend(assignment, float(anchor), direction, float(stop), ALL_FLAGS, inst)
-        want = extend(assignment, Fraction(anchor), direction, Fraction(stop), ALL_FLAGS, exact)
+        want = extend(assignment, Fraction(anchor), direction, Fraction(stop), ALL_FLAGS, inst)
         assert len(want) > 30
         assert_timelines_agree(segs, want, direction)
 
@@ -921,8 +930,8 @@ def test_crossing_scans_build_no_polynomial(monkeypatch):
                 depth[0] -= 1
         return scan
 
-    def built_rows(instance):
-        rows = make_rows(instance)
+    def built_rows(instance, exact):
+        rows = make_rows(instance, exact)
         for row in rows:
             for j in range(instance.n):
                 row[j]
@@ -934,12 +943,11 @@ def test_crossing_scans_build_no_polynomial(monkeypatch):
     for name in ("support_change_after", "handover_after"):
         monkeypatch.setattr(kinetic._Extender, name, inside(getattr(kinetic._Extender, name)))
     inst = random_instance(30, 5, 11)
-    for work, zero, anchor, one in ((inst, 0.0, 0.5, 1.0),
-                                    (inst.as_exact(), Fraction(0), Fraction(1, 2), Fraction(1))):
-        assignment = nn_heuristic(work, anchor).assignment
+    for zero, anchor, one in ((0.0, 0.5, 1.0), (Fraction(0), Fraction(1, 2), Fraction(1))):
+        assignment = nn_heuristic(inst, anchor).assignment
         scans[0] = 0
         for direction, end in (("forward", one), ("backward", zero)):
-            extend(assignment, anchor, direction, end, ALL_FLAGS, work)
+            extend(assignment, anchor, direction, end, ALL_FLAGS, inst)
         assert scans[0] > 100
     assert builds[0] == 0
 
@@ -1021,21 +1029,20 @@ def test_dedup_over_held_stations_matches_a_scan_of_every_station(case):
     leaves the assignment those moves give, with the supports the engine
     picks for it, in float and in exact arithmetic."""
     inst, assignment, t = case
-    for work, at in ((inst, float(t)), (inst.as_exact(), t)):
-        engine = kinetic._Extender(work, assignment, 1, at, ALL_FLAGS)
-        for s in range(work.m):
+    for at in (float(t), t):
+        engine = kinetic._Extender(inst, assignment, 1, at, ALL_FLAGS)
+        for s in range(inst.m):
             engine._pick_support(s, at)
-        known = [engine._clear_support(s, at) for s in range(work.m)]
-        rows = [engine._row(s, at) for s in range(work.m)]
-        floats = engine.floats if engine._filters(at) else None
-        want = reference_dedup(work, at, engine.members, known, rows)
-        assert kinetic._dedup(work, at, engine.members, known, rows, floats) == want
+        known = [engine._clear_support(s, at) for s in range(inst.m)]
+        rows, floats = engine.polys, engine.floats
+        want = reference_dedup(inst, at, engine.members, known, rows)
+        assert kinetic._dedup(inst, at, engine.members, known, rows, floats) == want
         final = list(assignment)
         for obj, s in want.items():
             final[obj] = s
         engine.apply_dedup(at)
         assert tuple(engine.assignment) == tuple(final)
-        fresh = kinetic._Extender(work, tuple(final), 1, at, ALL_FLAGS)
-        for s in range(work.m):
+        fresh = kinetic._Extender(inst, tuple(final), 1, at, ALL_FLAGS)
+        for s in range(inst.m):
             fresh._pick_support(s, at)
         assert engine.supports == fresh.supports

@@ -3,19 +3,23 @@ may certify (Chen et al. 2018, "Metamorphic testing: a review of challenges
 and opportunities", ACM Computing Surveys 51(1)).
 
 Each map is exact in binary: the seven non-identity symmetries of the
-square, every trajectory reversed (the timeline mirrors t -> 1 - t), and the
-stations and objects each listed in reverse (the timeline is relabelled).
-For every image the result must pass `verify_result`, its timeline mapped
-back must pass `check_feasible` on the original instance, and its certified
-[lower, upper] must overlap the original's.  A symmetry leaves every squared
-distance bit-identical, so (upper, lower) must be too; in exact arithmetic
-every map must give the same values when both solves certify gap 0.
+square, every trajectory reversed (the timeline mirrors t -> 1 - t), the
+stations and objects each listed in reverse (the timeline is relabelled),
+and every coordinate as its `Fraction`.  For every image the result must
+pass `verify_result`, its timeline mapped back must pass `check_feasible`
+on the original instance, and its certified [lower, upper] must overlap the
+original's.  A symmetry leaves every squared distance bit-identical, so
+(upper, lower) must be too; in exact arithmetic every map must give the
+same values when both solves certify gap 0.  Exact arithmetic solves on the
+integer lift, which the Fractions share with the floats, so there they must
+give the same timeline, upper and lower whatever the gap.
 """
 
 import json
 
 import pytest
 
+from conftest import fraction_image
 from kdcover.certificate import check_feasible, result_to_json, verify_result
 from kdcover.envelope import TimelineSegment
 from kdcover.geometry import MovingInstance, Point2, QuadraticPoly, Trajectory
@@ -84,7 +88,8 @@ def relabelling():
 
 
 MAPS = {**{f"symmetry{e}": symmetry(e) for e in range(1, 8)},
-        "reversal": reversal(), "relabelling": relabelling()}
+        "reversal": reversal(), "relabelling": relabelling(),
+        "fractions": (fraction_image, list)}
 
 
 def solve(inst, backend, exact):
@@ -112,3 +117,6 @@ def test_every_map_keeps_the_certificate(klass, seed, backend, exact):
         assert max(base.lower, result.lower) <= min(base.upper, result.upper) * slack, name
         if name.startswith("symmetry") or exact and base.gap == result.gap == 0:
             assert (result.upper, result.lower) == (base.upper, base.lower), name
+        if exact and name == "fractions":
+            assert result.timeline == base.timeline
+            assert (result.upper, result.lower) == (base.upper, base.lower)

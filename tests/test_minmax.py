@@ -309,6 +309,24 @@ def test_exact_arithmetic_agrees_with_float_on_degenerates():
         assert check_feasible(exact.timeline.segments, inst).ok
 
 
+def test_only_exact_arithmetic_builds_the_lift():
+    """A float solve reads the coordinates as they are and never builds the
+    integer lift, nor does the float feasibility check; an exact solve
+    builds it once, on the instance, and a second exact solve reuses it."""
+    inst = generate(GenParams(n=20, m=4, seed=2))
+    for backend in ("exact", "nn"):
+        for flags in (ImprovementFlags(), ALL_FLAGS):
+            res = solve_minmax(inst, SolverConfig(static_backend=backend, flags=flags))
+            assert check_feasible(res.timeline.segments, inst).ok
+    fixed_nn_baseline(inst)
+    assert "lift" not in inst.__dict__
+    solve_minmax(inst, SolverConfig(flags=ALL_FLAGS, exact_arithmetic=True))
+    lift = inst.__dict__["lift"]
+    fixed_nn_baseline(inst, exact_arithmetic=True)
+    solve_minmax(inst, SolverConfig(static_backend="nn", exact_arithmetic=True))
+    assert inst.lift is lift
+
+
 def test_float_and_exact_arithmetic_timelines_agree():
     """With every flag, the kinetic layer makes the same decisions in float
     and exact arithmetic: equal segments, assignments and supports, and

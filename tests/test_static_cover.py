@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from conftest import random_instance, random_sizes
+from conftest import fraction_image, random_instance, random_sizes
 from kdcover import static_cover
 from kdcover.exactarith import QuadraticNumber
 from kdcover.geometry import (MovingInstance, Point2, Trajectory, quadratic_roots,
@@ -156,8 +156,8 @@ def test_nn_matches_element_by_element_reference():
     for inst in cases:
         for t in (0.0, 0.5, 1.0, rng.random()):
             assert repr(nn_heuristic(inst, t)) == repr(reference_nn_heuristic(inst, t)), t
-            exact, tt = inst.as_exact(), Fraction(t)
-            assert repr(nn_heuristic(exact, tt)) == repr(reference_nn_heuristic(exact, tt)), t
+            exact, tt = fraction_image(inst), Fraction(t)
+            assert repr(nn_heuristic(inst, tt)) == repr(reference_nn_heuristic(exact, tt)), t
 
 
 def reference_columns(instance, t):
@@ -211,13 +211,15 @@ EXACT_TIMES = (Fraction(0), Fraction(1), Fraction(3, 7), QuadraticNumber(3, -1, 
 def test_exact_candidates_match_the_reference(klass):
     """`enumerate_candidates` and `nn_heuristic` in exact arithmetic read
     integer keys; the levels and the solution are those that exact
-    arithmetic on the coordinates gives, compared by str and repr."""
+    arithmetic on the coordinates' Fractions gives, compared by str and
+    repr."""
     for seed in range(3):
-        inst = generate(GenParams(n=25, m=4, seed=seed, instance_class=klass)).as_exact()
+        inst = generate(GenParams(n=25, m=4, seed=seed, instance_class=klass))
+        exact = fraction_image(inst)
         for t in EXACT_TIMES:
-            assert str(level_lists(enumerate_candidates(inst, t))) == str(reference_levels(inst, t)), \
-                (seed, t)
-            assert repr(nn_heuristic(inst, t)) == repr(reference_nn_heuristic(inst, t)), (seed, t)
+            assert str(level_lists(enumerate_candidates(inst, t))) == \
+                str(reference_levels(exact, t)), (seed, t)
+            assert repr(nn_heuristic(inst, t)) == repr(reference_nn_heuristic(exact, t)), (seed, t)
 
 
 # Consecutive solutions of x**2 - 2*y**2 = 1.  x - y*sqrt(2) = 1/(x + y*sqrt(2))
@@ -301,7 +303,7 @@ def test_exact_matches_brute_force_random():
 def test_exact_arithmetic_matches_brute_exactly():
     for seed in range(15):
         n, m = random_sizes(seed, 6, 3)
-        inst = random_instance(n, m, seed).as_exact()
+        inst = random_instance(n, m, seed)
         cands = enumerate_candidates(inst, Fraction(1, 3))
         ex = solve_exact(cands)
         bf = brute_force_cover(cands)
@@ -407,7 +409,7 @@ def check_pinned(rows):
         t = 0.5
         opt = optimum[seed, exact]
         if exact:
-            inst, t = inst.as_exact(), Fraction(1, 2)
+            t = Fraction(1, 2)
             total, lower, opt = Fraction(total), Fraction(lower), Fraction(opt)
         sol = solve_exact(enumerate_candidates(inst, t), target_gap=gap)
         assert sol.selected == selected
@@ -435,7 +437,7 @@ def test_ascent_pinned_under_an_unreachable_cutoff(monkeypatch):
     for seed, exact, gap, selected, total, lower in PINNED_ASCENT:
         inst, t = random_instance(40, 6, seed), 0.5
         if exact:
-            inst, t = inst.as_exact(), Fraction(1, 2)
+            t = Fraction(1, 2)
             total, lower = Fraction(total), Fraction(lower)
         cands = enumerate_candidates(inst, t)
         for cutoff in (None, lower / 2):
@@ -491,7 +493,7 @@ def test_bound_sound_under_scaling(monkeypatch, quick_work):
         n, m = random_sizes(seed, 12, 4)
         for factor in (1e-6, 1e6):
             base = scaled(random_instance(n, m, seed), factor)
-            for inst, t in ((base, 0.5), (base.as_exact(), Fraction(1, 2))):
+            for inst, t in ((base, 0.5), (base, Fraction(1, 2))):
                 cands = enumerate_candidates(inst, t)
                 bf = brute_force_cover(cands)
                 for gap in (1e-1, 1e-2, 1e-4, 0.0):
@@ -559,7 +561,7 @@ def test_lagrangian_margin_covers_rounding():
     for seed in range(20):
         n, m = random_sizes(seed, 30, 5)
         for factor in (1e-6, 1.0, 1e6):
-            inst = scaled(random_instance(n, m, seed), factor).as_exact()
+            inst = scaled(random_instance(n, m, seed), factor)
             lv = enumerate_candidates(inst, Fraction(1, 3))
             for capped in (False, True):
                 lv.reset_caps()
@@ -602,7 +604,7 @@ def test_fixing_keeps_the_brute_force_optimum(monkeypatch, quick_work):
         for seed in range(5):
             n, m = rng.randint(8, 12), rng.randint(2, 4)
             base = generate(GenParams(n=n, m=m, seed=seed, instance_class=klass))
-            for inst, t in ((base, 0.0), (base, 0.5), (base.as_exact(), Fraction(1, 3))):
+            for inst, t in ((base, 0.0), (base, 0.5), (base, Fraction(1, 3))):
                 cands = enumerate_candidates(inst, t)
                 bf = brute_force_cover(cands)
                 sol = solve_exact(cands, target_gap=0.0)
@@ -620,7 +622,7 @@ def test_fixing_compares_exactly_at_the_incumbents_double():
     the bound's double."""
     from kdcover.static_cover import _margin
 
-    cands = enumerate_candidates(random_instance(12, 3, 4).as_exact(), Fraction(1, 2))
+    cands = enumerate_candidates(random_instance(12, 3, 4), Fraction(1, 2))
     u = BranchBoundBackend._ratio_prices(cands)
     total, chosen, scale, reduced = cands.lagrangian((-1,) * cands.n_stations, u)
     relaxation = (total, chosen, _margin(scale, cands), reduced)
@@ -642,7 +644,7 @@ def test_a_reused_candidates_solves_as_a_fresh_one(monkeypatch):
     for seed, exact, gap, *_ in PINNED_ASCENT:
         inst, t = random_instance(40, 6, seed), 0.5
         if exact:
-            inst, t = inst.as_exact(), Fraction(1, 2)
+            t = Fraction(1, 2)
         fresh = solve_exact(enumerate_candidates(inst, t), target_gap=gap)
         cands = enumerate_candidates(inst, t)
         first = solve_exact(cands, target_gap=gap)
@@ -658,7 +660,7 @@ def test_an_open_object_past_every_cap_returns_the_incumbent():
     nodes that branch on it no child, so the search runs dry and returns
     the incumbent as optimal, in float and in exact arithmetic."""
     base = random_instance(12, 3, 4)
-    for inst, t in ((base, 0.5), (base.as_exact(), Fraction(1, 2))):
+    for inst, t in ((base, 0.5), (base, Fraction(1, 2))):
         cands = enumerate_candidates(inst, t)
         best = cands.complete((-1,) * cands.n_stations)
         far = cands.orders[0][-1]
@@ -701,8 +703,7 @@ def test_capped_solves_diving_at_every_pop_return_covers(monkeypatch):
     for seed in range(4):
         inst = random_instance(120, 10, seed)
         for exact in (False, True):
-            cands = enumerate_candidates(inst.as_exact() if exact else inst,
-                                         Fraction(1, 2) if exact else 0.5)
+            cands = enumerate_candidates(inst, Fraction(1, 2) if exact else 0.5)
             sol = solve_exact(cands, target_gap=0.0)
             assert covers_all(cands, sol, inst.n), (seed, exact)
             assert sol.total_radius_sq == sum(cands.values[s][lvl] for s, lvl in
@@ -731,7 +732,7 @@ def test_cutoff_against_brute_force(monkeypatch, quick_work):
     for seed in range(40):
         n, m = random_sizes(seed, 12, 4)
         base = random_instance(n, m, seed)
-        for inst, t in ((base, 0.5), (base.as_exact(), Fraction(1, 2))):
+        for inst, t in ((base, 0.5), (base, Fraction(1, 2))):
             cands = enumerate_candidates(inst, t)
             opt = brute_force_cover(cands).total_radius_sq
             greedy = nn_heuristic(inst, t).total_radius_sq
@@ -797,7 +798,7 @@ def test_each_stop_cause(monkeypatch):
     """The branch and bound reports each of its four stop causes, and only
     "time_limit" is a time-out, as the gap inference would have it."""
     base = random_instance(40, 6, 138)
-    for inst, t in ((base, 0.5), (base.as_exact(), Fraction(1, 2))):
+    for inst, t in ((base, 0.5), (base, Fraction(1, 2))):
         cands = enumerate_candidates(inst, t)
 
         def solve(cause, target_gap=0.0, cutoff=None, time_limit=math.inf):
@@ -824,7 +825,7 @@ def test_pinned_searches_stop_where_the_gap_inference_says():
     for seed, exact, gap, *_ in PINNED_SEARCH:
         inst, t = random_instance(40, 6, seed), 0.5
         if exact:
-            inst, t = inst.as_exact(), Fraction(1, 2)
+            t = Fraction(1, 2)
         sol = solve_exact(enumerate_candidates(inst, t), target_gap=gap)
         assert sol.stop in ("optimal", "gap"), (seed, exact, gap)
         assert sol.timed_out == inferred_time_out(sol, gap, None), (seed, exact, gap)
@@ -863,9 +864,9 @@ def test_a_backend_bool_index_is_rejected():
 
 def test_distance_columns_match_trajectory_positions_bit_for_bit():
     """`_distance_columns` against the distances from `Trajectory.at`'s
-    positions, by repr: float instances at float times, and exact
-    instances at float times, whose Fraction coordinates meet a float t,
-    and the float instance at Fraction times."""
+    positions, by repr: float instances at float times, their Fraction
+    images at float times, whose Fraction coordinates meet a float t, and
+    the float instance at Fraction times."""
     def reference(inst, t):
         positions = [o.at(t) for o in inst.objects]
         return [[(st.x - p.x) * (st.x - p.x) + (st.y - p.y) * (st.y - p.y) for p in positions]
@@ -873,7 +874,7 @@ def test_distance_columns_match_trajectory_positions_bit_for_bit():
 
     for seed in range(6):
         inst = random_instance(*random_sizes(seed, 20, 5), seed)
-        for work, t in ((inst, 0.37), (inst, 1.0 / 3.0), (inst.as_exact(), 0.61),
+        for work, t in ((inst, 0.37), (inst, 1.0 / 3.0), (fraction_image(inst), 0.61),
                         (inst, Fraction(2, 7)), (inst, Fraction(0))):
             assert repr(static_cover._distance_columns(work, t)) == repr(reference(work, t))
 
@@ -883,7 +884,7 @@ def test_objects_on_stations_tie_at_zero_increment():
     increment is zero and the search branches on the lowest one."""
     stations = [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)]
     inst = stationary([stations[0], stations[1], stations[0], stations[2]], stations)
-    for inst, t in ((inst, 0.5), (inst.as_exact(), Fraction(1, 2))):
+    for inst, t in ((inst, 0.5), (inst, Fraction(1, 2))):
         cands = enumerate_candidates(inst, t)
         sol, bf = solve_exact(cands), brute_force_cover(cands)
         assert (sol.selected, sol.total_radius_sq) == (bf.selected, bf.total_radius_sq)
@@ -976,8 +977,9 @@ def random_caps(lv, rng):
 
 
 def event_time(inst):
-    """An irrational event time in (0, 1) of an exact instance: a root of
-    the difference of two of its squared-distance polynomials."""
+    """An irrational event time in (0, 1) of an instance: a root of the
+    difference of two of its squared-distance polynomials, in Fractions."""
+    inst = fraction_image(inst)
     polys = [squared_distance_poly(st, ob) for st in inst.stations for ob in inst.objects]
     diffs = (p1 - p2 for p1, p2 in zip(polys, polys[1:]))
     return next(r for d in diffs for r in quadratic_roots(d.a, d.b, d.c, Fraction(0), Fraction(1))
@@ -995,9 +997,9 @@ def gather_cases():
             inst = generate(GenParams(n=30, m=5, seed=seed, instance_class=klass))
             yield enumerate_candidates(inst, 0.0)
             yield enumerate_candidates(inst, 0.5)
-            yield enumerate_candidates(inst.as_exact(), Fraction(1, 3))
-    exact = generate(GenParams(n=30, m=5, seed=4)).as_exact()
-    yield enumerate_candidates(exact, event_time(exact))
+            yield enumerate_candidates(inst, Fraction(1, 3))
+    inst = generate(GenParams(n=30, m=5, seed=4))
+    yield enumerate_candidates(inst, event_time(inst))
     yield enumerate_candidates(stationary([(1.0, 2.0)], [(0.0, 0.0), (3.0, 1.0)]), 0.0)
     yield enumerate_candidates(random_instance(20, 1, 3), 0.25)
     yield enumerate_candidates(stationary([(1.0, 2.0)], [(0.0, 0.0)]), 0.0)
