@@ -8,8 +8,10 @@ optional exact mode used for degenerate inputs where floating point breaks
 down (coincident start points, identical slopes, repeated distances).
 
 A comparison reads the doubles first: a number may carry an enclosure lo
-<= x <= hi (`enclosed`), and one that lies clear of the other side's, or
-of the correctly rounded double of an int, Fraction or float, decides.
+<= x <= hi (`enclosed`), and one that lies clear of the other side's
+`enclosure` decides.  That is the one place where an exact number turns
+into doubles that separate it from others: a `QuadraticNumber`'s own
+bounds, or the correctly rounded double of an int, Fraction or float.
 Otherwise integer sign computations decide (`_sign_pair` and `_sign_sum`
 multiply plain ints; no Fraction is built).  `poly_parts` evaluates an
 int polynomial at a number in one integer step, and `nearest_double`
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["QuadraticNumber", "enclosed", "nearest_double", "poly_parts"]
+__all__ = ["QuadraticNumber", "enclosed", "enclosure", "nearest_double", "poly_parts"]
 
 _INF = math.inf
 
@@ -227,12 +229,11 @@ class QuadraticNumber:
         raises ValueError, and every operator but != answers False, as for
         a Fraction.
 
-        The enclosures decide first: self < other when self.hi is below
-        other.lo, or below the correctly rounded double f of an int,
-        Fraction or float other, which lies above f's predecessor >= self.hi;
-        mirrored for >.  Equal fields give 0.  Otherwise the sign of self -
-        other is that of (p1*r2 - p2*r1) + q1*r2*sqrt(d1) - q2*r1*sqrt(d2),
-        since both denominators are positive.
+        The enclosures decide first: self < other when self.hi is below the
+        low end of `enclosure(other)`, mirrored for >.  Equal fields give 0.
+        Otherwise the sign of self - other is that of (p1*r2 - p2*r1) +
+        q1*r2*sqrt(d1) - q2*r1*sqrt(d2), since both denominators are
+        positive.
         """
         if isinstance(other, QuadraticNumber):
             if self.hi < other.lo:
@@ -247,17 +248,14 @@ class QuadraticNumber:
                 raise ValueError("NaN is unordered")
             return -1 if other > 0 else 1
         elif isinstance(other, (int, Fraction, float)):
+            if self.hi < _INF:
+                lo, hi = enclosure(other)
+                if self.hi < lo:
+                    return -1
+                if self.lo > hi:
+                    return 1
             p, r = other.as_integer_ratio()
             q = d = 0
-            if self.hi < _INF:
-                try:
-                    f = p / r  # int true division rounds correctly
-                except OverflowError:  # beyond the float range: the signs decide
-                    f = math.nan
-                if self.hi < f:
-                    return -1
-                if self.lo > f:
-                    return 1
         else:
             raise TypeError(f"cannot compare QuadraticNumber with {type(other).__name__}")
         return _sign_sum(self.p * r - p * self.r, self.q * r, self.d, -q * self.r, d)
@@ -333,3 +331,18 @@ def enclosed(p: int, q: int, r: int, d: int, lo: float, hi: float) -> QuadraticN
     x = _new(QuadraticNumber)
     x.p, x.q, x.r, x.d, x._float, x.lo, x.hi = p, q, r, d, None, lo, hi
     return x
+
+
+def enclosure(t) -> tuple[float, float]:
+    """Doubles (lo, hi) with every double below lo below t and every
+    double above hi above t: a `QuadraticNumber`'s enclosure, else (f, f)
+    for the correctly rounded double f of an int, Fraction or float t (t
+    lies between f's neighbours), or infinities beyond the float range."""
+    if isinstance(t, QuadraticNumber):
+        return t.lo, t.hi
+    try:
+        p, r = t.as_integer_ratio()
+        f = p / r  # int true division rounds correctly
+    except OverflowError:
+        return -_INF, _INF
+    return f, f

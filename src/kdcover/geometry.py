@@ -32,10 +32,10 @@ Exact mode decides in float first and falls back on exact work only
 where the doubles cannot decide.  Its two filters each turn off when their
 entry returns an infinite bound: `value_bound`, a polynomial's value at a
 time in float with a certified bound on its error, and `root_bounds`, a
-certified enclosure of each root of an integer quadratic, which
-`_roots_exact` tests against the window before it makes the root and
-which the root then carries, so that `QuadraticNumber.compare` reads it
-first, as are the window's ends.  `sign_ahead` at a root builds no number.
+certified enclosure of each root of an integer quadratic, which the root
+carries, so that `QuadraticNumber.compare` orders it against a window's
+ends and other times on doubles first (`exactarith.enclosure`).
+`sign_ahead` at a root builds no number.
 `earliest_crossing`, the kinetic engine's search for the first upward
 crossing of several int differences, reads each one's single candidate
 root from its integers and its `root_bounds` enclosure, and makes only the
@@ -52,7 +52,7 @@ from itertools import chain
 from operator import sub
 from typing import Union
 
-from .exactarith import QuadraticNumber, _sign_pair, enclosed, poly_parts
+from .exactarith import QuadraticNumber, _sign_pair, enclosed, enclosure, poly_parts
 
 __all__ = [
     "EPS",
@@ -303,62 +303,32 @@ def _int_coefs(a, b, c) -> tuple[int, int, int]:
     return a, b, c
 
 
-def _separating(t) -> tuple[float, float]:
-    """Doubles (lo, hi) with every double below lo below t and every
-    double above hi above t: a `QuadraticNumber`'s enclosure, else (f, f)
-    for t's correctly rounded double f (t lies above f's predecessor), or
-    infinities beyond the float range."""
-    if isinstance(t, QuadraticNumber):
-        return t.lo, t.hi
-    try:
-        p, r = t.as_integer_ratio()
-        f = p / r
-    except OverflowError:
-        return -math.inf, math.inf
-    return f, f
-
-
 def _roots_exact(a, b, c, t_lo, t_hi) -> tuple:
-    """The roots in [t_lo, t_hi]; a root is made only when its
-    `root_bounds` enclosure does not place it outside the window, and
-    compared exactly with a window end only when the enclosure cannot, as
-    the window's ends are with each other (`_separating`)."""
-    below, after_lo = _separating(t_lo)
-    before_hi, above = _separating(t_hi)
-    if not after_lo < before_hi and (above < below or not t_lo <= t_hi):
+    """The roots in [t_lo, t_hi], each with its `root_bounds` enclosure,
+    which `QuadraticNumber.compare` reads before any exact work, as it does
+    the window's ends."""
+    if not t_lo <= t_hi:
         raise ValueError(f"empty window [{t_lo}, {t_hi}]")
     A, B, C = _int_coefs(a, b, c)
-
-    def in_window(t: QuadraticNumber) -> bool:
-        return t.compare(t_lo) >= 0 and t.compare(t_hi) <= 0
-
     if A == 0:
         if B == 0:
             return ()
-        root = QuadraticNumber(-C, 0, B, 0)
-        return (root,) if in_window(root) else ()
-    disc = B * B - 4 * A * C
-    if disc < 0:
-        return ()
-    if disc == 0:
-        root = QuadraticNumber(-B, 0, 2 * A, 0)
-        return (root,) if in_window(root) else ()
-    lo_minus, hi_minus, lo_plus, hi_plus = root_bounds(A, B, C, disc)
-    # (sign of sqrt(disc), enclosure) in ascending order: dividing by 2A < 0
-    # reverses the order of -B -+ sqrt(disc)
-    roots = ((-1, lo_minus, hi_minus), (1, lo_plus, hi_plus))
-    out = []
-    s = None
-    for sign, lo, hi in roots if A > 0 else roots[::-1]:
-        if hi < below or lo > above:
-            continue  # certainly outside the window
-        if s is None:
+        roots = (QuadraticNumber(-C, 0, B, 0),)
+    else:
+        disc = B * B - 4 * A * C
+        if disc < 0:
+            return ()
+        if disc == 0:
+            roots = (QuadraticNumber(-B, 0, 2 * A, 0),)
+        else:
+            lo_minus, hi_minus, lo_plus, hi_plus = root_bounds(A, B, C, disc)
             s = math.isqrt(disc)
-        root = _root(A, B, disc, sign, lo, hi, s if s * s == disc else None)
-        if (lo > after_lo or root.compare(t_lo) >= 0) and (
-                hi < before_hi or root.compare(t_hi) <= 0):
-            out.append(root)
-    return tuple(out)
+            s = s if s * s == disc else None
+            roots = (_root(A, B, disc, -1, lo_minus, hi_minus, s),
+                     _root(A, B, disc, 1, lo_plus, hi_plus, s))
+            if A < 0:  # dividing by 2A < 0 reverses the order of -B -+ sqrt(disc)
+                roots = roots[::-1]
+    return tuple(t for t in roots if t.compare(t_lo) >= 0 and t.compare(t_hi) <= 0)
 
 
 def _root(A: int, B: int, disc: int, sign: int, lo: float, hi: float, s=None) -> QuadraticNumber:
@@ -404,11 +374,11 @@ def earliest_crossing(diffs, den: int, t_from, t_to, direction: int, best=None):
     decided exactly.
     """
     inf = math.inf
-    (f_lo, f_hi), (s_lo, s_hi) = _separating(t_from), _separating(t_to)
+    (f_lo, f_hi), (s_lo, s_hi) = enclosure(t_from), enclosure(t_to)
     if direction < 0:  # mirrored into travel coordinates, where later is larger
         f_lo, f_hi, s_lo, s_hi = -f_hi, -f_lo, -s_hi, -s_lo
     # every root past `bound` (travel) is certainly later than one that qualifies
-    bound = inf if best is None else direction * _separating(best)[direction > 0]
+    bound = inf if best is None else direction * enclosure(best)[direction > 0]
     unsettled = []  # (travel lower bound, A, B, C, disc, enclosure) of the possible roots
     for A, B, C in diffs:
         if A:

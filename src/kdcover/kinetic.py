@@ -576,12 +576,8 @@ class _Extender:
         runner = self._second_support(station, t)
         if runner is None:
             return sup
-        if self.exact:
-            tf, floats = _double(t), self.floats[station]
-            e = floats.error(tf)
-            (a, b, c), (a2, b2, c2) = floats[sup], floats[runner]
-            if ((a * tf + b) * tf + c) - e > ((a2 * tf + b2) * tf + c2) + e:
-                return sup
+        if self.exact and _may_be_largest(self.floats[station], [sup, runner], _double(t)) == [sup]:
+            return sup
         return sup if compare_values(*_values(self.polys[station], (sup, runner), t)) > 0 else None
 
     def apply_dedup(self, t) -> set[int]:

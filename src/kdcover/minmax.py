@@ -293,9 +293,10 @@ def solve_minmax(instance: MovingInstance, config: SolverConfig = SolverConfig()
             excluded.append(t_star)
         if sol.lower_radius_sq > lower_sum:
             lower_sum = sol.lower_radius_sq
-        improving = sol.total_radius_sq < cur and not math.isclose(
-            float(sol.total_radius_sq), float(cur), rel_tol=1e-12, abs_tol=1e-15
-        )
+        # Exact values compare exactly; float ones within a guard, without
+        # which float nn spins on rounding-level gains.
+        improving = sol.total_radius_sq < cur and (config.exact_arithmetic or not math.isclose(
+            sol.total_radius_sq, cur, rel_tol=1e-12, abs_tol=1e-15))
         if improving:
             new_timeline = run.extend_merge(sol.assignment, t_star, timeline, merge_partial)
             # An extension that collapsed against the incumbent is no gain.

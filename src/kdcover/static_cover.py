@@ -166,10 +166,9 @@ def _exact_columns(instance: MovingInstance, t):
     p*vx), so P = ax**2 + ay**2 + d*q**2*(vx**2 + vy**2) and Q =
     -2*q*(ax*vx + ay*vy).  For q = 0 the int P is its own key.  Otherwise
     the key is the int ceil((P + Q*sqrt(d)) * 2**64) (`_ceil_key`): since
-    sqrt(d) is irrational, equal distances are equal pairs, and two pairs
-    with one key and one P differ in Q by less than 2**-64 / sqrt(d), so
-    they are equal too.  Only when two pairs with different P share a key
-    are the exact numbers themselves the keys.
+    sqrt(d) is irrational, equal distances are equal pairs, so the keys are
+    equal exactly where the distances are unless two different (P, Q)
+    pairs share a key; only then are the exact numbers themselves the keys.
     """
     if isinstance(t, float):
         return None
@@ -200,9 +199,10 @@ def _exact_columns(instance: MovingInstance, t):
     sq = list(map(mul, repeat(d * q * q), map(add, map(mul, vx, vx), map(mul, vy, vy))))
     ps = [list(map(add, pc, sq)) for pc in ps]
     keys = [list(map(_ceil_key, pc, qc, repeat(d))) for pc, qc in zip(ps, qs)]
-    flat_keys, flat_ps = list(chain.from_iterable(keys)), list(chain.from_iterable(ps))
-    owner = dict(zip(flat_keys, flat_ps))
-    if any(map(ne, map(owner.__getitem__, flat_keys), flat_ps)):
+    flat_keys = list(chain.from_iterable(keys))
+    pairs = list(zip(chain.from_iterable(ps), chain.from_iterable(qs)))
+    owner = dict(zip(flat_keys, pairs))
+    if any(map(ne, map(owner.__getitem__, flat_keys), pairs)):
         keys = [list(map(QuadraticNumber, pc, qc, repeat(den), repeat(d))) for pc, qc in zip(ps, qs)]
         return keys, lambda s, j: keys[s][j], lambda s, j: float(keys[s][j])
     return (keys, lambda s, j: QuadraticNumber(ps[s][j], qs[s][j], den, d),
@@ -320,8 +320,9 @@ class Candidates:
     (the position in the order of level k's outermost object), `rank[s][j]`
     (the level at which object j enters the prefix) and `reach[s][j]` (that
     level's value; `fcolumns[s][j]` holds its float value, and `freach[j]`
-    the float values of object j per station).  Every station covers every
-    object at its top level.  `gather[s]` maps a
+    the float values of object j per station; at a float time `fvalues`
+    and `fcolumns` are the `values` and `reach` lists themselves).  Every
+    station covers every object at its top level.  `gather[s]` maps a
     sequence indexed by object to the tuple of its entries in `orders[s]`,
     and `ends[s]` flags, per position in that order, the outermost object
     of a level (None when no two objects tie, so every position ends one).
@@ -351,9 +352,8 @@ class Candidates:
             order = sorted(range(n), key=column.__getitem__)
             d = list(map(column.__getitem__, order))
             ends = [*map(ne, d, d[1:]), True]  # True at each level's outermost object
-            if value is None:
-                vals = list(compress(d, ends))
-                fvals = list(map(float, vals))
+            if value is None:  # at a float time the values are their own doubles
+                vals = fvals = list(compress(d, ends))
             else:
                 outer = list(compress(order, ends))
                 vals = _Levels(len(outer), partial(value, s), outer)
@@ -371,9 +371,9 @@ class Candidates:
             self.ends.append(None if len(vals) == n else ends)
         self._size = size
         self.universe = (1 << n) - 1
-        self.reach = [[vals[r] for r in rank] if value is None else _Levels(n, vals.__getitem__, rank)
-                      for vals, rank in zip(self.values, self.rank)]
         self.fcolumns = [[fv[r] for r in rank] for fv, rank in zip(self.fvalues, self.rank)]
+        self.reach = (self.fcolumns if value is None else
+                      [_Levels(n, vals.__getitem__, rank) for vals, rank in zip(self.values, self.rank)])
         self.freach = list(zip(*self.fcolumns))
         # `branch_object`'s bound E = 4u*top + 2**-1073 (u = _ULP / 2) on a
         # float increment's error: none when the floats are the values

@@ -29,6 +29,29 @@ def random_instance(n: int, m: int, seed: int, canvas=100.0,
     return MovingInstance(stations, tuple(objects), canvas=(canvas, canvas))
 
 
+def grid_instance(seed: int, scale=1) -> MovingInstance:
+    """A seeded instance on the integer grid 0..4, every coordinate times
+    `scale`, with 1 to 3 stations and 1 to 5 objects.  Half the time an
+    object's start or end is one of one or two shared hub points, so that
+    members tie, touch and cross at equal times."""
+    rng = Random(seed)
+
+    def point():
+        return rng.randint(0, 4), rng.randint(0, 4)
+
+    hubs = [point() for _ in range(rng.randint(1, 2))]
+
+    def end():
+        return rng.choice(hubs) if rng.random() < 0.5 else point()
+
+    def scaled(xy):
+        return Point2(xy[0] * scale, xy[1] * scale)
+
+    m, n = rng.randint(1, 3), rng.randint(1, 5)
+    stations = tuple(scaled(point()) for _ in range(m))
+    return MovingInstance(stations, tuple(Trajectory(scaled(end()), scaled(end())) for _ in range(n)))
+
+
 def fraction_image(inst: MovingInstance) -> MovingInstance:
     """The instance with every coordinate as the `Fraction` of its value:
     the same numbers, and so the same integer lift."""

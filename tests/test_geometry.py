@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import fraction_image, random_instance
+from kdcover import exactarith
 from kdcover.exactarith import QuadraticNumber, _sign_pair, _sign_sum
 from kdcover.geometry import (
     ZERO_POLY,
@@ -118,21 +119,20 @@ def test_quadratic_roots_window_is_closed():
 
 def test_exact_window_ends_are_ordered_by_their_doubles_first(monkeypatch):
     """An exact window is checked on its ends' enclosures or correctly
-    rounded doubles, with an exact compare only where those overlap: a
-    window between the enclosed roots -sqrt(2) and sqrt(2), or from one to
-    a Fraction, is decided with no `QuadraticNumber.compare` call, either
-    way round.  Equal `QuadraticNumber` ends are a valid window, and ends
-    whose doubles tie are ordered exactly."""
+    rounded doubles, with an exact sign computation only where those
+    overlap: a window between the enclosed roots -sqrt(2) and sqrt(2), or
+    from one to a Fraction, is decided with no `_sign_sum` call, either way
+    round.  Equal `QuadraticNumber` ends are a valid window, and ends whose
+    doubles tie are ordered exactly."""
     lo, hi = quadratic_roots(1, 0, -2, -2, 2)
     twin = QuadraticNumber(hi.p, hi.q, hi.r, hi.d)  # sqrt(2) with no enclosure
     calls = [0]
-    compare = QuadraticNumber.compare
 
-    def counted(self, other):
+    def counted(*args):
         calls[0] += 1
-        return compare(self, other)
+        return _sign_sum(*args)
 
-    monkeypatch.setattr(QuadraticNumber, "compare", counted)
+    monkeypatch.setattr(exactarith, "_sign_sum", counted)
     assert quadratic_roots(0, 0, 1, lo, hi) == ()
     assert quadratic_roots(0, 0, 1, Fraction(-2), lo) == ()
     assert quadratic_roots(0, 0, 1, hi, Fraction(3, 2)) == ()

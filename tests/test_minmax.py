@@ -71,6 +71,23 @@ def test_crossing_instance_exact_arithmetic():
     assert res.gap == 0.0
 
 
+def test_exact_arithmetic_reaches_gap_zero_at_a_tiny_scale():
+    """Coordinates times 2**-30 give squared distances near 1e-18, where a
+    float tolerance calls every gain a tie; exact arithmetic takes the
+    exact gain, so the solve reaches the scale-1 optimum 4 times 2**-60."""
+    tiny = 2.0 ** -30
+
+    def point(x, y):
+        return Point2(x * tiny, y * tiny)
+
+    inst = MovingInstance((point(0, 3), point(3, 1)),
+                          (Trajectory(point(0, 1), point(2, 2)),
+                           Trajectory(point(0, 2), point(0, 3))))
+    res = solve_minmax(inst, SolverConfig(target_gap=0.0, exact_arithmetic=True))
+    assert res.gap == 0.0
+    assert res.timeline.value == Fraction(4, 2 ** 60)
+
+
 @pytest.mark.parametrize("backend", ["exact", "nn"])
 def test_exact_arithmetic_solves_a_station_at_1e100(backend):
     """Event times whose first float bracket lies beyond the float range,

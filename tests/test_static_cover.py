@@ -236,6 +236,22 @@ def test_ceil_key_of_values_that_agree_in_64_bits():
     assert [static_cover._ceil_key(p, q, 2) for p, q in pairs] == [1, 1, 0, 1 << 64 | 1, 5 << 64]
 
 
+def test_a_key_shared_by_distances_of_one_rational_part_falls_back(monkeypatch):
+    """At t = (6 - sqrt(12))/4 the three distances from (3, 0) share their
+    rational part, and object 1's differs in its irrational part.  With a
+    key that collides every pair, the (P, Q) pairs tell them apart, so the
+    doubles are the true ones, as with the real key."""
+    inst = MovingInstance((Point2(3, 0),),
+                          (Trajectory(Point2(2, 1), Point2(2, 1)),
+                           Trajectory(Point2(2, 1), Point2(2, 0)),
+                           Trajectory(Point2(2, 2), Point2(3, 1))))
+    t = QuadraticNumber(6, -1, 4, 12)
+    want = [2.0, 1.1339745962155614, 2.0]
+    assert Candidates(inst, t).fcolumns[0] == want
+    monkeypatch.setattr(static_cover, "_ceil_key", lambda p, q, d: 0)
+    assert Candidates(inst, t).fcolumns[0] == want
+
+
 def test_exact_candidates_order_distances_that_agree_in_64_bits():
     """At t = sqrt(2) - 1 an object from (y - x, 0) to (2y - x, 0) is
     x - y*sqrt(2) from a station at the origin.  Two Pell objects, whose
