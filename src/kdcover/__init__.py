@@ -23,7 +23,6 @@ from .static_cover import (
     Candidates,
     SolverBackend,
     StaticSolution,
-    brute_force_cover,
     enumerate_candidates,
     nn_heuristic,
     solve_exact,
@@ -46,7 +45,6 @@ __all__ = [
     "enumerate_candidates",
     "nn_heuristic",
     "solve_exact",
-    "brute_force_cover",
     "ImprovementFlags",
     "extend",
     "check_feasible",

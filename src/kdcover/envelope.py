@@ -14,12 +14,11 @@ two timelines over the same span.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import (QuadraticPoly, compare_event_times, quadratic_roots, sign_ahead,
-                       value_bound)
+from .geometry import (QuadraticPoly, _double, compare_event_times, quadratic_roots,
+                       sign_ahead, value_bound)
 
 __all__ = [
     "Assignment",
@@ -127,10 +126,7 @@ def _near_peak(ends) -> list:
     for t, p in ends:
         if p is not last:  # a segment's two endpoints share its coefficients
             last = p
-            try:
-                coefs = (float(p.a), float(p.b), float(p.c))
-            except OverflowError:  # beyond the float range: an infinite bound
-                coefs = (math.inf, 0.0, 0.0)
+            coefs = (_double(p.a), _double(p.b), _double(p.c))
         bounds.append(value_bound(coefs, float(t)))
     floor = max([v - e for v, e in bounds])
     return [end for end, (v, e) in zip(ends, bounds) if v + e >= floor]

@@ -540,6 +540,15 @@ def value_bound(coefs, t: float) -> tuple[float, float]:
     return 0.0, math.inf
 
 
+def _double(x, den=1) -> float:
+    """The double nearest x / den, with x an int unless den is 1; inf beyond
+    the float range, which `value_bound` answers with an infinite bound."""
+    try:
+        return float(x) if den == 1 else x / den
+    except OverflowError:
+        return math.inf
+
+
 # `root_bounds`' error bound, relative to the root's double, and an
 # absolute term for underflow.
 _ROOT_REL = 8 * _UNIT

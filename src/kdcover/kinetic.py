@@ -30,10 +30,9 @@ events from an anchor time toward a stop time.  What each event computes:
 
 Runner-ups are found by evaluating each member's polynomial at the time in
 one list pass, then the largest value and its lowest-index object by
-C-level `max`, `count` and `index` (`_farthest`); a support is picked from
-the members that `compare_values` calls largest (`_largest`): by the
-engine among them (`_tie_group`, `_resolve`), by the dedup step as the
-lowest index.
+C-level `max`, `count` and `index` (`_farthest`).  A support is picked
+from the members that `compare_values` calls farthest (`_tie_group`): by
+the engine among them (`_resolve`), by the dedup step as the lowest index.
 
 The type of the stop time picks the arithmetic of a run
 (`_Extender.exact`): at a float time the engine reads the coordinates as
@@ -81,9 +80,13 @@ event touched:
 - segments: those between two moves share one assignment tuple.
 
 The engine is written once for both arithmetics, apart from the float
-filter that exact values pass first; every tolerance lives in the
-`geometry` predicates it calls (`compare_event_times`, `compare_values`
-with its `tolerance_band`, `sign_ahead`).
+filter that exact values pass first.  Support changes and handovers ask
+one search for the first upward crossing of their differences
+(`_Extender._earliest`: a scan of `quadratic_roots` in float,
+`earliest_crossing` in exact arithmetic), and the support pick and the
+dedup step ask one tie rule (`_tie_group`).  Every tolerance lives in the
+`geometry` predicates the engine calls (`compare_event_times`,
+`compare_values` with its `tolerance_band`, `sign_ahead`).
 """
 
 from __future__ import annotations
@@ -101,6 +104,7 @@ from .geometry import (
     MovingInstance,
     QuadraticPoly,
     ZERO_POLY,
+    _double,
     compare_event_times,
     compare_values,
     earliest_crossing,
@@ -230,15 +234,6 @@ class FloatRow(dict):
         return value_bound(self.maxima, tf)[1]
 
 
-def _double(x, den=1) -> float:
-    """The double nearest x / den, with x an int unless den is 1; inf beyond
-    the float range, which `value_bound` answers with an infinite bound."""
-    try:
-        return float(x) if den == 1 else x / den
-    except OverflowError:
-        return math.inf
-
-
 class _EventQueue:
     """The queued next event of every support change and handover pair.
 
@@ -340,18 +335,9 @@ class _Extender:
 
     # -- state helpers ----------------------------------------------------
 
-    def _tie_group(self, station: int, t) -> list[int]:
-        objs = self.members[station]
-        if not objs:
-            return []
-        if self.exact:
-            objs = _may_be_largest(self.floats[station], objs, _double(t))
-            if len(objs) == 1:
-                return objs
-        return _largest(_values(self.polys[station], objs, t), objs)
-
     def _pick_support(self, station: int, t) -> None:
-        group = self._tie_group(station, t)
+        floats = self.floats[station] if self.exact else None
+        group = _tie_group(self.polys[station], floats, self.members[station], t)
         if not group:
             sup = None
         elif len(group) == 1:
@@ -407,8 +393,28 @@ class _Extender:
         """t is at or ahead of ref in the travel direction, compared raw."""
         return t >= ref if self.direction > 0 else t <= ref
 
-    def _window(self, cursor):
-        return (cursor, self.t_stop) if self.direction > 0 else (self.t_stop, cursor)
+    def _earliest(self, diffs, den, cursor, best=None):
+        """The earliest time strictly ahead of the cursor, and not past the
+        stop, at which one of the difference triples (a, b, c) in `diffs`,
+        each standing for (a*t**2 + b*t + c) / den, crosses zero upward: a
+        root past which it is positive (`sign_ahead`).  `best` when no time
+        is strictly earlier; the earlier difference wins a tie."""
+        if self.exact:
+            return earliest_crossing(diffs, den, cursor, self.t_stop, self.direction, best)
+        lo, hi = (cursor, self.t_stop) if self.direction > 0 else (self.t_stop, cursor)
+        for a, b, c in diffs:
+            roots = quadratic_roots(a, b, c, lo, hi)
+            if not roots:
+                continue  # no crossing, or equidistant for all time: a tie
+            for root in roots[::self.direction]:  # ascending roots, in travel order
+                if not self._ahead(root, cursor):
+                    continue
+                if best is not None and not self._ahead(best, root):
+                    break
+                if sign_ahead(a, b, c, root, self.direction) > 0:
+                    best = root
+                    break
+        return best
 
     def support_change_after(self, station: int, cursor, objs=None, best=None):
         """Earliest time strictly ahead of the cursor at which some other
@@ -424,27 +430,9 @@ class _Extender:
         sa, sb, sc = p.a, p.b, p.c
         if objs is None:
             objs = self.members[station]
-        if self.exact:  # row[o] - row[sup] for every other member o
-            diffs = [(p.a - sa, p.b - sb, p.c - sc) for p in [row[o] for o in objs if o != sup]]
-            return earliest_crossing(diffs, row.den, cursor, self.t_stop, self.direction, best)
-        lo, hi = self._window(cursor)
-        for o in objs:
-            if o == sup:
-                continue
-            p = row[o]
-            a, b, c = p.a - sa, p.b - sb, p.c - sc  # row[o] - row[sup]
-            roots = quadratic_roots(a, b, c, lo, hi)
-            if not roots:
-                continue  # no crossing, or equidistant for all time: a tie
-            for root in roots[::self.direction]:  # ascending roots, in travel order
-                if not self._ahead(root, cursor):
-                    continue
-                if best is not None and not self._ahead(best, root):
-                    break
-                if sign_ahead(a, b, c, root, self.direction) > 0:
-                    best = root
-                    break
-        return best
+        # row[o] - row[sup] for every other member o
+        diffs = [(p.a - sa, p.b - sb, p.c - sc) for p in [row[o] for o in objs if o != sup]]
+        return self._earliest(diffs, row.den, cursor, best)
 
     def _reusable(self, cached, kind: int, ident, inputs, cursor) -> bool:
         """Whether a queued event computed from `inputs` at a cursor, as
@@ -521,16 +509,7 @@ class _Extender:
         a = (p_b1.a + p_c.a) - (p_a.a + p_b2.a)
         b = (p_b1.b + p_c.b) - (p_a.b + p_b2.b)
         c = (p_b1.c + p_c.c) - (p_a.c + p_b2.c)
-        if self.exact:
-            return earliest_crossing(((a, b, c),), self.polys[s1].den, cursor, self.t_stop,
-                                     self.direction)
-        lo, hi = self._window(cursor)
-        for root in quadratic_roots(a, b, c, lo, hi)[::self.direction]:
-            if not self._ahead(root, cursor):
-                continue
-            if sign_ahead(a, b, c, root, self.direction) > 0:
-                return root
-        return None
+        return self._earliest(((a, b, c),), self.polys[s1].den, cursor)
 
     def update_handover(self, s1: int, s2: int, cursor) -> None:
         """Queue the next handover of s1's support to s2 ahead of the
@@ -697,9 +676,17 @@ def _may_be_largest(floats: FloatRow, objs: list[int], tf: float) -> list[int]:
     return [o for o, v in zip(objs, vals) if v + e >= floor]
 
 
-def _largest(vals: list, objs: list[int]) -> list[int]:
-    """The objects whose values `compare_values` calls largest, in order;
-    the values are objs' distances, in the same order."""
+def _tie_group(row: DistanceRow, floats, objs: list[int], t) -> list[int]:
+    """The objects of `objs` that `compare_values` calls farthest at t, in
+    order; with `floats` (the row's `FloatRow`, in exact arithmetic) only
+    the objects that `_may_be_largest` keeps get an exact value."""
+    if not objs:
+        return []
+    if floats is not None:
+        objs = _may_be_largest(floats, objs, _double(t))
+        if len(objs) == 1:
+            return objs
+    vals = _values(row, objs, t)
     vmax = max(vals)
     lo = tolerance_band(vmax)[0]
     return [o for v, o in zip(vals, objs) if v >= lo and compare_values(v, vmax) >= 0]
@@ -782,13 +769,8 @@ def _dedup(instance: MovingInstance, t, members, known, rows, floats) -> dict:
 
     def support_of(s):
         objs = own[s] if s in own else members[s]
-        if not objs:
-            return None
-        if floats is not None:
-            objs = _may_be_largest(floats[s], objs, tf)
-            if len(objs) == 1:
-                return objs[0]
-        return min(_largest(_values(rows[s], objs, t), objs))
+        group = _tie_group(rows[s], None if floats is None else floats[s], objs, t)
+        return min(group) if group else None
 
     sup = [known[s] if known[s] is not None else support_of(s) for s in range(m)]
     held = [s for s in range(m) if sup[s] is not None]  # moves only go to these

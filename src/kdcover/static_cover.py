@@ -1,10 +1,10 @@
 """Stationary disk cover at a fixed time.
 
-Candidate enumeration, the nearest-neighbor heuristic, a best-first
-branch-and-bound exact solver with a certified lower bound, and a brute
-force oracle for tests.  Costs are tracked internally as sums of squared
-radii (area / pi); the pi factor is applied in the reported `cost` so
-that exact-arithmetic runs keep rational internals.
+Candidate enumeration, the nearest-neighbor heuristic and a best-first
+branch-and-bound exact solver with a certified lower bound.  Costs are
+tracked internally as sums of squared radii (area / pi); the pi factor is
+applied in the reported `cost` so that exact-arithmetic runs keep rational
+internals.
 
 One station's candidate disks are nested by radius, so each one covers a
 prefix of that station's objects sorted by distance.  `enumerate_candidates`
@@ -71,11 +71,7 @@ __all__ = [
     "enumerate_candidates",
     "nn_heuristic",
     "solve_exact",
-    "brute_force_cover",
 ]
-
-BRUTE_FORCE_MAX_OBJECTS = 12
-_BRUTE_FORCE_MAX_COMBOS = 5_000_000
 
 
 _LAGRANGE_STEPS = 600  # most subgradient steps at the root
@@ -929,50 +925,3 @@ def solve_exact(
     selected, lower, stop = backend.solve(candidates, target_gap=target_gap,
                                           time_limit=time_limit, cutoff=cutoff)
     return _solution_from_selection(candidates, selected, lower, stop)
-
-
-def brute_force_cover(candidates: Candidates) -> StaticSolution:
-    """Exhaustive optimum over per-station radius-level choices.
-
-    Test oracle only; guarded to small instances.  Unlike the backend it
-    walks each level's coverage set, read off the station's order, so it
-    stays independent of the masks, ranks and relaxation the branch and
-    bound exploits.
-    """
-    n = candidates.n_objects
-    if n > BRUTE_FORCE_MAX_OBJECTS:
-        raise ValueError(f"brute force is guarded to n <= {BRUTE_FORCE_MAX_OBJECTS}, got {n}")
-    options, covered_by, cost_of = [], [], []
-    combos = 1
-    for s, last in enumerate(candidates.last):
-        combos *= len(last) + 1
-        if combos > _BRUTE_FORCE_MAX_COMBOS:
-            raise ValueError("instance exceeds brute force combination guard")
-        options.append([None] + [candidates.offset[s] + k for k in range(len(last))])
-        covered_by.extend(frozenset(candidates.orders[s][: e + 1]) for e in last)
-        cost_of.extend(candidates.values[s])
-    universe = frozenset(range(n))
-    best_cost = None
-    best_sel = None
-
-    def walk(depth, chosen, covered, cost):
-        nonlocal best_cost, best_sel
-        if best_cost is not None and cost > best_cost:
-            return
-        if depth == len(options):
-            if covered == universe:
-                sel = tuple(sorted(chosen))
-                if best_cost is None or cost < best_cost or (
-                    cost == best_cost and sel < best_sel
-                ):
-                    best_cost, best_sel = cost, sel
-            return
-        for opt in options[depth]:
-            if opt is None:
-                walk(depth + 1, chosen, covered, cost)
-            else:
-                cost_opt = cost + cost_of[opt]
-                walk(depth + 1, chosen + [opt], covered | covered_by[opt], cost_opt)
-
-    walk(0, [], frozenset(), 0)
-    return _solution_from_selection(candidates, best_sel, best_cost, "optimal")

@@ -7,6 +7,8 @@ from random import Random
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from kdcover.geometry import MovingInstance, Point2, Trajectory  # noqa: E402
+from kdcover.static_cover import (Candidates, StaticSolution,  # noqa: E402
+                                  _solution_from_selection)
 
 
 def random_instance(n: int, m: int, seed: int, canvas=100.0,
@@ -77,3 +79,54 @@ def assert_timelines_agree(got, want, case=None):
         assert (a.assignment, a.supports) == (b.assignment, b.supports), case
         assert abs(a.t_start - float(b.t_start)) <= 1e-9, case
         assert abs(a.t_end - float(b.t_end)) <= 1e-9, case
+
+
+BRUTE_FORCE_MAX_OBJECTS = 12
+_BRUTE_FORCE_MAX_COMBOS = 5_000_000
+
+
+def brute_force_cover(candidates: Candidates) -> StaticSolution:
+    """Exhaustive optimum over per-station radius-level choices.
+
+    The stationary oracle, guarded to small instances.  Unlike the backend it
+    walks each level's coverage set, read off the station's order, so it
+    stays independent of the masks, ranks and relaxation the branch and
+    bound exploits.
+    """
+    n = candidates.n_objects
+    if n > BRUTE_FORCE_MAX_OBJECTS:
+        raise ValueError(f"brute force is guarded to n <= {BRUTE_FORCE_MAX_OBJECTS}, got {n}")
+    options, covered_by, cost_of = [], [], []
+    combos = 1
+    for s, last in enumerate(candidates.last):
+        combos *= len(last) + 1
+        if combos > _BRUTE_FORCE_MAX_COMBOS:
+            raise ValueError("instance exceeds brute force combination guard")
+        options.append([None] + [candidates.offset[s] + k for k in range(len(last))])
+        covered_by.extend(frozenset(candidates.orders[s][: e + 1]) for e in last)
+        cost_of.extend(candidates.values[s])
+    universe = frozenset(range(n))
+    best_cost = None
+    best_sel = None
+
+    def walk(depth, chosen, covered, cost):
+        nonlocal best_cost, best_sel
+        if best_cost is not None and cost > best_cost:
+            return
+        if depth == len(options):
+            if covered == universe:
+                sel = tuple(sorted(chosen))
+                if best_cost is None or cost < best_cost or (
+                    cost == best_cost and sel < best_sel
+                ):
+                    best_cost, best_sel = cost, sel
+            return
+        for opt in options[depth]:
+            if opt is None:
+                walk(depth + 1, chosen, covered, cost)
+            else:
+                cost_opt = cost + cost_of[opt]
+                walk(depth + 1, chosen + [opt], covered | covered_by[opt], cost_opt)
+
+    walk(0, [], frozenset(), 0)
+    return _solution_from_selection(candidates, best_sel, best_cost, "optimal")

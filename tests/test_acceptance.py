@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_instance, random_sizes
+from conftest import brute_force_cover, random_instance, random_sizes
 from kdcover.certificate import check_feasible
 from kdcover.cli import main as cli_main
 from kdcover.envelope import (
@@ -28,7 +28,6 @@ from kdcover.instances import GenParams, generate, write_instance
 from kdcover.kinetic import ImprovementFlags
 from kdcover.minmax import SolverConfig, fixed_nn_baseline, solve_minmax
 from kdcover.static_cover import (
-    brute_force_cover,
     enumerate_candidates,
     nn_heuristic,
     solve_exact,

@@ -69,7 +69,7 @@ def test_event_roots_go_through_the_kinetic_module_global(monkeypatch):
     roots = kinetic.quadratic_roots
 
     def counted(*args):
-        callers[sys._getframe(1).f_code.co_name] += 1
+        callers[sys._getframe(2).f_code.co_name] += 1
         return roots(*args)
 
     monkeypatch.setattr(kinetic, "quadratic_roots", counted)

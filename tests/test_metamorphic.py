@@ -5,17 +5,21 @@ and opportunities", ACM Computing Surveys 51(1)).
 Each map is exact in binary: the seven non-identity symmetries of the
 square, every trajectory reversed (the timeline mirrors t -> 1 - t), the
 stations and objects each listed in reverse (the timeline is relabelled),
-and every coordinate as its `Fraction`.  For every image the result must
+every coordinate as its `Fraction`, and every coordinate times 2**k.  For every image the result must
 pass `verify_result`, its timeline mapped back must pass `check_feasible`
 on the original instance, and its certified [lower, upper] must overlap the
 original's.  A symmetry leaves every squared distance bit-identical, so
 (upper, lower) must be too; in exact arithmetic every map must give the
 same values when both solves certify gap 0.  Exact arithmetic solves on the
 integer lift, which the Fractions share with the floats, so there they must
-give the same timeline, upper and lower whatever the gap.
+give the same timeline, upper and lower whatever the gap.  A scale by
+2**k multiplies every squared distance by 4**k, so in exact arithmetic the
+image keeps every time, assignment and support, and each value takes the
+factor 4**k exactly.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -120,3 +124,33 @@ def test_every_map_keeps_the_certificate(klass, seed, backend, exact):
         if exact and name == "fractions":
             assert result.timeline == base.timeline
             assert (result.upper, result.lower) == (base.upper, base.lower)
+
+
+def scaled(inst, factor):
+    """Every coordinate times `factor`, a power of two."""
+
+    def point(p):
+        return Point2(p.x * factor, p.y * factor)
+
+    return MovingInstance(tuple(map(point, inst.stations)),
+                          tuple(Trajectory(point(o.start), point(o.end)) for o in inst.objects))
+
+
+@pytest.mark.parametrize("k", [-30, 20])
+@pytest.mark.parametrize("backend", ["exact", "nn"])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("klass", CLASSES)
+def test_a_power_of_two_scale_scales_every_exact_value(klass, seed, backend, k):
+    inst = generate(GenParams(n=12, m=3, seed=seed, instance_class=klass))
+    config = SolverConfig(static_backend=backend, flags=ALL_FLAGS, exact_arithmetic=True)
+    base = solve_minmax(inst, config)
+    result = solve_minmax(scaled(inst, 2.0 ** k), config)
+    factor = Fraction(4) ** k
+    assert len(result.timeline.segments) == len(base.timeline.segments)
+    for seg, ref in zip(result.timeline.segments, base.timeline.segments):
+        assert (seg.t_start, seg.t_end) == (ref.t_start, ref.t_end)
+        assert (seg.assignment, seg.supports) == (ref.assignment, ref.supports)
+        p, q = seg.poly, ref.poly
+        assert (p.a, p.b, p.c) == (q.a * factor, q.b * factor, q.c * factor)
+    assert result.timeline.value == base.timeline.value * factor
+    assert (result.upper, result.lower) == (base.upper * 4.0 ** k, base.lower * 4.0 ** k)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import assert_timelines_agree, random_instance, random_sizes
+from conftest import assert_timelines_agree, brute_force_cover, random_instance, random_sizes
 from kdcover import cli, minmax
 from kdcover.certificate import check_feasible
 from kdcover.envelope import SolutionTimeline, TimelineSegment, timeline_cost
@@ -26,7 +26,6 @@ from kdcover.minmax import (
 from kdcover.static_cover import (
     BranchBoundBackend,
     SolverBackend,
-    brute_force_cover,
     enumerate_candidates,
     ratio_gap,
 )

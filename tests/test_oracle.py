@@ -15,6 +15,8 @@ from functools import cmp_to_key
 from itertools import chain, combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import grid_instance
 from kdcover.certificate import result_to_json, verify_result
@@ -136,3 +138,12 @@ def test_exact_solves_at_a_tiny_scale_reach_the_exact_optimum(seed):
     inst = grid_instance(seed, TINY)
     assert minmax_optimum(inst) == minmax_optimum(grid_instance(seed)) * Fraction(1, 2 ** 60)
     assert_solves_hold(inst, (True,))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=len(SEEDS), max_value=2 ** 32))
+def test_drawn_grid_instances_hold_the_exact_optimum(seed):
+    """Seeds past the fixed table: at scale 1 in both arithmetics, and at
+    the tiny scale in exact arithmetic."""
+    assert_solves_hold(grid_instance(seed), (False, True))
+    assert_solves_hold(grid_instance(seed, TINY), (True,))

@@ -119,3 +119,15 @@ def test_bench_trajectory_reads_the_committed_recordings(tmp_path):
     (_, line), = [bench_trajectory.trajectory(tmp_path)]
     assert line.split() == ["toy", "exact_arith", "65b54f83aa3c", "293e8c2800e12603", "2", "6",
                             "0.0105"]
+
+
+def test_desk_digest_repeats_and_tells_flags_apart():
+    desk_digest = load_script("desk_digest")
+    solves = [case for case in desk_digest.DESK_SOLVES if case[:2] == ("random", 0)][:3]
+    assert [case[2:] for case in solves] == [("exact", desk_digest.ALL_FLAGS, False),
+                                             ("exact", desk_digest.ALL_FLAGS, True),
+                                             ("nn", desk_digest.ALL_FLAGS, False)]
+    first = desk_digest.digest(solves)
+    assert desk_digest.digest(solves) == first
+    no_flags = [solves[0][:3] + (desk_digest.NO_FLAGS, False)] + solves[1:]
+    assert desk_digest.digest(no_flags) != first

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from conftest import fraction_image, random_instance, random_sizes
+from conftest import brute_force_cover, fraction_image, random_instance, random_sizes
 from kdcover import static_cover
 from kdcover.exactarith import QuadraticNumber
 from kdcover.geometry import (MovingInstance, Point2, Trajectory, quadratic_roots,
@@ -18,7 +18,6 @@ from kdcover.static_cover import (
     InfeasibleCoverError,
     SolverBackend,
     StaticSolution,
-    brute_force_cover,
     enumerate_candidates,
     nn_heuristic,
     solve_exact,
