@@ -6,12 +6,16 @@ Objective coefficients are stored divided by pi (sums of squared radii);
 reported upper/lower values include the pi factor.  `verify_result` checks
 a result against its instance, an independent verifier rather than a
 re-run, and `check_feasible` proves a timeline feasible without sampling.
+
+Both checks are one walk (`_Walk`) that applies each segment's moves to
+one assignment list and reads each stored segment once.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from itertools import compress
 from operator import ne
@@ -74,18 +78,23 @@ def moved_objects(before: Assignment, after: Assignment) -> list[int]:
     return list(compress(range(len(after)), map(ne, before, after)))
 
 
+def _moves(segments):
+    """Each segment's moves [j, s] from the assignment before it, none for
+    the first."""
+    prev = segments[0].assignment
+    for seg in segments:
+        # Segments between moves share one assignment tuple.
+        after = seg.assignment
+        yield [] if after is prev else [[j, after[j]] for j in moved_objects(prev, after)]
+        prev = after
+
+
 def result_to_json(instance_id: str, algorithm: str, flags, config: dict, result) -> str:
     """The result file's text: the header indented, then the timeline's
     segments one per line."""
     tl = result.timeline
     segments = []
-    prev = tl.segments[0].assignment
-    for seg in tl.segments:
-        # Segments between moves share one assignment tuple.
-        moves = [] if seg.assignment is prev else [
-            [j, seg.assignment[j]] for j in moved_objects(prev, seg.assignment)
-        ]
-        prev = seg.assignment
+    for seg, moves in zip(tl.segments, _moves(tl.segments)):
         segments.append({
             "t_start": float(seg.t_start),
             "t_end": float(seg.t_end),
@@ -139,32 +148,43 @@ def load_result(path):
     return doc
 
 
-def result_segments(doc) -> list[TimelineSegment]:
-    """The stored timeline with each segment's full assignment rebuilt from
-    the first segment's and the moves since.  Raises FormatError when the
-    timeline is malformed."""
+def _read_segments(doc):
+    """Yields the stored first assignment as a list, then per segment its
+    float times, moves (each naming an object and an int station), supports
+    as a tuple and objective as a `QuadraticPoly`.  Raises FormatError at
+    the first malformed entry."""
     try:
-        assignment = tuple(map(_station, doc["timeline"]["assignment"]))
-        segs = []
-        for raw in doc["timeline"]["segments"]:
-            if raw["moves"]:
-                changed = list(assignment)
-                for j, s in raw["moves"]:
-                    if not _is_index(j, len(changed)):
-                        raise IndexError(f"move of object {j!r}")
-                    changed[j] = _station(s)
-                assignment = tuple(changed)
-            segs.append(
-                TimelineSegment(
-                    _number(raw["t_start"]),
-                    _number(raw["t_end"]),
-                    assignment,
-                    tuple(raw["supports"]),
-                    QuadraticPoly(*map(_number, raw["objective"])),
-                )
-            )
+        timeline = doc["timeline"]
+        assignment = list(map(_station, timeline["assignment"]))
+        n = len(assignment)
+        yield assignment
+        for raw in timeline["segments"]:
+            moves = raw["moves"] or ()
+            for j, s in moves:
+                if not _is_index(j, n):
+                    raise IndexError(f"move of object {j!r}")
+                _station(s)
+            yield (_number(raw["t_start"]), _number(raw["t_end"]), moves,
+                   tuple(raw["supports"]), QuadraticPoly(*map(_number, raw["objective"])))
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed timeline: {type(exc).__name__} {exc}") from None
+
+
+def result_segments(doc) -> list[TimelineSegment]:
+    """The stored timeline with each segment's full assignment rebuilt from
+    the first segment's and the moves since, segments between moves sharing
+    one tuple, as `_read_segments` reads it.  Raises FormatError when the
+    timeline is malformed."""
+    reader = _read_segments(doc)
+    assignment = tuple(next(reader))
+    segs = []
+    for t_start, t_end, moves, supports, poly in reader:
+        if moves:
+            changed = list(assignment)
+            for j, s in moves:
+                changed[j] = s
+            assignment = tuple(changed)
+        segs.append(TimelineSegment(t_start, t_end, assignment, supports, poly))
     return segs
 
 
@@ -203,14 +223,15 @@ def _station(v):
 def verify_result(doc, instance: MovingInstance, samples=None) -> list[str]:
     """Independent verification of a result file against its instance.
 
-    Checks in one pass over the segments that their times ascend and join
-    up, that their objectives are finite, that each one's assignment and
-    supports fit the instance and that its stored objective is the sum of
-    its stored supports' polynomials; then proves the timeline feasible
-    (`check_feasible`: every object inside its station's disk, whose radius
-    is set by the stored support, at every time) and checks the stored peak
-    value and bounds against the timeline's peak and the stored gap against
-    the stored bounds.  Feasibility makes each stored support its station's
+    Checks in one walk over the stored segments that their times ascend and
+    join up, that their objectives are finite, that each one's assignment
+    and supports fit the instance and that its stored objective is the sum
+    of its stored supports' polynomials (derived again only where the
+    supports change), proves the timeline feasible (`check_feasible`: every
+    object inside its station's disk, whose radius is set by the stored
+    support, at every time) and takes its peak; then checks the stored peak
+    value and bounds against that peak and the stored gap against the
+    stored bounds.  Feasibility makes each stored support its station's
     farthest member over its segment, so that sum is the segment's true
     objective.  Every tolerance on a squared distance, objective or bound
     is relative, with the instance's `squared_floor` in place of 1, so that
@@ -222,7 +243,39 @@ def verify_result(doc, instance: MovingInstance, samples=None) -> list[str]:
     sample count.  It is still taken so that callers which pass one as the
     third argument, such as the benchmark, keep working.
     """
-    segs = result_segments(doc)
+    reader = _read_segments(doc)
+    rows, floor = float_rows(instance), squared_floor(instance)
+    walk = _Walk(instance, next(reader), rows, floor, strict=True)
+    problems = []
+    first = last = top = derived_for = derived = None
+    malformed = False
+    for i, (t_start, t_end, moves, supports, poly) in enumerate(reader):
+        # Equal times pass: an exact-mode segment can round to zero length.
+        if not (math.isfinite(t_start) and math.isfinite(t_end) and t_start <= t_end):
+            problems.append(f"segment {i}: times are not finite and ascending")
+        if i == 0:
+            first = t_start
+        elif abs(t_start - last) > 1e-9:
+            problems.append(f"segment {i}: gap/overlap at t={t_start!r}")
+        last = t_end
+        sa, sb, sc = poly.a, poly.b, poly.c
+        if not (math.isfinite(sa) and math.isfinite(sb) and math.isfinite(sc)):
+            problems.append(f"segment {i}: objective is not finite")
+        peak = max(poly(t_start), poly(t_end))
+        if i == 0 or peak > top:
+            top = peak
+        if not walk.step(t_start, moves, supports):
+            problems.append(f"segment {i}: assignment or supports do not fit "
+                            f"n={instance.n}, m={instance.m}")
+            malformed = True
+            continue
+        if supports != derived_for:
+            polys = [rows[s][sup] for s, sup in enumerate(supports) if sup is not None]
+            derived_for, derived = supports, list(map(sum, zip(*polys))) or [0.0, 0.0, 0.0]
+        da, db, dc = derived
+        tol = 1e-9 * max(floor, abs(sa), abs(sb), abs(sc), abs(da), abs(db), abs(dc))
+        if abs(da - sa) > tol or abs(db - sb) > tol or abs(dc - sc) > tol:
+            problems.append(f"segment {i}: stored objective {[sa, sb, sc]} != derived {derived}")
     value = doc["timeline"].get("value")
     if not _is_number(value):
         raise FormatError(f"malformed timeline: value {value!r}")
@@ -230,54 +283,18 @@ def verify_result(doc, instance: MovingInstance, samples=None) -> list[str]:
     if not (_is_number(upper) and _is_number(lower)
             and (stored_gap is None or _is_number(stored_gap))):
         raise FormatError("upper and lower must be numbers, and gap a number or null")
-    if not segs:
+    if first is None:
         return ["empty timeline"]
-    problems = []
-    if abs(segs[0].t_start - 0.0) > 1e-9 or abs(segs[-1].t_end - 1.0) > 1e-9:
-        problems.append("timeline does not span [0, 1]")
-    n, m = instance.n, instance.m
-    rows = float_rows(instance)
-    floor = squared_floor(instance)
-    malformed = False
-    assignment = None
-    for i, seg in enumerate(segs):
-        # Equal times pass: an exact-mode segment can round to zero length.
-        if not (math.isfinite(seg.t_start) and math.isfinite(seg.t_end)
-                and seg.t_start <= seg.t_end):
-            problems.append(f"segment {i}: times are not finite and ascending")
-        if i and abs(seg.t_start - segs[i - 1].t_end) > 1e-9:
-            problems.append(f"segment {i}: gap/overlap at t={seg.t_start!r}")
-        stored = [seg.poly.a, seg.poly.b, seg.poly.c]
-        if not all(map(math.isfinite, stored)):
-            problems.append(f"segment {i}: objective is not finite")
-        # Segments between moves share one assignment tuple, whose shape is
-        # checked once: n objects on stations in range(m).
-        if seg.assignment is not assignment:
-            assignment = seg.assignment
-            stations = set(assignment)
-            fits = len(assignment) == n and all(_is_index(s, m) for s in stations)
-        # A station's support is one of its objects, or None when it has none.
-        if not fits or len(seg.supports) != m \
-                or not all(sup is None and s not in stations
-                           or _is_index(sup, n) and assignment[sup] == s
-                           for s, sup in enumerate(seg.supports)):
-            problems.append(f"segment {i}: assignment or supports do not fit n={n}, m={m}")
-            malformed = True
-            continue
-        polys = [rows[s][sup] for s, sup in enumerate(seg.supports) if sup is not None]
-        derived = list(map(sum, zip(*polys))) or [0.0, 0.0, 0.0]
-        scale = max(floor, *(abs(v) for v in stored), *(abs(v) for v in derived))
-        if any(abs(a - b) > 1e-9 * scale for a, b in zip(derived, stored)):
-            problems.append(f"segment {i}: stored objective {stored} != derived {derived}")
+    if abs(first - 0.0) > 1e-9 or abs(last - 1.0) > 1e-9:
+        problems.insert(0, "timeline does not span [0, 1]")
     if malformed:
         return problems
-    report = _check_feasible(segs, instance, rows, floor)
+    report = walk.report(last)
     if not report.ok:
         problems.append(
             f"infeasible: violation {report.worst_violation:.3e} at "
             f"t={report.worst_time} object {report.worst_object}"
         )
-    top = max(max(seg.poly(seg.t_start), seg.poly(seg.t_end)) for seg in segs)
     peak, peak_floor = math.pi * top, math.pi * floor
     # The stored value is the peak that upper = pi * value reports.
     if not (_finite(value) and abs(peak - math.pi * value) <= 1e-9 * max(peak_floor, peak)):
@@ -314,66 +331,128 @@ def check_feasible(segments, instance: MovingInstance) -> FeasibilityReport:
     at most 0 at the run's ends and at its vertex, it is at most 0 over the
     whole run, and elsewhere `_peak_violation` finds the largest violation.
     Values are floats.  The worst object and time are reported; on a tie,
-    the lowest object, then the earliest time.
+    the lowest object, then the earliest time.  The segments go through
+    `verify_result`'s walk, with the moves that `result_to_json` writes.
     """
-    return _check_feasible(list(segments), instance, float_rows(instance),
-                           squared_floor(instance))
-
-
-def _check_feasible(segments, instance, rows, floor) -> FeasibilityReport:
-    """`check_feasible` on a segment list, given the instance's
-    `float_rows` and `squared_floor`, which `verify_result` has built."""
+    segments = list(segments)
     if not segments or instance.n == 0:
         return FeasibilityReport(True, 0.0)
-    first = segments[0]
-    members = [set() for _ in range(instance.m)]
-    for j, s in enumerate(first.assignment):
-        members[s].add(j)
-    supports = list(first.supports)
-    starts = [float(first.t_start)] * instance.m
-    worst, worst_t, worst_obj = 0.0, None, None
+    rows, floor = float_rows(instance), squared_floor(instance)
+    walk = _Walk(instance, list(segments[0].assignment), rows, floor)
+    for seg, moves in zip(segments, _moves(segments)):
+        walk.step(seg.t_start, moves, seg.supports)
+    return walk.report(segments[-1].t_end)
 
-    def close(s, t1):
-        nonlocal worst, worst_t, worst_obj
-        t0, row = starts[s], rows[s]
-        r = (0.0, 0.0, 0.0) if supports[s] is None else row[supports[s]]
+
+class _Walk:
+    """One walk over a timeline's segments: `step` applies a segment's moves
+    to one assignment list and the stations' member sets, says whether the
+    segment fits the instance (n objects, each of m supports one of its
+    station's members, or None on a station without any, and no object on
+    a station outside range(m)), and closes the feasibility runs that end
+    where it starts.  Fit is checked again only at stations whose support
+    or members change.  A run is a station's stretch with fixed members and
+    support: it closes where an object's station changes across a segment's
+    moves (at the old and the new station) or its support changes, and
+    `report` closes the rest.  A `strict` walk ends its runs at the first
+    segment that does not fit; any other raises ValueError on a station
+    outside range(m).
+    """
+
+    SUPPORT_TYPES = frozenset((int, type(None)))  # of supports that can fit
+
+    def __init__(self, instance, assignment, rows, floor, strict=False):
+        self.n, self.m = instance.n, instance.m
+        self.rows, self.floor, self.strict = rows, floor, strict
+        self.assignment, self.sized = assignment, len(assignment) == instance.n
+        self.members = defaultdict(set)  # by station, any int
+        for j, s in enumerate(assignment):
+            self.members[s].add(j)
+        if not strict and not all(0 <= s < self.m for s in self.members):
+            raise ValueError(f"an object on a station outside the {self.m} stations")
+        self.supports = self.misfits = None  # the last segment's; stations that do not fit
+        self.run_supports = self.starts = None
+        self.closing = True
+        self.worst, self.worst_t, self.worst_obj = 0.0, None, None
+
+    def step(self, t, moves, supports) -> bool:
+        """Applies a segment that starts at t, with its moves ([j, s] pairs
+        in order, s an int) and supports; returns whether it fits."""
+        assignment, members, m = self.assignment, self.members, self.m
+        changed, touched = (), set()
+        if moves:
+            before = {}
+            for j, s in moves:
+                before.setdefault(j, assignment[j])
+                assignment[j] = s
+            changed = [(j, s0, assignment[j]) for j, s0 in before.items() if assignment[j] != s0]
+            touched.update(s for _, s0, s1 in changed for s in (s0, s1))
+        prev = self.supports
+        if prev is None:
+            self.run_supports, self.starts = list(supports), [float(t)] * m
+        else:
+            if supports != prev:
+                touched.update(moved_objects(prev, supports))
+            if touched and self.closing and not (
+                    len(supports) == m and 0 <= min(touched) and max(touched) < m):
+                if not self.strict:
+                    raise ValueError(f"a segment at t={t} reaches outside the {m} stations")
+                self.closing = False  # this segment cannot fit
+            if touched and self.closing:
+                tf = float(t)
+                for s in touched:
+                    self._close(s, tf)
+                for s in touched:
+                    self.run_supports[s], self.starts[s] = supports[s], tf
+        for j, s0, s1 in changed:
+            members[s0].discard(j)
+            members[s1].add(j)
+        self.supports = supports
+        if not (self.sized and len(supports) == m
+                and self.SUPPORT_TYPES.issuperset(map(type, supports))):
+            self.misfits, fits = None, False
+        else:
+            if self.misfits is None:
+                self.misfits, touched = set(), set(range(m)).union(members)
+            for s in touched:
+                # A station outside range(m) fits as one without a support.
+                sup = supports[s] if 0 <= s < m else None
+                if sup is None and not members[s] \
+                        or sup is not None and 0 <= sup < self.n and assignment[sup] == s:
+                    self.misfits.discard(s)
+                else:
+                    self.misfits.add(s)
+            fits = not self.misfits
+        if not fits and self.strict:
+            self.closing = False
+        return fits
+
+    def _close(self, s, t1):
+        """Checks station s's run from its start to t1."""
+        t0, row, support = self.starts[s], self.rows[s], self.run_supports[s]
+        r = (0.0, 0.0, 0.0) if support is None else row[support]
         ra, rb, rc = r
         r0, r1 = (ra * t0 + rb) * t0 + rc, (ra * t1 + rb) * t1 + rc
-        for j in members[s]:
+        worst, worst_t, worst_obj = self.worst, self.worst_t, self.worst_obj
+        for j in self.members[s]:
             a, b, c = p = row[j]
             if (a * t0 + b) * t0 + c <= r0 and (a * t1 + b) * t1 + c <= r1 and (
                     a >= ra or not t0 < (rb - b) / (2 * (a - ra)) < t1
                     or c - rc - (b - rb) ** 2 / (4 * (a - ra)) <= 0):
                 continue
-            v, t = _peak_violation(p, r, t0, t1, floor)
+            v, t = _peak_violation(p, r, t0, t1, self.floor)
             if v > worst or v == worst and worst_obj is not None \
                     and (j, t) < (worst_obj, worst_t):
                 worst, worst_t, worst_obj = v, t, j
+        self.worst, self.worst_t, self.worst_obj = worst, worst_t, worst_obj
 
-    prev = first
-    for seg in segments[1:]:
-        touched = set()
-        # Segments between moves share one assignment tuple.
-        if seg.assignment is not prev.assignment:
-            moved = moved_objects(prev.assignment, seg.assignment)
-            touched.update(prev.assignment[j] for j in moved)
-            touched.update(seg.assignment[j] for j in moved)
-        touched.update(moved_objects(prev.supports, seg.supports))
-        if touched:
-            t = float(seg.t_start)
-            for s in touched:
-                close(s, t)
-            if seg.assignment is not prev.assignment:
-                for j in moved:
-                    members[prev.assignment[j]].discard(j)
-                    members[seg.assignment[j]].add(j)
-            for s in touched:
-                supports[s], starts[s] = seg.supports[s], t
-        prev = seg
-    t = float(prev.t_end)
-    for s in range(instance.m):
-        close(s, t)
-    return FeasibilityReport(worst <= FEASIBILITY_TOL, worst, worst_t, worst_obj)
+    def report(self, t_end) -> FeasibilityReport:
+        """Closes every run at t_end and reports the worst violation."""
+        t = float(t_end)
+        for s in range(self.m):
+            self._close(s, t)
+        return FeasibilityReport(self.worst <= FEASIBILITY_TOL, self.worst, self.worst_t,
+                                 self.worst_obj)
 
 
 def _peak_violation(p, r, t0, t1, floor) -> tuple[float, float]:

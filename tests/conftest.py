@@ -6,9 +6,14 @@ from random import Random
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from kdcover.geometry import MovingInstance, Point2, Trajectory  # noqa: E402
+from kdcover.certificate import (FEASIBILITY_TOL, FeasibilityReport,  # noqa: E402
+                                  _finite, _is_index, _is_number, _number, _peak_violation,
+                                  _station, float_rows, moved_objects, squared_floor)
+from kdcover.envelope import TimelineSegment  # noqa: E402
+from kdcover.geometry import MovingInstance, Point2, QuadraticPoly, Trajectory  # noqa: E402
+from kdcover.instances import FormatError  # noqa: E402
 from kdcover.static_cover import (Candidates, StaticSolution,  # noqa: E402
-                                  _solution_from_selection)
+                                  _solution_from_selection, ratio_gap)
 
 
 def random_instance(n: int, m: int, seed: int, canvas=100.0,
@@ -130,3 +135,171 @@ def brute_force_cover(candidates: Candidates) -> StaticSolution:
 
     walk(0, [], frozenset(), 0)
     return _solution_from_selection(candidates, best_sel, best_cost, "optimal")
+
+
+# -- the checker as it was before its one walk over the stored moves ----------
+#
+# `reference_verify_result` and `reference_check_feasible` are the checks
+# that `kdcover.certificate` made in four reads of a result: every
+# segment's full assignment rebuilt (`_reference_segments`), a loop that
+# checks each segment's supports and objective, a separate feasibility walk
+# that diffs the rebuilt assignments back into moves, and a pass for the
+# peak.  Tests hold the one-walk checker to their problem lists and reports.
+
+
+def _reference_segments(doc) -> list[TimelineSegment]:
+    try:
+        assignment = tuple(map(_station, doc["timeline"]["assignment"]))
+        segs = []
+        for raw in doc["timeline"]["segments"]:
+            if raw["moves"]:
+                changed = list(assignment)
+                for j, s in raw["moves"]:
+                    if not _is_index(j, len(changed)):
+                        raise IndexError(f"move of object {j!r}")
+                    changed[j] = _station(s)
+                assignment = tuple(changed)
+            segs.append(
+                TimelineSegment(
+                    _number(raw["t_start"]),
+                    _number(raw["t_end"]),
+                    assignment,
+                    tuple(raw["supports"]),
+                    QuadraticPoly(*map(_number, raw["objective"])),
+                )
+            )
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"malformed timeline: {type(exc).__name__} {exc}") from None
+    return segs
+
+
+def reference_verify_result(doc, instance: MovingInstance) -> list[str]:
+    segs = _reference_segments(doc)
+    value = doc["timeline"].get("value")
+    if not _is_number(value):
+        raise FormatError(f"malformed timeline: value {value!r}")
+    upper, lower, stored_gap = doc.get("upper"), doc.get("lower"), doc.get("gap")
+    if not (_is_number(upper) and _is_number(lower)
+            and (stored_gap is None or _is_number(stored_gap))):
+        raise FormatError("upper and lower must be numbers, and gap a number or null")
+    if not segs:
+        return ["empty timeline"]
+    problems = []
+    if abs(segs[0].t_start - 0.0) > 1e-9 or abs(segs[-1].t_end - 1.0) > 1e-9:
+        problems.append("timeline does not span [0, 1]")
+    n, m = instance.n, instance.m
+    rows = float_rows(instance)
+    floor = squared_floor(instance)
+    malformed = False
+    assignment = None
+    for i, seg in enumerate(segs):
+        if not (math.isfinite(seg.t_start) and math.isfinite(seg.t_end)
+                and seg.t_start <= seg.t_end):
+            problems.append(f"segment {i}: times are not finite and ascending")
+        if i and abs(seg.t_start - segs[i - 1].t_end) > 1e-9:
+            problems.append(f"segment {i}: gap/overlap at t={seg.t_start!r}")
+        stored = [seg.poly.a, seg.poly.b, seg.poly.c]
+        if not all(map(math.isfinite, stored)):
+            problems.append(f"segment {i}: objective is not finite")
+        if seg.assignment is not assignment:
+            assignment = seg.assignment
+            stations = set(assignment)
+            fits = len(assignment) == n and all(_is_index(s, m) for s in stations)
+        if not fits or len(seg.supports) != m \
+                or not all(sup is None and s not in stations
+                           or _is_index(sup, n) and assignment[sup] == s
+                           for s, sup in enumerate(seg.supports)):
+            problems.append(f"segment {i}: assignment or supports do not fit n={n}, m={m}")
+            malformed = True
+            continue
+        polys = [rows[s][sup] for s, sup in enumerate(seg.supports) if sup is not None]
+        derived = list(map(sum, zip(*polys))) or [0.0, 0.0, 0.0]
+        scale = max(floor, *(abs(v) for v in stored), *(abs(v) for v in derived))
+        if any(abs(a - b) > 1e-9 * scale for a, b in zip(derived, stored)):
+            problems.append(f"segment {i}: stored objective {stored} != derived {derived}")
+    if malformed:
+        return problems
+    report = _reference_walk(segs, instance, rows, floor)
+    if not report.ok:
+        problems.append(
+            f"infeasible: violation {report.worst_violation:.3e} at "
+            f"t={report.worst_time} object {report.worst_object}"
+        )
+    top = max(max(seg.poly(seg.t_start), seg.poly(seg.t_end)) for seg in segs)
+    peak, peak_floor = math.pi * top, math.pi * floor
+    if not (_finite(value) and abs(peak - math.pi * value) <= 1e-9 * max(peak_floor, peak)):
+        problems.append(f"stored timeline value {value} != timeline peak {top}")
+    if not (_finite(upper) and _finite(lower)):
+        problems.append(f"stored bounds are not finite: upper {upper}, lower {lower}")
+        return problems
+    if abs(peak - upper) > 1e-9 * max(peak_floor, peak):
+        problems.append(f"stored upper {upper} != pi * timeline peak {peak}")
+    if lower > upper * (1 + 1e-12) + 1e-12 * peak_floor:
+        problems.append(f"lower {lower} exceeds upper {upper}")
+    gap = ratio_gap(upper, lower)
+    gap = None if math.isinf(gap) else gap
+    if stored_gap is None or gap is None:
+        same = stored_gap is gap
+    else:
+        same = _finite(stored_gap) and abs(stored_gap - gap) <= 1e-12 * max(1.0, gap)
+    if not same:
+        problems.append(f"stored gap {stored_gap!r} != gap {gap!r} of the stored bounds")
+    return problems
+
+
+def reference_check_feasible(segments, instance: MovingInstance) -> FeasibilityReport:
+    return _reference_walk(list(segments), instance, float_rows(instance),
+                           squared_floor(instance))
+
+
+def _reference_walk(segments, instance, rows, floor) -> FeasibilityReport:
+    if not segments or instance.n == 0:
+        return FeasibilityReport(True, 0.0)
+    first = segments[0]
+    members = [set() for _ in range(instance.m)]
+    for j, s in enumerate(first.assignment):
+        members[s].add(j)
+    supports = list(first.supports)
+    starts = [float(first.t_start)] * instance.m
+    worst, worst_t, worst_obj = 0.0, None, None
+
+    def close(s, t1):
+        nonlocal worst, worst_t, worst_obj
+        t0, row = starts[s], rows[s]
+        r = (0.0, 0.0, 0.0) if supports[s] is None else row[supports[s]]
+        ra, rb, rc = r
+        r0, r1 = (ra * t0 + rb) * t0 + rc, (ra * t1 + rb) * t1 + rc
+        for j in members[s]:
+            a, b, c = p = row[j]
+            if (a * t0 + b) * t0 + c <= r0 and (a * t1 + b) * t1 + c <= r1 and (
+                    a >= ra or not t0 < (rb - b) / (2 * (a - ra)) < t1
+                    or c - rc - (b - rb) ** 2 / (4 * (a - ra)) <= 0):
+                continue
+            v, t = _peak_violation(p, r, t0, t1, floor)
+            if v > worst or v == worst and worst_obj is not None \
+                    and (j, t) < (worst_obj, worst_t):
+                worst, worst_t, worst_obj = v, t, j
+
+    prev = first
+    for seg in segments[1:]:
+        touched = set()
+        if seg.assignment is not prev.assignment:
+            moved = moved_objects(prev.assignment, seg.assignment)
+            touched.update(prev.assignment[j] for j in moved)
+            touched.update(seg.assignment[j] for j in moved)
+        touched.update(moved_objects(prev.supports, seg.supports))
+        if touched:
+            t = float(seg.t_start)
+            for s in touched:
+                close(s, t)
+            if seg.assignment is not prev.assignment:
+                for j in moved:
+                    members[prev.assignment[j]].discard(j)
+                    members[seg.assignment[j]].add(j)
+            for s in touched:
+                supports[s], starts[s] = seg.supports[s], t
+        prev = seg
+    t = float(prev.t_end)
+    for s in range(instance.m):
+        close(s, t)
+    return FeasibilityReport(worst <= FEASIBILITY_TOL, worst, worst_t, worst_obj)

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fraction_image
+from conftest import (_reference_segments, fraction_image, reference_check_feasible,
+                      reference_verify_result)
 from kdcover import certificate, cli
 from kdcover.certificate import result_segments, result_to_json
 from kdcover.cli import (
@@ -1142,3 +1143,191 @@ def test_bench_reports_a_manifest_integer_too_long_to_parse(tmp_path, capsys):
     capsys.readouterr()
     assert_one_error_line(capsys, run(["bench", path, "-o", csv_path]), EXIT_IO)
     assert not csv_path.exists()
+
+
+# -- the one-walk checker against the checker it replaced -------------------
+#
+# `verify_result` reads each stored segment once, applying its moves to one
+# assignment list; `conftest.reference_verify_result` and
+# `reference_check_feasible` are the checker that rebuilt every segment's
+# assignment and diffed them back.  The tampers below are what a walk over
+# moves can get wrong.
+
+
+def move_in_place(doc):
+    """In the first segment after the first that moves nothing, a move of
+    the lowest object whose station keeps its support to that station: a
+    no-op, which changes no station's members or support."""
+    segments = doc["timeline"]["segments"]
+    k, j, s = next((k, j, s) for k, seg in enumerate(result_segments(doc))
+                   if k and not segments[k]["moves"]
+                   for j, s in enumerate(seg.assignment)
+                   if segments[k]["supports"][s] == segments[k - 1]["supports"][s])
+    segments[k]["moves"].append([j, s])
+
+
+def move_one_object_twice(doc):
+    """The first stored move [j, s] made in two steps within its segment:
+    j goes to station s + 1 first, so only the last move of j counts."""
+    segments = doc["timeline"]["segments"]
+    moves = next(seg["moves"] for seg in segments if seg["moves"])
+    j, s = moves[0]
+    moves.insert(0, [j, (s + 1) % len(segments[0]["supports"])])
+
+
+def visit_an_unknown_station(doc):
+    """The lowest object named in no move and no support of the last three
+    segments, moved to station m at the first of them and back to its
+    station at the last: the two segments it spends there do not fit."""
+    segments = doc["timeline"]["segments"]
+    k = len(segments) - 3
+    named = {j for seg in segments[k:] for j, _ in seg["moves"]}
+    named.update(sup for seg in segments[k:] for sup in seg["supports"])
+    j = min(set(range(len(doc["timeline"]["assignment"]))) - named)
+    station = result_segments(doc)[k].assignment[j]
+    segments[k]["moves"].append([j, len(segments[k]["supports"])])
+    segments[k + 2]["moves"].append([j, station])
+
+
+def move_a_support_away(doc):
+    """The first support that a segment without moves keeps from the
+    segment before, moved to the next station there while the stored
+    supports stay: its station does not fit while the support stays."""
+    segments = doc["timeline"]["segments"]
+    m = len(segments[0]["supports"])
+    k, s = next((k, s) for k in range(1, len(segments)) if not segments[k]["moves"]
+                for s, sup in enumerate(segments[k]["supports"])
+                if sup is not None and sup == segments[k - 1]["supports"][s])
+    segments[k]["moves"].append([segments[k]["supports"][s], (s + 1) % m])
+
+
+WALK_TAMPERS = [move_in_place, move_one_object_twice, visit_an_unknown_station,
+                move_a_support_away]
+# Tampers of the parametrized tests above that neither list holds.
+OTHER_TAMPERS = [times_as_text, objective_as_text, start_at_false, huge_t_start,
+                 shift_a_support_change_earlier]
+
+
+def verdict(check, doc, instance):
+    """What a check of the document says: its FormatError message, or its
+    problem list."""
+    try:
+        return check(doc, instance)
+    except cli.FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+def feasibility(doc, instance):
+    """`check_feasible` on the stored timeline and the reference's report
+    on it, as reprs (a NaN violation equals itself there); None when the
+    reference cannot read the timeline or walk it, as on a station or
+    support outside the instance, which `check_feasible` does not take."""
+    try:
+        want = reference_check_feasible(_reference_segments(doc), instance)
+    except (cli.FormatError, IndexError, TypeError):
+        return None
+    return repr(certificate.check_feasible(result_segments(doc), instance)), repr(want)
+
+
+def test_every_tamper_gets_the_reference_verdict(tmp_path, nn_pair):
+    """The same FormatError message or the same problem list as the
+    reference for every tamper, on the exact solve's and the nn solve's
+    results, at every scale; and the same feasibility report wherever the
+    reference can walk the tampered timeline."""
+    pairs = [solved_pair(tmp_path)[::2], nn_pair]
+    compared = 0
+    for inst_path, clean in pairs:
+        inst = read_instance(inst_path)
+        for tamper in EXISTING_TAMPERS + NEW_TAMPERS + WALK_TAMPERS + OTHER_TAMPERS:
+            tampered = json.loads(json.dumps(clean))
+            try:
+                tamper(tampered)
+            except (StopIteration, AssertionError, TypeError):
+                # The result has no place for this tamper (the nn result
+                # has no gap to offset); each walk tamper has one.
+                assert tamper not in WALK_TAMPERS
+                continue
+            for k in SCALE_EXPONENTS:
+                image, doc = scaled(inst, tampered, k)
+                assert verdict(cli.verify_result, doc, image) \
+                    == verdict(reference_verify_result, doc, image), (tamper, k)
+                reports = feasibility(doc, image)
+                if reports:
+                    got, want = reports
+                    assert got == want, (tamper, k)
+                    compared += 1
+    assert compared >= 300, compared
+
+
+def test_walk_tampers_get_their_verdicts(tmp_path):
+    """The no-op move and the move in two steps pass; the visit to station
+    m fails exactly the two segments it spans, the second without moves;
+    the support moved away fails its segment, and the next segment, whose
+    supports fit again, passes."""
+    inst_path, _, clean = solved_pair(tmp_path)
+    inst = read_instance(inst_path)
+    misfit = f"assignment or supports do not fit n={inst.n}, m={inst.m}"
+    last = len(clean["timeline"]["segments"]) - 1
+    for tamper, failing in ((move_in_place, []), (move_one_object_twice, []),
+                            (visit_an_unknown_station, [last - 2, last - 1]),
+                            (move_a_support_away, [1])):
+        doc = json.loads(json.dumps(clean))
+        tamper(doc)
+        want = [f"segment {i}: {misfit}" for i in failing]
+        assert cli.verify_result(doc, inst) == want == reference_verify_result(doc, inst), tamper
+
+
+def desk_results():
+    """(instance, algorithm, flags, result) of the n=40, m=6 desk solves:
+    four classes, seeds 0-1, `exact` and `nn` with all flags and
+    `fixed_nn`, in float and exact arithmetic."""
+    flags = ImprovementFlags(no_dup=True, imp_ext=True, part_ext=True)
+    for klass in ("random", "same_slope", "same_start", "same_end"):
+        for seed in (0, 1):
+            inst = generate(GenParams(n=40, m=6, seed=seed, instance_class=klass))
+            for exact in (False, True):
+                for backend in ("exact", "nn"):
+                    config = SolverConfig(static_backend=backend, flags=flags,
+                                          exact_arithmetic=exact)
+                    yield inst, backend, flags, solve_minmax(inst, config)
+                yield (inst, "fixed_nn", ImprovementFlags(),
+                       fixed_nn_baseline(inst, k=10, exact_arithmetic=exact))
+
+
+def test_desk_results_get_the_reference_verdicts():
+    """Every desk result passes both checkers, and `check_feasible` gives
+    the reference's report on the solver's timeline, whose segments share
+    assignment tuples and, in exact arithmetic, hold exact times, and on the
+    timeline read back from the result file."""
+    count = 0
+    for inst, algorithm, flags, result in desk_results():
+        doc = json.loads(result_to_json("desk", algorithm, flags, {}, result))
+        assert cli.verify_result(doc, inst) == reference_verify_result(doc, inst) == []
+        segments = result.timeline.segments
+        assert repr(certificate.check_feasible(segments, inst)) \
+            == repr(reference_check_feasible(segments, inst))
+        assert feasibility(doc, inst)[0] == feasibility(doc, inst)[1]
+        count += 1
+    assert count == 48
+
+
+def test_moves_that_change_no_station_close_no_run(tmp_path, monkeypatch):
+    """The feasibility runs close where a station's members or support
+    change, so a no-op move, or a move made in two steps, closes the same
+    runs at the same times as the clean result."""
+    closed = []
+    close = certificate._Walk._close
+    monkeypatch.setattr(certificate._Walk, "_close",
+                        lambda walk, s, t: closed.append((s, t)) or close(walk, s, t))
+    inst_path, _, clean = solved_pair(tmp_path)
+    inst = read_instance(inst_path)
+    runs = {}
+    for tamper in (None, move_in_place, move_one_object_twice):
+        doc = json.loads(json.dumps(clean))
+        if tamper:
+            tamper(doc)
+        closed.clear()
+        assert cli.verify_result(doc, inst) == []
+        runs[tamper] = sorted(closed)
+    assert len(runs[None]) > inst.m
+    assert runs[move_in_place] == runs[move_one_object_twice] == runs[None]

@@ -211,6 +211,21 @@ def test_merge_single_segments_is_pointwise_min(a2, a1, a0, b2, b1, b0, i):
     assert timeline_cost(merged, t) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.xfail(strict=True, reason="merge_lower_envelope keeps b, the higher timeline, "
+                                      "over all of [0, 1]")
+def test_merge_keeps_the_lower_of_two_near_tangent_timelines():
+    """A falsifying example of the property above, fixed: a = 0 and
+    b = t**2 - 5.960464477539063e-08 t + 7.933232404264173e-13, one
+    segment each over [0, 1].  b is above a everywhere (its minimum is
+    about 7.9e-13), yet the merge returns b alone, which reads 1.02e-4 at
+    t = 1/99 where a reads 0."""
+    a = SolutionTimeline((seg(0.0, 1.0, 0.0, 0.0, 0.0, tag=0),))
+    b = SolutionTimeline((seg(0.0, 1.0, 1.0, -5.960464477539063e-08, 7.933232404264173e-13,
+                              tag=1),))
+    merged = merge_lower_envelope(a, b)
+    assert timeline_cost(merged, 1 / 99) == 0.0
+
+
 def test_merge_settles_a_float_tie_at_the_far_end():
     # 1e-9 * (t + 1) is within the float tolerance of 0 at t = 0 (value and
     # slope alike) but above it by t = 1, so b is the cheaper one throughout.

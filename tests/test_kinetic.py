@@ -447,6 +447,24 @@ def test_check_feasible_flags_bad_assignment():
     assert check_feasible(extend((), 0.0, "forward", 1.0, NO_FLAGS, empty), empty).ok
 
 
+def test_check_feasible_rejects_a_station_outside_the_instance():
+    """An object on station m or -1, from the start or moved there later,
+    is an error rather than an object that no run checks."""
+    inst = MovingInstance(
+        (Point2(0.0, 0.0), Point2(10.0, 0.0)),
+        (Trajectory(Point2(1.0, 0.0), Point2(1.0, 0.0)),
+         Trajectory(Point2(9.0, 0.0), Point2(9.0, 0.0))),
+    )
+    poly = extend((0, 1), 0.0, "forward", 1.0, NO_FLAGS, inst)[0].poly
+    for station in (2, -1):
+        stray = (0, station)
+        for timeline in ([TimelineSegment(0.0, 1.0, stray, (0, None), poly)],
+                         [TimelineSegment(0.0, 0.5, (0, 1), (0, 1), poly),
+                          TimelineSegment(0.5, 1.0, stray, (0, None), poly)]):
+            with pytest.raises(ValueError):
+                check_feasible(timeline, inst)
+
+
 def test_extend_with_exact_static_seed():
     for seed in range(8):
         n, m = random_sizes(seed, 12, 3)

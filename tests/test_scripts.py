@@ -93,23 +93,28 @@ def test_bench_record_compacts_the_passes():
 
 def test_bench_trajectory_reads_the_committed_recordings(tmp_path):
     """The committed per-solve recordings, and a compact one, whose solve
-    count is the sum of its rows' passes."""
+    count is the sum of its rows' passes; `check_s` is the last column."""
     bench_trajectory = load_script("bench_trajectory")
     header, *lines = bench_trajectory.trajectory()
     assert header.split() == ["label", "workload", "commit", "source", "rows", "solves",
-                              "solve_s_total"]
+                              "solve_s_total", "check_s"]
     assert len(lines) == len(list(SCRIPTS.parent.glob("BENCH_*.json"))) >= 7
     rows = {tuple(line.split()[:2]): line.split() for line in lines}
     parent = rows["double_filters_parent", "exact_arith"]
     child = rows["double_filters", "exact_arith"]
     assert parent[2] == child[2] == "a0e45c682529"
     assert parent[3:6] == ["0e4bff12f0781c55", "1232", "1232"]
-    assert (parent[-1], child[-1]) == ("0.0422", "0.0294")
+    assert (parent[6], child[6]) == ("0.0422", "0.0294")
+    assert (parent[7], child[7]) == ("0.0022", "0.0021")
     for label in ("root_enclosures_parent", "root_enclosures"):
         path = SCRIPTS.parent / f"BENCH_{label}_exact_arith.json"
         assert path.stat().st_size < 50_000
         line = rows[label, "exact_arith"]
         assert int(line[4]) == 16 and int(line[5]) >= 32  # eight instances, two recipes
+    for label in ("one_walk_check_parent", "one_walk_check"):
+        line = rows[label, "heuristic_full"]
+        assert line[2] == "3943e54626c9"
+        assert int(line[4]) == 6 and int(line[5]) >= 12  # three instances, two recipes
 
     doc = load_script("bench_record").parse_run_output(RECORDED_RUN)
     compact = {"workload": "exact_arith", "seed": 1, "label": "toy", "context": doc["context"],
@@ -118,7 +123,7 @@ def test_bench_trajectory_reads_the_committed_recordings(tmp_path):
     (tmp_path / "BENCH_toy_exact_arith.json").write_text(json.dumps(compact))
     (_, line), = [bench_trajectory.trajectory(tmp_path)]
     assert line.split() == ["toy", "exact_arith", "65b54f83aa3c", "293e8c2800e12603", "2", "6",
-                            "0.0105"]
+                            "0.0105", "-"]
 
 
 def test_desk_digest_repeats_and_tells_flags_apart():
